@@ -42,6 +42,7 @@
 
 
 #![warn(missing_docs)]
+mod crc32;
 mod epoch;
 
 pub mod error;
@@ -62,7 +63,8 @@ pub use error::{CorruptionOutcome, HdnhError};
 pub use faultexplore::{ExploreConfig, ExploreReport, FaultCaseResult, OpMix};
 pub use hot::HotTable;
 pub use params::{HdnhParams, HdnhParamsBuilder, HotPolicy, SyncMode};
-pub use pool::{crc32_ieee, PoolOpenReport, Superblock, SUPERBLOCK_FILE};
+pub use crc32::crc32_ieee;
+pub use pool::{PoolOpenReport, Superblock, SUPERBLOCK_FILE};
 pub use recovery::{PersistentPool, RecoveryTiming};
 pub use snapshot::{
     verify_snapshot, ManifestEntry, SnapshotManifest, SnapshotReport, SNAPSHOT_MANIFEST_FILE,

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use hdnh_nvm::{Backend, NvmRegion, PoolDir};
 
+use crate::crc32::crc32_ieee;
 use crate::meta::{self, META_BYTES};
 use crate::params::HdnhParams;
 use crate::recovery::{PersistentPool, RecoveryTiming};
@@ -122,20 +123,6 @@ impl Superblock {
             layout_epoch: u64::from_le_bytes(bytes[24..32].try_into().unwrap()),
         })
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), bitwise — this
-/// runs on superblock/manifest-sized inputs, a table buys nothing. Public
-/// because the snapshot manifest and its tests share the same checksum.
-pub fn crc32_ieee(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (!(crc & 1)).wrapping_add(1));
-        }
-    }
-    !crc
 }
 
 pub(crate) fn read_superblock(dir: &Path) -> Result<Superblock, HdnhError> {
@@ -491,11 +478,5 @@ mod tests {
         for n in 0..SUPERBLOCK_BYTES {
             assert!(Superblock::decode(&good[..n]).is_err(), "len {n}");
         }
-    }
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32_ieee(b"123456789"), 0xCBF4_3926);
     }
 }

@@ -38,9 +38,9 @@ use std::path::{Path, PathBuf};
 use hdnh_nvm::Backend;
 use hdnh_obs as obs;
 
+use crate::crc32::crc32_ieee;
 use crate::pool::{
-    crc32_ieee, read_superblock, write_superblock, Superblock, SUPERBLOCK_FILE,
-    SUPERBLOCK_VERSION,
+    read_superblock, write_superblock, Superblock, SUPERBLOCK_FILE, SUPERBLOCK_VERSION,
 };
 use crate::{Hdnh, HdnhError};
 

@@ -213,6 +213,10 @@ impl Drop for Hdnh {
     }
 }
 
+/// A probe missed while an out-of-place update was moving a record: the
+/// miss proves nothing and the probe must be retried.
+struct ProbeRaced;
+
 /// A pinned snapshot: the epoch pin (taken *before* the pointer load) keeps
 /// a concurrent resize from freeing the `Inner` this borrows.
 struct PinnedInner<'a> {
@@ -917,12 +921,50 @@ impl Hdnh {
         None
     }
 
+    /// [`find`](Self::find) whose miss can be trusted: `Err(ProbeRaced)`
+    /// when a miss overlapped an out-of-place update and must be retried.
+    ///
+    /// A miss is only authoritative if no out-of-place update moved a
+    /// record mid-probe. Missing both copies requires the new-slot read to
+    /// precede the new commit and the old-slot read to follow the old
+    /// clear; the writer bumps `relocations` strictly between those two
+    /// stores, so the re-load is guaranteed to observe it (the old-slot
+    /// load acquires the clearing release-store, which the bump is
+    /// sequenced before). Readers and writers share this: a writer that
+    /// trusted a raced miss would report a spurious `KeyNotFound`, or
+    /// admit a duplicate insert.
+    fn find_validated(
+        &self,
+        inner: &Inner,
+        key: &Key,
+        h: &KeyHashes,
+        writer: bool,
+    ) -> Result<Option<Located>, ProbeRaced> {
+        let reloc0 = self.relocations.load(Ordering::SeqCst);
+        let found = self.find(inner, key, h, writer);
+        if found.is_none() && self.relocations.load(Ordering::SeqCst) != reloc0 {
+            obs::count(obs::Counter::SnapshotRetry);
+            return Err(ProbeRaced);
+        }
+        Ok(found)
+    }
+
+    /// A generation-validated writer's probe: retries raced misses in
+    /// place (the writer's pin keeps the snapshot current).
+    fn find_for_write(&self, inner: &Inner, key: &Key, h: &KeyHashes) -> Option<Located> {
+        loop {
+            if let Ok(found) = self.find_validated(inner, key, h, true) {
+                return found;
+            }
+        }
+    }
+
     /// Searches and write-locks the record's slot. `Ok(Some(..))` holds the
     /// lock; the pre-lock entry is inside.
     fn find_and_lock(&self, inner: &Inner, key: &Key, h: &KeyHashes) -> Option<Located> {
         let mut backoff = Backoff::new();
         loop {
-            let loc = self.find(inner, key, h, true)?;
+            let loc = self.find_for_write(inner, key, h)?;
             let (_, ocf) = inner.level(loc.li);
             match ocf.try_lock_at(loc.bucket, loc.slot, loc.entry) {
                 LockOutcome::Locked(_) => return Some(loc),
@@ -1109,8 +1151,7 @@ impl Hdnh {
                     return Some(v);
                 }
             }
-            let reloc0 = self.relocations.load(Ordering::SeqCst);
-            let found = self.find(inner, key, &h, false);
+            let probe = self.find_validated(inner, key, &h, false);
             // Validate after the probe: an unchanged generation (or the
             // odd writer-exclusion value, under which nothing can commit)
             // proves the snapshot answered consistently. Otherwise a
@@ -1121,20 +1162,10 @@ impl Hdnh {
                 obs::count(obs::Counter::SnapshotRetry);
                 continue;
             }
-            let Some(loc) = found else {
-                // A miss is only authoritative if no out-of-place update
-                // moved a record mid-probe. Missing both copies requires
-                // the new-slot read to precede the new commit and the
-                // old-slot read to follow the old clear; the writer bumps
-                // `relocations` strictly between those two stores, so this
-                // re-load is guaranteed to observe it (the old-slot load
-                // acquires the clearing release-store, which the bump is
-                // sequenced before).
-                if self.relocations.load(Ordering::SeqCst) != reloc0 {
-                    obs::count(obs::Counter::SnapshotRetry);
-                    continue;
-                }
-                return None;
+            let loc = match probe {
+                Ok(Some(loc)) => loc,
+                Ok(None) => return None,
+                Err(ProbeRaced) => continue,
             };
             // Cache-miss promotion: "the items can be inserted to the hot
             // table again when these items are searched next time" (§3.3).
@@ -1187,7 +1218,7 @@ impl Hdnh {
             let gen = {
                 let (snap, gen) = self.pin_for_write();
                 let inner = snap.inner;
-                if self.find(inner, key, &h, true).is_some() {
+                if self.find_for_write(inner, key, &h).is_some() {
                     return Err(HdnhError::DuplicateKey);
                 }
                 for li in 0..2 {
@@ -1449,7 +1480,9 @@ impl Hdnh {
             return self.insert_inner(key, &vlog::encode_inline(payload), false);
         }
         obs::count(obs::Counter::VlogSpillWrites);
-        let ptr = self.vlog.append(key, payload)?;
+        // The ticket outlives the index publish (or its failure): the
+        // compactor must not scan the record's segment before then.
+        let (ptr, _ticket) = self.vlog.append_ticketed(key, payload)?;
         let out = self.insert_inner(key, &ptr.to_value(), true);
         if out.is_err() {
             // The appended record was never published: orphan it.
@@ -1468,7 +1501,7 @@ impl Hdnh {
             return Ok(());
         }
         obs::count(obs::Counter::VlogSpillWrites);
-        let ptr = self.vlog.append(key, payload)?;
+        let (ptr, _ticket) = self.vlog.append_ticketed(key, payload)?;
         match self.update_inner(key, &ptr.to_value(), true, None) {
             Ok(old) => {
                 Self::tombstone_old(&self.vlog, old);
@@ -1501,8 +1534,13 @@ impl Hdnh {
     /// pointer into a segment the compactor retired mid-read re-probes the
     /// index — the relocated pointer is already published before a segment
     /// disappears — so readers never block on (or race destructively with)
-    /// the GC.
+    /// the GC. A pointer that keeps naming an unmapped segment is dangling
+    /// and surfaces as [`HdnhError::VlogCorruption`] rather than a spin.
     pub fn get_bytes(&self, key: &Key) -> Result<Option<Vec<u8>>, HdnhError> {
+        // Each legitimate retry needs a whole compaction pass to retire
+        // the freshly re-probed segment in the gap between probe and read.
+        const RETIRED_SEGMENT_RETRIES: usize = 64;
+        let mut retries = 0;
         loop {
             let Some(v) = self.get(key)? else { return Ok(None) };
             if let Some(ptr) = VlogPtr::from_value(&v) {
@@ -1510,7 +1548,17 @@ impl Hdnh {
                     Some(payload) => return Ok(Some(payload)),
                     // Segment retired between the index probe and the log
                     // read: the GC already republished the pointer.
-                    None => continue,
+                    None if retries < RETIRED_SEGMENT_RETRIES => {
+                        retries += 1;
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    None => {
+                        return Err(HdnhError::VlogCorruption {
+                            segment: ptr.segment,
+                            offset: ptr.offset,
+                        })
+                    }
                 }
             }
             return Ok(Some(match vlog::decode_inline(&v) {

@@ -2,10 +2,11 @@
 //! readers (DESIGN.md §17).
 //!
 //! The compactor picks every segment carrying tombstoned bytes, seals it,
-//! relocates each still-live record (append to the active segment, then a
-//! *guarded* index update that only lands while the slot still carries
-//! the old pointer), and finally unmaps the victim. Safety for concurrent
-//! readers is two-layered:
+//! waits for the appends still in flight on it (seal → quiesce → scan),
+//! relocates each still-live record (its verified image is appended to the
+//! active segment as is, then a *guarded* index update lands only while
+//! the slot still carries the old pointer), and finally unmaps the victim.
+//! Safety for concurrent readers is two-layered:
 //!
 //! * a reader that already resolved a pointer holds an `Arc` to the
 //!   segment, so the bytes stay mapped until its read completes even
@@ -79,19 +80,29 @@ impl Hdnh {
         for seg in &victims {
             seg.seal();
         }
+        // Seal → quiesce → scan. An appender that reserved before the seal
+        // may not have written yet (the scan would stop at its hole and
+        // retire every later record unvisited) or not have published its
+        // pointer yet (the scan would judge the record dead, and the
+        // pointer would then land in a retired segment). Both hold a
+        // ticket until their publish returns; wait them out. No epoch pin
+        // is held here, so a ticket holder that has to resize can drain.
+        for seg in &victims {
+            seg.quiesce();
+        }
         let mut retired_paths = Vec::new();
         for seg in &victims {
             report.victims += 1;
             let mut relocated = 0u64;
             let mut failure: Option<HdnhError> = None;
-            seg.for_each_record(|offset, key, payload| {
+            seg.for_each_record(|offset, key, payload_len, image| {
                 if failure.is_some() {
                     return;
                 }
                 let old_ptr = VlogPtr {
                     segment: seg.id(),
                     offset,
-                    len: payload.len() as u32,
+                    len: payload_len as u32,
                 };
                 // Liveness: the index must reference exactly this record.
                 // Tombstoned records (and older versions of a rewritten
@@ -103,8 +114,10 @@ impl Hdnh {
                 if !live {
                     return;
                 }
-                let new_ptr = match self.vlog.append(key, payload) {
-                    Ok(p) => p,
+                // The scan already verified the image; the copy is
+                // byte-identical, so its checksum still holds.
+                let (new_ptr, _ticket) = match self.vlog.append_image(image, payload_len) {
+                    Ok(appended) => appended,
                     Err(e) => {
                         failure = Some(e);
                         return;
@@ -119,7 +132,7 @@ impl Hdnh {
                         // a victim kept alive by a mid-pass failure still
                         // carries honest garbage numbers.
                         self.vlog.mark_garbage(&old_ptr);
-                        relocated += segment::footprint(payload.len()) as u64;
+                        relocated += segment::footprint(payload_len) as u64;
                         report.records_relocated += 1;
                         obs::count(obs::Counter::VlogGcRecordsRelocated);
                     }
@@ -225,5 +238,49 @@ mod tests {
         t.verify_integrity().unwrap();
         // The report is surfaced through stats for INFO / /varz.
         assert_eq!(t.vlog_stats().last_gc, Some(report));
+    }
+
+    #[test]
+    fn compact_waits_out_an_append_published_after_the_seal() {
+        let t = std::sync::Arc::new(table());
+        let key = Key::from_u64(1);
+        t.insert_bytes(&key, &[1u8; 200]).unwrap();
+        // The overwrite leaves garbage: the first segment is a victim.
+        t.update_bytes(&key, &[2u8; 200]).unwrap();
+        // An append that reserved and wrote in the victim but has not
+        // published its pointer when the compactor seals.
+        let late = Key::from_u64(2);
+        let (ptr, ticket) = t.vlog.append_ticketed(&late, &[3u8; 200]).unwrap();
+        let victim = t.vlog.segment(ptr.segment).unwrap();
+        assert!(victim.garbage_bytes() > 0);
+        let gc = std::thread::spawn({
+            let t = std::sync::Arc::clone(&t);
+            move || t.compact().unwrap()
+        });
+        while !victim.is_sealed() {
+            std::thread::yield_now();
+        }
+        // The ticket holds the compactor at the quiesce step: publishing
+        // now still lands before the scan, which must find the record
+        // live and carry it out of the victim.
+        t.insert_inner(&late, &ptr.to_value(), true).unwrap();
+        drop(ticket);
+        let report = gc.join().unwrap();
+        assert!(t.vlog.segment(ptr.segment).is_none(), "victim retired: {report:?}");
+        assert_eq!(report.records_relocated, 2, "{report:?}");
+        assert_eq!(t.get_bytes(&late).unwrap().unwrap(), vec![3u8; 200]);
+        assert_eq!(t.get_bytes(&key).unwrap().unwrap(), vec![2u8; 200]);
+        t.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn dangling_pointer_is_an_error_not_a_spin() {
+        let t = table();
+        let key = Key::from_u64(7);
+        t.insert_bytes(&key, &[5u8; 100]).unwrap();
+        let ptr = VlogPtr::from_value(&t.get(&key).unwrap().unwrap()).unwrap();
+        t.vlog.remove_segment(ptr.segment).unwrap();
+        let e = t.get_bytes(&key).unwrap_err();
+        assert!(matches!(e, HdnhError::VlogCorruption { segment, .. } if segment == ptr.segment));
     }
 }

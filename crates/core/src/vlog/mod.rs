@@ -40,6 +40,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::HdnhError;
 
 pub use gc::CompactReport;
+pub(crate) use segment::AppendTicket;
 pub use segment::{decode_record, encode_record, footprint, VlogSegment, RECORD_OVERHEAD};
 
 /// Largest payload the 15-byte slot stores inline: one length byte plus
@@ -258,13 +259,38 @@ impl Vlog {
     /// Appends one record and returns its pointer. One `fetch_add` per
     /// append on the hot path; the rotation mutex is taken only to
     /// install a fresh segment when the active one seals.
+    ///
+    /// For a log used on its own. A caller that publishes the pointer into
+    /// an index a compactor consults must hold the append's ticket across
+    /// that publish — [`append_ticketed`](Self::append_ticketed).
     pub fn append(&self, key: &Key, payload: &[u8]) -> Result<VlogPtr, HdnhError> {
+        self.append_ticketed(key, payload).map(|(ptr, _ticket)| ptr)
+    }
+
+    /// [`append`](Self::append), plus the ticket that keeps the compactor
+    /// from scanning the record's segment until it is dropped.
+    pub(crate) fn append_ticketed(
+        &self,
+        key: &Key,
+        payload: &[u8],
+    ) -> Result<(VlogPtr, AppendTicket), HdnhError> {
         if payload.len() > MAX_VALUE_BYTES {
             return Err(HdnhError::Capacity(format!(
                 "value of {} bytes exceeds the {MAX_VALUE_BYTES}-byte maximum",
                 payload.len()
             )));
         }
+        self.append_image(&encode_record(key, payload), payload.len())
+    }
+
+    /// Appends an already encoded (and, for the compactor, already
+    /// verified) record image carrying a `payload_len`-byte payload.
+    pub(crate) fn append_image(
+        &self,
+        rec: &[u8],
+        payload_len: usize,
+    ) -> Result<(VlogPtr, AppendTicket), HdnhError> {
+        debug_assert_eq!(rec.len(), footprint(payload_len));
         loop {
             let seg = {
                 let guard = self.active.lock();
@@ -272,20 +298,21 @@ impl Vlog {
                     Some(seg) if !seg.is_sealed() => Arc::clone(seg),
                     _ => {
                         drop(guard);
-                        self.rotate(payload.len())?
+                        self.rotate(payload_len)?
                     }
                 }
             };
-            if let Some(offset) = seg.try_append(key, payload) {
+            if let Some((offset, ticket)) = seg.try_append(rec) {
                 hdnh_obs::count(hdnh_obs::Counter::VlogAppends);
-                return Ok(VlogPtr {
+                let ptr = VlogPtr {
                     segment: seg.id(),
                     offset,
-                    len: payload.len() as u32,
-                });
+                    len: payload_len as u32,
+                };
+                return Ok((ptr, ticket));
             }
             // The segment sealed under us (overflow); rotate and retry.
-            self.rotate(payload.len())?;
+            self.rotate(payload_len)?;
         }
     }
 
@@ -326,10 +353,8 @@ impl Vlog {
 
     /// Verifies the record behind `ptr` without materializing it.
     pub fn verify(&self, ptr: &VlogPtr, key: &Key) -> bool {
-        match self.segment(ptr.segment) {
-            Some(seg) => seg.read(ptr.offset, ptr.len, key).is_ok(),
-            None => false,
-        }
+        self.segment(ptr.segment)
+            .is_some_and(|seg| seg.verify(ptr.offset, ptr.len, key))
     }
 
     /// Tombstones the record behind `ptr` (its bytes stay in place; the

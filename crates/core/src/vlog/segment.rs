@@ -24,7 +24,7 @@ use std::sync::Arc;
 use hdnh_common::{Key, KEY_LEN};
 use hdnh_nvm::{fault, NvmRegion};
 
-use crate::pool::crc32_ieee;
+use crate::crc32::crc32_ieee;
 
 /// Fixed bytes around each record's payload: 4-byte length, 16-byte key,
 /// 4-byte CRC32.
@@ -80,9 +80,27 @@ pub struct VlogSegment {
     /// writes nothing.
     tail: AtomicU64,
     sealed: AtomicBool,
+    /// Appends between announcing themselves and their caller's index
+    /// publish (or abandonment) returning — see [`AppendTicket`].
+    inflight: AtomicU64,
     /// Bytes (aligned footprints) of records no longer referenced by the
     /// index — tombstoned by overwrite, delete, or GC relocation.
     garbage: AtomicU64,
+}
+
+/// Held from an append's announcement until the index publish of its
+/// pointer (or its abandonment) has returned. The compactor seals a
+/// victim and then waits for its tickets to drain
+/// ([`VlogSegment::quiesce`]), so it never scans past a reserved but
+/// unwritten record, nor judges a written but unpublished one dead.
+/// Dropping the ticket (also on unwind) releases it.
+#[derive(Debug)]
+pub(crate) struct AppendTicket(Arc<VlogSegment>);
+
+impl Drop for AppendTicket {
+    fn drop(&mut self) {
+        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl VlogSegment {
@@ -92,6 +110,7 @@ impl VlogSegment {
             region,
             tail: AtomicU64::new(0),
             sealed: AtomicBool::new(false),
+            inflight: AtomicU64::new(0),
             garbage: AtomicU64::new(0),
         }
     }
@@ -123,11 +142,23 @@ impl VlogSegment {
 
     /// Whether the segment accepts no further appends.
     pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::Acquire)
+        self.sealed.load(Ordering::SeqCst)
     }
 
     pub(crate) fn seal(&self) {
-        self.sealed.store(true, Ordering::Release);
+        self.sealed.store(true, Ordering::SeqCst);
+    }
+
+    /// Waits until no append that could still land in this (sealed)
+    /// segment is in flight. `sealed` and `inflight` are both `SeqCst`: an
+    /// appender announces itself *before* it checks the seal and the
+    /// compactor seals *before* it reads the count, so either the
+    /// compactor sees the appender or the appender sees the seal.
+    pub(crate) fn quiesce(&self) {
+        debug_assert!(self.is_sealed());
+        while self.inflight.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
     }
 
     pub(crate) fn region(&self) -> &Arc<NvmRegion> {
@@ -145,33 +176,37 @@ impl VlogSegment {
         self.garbage.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Appends one record: reserve with a single `fetch_add`, write, then
+    /// Appends one encoded record image (`rec.len()` is its aligned
+    /// [`footprint`]): reserve with a single `fetch_add`, write, then
     /// persist (flush + fence) so the payload is durable *before* the
     /// caller publishes an index pointer to it — the §15 power-loss model's
-    /// ordering requirement. Returns the record's byte offset, or `None`
-    /// when the record does not fit (the segment is sealed as a side
-    /// effect; the caller rotates to a fresh segment).
-    pub(crate) fn try_append(&self, key: &Key, payload: &[u8]) -> Option<u32> {
+    /// ordering requirement. Returns the record's byte offset and the
+    /// ticket the caller holds across that publish, or `None` when the
+    /// record does not fit (the segment is sealed as a side effect; the
+    /// caller rotates to a fresh segment).
+    pub(crate) fn try_append(self: &Arc<Self>, rec: &[u8]) -> Option<(u32, AppendTicket)> {
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+        let ticket = AppendTicket(Arc::clone(self));
         if self.is_sealed() {
             return None;
         }
-        let need = footprint(payload.len()) as u64;
+        let need = rec.len() as u64;
         let off = self.tail.fetch_add(need, Ordering::AcqRel);
         if off + need > self.capacity() {
             self.seal();
             return None;
         }
-        let rec = encode_record(key, payload);
-        self.region.write_bytes(off as usize, &rec);
+        self.region.write_bytes(off as usize, rec);
         self.region.persist(off as usize, rec.len());
         fault::point("vlog.appended");
-        Some(off as u32)
+        Some((off as u32, ticket))
     }
 
-    /// Reads and verifies the record at `offset`. `Err(())` means the
-    /// bytes there do not checksum to a record carrying this key and
-    /// length — corruption (or a dangling pointer), never a forged value.
-    pub(crate) fn read(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
+    /// Reads the record at `offset` with one media read and verifies it in
+    /// place. `Err(())` means the bytes there do not checksum to a record
+    /// carrying this key and length — corruption (or a dangling pointer),
+    /// never a forged value.
+    fn read_record(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
         let off = offset as usize;
         let len = len as usize;
         if len > super::MAX_VALUE_BYTES || off + footprint(len) > self.region.len() {
@@ -180,45 +215,33 @@ impl VlogSegment {
         let mut rec = vec![0u8; RECORD_OVERHEAD + len];
         self.region.read_into(off, &mut rec);
         match decode_record(&rec) {
-            Some((k, payload)) if k == *key && payload.len() == len => Ok(rec
-                [4 + KEY_LEN..4 + KEY_LEN + len]
-                .to_vec()),
+            Some((k, payload)) if k == *key && payload.len() == len => Ok(rec),
             _ => Err(()),
         }
     }
 
-    /// Walks records from offset 0 and returns the offset of the first
-    /// hole: a zero/absurd length word, a record overrunning the region,
-    /// or a CRC failure (a torn final append). Used on recovery; the true
-    /// tail is the max of this and the highest end of any live pointer.
-    pub(crate) fn scan_tail(&self) -> u64 {
-        let cap = self.region.len();
-        let mut off = 0usize;
-        loop {
-            if off + RECORD_OVERHEAD > cap {
-                break;
-            }
-            let mut lenb = [0u8; 4];
-            self.region.peek(off, &mut lenb);
-            let len = u32::from_le_bytes(lenb) as usize;
-            if len == 0 || len > super::MAX_VALUE_BYTES || off + footprint(len) > cap {
-                break;
-            }
-            let mut rec = vec![0u8; RECORD_OVERHEAD + len];
-            self.region.peek(off, &mut rec);
-            if decode_record(&rec).is_none() {
-                break;
-            }
-            off += footprint(len);
-        }
-        off as u64
+    /// The verified payload of the record at `offset`, returned in the
+    /// buffer the media read filled: one allocation, one copy.
+    pub(crate) fn read(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
+        let mut rec = self.read_record(offset, len, key)?;
+        let payload = 4 + KEY_LEN..4 + KEY_LEN + len as usize;
+        rec.copy_within(payload, 0);
+        rec.truncate(len as usize);
+        Ok(rec)
     }
 
-    /// Iterates decodable records (offset, key, payload) from offset 0 up
-    /// to the current tail, skipping nothing: the log is dense until the
-    /// first hole by construction.
-    pub(crate) fn for_each_record(&self, mut f: impl FnMut(u32, &Key, &[u8])) {
-        let end = self.used() as usize;
+    /// Whether the record at `offset` verifies for this key and length.
+    pub(crate) fn verify(&self, offset: u32, len: u32, key: &Key) -> bool {
+        self.read_record(offset, len, key).is_ok()
+    }
+
+    /// Walks the dense prefix of decodable records in `[0, end)`, handing
+    /// each one's offset, key, payload length and whole image (its aligned
+    /// footprint, checksummed once, in a buffer reused across records) to
+    /// `f`. Returns the offset of the first hole: a zero/absurd length
+    /// word, a record overrunning `end`, or a CRC failure (a torn append).
+    fn walk(&self, end: usize, mut f: impl FnMut(u32, &Key, usize, &[u8])) -> u64 {
+        let mut rec = Vec::new();
         let mut off = 0usize;
         while off + RECORD_OVERHEAD <= end {
             let mut lenb = [0u8; 4];
@@ -227,14 +250,29 @@ impl VlogSegment {
             if len == 0 || len > super::MAX_VALUE_BYTES || off + footprint(len) > end {
                 break;
             }
-            let mut rec = vec![0u8; RECORD_OVERHEAD + len];
+            rec.resize(footprint(len), 0);
             self.region.peek(off, &mut rec);
             match decode_record(&rec) {
-                Some((k, payload)) => f(off as u32, &k, payload),
+                Some((k, _)) => f(off as u32, &k, len, &rec),
                 None => break,
             }
             off += footprint(len);
         }
+        off as u64
+    }
+
+    /// The offset of the first hole in the whole region. Used on recovery;
+    /// the true tail is the max of this and the highest end of any live
+    /// pointer.
+    pub(crate) fn scan_tail(&self) -> u64 {
+        self.walk(self.region.len(), |_, _, _, _| {})
+    }
+
+    /// Iterates decodable records (offset, key, payload length, record
+    /// image) from offset 0 up to the current tail, skipping nothing: a
+    /// quiesced log is dense until its tail by construction.
+    pub(crate) fn for_each_record(&self, f: impl FnMut(u32, &Key, usize, &[u8])) {
+        self.walk(self.used() as usize, f);
     }
 }
 
@@ -243,9 +281,13 @@ mod tests {
     use super::*;
     use hdnh_nvm::NvmOptions;
 
-    fn seg(cap: usize) -> VlogSegment {
+    fn seg(cap: usize) -> Arc<VlogSegment> {
         let region = NvmRegion::alloc(cap, &NvmOptions::fast(), "vlog").unwrap();
-        VlogSegment::new(7, Arc::new(region))
+        Arc::new(VlogSegment::new(7, Arc::new(region)))
+    }
+
+    fn append(s: &Arc<VlogSegment>, key: &Key, payload: &[u8]) -> Option<u32> {
+        s.try_append(&encode_record(key, payload)).map(|(off, _ticket)| off)
     }
 
     #[test]
@@ -286,9 +328,9 @@ mod tests {
         let payload = vec![9u8; 40]; // footprint 64
         let mut offs = Vec::new();
         for _ in 0..4 {
-            offs.push(s.try_append(&key, &payload).expect("fits"));
+            offs.push(append(&s, &key, &payload).expect("fits"));
         }
-        assert!(s.try_append(&key, &payload).is_none(), "fifth append overflows");
+        assert!(append(&s, &key, &payload).is_none(), "fifth append overflows");
         assert!(s.is_sealed());
         for off in offs {
             assert_eq!(s.read(off, 40, &key).unwrap(), payload);
@@ -299,11 +341,39 @@ mod tests {
     }
 
     #[test]
+    fn in_place_read_never_forges_under_damage_or_wrong_pointer() {
+        let s = seg(1024);
+        let key = Key::from_u64(42);
+        let payload: Vec<u8> = (0..200u32).map(|i| (i * 7 % 253) as u8).collect();
+        append(&s, &Key::from_u64(1), &[0x11u8; 30]).unwrap();
+        let off = append(&s, &key, &payload).unwrap();
+        assert_eq!(s.read(off, 200, &key).unwrap(), payload);
+        assert!(s.verify(off, 200, &key));
+        // Every single-byte flip of the record fails the read outright —
+        // the in-place shift never hands back a partly verified buffer.
+        for pos in 0..RECORD_OVERHEAD + payload.len() {
+            s.region().corrupt(off as usize + pos, &[0x01]);
+            assert!(s.read(off, 200, &key).is_err(), "flip at byte {pos} served");
+            assert!(!s.verify(off, 200, &key), "flip at byte {pos} verified");
+            s.region().corrupt(off as usize + pos, &[0x01]);
+        }
+        assert_eq!(s.read(off, 200, &key).unwrap(), payload);
+        // A wrong key, a wrong length, a misaligned or out-of-range offset
+        // never forge a value.
+        assert!(s.read(off, 200, &Key::from_u64(43)).is_err());
+        for len in [0, 1, 199, 201, 1000, u32::MAX] {
+            assert!(s.read(off, len, &key).is_err(), "length {len} served");
+        }
+        assert!(s.read(off + 8, 200, &key).is_err());
+        assert!(s.read(1000, 200, &key).is_err());
+    }
+
+    #[test]
     fn scan_tail_stops_at_first_hole() {
         let s = seg(1024);
         let key = Key::from_u64(3);
-        s.try_append(&key, &[1u8; 10]).unwrap();
-        s.try_append(&key, &[2u8; 20]).unwrap();
+        append(&s, &key, &[1u8; 10]).unwrap();
+        append(&s, &key, &[2u8; 20]).unwrap();
         assert_eq!(s.scan_tail(), (footprint(10) + footprint(20)) as u64);
         // Corrupt the second record's CRC: the scan now stops after the
         // first record.

@@ -150,6 +150,9 @@ mod tests {
             read_bytes_per_us: 1,
             write_bytes_per_us: 1_000_000,
         });
+        // The limiter's first deficit pays the one-time spin calibration
+        // (tens of ms); warm it before starting the clock.
+        busy_wait_ns(1);
         // Writes against the huge ceiling stay fast even though the read
         // bucket is tiny.
         let start = Instant::now();

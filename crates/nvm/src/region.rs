@@ -481,16 +481,28 @@ impl NvmRegion {
         self.copy_out(off, out);
     }
 
+    /// Unaligned head, whole-word body, tail: one relaxed load per word
+    /// touched, so an 8-byte-aligned word is never observed torn.
     fn copy_out(&self, off: usize, out: &mut [u8]) {
-        let mut i = 0;
-        while i < out.len() {
-            let abs = off + i;
-            let w = abs / 8;
-            let shift = abs % 8;
-            let n = (8 - shift).min(out.len() - i);
-            let word = self.words()[w].load(Ordering::Relaxed).to_le_bytes();
-            out[i..i + n].copy_from_slice(&word[shift..shift + n]);
-            i += n;
+        let words = self.words();
+        let mut w = off / 8;
+        let shift = off % 8;
+        let head_len = if shift == 0 { 0 } else { (8 - shift).min(out.len()) };
+        let (head, rest) = out.split_at_mut(head_len);
+        if !head.is_empty() {
+            let word = words[w].load(Ordering::Relaxed).to_le_bytes();
+            head.copy_from_slice(&word[shift..shift + head_len]);
+            w += 1;
+        }
+        let mut body = rest.chunks_exact_mut(8);
+        for chunk in &mut body {
+            chunk.copy_from_slice(&words[w].load(Ordering::Relaxed).to_le_bytes());
+            w += 1;
+        }
+        let tail = body.into_remainder();
+        if !tail.is_empty() {
+            let word = words[w].load(Ordering::Relaxed).to_le_bytes();
+            tail.copy_from_slice(&word[..tail.len()]);
         }
     }
 
@@ -522,30 +534,40 @@ impl NvmRegion {
         self.write_bytes(off, src);
     }
 
+    /// Same shape as [`copy_out`](Self::copy_out): whole words are plain
+    /// relaxed stores (the 8-byte failure-atomicity unit); the sub-word
+    /// head and tail merge with a CAS loop so a concurrent writer of the
+    /// neighbouring bytes in the same word is never clobbered.
     fn copy_in(&self, off: usize, data: &[u8]) {
-        let mut i = 0;
-        while i < data.len() {
-            let abs = off + i;
-            let w = abs / 8;
-            let shift = abs % 8;
-            let n = (8 - shift).min(data.len() - i);
-            if n == 8 {
-                let v = u64::from_le_bytes(data[i..i + 8].try_into().unwrap());
-                self.words()[w].store(v, Ordering::Relaxed);
-            } else {
-                let mut mask = 0u64;
-                let mut val = 0u64;
-                for j in 0..n {
-                    mask |= 0xFFu64 << ((shift + j) * 8);
-                    val |= (data[i + j] as u64) << ((shift + j) * 8);
-                }
-                // Merge the bytes without disturbing neighbours.
-                let _ = self.words()[w]
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                        Some((old & !mask) | val)
-                    });
+        let words = self.words();
+        let merge = |word: &AtomicU64, shift: usize, bytes: &[u8]| {
+            let mut mask = 0u64;
+            let mut val = 0u64;
+            for (j, &b) in bytes.iter().enumerate() {
+                mask |= 0xFFu64 << ((shift + j) * 8);
+                val |= (b as u64) << ((shift + j) * 8);
             }
-            i += n;
+            let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                Some((old & !mask) | val)
+            });
+        };
+        let mut w = off / 8;
+        let shift = off % 8;
+        let head_len = if shift == 0 { 0 } else { (8 - shift).min(data.len()) };
+        let (head, rest) = data.split_at(head_len);
+        if !head.is_empty() {
+            merge(&words[w], shift, head);
+            w += 1;
+        }
+        let mut body = rest.chunks_exact(8);
+        for chunk in &mut body {
+            let v = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+            words[w].store(v, Ordering::Relaxed);
+            w += 1;
+        }
+        let tail = body.remainder();
+        if !tail.is_empty() {
+            merge(&words[w], 0, tail);
         }
     }
 
@@ -1420,6 +1442,84 @@ mod tests {
         crate::fault::set_lint_persists(prev);
     }
 
+    // ---------------- byte-array model ----------------
+
+    /// One scripted access: `(kind, off, len, fill)`, clamped to the region.
+    type ModelOp = (u8, usize, usize, u8);
+
+    fn model_ops() -> impl proptest::strategy::Strategy<Value = Vec<ModelOp>> {
+        proptest::collection::vec((0u8..5, 0usize..300, 0usize..90, 0u8..255), 1..60)
+    }
+
+    /// Replays `ops` on `r` and on a plain byte array (plus, in strict
+    /// mode, plain dirty/staged line sets) and checks they never differ:
+    /// unaligned heads, whole-word bodies and tails must read and write
+    /// exactly the addressed bytes and touch exactly the spanned lines.
+    fn check_against_byte_model(r: &NvmRegion, ops: &[ModelOp]) {
+        let n = r.len();
+        let mut model = vec![0u8; n];
+        let mut dirty = HashSet::new();
+        let mut staged = HashSet::new();
+        for &(kind, off, len, fill) in ops {
+            let off = off % n;
+            let len = len.min(n - off);
+            let lines = if len == 0 {
+                0..0
+            } else {
+                off / CACHELINE..(off + len - 1) / CACHELINE + 1
+            };
+            match kind {
+                0 | 1 => {
+                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    r.write_bytes(off, &data);
+                    model[off..off + len].copy_from_slice(&data);
+                    for line in lines {
+                        staged.remove(&line);
+                        dirty.insert(line);
+                    }
+                }
+                2 => {
+                    let mut out = vec![0xEEu8; len];
+                    r.read_into(off, &mut out);
+                    assert_eq!(out, &model[off..off + len], "read_into({off}, {len})");
+                }
+                3 => {
+                    r.flush(off, len);
+                    for line in lines {
+                        if dirty.remove(&line) {
+                            staged.insert(line);
+                        }
+                    }
+                }
+                _ => {
+                    r.fence();
+                    staged.clear();
+                }
+            }
+            if let Some(strict) = &r.strict {
+                let st = strict.lock();
+                assert_eq!(st.dirty, dirty, "dirty lines after {kind} at ({off}, {len})");
+                assert_eq!(st.staged, staged, "staged lines after {kind} at ({off}, {len})");
+            }
+        }
+        let mut image = vec![0u8; n];
+        r.peek(0, &mut image);
+        assert_eq!(image, model);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn heap_region_matches_byte_model(ops in model_ops()) {
+            // 301 bytes: the last word is partial, the last line short.
+            check_against_byte_model(&region(301), &ops);
+        }
+
+        #[test]
+        fn strict_region_matches_byte_model_and_line_sets(ops in model_ops()) {
+            check_against_byte_model(&strict_region(301), &ops);
+        }
+    }
+
     // ---------------- file backend ----------------
 
     #[cfg(unix)]
@@ -1471,6 +1571,17 @@ mod tests {
             assert_eq!(buf, [0x77; 64]);
             drop(r2);
             std::fs::remove_dir_all(&d).unwrap();
+        }
+
+        proptest::proptest! {
+            #[test]
+            fn pooled_region_matches_byte_model(ops in model_ops()) {
+                let (d, opts) = pool_dir("model");
+                let r = NvmRegion::alloc(301, &opts, "seg").unwrap();
+                check_against_byte_model(&r, &ops);
+                drop(r);
+                std::fs::remove_dir_all(&d).unwrap();
+            }
         }
 
         #[test]
