@@ -12,13 +12,16 @@
 //! * the [`HashIndex`] trait implemented by HDNH and all three baselines so
 //!   the harness can drive them uniformly,
 //! * small deterministic PRNGs ([`rng`]) used for RAFL's random eviction and
-//!   for workload generation.
+//!   for workload generation,
+//! * a safe software-prefetch hint ([`prefetch::prefetch_read`]) for the
+//!   tables' address-first probes.
 
 
 #![warn(missing_docs)]
 pub mod hash;
 pub mod index;
 pub mod kv;
+pub mod prefetch;
 pub mod rng;
 
 pub use index::{HashIndex, IndexError, IndexResult};

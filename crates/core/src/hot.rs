@@ -31,8 +31,9 @@
 //! key may transiently duplicate a cached entry; the non-volatile table is
 //! always authoritative and the cache converges on later puts/evictions.
 
-use std::sync::atomic::{fence, AtomicU32, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
+use hdnh_common::prefetch::prefetch_read;
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Record, Value};
 use hdnh_obs as obs;
@@ -154,7 +155,7 @@ struct HotLevel {
     n_buckets: usize,
     slots: usize,
     meta: Box<[AtomicU32]>,
-    data: Box<[std::sync::atomic::AtomicU64]>,
+    data: Box<[AtomicU64]>,
 }
 
 impl HotLevel {
@@ -163,7 +164,7 @@ impl HotLevel {
         let mut meta = Vec::with_capacity(n);
         meta.resize_with(n, || AtomicU32::new(0));
         let mut data = Vec::with_capacity(n * WORDS_PER_SLOT);
-        data.resize_with(n * WORDS_PER_SLOT, || std::sync::atomic::AtomicU64::new(0));
+        data.resize_with(n * WORDS_PER_SLOT, || AtomicU64::new(0));
         HotLevel {
             n_buckets,
             slots,
@@ -201,6 +202,13 @@ impl HotLevel {
     }
 }
 
+/// A key's candidate bucket in each level (top, bottom): everything the
+/// hot table derives from the key's hashes. An operation computes it once
+/// ([`HotTable::buckets`]) and hands it to the prefetch, the search and
+/// every phase of a put, instead of reducing the hashes again at each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HotBuckets([usize; 2]);
+
 /// The hot table: two levels, single candidate bucket per level.
 ///
 /// ```
@@ -223,7 +231,7 @@ pub struct HotTable {
     /// Global recency list (LRU policy only).
     lru: Option<Mutex<LruList>>,
     /// Per-slot recency stamps, indexed by global slot id (LRU only).
-    stamps: Box<[std::sync::atomic::AtomicU64]>,
+    stamps: Box<[AtomicU64]>,
 }
 
 impl HotTable {
@@ -239,7 +247,7 @@ impl HotTable {
         let lru = policy == HotPolicy::Lru;
         let mut stamps = Vec::new();
         if lru {
-            stamps.resize_with(n_slots, || std::sync::atomic::AtomicU64::new(0));
+            stamps.resize_with(n_slots, || AtomicU64::new(0));
         }
         HotTable {
             levels: [
@@ -326,6 +334,24 @@ impl HotTable {
         (h % self.levels[level].n_buckets as u64) as usize
     }
 
+    /// The key's candidate bucket in each level.
+    #[inline]
+    pub fn buckets(&self, h1: u64, h2: u64) -> HotBuckets {
+        HotBuckets([self.bucket_of(0, h1, h2), self.bucket_of(1, h1, h2)])
+    }
+
+    /// Hints that both candidate buckets are about to be walked: asks for
+    /// their metadata words and record payloads. Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, at: HotBuckets) {
+        for (lv, &bucket) in self.levels.iter().zip(&at.0) {
+            let first = lv.slot_idx(bucket, 0);
+            prefetch_read(&lv.meta, first..first + lv.slots);
+            let payload = first * WORDS_PER_SLOT;
+            prefetch_read(&lv.data, payload..payload + lv.slots * WORDS_PER_SLOT);
+        }
+    }
+
     #[inline]
     fn touch(&self, level: usize, idx: usize) {
         match self.policy {
@@ -341,9 +367,14 @@ impl HotTable {
     /// Point lookup. A hit marks the slot hot (RAFL) or refreshes its
     /// recency (LRU).
     pub fn search(&self, key: &Key, h1: u64, h2: u64, fp: u8) -> Option<Value> {
+        self.search_at(key, self.buckets(h1, h2), fp)
+    }
+
+    /// [`search`](Self::search) at precomputed buckets.
+    pub fn search_at(&self, key: &Key, at: HotBuckets, fp: u8) -> Option<Value> {
         for level in 0..2 {
             let lv = &self.levels[level];
-            let bucket = self.bucket_of(level, h1, h2);
+            let bucket = at.0[level];
             for slot in 0..lv.slots {
                 let idx = lv.slot_idx(bucket, slot);
                 let m1 = lv.meta[idx].load(Ordering::Acquire);
@@ -374,14 +405,54 @@ impl HotTable {
     /// the key is cached, otherwise insert, evicting per RAFL/LRU when the
     /// candidate bucket is full.
     pub fn put(&self, rec: &Record, h1: u64, h2: u64, fp: u8, rng: &mut XorShift64Star) {
-        // Phase 1: in-place update if present. A slot whose fingerprint
-        // matches must be settled, not skipped: walking past the key's
-        // live copy (because a search's hot-bit RMW broke our CAS, or an
-        // eviction holds the slot) and inserting a second copy below would
-        // leave a stale duplicate that search could serve forever.
+        self.put_at(rec, self.buckets(h1, h2), fp, rng)
+    }
+
+    /// [`put`](Self::put) at precomputed buckets.
+    pub fn put_at(&self, rec: &Record, at: HotBuckets, fp: u8, rng: &mut XorShift64Star) {
+        // Phase 1: in-place update if present.
+        if self.refresh_at(rec, at, fp) {
+            return;
+        }
+        // Phase 2: empty slot in either candidate bucket.
         for level in 0..2 {
             let lv = &self.levels[level];
-            let bucket = self.bucket_of(level, h1, h2);
+            let bucket = at.0[level];
+            for slot in 0..lv.slots {
+                let idx = lv.slot_idx(bucket, slot);
+                let m = lv.meta[idx].load(Ordering::Relaxed);
+                if m_valid(m) || m_busy(m) {
+                    continue;
+                }
+                if let Some(locked) = self.try_lock(level, idx, m) {
+                    lv.write_data(idx, rec);
+                    self.commit(level, idx, locked, true, fp, false);
+                    if self.policy == HotPolicy::Lru {
+                        self.lru_touch(level, idx);
+                    }
+                    return;
+                }
+            }
+        }
+        // Phase 3: evict in the top-level candidate bucket.
+        self.evict_and_insert(0, rec, at.0[0], fp, rng);
+    }
+
+    /// Overwrites the key's cached copy with `rec` if there is one, and
+    /// reports whether there was: [`put`](Self::put) without the insert.
+    /// What a writer uses when the record must not go stale in the cache
+    /// but has not earned a place in it (the value-log compactor moving a
+    /// record nobody asked for).
+    ///
+    /// A slot whose fingerprint matches must be settled, not skipped:
+    /// walking past the key's live copy (because a search's hot-bit RMW
+    /// broke our CAS, or an eviction holds the slot) would let a put
+    /// insert a second copy below and leave a stale duplicate that search
+    /// could serve forever.
+    pub fn refresh_at(&self, rec: &Record, at: HotBuckets, fp: u8) -> bool {
+        for level in 0..2 {
+            let lv = &self.levels[level];
+            let bucket = at.0[level];
             for slot in 0..lv.slots {
                 let idx = lv.slot_idx(bucket, slot);
                 loop {
@@ -400,7 +471,7 @@ impl HotTable {
                             if self.policy == HotPolicy::Lru {
                                 self.lru_touch(level, idx);
                             }
-                            return;
+                            return true;
                         }
                         self.unlock_restore(level, idx, locked);
                         break; // fingerprint collision with another key
@@ -409,41 +480,18 @@ impl HotTable {
                 }
             }
         }
-        // Phase 2: empty slot in either candidate bucket.
-        for level in 0..2 {
-            let lv = &self.levels[level];
-            let bucket = self.bucket_of(level, h1, h2);
-            for slot in 0..lv.slots {
-                let idx = lv.slot_idx(bucket, slot);
-                let m = lv.meta[idx].load(Ordering::Relaxed);
-                if m_valid(m) || m_busy(m) {
-                    continue;
-                }
-                if let Some(locked) = self.try_lock(level, idx, m) {
-                    lv.write_data(idx, rec);
-                    self.commit(level, idx, locked, true, fp, false);
-                    if self.policy == HotPolicy::Lru {
-                        self.lru_touch(level, idx);
-                    }
-                    return;
-                }
-            }
-        }
-        // Phase 3: evict in the top-level candidate bucket.
-        self.evict_and_insert(0, rec, h1, h2, fp, rng);
+        false
     }
 
     fn evict_and_insert(
         &self,
         level: usize,
         rec: &Record,
-        h1: u64,
-        h2: u64,
+        bucket: usize,
         fp: u8,
         rng: &mut XorShift64Star,
     ) {
         let lv = &self.levels[level];
-        let bucket = self.bucket_of(level, h1, h2);
 
         let (slot, reset_hot) = match self.policy {
             HotPolicy::Rafl => {
@@ -514,9 +562,14 @@ impl HotTable {
     /// fingerprint-matching slot is settled rather than skipped: leaving
     /// the copy behind on CAS contention would resurrect a removed key.
     pub fn delete(&self, key: &Key, h1: u64, h2: u64, fp: u8) {
+        self.delete_at(key, self.buckets(h1, h2), fp)
+    }
+
+    /// [`delete`](Self::delete) at precomputed buckets.
+    pub fn delete_at(&self, key: &Key, at: HotBuckets, fp: u8) {
         for level in 0..2 {
             let lv = &self.levels[level];
-            let bucket = self.bucket_of(level, h1, h2);
+            let bucket = at.0[level];
             for slot in 0..lv.slots {
                 let idx = lv.slot_idx(bucket, slot);
                 loop {
@@ -712,8 +765,7 @@ mod tests {
                 t.evict_and_insert(
                     0,
                     &Record::new(k, Value::from_u64(1)),
-                    h.h1,
-                    h.h2,
+                    hot_bucket,
                     h.fp,
                     &mut rng,
                 );
@@ -750,7 +802,7 @@ mod tests {
         if !all_hot {
             return; // saturation raced; nothing to assert
         }
-        t.evict_and_insert(0, &Record::new(k, Value::from_u64(1)), h.h1, h.h2, h.fp, &mut rng);
+        t.evict_and_insert(0, &Record::new(k, Value::from_u64(1)), bucket, h.fp, &mut rng);
         // Postcondition (figure 6b): no slot in the bucket is hot.
         for s in 0..lv.slots {
             let m = lv.meta[lv.slot_idx(bucket, s)].load(Ordering::Relaxed);
@@ -774,7 +826,7 @@ mod tests {
             if t.bucket_of(0, h.h1, h.h2) == 0 {
                 // Put directly through eviction path to pin level 0.
                 let (k, _) = hashes(id);
-                t.evict_and_insert(0, &Record::new(k, Value::from_u64(id)), h.h1, h.h2, h.fp, &mut rng);
+                t.evict_and_insert(0, &Record::new(k, Value::from_u64(id)), 0, h.fp, &mut rng);
                 if get(&t, id).is_some() {
                     captives.push(id);
                 }
@@ -795,7 +847,7 @@ mod tests {
             let (_, h) = hashes(probe);
             if t.bucket_of(0, h.h1, h.h2) == 0 {
                 let (k, _) = hashes(probe);
-                t.evict_and_insert(0, &Record::new(k, Value::from_u64(7)), h.h1, h.h2, h.fp, &mut rng);
+                t.evict_and_insert(0, &Record::new(k, Value::from_u64(7)), 0, h.fp, &mut rng);
                 break;
             }
             probe += 1;
@@ -934,6 +986,68 @@ mod tests {
             }
             assert!(t.len() <= t.capacity(), "{policy:?}");
             assert!(!t.is_empty(), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn buckets_computed_once_equal_bucket_of() {
+        let mut rng = XorShift64Star::new(0xB0C4E7);
+        for (total, slots) in [(2, 1), (8, 4), (96, 4), (1000, 8), (12_345, 3)] {
+            let t = HotTable::new(total, slots, HotPolicy::Rafl);
+            for _ in 0..2_000 {
+                let (h1, h2) = (rng.next_u64(), rng.next_u64());
+                let at = t.buckets(h1, h2);
+                assert_eq!(at.0, [t.bucket_of(0, h1, h2), t.bucket_of(1, h1, h2)]);
+                assert!(at.0[0] < t.levels[0].n_buckets && at.0[1] < t.levels[1].n_buckets);
+            }
+        }
+    }
+
+    #[test]
+    fn precomputed_buckets_reach_the_same_slots_as_the_hashes() {
+        let t = HotTable::new(64, 4, HotPolicy::Rafl);
+        let mut rng = XorShift64Star::new(5);
+        for id in 0..200u64 {
+            let (k, h) = hashes(id);
+            let at = t.buckets(h.h1, h.h2);
+            t.prefetch(at);
+            t.put_at(&Record::new(k, Value::from_u64(id)), at, h.fp, &mut rng);
+            // Whatever one addressing finds, the other finds.
+            assert_eq!(t.search(&k, h.h1, h.h2, h.fp), t.search_at(&k, at, h.fp));
+            if id % 3 == 0 {
+                t.delete_at(&k, at, h.fp);
+                assert_eq!(get(&t, id), None);
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_rewrites_a_cached_copy_and_inserts_nothing() {
+        let t = HotTable::new(64, 4, HotPolicy::Rafl);
+        let mut rng = XorShift64Star::new(6);
+        let (k, h) = hashes(1);
+        let at = t.buckets(h.h1, h.h2);
+        assert!(!t.refresh_at(&Record::new(k, Value::from_u64(10)), at, h.fp));
+        assert!(t.is_empty(), "a refresh of an uncached key must not insert");
+        put(&t, 1, 10, &mut rng);
+        assert!(get(&t, 1).is_some()); // sets the hot bit
+        assert!(t.refresh_at(&Record::new(k, Value::from_u64(11)), at, h.fp));
+        assert_eq!(get(&t, 1), Some(11));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.is_hot(&k, h.h1, h.h2, h.fp), Some(true), "refresh keeps the hot bit");
+    }
+
+    #[test]
+    fn prefetch_accepts_every_bucket_including_the_last_of_each_level() {
+        for slots in 1..=8 {
+            for total in [2, 2 * slots, 7 * slots, 96] {
+                let t = HotTable::new(total, slots, HotPolicy::Rafl);
+                let last = [t.levels[0].n_buckets - 1, t.levels[1].n_buckets - 1];
+                for at in [[0, 0], last, [last[0], 0], [0, last[1]]] {
+                    t.prefetch(HotBuckets(at));
+                }
+                assert!(t.is_empty(), "a hint writes nothing");
+            }
         }
     }
 

@@ -73,7 +73,70 @@ pub const fn meta_shift(slot: usize) -> u32 {
     8 + SLOT_META_BITS * slot as u32
 }
 
-/// CRC-6 (polynomial x⁶+x+1) of a record's wire bytes.
+/// One MSB-first bit step of the CRC-6 register: x⁶ feeds back as the low
+/// terms x+1 (0b000011).
+const fn crc6_bit(crc: u8, bit: u8) -> u8 {
+    let fb = ((crc >> 5) ^ bit) & 1;
+    ((crc << 1) & 0x3F) ^ (fb * 0b11)
+}
+
+/// The register after shifting `byte` in, starting from `crc`.
+const fn crc6_byte(mut crc: u8, byte: u8) -> u8 {
+    let mut bit = 8;
+    while bit > 0 {
+        bit -= 1;
+        crc = crc6_bit(crc, (byte >> bit) & 1);
+    }
+    crc
+}
+
+/// `CRC6_BYTE[k][b]`: what byte value `b`, followed by `k` zero bytes,
+/// leaves in a register that started at zero.
+const CRC6_BYTE: [[u8; 256]; 8] = {
+    let mut t = [[0u8; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        t[0][b] = crc6_byte(0, b as u8);
+        let mut k = 1;
+        while k < 8 {
+            t[k][b] = crc6_byte(t[k - 1][b], 0);
+            k += 1;
+        }
+        b += 1;
+    }
+    t
+};
+
+/// `CRC6_SKIP8[s]`: register `s` after eight zero bytes.
+const CRC6_SKIP8: [u8; 64] = {
+    let mut t = [0u8; 64];
+    let mut s = 0;
+    while s < 64 {
+        let mut crc = s as u8;
+        let mut k = 0;
+        while k < 8 {
+            crc = crc6_byte(crc, 0);
+            k += 1;
+        }
+        t[s] = crc;
+        s += 1;
+    }
+    t
+};
+
+/// What the 0x3F initial register becomes over a record of zero bytes.
+const CRC6_INIT_TAIL: u8 = {
+    let mut crc = 0x3F;
+    let mut k = 0;
+    while k < RECORD_LEN {
+        crc = crc6_byte(crc, 0);
+        k += 1;
+    }
+    crc
+};
+
+/// CRC-6 (polynomial x⁶+x+1, register initialised to 0x3F, bits taken
+/// MSB-first) of a record's wire bytes.
 ///
 /// The polynomial is irreducible over GF(2) with a nonzero constant term,
 /// so the check provably detects every single-bit error (x^k is never
@@ -81,19 +144,35 @@ pub const fn meta_shift(slot: usize) -> u32 {
 /// factor with an irreducible sextic). Random corruption is missed with
 /// probability 1/64 — the price of sharing the 7-bit header field with
 /// the spill flag.
+///
+/// The register update is linear over GF(2), so the checksum is the XOR
+/// of what the initial value and each byte contribute on their own. The
+/// record is cut into four 8-byte chunks (the first one short a leading
+/// byte); a chunk's bytes are looked up independently of each other and
+/// of the other chunks, and only three table steps, one per chunk
+/// boundary, depend on one another — against 248 dependent shift/xor
+/// rounds for the bit-at-a-time form, which the tests keep as the oracle.
 #[inline]
 pub fn checksum6(bytes: &[u8; RECORD_LEN]) -> u8 {
-    // MSB-first bitwise CRC; x⁶ feeds back as the low terms x+1 (0b000011).
-    let mut crc: u8 = 0x3F;
-    for &b in bytes {
-        let mut bit = 8u32;
-        while bit > 0 {
-            bit -= 1;
-            let fb = ((crc >> 5) ^ (b >> bit)) & 1;
-            crc = ((crc << 1) & 0x3F) ^ (fb * 0b11);
+    #[inline(always)]
+    fn chunk(bytes: &[u8]) -> u8 {
+        let n = bytes.len();
+        let mut acc = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            acc ^= CRC6_BYTE[n - 1 - i][b as usize];
         }
+        acc
     }
-    crc
+    let (c0, c1, c2, c3) = (
+        chunk(&bytes[..7]),
+        chunk(&bytes[7..15]),
+        chunk(&bytes[15..23]),
+        chunk(&bytes[23..]),
+    );
+    let mut crc = CRC6_SKIP8[c0 as usize] ^ c1;
+    crc = CRC6_SKIP8[crc as usize] ^ c2;
+    crc = CRC6_SKIP8[crc as usize] ^ c3;
+    crc ^ CRC6_INIT_TAIL
 }
 
 /// The 7-bit metadata field for a record: CRC-6 of its wire bytes plus
@@ -421,6 +500,95 @@ impl Level {
 mod tests {
     use super::*;
     use hdnh_common::{Key, Value};
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time form the table kernel replaced, kept as the
+    /// oracle.
+    fn checksum6_bitwise(bytes: &[u8; RECORD_LEN]) -> u8 {
+        // MSB-first; x⁶ feeds back as the low terms x+1 (0b000011).
+        let mut crc: u8 = 0x3F;
+        for &b in bytes {
+            let mut bit = 8u32;
+            while bit > 0 {
+                bit -= 1;
+                let fb = ((crc >> 5) ^ (b >> bit)) & 1;
+                crc = ((crc << 1) & 0x3F) ^ (fb * 0b11);
+            }
+        }
+        crc
+    }
+
+    /// The records behind [`GOLDEN_FULL`] and [`GOLDEN_SPARSE`], with
+    /// whether each is spilled.
+    fn golden_records() -> [(Record, bool); SLOTS_PER_BUCKET] {
+        let ptr = |segment, offset, len| crate::VlogPtr { segment, offset, len }.to_value();
+        [
+            (Record::new(Key::from_u64(0), Value::from_u64(0)), false),
+            (Record::new(Key::from_u64(1), Value::from_u64(u64::MAX)), false),
+            (
+                Record::new(Key::from_u64(0xC0FFEE), Value::from_u64(0x1234_5678_9ABC_DEF0)),
+                false,
+            ),
+            (Record::new(Key([0xFF; 16]), Value([0xFF; 15])), false),
+            (Record::new(Key::from_u64(42), ptr(3, 4096, 200)), true),
+            (Record::new(Key::from_u64(7), ptr(0, 0, 15)), true),
+            (Record::new(Key(*b"sixteen byte key"), Value(*b"fifteen b value")), false),
+            (
+                Record::new(Key::from_u64(u64::MAX), ptr(u32::MAX, u32::MAX - 7, 1 << 20)),
+                true,
+            ),
+        ]
+    }
+
+    // Header words the bitwise kernel of the parent commit packed for
+    // `golden_records` (all eight slots; slots 2, 4 and 7 only). They must
+    // keep verifying, or every bucket written by an earlier build would
+    // read as damaged.
+    const GOLDEN_FULL: u64 = 0xbe9e_6f85_6844_17ff;
+    const GOLDEN_SPARSE: u64 = 0xbe00_0780_0840_0094;
+
+    #[test]
+    fn golden_headers_from_the_parent_still_verify() {
+        let recs = golden_records();
+        for (slot, (rec, spilled)) in recs.iter().enumerate() {
+            assert!(header_slot_valid(GOLDEN_FULL, slot));
+            assert!(slot_checksum_ok(GOLDEN_FULL, slot, rec), "slot {slot}");
+            assert_eq!(header_slot_spilled(GOLDEN_FULL, slot), *spilled, "slot {slot}");
+            assert_eq!(header_slot_meta(GOLDEN_FULL, slot), slot_meta(rec, *spilled));
+        }
+        for slot in [2, 4, 7] {
+            assert!(header_slot_valid(GOLDEN_SPARSE, slot));
+            assert!(slot_checksum_ok(GOLDEN_SPARSE, slot, &recs[slot].0), "slot {slot}");
+        }
+        let metas = std::array::from_fn(|s| slot_meta(&recs[s].0, recs[s].1));
+        assert_eq!(header_pack(0xFF, metas), GOLDEN_FULL);
+    }
+
+    #[test]
+    fn table_kernel_matches_oracle_on_every_flip_of_a_fixed_record() {
+        let clean = golden_records()[2].0.to_bytes();
+        let ck = checksum6(&clean);
+        assert_eq!(ck, checksum6_bitwise(&clean));
+        for i in 0..RECORD_LEN {
+            // Every single-bit flip and the whole-byte flip: equal to the
+            // oracle, and (the polynomial's guarantee) never equal to the
+            // clean checksum.
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut dam = clean;
+                dam[i] ^= mask;
+                assert_eq!(checksum6(&dam), checksum6_bitwise(&dam), "byte {i} mask {mask:#x}");
+                assert_ne!(checksum6(&dam), ck, "byte {i} mask {mask:#x} undetected");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn table_kernel_matches_bitwise_oracle(bytes in any::<[u8; RECORD_LEN]>()) {
+            prop_assert_eq!(checksum6(&bytes), checksum6_bitwise(&bytes));
+            prop_assert!(checksum6(&bytes) <= CHECKSUM_MASK as u8);
+        }
+    }
 
     fn level() -> Level {
         Level::new(4, 8, &NvmOptions::fast())

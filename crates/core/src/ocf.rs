@@ -28,6 +28,7 @@
 
 use std::sync::atomic::{fence, AtomicU16, Ordering};
 
+use hdnh_common::prefetch::prefetch_read;
 use hdnh_obs as obs;
 
 /// VALID bit: slot holds a live record.
@@ -126,6 +127,14 @@ impl Ocf {
     fn idx(&self, bucket: usize, slot: usize) -> usize {
         debug_assert!(slot < self.slots_per_bucket);
         bucket * self.slots_per_bucket + slot
+    }
+
+    /// Hints that `bucket`'s entry group is about to be walked. Changes
+    /// nothing; a bucket past the end is ignored.
+    #[inline]
+    pub fn prefetch_bucket(&self, bucket: usize) {
+        let first = bucket * self.slots_per_bucket;
+        prefetch_read(&self.entries, first..first + self.slots_per_bucket);
     }
 
     /// Acquire-loads one entry (the reader's first load).
@@ -404,6 +413,20 @@ mod tests {
         };
         ocf.commit(0, 1, pre, true, 9);
         assert!(!ocf.revalidate(0, 1, snapshot));
+    }
+
+    #[test]
+    fn prefetch_accepts_every_bucket_and_changes_nothing() {
+        for (buckets, slots) in [(1, 8), (2, 8), (16, 8), (5, 3)] {
+            let ocf = Ocf::new(buckets, slots);
+            ocf.install(buckets - 1, slots - 1, true, 0x5A);
+            // First, last, and (ignored) one past the end.
+            for bucket in [0, buckets - 1, buckets] {
+                ocf.prefetch_bucket(bucket);
+            }
+            assert_eq!(ocf.count_valid(), 1);
+            assert_eq!(fp(ocf.load(buckets - 1, slots - 1)), 0x5A);
+        }
     }
 
     #[test]

@@ -23,18 +23,26 @@ use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Record};
 use hdnh_obs as obs;
 
-use crate::hot::HotTable;
+use crate::hot::{HotBuckets, HotTable};
 
-/// The hot-table side of one write operation.
+/// The hot-table side of one write operation. Carries the key's hot
+/// buckets, which the foreground thread already computed for its prefetch.
 pub enum HotOp {
     /// Insert or in-place update of a record.
     Put {
         /// The record to cache.
         rec: Record,
-        /// Primary key hash.
-        h1: u64,
-        /// Secondary key hash.
-        h2: u64,
+        /// The key's bucket in each hot level.
+        at: HotBuckets,
+        /// Key fingerprint.
+        fp: u8,
+    },
+    /// In-place update of a record only if the key is cached.
+    Refresh {
+        /// The record to cache.
+        rec: Record,
+        /// The key's bucket in each hot level.
+        at: HotBuckets,
         /// Key fingerprint.
         fp: u8,
     },
@@ -42,13 +50,24 @@ pub enum HotOp {
     Delete {
         /// The key to evict.
         key: Key,
-        /// Primary key hash.
-        h1: u64,
-        /// Secondary key hash.
-        h2: u64,
+        /// The key's bucket in each hot level.
+        at: HotBuckets,
         /// Key fingerprint.
         fp: u8,
     },
+}
+
+impl HotOp {
+    /// Runs the operation on `hot`; `rng` picks RAFL's random victims.
+    pub(crate) fn apply(self, hot: &HotTable, rng: &mut XorShift64Star) {
+        match self {
+            HotOp::Put { rec, at, fp } => hot.put_at(&rec, at, fp, rng),
+            HotOp::Refresh { rec, at, fp } => {
+                hot.refresh_at(&rec, at, fp);
+            }
+            HotOp::Delete { key, at, fp } => hot.delete_at(&key, at, fp),
+        }
+    }
 }
 
 /// The `sync_write_signal`: 0 = incomplete, 1 = completion.
@@ -125,14 +144,7 @@ impl SyncWriter {
                     .spawn(move || {
                         let mut rng = XorShift64Star::new(0xB6_0000 + i as u64);
                         let mut run = |job: Job| {
-                            match job.op {
-                                HotOp::Put { rec, h1, h2, fp } => {
-                                    job.hot.put(&rec, h1, h2, fp, &mut rng);
-                                }
-                                HotOp::Delete { key, h1, h2, fp } => {
-                                    job.hot.delete(&key, h1, h2, fp);
-                                }
-                            }
+                            job.op.apply(&job.hot, &mut rng);
                             job.signal.complete();
                         };
                         // Spin-poll while the write stream is hot (a parked
@@ -227,8 +239,7 @@ mod tests {
             &hot,
             HotOp::Put {
                 rec: Record::new(key, Value::from_u64(11)),
-                h1: h.h1,
-                h2: h.h2,
+                at: hot.buckets(h.h1, h.h2),
                 fp: h.fp,
             },
         );
@@ -246,8 +257,7 @@ mod tests {
             &hot,
             HotOp::Put {
                 rec: Record::new(key, Value::from_u64(5)),
-                h1: h.h1,
-                h2: h.h2,
+                at: hot.buckets(h.h1, h.h2),
                 fp: h.fp,
             },
         )
@@ -256,8 +266,7 @@ mod tests {
             &hot,
             HotOp::Delete {
                 key,
-                h1: h.h1,
-                h2: h.h2,
+                at: hot.buckets(h.h1, h.h2),
                 fp: h.fp,
             },
         )
@@ -291,8 +300,7 @@ mod tests {
                         &hot,
                         HotOp::Put {
                             rec: Record::new(key, Value::from_u64(i)),
-                            h1: h.h1,
-                            h2: h.h2,
+                            at: hot.buckets(h.h1, h.h2),
                             fp: h.fp,
                         },
                     )

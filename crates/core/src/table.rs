@@ -63,7 +63,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::epoch;
 use crate::error::{CorruptionOutcome, HdnhError};
-use crate::hot::HotTable;
+use crate::hot::{HotBuckets, HotTable};
 use crate::meta::{Meta, ResizeState};
 use crate::nvtable::{header_slot_spilled, header_slot_valid, slot_checksum_ok, slot_meta, Level};
 use crate::ocf::{self, Backoff, LockOutcome, Ocf};
@@ -113,6 +113,49 @@ impl Inner {
     fn total_slots(&self) -> usize {
         self.top.n_slots() + self.bottom.n_slots()
     }
+
+    /// The address-first step of every operation (DESIGN.md §11): derives
+    /// every DRAM location a probe for `h` can touch in this snapshot —
+    /// the two hot buckets, the OCF entry group of each of the first `n`
+    /// candidate buckets per level — and asks for all of them at once, so
+    /// the walk that follows finds its lines in flight instead of missing
+    /// on them one after another. Hints only, and DRAM only: no NVM region
+    /// is touched, and nothing the walk decides depends on a hint.
+    #[inline]
+    fn probe(&self, h: &KeyHashes, n: usize) -> Probe<'_> {
+        let hot = self.hot.as_ref().map(|hot| {
+            let at = hot.buckets(h.h1, h.h2);
+            hot.prefetch(at);
+            (hot, at)
+        });
+        let candidates = [self.top.candidates(h), self.bottom.candidates(h)];
+        for (li, buckets) in candidates.iter().enumerate() {
+            let (_, ocf) = self.level(li);
+            for &bucket in &buckets[..n] {
+                ocf.prefetch_bucket(bucket);
+            }
+        }
+        Probe { hot, candidates, n }
+    }
+}
+
+/// Where one key's probe goes in one snapshot, computed once per operation
+/// by [`Inner::probe`] and shared by the hot search, the filter walk, the
+/// empty-slot scan and the hot-table write.
+struct Probe<'a> {
+    /// The hot table and the key's bucket in each of its levels.
+    hot: Option<(&'a Arc<HotTable>, HotBuckets)>,
+    /// Candidate buckets per level; the first `n` are probed.
+    candidates: [[usize; CANDIDATES_FULL]; 2],
+    n: usize,
+}
+
+impl Probe<'_> {
+    /// The candidate buckets of level `li`, in probe order.
+    #[inline]
+    fn buckets(&self, li: usize) -> &[usize] {
+        &self.candidates[li][..self.n]
+    }
 }
 
 /// Outcome of one named integrity invariant from
@@ -158,6 +201,21 @@ impl ScrubReport {
             "{{\"scanned\":{},\"detected\":{},\"repaired\":{},\"quarantined\":{}}}",
             self.scanned, self.detected, self.repaired, self.quarantined
         )
+    }
+}
+
+/// A bytes-API payload made ready for a slot: the slot's value bytes, and
+/// — when they are a pointer — the log record already appended for them.
+/// The ticket is held until the write has published (or given up), as the
+/// compactor requires.
+struct StagedValue {
+    value: Value,
+    appended: Option<(VlogPtr, vlog::AppendTicket)>,
+}
+
+impl StagedValue {
+    fn spilled(&self) -> bool {
+        self.appended.is_some()
     }
 }
 
@@ -838,87 +896,104 @@ impl Hdnh {
 
     /// Searches both levels; returns the located record. `writer` marks a
     /// generation-validated writer probe (see the corruption gate below).
-    fn find(&self, inner: &Inner, key: &Key, h: &KeyHashes, writer: bool) -> Option<Located> {
+    fn find(
+        &self,
+        inner: &Inner,
+        key: &Key,
+        h: &KeyHashes,
+        probe: &Probe,
+        writer: bool,
+    ) -> Option<Located> {
+        // Slots the fingerprint filter answered without a media read are
+        // tallied locally and recorded once per probe: bumping the shared
+        // counter per slot would be up to 64 locked RMWs on a miss.
+        let mut short_circuits = 0u64;
         let mut backoff = Backoff::new();
-        for li in 0..2 {
-            let (level, ocf) = inner.level(li);
-            for bucket in level.candidates(h).into_iter().take(self.n_candidates()) {
-                'slot: for slot in 0..SLOTS_PER_BUCKET {
-                    loop {
-                        let e = ocf.load(bucket, slot);
-                        if !ocf::is_valid(e) && !ocf::is_busy(e) {
-                            continue 'slot;
-                        }
-                        if ocf::is_busy(e) {
-                            // A writer may be materialising this very key;
-                            // wait for it to settle.
-                            backoff.wait();
-                            continue;
-                        }
-                        // The OCF fingerprint filter (§3.2): a mismatch
-                        // proves the slot cannot hold the key — no NVM read.
-                        // With the filter disabled (ablation) every valid
-                        // slot costs a media read, like Level hashing.
-                        if self.params.enable_ocf && ocf::fp(e) != h.fp {
-                            obs::count(obs::Counter::OcfNegativeShortCircuit);
-                            continue 'slot;
-                        }
-                        let rec = level.read_record(bucket, slot);
-                        // Header load is uncharged: the 256 B media block
-                        // fetched for the record read already holds it.
-                        let header = level.load_header_cached(bucket);
-                        if !ocf.revalidate(bucket, slot, e) {
-                            obs::count(obs::Counter::SeqlockReadRetry);
-                            continue; // concurrent writer: retry this slot
-                        }
-                        // The version was stable across both loads, so a
-                        // checksum mismatch cannot be a racing writer — it
-                        // is media damage. Never serve the bytes (§ media
-                        // errors, DESIGN.md §10): repair or quarantine,
-                        // then treat the slot as a miss.
-                        if header_slot_valid(header, slot) && !slot_checksum_ok(header, slot, &rec)
-                        {
-                            // Repair gate: a reader on a snapshot whose
-                            // generation no longer matches may be racing a
-                            // resize migration or an integrity pause —
-                            // mutating the old levels then could lose the
-                            // repaired record or corrupt the audit. Defer
-                            // (miss this slot); a later probe on the fresh
-                            // snapshot repairs it. Validated writers are
-                            // always pre-drain (the maintainer waits on
-                            // their pin), so they repair unconditionally.
-                            if !writer
-                                && self.generation.load(Ordering::SeqCst) != inner.generation
-                            {
+        let found = 'walk: {
+            for li in 0..2 {
+                let (level, ocf) = inner.level(li);
+                for &bucket in probe.buckets(li) {
+                    'slot: for slot in 0..SLOTS_PER_BUCKET {
+                        loop {
+                            let e = ocf.load(bucket, slot);
+                            if !ocf::is_valid(e) && !ocf::is_busy(e) {
                                 continue 'slot;
                             }
-                            self.handle_corruption(inner, li, bucket, slot, e);
-                            continue; // re-probe: repaired slots re-match
-                        }
-                        if rec.key == *key {
-                            if self.params.enable_ocf {
-                                obs::count(obs::Counter::OcfTrueMatch);
+                            if ocf::is_busy(e) {
+                                // A writer may be materialising this very key;
+                                // wait for it to settle.
+                                backoff.wait();
+                                continue;
                             }
-                            return Some(Located {
-                                li,
-                                bucket,
-                                slot,
-                                entry: e,
-                                value: rec.value,
-                            });
+                            // The OCF fingerprint filter (§3.2): a mismatch
+                            // proves the slot cannot hold the key — no NVM read.
+                            // With the filter disabled (ablation) every valid
+                            // slot costs a media read, like Level hashing.
+                            if self.params.enable_ocf && ocf::fp(e) != h.fp {
+                                short_circuits += 1;
+                                continue 'slot;
+                            }
+                            let rec = level.read_record(bucket, slot);
+                            // Header load is uncharged: the 256 B media block
+                            // fetched for the record read already holds it.
+                            let header = level.load_header_cached(bucket);
+                            if !ocf.revalidate(bucket, slot, e) {
+                                obs::count(obs::Counter::SeqlockReadRetry);
+                                continue; // concurrent writer: retry this slot
+                            }
+                            // The version was stable across both loads, so a
+                            // checksum mismatch cannot be a racing writer — it
+                            // is media damage. Never serve the bytes (§ media
+                            // errors, DESIGN.md §10): repair or quarantine,
+                            // then treat the slot as a miss.
+                            if header_slot_valid(header, slot) && !slot_checksum_ok(header, slot, &rec)
+                            {
+                                // Repair gate: a reader on a snapshot whose
+                                // generation no longer matches may be racing a
+                                // resize migration or an integrity pause —
+                                // mutating the old levels then could lose the
+                                // repaired record or corrupt the audit. Defer
+                                // (miss this slot); a later probe on the fresh
+                                // snapshot repairs it. Validated writers are
+                                // always pre-drain (the maintainer waits on
+                                // their pin), so they repair unconditionally.
+                                if !writer
+                                    && self.generation.load(Ordering::SeqCst) != inner.generation
+                                {
+                                    continue 'slot;
+                                }
+                                self.handle_corruption(inner, li, bucket, slot, e);
+                                continue; // re-probe: repaired slots re-match
+                            }
+                            if rec.key == *key {
+                                if self.params.enable_ocf {
+                                    obs::count(obs::Counter::OcfTrueMatch);
+                                }
+                                break 'walk Some(Located {
+                                    li,
+                                    bucket,
+                                    slot,
+                                    entry: e,
+                                    value: rec.value,
+                                });
+                            }
+                            // Fingerprint matched but the key differs: the NVM
+                            // read above was wasted (the 1/256 false-positive
+                            // cost the paper budgets for).
+                            if self.params.enable_ocf {
+                                obs::count(obs::Counter::OcfFalsePositive);
+                            }
+                            continue 'slot;
                         }
-                        // Fingerprint matched but the key differs: the NVM
-                        // read above was wasted (the 1/256 false-positive
-                        // cost the paper budgets for).
-                        if self.params.enable_ocf {
-                            obs::count(obs::Counter::OcfFalsePositive);
-                        }
-                        continue 'slot;
                     }
                 }
             }
+            None
+        };
+        if short_circuits != 0 {
+            obs::add(obs::Counter::OcfNegativeShortCircuit, short_circuits);
         }
-        None
+        found
     }
 
     /// [`find`](Self::find) whose miss can be trusted: `Err(ProbeRaced)`
@@ -938,10 +1013,11 @@ impl Hdnh {
         inner: &Inner,
         key: &Key,
         h: &KeyHashes,
+        probe: &Probe,
         writer: bool,
     ) -> Result<Option<Located>, ProbeRaced> {
         let reloc0 = self.relocations.load(Ordering::SeqCst);
-        let found = self.find(inner, key, h, writer);
+        let found = self.find(inner, key, h, probe, writer);
         if found.is_none() && self.relocations.load(Ordering::SeqCst) != reloc0 {
             obs::count(obs::Counter::SnapshotRetry);
             return Err(ProbeRaced);
@@ -951,9 +1027,15 @@ impl Hdnh {
 
     /// A generation-validated writer's probe: retries raced misses in
     /// place (the writer's pin keeps the snapshot current).
-    fn find_for_write(&self, inner: &Inner, key: &Key, h: &KeyHashes) -> Option<Located> {
+    fn find_for_write(
+        &self,
+        inner: &Inner,
+        key: &Key,
+        h: &KeyHashes,
+        probe: &Probe,
+    ) -> Option<Located> {
         loop {
-            if let Ok(found) = self.find_validated(inner, key, h, true) {
+            if let Ok(found) = self.find_validated(inner, key, h, probe, true) {
                 return found;
             }
         }
@@ -961,10 +1043,16 @@ impl Hdnh {
 
     /// Searches and write-locks the record's slot. `Ok(Some(..))` holds the
     /// lock; the pre-lock entry is inside.
-    fn find_and_lock(&self, inner: &Inner, key: &Key, h: &KeyHashes) -> Option<Located> {
+    fn find_and_lock(
+        &self,
+        inner: &Inner,
+        key: &Key,
+        h: &KeyHashes,
+        probe: &Probe,
+    ) -> Option<Located> {
         let mut backoff = Backoff::new();
         loop {
-            let loc = self.find_for_write(inner, key, h)?;
+            let loc = self.find_for_write(inner, key, h, probe)?;
             let (_, ocf) = inner.level(loc.li);
             match ocf.try_lock_at(loc.bucket, loc.slot, loc.entry) {
                 LockOutcome::Locked(_) => return Some(loc),
@@ -1096,13 +1184,17 @@ impl Hdnh {
 
     /// Starts the hot-table half of a write. Returns a waiter to invoke
     /// after the NVM half committed.
-    fn begin_hot_write(&self, inner: &Inner, op: HotOp) -> HotWrite {
-        match (&inner.hot, &self.sync) {
-            (Some(hot), Some(pool)) => {
+    fn begin_hot_write<'a>(
+        &self,
+        probe: &Probe<'a>,
+        op: impl FnOnce(HotBuckets) -> HotOp,
+    ) -> HotWrite<'a> {
+        match (probe.hot, &self.sync) {
+            (Some((hot, at)), Some(pool)) => {
                 fault::point("hot.dispatched");
-                HotWrite::Pending(pool.dispatch(hot, op))
+                HotWrite::Pending(pool.dispatch(hot, op(at)))
             }
-            (Some(hot), None) => HotWrite::Inline(Arc::clone(hot), op),
+            (Some((hot, at)), None) => HotWrite::Inline(hot, op(at)),
             (None, _) => HotWrite::None,
         }
     }
@@ -1113,13 +1205,7 @@ impl Hdnh {
                 fault::point("hot.wait_completed");
                 handle.wait()
             }
-            HotWrite::Inline(hot, op) => RAFL_RNG.with(|r| {
-                let rng = &mut *r.borrow_mut();
-                match op {
-                    HotOp::Put { rec, h1, h2, fp } => hot.put(&rec, h1, h2, fp, rng),
-                    HotOp::Delete { key, h1, h2, fp } => hot.delete(&key, h1, h2, fp),
-                }
-            }),
+            HotWrite::Inline(hot, op) => RAFL_RNG.with(|r| op.apply(hot, &mut r.borrow_mut())),
             HotWrite::None => {}
         }
     }
@@ -1146,12 +1232,13 @@ impl Hdnh {
         loop {
             let snap = self.pinned();
             let inner = snap.inner;
-            if let Some(hot) = &inner.hot {
-                if let Some(v) = hot.search(key, h.h1, h.h2, h.fp) {
+            let probe = inner.probe(&h, self.n_candidates());
+            if let Some((hot, at)) = probe.hot {
+                if let Some(v) = hot.search_at(key, at, h.fp) {
                     return Some(v);
                 }
             }
-            let probe = self.find_validated(inner, key, &h, false);
+            let found = self.find_validated(inner, key, &h, &probe, false);
             // Validate after the probe: an unchanged generation (or the
             // odd writer-exclusion value, under which nothing can commit)
             // proves the snapshot answered consistently. Otherwise a
@@ -1162,7 +1249,7 @@ impl Hdnh {
                 obs::count(obs::Counter::SnapshotRetry);
                 continue;
             }
-            let loc = match probe {
+            let loc = match found {
                 Ok(Some(loc)) => loc,
                 Ok(None) => return None,
                 Err(ProbeRaced) => continue,
@@ -1174,18 +1261,12 @@ impl Hdnh {
             // the same lock, so a promotion can never overwrite a newer hot
             // value with the stale one we just read. A failed lock means a
             // writer superseded the slot — its own hot write covers us.
-            if let Some(hot) = &inner.hot {
+            if let Some((hot, at)) = probe.hot {
                 let (_, ocf) = inner.level(loc.li);
                 if let LockOutcome::Locked(pre) = ocf.try_lock_at(loc.bucket, loc.slot, loc.entry)
                 {
                     RAFL_RNG.with(|r| {
-                        hot.put(
-                            &Record::new(*key, loc.value),
-                            h.h1,
-                            h.h2,
-                            h.fp,
-                            &mut r.borrow_mut(),
-                        )
+                        hot.put_at(&Record::new(*key, loc.value), at, h.fp, &mut r.borrow_mut())
                     });
                     ocf.abort(loc.bucket, loc.slot, pre);
                 }
@@ -1218,27 +1299,22 @@ impl Hdnh {
             let gen = {
                 let (snap, gen) = self.pin_for_write();
                 let inner = snap.inner;
-                if self.find_for_write(inner, key, &h).is_some() {
+                let probe = inner.probe(&h, self.n_candidates());
+                if self.find_for_write(inner, key, &h, &probe).is_some() {
                     return Err(HdnhError::DuplicateKey);
                 }
                 for li in 0..2 {
                     let (level, ocf) = inner.level(li);
-                    for bucket in level.candidates(&h).into_iter().take(self.n_candidates()) {
+                    for &bucket in probe.buckets(li) {
                         for slot in 0..SLOTS_PER_BUCKET {
                             match ocf.try_lock_empty(bucket, slot) {
                                 LockOutcome::Locked(pre) => {
                                     fault::point("insert.slot_locked");
                                     // (a) slot locked — overlap the hot-table
                                     // write with the NVM write.
-                                    let hot = self.begin_hot_write(
-                                        inner,
-                                        HotOp::Put {
-                                            rec,
-                                            h1: h.h1,
-                                            h2: h.h2,
-                                            fp: h.fp,
-                                        },
-                                    );
+                                    let hot = self.begin_hot_write(&probe, |at| {
+                                        HotOp::Put { rec, at, fp: h.fp }
+                                    });
                                     // (b) record persisted while invisible.
                                     level.write_record(bucket, slot, &rec);
                                     fault::point("insert.record_written");
@@ -1275,7 +1351,7 @@ impl Hdnh {
     /// [`HdnhError::KeyNotFound`] when the key is absent.
     pub fn update(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
         let t = obs::op_start();
-        let out = self.update_inner(key, value, false, None);
+        let out = self.update_inner(key, value, false);
         obs::op_record(obs::OpKind::Update, t);
         // Overwriting a spilled value orphans its log entry.
         Self::tombstone_old(&self.vlog, out?);
@@ -1283,29 +1359,90 @@ impl Hdnh {
     }
 
     /// Update body. `spilled` marks the new value bytes as a packed
-    /// value-log pointer. With `expect`, the update only proceeds if the
-    /// old slot is spill-flagged *and* its value bytes equal `expect` —
-    /// the guarded compare-and-relocate the value-log GC uses to move a
-    /// live log entry without racing a concurrent overwrite (a mismatch
-    /// means the entry became garbage; reported as `KeyNotFound`).
-    /// Returns the replaced `(value, spilled)` pair so callers can
-    /// tombstone a spilled old value's log entry.
+    /// value-log pointer. Returns the replaced `(value, spilled)` pair so
+    /// callers can tombstone a spilled old value's log entry.
     pub(crate) fn update_inner(
         &self,
         key: &Key,
         value: &Value,
         spilled: bool,
-        expect: Option<&Value>,
     ) -> Result<(Value, bool), HdnhError> {
+        self.update_with(key, false, |_, _| Ok(Some((*value, spilled))))?
+            .ok_or(HdnhError::KeyNotFound)
+    }
+
+    /// The value-log compactor's relocation of one live record, in a
+    /// single probe (DESIGN.md §17): lock `key`'s slot through the writer
+    /// probe; compare the slot's pointer with `old` under the lock; only
+    /// on a match append `image` (the record's verified bytes, carrying a
+    /// `payload_len`-byte payload) and swap the new pointer in out of
+    /// place. Returns the new pointer, or `None` when the slot no longer
+    /// names `old` — final, since a log pointer is published once: the
+    /// record was overwritten or removed, nothing was appended and there
+    /// is nothing to orphan.
+    ///
+    /// The hot table is refreshed, not filled: a cached copy of the old
+    /// pointer is rewritten, but a record nobody read is not promoted for
+    /// being moved.
+    pub(crate) fn relocate_spilled(
+        &self,
+        key: &Key,
+        old: &VlogPtr,
+        image: &[u8],
+        payload_len: usize,
+    ) -> Result<Option<VlogPtr>, HdnhError> {
+        let expect = old.to_value();
+        // Appended at most once; the ticket outlives the publish. Kept
+        // across a retry: a full bucket sends the update through a resize
+        // and back under a fresh lock, where the guard is checked again.
+        let mut appended = None;
+        let swapped = self.update_with(key, true, |value, spilled| {
+            if !spilled || *value != expect {
+                return Ok(None);
+            }
+            if appended.is_none() {
+                appended = Some(self.vlog.append_image(image, payload_len)?);
+            }
+            Ok(appended.as_ref().map(|(ptr, _ticket)| (ptr.to_value(), true)))
+        });
+        let Some((ptr, _ticket)) = appended else {
+            // Absent, superseded, or the append itself failed.
+            return swapped.map(|_| None);
+        };
+        match swapped {
+            Ok(Some(_)) => Ok(Some(ptr)),
+            not_swapped => {
+                // Appended before a resize, superseded (or failed) after
+                // it: the copy was never published.
+                self.vlog.mark_garbage(&ptr);
+                not_swapped.map(|_| None)
+            }
+        }
+    }
+
+    /// The update protocol (figure 10) around a value chosen under the old
+    /// slot's lock: `choose` sees the old `(value, spilled)` pair, stable
+    /// under the lock, and returns the new pair — or `None` to leave the
+    /// slot as it is. Returns the replaced pair, or `None` when the key is
+    /// absent or `choose` declined. `choose` runs again if the update has
+    /// to grow the table and start over.
+    ///
+    /// `refresh_only` limits the hot-table half to rewriting a copy that
+    /// is already cached.
+    fn update_with(
+        &self,
+        key: &Key,
+        refresh_only: bool,
+        mut choose: impl FnMut(&Value, bool) -> Result<Option<(Value, bool)>, HdnhError>,
+    ) -> Result<Option<(Value, bool)>, HdnhError> {
         let h = KeyHashes::of(key);
-        let rec = Record::new(*key, *value);
-        let ck = slot_meta(&rec, spilled);
         loop {
             let gen = {
                 let (snap, gen) = self.pin_for_write();
                 let inner = snap.inner;
-                let Some(old) = self.find_and_lock(inner, key, &h) else {
-                    return Err(HdnhError::KeyNotFound);
+                let probe = inner.probe(&h, self.n_candidates());
+                let Some(old) = self.find_and_lock(inner, key, &h, &probe) else {
+                    return Ok(None);
                 };
                 fault::point("update.old_locked");
                 let (level, ocf) = inner.level(old.li);
@@ -1313,26 +1450,27 @@ impl Hdnh {
                 // authoritative source of the old value's spill-ness.
                 let old_header = level.load_header_cached(old.bucket);
                 let old_spilled = header_slot_spilled(old_header, old.slot);
-                if let Some(expect) = expect {
-                    if !old_spilled || old.value != *expect {
+                let (value, spilled) = match choose(&old.value, old_spilled) {
+                    Ok(Some(new)) => new,
+                    declined => {
                         ocf.abort(old.bucket, old.slot, old.entry);
-                        return Err(HdnhError::KeyNotFound);
+                        return declined;
                     }
-                }
+                };
+                let rec = Record::new(*key, value);
+                let ck = slot_meta(&rec, spilled);
                 // Option-wrapped so exactly one arm below consumes the hot
                 // write — and always BEFORE its OCF publish: once the new
                 // slot is visible, another writer can claim the key, and a
                 // hot write completing after that publication could clobber
                 // the newer writer's hot copy with this (now stale) one.
-                let mut hot = Some(self.begin_hot_write(
-                    inner,
-                    HotOp::Put {
-                        rec,
-                        h1: h.h1,
-                        h2: h.h2,
-                        fp: h.fp,
-                    },
-                ));
+                let mut hot = Some(self.begin_hot_write(&probe, |at| {
+                    if refresh_only {
+                        HotOp::Refresh { rec, at, fp: h.fp }
+                    } else {
+                        HotOp::Put { rec, at, fp: h.fp }
+                    }
+                }));
                 // Preferred path: out-of-place within the same bucket, both
                 // bitmap bits flipped in ONE atomic store (figure 10c).
                 for ns in 0..SLOTS_PER_BUCKET {
@@ -1353,7 +1491,7 @@ impl Hdnh {
                         self.relocations.fetch_add(1, Ordering::SeqCst);
                         ocf.commit(old.bucket, old.slot, old.entry, false, 0);
                         fault::point("update.published");
-                        return Ok((old.value, old_spilled));
+                        return Ok(Some((old.value, old_spilled)));
                     }
                 }
                 // Fallback: place the new version in another candidate
@@ -1361,7 +1499,7 @@ impl Hdnh {
                 // recovery dedupes the window).
                 for lj in 0..2 {
                     let (level2, ocf2) = inner.level(lj);
-                    for bucket2 in level2.candidates(&h).into_iter().take(self.n_candidates()) {
+                    for &bucket2 in probe.buckets(lj) {
                         if lj == old.li && bucket2 == old.bucket {
                             continue;
                         }
@@ -1387,7 +1525,7 @@ impl Hdnh {
                                 fault::point("update.fallback.old_cleared");
                                 ocf.commit(old.bucket, old.slot, old.entry, false, 0);
                                 fault::point("update.fallback.published");
-                                return Ok((old.value, old_spilled));
+                                return Ok(Some((old.value, old_spilled)));
                             }
                         }
                     }
@@ -1400,8 +1538,8 @@ impl Hdnh {
                 // old one — repair by deleting the cache entry before
                 // resizing (the authoritative copy is re-promoted on the
                 // next search).
-                if let Some(hot) = &inner.hot {
-                    hot.delete(key, h.h1, h.h2, h.fp);
+                if let Some((hot, at)) = probe.hot {
+                    hot.delete_at(key, at, h.fp);
                 }
                 gen
             }; // pin dropped here: the resize drain must not wait on us
@@ -1431,21 +1569,18 @@ impl Hdnh {
         let h = KeyHashes::of(key);
         let (snap, _gen) = self.pin_for_write();
         let inner = snap.inner;
-        let Some(old) = self.find_and_lock(inner, key, &h) else {
+        let probe = inner.probe(&h, self.n_candidates());
+        let Some(old) = self.find_and_lock(inner, key, &h, &probe) else {
             return Ok(None);
         };
         fault::point("remove.old_locked");
         let (level, ocf) = inner.level(old.li);
         let old_spilled = header_slot_spilled(level.load_header_cached(old.bucket), old.slot);
-        let hot = self.begin_hot_write(
-            inner,
-            HotOp::Delete {
-                key: *key,
-                h1: h.h1,
-                h2: h.h2,
-                fp: h.fp,
-            },
-        );
+        let hot = self.begin_hot_write(&probe, |at| HotOp::Delete {
+            key: *key,
+            at,
+            fp: h.fp,
+        });
         level.commit_slot_invalid(old.bucket, old.slot);
         fault::point("remove.bitmap_cleared");
         ocf.commit(old.bucket, old.slot, old.entry, false, 0);
@@ -1468,65 +1603,77 @@ impl Hdnh {
         }
     }
 
-    /// Stores `payload` under `key` (insert semantics). Payloads up to the
-    /// configured inline budget live in the slot's 15 value bytes — the
-    /// paper-faithful fast path, unchanged in cost; larger ones are
-    /// appended (and persisted) to the value log *first*, then the slot
-    /// commits a packed pointer flagged by the header's spill bit, so a
-    /// crash between the two leaves at worst an unreferenced log record.
-    pub fn insert_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
+    /// Makes `payload` ready for a slot. Payloads up to the configured
+    /// inline budget become the slot's 15 value bytes — the paper-faithful
+    /// fast path, unchanged in cost; larger ones are appended (and
+    /// persisted) to the value log *first* and become a packed pointer,
+    /// committed under the header's spill bit, so a crash between the two
+    /// leaves at worst an unreferenced log record.
+    fn stage_bytes(&self, key: &Key, payload: &[u8]) -> Result<StagedValue, HdnhError> {
         if payload.len() <= self.params.vlog_inline_max {
             obs::count(obs::Counter::VlogInlineWrites);
-            return self.insert_inner(key, &vlog::encode_inline(payload), false);
+            return Ok(StagedValue {
+                value: vlog::encode_inline(payload),
+                appended: None,
+            });
         }
         obs::count(obs::Counter::VlogSpillWrites);
-        // The ticket outlives the index publish (or its failure): the
-        // compactor must not scan the record's segment before then.
-        let (ptr, _ticket) = self.vlog.append_ticketed(key, payload)?;
-        let out = self.insert_inner(key, &ptr.to_value(), true);
-        if out.is_err() {
-            // The appended record was never published: orphan it.
-            self.vlog.mark_garbage(&ptr);
+        let (ptr, ticket) = self.vlog.append_ticketed(key, payload)?;
+        Ok(StagedValue {
+            value: ptr.to_value(),
+            appended: Some((ptr, ticket)),
+        })
+    }
+
+    /// Closes a staged write: a log record whose publish failed was never
+    /// referenced, so it is orphaned on the spot.
+    fn settle<T>(&self, staged: StagedValue, out: Result<T, HdnhError>) -> Result<T, HdnhError> {
+        if let (Err(_), Some((ptr, _ticket))) = (&out, &staged.appended) {
+            self.vlog.mark_garbage(ptr);
         }
         out
+    }
+
+    /// Stores `payload` under `key` (insert semantics): inline in the slot
+    /// when it fits, otherwise in the value log with the slot holding its
+    /// pointer.
+    pub fn insert_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
+        let staged = self.stage_bytes(key, payload)?;
+        let out = self.insert_inner(key, &staged.value, staged.spilled());
+        self.settle(staged, out)
     }
 
     /// Replaces `key`'s value with `payload` (update semantics). The old
     /// value's log entry, if spilled, is tombstoned.
     pub fn update_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
-        if payload.len() <= self.params.vlog_inline_max {
-            obs::count(obs::Counter::VlogInlineWrites);
-            let old = self.update_inner(key, &vlog::encode_inline(payload), false, None)?;
-            Self::tombstone_old(&self.vlog, old);
-            return Ok(());
-        }
-        obs::count(obs::Counter::VlogSpillWrites);
-        let (ptr, _ticket) = self.vlog.append_ticketed(key, payload)?;
-        match self.update_inner(key, &ptr.to_value(), true, None) {
-            Ok(old) => {
-                Self::tombstone_old(&self.vlog, old);
-                Ok(())
-            }
-            Err(e) => {
-                self.vlog.mark_garbage(&ptr);
-                Err(e)
-            }
-        }
+        let staged = self.stage_bytes(key, payload)?;
+        let out = self.update_inner(key, &staged.value, staged.spilled());
+        let old = self.settle(staged, out)?;
+        Self::tombstone_old(&self.vlog, old);
+        Ok(())
     }
 
     /// Insert-or-replace in one call (the RESP `SET` semantics). Loops on
-    /// the insert/update race instead of surfacing it to the caller.
+    /// the insert/update race instead of surfacing it to the caller. The
+    /// payload is staged once: whichever of the two lands publishes the
+    /// same log record, so a fresh key costs one append, not two.
     pub fn upsert_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
-        loop {
-            match self.update_bytes(key, payload) {
+        let staged = self.stage_bytes(key, payload)?;
+        let out = loop {
+            match self.update_inner(key, &staged.value, staged.spilled()) {
+                Ok(old) => {
+                    Self::tombstone_old(&self.vlog, old);
+                    break Ok(());
+                }
                 Err(HdnhError::KeyNotFound) => {}
-                out => return out,
+                Err(e) => break Err(e),
             }
-            match self.insert_bytes(key, payload) {
+            match self.insert_inner(key, &staged.value, staged.spilled()) {
                 Err(HdnhError::DuplicateKey) => continue, // raced a writer
-                out => return out,
+                out => break out,
             }
-        }
+        };
+        self.settle(staged, out)
     }
 
     /// Fetches `key`'s value as bytes. Inline values decode from the slot;
@@ -1906,9 +2053,9 @@ impl Hdnh {
     }
 }
 
-enum HotWrite {
+enum HotWrite<'a> {
     Pending(crate::sync::SyncHandle),
-    Inline(Arc<HotTable>, HotOp),
+    Inline(&'a HotTable, HotOp),
     None,
 }
 
@@ -2347,6 +2494,76 @@ mod tests {
             two.resize_count()
         );
         assert!(one.verify_integrity().is_ok());
+    }
+
+    /// Every operation, a resize and a compaction under each ablation and
+    /// at the smallest geometries: the address-first step must request
+    /// lines for whatever subset of structures exists, up to and including
+    /// the last bucket of every array, and change no answer.
+    #[test]
+    fn address_first_probe_under_every_ablation() {
+        let base = || {
+            HdnhParams::builder()
+                .segment_bytes(512) // two buckets per segment
+                .initial_bottom_segments(1)
+                .vlog_segment_bytes(1024)
+        };
+        let configs = [
+            ("defaults", base()),
+            ("no hot table", base().enable_hot_table(false)),
+            ("no filter", base().enable_ocf(false)),
+            ("one-choice segments", base().two_choice_segments(false)),
+            ("one bucket per segment", base().segment_bytes(256)),
+            ("two-bucket hot table", base().hot_capacity_ratio(1e-6)),
+            ("background hot writes", base().sync_mode(SyncMode::Background)),
+        ];
+        let payload =
+            |i: u64, ver: u8| vec![ver ^ i as u8; if i.is_multiple_of(2) { 9 } else { 100 }];
+        for (name, builder) in configs {
+            let t = Hdnh::new(builder.build().unwrap());
+            for i in 0..600 {
+                t.insert_bytes(&k(i), &payload(i, 0)).unwrap();
+            }
+            assert!(t.resize_count() > 0, "{name}: the script must force a resize");
+            for i in (0..700).step_by(2) {
+                t.upsert_bytes(&k(i), &payload(i, 1)).unwrap();
+            }
+            for i in (0..600).step_by(3) {
+                assert!(t.remove(&k(i)).unwrap(), "{name}: remove {i}");
+            }
+            let expected = |i: u64| match i {
+                _ if i < 600 && i.is_multiple_of(3) => None,
+                _ if i.is_multiple_of(2) => Some(payload(i, 1)),
+                _ if i < 600 => Some(payload(i, 0)),
+                _ => None,
+            };
+            let read_back = |when: &str| {
+                for i in 0..700 {
+                    assert_eq!(t.get_bytes(&k(i)).unwrap(), expected(i), "{name}: key {i} {when}");
+                }
+            };
+            read_back("before compaction");
+            let gc = t.compact().unwrap();
+            assert!(gc.segments_retired > 0 && gc.records_relocated > 0, "{name}: {gc:?}");
+            read_back("after compaction");
+            t.verify_integrity().unwrap_or_else(|e| panic!("{name}: {e}"));
+
+            // The keys above reached the first and the last bucket of both
+            // filter arrays (the hot levels' ends: `hot::tests`).
+            let snap = t.pinned();
+            let inner = snap.inner;
+            let (mut first, mut last) = ([false; 2], [false; 2]);
+            for i in 0..700 {
+                let probe = inner.probe(&KeyHashes::of(&k(i)), t.n_candidates());
+                assert_eq!(probe.hot.is_some(), t.params().enable_hot_table, "{name}");
+                for li in 0..2 {
+                    let n = inner.level(li).0.n_buckets();
+                    first[li] |= probe.buckets(li).contains(&0);
+                    last[li] |= probe.buckets(li).contains(&(n - 1));
+                }
+            }
+            assert_eq!((first, last), ([true; 2], [true; 2]), "{name}");
+        }
     }
 
     #[test]

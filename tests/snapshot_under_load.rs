@@ -73,8 +73,11 @@ fn snapshot_mid_load_restores_every_acked_write() {
         }
 
         // Let the load build up past at least one resize, then snapshot
-        // while the writers are still running.
-        while table.resize_count() == 0 {
+        // while the writers are still running — all of them: the first
+        // writers scheduled can force the resize before the last one has
+        // started, so also wait for every writer's first acknowledgement.
+        let all_started = || acked.iter().all(|a| a.load(Ordering::Acquire) > 0);
+        while table.resize_count() == 0 || !all_started() {
             std::thread::yield_now();
         }
         let watermarks: Vec<u64> = acked.iter().map(|a| a.load(Ordering::Acquire)).collect();

@@ -127,6 +127,161 @@ fn compaction_under_live_ycsb_a_reclaims_garbage_without_blocking_reads() {
     assert_eq!(table.vlog_stats().last_gc, Some(report));
 }
 
+/// Readers do wait on the compactor — for one record at a time. A
+/// relocation holds its key's slot lock across the log append
+/// (DESIGN.md §17), and a probe backs off on any busy slot of a candidate
+/// bucket, so on this deliberately tiny table (48 buckets, 8 of them
+/// candidates of every key) one read in six walks past the slot being
+/// moved. This pins the size of that wait against the length of a pass:
+/// were the lock held for a whole pass (or a quiesce, or an epoch drain),
+/// that sixth of the reads timed inside passes would wait half a pass on
+/// average and drag the 90th percentile of all of them to about 0.4 of a
+/// pass; it must stay under a quarter (measured: between one and two
+/// percent). The 90th percentile and the relative bound are what a shared
+/// two-core host allows — a preempted read costs a timeslice, and several
+/// percent of reads are preempted when the other tests of this binary run
+/// alongside — so a few microseconds more per hold do not fail this; the
+/// percentiles are printed for that (EXPERIMENTS.md, "Overlapped probes").
+#[test]
+fn readers_wait_out_one_relocation_not_a_compaction_pass() {
+    const LIVE: u64 = 96;
+    const LEN: usize = 32 * 1024;
+    let big = |k: u64| -> Vec<u8> {
+        let mut v = payload(k, 0);
+        v.resize(LEN, k as u8);
+        v
+    };
+    let table = Arc::new(Hdnh::new(
+        HdnhParams::builder()
+            .segment_bytes(4096)
+            .initial_bottom_segments(1)
+            .vlog_segment_bytes(256 * 1024)
+            .build()
+            .unwrap(),
+    ));
+    for k in 0..LIVE {
+        table.insert_bytes(&Key::from_u64(k), &big(k)).unwrap();
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let in_pass = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let (table, stop, in_pass) = (Arc::clone(&table), Arc::clone(&stop), Arc::clone(&in_pass));
+            std::thread::spawn(move || {
+                let mut rng = XorShift64Star::new(0xFEED + w);
+                let mut timed_ns = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    let k = u64::from(rng.next_below(LIVE as u32));
+                    let during = in_pass.load(Ordering::Relaxed);
+                    let t = std::time::Instant::now();
+                    let got = table.get_bytes(&Key::from_u64(k)).unwrap().expect("live key");
+                    let ns = t.elapsed().as_nanos() as u64;
+                    assert!(got.len() == LEN && validate(k, &got[..payload(k, 0).len()]));
+                    if during && in_pass.load(Ordering::Relaxed) {
+                        timed_ns.push(ns);
+                    }
+                }
+                timed_ns
+            })
+        })
+        .collect();
+    // Each round rewrites every third value (the old copies become
+    // garbage spread over every segment), then a pass moves the rest.
+    let (mut relocated, mut pass_ns) = (0, 0u64);
+    const ROUNDS: u64 = 12;
+    for round in 0..ROUNDS {
+        for k in (round % 3..LIVE).step_by(3) {
+            table.update_bytes(&Key::from_u64(k), &big(k)).unwrap();
+        }
+        in_pass.store(true, Ordering::Relaxed);
+        let t = std::time::Instant::now();
+        relocated += table.compact().unwrap().records_relocated;
+        pass_ns += t.elapsed().as_nanos() as u64;
+        in_pass.store(false, Ordering::Relaxed);
+    }
+    let pass_ns = pass_ns / ROUNDS;
+    stop.store(true, Ordering::Relaxed);
+    let mut timed_ns: Vec<u64> = readers.into_iter().flat_map(|r| r.join().unwrap()).collect();
+    timed_ns.sort_unstable();
+    assert!(relocated >= 100, "the passes must have had records to move: {relocated}");
+    assert!(timed_ns.len() >= 200, "only {} reads ran inside a pass", timed_ns.len());
+    let pct = |p: usize| timed_ns[(timed_ns.len() - 1) * p / 100];
+    eprintln!(
+        "pass={pass_ns}ns ({relocated} records moved); reads inside passes: n={} p50={}ns p90={}ns p95={}ns p97={}ns p99={}ns max={}ns",
+        timed_ns.len(),
+        pct(50),
+        pct(90),
+        pct(95),
+        pct(97),
+        pct(99),
+        pct(100)
+    );
+    assert!(
+        pct(90) < pass_ns / 4,
+        "p90 read {} ns against a {pass_ns} ns pass: readers parked behind the compactor",
+        pct(90)
+    );
+    table.verify_integrity().unwrap();
+}
+
+/// A `SET` of a key that does not exist yet stages its value once: the
+/// update that misses and the insert that lands publish the same log
+/// record. A second append would show as used bytes and as garbage.
+#[test]
+fn fresh_key_spilled_upsert_appends_once() {
+    let table = Hdnh::new(HdnhParams::builder().capacity(1_000).build().unwrap());
+    let key = Key::from_u64(1);
+    let fp = hdnh::vlog::footprint(200) as u64;
+    table.upsert_bytes(&key, &[9u8; 200]).unwrap();
+    let fresh = table.vlog_stats();
+    assert_eq!((fresh.used_bytes, fresh.garbage_bytes), (fp, 0), "{fresh:?}");
+    assert_eq!(table.get_bytes(&key).unwrap().unwrap(), vec![9u8; 200]);
+    // The same call on the now-present key is an update: one more record,
+    // and the replaced one tombstoned.
+    table.upsert_bytes(&key, &[8u8; 200]).unwrap();
+    let replaced = table.vlog_stats();
+    assert_eq!((replaced.used_bytes, replaced.garbage_bytes), (2 * fp, fp), "{replaced:?}");
+    assert_eq!(table.get_bytes(&key).unwrap().unwrap(), vec![8u8; 200]);
+    table.verify_integrity().unwrap();
+}
+
+/// An upsert and a remove of one key released together, round after
+/// round: the upsert's staged record must end up either published or
+/// tombstoned whichever way each round falls (update wins, insert wins,
+/// or the insert loses to nobody and retries), so that after a last
+/// upsert the only bytes not tombstoned are that value's.
+#[test]
+fn upsert_racing_a_remove_converges() {
+    const ROUNDS: u64 = 2_000;
+    // The default 4 MiB segment holds the whole run: no segment seals, so
+    // `live_bytes` counts records only.
+    let table = Hdnh::new(HdnhParams::builder().capacity(1_000).build().unwrap());
+    let key = Key::from_u64(7);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..ROUNDS {
+                start.wait();
+                table.remove(&key).unwrap();
+            }
+        });
+        for round in 0..ROUNDS {
+            start.wait();
+            table.upsert_bytes(&key, &payload(7, round)).unwrap();
+            if let Some(got) = table.get_bytes(&key).unwrap() {
+                assert!(validate(7, &got), "torn or forged value in round {round}");
+            }
+        }
+    });
+    let last = payload(7, ROUNDS);
+    table.upsert_bytes(&key, &last).unwrap();
+    assert_eq!(table.get_bytes(&key).unwrap().unwrap(), last);
+    assert_eq!(table.len(), 1);
+    let stats = table.vlog_stats();
+    assert_eq!(stats.live_bytes, hdnh::vlog::footprint(last.len()) as u64, "{stats:?}");
+    table.verify_integrity().unwrap();
+}
+
 /// Deterministic payload in one of three size classes: inline, a 200 B
 /// spill, a 64 KiB spill that needs a segment of its own.
 fn sized_payload(k: u64, ver: u64) -> Vec<u8> {
@@ -140,10 +295,26 @@ fn sized_payload(k: u64, ver: u64) -> Vec<u8> {
 
 /// "No NVM count moved" as a tier-1 check: one single-threaded script over
 /// every value-log path, with the media counters after each phase pinned
-/// to the values the commit before the table-driven CRC / word-wise copy /
-/// single-pass log path recorded. A change that adds, drops or resizes one
-/// media access anywhere under `insert`/`update`/`upsert`/`get`/`remove`/
+/// to recorded values. A change that adds, drops or resizes one media
+/// access anywhere under `insert`/`update`/`upsert`/`get`/`remove`/
 /// resize/`compact` moves a number here.
+///
+/// The rows were first recorded at the commit before the table-driven
+/// CRC-32. They were re-recorded once, for two deliberate changes, each
+/// isolated by building it alone on that commit:
+///
+/// * a fresh-key spilled `upsert_bytes` appends its value once, not twice:
+///   from the upsert phase on, the 25 duplicate appends are gone
+///   (−25 fences, −5 205 lines written and flushed, −327 800 `used_bytes`;
+///   one 64 KiB value now straddles one media block fewer when read).
+///   With only this change the compact row read `[754, 8187, 31477,
+///   31477, 1238]` and the last row `[1112, 16050, ..]`;
+/// * the compactor decides liveness and relocates in one probe instead of
+///   a `get` plus a guarded update: the compact phase issues 65 fewer
+///   reads (754 → 689, a block each) and exactly the same writes, flushes
+///   and fences. It also no longer pulls every record it visits into the
+///   hot table, so the reads after it find 10 fewer keys cached
+///   (358 → 368 reads for the same 300 gets).
 #[test]
 fn nvm_counts_match_the_recorded_ledger() {
     // LRU, not RAFL: RAFL's eviction RNG is seeded from a process-global
@@ -214,11 +385,11 @@ fn nvm_counts_match_the_recorded_ledger() {
     // ([reads, read_blocks, write_lines, flushes, fences], vlog used_bytes)
     let recorded = [
         ([7u64, 7, 31849, 31849, 665], 2458320u64), // inserts (levels replaced by resizes)
-        ([145, 145, 59291, 59291, 1119], 4506944),  // updates + upserts
-        ([590, 9911, 59291, 59291, 1119], 4506944), // gets, hit and miss
-        ([648, 9969, 59347, 59347, 1175], 4506944), // removes
-        ([763, 8193, 31490, 31490, 1248], 1973272), // compact (victims' counters retire)
-        ([1121, 16057, 31490, 31490, 1248], 1973272), // gets after compaction
+        ([145, 145, 54086, 54086, 1094], 4179144),  // updates + upserts
+        ([590, 9910, 54086, 54086, 1094], 4179144), // gets, hit and miss
+        ([648, 9968, 54142, 54142, 1150], 4179144), // removes
+        ([689, 8122, 31477, 31477, 1238], 2004920), // compact (victims' counters retire)
+        ([1057, 15995, 31477, 31477, 1238], 2004920), // gets after compaction
     ];
     assert_eq!(ledger, recorded);
 }
