@@ -143,6 +143,19 @@ impl Ocf {
         self.entries[self.idx(bucket, slot)].load(Ordering::Acquire)
     }
 
+    /// A claimer's look at `bucket`'s slots, in order, after its own
+    /// [`try_lock_empty`](Self::try_lock_empty) succeeded. Both are `SeqCst`,
+    /// which orders the claim (a store) before this load, as acquire and
+    /// release do not: of two writers that each claim a slot and then load
+    /// the other's, at least one load observes the other's claim. (On x86-64
+    /// these are the instructions `Acquire` compiles to.)
+    #[inline]
+    pub(crate) fn load_after_claim(&self, bucket: usize) -> impl Iterator<Item = u16> + '_ {
+        let first = bucket * self.slots_per_bucket;
+        let entries = &self.entries[first..first + self.slots_per_bucket];
+        entries.iter().map(|e| e.load(Ordering::SeqCst))
+    }
+
     /// The reader's validation load: acquire fence, then re-load. Returns
     /// `true` iff the entry still equals `expected` (and is therefore not
     /// busy, assuming `expected` was not busy).
@@ -154,7 +167,8 @@ impl Ocf {
 
     /// Tries to lock an **empty** slot for insertion: CAS from
     /// `(valid=0, busy=0)` to busy. On success, issues the writer-side
-    /// release fence; the caller may then write the NVM slot.
+    /// release fence; the caller may then write the NVM slot. The CAS is
+    /// sequentially consistent for `load_after_claim`.
     pub fn try_lock_empty(&self, bucket: usize, slot: usize) -> LockOutcome {
         let cell = &self.entries[self.idx(bucket, slot)];
         let cur = cell.load(Ordering::Relaxed);
@@ -168,7 +182,7 @@ impl Ocf {
                 LockOutcome::Mismatch
             };
         }
-        match cell.compare_exchange(cur, cur | E_BUSY, Ordering::Acquire, Ordering::Relaxed) {
+        match cell.compare_exchange(cur, cur | E_BUSY, Ordering::SeqCst, Ordering::Relaxed) {
             Ok(_) => {
                 fence(Ordering::Release);
                 LockOutcome::Locked(cur)

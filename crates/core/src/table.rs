@@ -8,19 +8,34 @@
 //!
 //! # Operation protocols (figures 9 & 10)
 //!
-//! * **Insert** — lock an empty slot in the OCF (opmap CAS), write the
-//!   record to the NVM slot and persist it, atomically set the persisted
-//!   bitmap bit (8-byte failure-atomic commit point), then one release store
-//!   to the OCF entry publishes fingerprint + valid + version+1 and drops
-//!   the lock. A crash before the bitmap commit leaves the slot invisible.
-//! * **Update** — lock the old slot, write the *new* record out-of-place
+//! Every write is one call of `write_with(key, decide)`: pin, hash, request
+//! the probe's lines, search — locking the key's slot if it is there — and
+//! ask `decide` about the old `(value, spilled)` pair, stable under that
+//! lock, or about its absence. *Keep* releases the lock; a *put* with no
+//! empty slot to go to releases it, drops the pin, resizes and asks again.
+//!
+//! | public operation | key present | key absent |
+//! |---|---|---|
+//! | `insert`, `insert_bytes` | `DuplicateKey` | put |
+//! | `update`, `update_bytes` | put | `KeyNotFound` |
+//! | `upsert_bytes`, `HashIndex::upsert` | put | put |
+//! | `remove` | remove | keep |
+//! | GC relocation | put if the pointer still matches (hot copy refreshed, not filled), else keep | keep |
+//!
+//! * **Put, absent** (figure 9) — lock an empty slot in the OCF (opmap CAS),
+//!   check that no rival writer is placing the same key
+//!   (`unchanged_since`), write the record to the NVM slot and persist it,
+//!   atomically set the persisted bitmap bit (8-byte failure-atomic commit
+//!   point), then one release store to the OCF entry publishes fingerprint
+//!   and valid and version+1 and drops the lock. A crash before the
+//!   bitmap commit leaves the slot invisible.
+//! * **Put, present** (figure 10) — write the *new* record out-of-place
 //!   into an empty slot of the **same bucket**, then flip both bitmap bits
 //!   with a single 8-byte atomic store (figure 10c). If the bucket has no
 //!   free slot, fall back to insert-elsewhere-then-delete (two atomic
 //!   commits; the recovery scan deduplicates the crash window — see
 //!   DESIGN.md).
-//! * **Delete** — lock, clear the bitmap bit atomically, invalidate the OCF
-//!   entry.
+//! * **Remove** — clear the bitmap bit atomically, invalidate the OCF entry.
 //! * **Search** — hot table first; then OCF fingerprints; only a fingerprint
 //!   match touches NVM, and the seqlock version re-check detects any
 //!   concurrent writer. Completely lock-free: no NVM writes on the read
@@ -135,7 +150,7 @@ impl Inner {
                 ocf.prefetch_bucket(bucket);
             }
         }
-        Probe { hot, candidates, n }
+        Probe { inner: self, h: *h, hot, candidates, n }
     }
 }
 
@@ -143,6 +158,9 @@ impl Inner {
 /// by [`Inner::probe`] and shared by the hot search, the filter walk, the
 /// empty-slot scan and the hot-table write.
 struct Probe<'a> {
+    /// The snapshot probed, and the key's hashes.
+    inner: &'a Inner,
+    h: KeyHashes,
     /// The hot table and the key's bucket in each of its levels.
     hot: Option<(&'a Arc<HotTable>, HotBuckets)>,
     /// Candidate buckets per level; the first `n` are probed.
@@ -155,6 +173,53 @@ impl Probe<'_> {
     #[inline]
     fn buckets(&self, li: usize) -> &[usize] {
         &self.candidates[li][..self.n]
+    }
+
+    /// Releases the lock held on `loc`'s slot, leaving the slot as it was.
+    fn unlock(&self, loc: &Located) {
+        self.inner.level(loc.li).1.abort(loc.bucket, loc.slot, loc.entry);
+    }
+
+    /// Locks the first empty slot among the candidate buckets — the bucket
+    /// of the key's `old` slot, if it has one, before the others — as the
+    /// place `value` is going to.
+    fn claim_empty(&self, old: Option<&Located>, value: Value, spilled: bool) -> Option<Located> {
+        let home = old.map(|o| (o.li, o.bucket));
+        let rest = (0..2).flat_map(|li| self.buckets(li).iter().map(move |&b| (li, b)));
+        for (li, bucket) in home.into_iter().chain(rest.filter(|&b| Some(b) != home)) {
+            let (_, ocf) = self.inner.level(li);
+            for slot in 0..SLOTS_PER_BUCKET {
+                if old.is_some_and(|o| (o.li, o.bucket, o.slot) == (li, bucket, slot)) {
+                    continue;
+                }
+                // A slot that is taken, or being taken, is passed over even
+                // if the rival is placing this very key: for an absent key
+                // `unchanged_since` catches that.
+                if let LockOutcome::Locked(entry) = ocf.try_lock_empty(bucket, slot) {
+                    return Some(Located { li, bucket, slot, entry, value, spilled });
+                }
+            }
+        }
+        None
+    }
+
+    /// The uniqueness check of an absent key's placement (DESIGN.md §11,
+    /// "claim, then re-validate"): `true` when no candidate slot but `own`
+    /// — just claimed — has changed since the probe that missed read it. A
+    /// rival placing the same key holds or has published one of those
+    /// slots: its entry is busy, or a version on. Of two claimers the later
+    /// always sees the earlier — each re-loads after its own claim CAS,
+    /// sequentially consistent both ([`Ocf::load_after_claim`]) — so at
+    /// most one places. DRAM only, exact: no lock, no NVM access.
+    fn unchanged_since(&self, seen: &Witness, own: &Located) -> bool {
+        let own = (own.li, own.bucket, own.slot);
+        (0..2).all(|li| {
+            let (_, ocf) = self.inner.level(li);
+            self.buckets(li).iter().zip(&seen[li]).all(|(&bucket, then)| {
+                let mut slots = ocf.load_after_claim(bucket).zip(then).enumerate();
+                slots.all(|(slot, (now, &was))| now == was || (li, bucket, slot) == own)
+            })
+        })
     }
 }
 
@@ -213,12 +278,6 @@ struct StagedValue {
     appended: Option<(VlogPtr, vlog::AppendTicket)>,
 }
 
-impl StagedValue {
-    fn spilled(&self) -> bool {
-        self.appended.is_some()
-    }
-}
-
 /// A record's located position in the table.
 struct Located {
     li: usize,
@@ -227,6 +286,38 @@ struct Located {
     /// OCF entry snapshot taken when the record was matched.
     entry: u16,
     value: Value,
+    /// The header's spill flag for the slot, from the header load the
+    /// entry's seqlock validated: `value` is a packed value-log pointer.
+    spilled: bool,
+}
+
+/// The final OCF entry a writer's probe read for each slot of each candidate
+/// bucket of each level: what ruled the key out there (see
+/// [`Probe::unchanged_since`]). On the writer's stack; readers keep none.
+type Witness = [[[u16; SLOTS_PER_BUCKET]; CANDIDATES_FULL]; 2];
+
+/// What a write does about a key, answered under the key's slot lock — or,
+/// for an absent key, after a validated miss.
+enum Decision {
+    /// Leave the table as it is.
+    Keep,
+    /// Store `value`. `spilled`: the 15 bytes are a packed value-log
+    /// pointer (committed into the header's spill flag). `refresh_only`
+    /// limits the hot-table half to rewriting a copy already cached.
+    Put { value: Value, spilled: bool, refresh_only: bool },
+    /// Remove the key (nothing to do when it is absent).
+    Remove,
+}
+
+/// Which of a key's two states a store accepts.
+#[derive(Clone, Copy)]
+pub(crate) enum Accept {
+    /// Insert: a present key is `DuplicateKey`.
+    Absent,
+    /// Update: an absent key is `KeyNotFound`.
+    Present,
+    /// Upsert.
+    Either,
 }
 
 /// The HDNH hash table.
@@ -895,15 +986,29 @@ impl Hdnh {
     }
 
     /// Searches both levels; returns the located record. `writer` marks a
-    /// generation-validated writer probe (see the corruption gate below).
+    /// generation-validated writer probe (see the corruption gate below);
+    /// `saw` is told every entry the walk loads, as `(level, candidate,
+    /// slot)` — a writer keeps the last one per slot, a reader none.
+    ///
+    /// A miss can be trusted: it is `Err(ProbeRaced)`, to be retried, when
+    /// it overlapped an out-of-place update. A miss is only authoritative
+    /// if no out-of-place update moved a record mid-probe. Missing both
+    /// copies requires the new-slot read to precede the new commit and the
+    /// old-slot read to follow the old clear; the writer bumps
+    /// `relocations` strictly between those two stores, so the re-load is
+    /// guaranteed to observe it (the old-slot load acquires the clearing
+    /// release-store, which the bump is sequenced before). Readers and
+    /// writers share this: a writer that trusted a raced miss would report
+    /// a spurious `KeyNotFound`, or admit a duplicate insert.
     fn find(
         &self,
-        inner: &Inner,
         key: &Key,
-        h: &KeyHashes,
         probe: &Probe,
         writer: bool,
-    ) -> Option<Located> {
+        mut saw: impl FnMut((usize, usize, usize), u16),
+    ) -> Result<Option<Located>, ProbeRaced> {
+        let (inner, h) = (probe.inner, &probe.h);
+        let reloc0 = self.relocations.load(Ordering::SeqCst);
         // Slots the fingerprint filter answered without a media read are
         // tallied locally and recorded once per probe: bumping the shared
         // counter per slot would be up to 64 locked RMWs on a miss.
@@ -912,10 +1017,11 @@ impl Hdnh {
         let found = 'walk: {
             for li in 0..2 {
                 let (level, ocf) = inner.level(li);
-                for &bucket in probe.buckets(li) {
+                for (ci, &bucket) in probe.buckets(li).iter().enumerate() {
                     'slot: for slot in 0..SLOTS_PER_BUCKET {
                         loop {
                             let e = ocf.load(bucket, slot);
+                            saw((li, ci, slot), e);
                             if !ocf::is_valid(e) && !ocf::is_busy(e) {
                                 continue 'slot;
                             }
@@ -975,6 +1081,7 @@ impl Hdnh {
                                     slot,
                                     entry: e,
                                     value: rec.value,
+                                    spilled: header_slot_spilled(header, slot),
                                 });
                             }
                             // Fingerprint matched but the key differs: the NVM
@@ -993,31 +1100,6 @@ impl Hdnh {
         if short_circuits != 0 {
             obs::add(obs::Counter::OcfNegativeShortCircuit, short_circuits);
         }
-        found
-    }
-
-    /// [`find`](Self::find) whose miss can be trusted: `Err(ProbeRaced)`
-    /// when a miss overlapped an out-of-place update and must be retried.
-    ///
-    /// A miss is only authoritative if no out-of-place update moved a
-    /// record mid-probe. Missing both copies requires the new-slot read to
-    /// precede the new commit and the old-slot read to follow the old
-    /// clear; the writer bumps `relocations` strictly between those two
-    /// stores, so the re-load is guaranteed to observe it (the old-slot
-    /// load acquires the clearing release-store, which the bump is
-    /// sequenced before). Readers and writers share this: a writer that
-    /// trusted a raced miss would report a spurious `KeyNotFound`, or
-    /// admit a duplicate insert.
-    fn find_validated(
-        &self,
-        inner: &Inner,
-        key: &Key,
-        h: &KeyHashes,
-        probe: &Probe,
-        writer: bool,
-    ) -> Result<Option<Located>, ProbeRaced> {
-        let reloc0 = self.relocations.load(Ordering::SeqCst);
-        let found = self.find(inner, key, h, probe, writer);
         if found.is_none() && self.relocations.load(Ordering::SeqCst) != reloc0 {
             obs::count(obs::Counter::SnapshotRetry);
             return Err(ProbeRaced);
@@ -1025,43 +1107,23 @@ impl Hdnh {
         Ok(found)
     }
 
-    /// A generation-validated writer's probe: retries raced misses in
-    /// place (the writer's pin keeps the snapshot current).
-    fn find_for_write(
-        &self,
-        inner: &Inner,
-        key: &Key,
-        h: &KeyHashes,
-        probe: &Probe,
-    ) -> Option<Located> {
-        loop {
-            if let Ok(found) = self.find_validated(inner, key, h, probe, true) {
-                return found;
-            }
-        }
-    }
-
-    /// Searches and write-locks the record's slot. `Ok(Some(..))` holds the
-    /// lock; the pre-lock entry is inside.
-    fn find_and_lock(
-        &self,
-        inner: &Inner,
-        key: &Key,
-        h: &KeyHashes,
-        probe: &Probe,
-    ) -> Option<Located> {
+    /// A generation-validated writer's probe: searches and write-locks the
+    /// key's slot, retrying raced misses in place (the writer's pin keeps
+    /// the snapshot current). `Some(..)` holds the lock; the pre-lock entry
+    /// is inside. `None` is a validated miss, and leaves in `seen` the
+    /// entry that ruled each candidate slot out.
+    fn find_and_lock(&self, key: &Key, probe: &Probe, seen: &mut Witness) -> Option<Located> {
         let mut backoff = Backoff::new();
         loop {
-            let loc = self.find_for_write(inner, key, h, probe)?;
-            let (_, ocf) = inner.level(loc.li);
+            let found = self.find(key, probe, true, |(li, ci, slot), e| seen[li][ci][slot] = e);
+            let Ok(found) = found else { continue };
+            let loc = found?;
+            let (_, ocf) = probe.inner.level(loc.li);
             match ocf.try_lock_at(loc.bucket, loc.slot, loc.entry) {
                 LockOutcome::Locked(_) => return Some(loc),
                 // Entry changed: the record may have moved or been deleted;
                 // rescan from scratch.
-                LockOutcome::Contended | LockOutcome::Mismatch => {
-                    backoff.wait();
-                    continue;
-                }
+                LockOutcome::Contended | LockOutcome::Mismatch => backoff.wait(),
             }
         }
     }
@@ -1238,7 +1300,7 @@ impl Hdnh {
                     return Some(v);
                 }
             }
-            let found = self.find_validated(inner, key, &h, &probe, false);
+            let found = self.find(key, &probe, false, |_, _| {});
             // Validate after the probe: an unchanged generation (or the
             // odd writer-exclusion value, under which nothing can commit)
             // proves the snapshot answered consistently. Otherwise a
@@ -1279,96 +1341,55 @@ impl Hdnh {
     /// [`HdnhError::DuplicateKey`] when the key is already present.
     pub fn insert(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
         let t = obs::op_start();
-        let out = self.insert_inner(key, value, false);
+        let out = self.store(key, value, false, Accept::Absent);
         obs::op_record(obs::OpKind::Insert, t);
-        out
-    }
-
-    /// Insert body. `spilled` marks the 15 value bytes as a packed
-    /// value-log pointer (committed into the header's spill flag).
-    pub(crate) fn insert_inner(
-        &self,
-        key: &Key,
-        value: &Value,
-        spilled: bool,
-    ) -> Result<(), HdnhError> {
-        let h = KeyHashes::of(key);
-        let rec = Record::new(*key, *value);
-        let ck = slot_meta(&rec, spilled);
-        loop {
-            let gen = {
-                let (snap, gen) = self.pin_for_write();
-                let inner = snap.inner;
-                let probe = inner.probe(&h, self.n_candidates());
-                if self.find_for_write(inner, key, &h, &probe).is_some() {
-                    return Err(HdnhError::DuplicateKey);
-                }
-                for li in 0..2 {
-                    let (level, ocf) = inner.level(li);
-                    for &bucket in probe.buckets(li) {
-                        for slot in 0..SLOTS_PER_BUCKET {
-                            match ocf.try_lock_empty(bucket, slot) {
-                                LockOutcome::Locked(pre) => {
-                                    fault::point("insert.slot_locked");
-                                    // (a) slot locked — overlap the hot-table
-                                    // write with the NVM write.
-                                    let hot = self.begin_hot_write(&probe, |at| {
-                                        HotOp::Put { rec, at, fp: h.fp }
-                                    });
-                                    // (b) record persisted while invisible.
-                                    level.write_record(bucket, slot, &rec);
-                                    fault::point("insert.record_written");
-                                    // (c) failure-atomic commit: valid bit
-                                    // and record checksum in one store.
-                                    level.commit_slot_valid(bucket, slot, ck);
-                                    fault::point("insert.bitmap_committed");
-                                    // The hot write must complete BEFORE the
-                                    // OCF publish: the moment the slot is
-                                    // visible, another writer can claim the
-                                    // key and write its own hot copy — a hot
-                                    // write finishing after publication could
-                                    // overwrite that newer copy with ours.
-                                    Self::finish_hot_write(hot);
-                                    // (d) publish in DRAM, release lock.
-                                    ocf.commit(bucket, slot, pre, true, h.fp);
-                                    fault::point("insert.published");
-                                    self.count.fetch_add(1, Ordering::Relaxed);
-                                    return Ok(());
-                                }
-                                LockOutcome::Contended | LockOutcome::Mismatch => continue,
-                            }
-                        }
-                    }
-                }
-                gen
-            }; // pin dropped here: the resize drain must not wait on us
-            // All eight candidate buckets full in both levels: grow.
-            self.resize(gen)?;
-        }
+        out.map(|_| ())
     }
 
     /// Replaces the value of an existing key (figure 10). Reports
     /// [`HdnhError::KeyNotFound`] when the key is absent.
     pub fn update(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
         let t = obs::op_start();
-        let out = self.update_inner(key, value, false);
+        let out = self.store(key, value, false, Accept::Present);
         obs::op_record(obs::OpKind::Update, t);
         // Overwriting a spilled value orphans its log entry.
         Self::tombstone_old(&self.vlog, out?);
         Ok(())
     }
 
-    /// Update body. `spilled` marks the new value bytes as a packed
+    /// Removes a key. Returns `Ok(true)` if it was present. A spilled
+    /// value's log entry is tombstoned for the compactor to reclaim.
+    pub fn remove(&self, key: &Key) -> Result<bool, HdnhError> {
+        let t = obs::op_start();
+        let out = self.write_with(key, |old| {
+            old.inspect(|_| fault::point("remove.old_locked"));
+            Ok(Decision::Remove)
+        });
+        obs::op_record(obs::OpKind::Remove, t);
+        let old = out?;
+        Self::tombstone_old(&self.vlog, old);
+        Ok(old.is_some())
+    }
+
+    /// The fixed-value writes: stores `value` if the key is in a state
+    /// `accept` takes. `spilled` marks the value bytes as a packed
     /// value-log pointer. Returns the replaced `(value, spilled)` pair so
     /// callers can tombstone a spilled old value's log entry.
-    pub(crate) fn update_inner(
+    pub(crate) fn store(
         &self,
         key: &Key,
         value: &Value,
         spilled: bool,
-    ) -> Result<(Value, bool), HdnhError> {
-        self.update_with(key, false, |_, _| Ok(Some((*value, spilled))))?
-            .ok_or(HdnhError::KeyNotFound)
+        accept: Accept,
+    ) -> Result<Option<(Value, bool)>, HdnhError> {
+        self.write_with(key, |old| match (old, accept) {
+            (Some(_), Accept::Absent) => Err(HdnhError::DuplicateKey),
+            (None, Accept::Present) => Err(HdnhError::KeyNotFound),
+            _ => {
+                old.inspect(|_| fault::point("update.old_locked"));
+                Ok(Decision::Put { value: *value, spilled, refresh_only: false })
+            }
+        })
     }
 
     /// The value-log compactor's relocation of one live record, in a
@@ -1393,201 +1414,173 @@ impl Hdnh {
     ) -> Result<Option<VlogPtr>, HdnhError> {
         let expect = old.to_value();
         // Appended at most once; the ticket outlives the publish. Kept
-        // across a retry: a full bucket sends the update through a resize
+        // across a retry: a full bucket sends the write through a resize
         // and back under a fresh lock, where the guard is checked again.
         let mut appended = None;
-        let swapped = self.update_with(key, true, |value, spilled| {
-            if !spilled || *value != expect {
-                return Ok(None);
+        let swapped = self.write_with(key, |old| {
+            old.inspect(|_| fault::point("update.old_locked"));
+            if old != Some((expect, true)) {
+                return Ok(Decision::Keep);
             }
-            if appended.is_none() {
-                appended = Some(self.vlog.append_image(image, payload_len)?);
-            }
-            Ok(appended.as_ref().map(|(ptr, _ticket)| (ptr.to_value(), true)))
+            let (ptr, _ticket) = match &appended {
+                Some(once) => once,
+                None => appended.insert(self.vlog.append_image(image, payload_len)?),
+            };
+            Ok(Decision::Put { value: ptr.to_value(), spilled: true, refresh_only: true })
         });
-        let Some((ptr, _ticket)) = appended else {
-            // Absent, superseded, or the append itself failed.
-            return swapped.map(|_| None);
-        };
-        match swapped {
-            Ok(Some(_)) => Ok(Some(ptr)),
-            not_swapped => {
-                // Appended before a resize, superseded (or failed) after
-                // it: the copy was never published.
-                self.vlog.mark_garbage(&ptr);
+        match (appended, swapped) {
+            (Some((ptr, _ticket)), Ok(Some(_))) => Ok(Some(ptr)),
+            // Absent, superseded, or the append itself failed — or appended
+            // before a resize and superseded (or failed) after it: that
+            // copy was never published.
+            (appended, not_swapped) => {
+                if let Some((ptr, _ticket)) = &appended {
+                    self.vlog.mark_garbage(ptr);
+                }
                 not_swapped.map(|_| None)
             }
         }
     }
 
-    /// The update protocol (figure 10) around a value chosen under the old
-    /// slot's lock: `choose` sees the old `(value, spilled)` pair, stable
-    /// under the lock, and returns the new pair — or `None` to leave the
-    /// slot as it is. Returns the replaced pair, or `None` when the key is
-    /// absent or `choose` declined. `choose` runs again if the update has
-    /// to grow the table and start over.
-    ///
-    /// `refresh_only` limits the hot-table half to rewriting a copy that
-    /// is already cached.
-    fn update_with(
+    /// The write protocol (figures 9 & 10; module docs), once for every
+    /// operation: one pin, one hash, one address-first probe, one
+    /// search-and-lock, then `decide` — shown the key's old
+    /// `(value, spilled)` pair, stable under the slot lock, or `None` after
+    /// a validated miss — says what to do. Returns the pair the write
+    /// replaced or removed: `None` when the key was absent or kept.
+    /// `decide` runs again whenever the attempt starts over: after growing
+    /// a table with no room for the record, or after backing off from a
+    /// rival writer of the same absent key.
+    fn write_with(
         &self,
         key: &Key,
-        refresh_only: bool,
-        mut choose: impl FnMut(&Value, bool) -> Result<Option<(Value, bool)>, HdnhError>,
+        mut decide: impl FnMut(Option<(Value, bool)>) -> Result<Decision, HdnhError>,
     ) -> Result<Option<(Value, bool)>, HdnhError> {
         let h = KeyHashes::of(key);
-        loop {
-            let gen = {
+        let mut backoff = Backoff::new();
+        'attempt: loop {
+            let gen = 'pinned: {
                 let (snap, gen) = self.pin_for_write();
-                let inner = snap.inner;
-                let probe = inner.probe(&h, self.n_candidates());
-                let Some(old) = self.find_and_lock(inner, key, &h, &probe) else {
-                    return Ok(None);
-                };
-                fault::point("update.old_locked");
-                let (level, ocf) = inner.level(old.li);
-                // Old header under the slot lock: stable, and the only
-                // authoritative source of the old value's spill-ness.
-                let old_header = level.load_header_cached(old.bucket);
-                let old_spilled = header_slot_spilled(old_header, old.slot);
-                let (value, spilled) = match choose(&old.value, old_spilled) {
-                    Ok(Some(new)) => new,
-                    declined => {
-                        ocf.abort(old.bucket, old.slot, old.entry);
-                        return declined;
-                    }
-                };
-                let rec = Record::new(*key, value);
-                let ck = slot_meta(&rec, spilled);
-                // Option-wrapped so exactly one arm below consumes the hot
-                // write — and always BEFORE its OCF publish: once the new
-                // slot is visible, another writer can claim the key, and a
-                // hot write completing after that publication could clobber
-                // the newer writer's hot copy with this (now stale) one.
-                let mut hot = Some(self.begin_hot_write(&probe, |at| {
-                    if refresh_only {
-                        HotOp::Refresh { rec, at, fp: h.fp }
-                    } else {
-                        HotOp::Put { rec, at, fp: h.fp }
-                    }
-                }));
-                // Preferred path: out-of-place within the same bucket, both
-                // bitmap bits flipped in ONE atomic store (figure 10c).
-                for ns in 0..SLOTS_PER_BUCKET {
-                    if ns == old.slot {
-                        continue;
-                    }
-                    if let LockOutcome::Locked(pre_new) = ocf.try_lock_empty(old.bucket, ns) {
-                        level.write_record(old.bucket, ns, &rec);
-                        fault::point("update.new_written");
-                        Self::finish_hot_write(hot.take().expect("hot write consumed once"));
-                        level.commit_slot_swap(old.bucket, old.slot, ns, ck);
-                        fault::point("update.swap_committed");
-                        ocf.commit(old.bucket, ns, pre_new, true, h.fp);
-                        // Ordered between the two commits: a reader that
-                        // missed the new slot (read before the line above)
-                        // and the old slot (read after the line below)
-                        // observes the bump and retries.
-                        self.relocations.fetch_add(1, Ordering::SeqCst);
-                        ocf.commit(old.bucket, old.slot, old.entry, false, 0);
-                        fault::point("update.published");
-                        return Ok(Some((old.value, old_spilled)));
-                    }
-                }
-                // Fallback: place the new version in another candidate
-                // bucket, then invalidate the old slot (two atomic commits;
-                // recovery dedupes the window).
-                for lj in 0..2 {
-                    let (level2, ocf2) = inner.level(lj);
-                    for &bucket2 in probe.buckets(lj) {
-                        if lj == old.li && bucket2 == old.bucket {
-                            continue;
+                let probe = snap.inner.probe(&h, self.n_candidates());
+                let mut seen = Witness::default();
+                let found = self.find_and_lock(key, &probe, &mut seen);
+                let old = found.as_ref();
+                let replaced = old.map(|o| (o.value, o.spilled));
+                match (decide(replaced), old) {
+                    (Ok(Decision::Put { value, spilled, refresh_only }), _) => {
+                        let Some(new) = probe.claim_empty(old, value, spilled) else {
+                            // Every candidate bucket full in both levels: grow.
+                            old.inspect(|o| probe.unlock(o));
+                            break 'pinned gen;
+                        };
+                        if old.is_none() && !probe.unchanged_since(&seen, &new) {
+                            // A rival is placing this key: give way, look again.
+                            probe.unlock(&new);
+                            backoff.wait();
+                            continue 'attempt;
                         }
-                        for ns in 0..SLOTS_PER_BUCKET {
-                            if let LockOutcome::Locked(pre_new) = ocf2.try_lock_empty(bucket2, ns)
-                            {
-                                level2.write_record(bucket2, ns, &rec);
-                                fault::point("update.fallback.new_written");
-                                Self::finish_hot_write(
-                                    hot.take().expect("hot write consumed once"),
-                                );
-                                level2.commit_slot_valid(bucket2, ns, ck);
-                                // The double-copy window: both the old and
-                                // the new version are bitmap-valid until the
-                                // next commit; recovery dedupes it.
-                                fault::point("update.fallback.new_committed");
-                                ocf2.commit(bucket2, ns, pre_new, true, h.fp);
-                                // Same ordering argument as the preferred
-                                // path: bump strictly between publishing the
-                                // new copy and retiring the old one.
-                                self.relocations.fetch_add(1, Ordering::SeqCst);
-                                level.commit_slot_invalid(old.bucket, old.slot);
-                                fault::point("update.fallback.old_cleared");
-                                ocf.commit(old.bucket, old.slot, old.entry, false, 0);
-                                fault::point("update.fallback.published");
-                                return Ok(Some((old.value, old_spilled)));
-                            }
-                        }
+                        self.place(&probe, key, old, &new, refresh_only);
+                    }
+                    (Ok(Decision::Remove), Some(o)) => {
+                        let (level, ocf) = probe.inner.level(o.li);
+                        let hot = self.begin_hot_write(&probe, |at| HotOp::Delete {
+                            key: *key,
+                            at,
+                            fp: h.fp,
+                        });
+                        level.commit_slot_invalid(o.bucket, o.slot);
+                        fault::point("remove.bitmap_cleared");
+                        ocf.commit(o.bucket, o.slot, o.entry, false, 0);
+                        fault::point("remove.published");
+                        Self::finish_hot_write(hot);
+                        self.count.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    (declined, _) => {
+                        old.inspect(|o| probe.unlock(o));
+                        return declined.map(|_| None);
                     }
                 }
-                // Nowhere to put the new version: undo and grow.
-                ocf.abort(old.bucket, old.slot, old.entry);
-                // hot value == new value; NV still old.
-                Self::finish_hot_write(hot.take().expect("hot write consumed once"));
-                // The hot table now holds the new value while NVM holds the
-                // old one — repair by deleting the cache entry before
-                // resizing (the authoritative copy is re-promoted on the
-                // next search).
-                if let Some((hot, at)) = probe.hot {
-                    hot.delete_at(key, at, h.fp);
-                }
-                gen
+                return Ok(replaced);
             }; // pin dropped here: the resize drain must not wait on us
             self.resize(gen)?;
         }
     }
 
-    /// Removes a key. Returns `Ok(true)` if it was present. A spilled
-    /// value's log entry is tombstoned for the compactor to reclaim.
-    pub fn remove(&self, key: &Key) -> Result<bool, HdnhError> {
-        let t = obs::op_start();
-        let out = self.remove_inner(key);
-        obs::op_record(obs::OpKind::Remove, t);
-        match out? {
-            Some(old) => {
-                Self::tombstone_old(&self.vlog, old);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Remove body; returns the removed `(value, spilled)` pair (if the
-    /// key was present) so callers can tombstone a spilled value's log
-    /// entry.
-    pub(crate) fn remove_inner(&self, key: &Key) -> Result<Option<(Value, bool)>, HdnhError> {
-        let h = KeyHashes::of(key);
-        let (snap, _gen) = self.pin_for_write();
-        let inner = snap.inner;
-        let probe = inner.probe(&h, self.n_candidates());
-        let Some(old) = self.find_and_lock(inner, key, &h, &probe) else {
-            return Ok(None);
+    /// Figure 9 and figure 10 from where they are the same: writes the
+    /// record into `new`, a claimed empty slot, commits and publishes it,
+    /// and retires `old`, the key's locked slot, if it had one.
+    ///
+    /// The hot-table half starts once the slot is held, overlapping the
+    /// NVM write, and always completes BEFORE the OCF publish: the moment
+    /// the new slot is visible another writer can claim the key and write
+    /// its own hot copy, which a hot write finishing later would overwrite
+    /// with this, by then stale, one.
+    fn place(
+        &self,
+        probe: &Probe,
+        key: &Key,
+        old: Option<&Located>,
+        new: &Located,
+        refresh_only: bool,
+    ) {
+        let (level, ocf) = probe.inner.level(new.li);
+        // Same bucket: both bitmap bits flip in ONE atomic store (figure
+        // 10c). Another bucket: two atomic commits.
+        let swap = old.is_some_and(|o| (o.li, o.bucket) == (new.li, new.bucket));
+        let [written, committed, published] = match old {
+            None => ["insert.record_written", "insert.bitmap_committed", "insert.published"],
+            Some(_) if swap => ["update.new_written", "update.swap_committed", "update.published"],
+            Some(_) => [
+                "update.fallback.new_written",
+                "update.fallback.new_committed",
+                "update.fallback.published",
+            ],
         };
-        fault::point("remove.old_locked");
-        let (level, ocf) = inner.level(old.li);
-        let old_spilled = header_slot_spilled(level.load_header_cached(old.bucket), old.slot);
-        let hot = self.begin_hot_write(&probe, |at| HotOp::Delete {
-            key: *key,
-            at,
-            fp: h.fp,
+        if old.is_none() {
+            fault::point("insert.slot_locked");
+        }
+        let rec = Record::new(*key, new.value);
+        let (ck, fp) = (slot_meta(&rec, new.spilled), probe.h.fp);
+        let hot = self.begin_hot_write(probe, |at| match refresh_only {
+            true => HotOp::Refresh { rec, at, fp },
+            false => HotOp::Put { rec, at, fp },
         });
-        level.commit_slot_invalid(old.bucket, old.slot);
-        fault::point("remove.bitmap_cleared");
-        ocf.commit(old.bucket, old.slot, old.entry, false, 0);
-        fault::point("remove.published");
+        // The record is persisted while invisible.
+        level.write_record(new.bucket, new.slot, &rec);
+        fault::point(written);
+        let Some(old) = old else {
+            // The failure-atomic commit: valid bit and record checksum in
+            // one store. Then publish in DRAM, releasing the lock.
+            level.commit_slot_valid(new.bucket, new.slot, ck);
+            fault::point(committed);
+            Self::finish_hot_write(hot);
+            ocf.commit(new.bucket, new.slot, new.entry, true, fp);
+            fault::point(published);
+            self.count.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let (old_level, old_ocf) = probe.inner.level(old.li);
         Self::finish_hot_write(hot);
-        self.count.fetch_sub(1, Ordering::Relaxed);
-        Ok(Some((old.value, old_spilled)))
+        if swap {
+            level.commit_slot_swap(new.bucket, old.slot, new.slot, ck);
+        } else {
+            // The double-copy window: both versions are bitmap-valid until
+            // the old slot is cleared below; recovery dedupes it.
+            level.commit_slot_valid(new.bucket, new.slot, ck);
+        }
+        fault::point(committed);
+        ocf.commit(new.bucket, new.slot, new.entry, true, fp);
+        // Bumped strictly between publishing the new copy and retiring the
+        // old one: a reader that missed the new slot (read before the line
+        // above) and the old slot (read after the commit below) observes
+        // the bump and retries.
+        self.relocations.fetch_add(1, Ordering::SeqCst);
+        if !swap {
+            old_level.commit_slot_invalid(old.bucket, old.slot);
+            fault::point("update.fallback.old_cleared");
+        }
+        old_ocf.commit(old.bucket, old.slot, old.entry, false, 0);
+        fault::point(published);
     }
 
     // =================================================================
@@ -1595,8 +1588,8 @@ impl Hdnh {
     // =================================================================
 
     /// Tombstones the log entry behind a replaced or removed slot value.
-    fn tombstone_old(vlog: &Vlog, (old, old_spilled): (Value, bool)) {
-        if old_spilled {
+    fn tombstone_old(vlog: &Vlog, old: Option<(Value, bool)>) {
+        if let Some((old, true)) = old {
             if let Some(ptr) = VlogPtr::from_value(&old) {
                 vlog.mark_garbage(&ptr);
             }
@@ -1634,46 +1627,35 @@ impl Hdnh {
         out
     }
 
+    /// The bytes writes: `payload` is staged once — inline in the slot when
+    /// it fits, otherwise in the value log with the slot holding its
+    /// pointer — and stored if the key is in a state `accept` takes. The
+    /// old value's log entry, if spilled, is tombstoned.
+    fn store_bytes(&self, key: &Key, payload: &[u8], accept: Accept) -> Result<(), HdnhError> {
+        let staged = self.stage_bytes(key, payload)?;
+        let out = self.store(key, &staged.value, staged.appended.is_some(), accept);
+        Self::tombstone_old(&self.vlog, self.settle(staged, out)?);
+        Ok(())
+    }
+
     /// Stores `payload` under `key` (insert semantics): inline in the slot
     /// when it fits, otherwise in the value log with the slot holding its
     /// pointer.
     pub fn insert_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
-        let staged = self.stage_bytes(key, payload)?;
-        let out = self.insert_inner(key, &staged.value, staged.spilled());
-        self.settle(staged, out)
+        self.store_bytes(key, payload, Accept::Absent)
     }
 
     /// Replaces `key`'s value with `payload` (update semantics). The old
     /// value's log entry, if spilled, is tombstoned.
     pub fn update_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
-        let staged = self.stage_bytes(key, payload)?;
-        let out = self.update_inner(key, &staged.value, staged.spilled());
-        let old = self.settle(staged, out)?;
-        Self::tombstone_old(&self.vlog, old);
-        Ok(())
+        self.store_bytes(key, payload, Accept::Present)
     }
 
-    /// Insert-or-replace in one call (the RESP `SET` semantics). Loops on
-    /// the insert/update race instead of surfacing it to the caller. The
-    /// payload is staged once: whichever of the two lands publishes the
-    /// same log record, so a fresh key costs one append, not two.
+    /// Insert-or-replace in one call (the RESP `SET` semantics), in one
+    /// probe: whether the key turns out present or absent, the one staged
+    /// record is what gets published.
     pub fn upsert_bytes(&self, key: &Key, payload: &[u8]) -> Result<(), HdnhError> {
-        let staged = self.stage_bytes(key, payload)?;
-        let out = loop {
-            match self.update_inner(key, &staged.value, staged.spilled()) {
-                Ok(old) => {
-                    Self::tombstone_old(&self.vlog, old);
-                    break Ok(());
-                }
-                Err(HdnhError::KeyNotFound) => {}
-                Err(e) => break Err(e),
-            }
-            match self.insert_inner(key, &staged.value, staged.spilled()) {
-                Err(HdnhError::DuplicateKey) => continue, // raced a writer
-                out => break out,
-            }
-        };
-        self.settle(staged, out)
+        self.store_bytes(key, payload, Accept::Either)
     }
 
     /// Fetches `key`'s value as bytes. Inline values decode from the slot;
@@ -2078,6 +2060,19 @@ impl HashIndex for Hdnh {
 
     fn remove(&self, key: &Key) -> bool {
         Hdnh::remove(self, key).unwrap_or(false)
+    }
+
+    /// One probe, recorded as the update or the insert it turned out to be.
+    fn upsert(&self, key: &Key, value: &Value) -> IndexResult<()> {
+        let t = obs::op_start();
+        let out = self.store(key, value, false, Accept::Either);
+        let kind = match out {
+            Ok(Some(_)) => obs::OpKind::Update,
+            _ => obs::OpKind::Insert,
+        };
+        obs::op_record(kind, t);
+        Self::tombstone_old(&self.vlog, out?);
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -2530,6 +2525,19 @@ mod tests {
             }
             for i in (0..600).step_by(3) {
                 assert!(t.remove(&k(i)).unwrap(), "{name}: remove {i}");
+            }
+            // The native upsert of a fresh key is one probe: it reads what a
+            // miss reads (with no filter, every valid candidate slot).
+            for i in 700..720 {
+                let (before, resizes) = (t.nvm_stats(), t.resize_count());
+                assert_eq!(t.get(&k(i)).unwrap(), None);
+                let miss = t.nvm_stats().since(&before).reads;
+                HashIndex::upsert(&t, &k(i), &v(i)).unwrap();
+                if t.resize_count() == resizes {
+                    assert_eq!(t.nvm_stats().since(&before).reads, 2 * miss, "{name}: key {i}");
+                }
+                HashIndex::upsert(&t, &k(i), &v(i + 1)).unwrap();
+                assert_eq!(t.get(&k(i)).unwrap(), Some(v(i + 1)), "{name}: key {i}");
             }
             let expected = |i: u64| match i {
                 _ if i < 600 && i.is_multiple_of(3) => None,

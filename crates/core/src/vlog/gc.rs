@@ -260,7 +260,7 @@ mod tests {
         // The ticket holds the compactor at the quiesce step: publishing
         // now still lands before the scan, which must find the record
         // live and carry it out of the victim.
-        t.insert_inner(&late, &ptr.to_value(), true).unwrap();
+        t.store(&late, &ptr.to_value(), true, crate::table::Accept::Absent).unwrap();
         drop(ticket);
         let report = gc.join().unwrap();
         assert!(t.vlog.segment(ptr.segment).is_none(), "victim retired: {report:?}");

@@ -219,3 +219,76 @@ fn storm_colliding_range_values_stay_coherent() {
     assert_eq!(ks.validate(probe, &t.get(&ks.key(probe)).unwrap().unwrap()), Some(7));
     assert!(t.remove(&ks.key(probe)).unwrap());
 }
+
+/// `threads` writers go through the same run of keys that are not in the
+/// table yet, released together every 8 keys, on a table sized never to
+/// resize: `write` must place each key exactly once however the writers
+/// interleave (DESIGN.md §11, "claim, then re-validate"). `oks_per_key`
+/// is how many of a key's `threads` calls may return `Ok`.
+///
+/// Before placement re-validated its claim, two writers could both pass
+/// the duplicate check and both claim an empty slot. At this size, with
+/// two writers, the parent commit left between 11 and 2 665 extra copies
+/// in each of 16 runs on a 2-core host (debug 32..=1 581, release
+/// 11..=2 665): `len()` above `KEYS`, `no-duplicate-keys` and
+/// `hot-consistency` failing, removed keys still readable. CI loops this
+/// 20 times in release.
+fn same_fresh_keys(
+    threads: usize,
+    oks_per_key: usize,
+    write: impl Fn(&Hdnh, u64) -> Result<(), hdnh::HdnhError> + Sync,
+) {
+    const KEYS: u64 = 200_000;
+    let t = Hdnh::new(HdnhParams::builder().capacity(2 * KEYS as usize).build().unwrap());
+    let ks = KeySpace::default();
+    let oks: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let start = std::sync::Barrier::new(threads);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                for id in 0..KEYS {
+                    if id % 8 == 0 {
+                        start.wait();
+                    }
+                    match write(&t, id) {
+                        Ok(()) => drop(oks[id as usize].fetch_add(1, Ordering::Relaxed)),
+                        Err(hdnh::HdnhError::DuplicateKey) => {}
+                        Err(e) => panic!("key {id}: {e}"),
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(t.resize_count(), 0, "the table was sized not to resize");
+    assert_eq!(t.len(), KEYS as usize, "a key was placed twice, or not at all");
+    for (id, n) in oks.iter().enumerate() {
+        assert_eq!(n.load(Ordering::Relaxed), oks_per_key as u64, "acks for key {id}");
+    }
+    let (reports, live) = t.verify_integrity_report();
+    for rep in &reports {
+        assert!(rep.ok, "invariant {} failed: {:?}", rep.name, rep.violations);
+    }
+    assert_eq!(live, KEYS as usize);
+    // A second copy would outlive the remove of the first.
+    for id in 0..KEYS {
+        assert!(t.remove(&ks.key(id)).unwrap(), "key {id} missing");
+        assert_eq!(t.get(&ks.key(id)).unwrap(), None, "key {id} readable after its remove");
+    }
+    assert_eq!(t.len(), 0);
+}
+
+#[test]
+fn same_fresh_keys_upserted_by_two_and_by_four_writers_are_placed_once() {
+    let ks = KeySpace::default();
+    for threads in [2, 4] {
+        same_fresh_keys(threads, threads, |t, id| t.upsert_bytes(&ks.key(id), &id.to_le_bytes()));
+    }
+}
+
+#[test]
+fn same_fresh_keys_inserted_by_two_and_by_four_writers_are_placed_once() {
+    let ks = KeySpace::default();
+    for threads in [2, 4] {
+        same_fresh_keys(threads, 1, |t, id| t.insert(&ks.key(id), &ks.value(id, 1)));
+    }
+}

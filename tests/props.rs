@@ -20,6 +20,7 @@ use proptest::prelude::*;
 enum MOp {
     Insert(u16, u32),
     Update(u16, u32),
+    Upsert(u16, u32),
     Remove(u16),
     Get(u16),
 }
@@ -28,6 +29,7 @@ fn mop_strategy() -> impl Strategy<Value = MOp> {
     prop_oneof![
         (any::<u16>(), any::<u32>()).prop_map(|(k, v)| MOp::Insert(k % 512, v)),
         (any::<u16>(), any::<u32>()).prop_map(|(k, v)| MOp::Update(k % 512, v)),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| MOp::Upsert(k % 512, v)),
         any::<u16>().prop_map(|k| MOp::Remove(k % 512)),
         any::<u16>().prop_map(|k| MOp::Get(k % 512)),
     ]
@@ -50,6 +52,11 @@ fn check_against_oracle(idx: &dyn HashIndex, ops: &[MOp]) {
                 if res.is_ok() {
                     oracle.insert(*id, *val);
                 }
+            }
+            MOp::Upsert(id, val) => {
+                idx.upsert(&Key::from_u64(*id as u64), &Value::from_u64(*val as u64))
+                    .unwrap_or_else(|e| panic!("{op:?}: {e}"));
+                oracle.insert(*id, *val);
             }
             MOp::Remove(id) => {
                 assert_eq!(
@@ -150,6 +157,11 @@ proptest! {
                     if t.update(&Key::from_u64(*id as u64), &Value::from_u64(*val as u64)).is_ok() {
                         oracle.insert(*id, *val);
                     }
+                }
+                MOp::Upsert(id, val) => {
+                    HashIndex::upsert(&t, &Key::from_u64(*id as u64), &Value::from_u64(*val as u64))
+                        .unwrap();
+                    oracle.insert(*id, *val);
                 }
                 MOp::Remove(id) => {
                     if t.remove(&Key::from_u64(*id as u64)).unwrap() {
@@ -378,6 +390,7 @@ proptest! {
             match op {
                 MOp::Insert(id, val) => { let _ = t.insert(&Key::from_u64(*id as u64), &Value::from_u64(*val as u64)); }
                 MOp::Update(id, val) => { let _ = t.update(&Key::from_u64(*id as u64), &Value::from_u64(*val as u64)); }
+                MOp::Upsert(id, val) => { let _ = HashIndex::upsert(&t, &Key::from_u64(*id as u64), &Value::from_u64(*val as u64)); }
                 MOp::Remove(id) => { let _ = t.remove(&Key::from_u64(*id as u64)).unwrap(); }
                 MOp::Get(id) => { let _ = t.get(&Key::from_u64(*id as u64)); }
             }

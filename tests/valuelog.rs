@@ -224,9 +224,9 @@ fn readers_wait_out_one_relocation_not_a_compaction_pass() {
     table.verify_integrity().unwrap();
 }
 
-/// A `SET` of a key that does not exist yet stages its value once: the
-/// update that misses and the insert that lands publish the same log
-/// record. A second append would show as used bytes and as garbage.
+/// A `SET` of a key that does not exist yet stages its value once and
+/// publishes that log record from the one probe that found the key
+/// absent. A second append would show as used bytes and as garbage.
 #[test]
 fn fresh_key_spilled_upsert_appends_once() {
     let table = Hdnh::new(HdnhParams::builder().capacity(1_000).build().unwrap());
@@ -247,8 +247,8 @@ fn fresh_key_spilled_upsert_appends_once() {
 
 /// An upsert and a remove of one key released together, round after
 /// round: the upsert's staged record must end up either published or
-/// tombstoned whichever way each round falls (update wins, insert wins,
-/// or the insert loses to nobody and retries), so that after a last
+/// tombstoned whichever way each round falls (the upsert replaces, or
+/// finds the key already removed and places it), so that after a last
 /// upsert the only bytes not tombstoned are that value's.
 #[test]
 fn upsert_racing_a_remove_converges() {
@@ -300,8 +300,8 @@ fn sized_payload(k: u64, ver: u64) -> Vec<u8> {
 /// resize/`compact` moves a number here.
 ///
 /// The rows were first recorded at the commit before the table-driven
-/// CRC-32. They were re-recorded once, for two deliberate changes, each
-/// isolated by building it alone on that commit:
+/// CRC-32. They were re-recorded for three deliberate changes, each
+/// isolated by building it alone on the commit before it:
 ///
 /// * a fresh-key spilled `upsert_bytes` appends its value once, not twice:
 ///   from the upsert phase on, the 25 duplicate appends are gone
@@ -314,7 +314,14 @@ fn sized_payload(k: u64, ver: u64) -> Vec<u8> {
 ///   reads (754 → 689, a block each) and exactly the same writes, flushes
 ///   and fences. It also no longer pulls every record it visits into the
 ///   hot table, so the reads after it find 10 fewer keys cached
-///   (358 → 368 reads for the same 300 gets).
+///   (358 → 368 reads for the same 300 gets);
+/// * an upsert is one probe whether the key is there or not: the 40
+///   fresh-key upserts (ids 240..280) no longer walk their candidate
+///   buckets a second time for the insert's duplicate check, and the 9
+///   fingerprint false positives that walk re-read are gone — 9 reads, a
+///   block each, off the upsert row (145 → 136) and carried down every
+///   later row. Lines written, flushes, fences and `used_bytes` are
+///   identical in every row.
 #[test]
 fn nvm_counts_match_the_recorded_ledger() {
     // LRU, not RAFL: RAFL's eviction RNG is seeded from a process-global
@@ -385,11 +392,11 @@ fn nvm_counts_match_the_recorded_ledger() {
     // ([reads, read_blocks, write_lines, flushes, fences], vlog used_bytes)
     let recorded = [
         ([7u64, 7, 31849, 31849, 665], 2458320u64), // inserts (levels replaced by resizes)
-        ([145, 145, 54086, 54086, 1094], 4179144),  // updates + upserts
-        ([590, 9910, 54086, 54086, 1094], 4179144), // gets, hit and miss
-        ([648, 9968, 54142, 54142, 1150], 4179144), // removes
-        ([689, 8122, 31477, 31477, 1238], 2004920), // compact (victims' counters retire)
-        ([1057, 15995, 31477, 31477, 1238], 2004920), // gets after compaction
+        ([136, 136, 54086, 54086, 1094], 4179144),  // updates + upserts
+        ([581, 9901, 54086, 54086, 1094], 4179144), // gets, hit and miss
+        ([639, 9959, 54142, 54142, 1150], 4179144), // removes
+        ([680, 8113, 31477, 31477, 1238], 2004920), // compact (victims' counters retire)
+        ([1048, 15986, 31477, 31477, 1238], 2004920), // gets after compaction
     ];
     assert_eq!(ledger, recorded);
 }
