@@ -7,11 +7,12 @@
 //!   variants), Level hashing, CCEH and Path hashing, sized for a workload
 //!   and wired to the AEP latency model.
 //! * [`runner`] — preload + timed multi-threaded op-stream execution over
-//!   any [`hdnh_common::HashIndex`], with optional per-op latency capture.
-//! * [`hist`] — a log-bucketed latency histogram (percentiles, CDF export).
+//!   any [`hdnh_common::HashIndex`], with optional per-op latency capture
+//!   into an [`hdnh_obs::hist::HistSnapshot`] (percentiles, CDF export).
 //! * [`report`] — aligned-table printing shared by all binaries.
-//! * [`json`] / [`check`] — a dependency-free JSON reader and the
-//!   tolerance-band comparisons behind the `bench_check` regression gate.
+//!
+//! Regressions are gated elsewhere: `benchmark/` (see `BENCHMARK.json`)
+//! counts NVM accesses exactly and times against a reference kernel.
 //!
 //! Environment knobs (all binaries):
 //!
@@ -20,12 +21,9 @@
 //!   earlier).
 //! * `HDNH_THREADS` — caps the thread axis of concurrency sweeps.
 //! * `HDNH_NO_LATENCY` — disable the AEP latency model (functional runs).
-
+//! * `HDNH_CSV=1` — machine-readable CSV instead of aligned tables.
 
 #![warn(missing_docs)]
-pub mod check;
-pub mod hist;
-pub mod json;
 pub mod report;
 pub mod runner;
 pub mod schemes;

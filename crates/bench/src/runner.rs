@@ -10,7 +10,7 @@ use std::time::Instant;
 use hdnh_common::HashIndex;
 use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
 
-use crate::hist::Histogram;
+use hdnh_obs::hist::HistSnapshot;
 
 /// Outcome of one timed run.
 pub struct RunResult {
@@ -19,7 +19,7 @@ pub struct RunResult {
     /// Wall-clock seconds.
     pub secs: f64,
     /// Latency histogram (present when requested).
-    pub hist: Option<Histogram>,
+    pub hist: Option<HistSnapshot>,
 }
 
 impl RunResult {
@@ -74,14 +74,14 @@ pub fn run_streams(
     let threads = streams.len();
     let barrier = &Barrier::new(threads + 1);
     let total_ops: usize = streams.iter().map(Vec::len).sum();
-    let mut hists: Vec<Histogram> = Vec::new();
+    let mut hists: Vec<HistSnapshot> = Vec::new();
     let mut start = Instant::now();
-    let (tx, rx) = std::sync::mpsc::channel::<Histogram>();
+    let (tx, rx) = std::sync::mpsc::channel::<HistSnapshot>();
     std::thread::scope(|s| {
         for stream in streams {
             let tx = tx.clone();
             s.spawn(move || {
-                let mut hist = record_latency.then(Histogram::new);
+                let mut hist = record_latency.then(HistSnapshot::empty);
                 barrier.wait();
                 for op in stream {
                     if let Some(h) = hist.as_mut() {
@@ -112,7 +112,7 @@ pub fn run_streams(
     });
     let secs = start.elapsed().as_secs_f64();
     let hist = record_latency.then(|| {
-        let mut merged = Histogram::new();
+        let mut merged = HistSnapshot::empty();
         for h in &hists {
             merged.merge(h);
         }

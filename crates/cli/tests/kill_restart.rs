@@ -155,7 +155,7 @@ fn storm_until_killed(c: &mut RespClient, first_key: u64, pid: u32, delay: Durat
     acked
 }
 
-/// The acceptance-criterion case spelled out end to end: a 64 KiB value
+/// The acceptance case spelled out end to end: a 64 KiB value
 /// survives SET → SIGKILL → recovery → GET byte-identical, and the media
 /// scrubs clean afterwards.
 #[test]

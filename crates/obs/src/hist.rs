@@ -1,13 +1,15 @@
-//! Concurrent log-linear latency histogram.
+//! Log-linear latency histogram: 16 linear sub-buckets per power-of-two
+//! magnitude, ≤ ~6 % relative error from nanoseconds to days.
 //!
-//! Same bucket layout as the bench crate's offline `Histogram` (16 linear
-//! sub-buckets per power-of-two magnitude, ≤ ~6 % relative error from
-//! nanoseconds to days) but recordable from any thread with relaxed
-//! atomics: one `fetch_add` on the bucket plus `fetch_max`/`fetch_min` on
-//! the extrema. There is deliberately no separate total counter — a
-//! snapshot's population is *defined* as the sum of its buckets, so a
-//! merge or a concurrent snapshot can never observe a count that disagrees
-//! with its own bucket contents.
+//! [`AtomicHistogram`] is recordable from any thread with relaxed atomics:
+//! one `fetch_add` on the bucket plus `fetch_max`/`fetch_min` on the
+//! extrema. [`HistSnapshot`] is its plain-`u64` copy, and doubles as the
+//! single-owner histogram of the figure harness (one per worker thread,
+//! [`record`](HistSnapshot::record)ed into directly and merged after the
+//! run), so both share one bucket layout. There is deliberately no
+//! separate total counter — a snapshot's population is *defined* as the
+//! sum of its buckets, so a merge or a concurrent snapshot can never
+//! observe a count that disagrees with its own bucket contents.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,7 +112,8 @@ impl Default for AtomicHistogram {
     }
 }
 
-/// A point-in-time copy of an [`AtomicHistogram`], mergeable and diffable.
+/// A point-in-time copy of an [`AtomicHistogram`], mergeable and diffable —
+/// or, built from [`empty`](Self::empty), a histogram its owner records into.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     counts: Vec<u64>,
@@ -128,6 +131,16 @@ impl HistSnapshot {
             max: 0,
             min: u64::MAX,
         }
+    }
+
+    /// Records one value (single owner; the counterpart of
+    /// [`AtomicHistogram::record`] for a histogram no other thread sees).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.counts[bucket_of(v)] += 1;
+        self.sum = self.sum.wrapping_add(v); // as `fetch_add` does
+        self.max = self.max.max(v);
+        self.min = self.min.min(v);
     }
 
     /// Number of recorded values — by construction the sum of the buckets,
@@ -183,6 +196,21 @@ impl HistSnapshot {
             }
         }
         self.max
+    }
+
+    /// CDF sample points: `(bucket_lower_edge, cumulative_fraction)` for
+    /// every non-empty bucket, ascending; the last fraction is 1.0.
+    pub fn cdf(&self) -> Vec<(u64, f64)> {
+        let total = self.count() as f64;
+        let mut out = Vec::new();
+        let mut acc = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c > 0 {
+                acc += c;
+                out.push((bucket_value(i), acc as f64 / total));
+            }
+        }
+        out
     }
 
     /// Cumulative counts at ascending `edges` (Prometheus `le` bounds):
@@ -287,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_bench_layout_on_quantiles() {
+    fn merge_equals_combined_recording() {
         // Same values through both this histogram and a fresh one merged
         // from two halves must agree bucket-for-bucket.
         let whole = AtomicHistogram::new();
@@ -310,6 +338,31 @@ mod tests {
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(merged.quantile(q), w.quantile(q));
         }
+    }
+
+    #[test]
+    fn owned_and_atomic_recording_agree_and_cdf_ends_at_one() {
+        // One bucket layout: the figure harness records into a
+        // `HistSnapshot` it owns, the registry into an `AtomicHistogram`.
+        // Small values (the linear range), bucket boundaries and a value
+        // past the last magnitude all have to land in the same place.
+        let atomic = AtomicHistogram::new();
+        let mut owned = HistSnapshot::empty();
+        let spread = (0..2000u64).map(|v| (v * 2654435761) % 5_000_000);
+        for v in [0u64, 1, 3, 9, 15, 16, 17, 1 << 20, u64::MAX >> 8]
+            .into_iter()
+            .chain(spread)
+        {
+            atomic.record(v);
+            owned.record(v);
+        }
+        assert_eq!(owned, atomic.snapshot());
+        assert!(owned.quantile(0.01) < owned.quantile(0.99));
+
+        let cdf = owned.cdf();
+        assert!(cdf.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
+        assert!(HistSnapshot::empty().cdf().is_empty());
     }
 
     #[test]

@@ -934,18 +934,19 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
+/// Serialises every unit test of this crate that flips [`set_enabled`] or
+/// calls a `reset`: the registry, the trace rings and the enable flag are
+/// all process-global, so the tests of `lib.rs` and `trace.rs` must
+/// exclude each other, not only their own module's tests.
+#[cfg(test)]
+pub(crate) fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The registry is process-global, so tests that enable/reset it must
-    /// not run concurrently with each other.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_registry_records_nothing() {

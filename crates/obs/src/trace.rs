@@ -445,14 +445,9 @@ pub fn dump_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The rings are process-global like the registry; these tests reuse
-    // the registry's serialization discipline by running under one lock.
-    use std::sync::{Mutex, MutexGuard};
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-    fn exclusive() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // The rings are process-global and share the registry's enable flag,
+    // so these tests take the registry tests' lock, not one of their own.
+    use crate::exclusive;
 
     #[test]
     fn disabled_recorder_records_nothing() {
