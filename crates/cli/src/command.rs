@@ -5,8 +5,9 @@ use std::fmt;
 /// One shell command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `insert <key> <value>` — insert a new record.
-    Insert(u64, u64),
+    /// `insert <key> <value>` — insert a new record; the value token's
+    /// bytes are the value, as with RESP `SET`.
+    Insert(u64, String),
     /// `get <key>` — point lookup.
     Get(u64),
     /// `exists <key>` — membership probe (no value printed).
@@ -14,7 +15,7 @@ pub enum Command {
     /// `mget <key> <key> ...` — batched point lookups in argument order.
     MGet(Vec<u64>),
     /// `update <key> <value>` — replace an existing record's value.
-    Update(u64, u64),
+    Update(u64, String),
     /// `delete <key>` — remove a record.
     Delete(u64),
     /// `fill <n>` — bulk-insert ids `0..n` from the key space.
@@ -134,6 +135,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+fn value(tok: Option<&str>) -> Result<String, ParseError> {
+    tok.map(str::to_string).ok_or_else(|| ParseError("missing value".into()))
+}
+
 fn int(tok: Option<&str>, what: &str) -> Result<u64, ParseError> {
     tok.ok_or_else(|| ParseError(format!("missing {what}")))?
         .parse()
@@ -166,7 +171,7 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
         .ok_or_else(|| ParseError("empty command".into()))?
         .to_ascii_lowercase();
     let parsed = match cmd.as_str() {
-        "insert" | "put" => Command::Insert(int(toks.next(), "key")?, int(toks.next(), "value")?),
+        "insert" | "put" => Command::Insert(int(toks.next(), "key")?, value(toks.next())?),
         "get" | "read" => Command::Get(int(toks.next(), "key")?),
         "exists" => Command::Exists(int(toks.next(), "key")?),
         "mget" => {
@@ -179,7 +184,7 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
             }
             Command::MGet(keys)
         }
-        "update" | "set" => Command::Update(int(toks.next(), "key")?, int(toks.next(), "value")?),
+        "update" | "set" => Command::Update(int(toks.next(), "key")?, value(toks.next())?),
         "delete" | "del" | "remove" => Command::Delete(int(toks.next(), "key")?),
         "fill" | "load" => Command::Fill(int(toks.next(), "count")?),
         "workload" | "ycsb" => {
@@ -305,14 +310,17 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
 /// The help text shown by `help`.
 pub const HELP: &str = "\
 commands:
-  insert <key> <value>    insert a new record (u64 key/value)
-  get <key>               point lookup
+  insert <key> <value>    insert a new record: a u64 key, and a value token
+                          stored as its bytes, exactly as RESP SET would
+  get <key>               point lookup; prints what RESP GET would return
   exists <key>            membership probe (prints 1 or 0)
   mget <key> <key> ...    batched point lookups in argument order
   update <key> <value>    replace an existing record's value
   delete <key>            remove a record
-  fill <n>                bulk-insert ids 0..n
-  workload <a|b|c|f> <n>  run n ops of a YCSB mix
+  fill <n>                bulk-insert generator ids 0..n (the YCSB generator's
+                          own 16-byte keys and 15-byte values; fill, workload,
+                          record and replay never touch a key get can name)
+  workload <a|b|c|f> <n>  run n ops of a YCSB mix over the filled ids
   stats [delta|reset]     NVM media counters (absolute, since-reset, or
                           move the baseline)
   metrics [json|prom] [delta]  hdnh-obs registry: per-op latency histograms,
@@ -345,9 +353,10 @@ mod tests {
 
     #[test]
     fn parses_crud() {
-        assert_eq!(parse("insert 1 2").unwrap(), Some(Command::Insert(1, 2)));
+        assert_eq!(parse("insert 1 2").unwrap(), Some(Command::Insert(1, "2".into())));
+        assert_eq!(parse("put 1 hello").unwrap(), Some(Command::Insert(1, "hello".into())));
         assert_eq!(parse("get 7").unwrap(), Some(Command::Get(7)));
-        assert_eq!(parse("UPDATE 3 4").unwrap(), Some(Command::Update(3, 4)));
+        assert_eq!(parse("UPDATE 3 4").unwrap(), Some(Command::Update(3, "4".into())));
         assert_eq!(parse("del 9").unwrap(), Some(Command::Delete(9)));
     }
 

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use hdnh::faultexplore::{self, ExploreConfig, OpMix};
 use hdnh::{Hdnh, HdnhError, HdnhParams};
-use hdnh_common::{HashIndex, Key, Value};
+use hdnh_common::{HashIndex, Key};
 use hdnh_nvm::{FaultPlan, NvmOptions, StatsSnapshot};
 use hdnh_obs as obs;
 use hdnh_ycsb::trace::{load_trace, save_trace};
@@ -178,16 +178,21 @@ impl Engine {
 
     fn execute_inner(&mut self, cmd: Command) -> Result<Outcome, HdnhError> {
         match cmd {
+            // The keys both front-ends can name hold bytes: a value token
+            // is stored as RESP `SET` stores it and printed as `GET`
+            // returns it.
             Command::Insert(k, v) => Ok(Outcome::Text(
-                match self.table()?.insert(&Key::from_u64(k), &Value::from_u64(v)) {
+                match self.table()?.insert_bytes(&Key::from_u64(k), v.as_bytes()) {
                     Ok(()) => "ok".to_string(),
                     Err(e) => format!("error: {e}"),
                 },
             )),
-            Command::Get(k) => Ok(Outcome::Text(match self.table()?.get(&Key::from_u64(k))? {
-                Some(v) => v.as_u64().to_string(),
-                None => "(not found)".to_string(),
-            })),
+            Command::Get(k) => Ok(Outcome::Text(
+                match self.table()?.get_bytes(&Key::from_u64(k))? {
+                    Some(v) => String::from_utf8_lossy(&v).into_owned(),
+                    None => "(not found)".to_string(),
+                },
+            )),
             Command::Exists(k) => Ok(Outcome::Text(
                 match self.table()?.get(&Key::from_u64(k))? {
                     Some(_) => "1".to_string(),
@@ -201,9 +206,9 @@ impl Engine {
                     if i > 0 {
                         out.push('\n');
                     }
-                    match table.get(&Key::from_u64(*k))? {
+                    match table.get_bytes(&Key::from_u64(*k))? {
                         Some(v) => {
-                            let _ = write!(out, "{k} {}", v.as_u64());
+                            let _ = write!(out, "{k} {}", String::from_utf8_lossy(&v));
                         }
                         None => {
                             let _ = write!(out, "{k} (not found)");
@@ -213,7 +218,7 @@ impl Engine {
                 Ok(Outcome::Text(out))
             }
             Command::Update(k, v) => Ok(Outcome::Text(
-                match self.table()?.update(&Key::from_u64(k), &Value::from_u64(v)) {
+                match self.table()?.update_bytes(&Key::from_u64(k), v.as_bytes()) {
                     Ok(()) => "ok".to_string(),
                     Err(e) => format!("error: {e}"),
                 },
@@ -884,8 +889,8 @@ mod tests {
     fn vlog_and_compact_commands_run() {
         let mut e = Engine::new(EngineConfig::default());
         run(&mut e, "fill 50");
-        // The shell's u64 vocabulary stays inline, so the log is empty and
-        // compaction is a clean no-op — the commands still round-trip.
+        // `fill` writes the generator's 15-byte words, so the log is empty
+        // and compaction is a clean no-op — the commands still round-trip.
         let out = run(&mut e, "vlog");
         assert!(out.starts_with("segments"), "{out}");
         assert!(out.contains("garbage"), "{out}");

@@ -13,6 +13,10 @@
 //!   clears every hot bit in the bucket* (figure 6b), preventing long-term
 //!   squatters.
 //!
+//! A slot also carries the cached word's **spill bit** — the NVM header's,
+//! brought along so that a hit says what the 15 value bytes are (inline
+//! payload or value-log pointer, DESIGN.md §17) as an NVM read would.
+//!
 //! An LRU variant ([`crate::HotPolicy::Lru`]) exists solely for figure 12's
 //! RAFL-vs-LRU comparison. It is the design the paper compares against
 //! (Rewo-style cached table): a **global doubly-linked recency list** over
@@ -41,12 +45,15 @@ use parking_lot::Mutex;
 
 use crate::params::HotPolicy;
 
-/// Slot metadata word (u32): VALID | BUSY | HOT | version(6) | fp(8).
+/// Slot metadata word (u32): VALID | BUSY | HOT | version(6) | SPILLED |
+/// 6 spare | fp(8) | 8 spare.
 const M_VALID: u32 = 1;
 const M_BUSY: u32 = 1 << 1;
 const M_HOT: u32 = 1 << 2;
 const VER_SHIFT: u32 = 3;
 const VER_MASK: u32 = 0x3F << VER_SHIFT;
+/// The cached value bytes are a packed value-log pointer.
+const M_SPILLED: u32 = 1 << 9;
 const FP_SHIFT: u32 = 16;
 const FP_MASK: u32 = 0xFF << FP_SHIFT;
 /// Readers ignore the hot bit when revalidating: setting it on a hit must
@@ -54,11 +61,12 @@ const FP_MASK: u32 = 0xFF << FP_SHIFT;
 const SNAPSHOT_MASK: u32 = !M_HOT;
 
 #[inline]
-fn m_pack(valid: bool, busy: bool, hot: bool, ver: u32, fp: u8) -> u32 {
+fn m_pack(valid: bool, busy: bool, hot: bool, ver: u32, spilled: bool, fp: u8) -> u32 {
     (valid as u32)
         | ((busy as u32) << 1)
         | ((hot as u32) << 2)
         | ((ver & 0x3F) << VER_SHIFT)
+        | (spilled as u32 * M_SPILLED)
         | ((fp as u32) << FP_SHIFT)
 }
 
@@ -77,6 +85,10 @@ fn m_hot(m: u32) -> bool {
 #[inline]
 fn m_ver(m: u32) -> u32 {
     (m & VER_MASK) >> VER_SHIFT
+}
+#[inline]
+fn m_spilled(m: u32) -> bool {
+    m & M_SPILLED != 0
 }
 #[inline]
 fn m_fp(m: u32) -> u8 {
@@ -367,11 +379,12 @@ impl HotTable {
     /// Point lookup. A hit marks the slot hot (RAFL) or refreshes its
     /// recency (LRU).
     pub fn search(&self, key: &Key, h1: u64, h2: u64, fp: u8) -> Option<Value> {
-        self.search_at(key, self.buckets(h1, h2), fp)
+        self.search_at(key, self.buckets(h1, h2), fp).map(|(value, _)| value)
     }
 
-    /// [`search`](Self::search) at precomputed buckets.
-    pub fn search_at(&self, key: &Key, at: HotBuckets, fp: u8) -> Option<Value> {
+    /// [`search`](Self::search) at precomputed buckets, returning the word
+    /// as it was cached: the value bytes and their spill bit.
+    pub fn search_at(&self, key: &Key, at: HotBuckets, fp: u8) -> Option<(Value, bool)> {
         for level in 0..2 {
             let lv = &self.levels[level];
             let bucket = at.0[level];
@@ -390,7 +403,7 @@ impl HotTable {
                 if rec.key == *key {
                     self.touch(level, idx);
                     obs::count(obs::Counter::HotHit);
-                    return Some(rec.value);
+                    return Some((rec.value, m_spilled(m1)));
                 }
             }
         }
@@ -404,14 +417,25 @@ impl HotTable {
     /// Matches the paper's background-thread behaviour: update in place if
     /// the key is cached, otherwise insert, evicting per RAFL/LRU when the
     /// candidate bucket is full.
+    ///
+    /// Caches `rec` as an inline word. A table caching one of its slots
+    /// passes the slot's spill bit along: [`put_at`](Self::put_at).
     pub fn put(&self, rec: &Record, h1: u64, h2: u64, fp: u8, rng: &mut XorShift64Star) {
-        self.put_at(rec, self.buckets(h1, h2), fp, rng)
+        self.put_at(rec, false, self.buckets(h1, h2), fp, rng)
     }
 
-    /// [`put`](Self::put) at precomputed buckets.
-    pub fn put_at(&self, rec: &Record, at: HotBuckets, fp: u8, rng: &mut XorShift64Star) {
+    /// [`put`](Self::put) at precomputed buckets. `spilled`: the value
+    /// bytes are a packed value-log pointer (the NVM header's spill bit).
+    pub fn put_at(
+        &self,
+        rec: &Record,
+        spilled: bool,
+        at: HotBuckets,
+        fp: u8,
+        rng: &mut XorShift64Star,
+    ) {
         // Phase 1: in-place update if present.
-        if self.refresh_at(rec, at, fp) {
+        if self.refresh_at(rec, spilled, at, fp) {
             return;
         }
         // Phase 2: empty slot in either candidate bucket.
@@ -426,7 +450,7 @@ impl HotTable {
                 }
                 if let Some(locked) = self.try_lock(level, idx, m) {
                     lv.write_data(idx, rec);
-                    self.commit(level, idx, locked, true, fp, false);
+                    self.publish(level, idx, locked, spilled, fp, false);
                     if self.policy == HotPolicy::Lru {
                         self.lru_touch(level, idx);
                     }
@@ -435,7 +459,7 @@ impl HotTable {
             }
         }
         // Phase 3: evict in the top-level candidate bucket.
-        self.evict_and_insert(0, rec, at.0[0], fp, rng);
+        self.evict_and_insert(0, rec, spilled, at.0[0], fp, rng);
     }
 
     /// Overwrites the key's cached copy with `rec` if there is one, and
@@ -449,7 +473,7 @@ impl HotTable {
     /// broke our CAS, or an eviction holds the slot) would let a put
     /// insert a second copy below and leave a stale duplicate that search
     /// could serve forever.
-    pub fn refresh_at(&self, rec: &Record, at: HotBuckets, fp: u8) -> bool {
+    pub fn refresh_at(&self, rec: &Record, spilled: bool, at: HotBuckets, fp: u8) -> bool {
         for level in 0..2 {
             let lv = &self.levels[level];
             let bucket = at.0[level];
@@ -467,7 +491,7 @@ impl HotTable {
                     if let Some(locked) = self.try_lock(level, idx, m) {
                         if lv.read_data(idx).key == rec.key {
                             lv.write_data(idx, rec);
-                            self.commit(level, idx, locked, true, fp, m_hot(locked));
+                            self.publish(level, idx, locked, spilled, fp, m_hot(locked));
                             if self.policy == HotPolicy::Lru {
                                 self.lru_touch(level, idx);
                             }
@@ -487,6 +511,7 @@ impl HotTable {
         &self,
         level: usize,
         rec: &Record,
+        spilled: bool,
         bucket: usize,
         fp: u8,
         rng: &mut XorShift64Star,
@@ -536,7 +561,7 @@ impl HotTable {
         }
         if let Some(locked) = self.try_lock(level, idx, m) {
             lv.write_data(idx, rec);
-            self.commit(level, idx, locked, true, fp, false);
+            self.publish(level, idx, locked, spilled, fp, false);
             match self.policy {
                 HotPolicy::Rafl => {
                     if reset_hot {
@@ -583,7 +608,7 @@ impl HotTable {
                     }
                     if let Some(locked) = self.try_lock(level, idx, m) {
                         if lv.read_data(idx).key == *key {
-                            self.commit(level, idx, locked, false, 0, false);
+                            self.clear(level, idx, locked);
                             if self.policy == HotPolicy::Lru {
                                 self.lru_remove(level, idx);
                             }
@@ -617,8 +642,15 @@ impl HotTable {
         }
     }
 
-    fn commit(&self, level: usize, idx: usize, locked: u32, valid: bool, fp: u8, hot: bool) {
-        let next = m_pack(valid, false, hot, m_ver(locked).wrapping_add(1), fp);
+    /// Unlocks a slot whose payload was just written, as a valid entry.
+    fn publish(&self, level: usize, idx: usize, locked: u32, spilled: bool, fp: u8, hot: bool) {
+        let next = m_pack(true, false, hot, m_ver(locked).wrapping_add(1), spilled, fp);
+        self.levels[level].meta[idx].store(next, Ordering::Release);
+    }
+
+    /// Unlocks a slot as an empty one.
+    fn clear(&self, level: usize, idx: usize, locked: u32) {
+        let next = m_pack(false, false, false, m_ver(locked).wrapping_add(1), false, 0);
         self.levels[level].meta[idx].store(next, Ordering::Release);
     }
 
@@ -629,6 +661,7 @@ impl HotTable {
             false,
             m_hot(locked),
             m_ver(locked).wrapping_add(1),
+            m_spilled(locked),
             m_fp(locked),
         );
         self.levels[level].meta[idx].store(next, Ordering::Release);
@@ -765,6 +798,7 @@ mod tests {
                 t.evict_and_insert(
                     0,
                     &Record::new(k, Value::from_u64(1)),
+                    false,
                     hot_bucket,
                     h.fp,
                     &mut rng,
@@ -802,7 +836,7 @@ mod tests {
         if !all_hot {
             return; // saturation raced; nothing to assert
         }
-        t.evict_and_insert(0, &Record::new(k, Value::from_u64(1)), bucket, h.fp, &mut rng);
+        t.evict_and_insert(0, &Record::new(k, Value::from_u64(1)), false, bucket, h.fp, &mut rng);
         // Postcondition (figure 6b): no slot in the bucket is hot.
         for s in 0..lv.slots {
             let m = lv.meta[lv.slot_idx(bucket, s)].load(Ordering::Relaxed);
@@ -826,7 +860,7 @@ mod tests {
             if t.bucket_of(0, h.h1, h.h2) == 0 {
                 // Put directly through eviction path to pin level 0.
                 let (k, _) = hashes(id);
-                t.evict_and_insert(0, &Record::new(k, Value::from_u64(id)), 0, h.fp, &mut rng);
+                t.evict_and_insert(0, &Record::new(k, Value::from_u64(id)), false, 0, h.fp, &mut rng);
                 if get(&t, id).is_some() {
                     captives.push(id);
                 }
@@ -847,7 +881,7 @@ mod tests {
             let (_, h) = hashes(probe);
             if t.bucket_of(0, h.h1, h.h2) == 0 {
                 let (k, _) = hashes(probe);
-                t.evict_and_insert(0, &Record::new(k, Value::from_u64(7)), 0, h.fp, &mut rng);
+                t.evict_and_insert(0, &Record::new(k, Value::from_u64(7)), false, 0, h.fp, &mut rng);
                 break;
             }
             probe += 1;
@@ -1011,9 +1045,9 @@ mod tests {
             let (k, h) = hashes(id);
             let at = t.buckets(h.h1, h.h2);
             t.prefetch(at);
-            t.put_at(&Record::new(k, Value::from_u64(id)), at, h.fp, &mut rng);
+            t.put_at(&Record::new(k, Value::from_u64(id)), false, at, h.fp, &mut rng);
             // Whatever one addressing finds, the other finds.
-            assert_eq!(t.search(&k, h.h1, h.h2, h.fp), t.search_at(&k, at, h.fp));
+            assert_eq!(t.search(&k, h.h1, h.h2, h.fp), t.search_at(&k, at, h.fp).map(|(v, _)| v));
             if id % 3 == 0 {
                 t.delete_at(&k, at, h.fp);
                 assert_eq!(get(&t, id), None);
@@ -1027,14 +1061,42 @@ mod tests {
         let mut rng = XorShift64Star::new(6);
         let (k, h) = hashes(1);
         let at = t.buckets(h.h1, h.h2);
-        assert!(!t.refresh_at(&Record::new(k, Value::from_u64(10)), at, h.fp));
+        assert!(!t.refresh_at(&Record::new(k, Value::from_u64(10)), false, at, h.fp));
         assert!(t.is_empty(), "a refresh of an uncached key must not insert");
         put(&t, 1, 10, &mut rng);
         assert!(get(&t, 1).is_some()); // sets the hot bit
-        assert!(t.refresh_at(&Record::new(k, Value::from_u64(11)), at, h.fp));
+        assert!(t.refresh_at(&Record::new(k, Value::from_u64(11)), false, at, h.fp));
         assert_eq!(get(&t, 1), Some(11));
         assert_eq!(t.len(), 1);
         assert_eq!(t.is_hot(&k, h.h1, h.h2, h.fp), Some(true), "refresh keeps the hot bit");
+    }
+
+    #[test]
+    fn a_cached_word_keeps_its_spill_bit() {
+        for policy in [HotPolicy::Rafl, HotPolicy::Lru] {
+            let t = HotTable::new(8, 2, policy);
+            let mut rng = XorShift64Star::new(7);
+            // More keys than slots: inserts, evictions under both RAFL
+            // branches, in-place refreshes and hot-bit touches.
+            for round in 0..4u64 {
+                for id in 0..40u64 {
+                    let (k, h) = hashes(id);
+                    let at = t.buckets(h.h1, h.h2);
+                    let spilled = (id + round) % 3 == 0;
+                    t.put_at(&Record::new(k, Value::from_u64(id)), spilled, at, h.fp, &mut rng);
+                    for _touch in 0..2 {
+                        let word = (Value::from_u64(id), spilled);
+                        assert_eq!(t.search_at(&k, at, h.fp), Some(word), "{policy:?} {id}");
+                    }
+                    assert!(t.refresh_at(&Record::new(k, Value::from_u64(id)), !spilled, at, h.fp));
+                    assert_eq!(t.search_at(&k, at, h.fp), Some((Value::from_u64(id), !spilled)));
+                }
+            }
+            // The hash-addressed `put` caches an inline word.
+            put(&t, 99, 1, &mut rng);
+            let (k, h) = hashes(99);
+            assert_eq!(t.search_at(&k, t.buckets(h.h1, h.h2), h.fp), Some((Value::from_u64(1), false)));
+        }
     }
 
     #[test]

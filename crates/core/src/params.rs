@@ -79,10 +79,6 @@ pub struct HdnhParams {
     /// Value-log segment size in bytes (multiple of 8; default 4 MiB). An
     /// oversized value still fits: its segment is sized to the record.
     pub vlog_segment_bytes: usize,
-    /// Largest value stored inline in the 15-byte slot (0..=14; default 14).
-    /// Values longer than this spill to the value log. Lowering it forces
-    /// spills early — useful for exercising the log without big payloads.
-    pub vlog_inline_max: usize,
 }
 
 impl HdnhParams {
@@ -147,10 +143,6 @@ impl HdnhParams {
         assert!(
             self.vlog_segment_bytes >= 64 && self.vlog_segment_bytes.is_multiple_of(8),
             "vlog_segment_bytes must be a multiple of 8, at least 64"
-        );
-        assert!(
-            self.vlog_inline_max <= crate::vlog::INLINE_MAX,
-            "vlog_inline_max must be 0..=14"
         );
     }
 }
@@ -243,13 +235,6 @@ impl HdnhParamsBuilder {
         self
     }
 
-    /// Largest value stored inline in the slot (0..=14); longer values
-    /// spill to the value log.
-    pub fn vlog_inline_max(mut self, bytes: usize) -> Self {
-        self.params.vlog_inline_max = bytes;
-        self
-    }
-
     /// Pool-backend fence policy: [`SyncPolicy::Sync`] blocks write acks on
     /// `msync(MS_SYNC)` and is the only power-loss-safe setting;
     /// [`SyncPolicy::Async`] (default) acks after `MS_ASYNC` and can lose
@@ -309,13 +294,6 @@ impl HdnhParamsBuilder {
                 p.vlog_segment_bytes
             ));
         }
-        if p.vlog_inline_max > crate::vlog::INLINE_MAX {
-            return err(format!(
-                "vlog_inline_max must be 0..={}, got {}",
-                crate::vlog::INLINE_MAX,
-                p.vlog_inline_max
-            ));
-        }
         Ok(p)
     }
 }
@@ -335,7 +313,6 @@ impl Default for HdnhParams {
             background_writers: 2,
             nvm: NvmOptions::fast(),
             vlog_segment_bytes: 4 * 1024 * 1024,
-            vlog_inline_max: crate::vlog::INLINE_MAX,
         }
     }
 }
@@ -430,7 +407,6 @@ mod tests {
             HdnhParams::builder().background_writers(0).build(),
             HdnhParams::builder().vlog_segment_bytes(60).build(),
             HdnhParams::builder().vlog_segment_bytes(100).build(),
-            HdnhParams::builder().vlog_inline_max(15).build(),
         ];
         for (i, r) in bad.into_iter().enumerate() {
             assert!(matches!(r, Err(HdnhError::Config(_))), "case {i} accepted");

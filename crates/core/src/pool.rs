@@ -10,6 +10,10 @@
 //! single region byte is trusted.
 //!
 //! Open protocol ([`Hdnh::open_pool`]):
+//! 0. lock the directory ([`PoolDir`]): a second opener, in this or any
+//!    other process, fails with a typed error naming the directory until
+//!    the first one's table (and any `PersistentPool` taken from it) is
+//!    gone;
 //! 1. validate the superblock (typed errors, never a panic);
 //! 2. mark the pool **dirty** (epoch+1) *before* mapping any region — if
 //!    this process dies, the next open knows recovery is required;
@@ -180,7 +184,9 @@ impl Hdnh {
     /// simulates losses a mapped file does not have. A corrupt or
     /// truncated superblock, geometry mismatch, or unclassifiable region
     /// file set fails with a typed error — never a panic, and never by
-    /// silently reformatting.
+    /// silently reformatting. A pool that is open already — the directory
+    /// is locked for as long as a table opened from it lives — fails with
+    /// [`HdnhError::Io`] naming the directory.
     pub fn open_pool(
         mut params: HdnhParams,
         dir: &Path,
@@ -195,6 +201,8 @@ impl Hdnh {
         }
         let sb_path = dir.join(SUPERBLOCK_FILE);
         let meta_path = dir.join(hdnh_nvm::META_FILE);
+        // Locked from before the first look at the directory's contents.
+        let pool = Arc::new(PoolDir::create(dir).map_err(HdnhError::from)?);
         if !sb_path.exists() {
             if meta_path.exists() {
                 return Err(HdnhError::Recovery(format!(
@@ -203,7 +211,7 @@ impl Hdnh {
                     dir.display()
                 )));
             }
-            return Self::create_pool(params, dir);
+            return Self::create_pool(params, dir, pool);
         }
 
         // ---- validate the superblock before trusting anything else ----
@@ -214,7 +222,6 @@ impl Hdnh {
                 sb.segment_bytes, params.segment_bytes
             )));
         }
-        let pool = Arc::new(PoolDir::open(dir).map_err(HdnhError::from)?);
         params.nvm.backend = Backend::Pool(Arc::clone(&pool));
 
         // ---- pre-validate the meta block (typed errors, not asserts) ----
@@ -369,9 +376,9 @@ impl Hdnh {
     fn create_pool(
         mut params: HdnhParams,
         dir: &Path,
+        pool: Arc<PoolDir>,
     ) -> Result<(Hdnh, PoolOpenReport), HdnhError> {
-        let pool = Arc::new(PoolDir::create(dir).map_err(HdnhError::from)?);
-        params.nvm.backend = Backend::Pool(Arc::clone(&pool));
+        params.nvm.backend = Backend::Pool(pool);
         let segment_bytes = params.segment_bytes as u64;
         let table = Hdnh::try_new(params)?;
         // The freshly formatted regions exist only in page cache; pin the

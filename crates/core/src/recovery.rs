@@ -595,7 +595,9 @@ fn rebuild_parallel(
                                 let h = KeyHashes::of(&rec.key);
                                 ocf.install(b, slot, true, h.fp);
                                 if let Some(hot) = hot {
-                                    hot.put(rec, h.h1, h.h2, h.fp, &mut rng);
+                                    let spilled = header_slot_spilled(header, slot);
+                                    let at = hot.buckets(h.h1, h.h2);
+                                    hot.put_at(rec, spilled, at, h.fp, &mut rng);
                                 }
                                 seen.push((rec.key, li, b, slot));
                             }
@@ -650,7 +652,8 @@ fn rebuild_hot_only(levels: &[&Level], hot: &HotTable, threads: usize) {
                         for (slot, rec) in recs.iter().enumerate() {
                             if header & (1 << slot) != 0 {
                                 let h = KeyHashes::of(&rec.key);
-                                hot.put(rec, h.h1, h.h2, h.fp, &mut rng);
+                                let spilled = header_slot_spilled(header, slot);
+                                hot.put_at(rec, spilled, hot.buckets(h.h1, h.h2), h.fp, &mut rng);
                             }
                         }
                     }

@@ -347,8 +347,9 @@ impl Hdnh {
     /// Restores the snapshot at `snap_dir` into `dest_dir` and opens it.
     ///
     /// Every file is CRC-verified against the manifest *before* anything
-    /// is written, the copies land in `dest_dir` (created, must not hold a
-    /// pool), and the result is opened through the ordinary
+    /// is written, the copies land in `dest_dir` (created, locked against
+    /// any other opener or restore, must not hold a pool), and the result
+    /// is opened through the ordinary
     /// [`Hdnh::open_pool`] recovery path — the snapshot's superblock is
     /// dirty by construction, so resize resume and the checksum-verified
     /// rebuild always run.
@@ -365,7 +366,10 @@ impl Hdnh {
                 manifest.segment_bytes, params.segment_bytes
             )));
         }
-        fs::create_dir_all(dest_dir).map_err(|e| io_err("mkdir", dest_dir, e))?;
+        // Held across the emptiness check and the copy. `open_pool` takes
+        // the lock afresh: should another opener get in between, it finds
+        // a complete pool and this call reports the directory as open.
+        let dest_lock = hdnh_nvm::PoolDir::create(dest_dir)?;
         let sb_dest = dest_dir.join(SUPERBLOCK_FILE);
         let meta_dest = dest_dir.join(hdnh_nvm::META_FILE);
         if sb_dest.exists() || meta_dest.exists() {
@@ -383,6 +387,7 @@ impl Hdnh {
             let d = fs::File::open(dest_dir).map_err(|e| io_err("open", dest_dir, e))?;
             d.sync_all().map_err(|e| io_err("fsync", dest_dir, e))?;
         }
+        drop(dest_lock);
         Hdnh::open_pool(params, dest_dir, threads)
     }
 }

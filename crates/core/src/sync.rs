@@ -32,6 +32,8 @@ pub enum HotOp {
     Put {
         /// The record to cache.
         rec: Record,
+        /// The record's value bytes are a packed value-log pointer.
+        spilled: bool,
         /// The key's bucket in each hot level.
         at: HotBuckets,
         /// Key fingerprint.
@@ -41,6 +43,8 @@ pub enum HotOp {
     Refresh {
         /// The record to cache.
         rec: Record,
+        /// The record's value bytes are a packed value-log pointer.
+        spilled: bool,
         /// The key's bucket in each hot level.
         at: HotBuckets,
         /// Key fingerprint.
@@ -61,9 +65,9 @@ impl HotOp {
     /// Runs the operation on `hot`; `rng` picks RAFL's random victims.
     pub(crate) fn apply(self, hot: &HotTable, rng: &mut XorShift64Star) {
         match self {
-            HotOp::Put { rec, at, fp } => hot.put_at(&rec, at, fp, rng),
-            HotOp::Refresh { rec, at, fp } => {
-                hot.refresh_at(&rec, at, fp);
+            HotOp::Put { rec, spilled, at, fp } => hot.put_at(&rec, spilled, at, fp, rng),
+            HotOp::Refresh { rec, spilled, at, fp } => {
+                hot.refresh_at(&rec, spilled, at, fp);
             }
             HotOp::Delete { key, at, fp } => hot.delete_at(&key, at, fp),
         }
@@ -239,6 +243,7 @@ mod tests {
             &hot,
             HotOp::Put {
                 rec: Record::new(key, Value::from_u64(11)),
+                spilled: false,
                 at: hot.buckets(h.h1, h.h2),
                 fp: h.fp,
             },
@@ -257,6 +262,7 @@ mod tests {
             &hot,
             HotOp::Put {
                 rec: Record::new(key, Value::from_u64(5)),
+                spilled: false,
                 at: hot.buckets(h.h1, h.h2),
                 fp: h.fp,
             },
@@ -300,6 +306,7 @@ mod tests {
                         &hot,
                         HotOp::Put {
                             rec: Record::new(key, Value::from_u64(i)),
+                            spilled: false,
                             at: hot.buckets(h.h1, h.h2),
                             fp: h.fp,
                         },

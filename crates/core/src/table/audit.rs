@@ -14,7 +14,7 @@ use crate::meta::ResizeState;
 use crate::nvtable::{header_slot_spilled, header_slot_valid, slot_checksum_ok, slot_meta};
 use crate::ocf::{self, LockOutcome};
 use crate::params::SLOTS_PER_BUCKET;
-use crate::vlog::VlogPtr;
+
 /// Outcome of one named integrity invariant from
 /// [`Hdnh::verify_integrity_report`].
 #[derive(Debug, Clone)]
@@ -94,7 +94,8 @@ impl Hdnh {
     /// * `no-duplicate-keys` — no key is bitmap-valid in two slots (the
     ///   update-fallback double-copy window must have been repaired).
     /// * `hot-consistency` — a hot-table hit for a live key returns the
-    ///   authoritative NVM value.
+    ///   authoritative NVM word: the value bytes, and the spill bit the
+    ///   header committed them under.
     /// * `checksum-match` — every bitmap-valid record's bytes match the
     ///   7-bit checksum committed with its valid bit (media integrity).
     /// * `vlog-pointer-valid` — every spill-flagged slot's value bytes
@@ -165,18 +166,15 @@ impl Hdnh {
                                 format!("checksum mismatch at L{li}/{bucket}/{slot}"),
                             );
                         }
-                        if header_slot_spilled(header, slot) {
-                            let resolves = VlogPtr::from_value(&rec.value)
-                                .is_some_and(|ptr| self.vlog.verify(&ptr, &rec.key));
-                            if !resolves {
-                                push(
-                                    &mut vlogs,
-                                    format!(
-                                        "spill pointer at L{li}/{bucket}/{slot} does not resolve \
-                                         to a valid log record"
-                                    ),
-                                );
-                            }
+                        let spilled = header_slot_spilled(header, slot);
+                        if spilled && self.spilled_resolves(&rec).is_none() {
+                            push(
+                                &mut vlogs,
+                                format!(
+                                    "spill pointer at L{li}/{bucket}/{slot} does not resolve \
+                                     to a valid log record"
+                                ),
+                            );
                         }
                         let h = KeyHashes::of(&rec.key);
                         if self.params.enable_ocf && ocf::fp(e) != h.fp {
@@ -186,12 +184,14 @@ impl Hdnh {
                             push(&mut dups, format!("duplicate key at L{li}/{bucket}/{slot}"));
                         }
                         if let Some(hot) = &inner.hot {
-                            if let Some(v) = hot.search(&rec.key, h.h1, h.h2, h.fp) {
-                                if v != rec.value {
+                            let at = hot.buckets(h.h1, h.h2);
+                            if let Some((v, hot_spilled)) = hot.search_at(&rec.key, at, h.fp) {
+                                if (v, hot_spilled) != (rec.value, spilled) {
                                     push(
                                         &mut hots,
                                         format!(
-                                            "hot table stale at L{li}/{bucket}/{slot}: cached {} nvm {}",
+                                            "hot table stale at L{li}/{bucket}/{slot}: cached {} \
+                                             (spilled: {hot_spilled}) nvm {} (spilled: {spilled})",
                                             v.as_u64(),
                                             rec.value.as_u64()
                                         ),
@@ -281,18 +281,16 @@ impl Hdnh {
                         // The slot's own bytes are clean; a spill-flagged
                         // slot must additionally resolve to a CRC-valid log
                         // record (the damage may live in the value log).
-                        if header_slot_spilled(header, slot) {
-                            let resolves = VlogPtr::from_value(&rec.value)
-                                .is_some_and(|ptr| self.vlog.verify(&ptr, &rec.key));
-                            if !resolves {
-                                if let Some(err) =
-                                    self.quarantine_dangling_pointer(inner, li, bucket, slot)
-                                {
-                                    report.detected += 1;
-                                    report.quarantined += 1;
-                                    if report.errors.len() < ScrubReport::ERRORS_CAP {
-                                        report.errors.push(err);
-                                    }
+                        if header_slot_spilled(header, slot)
+                            && self.spilled_resolves(&rec).is_none()
+                        {
+                            if let Some(err) =
+                                self.quarantine_dangling_pointer(inner, li, bucket, slot)
+                            {
+                                report.detected += 1;
+                                report.quarantined += 1;
+                                if report.errors.len() < ScrubReport::ERRORS_CAP {
+                                    report.errors.push(err);
                                 }
                             }
                         }
@@ -389,16 +387,14 @@ impl Hdnh {
         let h = KeyHashes::of(&rec.key);
         let hot_copy = inner.hot.as_ref().and_then(|hot| {
             (h.fp == ocf::fp(pre))
-                .then(|| hot.search(&rec.key, h.h1, h.h2, h.fp))
+                .then(|| hot.search_at(&rec.key, hot.buckets(h.h1, h.h2), h.fp))
                 .flatten()
         });
-        let outcome = if let Some(value) = hot_copy {
+        let outcome = if let Some((value, spilled)) = hot_copy {
+            // The hot entry is the clean word whole: the slot's 15 value
+            // bytes verbatim — for a spilled slot the packed value-log
+            // pointer — and the spill bit they were committed under.
             let clean = Record::new(rec.key, value);
-            // The hot table caches the slot's 15 value bytes verbatim —
-            // for a spilled slot that is the packed value-log pointer — so
-            // the repair must re-commit the *old header's* spill flag, not
-            // re-derive it from the bytes.
-            let spilled = header_slot_spilled(header, slot);
             level.write_record(bucket, slot, &clean);
             level.commit_slot_valid(bucket, slot, slot_meta(&clean, spilled));
             ocf.commit(bucket, slot, pre, true, h.fp);
@@ -442,8 +438,7 @@ impl Hdnh {
         let rec = level.read_record(bucket, slot);
         let still_dangling = header_slot_valid(header, slot)
             && header_slot_spilled(header, slot)
-            && !VlogPtr::from_value(&rec.value)
-                .is_some_and(|ptr| self.vlog.verify(&ptr, &rec.key));
+            && self.spilled_resolves(&rec).is_none();
         if !still_dangling {
             ocf.abort(bucket, slot, pre);
             return None;
@@ -485,6 +480,25 @@ mod tests {
             assert!(t.remove(&k(i)).unwrap());
         }
         assert_eq!(t.verify_integrity().unwrap(), 600);
+    }
+
+    #[test]
+    fn hot_consistency_compares_the_spill_bit() {
+        let t = table();
+        let key = k(1);
+        t.insert_bytes(&key, &[7u8; 100]).unwrap();
+        t.verify_integrity().unwrap();
+        // The right value bytes as the wrong kind of word: the cached
+        // pointer loses its spill bit.
+        let hot = t.hot_table().unwrap();
+        let h = KeyHashes::of(&key);
+        let at = hot.buckets(h.h1, h.h2);
+        let (word, spilled) = hot.search_at(&key, at, h.fp).expect("writes cache");
+        assert!(spilled, "a log pointer is cached as one");
+        assert!(hot.refresh_at(&Record::new(key, word), false, at, h.fp));
+        let (reports, _) = t.verify_integrity_report();
+        let failed: Vec<_> = reports.iter().filter(|r| !r.ok).map(|r| r.name).collect();
+        assert_eq!(failed, ["hot-consistency"], "{reports:?}");
     }
 
     /// Locates a key's live NVM slot by exhaustive scan (tests only).

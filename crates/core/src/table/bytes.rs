@@ -1,18 +1,36 @@
-//! Variable-length values (DESIGN.md §17): the bytes API over the
-//! fixed 15-byte slot word.
+//! Variable-length values (DESIGN.md §17): the bytes API, the one
+//! encoding layered on the fixed 15-byte slot word.
+//!
+//! The table has two levels. The *word level* — `insert`, `update`, `get`,
+//! `HashIndex` — stores and returns a slot's 15 value bytes as they are:
+//! the paper's vocabulary, used by the figure binaries, the baselines
+//! comparison and the crash tests. The *bytes level* in this file encodes a
+//! payload of any length into a word — inline with a length byte, or a
+//! pointer to a value-log record — and commits which of the two it is as
+//! the slot's spill bit. That bit travels with the word wherever the word
+//! goes: the NVM header, a probe's `Located`, the hot entry, `get_word`.
+//! A reader learns a word's kind from the bit and never from its bytes;
+//! under a set bit, a word that does not decode to a pointer is damage.
+//!
+//! Everything that knows the encoding is here and in the codec
+//! (`crate::vlog`): staging, decoding, tombstoning, and the integrity
+//! check of a spill-flagged word the audits share.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hdnh_common::hash::KeyHashes;
-use hdnh_common::{Key, Value};
+use hdnh_common::{Key, Record, Value};
+use hdnh_nvm::fault;
 use hdnh_obs as obs;
 
+use super::write::Decision;
 use super::{Accept, Hdnh};
 use crate::error::HdnhError;
 use crate::nvtable::{header_slot_spilled, header_slot_valid};
 use crate::params::SLOTS_PER_BUCKET;
 use crate::vlog::{self, Vlog, VlogPtr};
+
 /// A bytes-API payload made ready for a slot: the slot's value bytes, and
 /// — when they are a pointer — the log record already appended for them.
 /// The ticket is held until the write has published (or given up), as the
@@ -32,14 +50,21 @@ impl Hdnh {
         }
     }
 
-    /// Makes `payload` ready for a slot. Payloads up to the configured
-    /// inline budget become the slot's 15 value bytes — the paper-faithful
-    /// fast path, unchanged in cost; larger ones are appended (and
-    /// persisted) to the value log *first* and become a packed pointer,
-    /// committed under the header's spill bit, so a crash between the two
-    /// leaves at worst an unreferenced log record.
+    /// The integrity check of a spill-flagged word: `rec`'s value bytes
+    /// decode to a pointer, and the pointer resolves to a CRC-valid log
+    /// record carrying `rec`'s key. Only for a slot whose spill bit is set.
+    pub(super) fn spilled_resolves(&self, rec: &Record) -> Option<VlogPtr> {
+        VlogPtr::from_value(&rec.value).filter(|ptr| self.vlog.verify(ptr, &rec.key))
+    }
+
+    /// Makes `payload` ready for a slot. Payloads up to the inline budget
+    /// ([`vlog::INLINE_MAX`]) become the slot's 15 value bytes — the
+    /// paper-faithful fast path, unchanged in cost; larger ones are
+    /// appended (and persisted) to the value log *first* and become a
+    /// packed pointer, committed under the header's spill bit, so a crash
+    /// between the two leaves at worst an unreferenced log record.
     fn stage_bytes(&self, key: &Key, payload: &[u8]) -> Result<StagedValue, HdnhError> {
-        if payload.len() <= self.params.vlog_inline_max {
+        if payload.len() <= vlog::INLINE_MAX {
             obs::count(obs::Counter::VlogInlineWrites);
             return Ok(StagedValue {
                 value: vlog::encode_inline(payload),
@@ -54,24 +79,20 @@ impl Hdnh {
         })
     }
 
-    /// Closes a staged write: a log record whose publish failed was never
-    /// referenced, so it is orphaned on the spot.
-    fn settle<T>(&self, staged: StagedValue, out: Result<T, HdnhError>) -> Result<T, HdnhError> {
+    /// The bytes writes: `payload` is staged once — inline in the slot when
+    /// it fits, otherwise in the value log with the slot holding its
+    /// pointer — and stored, as a word with its kind, if the key is in a
+    /// state `accept` takes.
+    fn store_bytes(&self, key: &Key, payload: &[u8], accept: Accept) -> Result<(), HdnhError> {
+        let started = obs::op_start();
+        let staged = self.stage_bytes(key, payload)?;
+        let out = self.store(started, key, &staged.value, staged.appended.is_some(), accept);
+        // A log record whose publish failed was never referenced: it is
+        // orphaned on the spot.
         if let (Err(_), Some((ptr, _ticket))) = (&out, &staged.appended) {
             self.vlog.mark_garbage(ptr);
         }
         out
-    }
-
-    /// The bytes writes: `payload` is staged once — inline in the slot when
-    /// it fits, otherwise in the value log with the slot holding its
-    /// pointer — and stored if the key is in a state `accept` takes. The
-    /// old value's log entry, if spilled, is tombstoned.
-    fn store_bytes(&self, key: &Key, payload: &[u8], accept: Accept) -> Result<(), HdnhError> {
-        let staged = self.stage_bytes(key, payload)?;
-        let out = self.store(key, &staged.value, staged.appended.is_some(), accept);
-        Self::tombstone_old(&self.vlog, self.settle(staged, out)?);
-        Ok(())
     }
 
     /// Stores `payload` under `key` (insert semantics): inline in the slot
@@ -94,45 +115,115 @@ impl Hdnh {
         self.store_bytes(key, payload, Accept::Either)
     }
 
-    /// Fetches `key`'s value as bytes. Inline values decode from the slot;
-    /// spilled values are read (and CRC-verified) from the value log. A
+    /// Fetches `key`'s value as bytes. What the word is comes with it — the
+    /// spill bit, never the bytes: an unspilled word decodes from the slot,
+    /// a spilled one is read (and CRC-verified) from the value log. A
     /// pointer into a segment the compactor retired mid-read re-probes the
     /// index — the relocated pointer is already published before a segment
     /// disappears — so readers never block on (or race destructively with)
     /// the GC. A pointer that keeps naming an unmapped segment is dangling
     /// and surfaces as [`HdnhError::VlogCorruption`] rather than a spin.
+    ///
+    /// A word that is not of its kind is [`HdnhError::Integrity`]: an
+    /// unspilled word whose length byte exceeds the inline budget was
+    /// written at the word level (`value-encoding`; such a word is never
+    /// followed as a pointer, whatever its bytes), and a spilled word that
+    /// does not decode to a pointer is damaged (`vlog-pointer-valid`).
     pub fn get_bytes(&self, key: &Key) -> Result<Option<Vec<u8>>, HdnhError> {
         // Each legitimate retry needs a whole compaction pass to retire
         // the freshly re-probed segment in the gap between probe and read.
         const RETIRED_SEGMENT_RETRIES: usize = 64;
+        let not_of_its_kind = |invariant, what: &str| HdnhError::Integrity {
+            invariant,
+            violations: vec![format!("the word of {key:?} {what}")],
+        };
         let mut retries = 0;
         loop {
-            let Some(v) = self.get(key)? else { return Ok(None) };
-            if let Some(ptr) = VlogPtr::from_value(&v) {
-                match self.vlog.read(&ptr, key)? {
-                    Some(payload) => return Ok(Some(payload)),
-                    // Segment retired between the index probe and the log
-                    // read: the GC already republished the pointer.
-                    None if retries < RETIRED_SEGMENT_RETRIES => {
-                        retries += 1;
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    None => {
-                        return Err(HdnhError::VlogCorruption {
-                            segment: ptr.segment,
-                            offset: ptr.offset,
-                        })
-                    }
+            let Some((word, spilled)) = self.get_word(key) else { return Ok(None) };
+            if !spilled {
+                return match vlog::decode_inline(&word) {
+                    Some(payload) => Ok(Some(payload.to_vec())),
+                    None => Err(not_of_its_kind(
+                        "value-encoding",
+                        "was stored through the fixed-value API and is not a bytes encoding",
+                    )),
+                };
+            }
+            let ptr = VlogPtr::from_value(&word).ok_or_else(|| {
+                not_of_its_kind("vlog-pointer-valid", "is spill-flagged but is not a log pointer")
+            })?;
+            match self.vlog.read(&ptr, key)? {
+                Some(payload) => return Ok(Some(payload)),
+                // Segment retired between the index probe and the log
+                // read: the GC already republished the pointer.
+                None if retries < RETIRED_SEGMENT_RETRIES => {
+                    retries += 1;
+                    std::thread::yield_now();
+                }
+                None => {
+                    return Err(HdnhError::VlogCorruption {
+                        segment: ptr.segment,
+                        offset: ptr.offset,
+                    })
                 }
             }
-            return Ok(Some(match vlog::decode_inline(&v) {
-                Some(p) => p.to_vec(),
-                // Not written through the bytes API (a fixed 15-byte value
-                // whose first byte exceeds the inline budget): surface the
-                // raw slot bytes rather than guessing at an encoding.
-                None => v.0.to_vec(),
-            }));
+        }
+    }
+
+    /// `key`'s current log pointer, if its value is spilled.
+    #[cfg(test)]
+    pub(crate) fn spill_pointer(&self, key: &Key) -> Option<VlogPtr> {
+        let (word, spilled) = self.get_word(key)?;
+        spilled.then(|| VlogPtr::from_value(&word)).flatten()
+    }
+
+    /// The value-log compactor's relocation of one live record, in a
+    /// single probe (DESIGN.md §17): lock `key`'s slot through the writer
+    /// probe; compare the slot's pointer with `old` under the lock; only
+    /// on a match append `image` (the record's verified bytes, carrying a
+    /// `payload_len`-byte payload) and swap the new pointer in out of
+    /// place. Returns the new pointer, or `None` when the slot no longer
+    /// names `old` — final, since a log pointer is published once: the
+    /// record was overwritten or removed, nothing was appended and there
+    /// is nothing to orphan.
+    ///
+    /// The hot table is refreshed, not filled: a cached copy of the old
+    /// pointer is rewritten, but a record nobody read is not promoted for
+    /// being moved.
+    pub(crate) fn relocate_spilled(
+        &self,
+        key: &Key,
+        old: &VlogPtr,
+        image: &[u8],
+        payload_len: usize,
+    ) -> Result<Option<VlogPtr>, HdnhError> {
+        let expect = old.to_value();
+        // Appended at most once; the ticket outlives the publish. Kept
+        // across a retry: a full bucket sends the write through a resize
+        // and back under a fresh lock, where the guard is checked again.
+        let mut appended = None;
+        let swapped = self.write_with(key, |old| {
+            old.inspect(|_| fault::point("update.old_locked"));
+            if old != Some((expect, true)) {
+                return Ok(Decision::Keep);
+            }
+            let (ptr, _ticket) = match &appended {
+                Some(once) => once,
+                None => appended.insert(self.vlog.append_image(image, payload_len)?),
+            };
+            Ok(Decision::Put { value: ptr.to_value(), spilled: true, refresh_only: true })
+        });
+        match (appended, swapped) {
+            (Some((ptr, _ticket)), Ok(Some(_))) => Ok(Some(ptr)),
+            // Absent, superseded, or the append itself failed — or appended
+            // before a resize and superseded (or failed) after it: that
+            // copy was never published.
+            (appended, not_swapped) => {
+                if let Some((ptr, _ticket)) = &appended {
+                    self.vlog.mark_garbage(ptr);
+                }
+                not_swapped.map(|_| None)
+            }
         }
     }
 
@@ -168,9 +259,7 @@ impl Hdnh {
                         continue;
                     }
                     let rec = level.read_record(bucket, slot);
-                    let resolved = VlogPtr::from_value(&rec.value)
-                        .filter(|ptr| self.vlog.verify(ptr, &rec.key));
-                    match resolved {
+                    match self.spilled_resolves(&rec) {
                         Some(ptr) => {
                             let fp = vlog::segment::footprint(ptr.len as usize) as u64;
                             let end = ptr.offset as u64 + fp;

@@ -22,6 +22,10 @@
 //! | `remove` | remove | keep |
 //! | GC relocation | put if the pointer still matches (hot copy refreshed, not filled), else keep | keep |
 //!
+//! The plain operations are the *word level*: a slot's 15 value bytes as
+//! they are. The `_bytes` ones are the one encoding layered on it; which
+//! kind a word is travels with it as the spill bit (`bytes.rs`).
+//!
 //! * **Put, absent** (figure 9) — lock an empty slot in the OCF (opmap CAS),
 //!   check that no rival writer is placing the same key
 //!   (`unchanged_since`), write the record to the NVM slot and persist it,

@@ -292,24 +292,36 @@ impl Hdnh {
     /// Lock-free: one epoch pin and a generation validation; retries only
     /// across a concurrent resize. The error channel is reserved for future
     /// system-level failures — today's miss is `Ok(None)`.
+    ///
+    /// The word level (DESIGN.md §17): returns the slot's 15 value bytes as
+    /// stored. A value written through the bytes API is read back through
+    /// [`get_bytes`](Self::get_bytes).
     pub fn get(&self, key: &Key) -> Result<Option<Value>, HdnhError> {
+        Ok(self.get_word(key).map(|(value, _)| value))
+    }
+
+    /// [`get`](Self::get) with the word's kind: the value bytes and the
+    /// spill bit they were committed under, from the NVM header or from
+    /// the hot entry that carries it along. What they are is never read
+    /// off the bytes.
+    pub(super) fn get_word(&self, key: &Key) -> Option<(Value, bool)> {
         let t = obs::op_start();
         #[cfg(debug_assertions)]
         let _read_path = ReadPathGuard::enter();
         let out = self.get_inner(key);
         obs::op_record(obs::OpKind::Get, t);
-        Ok(out)
+        out
     }
 
-    fn get_inner(&self, key: &Key) -> Option<Value> {
+    fn get_inner(&self, key: &Key) -> Option<(Value, bool)> {
         let h = KeyHashes::of(key);
         loop {
             let snap = self.pinned();
             let inner = snap.inner;
             let probe = inner.probe(&h, self.n_candidates());
             if let Some((hot, at)) = probe.hot {
-                if let Some(v) = hot.search_at(key, at, h.fp) {
-                    return Some(v);
+                if let Some(word) = hot.search_at(key, at, h.fp) {
+                    return Some(word);
                 }
             }
             let found = self.find(key, &probe, false, |_, _| {});
@@ -339,13 +351,12 @@ impl Hdnh {
                 let (_, ocf) = inner.level(loc.li);
                 if let LockOutcome::Locked(pre) = ocf.try_lock_at(loc.bucket, loc.slot, loc.entry)
                 {
-                    RAFL_RNG.with(|r| {
-                        hot.put_at(&Record::new(*key, loc.value), at, h.fp, &mut r.borrow_mut())
-                    });
+                    let rec = Record::new(*key, loc.value);
+                    RAFL_RNG.with(|r| hot.put_at(&rec, loc.spilled, at, h.fp, &mut r.borrow_mut()));
                     ocf.abort(loc.bucket, loc.slot, pre);
                 }
             }
-            return Some(loc.value);
+            return Some((loc.value, loc.spilled));
         }
     }
 }

@@ -1,7 +1,9 @@
 //! The write protocol: one `write_with` behind every insert, update,
-//! upsert, remove and GC relocation, and the hot-table half of each.
+//! upsert, remove and (from `bytes.rs`) GC relocation, and the hot-table
+//! half of each.
 
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 use hdnh_common::hash::KeyHashes;
 use hdnh_common::{HashIndex, IndexError, IndexResult, Key, Record, Value};
@@ -15,10 +17,10 @@ use crate::hot::{HotBuckets, HotTable};
 use crate::nvtable::slot_meta;
 use crate::ocf::Backoff;
 use crate::sync::HotOp;
-use crate::vlog::VlogPtr;
+
 /// What a write does about a key, answered under the key's slot lock — or,
 /// for an absent key, after a validated miss.
-enum Decision {
+pub(super) enum Decision {
     /// Leave the table as it is.
     Keep,
     /// Store `value`. `spilled`: the 15 bytes are a packed value-log
@@ -72,21 +74,13 @@ impl Hdnh {
     /// Inserts a new record (figure 9). Reports
     /// [`HdnhError::DuplicateKey`] when the key is already present.
     pub fn insert(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
-        let t = obs::op_start();
-        let out = self.store(key, value, false, Accept::Absent);
-        obs::op_record(obs::OpKind::Insert, t);
-        out.map(|_| ())
+        self.store(obs::op_start(), key, value, false, Accept::Absent)
     }
 
     /// Replaces the value of an existing key (figure 10). Reports
     /// [`HdnhError::KeyNotFound`] when the key is absent.
     pub fn update(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
-        let t = obs::op_start();
-        let out = self.store(key, value, false, Accept::Present);
-        obs::op_record(obs::OpKind::Update, t);
-        // Overwriting a spilled value orphans its log entry.
-        Self::tombstone_old(&self.vlog, out?);
-        Ok(())
+        self.store(obs::op_start(), key, value, false, Accept::Present)
     }
 
     /// Removes a key. Returns `Ok(true)` if it was present. A spilled
@@ -103,75 +97,35 @@ impl Hdnh {
         Ok(old.is_some())
     }
 
-    /// The fixed-value writes: stores `value` if the key is in a state
-    /// `accept` takes. `spilled` marks the value bytes as a packed
-    /// value-log pointer. Returns the replaced `(value, spilled)` pair so
-    /// callers can tombstone a spilled old value's log entry.
+    /// The word-level store behind every insert, update and upsert of
+    /// either vocabulary: stores `value` if the key is in a state `accept`
+    /// takes. `spilled` marks the value bytes as a packed value-log
+    /// pointer. A spilled word it replaces has its log entry tombstoned,
+    /// and the operation, timed from `started`, is recorded once, here,
+    /// as the insert or the update it turned out to be.
     pub(crate) fn store(
         &self,
+        started: Option<Instant>,
         key: &Key,
         value: &Value,
         spilled: bool,
         accept: Accept,
-    ) -> Result<Option<(Value, bool)>, HdnhError> {
-        self.write_with(key, |old| match (old, accept) {
+    ) -> Result<(), HdnhError> {
+        let out = self.write_with(key, |old| match (old, accept) {
             (Some(_), Accept::Absent) => Err(HdnhError::DuplicateKey),
             (None, Accept::Present) => Err(HdnhError::KeyNotFound),
             _ => {
                 old.inspect(|_| fault::point("update.old_locked"));
                 Ok(Decision::Put { value: *value, spilled, refresh_only: false })
             }
-        })
-    }
-
-    /// The value-log compactor's relocation of one live record, in a
-    /// single probe (DESIGN.md §17): lock `key`'s slot through the writer
-    /// probe; compare the slot's pointer with `old` under the lock; only
-    /// on a match append `image` (the record's verified bytes, carrying a
-    /// `payload_len`-byte payload) and swap the new pointer in out of
-    /// place. Returns the new pointer, or `None` when the slot no longer
-    /// names `old` — final, since a log pointer is published once: the
-    /// record was overwritten or removed, nothing was appended and there
-    /// is nothing to orphan.
-    ///
-    /// The hot table is refreshed, not filled: a cached copy of the old
-    /// pointer is rewritten, but a record nobody read is not promoted for
-    /// being moved.
-    pub(crate) fn relocate_spilled(
-        &self,
-        key: &Key,
-        old: &VlogPtr,
-        image: &[u8],
-        payload_len: usize,
-    ) -> Result<Option<VlogPtr>, HdnhError> {
-        let expect = old.to_value();
-        // Appended at most once; the ticket outlives the publish. Kept
-        // across a retry: a full bucket sends the write through a resize
-        // and back under a fresh lock, where the guard is checked again.
-        let mut appended = None;
-        let swapped = self.write_with(key, |old| {
-            old.inspect(|_| fault::point("update.old_locked"));
-            if old != Some((expect, true)) {
-                return Ok(Decision::Keep);
-            }
-            let (ptr, _ticket) = match &appended {
-                Some(once) => once,
-                None => appended.insert(self.vlog.append_image(image, payload_len)?),
-            };
-            Ok(Decision::Put { value: ptr.to_value(), spilled: true, refresh_only: true })
         });
-        match (appended, swapped) {
-            (Some((ptr, _ticket)), Ok(Some(_))) => Ok(Some(ptr)),
-            // Absent, superseded, or the append itself failed — or appended
-            // before a resize and superseded (or failed) after it: that
-            // copy was never published.
-            (appended, not_swapped) => {
-                if let Some((ptr, _ticket)) = &appended {
-                    self.vlog.mark_garbage(ptr);
-                }
-                not_swapped.map(|_| None)
-            }
-        }
+        let kind = match (accept, &out) {
+            (Accept::Present, _) | (Accept::Either, Ok(Some(_))) => obs::OpKind::Update,
+            _ => obs::OpKind::Insert,
+        };
+        obs::op_record(kind, started);
+        Self::tombstone_old(&self.vlog, out?);
+        Ok(())
     }
 
     /// The write protocol (figures 9 & 10; module docs), once for every
@@ -183,7 +137,7 @@ impl Hdnh {
     /// `decide` runs again whenever the attempt starts over: after growing
     /// a table with no room for the record, or after backing off from a
     /// rival writer of the same absent key.
-    fn write_with(
+    pub(super) fn write_with(
         &self,
         key: &Key,
         mut decide: impl FnMut(Option<(Value, bool)>) -> Result<Decision, HdnhError>,
@@ -274,8 +228,8 @@ impl Hdnh {
         let rec = Record::new(*key, new.value);
         let (ck, fp) = (slot_meta(&rec, new.spilled), probe.h.fp);
         let hot = self.begin_hot_write(probe, |at| match refresh_only {
-            true => HotOp::Refresh { rec, at, fp },
-            false => HotOp::Put { rec, at, fp },
+            true => HotOp::Refresh { rec, spilled: new.spilled, at, fp },
+            false => HotOp::Put { rec, spilled: new.spilled, at, fp },
         });
         // The record is persisted while invisible.
         level.write_record(new.bucket, new.slot, &rec);
@@ -345,15 +299,7 @@ impl HashIndex for Hdnh {
 
     /// One probe, recorded as the update or the insert it turned out to be.
     fn upsert(&self, key: &Key, value: &Value) -> IndexResult<()> {
-        let t = obs::op_start();
-        let out = self.store(key, value, false, Accept::Either);
-        let kind = match out {
-            Ok(Some(_)) => obs::OpKind::Update,
-            _ => obs::OpKind::Insert,
-        };
-        obs::op_record(kind, t);
-        Self::tombstone_old(&self.vlog, out?);
-        Ok(())
+        self.store(obs::op_start(), key, value, false, Accept::Either).map_err(IndexError::from)
     }
 
     fn len(&self) -> usize {

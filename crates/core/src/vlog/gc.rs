@@ -260,7 +260,7 @@ mod tests {
         // The ticket holds the compactor at the quiesce step: publishing
         // now still lands before the scan, which must find the record
         // live and carry it out of the victim.
-        t.store(&late, &ptr.to_value(), true, crate::table::Accept::Absent).unwrap();
+        t.store(None, &late, &ptr.to_value(), true, crate::table::Accept::Absent).unwrap();
         drop(ticket);
         let report = gc.join().unwrap();
         assert!(t.vlog.segment(ptr.segment).is_none(), "victim retired: {report:?}");
@@ -272,7 +272,7 @@ mod tests {
 
     /// The slot's current spill pointer for `key`.
     fn pointer_of(t: &Hdnh, key: &Key) -> VlogPtr {
-        VlogPtr::from_value(&t.get(key).unwrap().unwrap()).expect("spilled")
+        t.spill_pointer(key).expect("spilled")
     }
 
     fn relocate(t: &Hdnh, key: &Key, old: &VlogPtr, payload: &[u8]) -> Option<VlogPtr> {
@@ -431,7 +431,7 @@ mod tests {
         let t = table();
         let key = Key::from_u64(7);
         t.insert_bytes(&key, &[5u8; 100]).unwrap();
-        let ptr = VlogPtr::from_value(&t.get(&key).unwrap().unwrap()).unwrap();
+        let ptr = pointer_of(&t, &key);
         t.vlog.remove_segment(ptr.segment).unwrap();
         let e = t.get_bytes(&key).unwrap_err();
         assert!(matches!(e, HdnhError::VlogCorruption { segment, .. } if segment == ptr.segment));

@@ -3,15 +3,15 @@
 //! HDNH's 31-byte NVM record (16-byte key, 15-byte value) is the *index
 //! entry*; this module adds an out-of-band, log-structured store for
 //! values that do not fit. Values up to the inline budget
-//! ([`INLINE_MAX`], tunable down via `HdnhParams::vlog_inline_max`) are
-//! stored directly in the slot — the paper's fast path, unchanged. Longer
-//! values are appended to a segmented, CRC32-checksummed log
-//! ([`segment::VlogSegment`]) and the slot stores a packed
-//! `(segment, offset, length)` pointer ([`VlogPtr`]), discriminated two
-//! ways: by the spare per-slot header bit (`nvtable`'s spill flag — the
-//! authority for every internal path) and by the [`SPILL_SENTINEL`] first
-//! value byte (a cheap bytes-API-level discriminator; inline encodings
-//! put a 0..=14 length there, so the sentinel is unreachable for them).
+//! ([`INLINE_MAX`]) are stored directly in the slot — the paper's fast
+//! path, unchanged. Longer values are appended to a segmented,
+//! CRC32-checksummed log ([`segment::VlogSegment`]) and the slot stores a
+//! packed `(segment, offset, length)` pointer ([`VlogPtr`]). Which of the
+//! two a slot word is says the spare per-slot header bit (`nvtable`'s
+//! spill flag), which travels with the word; nothing classifies a word by
+//! its bytes. The [`SPILL_SENTINEL`] first byte, the non-zero length and
+//! the zero pad of a pointer are redundancy: under a set spill flag,
+//! [`VlogPtr::from_value`] checks them as part of the word's integrity.
 //!
 //! Durability ordering: a record is flushed and fenced *before* its
 //! pointer is published to the index, so under `--sync-policy sync` a
@@ -47,8 +47,8 @@ pub use segment::{decode_record, encode_record, footprint, VlogSegment, RECORD_O
 /// up to 14 payload bytes.
 pub const INLINE_MAX: usize = VALUE_LEN - 1;
 
-/// First value byte of a spill pointer. Inline encodings store the
-/// payload length (0..=14) there, so 0xFF never collides with them.
+/// First value byte of a spill pointer: a check byte under a set spill
+/// flag (an inline encoding's first byte is its length, 0..=14).
 pub const SPILL_SENTINEL: u8 = 0xFF;
 
 /// Largest accepted value. The RESP frame budget is 1 MiB; the headroom
@@ -66,7 +66,8 @@ pub fn encode_inline(payload: &[u8]) -> Value {
 }
 
 /// Decodes an inline slot value back into its payload; `None` when the
-/// first byte is not a valid inline length (e.g. the spill sentinel).
+/// first byte is not a valid inline length ([`encode_inline`] did not
+/// write this word).
 pub fn decode_inline(v: &Value) -> Option<&[u8]> {
     let len = v.0[0] as usize;
     if len > INLINE_MAX {
@@ -99,8 +100,9 @@ impl VlogPtr {
         Value(buf)
     }
 
-    /// Unpacks a slot value carrying the spill sentinel; `None` for
-    /// anything else (inline encodings, fixed-API values).
+    /// Unpacks the value bytes of a spill-flagged slot; `None` when they
+    /// are not what [`to_value`](Self::to_value) packs — the word is
+    /// damaged. Not a classifier: an unflagged word is never passed here.
     pub fn from_value(v: &Value) -> Option<VlogPtr> {
         if v.0[0] != SPILL_SENTINEL {
             return None;
@@ -110,9 +112,8 @@ impl VlogPtr {
             offset: u32::from_le_bytes(v.0[5..9].try_into().unwrap()),
             len: u32::from_le_bytes(v.0[9..13].try_into().unwrap()),
         };
-        // A spill pointer always names a payload too large for the slot;
-        // len 0 (or a non-zero pad) marks a non-pointer 0xFF-first value
-        // (reachable only through the fixed u64 API).
+        // A spill pointer always names a payload too large for the slot,
+        // and its two spare bytes are written as zero.
         if ptr.len == 0 || v.0[13] != 0 || v.0[14] != 0 {
             return None;
         }
@@ -420,9 +421,13 @@ mod tests {
         assert_eq!(v.0[0], SPILL_SENTINEL);
         assert_eq!(VlogPtr::from_value(&v).unwrap(), ptr);
         assert!(decode_inline(&v).is_none());
-        // The fixed-API value 255 also starts with 0xFF but has len 0 —
-        // it must not parse as a pointer.
-        assert!(VlogPtr::from_value(&Value::from_u64(SPILL_SENTINEL as u64)).is_none());
+        // Under a set spill flag any byte out of place is damage.
+        for (byte, bad) in [(0, 0xFE), (13, 1), (14, 0x80)] {
+            let mut damaged = v;
+            damaged.0[byte] = bad;
+            assert!(VlogPtr::from_value(&damaged).is_none(), "byte {byte}");
+        }
+        assert!(VlogPtr::from_value(&VlogPtr { len: 0, ..ptr }.to_value()).is_none());
     }
 
     #[test]

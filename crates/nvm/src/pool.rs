@@ -8,6 +8,12 @@
 //! doubles), so the geometry in `meta.dat` maps every surviving file to
 //! its role without any per-file header.
 //!
+//! One opener at a time: a [`PoolDir`] holds an exclusive advisory lock
+//! (`flock`) on the directory from before the first file is looked at until
+//! the handle — which every region mapped from the pool keeps alive — is
+//! dropped. The kernel drops it with the process, so a `kill -9` leaves no
+//! stale lock behind.
+//!
 //! Fault handling: `fence()` runs on the hot write path where an error
 //! return would poison every caller signature, so a failed `msync` is
 //! recorded *here* (sticky, first-error-wins) and surfaced by the table
@@ -30,29 +36,38 @@ pub const META_FILE: &str = "meta.dat";
 #[derive(Debug)]
 pub struct PoolDir {
     dir: PathBuf,
+    /// The open directory, exclusively locked for the life of the handle.
+    _lock: fs::File,
     next_id: AtomicU64,
     fault_flag: AtomicBool,
     fault: Mutex<Option<NvmIoError>>,
 }
 
 impl PoolDir {
-    /// Creates the directory (and parents) if needed and returns a fresh
-    /// handle. Pre-existing region files are *not* removed; callers that
-    /// want a truly fresh pool check for them first.
+    /// Creates the directory (and parents) if needed and [`open`]s it.
+    /// Pre-existing region files are *not* removed; callers that want a
+    /// truly fresh pool check for them under the returned handle's lock.
+    ///
+    /// [`open`]: Self::open
     pub fn create(dir: &Path) -> Result<PoolDir, NvmIoError> {
         fs::create_dir_all(dir).map_err(|e| NvmIoError::new("mkdir", dir, e))?;
-        Ok(PoolDir {
-            dir: dir.to_path_buf(),
-            next_id: AtomicU64::new(0),
-            fault_flag: AtomicBool::new(false),
-            fault: Mutex::new(None),
-        })
+        Self::open(dir)
     }
 
-    /// Opens an existing pool directory, seeding the region-id counter
-    /// past every `seg-<id>.dat` and `vlog-<id>.dat` already present so
-    /// new allocations never collide with survivors.
+    /// Opens an existing pool directory: locks it — failing, with the
+    /// directory named, while another handle in this or any other process
+    /// holds it — and seeds the region-id counter past every
+    /// `seg-<id>.dat` and `vlog-<id>.dat` already present so new
+    /// allocations never collide with survivors.
     pub fn open(dir: &Path) -> Result<PoolDir, NvmIoError> {
+        let lock = fs::File::open(dir).map_err(|e| NvmIoError::new("open", dir, e))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(fs::TryLockError::WouldBlock) => {
+                return Err(NvmIoError::msg("lock", dir, "the pool is already open"));
+            }
+            Err(fs::TryLockError::Error(e)) => return Err(NvmIoError::new("lock", dir, e)),
+        }
         let mut max_id = 0u64;
         for f in Self::scan_region_files(dir)? {
             if let Some(id) = seg_id(&f) {
@@ -66,6 +81,7 @@ impl PoolDir {
         }
         Ok(PoolDir {
             dir: dir.to_path_buf(),
+            _lock: lock,
             next_id: AtomicU64::new(max_id),
             fault_flag: AtomicBool::new(false),
             fault: Mutex::new(None),
@@ -207,6 +223,7 @@ mod tests {
         fs::write(&s0, b"x").unwrap();
         fs::write(&s1, b"x").unwrap();
         fs::write(d.join("superblock"), b"x").unwrap(); // not a region file
+        drop(pool);
 
         let pool2 = PoolDir::open(&d).unwrap();
         let mut files = pool2.region_files().unwrap();
@@ -215,6 +232,20 @@ mod tests {
         assert_eq!(pool2.new_region_path("seg").unwrap(), d.join("seg-2.dat"));
         // meta.dat doesn't exist on disk yet, so "meta" is still free.
         assert!(pool2.new_region_path("meta").is_ok());
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn one_handle_at_a_time() {
+        let d = tmp("lock");
+        let _ = fs::remove_dir_all(&d);
+        let pool = PoolDir::create(&d).unwrap();
+        for second in [PoolDir::open(&d), PoolDir::create(&d)] {
+            let e = second.unwrap_err();
+            assert_eq!((e.op, &e.path), ("lock", &d), "{e}");
+        }
+        drop(pool);
+        drop(PoolDir::open(&d).unwrap());
         fs::remove_dir_all(&d).unwrap();
     }
 

@@ -1355,26 +1355,9 @@ mod tests {
         assert_eq!(d.reads + d.writes, 0);
     }
 
-    #[test]
-    fn injected_read_corruption_falsifies_one_read_only() {
-        let _g = LINT_LOCK.lock(); // fault registry is process-global
-        let r = region(256);
-        r.write_bytes(0, &[0x55; 32]);
-        crate::fault::arm_corruption(crate::fault::CorruptionPlan {
-            site: "nvm.read".into(),
-            hit: 1,
-            kind: crate::fault::CorruptionKind::BitFlip,
-            mask: 0x80,
-            seed: 3,
-        });
-        let mut first = [0u8; 32];
-        r.read_into(0, &mut first);
-        let mut second = [0u8; 32];
-        r.read_into(0, &mut second);
-        let _ = crate::fault::disarm_corruption();
-        assert_ne!(first, [0x55; 32], "first read must come back damaged");
-        assert_eq!(second, [0x55; 32], "media itself is intact");
-    }
+    // The test that arms the `nvm.read` corruption site has a process of
+    // its own (`tests/read_corruption.rs`): every read in this binary passes
+    // that site, and any of them would consume the armed hit.
 
     // ---------------- ack-without-persist lint ----------------
 

@@ -159,6 +159,49 @@ fn ycsb_a_histogram_population_equals_op_count() {
     }
 }
 
+/// The bytes vocabulary — what the server speaks — lands in the same op
+/// histograms as the fixed one: one record per call, an upsert as the
+/// insert or the update it turned out to be, on both sides of the inline
+/// budget.
+#[test]
+fn bytes_workload_histogram_population_equals_op_count() {
+    let _g = lock();
+    obs::set_enabled(true);
+    let t = Hdnh::new(HdnhParams::for_capacity(8_000));
+    let key = hdnh_common::Key::from_u64;
+    let payload = |id: u64, round: u8| vec![round; if id.is_multiple_of(2) { 9 } else { 120 }];
+    let n = 1_000u64;
+
+    let m0 = obs::snapshot();
+    for id in 0..n {
+        t.insert_bytes(&key(id), &payload(id, 0)).unwrap();
+    }
+    // Upserts: the first half replace, the second half place fresh keys.
+    for id in n / 2..n + n / 2 {
+        t.upsert_bytes(&key(id), &payload(id + 1, 1)).unwrap();
+    }
+    for id in 0..n / 4 {
+        t.update_bytes(&key(id), &payload(id + 1, 2)).unwrap();
+    }
+    // A refused write is still an operation of its kind.
+    assert_eq!(t.insert_bytes(&key(0), b"dup"), Err(hdnh::HdnhError::DuplicateKey));
+    assert_eq!(t.update_bytes(&key(9 * n), b"absent"), Err(hdnh::HdnhError::KeyNotFound));
+    for id in 0..n + n / 2 {
+        assert!(t.get_bytes(&key(id)).unwrap().is_some());
+    }
+    for id in 0..n / 10 {
+        assert!(t.remove(&key(id)).unwrap());
+    }
+    let dm = obs::snapshot().since(&m0);
+
+    let (inserts, updates) = (n + n / 2 + 1, n / 2 + n / 4 + 1);
+    assert_eq!(dm.op(obs::OpKind::Insert).count(), inserts);
+    assert_eq!(dm.op(obs::OpKind::Update).count(), updates);
+    assert_eq!(dm.op(obs::OpKind::Get).count(), n + n / 2);
+    assert_eq!(dm.op(obs::OpKind::Remove).count(), n / 10);
+    assert_eq!(dm.total_ops(), inserts + updates + n + n / 2 + n / 10);
+}
+
 #[test]
 fn net_frames_decoded_match_commands_executed() {
     let _g = lock();
@@ -222,4 +265,7 @@ fn net_frames_decoded_match_commands_executed() {
     assert_eq!(dm.counter(obs::Counter::NetConnRejected), 0);
     assert_eq!(dm.counter(obs::Counter::NetProtocolError), 0);
     assert!(dm.op(obs::OpKind::Get).count() >= gets, "GETs hit the table path");
+    // Every SET is a table write: the first of a key an insert.
+    assert_eq!(dm.op(obs::OpKind::Insert).count(), sets);
+    assert_eq!(dm.op(obs::OpKind::Remove).count(), 1);
 }

@@ -353,29 +353,61 @@ proptest! {
         }
     }
 
-    /// Spill pointers round-trip through the 15-byte slot encoding, never
-    /// collide with inline encodings, and reject doctored pad bytes.
+    /// The bytes API returns what it stored, for any payload on either side
+    /// of the inline budget, whether the hot table or NVM serves the read:
+    /// the word's kind travels with it. And a word written at the word
+    /// level is never followed as a log pointer, whatever its bytes — a
+    /// 0xFF first byte and a zero pad included: it yields at most what an
+    /// inline word can hold, or the typed error.
     #[test]
-    fn vlog_ptr_roundtrip_and_discrimination(
-        segment in any::<u32>(),
-        offset in any::<u32>(),
-        len in 1u32..hdnh::MAX_VALUE_BYTES as u32 + 1,
-        inline in proptest::collection::vec(any::<u8>(), 0..hdnh::INLINE_MAX + 1),
+    fn bytes_roundtrip_hot_and_cold_and_raw_words_are_never_pointers(
+        payload in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..17),
+            proptest::collection::vec(any::<u8>(), 0..64 * 1024 + 1),
+        ],
+        raw in any::<[u8; 15]>(),
+        pointer_like in any::<bool>(),
     ) {
-        use hdnh::{vlog, VlogPtr};
-        let ptr = VlogPtr { segment, offset, len };
-        let v = ptr.to_value();
-        prop_assert_eq!(VlogPtr::from_value(&v), Some(ptr));
-        // A pointer value is never mistaken for an inline payload...
-        prop_assert_eq!(vlog::decode_inline(&v), None);
-        // ...and an inline value is never mistaken for a pointer.
-        let iv = vlog::encode_inline(&inline);
-        prop_assert_eq!(VlogPtr::from_value(&iv), None);
-        prop_assert_eq!(vlog::decode_inline(&iv), Some(&inline[..]));
-        // Non-zero pad bytes mark a fixed-API value, not a pointer.
-        let mut doctored = v;
-        doctored.0[13] = 1;
-        prop_assert_eq!(VlogPtr::from_value(&doctored), None);
+        use hdnh::HdnhError;
+        use hdnh_common::hash::KeyHashes;
+        let mut raw = raw;
+        if pointer_like {
+            (raw[0], raw[13], raw[14]) = (0xFF, 0, 0);
+        }
+        for hot_table in [true, false] {
+            let t = Hdnh::new(HdnhParams::builder()
+                .segment_bytes(1024)
+                .initial_bottom_segments(1)
+                .vlog_segment_bytes(128 * 1024)
+                .enable_hot_table(hot_table)
+                .build()
+                .unwrap());
+            let (key, raw_key) = (Key::from_u64(1), Key::from_u64(2));
+            let h = KeyHashes::of(&key);
+            t.upsert_bytes(&key, &payload).unwrap();
+            // Served by the copy the write cached, then — that copy
+            // evicted — by NVM, then by the copy the miss promoted.
+            for read in 0..3 {
+                if let (1, Some(hot)) = (read, t.hot_table()) {
+                    prop_assert!(hot.is_hot(&key, h.h1, h.h2, h.fp).is_some(), "writes cache");
+                    hot.delete(&key, h.h1, h.h2, h.fp);
+                }
+                prop_assert_eq!(t.get_bytes(&key).unwrap().as_deref(), Some(&payload[..]));
+            }
+            t.insert(&raw_key, &Value(raw)).unwrap();
+            for _hot_then_cold in 0..2 {
+                match t.get_bytes(&raw_key) {
+                    Ok(Some(bytes)) => prop_assert!(bytes.len() <= hdnh::INLINE_MAX),
+                    Err(HdnhError::Integrity { invariant: "value-encoding", .. }) => {}
+                    other => prop_assert!(false, "a raw word was followed: {:?}", other),
+                }
+                if let Some(hot) = t.hot_table() {
+                    let h = KeyHashes::of(&raw_key);
+                    hot.delete(&raw_key, h.h1, h.h2, h.fp);
+                }
+            }
+            prop_assert!(t.verify_integrity().is_ok());
+        }
     }
 
     /// Load factor stays within [0, 1] under arbitrary sequences.

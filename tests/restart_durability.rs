@@ -76,6 +76,43 @@ fn dropped_table_reopens_dirty_and_recovers_every_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One opener at a time. While a table opened from the pool lives, a second
+/// open — and a restore aimed at the same directory — fails with a typed
+/// error naming the directory, and changes nothing: the layout epoch the
+/// first opener wrote is still there. A clean close, or a drop, frees it.
+#[test]
+fn a_second_open_fails_while_the_first_lives() {
+    let dir = tmp_pool("locked");
+    let is_locked_out = |r: Result<(Hdnh, hdnh::PoolOpenReport), HdnhError>| match r {
+        Err(HdnhError::Io(msg)) => {
+            assert!(msg.contains("lock") && msg.contains(dir.to_str().unwrap()), "{msg}")
+        }
+        Err(other) => panic!("expected the lock's Io error, got {other:?}"),
+        Ok(_) => panic!("a second handle on an open pool"),
+    };
+    let (table, created) = Hdnh::open_pool(params(2_000), &dir, 2).unwrap();
+    fill(&table, 0..200);
+    is_locked_out(Hdnh::open_pool(params(2_000), &dir, 2));
+    let snap = tmp_pool("locked-snap");
+    table.snapshot(&snap).unwrap();
+    is_locked_out(Hdnh::restore_snapshot(params(2_000), &snap, &dir, 2));
+    table.close_pool().unwrap();
+
+    let (table, report) = Hdnh::open_pool(params(2_000), &dir, 2).unwrap();
+    assert!(report.was_clean, "the refused openers left the superblock alone");
+    assert_eq!(report.layout_epoch, created.layout_epoch + 1);
+    check(&table, 0..200);
+    is_locked_out(Hdnh::open_pool(params(2_000), &dir, 2));
+    drop(table);
+    let (table, report) = Hdnh::open_pool(params(2_000), &dir, 2).unwrap();
+    assert!(!report.was_clean);
+    check(&table, 0..200);
+    table.close_pool().unwrap();
+    for d in [&dir, &snap] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
 #[test]
 fn resize_survives_both_clean_and_dirty_reopen() {
     let dir = tmp_pool("resize");
