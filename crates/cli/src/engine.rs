@@ -88,9 +88,14 @@ impl Engine {
     /// Builds an engine, surfacing configuration and pool-open problems as
     /// typed errors (the binary prints them and exits nonzero).
     pub fn try_new(config: EngineConfig) -> Result<Self, HdnhError> {
+        // The library opens a pool strict; the shell does not, because its
+        // `crash` reboots in place through `Hdnh::recover`, and a pool comes
+        // back through `open_pool`.
         if config.strict && config.pool.is_some() {
             return Err(HdnhError::Config(
-                "--strict simulates shadow media and cannot be combined with --pool".into(),
+                "--strict's crash command reboots a heap table in place and cannot be \
+                 combined with --pool"
+                    .into(),
             ));
         }
         let nvm = if config.strict {

@@ -260,8 +260,12 @@ impl ExploreReport {
     }
 }
 
-/// The geometry every exploration case uses: small strict levels so a few
-/// hundred ops exercise bucket overflow, the update fallback and a resize.
+/// The geometry every exploration case uses, on either backend: small
+/// strict levels so a few hundred ops exercise bucket overflow, the update
+/// fallback and a resize. The blocking sync policy only matters once
+/// [`Hdnh::open_pool`] injects the pool backend: it is the one policy whose
+/// acks are power-loss safe, and therefore the only one the acked-state
+/// oracle is sound against.
 pub fn explore_params() -> HdnhParams {
     HdnhParams {
         segment_bytes: 1024,
@@ -269,26 +273,10 @@ pub fn explore_params() -> HdnhParams {
         // Tiny log segments: the spill mix rotates several times, so
         // crash sites inside rotation are reachable.
         vlog_segment_bytes: 2048,
-        nvm: NvmOptions::strict(),
-        sync_mode: SyncMode::Background,
-        background_writers: 1,
-        ..Default::default()
-    }
-}
-
-/// The pool-backend twin of [`explore_params`]: same tiny geometry, but
-/// file-backed with shadow-persistence tracking and the blocking sync
-/// policy — the only configuration whose acks are power-loss safe, and
-/// therefore the only one the acked-state oracle is sound against.
-pub fn explore_pool_params() -> HdnhParams {
-    let mut nvm = NvmOptions::fast();
-    nvm.shadow_pool = true;
-    nvm.sync_policy = SyncPolicy::Sync;
-    HdnhParams {
-        segment_bytes: 1024,
-        initial_bottom_segments: 2,
-        vlog_segment_bytes: 2048,
-        nvm,
+        nvm: NvmOptions {
+            sync_policy: SyncPolicy::Sync,
+            ..NvmOptions::strict()
+        },
         sync_mode: SyncMode::Background,
         background_writers: 1,
         ..Default::default()
@@ -452,17 +440,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builds a table and runs the mix, catching an injected crash anywhere in
-/// between. Returns the pool plus how many ops completed — or `Ok(None)`
-/// when the crash hit table *construction* (pool formatting): the magic
-/// word is written last, so a half-formatted pool is never adopted and
-/// there is nothing to recover.
-fn run_phase_one(mix: &OpMix) -> Result<Option<(PersistentPool, usize)>, String> {
+/// Builds a table with `build` and runs the mix, catching an injected crash
+/// anywhere in between. Returns the table plus how many ops completed — or
+/// `Ok(None)` when the crash hit table *construction*: the meta block's
+/// magic word (and a pool's superblock) is written last, so a half-formatted
+/// store is never adopted and nothing was ever acknowledged.
+fn run_phase_one(
+    mix: &OpMix,
+    build: impl FnOnce() -> Result<Hdnh, String>,
+) -> Result<Option<(Hdnh, usize)>, String> {
     let applied = AtomicUsize::new(0);
     let mut table: Option<Hdnh> = None;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        table = Some(Hdnh::new(explore_params()));
-        run_mix(table.as_ref().unwrap(), &mix.ops, &applied);
+    let mut build_err: Option<String> = None;
+    let outcome = catch_unwind(AssertUnwindSafe(|| match build() {
+        Ok(t) => run_mix(table.insert(t), &mix.ops, &applied),
+        Err(e) => build_err = Some(e),
     }));
     if let Err(payload) = outcome {
         if fault::injected(&*payload).is_none() {
@@ -472,8 +464,27 @@ fn run_phase_one(mix: &OpMix) -> Result<Option<(PersistentPool, usize)>, String>
             ));
         }
     }
-    let applied = applied.load(Ordering::Relaxed);
-    Ok(table.map(|t| (t.into_pool(), applied)))
+    if let Some(e) = build_err {
+        return Err(e);
+    }
+    Ok(table.map(|t| (t, applied.load(Ordering::Relaxed))))
+}
+
+/// Phase one on the heap: the table is torn down to its persistent pool.
+fn run_phase_one_heap(mix: &OpMix) -> Result<Option<(PersistentPool, usize)>, String> {
+    let built = run_phase_one(mix, || Ok(Hdnh::new(explore_params())))?;
+    Ok(built.map(|(table, applied)| (table.into_pool(), applied)))
+}
+
+/// Phase one on a *file-backed* table in `dir`. The table is dropped
+/// *without* `close_pool` — the mapping disappears dirty, exactly like a
+/// power cut.
+fn run_phase_one_pool(mix: &OpMix, dir: &std::path::Path) -> Result<Option<usize>, String> {
+    let built = run_phase_one(mix, || match Hdnh::open_pool(explore_params(), dir, 1) {
+        Ok((table, _)) => Ok(table),
+        Err(e) => Err(format!("pool creation failed: {e}")),
+    })?;
+    Ok(built.map(|(_table, applied)| applied))
 }
 
 /// Executes one fully-specified case. `plan` arms the mix phase;
@@ -499,7 +510,7 @@ pub fn run_single(
 
     fault::arm(plan.clone());
     let lint_was = fault::set_lint_persists(true);
-    let phase_one = run_phase_one(mix);
+    let phase_one = run_phase_one_heap(mix);
     fault::set_lint_persists(lint_was);
     let (pool, applied) = match phase_one {
         Ok(Some(v)) => v,
@@ -589,48 +600,13 @@ fn scratch_pool_dir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-/// Builds a *file-backed* table in `dir` and runs the mix, catching an
-/// injected crash anywhere in between. Returns how many ops completed, or
-/// `Ok(None)` when the crash hit pool creation (the superblock is written
-/// last, so a half-created directory is refused on reopen and nothing was
-/// ever acknowledged). The table is dropped *without* `close_pool` — the
-/// mapping disappears dirty, exactly like a power cut.
-fn run_phase_one_pool(mix: &OpMix, dir: &std::path::Path) -> Result<Option<usize>, String> {
-    let applied = AtomicUsize::new(0);
-    let mut table: Option<Hdnh> = None;
-    let mut open_err: Option<String> = None;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        match Hdnh::open_pool(explore_pool_params(), dir, 1) {
-            Ok((t, _)) => {
-                table = Some(t);
-                run_mix(table.as_ref().unwrap(), &mix.ops, &applied);
-            }
-            Err(e) => open_err = Some(format!("pool creation failed: {e}")),
-        }
-    }));
-    if let Err(payload) = outcome {
-        if fault::injected(&*payload).is_none() {
-            return Err(format!(
-                "genuine panic during pool mix (not an injected crash): {}",
-                panic_message(&*payload)
-            ));
-        }
-    }
-    if let Some(e) = open_err {
-        return Err(e);
-    }
-    let had_table = table.is_some();
-    drop(table);
-    Ok(had_table.then_some(applied.load(Ordering::Relaxed)))
-}
-
-/// [`run_single`] under `Backend::Pool` with shadow persistence: the
-/// injected crash is followed by a *power loss* — every region file is
-/// reduced to what the shadow sidecar guarantees plus a seed-chosen
-/// fraction of the at-risk (unfenced) lines, torn, dropped or reordered
-/// per [`LossMode::from_seed`]. Recovery then runs through the full
-/// `open_pool` path (superblock validation, size classification, orphan
-/// sweep) and must satisfy the same acked-state oracle as the heap matrix.
+/// [`run_single`] under `Backend::Pool`: the injected crash is followed by
+/// a *power loss* — every region file is reduced to what its tracked media
+/// image guarantees plus a seed-chosen fraction of the at-risk (unfenced)
+/// lines, torn, dropped or reordered per [`LossMode::from_seed`]. Recovery
+/// then runs through the full `open_pool` path (superblock validation, size
+/// classification, orphan sweep) and must satisfy the same acked-state
+/// oracle as the heap matrix.
 pub fn run_single_pool(mix: &OpMix, plan: &FaultPlan, seed: u64, threads: usize) -> FaultCaseResult {
     let mode = LossMode::from_seed(seed);
     let mut result = FaultCaseResult {
@@ -689,7 +665,7 @@ pub fn run_single_pool(mix: &OpMix, plan: &FaultPlan, seed: u64, threads: usize)
             }
         }
 
-        match Hdnh::open_pool(explore_pool_params(), &dir, threads.max(1)) {
+        match Hdnh::open_pool(explore_params(), &dir, threads.max(1)) {
             Ok((table, _)) => match check_recovered(&table, &mix.ops, applied) {
                 Ok(()) => result.pass = true,
                 Err(e) => result.detail = format!("[{}] {e}", mode.name()),
@@ -704,16 +680,28 @@ pub fn run_single_pool(mix: &OpMix, plan: &FaultPlan, seed: u64, threads: usize)
     result
 }
 
-/// Records per-site hit counts for one mix on the pool backend (the site
-/// population differs from the heap run: `msync` paths fire, strict-mode
-/// paths do not).
+/// Per-site hit counts of one recording (no crashing) pass of `phase_one`.
+fn record<T>(
+    phase_one: impl FnOnce() -> Result<T, String>,
+) -> Result<BTreeMap<&'static str, u64>, String> {
+    fault::start_recording();
+    let phase = phase_one();
+    let counts = fault::disarm();
+    phase.map(|_| counts)
+}
+
+/// Records per-site hit counts for one mix on the heap (exposed for the
+/// matrix test and `faultrun sites`).
+pub fn record_sites(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, String> {
+    record(|| run_phase_one_heap(mix))
+}
+
+/// Records per-site hit counts for one mix on the pool backend.
 pub fn record_sites_pool(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, String> {
     let dir = scratch_pool_dir("record");
-    fault::start_recording();
-    let phase = run_phase_one_pool(mix, &dir);
-    let counts = fault::disarm();
+    let counts = record(|| run_phase_one_pool(mix, &dir));
     let _ = std::fs::remove_dir_all(&dir);
-    phase.map(|_| counts)
+    counts
 }
 
 /// Hit samples for a site observed `n` times: first, middle, last.
@@ -724,19 +712,11 @@ pub fn hit_samples(n: u64) -> Vec<u64> {
     v
 }
 
-/// Records per-site hit counts for one mix (no crashing).
-fn record_mix(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, String> {
-    fault::start_recording();
-    let phase = run_phase_one(mix);
-    let counts = fault::disarm();
-    phase.map(|_| counts)
-}
-
 /// Records per-site hit counts of a *recovery* that follows a crash at
 /// `base` during the mix.
 fn record_recovery(mix: &OpMix, base: &FaultPlan, seed: u64) -> Result<BTreeMap<&'static str, u64>, String> {
     fault::arm(base.clone());
-    let phase = run_phase_one(mix);
+    let phase = run_phase_one_heap(mix);
     match phase {
         Ok(None) => {
             fault::disarm();
@@ -807,7 +787,7 @@ pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -
     std::panic::set_hook(Box::new(|_| {}));
 
     for mix in &cfg.mixes {
-        let counts = match record_mix(mix) {
+        let counts = match record_sites(mix) {
             Ok(c) => c,
             Err(e) => {
                 let r = FaultCaseResult {
@@ -898,9 +878,3 @@ pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -
 // names would crash unrelated lib tests running ops concurrently in the
 // same binary. All driver coverage lives in `tests/fault_matrix.rs`, which
 // is its own process.
-
-/// Records per-site hit counts for one mix without crashing (exposed for
-/// the matrix test and `faultrun --sites`).
-pub fn record_sites(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, String> {
-    record_mix(mix)
-}

@@ -178,13 +178,14 @@ impl Hdnh {
     /// Opens (or creates) a file-backed pool at `dir` and returns the
     /// live table plus a report of what happened.
     ///
-    /// `params.nvm` must be non-strict and heap-backed on entry (the pool
-    /// backend is injected here); strict mode is rejected with
-    /// [`HdnhError::Config`] because the shadow-media crash model
-    /// simulates losses a mapped file does not have. A corrupt or
-    /// truncated superblock, geometry mismatch, or unclassifiable region
-    /// file set fails with a typed error — never a panic, and never by
-    /// silently reformatting. A pool that is open already — the directory
+    /// `params.nvm` must be heap-backed on entry (the pool backend is
+    /// injected here). With `params.nvm.strict` every region also tracks
+    /// what media holds, so the closed pool can be put through
+    /// [`hdnh_nvm::powerloss_crash_file`]; only
+    /// [`SyncPolicy::Sync`](hdnh_nvm::SyncPolicy) acks survive that. A
+    /// corrupt or truncated superblock, geometry mismatch, or
+    /// unclassifiable region file set fails with a typed error — never a
+    /// panic, and never by silently reformatting. A pool that is open already — the directory
     /// is locked for as long as a table opened from it lives — fails with
     /// [`HdnhError::Io`] naming the directory.
     pub fn open_pool(
@@ -192,13 +193,6 @@ impl Hdnh {
         dir: &Path,
         threads: usize,
     ) -> Result<(Hdnh, PoolOpenReport), HdnhError> {
-        if params.nvm.strict {
-            return Err(HdnhError::Config(
-                "strict (shadow-media) mode requires the heap backend; \
-                 a pool cannot be opened strict"
-                    .into(),
-            ));
-        }
         let sb_path = dir.join(SUPERBLOCK_FILE);
         let meta_path = dir.join(hdnh_nvm::META_FILE);
         // Locked from before the first look at the directory's contents.
@@ -352,8 +346,7 @@ impl Hdnh {
         let live = table.region_file_paths();
         let mut removed = 0usize;
         for p in pool.region_files().map_err(HdnhError::from)? {
-            if !live.contains(&p) && fs::remove_file(&p).is_ok() {
-                hdnh_nvm::shadow::remove_sidecar(&p);
+            if !live.contains(&p) && PoolDir::remove_region(&p).is_ok() {
                 removed += 1;
             }
         }

@@ -11,8 +11,8 @@
 //!
 //! The copy is taken *after* `msync(MS_SYNC)`+`fsync` of every region, so
 //! the page-cache image being copied equals the on-media image; under
-//! shadow-persistence mode this also commits all fenced lines to the
-//! sidecars, keeping the power-loss model consistent across a backup.
+//! strict mode this also commits every line to the tracked media images,
+//! keeping the power-loss model consistent across a backup.
 //!
 //! Snapshot directory layout:
 //!
@@ -27,9 +27,9 @@
 //!   rename. A directory without a valid manifest is not a snapshot;
 //!   restore refuses it.
 //!
-//! Shadow `.shadow` sidecars are deliberately *not* copied: a snapshot
-//! models media contents, and the restore side re-derives its sidecar
-//! baseline from the region files on open.
+//! A strict pool's `.shadow` media images are deliberately *not* copied:
+//! a snapshot models media contents, and the restore side re-derives its
+//! media baseline from the region files on open.
 
 use std::fs;
 use std::io::{Read, Write};
@@ -286,7 +286,7 @@ impl Hdnh {
 
         // ---- consistent copy behind the writer pause ----
         let copied: Result<Vec<ManifestEntry>, HdnhError> = self.with_writers_paused(|| {
-            // Equalize page cache and media (and commit shadow sidecars)
+            // Equalize page cache and media (and the tracked media images)
             // before reading the files back.
             self.sync_regions_to_disk_locked()?;
             let mut entries = Vec::new();

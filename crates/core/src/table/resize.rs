@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use hdnh_common::hash::KeyHashes;
 use hdnh_common::{Key, Record};
-use hdnh_nvm::fault;
+use hdnh_nvm::{fault, PoolDir};
 use hdnh_obs as obs;
 
 use super::{GenRestore, Hdnh, Inner};
@@ -58,8 +58,7 @@ impl Hdnh {
         // so no recovery will look for this region. Best-effort — a leaked
         // file is caught by the orphan sweep on the next pool open.
         if let Some(path) = retired_file {
-            let _ = std::fs::remove_file(&path);
-            hdnh_nvm::shadow::remove_sidecar(&path);
+            let _ = PoolDir::remove_region(&path);
         }
         Ok(())
     }

@@ -38,6 +38,7 @@
 use crate::epoch;
 use crate::error::HdnhError;
 use crate::table::Hdnh;
+use hdnh_nvm::PoolDir;
 use hdnh_obs as obs;
 
 use super::{segment, VlogPtr};
@@ -158,8 +159,7 @@ impl Hdnh {
         if !retired_paths.is_empty() {
             epoch::drain();
             for p in retired_paths {
-                let _ = std::fs::remove_file(&p);
-                hdnh_nvm::shadow::remove_sidecar(&p);
+                let _ = PoolDir::remove_region(&p);
             }
         }
         Ok(())

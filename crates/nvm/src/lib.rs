@@ -17,8 +17,8 @@
 //!   fence. The paper's arguments are about these counts; the stats make
 //!   them directly observable.
 //! * strict mode ([`NvmOptions::strict`]) — a shadow "media" image with
-//!   dirty/staged cacheline tracking and randomized [`crash`](NvmRegion::crash)
-//!   simulation (unflushed lines survive or vanish at random, optionally
+//!   dirty/staged cacheline tracking, on either backend, and seeded
+//!   power-loss simulation (unfenced lines survive or vanish at random,
 //!   torn at 8-byte granularity), used by the crash-consistency tests.
 //! * file backend ([`Backend::Pool`]) — regions mapped `MAP_SHARED` over
 //!   files in a [`PoolDir`], flushed with `msync`. The store survives real
@@ -27,14 +27,27 @@
 //!
 //! # Persistence model
 //!
-//! Identical to the ADR model the paper describes (§2.1): a store is
-//! persistent only once its cacheline has been flushed **and** a subsequent
-//! fence has executed. Unflushed lines may still reach media through cache
-//! eviction — so after a simulated crash each unflushed dirty line
-//! independently survives or is dropped. Code that forgets a flush does not
-//! fail deterministically on real hardware and does not fail
-//! deterministically here either; the randomized crash tests run many
-//! iterations to expose such bugs.
+//! The ADR model the paper describes (§2.1): a store is persistent only
+//! once its cacheline has been flushed **and** a subsequent fence has
+//! executed. There is one implementation of it. A strict region tracks, per
+//! cacheline, whether the line is *dirty* (written, not flushed) or *staged*
+//! (flushed, fence pending), and keeps the image media is guaranteed to
+//! hold — in a heap buffer under [`Backend::Heap`], in a `.shadow` file
+//! beside each region file under [`Backend::Pool`]. The backends differ
+//! only in when a fence counts as durable: always on the heap; on a pool,
+//! when its `msync` was blocking ([`SyncPolicy::Sync`]) and succeeded, or on
+//! a full [`sync_to_disk`](NvmRegion::sync_to_disk).
+//!
+//! Unfenced lines may still reach media — cache eviction, page writeback —
+//! so at a simulated power cut one loss engine decides, from a seed, which
+//! of them survive. [`NvmRegion::crash`] applies it to a live heap region
+//! (lines torn per 8-byte word); [`powerloss_crash_file`] applies it to a
+//! closed pool file under any [`LossMode`] (pages dropped or reordered as
+//! well, which is what a page cache can do to a file). At-risk lines are
+//! visited in address order, so a seed always replays the same outcome.
+//! Code that forgets a flush does not fail deterministically on real
+//! hardware and does not fail for every seed here either; the randomized
+//! crash tests run many seeds to expose such bugs.
 
 
 #![warn(missing_docs)]
@@ -45,7 +58,7 @@ pub mod mapfile;
 pub mod pod;
 pub mod pool;
 pub mod region;
-pub mod shadow;
+mod shadow;
 pub mod stats;
 
 pub use bandwidth::{BandwidthLimiter, BandwidthModel};

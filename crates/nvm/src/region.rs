@@ -11,9 +11,9 @@
 //!
 //! In **strict mode** the region additionally keeps a shadow *media* image
 //! and per-cacheline dirty/staged tracking implementing the ADR persistence
-//! model; see [`NvmRegion::crash`].
+//! model, on either backend; see [`NvmOptions::strict`] and
+//! [`NvmRegion::crash`].
 
-use std::collections::HashSet;
 use std::mem::{size_of, MaybeUninit};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +29,7 @@ use crate::latency::LatencyModel;
 use crate::mapfile::{FileMap, NvmIoError};
 use crate::pod::Pod;
 use crate::pool::PoolDir;
-use crate::shadow::ShadowMedia;
+use crate::shadow::{self, LineState, LossMode, MediaTracker};
 use crate::stats::NvmStats;
 
 /// CPU cacheline size: flush granularity.
@@ -40,13 +40,13 @@ pub const NVM_BLOCK: usize = 256;
 /// Where region bytes live.
 #[derive(Clone, Debug, Default)]
 pub enum Backend {
-    /// Heap-allocated simulator (the default): fast, supports the strict
-    /// shadow-media crash model, dies with the process.
+    /// Heap-allocated simulator (the default): fast, dies with the
+    /// process. A strict region keeps its media image on the heap too.
     #[default]
     Heap,
     /// `MAP_SHARED` files inside a pool directory: survives real process
-    /// death, flushes via `msync`. Mutually exclusive with strict mode
-    /// (the shadow-media model simulates losses a mapped file never has).
+    /// death, flushes via `msync`. A strict region keeps its media image in
+    /// a `.shadow` file beside the region file.
     Pool(Arc<PoolDir>),
 }
 
@@ -92,24 +92,20 @@ pub struct NvmOptions {
     /// Shared bandwidth ceiling. Regions built from clones of the same
     /// options share the limiter, modeling DIMMs behind one controller.
     pub bandwidth: Option<Arc<BandwidthLimiter>>,
-    /// Enable the shadow media image + crash simulation. Costs a mutex per
-    /// write, so it is meant for (mostly single-threaded) consistency tests,
-    /// not benchmarks.
+    /// Track what media holds: a shadow media image plus dirty/staged
+    /// cacheline sets, on whichever backend the options name — the image
+    /// is a heap buffer under [`Backend::Heap`] (lose power with
+    /// [`NvmRegion::crash`]) and a `.shadow` file beside each region file
+    /// under [`Backend::Pool`] (lose power with
+    /// [`powerloss_crash_file`](crate::powerloss_crash_file)). Costs a
+    /// mutex per write, so it is meant for (mostly single-threaded)
+    /// consistency tests, not benchmarks.
     pub strict: bool,
-    /// In strict mode, tear unflushed lines at 8-byte granularity on crash
-    /// (AEP guarantees 8-byte atomicity, nothing larger).
-    pub tear_words: bool,
     /// Storage backend: heap simulator (default) or file-backed pool.
     pub backend: Backend,
     /// Whether `fence()` blocks until flushed ranges are durable
     /// (file-backed regions only; ignored on the heap).
     pub sync_policy: SyncPolicy,
-    /// Track the guaranteed-on-media image of every pool region in a
-    /// `.shadow` sidecar file, enabling
-    /// [`shadow::powerloss_crash_file`](crate::shadow::powerloss_crash_file).
-    /// Costs a mutex per write like strict mode — test configurations only.
-    /// Ignored on the heap backend.
-    pub shadow_pool: bool,
 }
 
 impl NvmOptions {
@@ -120,10 +116,8 @@ impl NvmOptions {
             latency: LatencyModel::off(),
             bandwidth: None,
             strict: false,
-            tear_words: true,
             backend: Backend::Heap,
             sync_policy: SyncPolicy::Async,
-            shadow_pool: false,
         }
     }
 
@@ -134,10 +128,8 @@ impl NvmOptions {
             latency: LatencyModel::aep(),
             bandwidth: Some(Arc::new(BandwidthLimiter::new(BandwidthModel::aep()))),
             strict: false,
-            tear_words: true,
             backend: Backend::Heap,
             sync_policy: SyncPolicy::Async,
-            shadow_pool: false,
         }
     }
 
@@ -147,10 +139,8 @@ impl NvmOptions {
             latency: LatencyModel::off(),
             bandwidth: None,
             strict: true,
-            tear_words: true,
             backend: Backend::Heap,
             sync_policy: SyncPolicy::Async,
-            shadow_pool: false,
         }
     }
 
@@ -161,21 +151,8 @@ impl NvmOptions {
             latency: LatencyModel::off(),
             bandwidth: None,
             strict: false,
-            tear_words: true,
             backend: Backend::Pool(pool),
             sync_policy: SyncPolicy::Async,
-            shadow_pool: false,
-        }
-    }
-
-    /// Power-loss testing on the pool backend: shadow sidecars track the
-    /// guaranteed-on-media image and fences block (`MS_SYNC`) so every
-    /// acknowledged write is genuinely durable before the ack.
-    pub fn pooled_shadow(pool: Arc<PoolDir>) -> Self {
-        NvmOptions {
-            sync_policy: SyncPolicy::Sync,
-            shadow_pool: true,
-            ..NvmOptions::pooled(pool)
         }
     }
 }
@@ -184,18 +161,6 @@ impl Default for NvmOptions {
     fn default() -> Self {
         NvmOptions::fast()
     }
-}
-
-/// Strict-mode shadow state (ADR model).
-struct StrictState {
-    /// Last persisted image of the region.
-    media: Vec<u8>,
-    /// Lines whose working content differs from media and has not been
-    /// flushed.
-    dirty: HashSet<usize>,
-    /// Lines flushed with `clwb` but not yet ordered by a fence. They reach
-    /// media at the next fence (or maybe at a crash — in-flight).
-    staged: HashSet<usize>,
 }
 
 /// A simulated persistent-memory region.
@@ -217,12 +182,9 @@ pub struct NvmRegion {
     stats: NvmStats,
     latency: LatencyModel,
     bandwidth: Option<Arc<BandwidthLimiter>>,
-    strict: Option<Mutex<StrictState>>,
-    tear_words: bool,
     sync_policy: SyncPolicy,
-    /// Guaranteed-on-media tracking for file-backed regions (power-loss
-    /// simulation); `None` unless `NvmOptions::shadow_pool` was set.
-    shadow: Option<Mutex<ShadowMedia>>,
+    /// What media holds (strict mode); `None` when tracking is off.
+    tracker: Option<Mutex<MediaTracker>>,
 }
 
 /// The storage behind a region's word array.
@@ -236,6 +198,16 @@ enum Backing {
         pool: Arc<PoolDir>,
         pending: Mutex<Option<(usize, usize)>>,
     },
+}
+
+impl Backing {
+    fn file(map: FileMap, pool: &Arc<PoolDir>) -> Self {
+        Backing::File {
+            map,
+            pool: Arc::clone(pool),
+            pending: Mutex::new(None),
+        }
+    }
 }
 
 impl NvmRegion {
@@ -260,53 +232,43 @@ impl NvmRegion {
         options: &NvmOptions,
         name_hint: &str,
     ) -> Result<Self, NvmIoError> {
-        let mut shadow = None;
-        let backing = match &options.backend {
+        // A fresh region's durable image is all zeroes on either backend.
+        let (backing, tracker) = match &options.backend {
             Backend::Heap => {
                 let n_words = len.div_ceil(8);
                 let mut words = Vec::with_capacity(n_words);
                 words.resize_with(n_words, || AtomicU64::new(0));
-                Backing::Heap(words.into_boxed_slice())
+                let tracker = options.strict.then(|| MediaTracker::heap(len));
+                (Backing::Heap(words.into_boxed_slice()), tracker)
             }
             Backend::Pool(pool) => {
-                if options.strict {
-                    return Err(NvmIoError::msg(
-                        "alloc",
-                        pool.path(),
-                        "strict (shadow-media) mode requires the heap backend",
-                    ));
-                }
                 let path = pool.new_region_path(name_hint)?;
                 let map = FileMap::create(&path, len)?;
-                if options.shadow_pool {
-                    // A fresh region's durable image is all zeroes.
-                    shadow = Some(Mutex::new(ShadowMedia::create(&path, &vec![0u8; len])?));
-                }
-                Backing::File {
-                    map,
-                    pool: Arc::clone(pool),
-                    pending: Mutex::new(None),
-                }
+                let tracker = options
+                    .strict
+                    .then(|| MediaTracker::sidecar(&path, &vec![0u8; len]))
+                    .transpose()?;
+                (Backing::file(map, pool), tracker)
             }
         };
-        let strict = options.strict.then(|| {
-            Mutex::new(StrictState {
-                media: vec![0u8; len],
-                dirty: HashSet::new(),
-                staged: HashSet::new(),
-            })
-        });
-        Ok(NvmRegion {
+        Ok(Self::over(backing, len, tracker, options))
+    }
+
+    fn over(
+        backing: Backing,
+        len: usize,
+        tracker: Option<MediaTracker>,
+        options: &NvmOptions,
+    ) -> Self {
+        NvmRegion {
             backing,
             len,
             stats: NvmStats::new(),
             latency: options.latency,
             bandwidth: options.bandwidth.clone(),
-            strict,
-            tear_words: options.tear_words,
             sync_policy: options.sync_policy,
-            shadow,
-        })
+            tracker: tracker.map(Mutex::new),
+        }
     }
 
     /// Maps an existing pool file as a region, preserving its contents.
@@ -323,37 +285,16 @@ impl NvmRegion {
                 ));
             }
         };
-        if options.strict {
-            return Err(NvmIoError::msg(
-                "open",
-                path,
-                "strict (shadow-media) mode requires the heap backend",
-            ));
-        }
         let (map, len) = FileMap::open(path)?;
-        let shadow = if options.shadow_pool {
+        let tracker = if options.strict {
             // A reopen is a fresh boot: whatever the file holds *is* what
-            // media presented, so the sidecar baseline is reset to it.
+            // media presented, so the media image is reset to it.
             let image = std::fs::read(path).map_err(|e| NvmIoError::new("read", path, e))?;
-            Some(Mutex::new(ShadowMedia::create(path, &image)?))
+            Some(MediaTracker::sidecar(path, &image)?)
         } else {
             None
         };
-        Ok(NvmRegion {
-            backing: Backing::File {
-                map,
-                pool,
-                pending: Mutex::new(None),
-            },
-            len,
-            stats: NvmStats::new(),
-            latency: options.latency,
-            bandwidth: options.bandwidth.clone(),
-            strict: None,
-            tear_words: options.tear_words,
-            sync_policy: options.sync_policy,
-            shadow,
-        })
+        Ok(Self::over(Backing::file(map, &pool), len, tracker, options))
     }
 
     /// The word array behind the region, whichever backend owns it.
@@ -381,10 +322,10 @@ impl NvmRegion {
             Backing::File { map, pending, .. } => {
                 *pending.lock() = None;
                 map.sync_all()?;
-                if let Some(shadow) = &self.shadow {
+                if let Some(tracker) = &self.tracker {
                     // MS_SYNC + fsync covered the whole mapping: everything
                     // is on media now.
-                    shadow.lock().commit_all(|off, buf| self.copy_out(off, buf))?;
+                    tracker.lock().commit_all(|off, buf| self.copy_out(off, buf))?;
                 }
                 Ok(())
             }
@@ -571,21 +512,21 @@ impl NvmRegion {
         }
     }
 
+    #[inline]
     fn mark_dirty(&self, off: usize, len: usize) {
-        if len == 0 {
-            return;
+        if let Some(tracker) = &self.tracker {
+            tracker.lock().mark_dirty(off, len);
         }
-        if let Some(strict) = &self.strict {
-            let mut st = strict.lock();
-            for line in (off / CACHELINE)..=((off + len - 1) / CACHELINE) {
-                // A line that was staged but is written again becomes dirty
-                // again: the new store is not covered by the earlier clwb.
-                st.staged.remove(&line);
-                st.dirty.insert(line);
+    }
+
+    /// A failed media-image update on a pool region is a sticky pool fault
+    /// like a failed `msync`; the heap image cannot fail.
+    fn note_media_result(&self, r: Result<(), NvmIoError>) {
+        if let Err(e) = r {
+            match &self.backing {
+                Backing::File { pool, .. } => pool.record_fault(e),
+                Backing::Heap(_) => unreachable!("heap media image is infallible: {e}"),
             }
-        }
-        if let Some(shadow) = &self.shadow {
-            shadow.lock().mark_dirty(off, len);
         }
     }
 
@@ -695,22 +636,11 @@ impl NvmRegion {
         let lines = Self::lines_spanned(off, len);
         self.stats.on_flush(lines);
         self.latency.charge_flush(lines);
-        if let Some(strict) = &self.strict {
-            if len == 0 {
-                return;
-            }
-            let mut st = strict.lock();
-            for line in (off / CACHELINE)..=((off + len - 1) / CACHELINE) {
-                if st.dirty.remove(&line) {
-                    st.staged.insert(line);
-                }
-            }
-        }
         if len == 0 {
             return;
         }
-        if let Some(shadow) = &self.shadow {
-            shadow.lock().on_flush(off, len);
+        if let Some(tracker) = &self.tracker {
+            tracker.lock().stage(off, len);
         }
         if let Backing::File { pending, .. } = &self.backing {
             // Accumulate at cacheline granularity (msync itself rounds to
@@ -725,48 +655,38 @@ impl NvmRegion {
         }
     }
 
-    /// `sfence`: commits every staged line to the media image. On a
-    /// file-backed region, `msync`s the accumulated flush range — under
-    /// [`SyncPolicy::Async`] that only *schedules* write-back (fast, not
-    /// power-loss safe); under [`SyncPolicy::Sync`] the call blocks until
-    /// the range is durable, and shadow tracking (when enabled) marks the
-    /// covered lines as guaranteed-on-media. A failure is recorded as a
-    /// sticky pool fault (surfaced before the next ack) rather than
-    /// panicking mid-write.
+    /// `sfence`. On the heap every fence is the durability point: staged
+    /// lines reach the media image. On a file-backed region the fence
+    /// `msync`s the accumulated flush range — under [`SyncPolicy::Async`]
+    /// that only *schedules* write-back (fast, not power-loss safe, and
+    /// the tracker keeps the lines at risk on purpose); under
+    /// [`SyncPolicy::Sync`] the call blocks until the range is durable, and
+    /// only then do the staged lines count as on media. A failure is
+    /// recorded as a sticky pool fault (surfaced before the next ack)
+    /// rather than panicking mid-write.
     pub fn fence(&self) {
         fault::point("nvm.fence");
         self.stats.on_fence();
         self.latency.charge_fence();
-        if let Some(strict) = &self.strict {
-            let mut st = strict.lock();
-            let staged: Vec<usize> = st.staged.drain().collect();
-            for line in staged {
-                self.commit_line_to_media(&mut st.media, line);
-            }
-        }
-        if let Backing::File { map, pool, pending } = &self.backing {
-            let range = pending.lock().take();
-            if let Some((lo, hi)) = range {
+        let durable = match &self.backing {
+            Backing::Heap(_) => true,
+            Backing::File { map, pool, pending } => {
                 let blocking = self.sync_policy == SyncPolicy::Sync;
-                match map.sync_range(lo, hi - lo, blocking) {
-                    Ok(()) if blocking => {
-                        if let Some(shadow) = &self.shadow {
-                            // The msync returned: those lines are on media.
-                            // (Async fences commit nothing — MS_ASYNC gives
-                            // no such guarantee, and the shadow model keeps
-                            // them at risk on purpose.)
-                            let r = shadow
-                                .lock()
-                                .commit_staged(|off, buf| self.copy_out(off, buf));
-                            if let Err(e) = r {
-                                pool.record_fault(e);
-                            }
-                        }
+                let range = pending.lock().take();
+                match range.map(|(lo, hi)| map.sync_range(lo, hi - lo, blocking)) {
+                    Some(Ok(())) => blocking,
+                    Some(Err(e)) => {
+                        pool.record_fault(e);
+                        false
                     }
-                    Ok(()) => {}
-                    Err(e) => pool.record_fault(e),
+                    // Nothing flushed since the last fence: nothing to sync.
+                    None => false,
                 }
             }
+        };
+        if let (true, Some(tracker)) = (durable, &self.tracker) {
+            let r = tracker.lock().commit_staged(|off, buf| self.copy_out(off, buf));
+            self.note_media_result(r);
         }
     }
 
@@ -774,14 +694,6 @@ impl NvmRegion {
     pub fn persist(&self, off: usize, len: usize) {
         self.flush(off, len);
         self.fence();
-    }
-
-    fn commit_line_to_media(&self, media: &mut [u8], line: usize) {
-        let start = line * CACHELINE;
-        let end = (start + CACHELINE).min(self.len);
-        let mut buf = [0u8; CACHELINE];
-        self.copy_out(start, &mut buf[..end - start]);
-        media[start..end].copy_from_slice(&buf[..end - start]);
     }
 
     // ------------------------------------------------------------------
@@ -803,15 +715,9 @@ impl NvmRegion {
             *b ^= m;
         }
         self.copy_in(off, &cur);
-        if let Some(strict) = &self.strict {
-            let mut st = strict.lock();
-            for (i, m) in mask.iter().enumerate() {
-                st.media[off + i] ^= m;
-            }
-        }
-        if let Some(shadow) = &self.shadow {
-            // Decay hits the persisted image too (same as strict mode).
-            let _ = shadow.lock().corrupt(off, mask);
+        if let Some(tracker) = &self.tracker {
+            let r = tracker.lock().corrupt(off, mask);
+            self.note_media_result(r);
         }
     }
 
@@ -819,19 +725,18 @@ impl NvmRegion {
     // Crash simulation (strict mode only)
     // ------------------------------------------------------------------
 
-    /// Number of lines that are dirty or staged (i.e. would be at risk in a
-    /// crash). Zero after a well-placed `persist` under a blocking sync
-    /// policy. Requires strict mode or pool shadow tracking.
-    pub fn at_risk_lines(&self) -> usize {
-        if let Some(strict) = &self.strict {
-            let st = strict.lock();
-            return st.dirty.len() + st.staged.len();
+    fn tracker(&self, caller: &str) -> parking_lot::MutexGuard<'_, MediaTracker> {
+        match &self.tracker {
+            Some(tracker) => tracker.lock(),
+            None => panic!("{caller} requires strict mode"),
         }
-        let shadow = self
-            .shadow
-            .as_ref()
-            .expect("at_risk_lines requires strict mode or shadow tracking");
-        shadow.lock().at_risk()
+    }
+
+    /// Number of lines that are dirty or staged (i.e. would be at risk in a
+    /// crash). Zero after a well-placed `persist` — on a pool, under a
+    /// blocking sync policy. Requires strict mode.
+    pub fn at_risk_lines(&self) -> usize {
+        self.tracker("at_risk_lines").at_risk()
     }
 
     /// Ack-without-persist lint: asserts that every byte of
@@ -845,123 +750,78 @@ impl NvmRegion {
     /// Debug builds only, and only when [`fault::set_lint_persists`] is
     /// enabled: the check assumes a single mutating thread (a concurrent
     /// writer sharing a cacheline would re-dirty it legitimately).
-    /// No-op outside strict mode and pool shadow tracking. (On a shadow
-    /// pool under [`SyncPolicy::Async`] every ack trips the lint — by
-    /// design: async fences are not power-loss durable.)
+    /// No-op outside strict mode. (On a strict pool under
+    /// [`SyncPolicy::Async`] every ack trips the lint — by design: async
+    /// fences are not power-loss durable.)
     #[inline]
     pub fn assert_persisted(&self, off: usize, len: usize) {
-        #[cfg(debug_assertions)]
-        {
-            if len == 0 || !fault::lint_persists() {
-                return;
-            }
-            if let Some(strict) = &self.strict {
-                let st = strict.lock();
-                for line in (off / CACHELINE)..=((off + len - 1) / CACHELINE) {
-                    assert!(
-                        !st.dirty.contains(&line),
-                        "ack-without-persist: bytes {off}..{} acknowledged durable but \
-                         line {line} is dirty (missing flush)",
-                        off + len
-                    );
-                    assert!(
-                        !st.staged.contains(&line),
-                        "ack-without-persist: bytes {off}..{} acknowledged durable but \
-                         line {line} is staged (flush without fence)",
-                        off + len
-                    );
-                }
-            }
-            if let Some(shadow) = &self.shadow {
-                let sh = shadow.lock();
-                for line in (off / CACHELINE)..=((off + len - 1) / CACHELINE) {
-                    assert!(
-                        !sh.is_dirty(line),
-                        "ack-without-persist: bytes {off}..{} acknowledged durable but \
-                         line {line} is dirty (missing flush)",
-                        off + len
-                    );
-                    assert!(
-                        !sh.is_staged(line),
-                        "ack-without-persist: bytes {off}..{} acknowledged durable but \
-                         line {line} is staged (flush without blocking fence)",
-                        off + len
-                    );
-                }
-            }
+        if !cfg!(debug_assertions) || !fault::lint_persists() {
+            return;
         }
-        #[cfg(not(debug_assertions))]
-        {
-            let _ = (off, len);
+        let Some(tracker) = &self.tracker else { return };
+        if let Some((line, state)) = tracker.lock().first_unpersisted(off, len) {
+            let why = match state {
+                LineState::Dirty => "dirty (missing flush)",
+                _ => "staged (flush without fence)",
+            };
+            panic!(
+                "ack-without-persist: bytes {off}..{} acknowledged durable but \
+                 line {line} is {why}",
+                off + len
+            );
         }
     }
 
-    /// Simulates a power failure and reboot.
+    /// Simulates a power failure and reboot of a heap-backed region.
     ///
     /// Every line that was **staged** (flushed, fence pending) or **dirty**
     /// (never flushed) independently either reaches media or is lost,
     /// decided by `rng` — modelling in-flight stores and arbitrary cache
-    /// eviction. With `tear_words`, a surviving-or-lost decision is made per
-    /// 8-byte word inside each such line (AEP's failure-atomicity unit),
-    /// so partially-persisted lines are observable.
+    /// eviction. The decision is made per 8-byte word inside each such
+    /// line (AEP's failure-atomicity unit, [`LossMode::TearLines`]), so
+    /// partially-persisted lines are observable. Lines are visited in
+    /// ascending order: one seed replays one outcome.
     ///
     /// Afterwards the working image equals the media image and all tracking
     /// is cleared, exactly like a fresh boot mapping the same pool. Returns
     /// the number of words dropped.
     ///
     /// Must not race with other accessors (callers quiesce their threads
-    /// first, as a real crash test harness would).
+    /// first, as a real crash test harness would). A pool region loses
+    /// power through [`powerloss_crash_file`](crate::powerloss_crash_file)
+    /// after it is closed.
     pub fn crash(&self, rng: &mut XorShift64Star) -> usize {
-        let strict = self.strict.as_ref().expect("crash requires strict mode");
-        let mut st = strict.lock();
-        let mut dropped = 0usize;
-        let at_risk: Vec<usize> = st.dirty.iter().chain(st.staged.iter()).copied().collect();
-        for line in at_risk {
-            let start = line * CACHELINE;
-            let end = (start + CACHELINE).min(self.len);
-            if self.tear_words {
-                let mut word = [0u8; 8];
-                for woff in (start..end).step_by(8) {
-                    let n = (end - woff).min(8);
-                    if rng.next_u64() & 1 == 0 {
-                        self.copy_out(woff, &mut word[..n]);
-                        st.media[woff..woff + n].copy_from_slice(&word[..n]);
-                    } else {
-                        dropped += 1;
-                    }
-                }
-            } else if rng.next_u64() & 1 == 0 {
-                self.commit_line_to_media(&mut st.media, line);
-            } else {
-                dropped += 1;
-            }
-        }
-        st.dirty.clear();
-        st.staged.clear();
-        // Reboot: working image = media image.
-        let media = std::mem::take(&mut st.media);
-        self.copy_in(0, &media);
-        st.media = media;
-        dropped
+        self.power_fail("crash", |working, media, at_risk| {
+            shadow::apply_loss(working, media, at_risk, rng, LossMode::TearLines).words
+        })
     }
 
     /// Deterministic crash: `survive(line)` decides per line whether an
-    /// at-risk line reaches media. Used by tests that target one specific
-    /// crash point.
+    /// at-risk line reaches media (whole). Used by tests that target one
+    /// specific crash point.
     pub fn crash_with(&self, mut survive: impl FnMut(usize) -> bool) {
-        let strict = self.strict.as_ref().expect("crash_with requires strict mode");
-        let mut st = strict.lock();
-        let at_risk: Vec<usize> = st.dirty.iter().chain(st.staged.iter()).copied().collect();
-        for line in at_risk {
-            if survive(line) {
-                self.commit_line_to_media(&mut st.media, line);
+        self.power_fail("crash_with", |working, media, at_risk| {
+            for &line in at_risk {
+                if survive(line) {
+                    shadow::salvage_line(working, media, line);
+                }
             }
-        }
-        st.dirty.clear();
-        st.staged.clear();
-        let media = std::mem::take(&mut st.media);
-        self.copy_in(0, &media);
-        st.media = media;
+        })
+    }
+
+    /// `lose(working, media, at_risk)` settles what media keeps; then the
+    /// reboot: working image = media image.
+    fn power_fail<R>(
+        &self,
+        caller: &str,
+        lose: impl FnOnce(&[u8], &mut [u8], &[usize]) -> R,
+    ) -> R {
+        let mut tracker = self.tracker(caller);
+        let mut working = vec![0u8; self.len];
+        self.copy_out(0, &mut working);
+        let (r, media) = tracker.power_fail(|media, at_risk| lose(&working, media, at_risk));
+        self.copy_in(0, media);
+        r
     }
 }
 
@@ -969,7 +829,7 @@ impl std::fmt::Debug for NvmRegion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NvmRegion")
             .field("len", &self.len)
-            .field("strict", &self.strict.is_some())
+            .field("strict", &self.tracker.is_some())
             .field("file", &self.file_path())
             .finish_non_exhaustive()
     }
@@ -1434,15 +1294,19 @@ mod tests {
         proptest::collection::vec((0u8..5, 0usize..300, 0usize..90, 0u8..255), 1..60)
     }
 
-    /// Replays `ops` on `r` and on a plain byte array (plus, in strict
-    /// mode, plain dirty/staged line sets) and checks they never differ:
-    /// unaligned heads, whole-word bodies and tails must read and write
-    /// exactly the addressed bytes and touch exactly the spanned lines.
+    /// Replays `ops` on `r` and on a plain model — working bytes, media
+    /// bytes, dirty/staged line sets — and checks after every op that they
+    /// never differ: unaligned heads, whole-word bodies and tails must read
+    /// and write exactly the addressed bytes and touch exactly the spanned
+    /// lines, and a fence moves exactly the staged lines to media.
+    /// (An untracked region is checked for bytes alone.)
     fn check_against_byte_model(r: &NvmRegion, ops: &[ModelOp]) {
+        use std::collections::BTreeSet;
         let n = r.len();
         let mut model = vec![0u8; n];
-        let mut dirty = HashSet::new();
-        let mut staged = HashSet::new();
+        let mut media = vec![0u8; n];
+        let mut dirty = BTreeSet::new();
+        let mut staged = BTreeSet::new();
         for &(kind, off, len, fill) in ops {
             let off = off % n;
             let len = len.min(n - off);
@@ -1476,18 +1340,34 @@ mod tests {
                 }
                 _ => {
                     r.fence();
-                    staged.clear();
+                    for line in std::mem::take(&mut staged) {
+                        shadow::salvage_line(&model, &mut media, line);
+                    }
                 }
             }
-            if let Some(strict) = &r.strict {
-                let st = strict.lock();
-                assert_eq!(st.dirty, dirty, "dirty lines after {kind} at ({off}, {len})");
-                assert_eq!(st.staged, staged, "staged lines after {kind} at ({off}, {len})");
+            let mut image = vec![0u8; n];
+            r.peek(0, &mut image);
+            assert_eq!(image, model, "bytes after {kind} at ({off}, {len})");
+            if let Some(tracker) = &r.tracker {
+                assert_eq!(r.at_risk_lines(), dirty.len() + staged.len());
+                let tracker = tracker.lock();
+                for line in 0..n.div_ceil(CACHELINE) {
+                    let want = if dirty.contains(&line) {
+                        LineState::Dirty
+                    } else if staged.contains(&line) {
+                        LineState::Staged
+                    } else {
+                        LineState::Persisted
+                    };
+                    assert_eq!(
+                        tracker.line_state(line),
+                        want,
+                        "line {line} after {kind} at ({off}, {len})"
+                    );
+                }
+                assert_eq!(tracker.media(), media, "media after {kind} at ({off}, {len})");
             }
         }
-        let mut image = vec![0u8; n];
-        r.peek(0, &mut image);
-        assert_eq!(image, model);
     }
 
     proptest::proptest! {
@@ -1497,10 +1377,63 @@ mod tests {
             check_against_byte_model(&region(301), &ops);
         }
 
+        /// The persistence model over both media images: a heap buffer, and
+        /// a `.shadow` file under the sync policy whose fences are durable.
         #[test]
         fn strict_region_matches_byte_model_and_line_sets(ops in model_ops()) {
             check_against_byte_model(&strict_region(301), &ops);
+            #[cfg(unix)]
+            {
+                let (d, mut opts) = file_backend::pool_dir("strictmodel");
+                opts.strict = true;
+                opts.sync_policy = SyncPolicy::Sync;
+                let r = NvmRegion::alloc(301, &opts, "seg").unwrap();
+                check_against_byte_model(&r, &ops);
+                assert!(!opts.backend.pool().unwrap().has_fault());
+                drop(r);
+                std::fs::remove_dir_all(&d).unwrap();
+            }
         }
+    }
+
+    // ---------------- seeded crashes replay ----------------
+
+    /// 512 lines: every third flushed, a fence every 64 — so the crash
+    /// finds dirty, staged and persisted lines — then a second round of
+    /// stores over a quarter of them.
+    fn scripted_strict_region() -> NvmRegion {
+        let r = strict_region(512 * CACHELINE);
+        for line in 0..512 {
+            r.write_bytes(line * CACHELINE, &[line as u8 | 1; CACHELINE]);
+            if line % 3 == 0 {
+                r.flush(line * CACHELINE, CACHELINE);
+            }
+            if line % 64 == 63 {
+                r.fence();
+            }
+        }
+        for line in (0..512).step_by(4) {
+            r.write_bytes(line * CACHELINE + 8, &[0xFE; 16]);
+        }
+        r
+    }
+
+    #[test]
+    fn seeded_crash_replays_the_same_image() {
+        let image_after = |seed: u64| {
+            let r = scripted_strict_region();
+            assert!(r.at_risk_lines() >= 256, "{} at risk", r.at_risk_lines());
+            let dropped = r.crash(&mut XorShift64Star::new(seed));
+            let mut image = vec![0u8; r.len()];
+            r.peek(0, &mut image);
+            (dropped, image)
+        };
+        let first = image_after(7);
+        assert!(first.0 > 0, "nothing dropped: the script left nothing at risk");
+        for _ in 0..3 {
+            assert!(image_after(7) == first, "same script, same seed, different crash");
+        }
+        assert!(image_after(8) != first, "the seed does not reach the loss engine");
     }
 
     // ---------------- file backend ----------------
@@ -1510,7 +1443,7 @@ mod tests {
         use super::*;
         use std::path::PathBuf;
 
-        fn pool_dir(name: &str) -> (PathBuf, NvmOptions) {
+        pub(super) fn pool_dir(name: &str) -> (PathBuf, NvmOptions) {
             let d = std::env::temp_dir()
                 .join(format!("hdnh_region_file_{}_{name}", std::process::id()));
             let _ = std::fs::remove_dir_all(&d);
@@ -1565,16 +1498,6 @@ mod tests {
                 drop(r);
                 std::fs::remove_dir_all(&d).unwrap();
             }
-        }
-
-        #[test]
-        fn strict_plus_pool_is_rejected() {
-            let (d, opts) = pool_dir("strict");
-            let mut opts = opts;
-            opts.strict = true;
-            let e = NvmRegion::alloc(256, &opts, "seg").unwrap_err();
-            assert!(e.msg.contains("strict"), "{e}");
-            std::fs::remove_dir_all(&d).unwrap();
         }
 
         #[test]

@@ -1,28 +1,35 @@
-//! Power-loss simulation for file-backed pool regions.
+//! The persistence model: what media is guaranteed to hold.
 //!
-//! The pool backend survives process death because `MAP_SHARED` pages live
-//! in the kernel's page cache — but a process kill never *loses* those
-//! pages. Real power loss does: dirty pages that no completed
-//! `msync(MS_SYNC)` covered can be dropped, torn, or written back out of
-//! order by the failing device. This module models that gap.
+//! A region built with [`NvmOptions::strict`](crate::NvmOptions) keeps, next
+//! to its working bytes, one [`MediaTracker`]: a *media image* (the bytes a
+//! power cut is guaranteed to leave behind) and two cacheline sets — `dirty`
+//! (written, not flushed) and `staged` (flushed, not yet covered by a fence
+//! that reached the durability point). The image lives where the backend
+//! puts it: a heap `Vec<u8>` for [`Backend::Heap`](crate::Backend), a
+//! `seg-N.dat.shadow` file beside `seg-N.dat` for
+//! [`Backend::Pool`](crate::Backend). Everything else — marking, staging,
+//! committing, decay, the ack lint — is the same code on both.
 //!
-//! With [`NvmOptions::shadow_pool`](crate::NvmOptions) enabled, every
-//! region file `seg-N.dat` gets a sidecar `seg-N.dat.shadow` holding the
-//! *guaranteed-on-media* image: bytes reach the sidecar only when a
-//! blocking fence ([`SyncPolicy::Sync`](crate::SyncPolicy)) or a full
-//! `sync_to_disk` completes. Under [`SyncPolicy::Async`](crate::SyncPolicy)
-//! fenced lines stay at risk — `MS_ASYNC` only schedules writeback, which
-//! is exactly why the async policy is documented as not power-loss safe.
+//! The one backend-specific fact is *when a fence is durable*, and the
+//! region decides it: every fence on the heap (ADR: `clwb` + `sfence`), only
+//! a fence whose `msync(MS_SYNC)` returned — or a full `sync_to_disk` — on a
+//! pool. Under [`SyncPolicy::Async`](crate::SyncPolicy) fenced lines stay at
+//! risk: `MS_ASYNC` only schedules writeback, which is exactly why that
+//! policy is documented as not power-loss safe.
 //!
-//! [`powerloss_crash_file`] then simulates pulling the plug on a closed
-//! (unmapped) region: the at-risk lines — where the working file differs
-//! from the sidecar — are salvaged or lost according to a [`LossMode`],
-//! and the surviving image replaces the region file, ready for a normal
-//! recovery open.
+//! One loss engine, [`apply_loss`], settles the fate of the at-risk lines.
+//! It has two callers: [`NvmRegion::crash`](crate::NvmRegion::crash)
+//! addresses a live heap region by handle and always tears lines (the ADR
+//! failure unit is the 8-byte word); [`powerloss_crash_file`] addresses a
+//! closed pool file by path and takes any [`LossMode`], because what a
+//! page cache loses is pages — dropped, or written back out of order — as
+//! well as torn lines. At-risk lines are always walked in ascending order,
+//! so one seed replays one outcome.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use hdnh_common::rng::XorShift64Star;
@@ -31,7 +38,7 @@ use crate::mapfile::NvmIoError;
 use crate::region::CACHELINE;
 
 /// OS page size: the granularity at which writeback drops/reorders.
-pub const PAGE: usize = 4096;
+const PAGE: usize = 4096;
 
 /// How the un-fenced portion of a region is damaged at the crash point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,38 +83,172 @@ pub struct PowerlossReport {
     pub lost_lines: usize,
 }
 
+/// The cachelines covering `[off, off+len)`.
+fn lines_of(off: usize, len: usize) -> Range<usize> {
+    if len == 0 {
+        return 0..0;
+    }
+    off / CACHELINE..(off + len - 1) / CACHELINE + 1
+}
+
+/// The bytes of `line` in an image of `len` bytes (the last line may be
+/// short).
+fn line_span(line: usize, len: usize) -> Range<usize> {
+    let start = line * CACHELINE;
+    start..(start + CACHELINE).min(len)
+}
+
+/// Copies one whole line from the working image to media.
+pub(crate) fn salvage_line(working: &[u8], media: &mut [u8], line: usize) {
+    let span = line_span(line, working.len());
+    media[span.clone()].copy_from_slice(&working[span]);
+}
+
+/// What the loss engine took.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Loss {
+    /// At-risk lines that did not survive whole.
+    pub lines: usize,
+    /// 8-byte words dropped inside them.
+    pub words: usize,
+}
+
+/// The loss engine: decides which of the `at_risk` lines (ascending) make it
+/// from `working` to `media`, per `mode`, drawing every decision from `rng`.
+pub(crate) fn apply_loss(
+    working: &[u8],
+    media: &mut [u8],
+    at_risk: &[usize],
+    rng: &mut XorShift64Star,
+    mode: LossMode,
+) -> Loss {
+    let mut loss = Loss::default();
+    let page_of = |line: usize| line * CACHELINE / PAGE;
+    let at_risk_pages = || {
+        let mut pages: Vec<usize> = at_risk.iter().map(|&l| page_of(l)).collect();
+        pages.dedup();
+        pages
+    };
+    let surviving_pages: HashSet<usize> = match mode {
+        LossMode::TearLines => {
+            for &line in at_risk {
+                let span = line_span(line, working.len());
+                let before = loss.words;
+                for woff in span.clone().step_by(8) {
+                    let wend = (woff + 8).min(span.end);
+                    if rng.next_u64() & 1 == 0 {
+                        media[woff..wend].copy_from_slice(&working[woff..wend]);
+                    } else {
+                        loss.words += 1;
+                    }
+                }
+                loss.lines += usize::from(loss.words > before);
+            }
+            return loss;
+        }
+        LossMode::DropPages => at_risk_pages()
+            .into_iter()
+            .filter(|_| rng.next_u64() & 1 == 0)
+            .collect(),
+        LossMode::ReorderPages => {
+            let mut pages = at_risk_pages();
+            // Fisher-Yates: the device writes pages back in arbitrary order.
+            for i in (1..pages.len()).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                pages.swap(i, j);
+            }
+            // Power fails somewhere in that stream: a prefix made it.
+            let cut = if pages.is_empty() {
+                0
+            } else {
+                (rng.next_u64() % (pages.len() as u64 + 1)) as usize
+            };
+            pages[..cut].iter().copied().collect()
+        }
+    };
+    for &line in at_risk {
+        if surviving_pages.contains(&page_of(line)) {
+            salvage_line(working, media, line);
+        } else {
+            loss.lines += 1;
+            loss.words += line_span(line, working.len()).len().div_ceil(8);
+        }
+    }
+    loss
+}
+
 /// The sidecar path holding a region file's guaranteed-persisted image.
-pub fn sidecar_path(region: &Path) -> PathBuf {
+fn sidecar_path(region: &Path) -> PathBuf {
     let mut os = region.as_os_str().to_os_string();
     os.push(".shadow");
     PathBuf::from(os)
 }
 
-/// Best-effort removal of a region file's sidecar (call wherever the
-/// region file itself is unlinked).
-pub fn remove_sidecar(region: &Path) {
+/// Best-effort removal of a region file's sidecar.
+pub(crate) fn remove_sidecar(region: &Path) {
     let _ = std::fs::remove_file(sidecar_path(region));
 }
 
-/// Shadow-media tracking for one live file-backed region: the sidecar file
-/// plus which cachelines of the working mapping it does not yet cover.
-pub(crate) struct ShadowMedia {
-    file: File,
-    path: PathBuf,
-    len: usize,
-    /// Lines written but not flushed.
-    dirty: HashSet<usize>,
-    /// Lines flushed (accumulated for msync) but not yet covered by a
-    /// completed blocking fence.
-    staged: HashSet<usize>,
+/// Where the media image lives; the backend picks.
+enum MediaImage {
+    Heap(Vec<u8>),
+    Sidecar { file: File, path: PathBuf },
 }
 
-impl ShadowMedia {
-    /// Creates (or resets) the sidecar so it holds exactly `image` — the
-    /// content that is already durable when the region comes up: all
-    /// zeroes for a fresh allocation, the current file bytes for a reopen
-    /// (a fresh boot finds on media whatever the file holds).
-    pub(crate) fn create(region_path: &Path, image: &[u8]) -> Result<Self, NvmIoError> {
+impl MediaImage {
+    fn read_at(&self, off: usize, out: &mut [u8]) -> Result<(), NvmIoError> {
+        match self {
+            MediaImage::Heap(media) => out.copy_from_slice(&media[off..off + out.len()]),
+            MediaImage::Sidecar { file, path } => {
+                read_at(file, off as u64, out).map_err(|e| NvmIoError::new("read", path, e))?
+            }
+        }
+        Ok(())
+    }
+
+    fn write_at(&mut self, off: usize, bytes: &[u8]) -> Result<(), NvmIoError> {
+        match self {
+            MediaImage::Heap(media) => media[off..off + bytes.len()].copy_from_slice(bytes),
+            MediaImage::Sidecar { file, path } => {
+                write_at(file, off as u64, bytes).map_err(|e| NvmIoError::new("write", path, e))?
+            }
+        }
+        Ok(())
+    }
+}
+
+/// How far one cacheline has got towards media.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LineState {
+    /// Media holds the working content.
+    Persisted,
+    /// Written, never flushed.
+    Dirty,
+    /// Flushed, not yet covered by a durable fence.
+    Staged,
+}
+
+/// The media image of one live region plus which cachelines of the working
+/// image it does not yet cover. A line is in at most one of the two sets.
+pub(crate) struct MediaTracker {
+    image: MediaImage,
+    len: usize,
+    dirty: BTreeSet<usize>,
+    staged: BTreeSet<usize>,
+}
+
+impl MediaTracker {
+    /// Tracking for a fresh heap region: media holds zeroes.
+    pub(crate) fn heap(len: usize) -> Self {
+        Self::over(MediaImage::Heap(vec![0u8; len]), len)
+    }
+
+    /// Tracking for a pool region: creates (or resets) the sidecar so it
+    /// holds exactly `image` — the content that is already durable when the
+    /// region comes up: all zeroes for a fresh allocation, the current file
+    /// bytes for a reopen (a fresh boot finds on media whatever the file
+    /// holds).
+    pub(crate) fn sidecar(region_path: &Path, image: &[u8]) -> Result<Self, NvmIoError> {
         let path = sidecar_path(region_path);
         let file = OpenOptions::new()
             .read(true)
@@ -118,103 +259,124 @@ impl ShadowMedia {
             .map_err(|e| NvmIoError::new("open", &path, e))?;
         write_at(&file, 0, image).map_err(|e| NvmIoError::new("write", &path, e))?;
         file.sync_all().map_err(|e| NvmIoError::new("fsync", &path, e))?;
-        Ok(ShadowMedia {
-            file,
-            path,
-            len: image.len(),
-            dirty: HashSet::new(),
-            staged: HashSet::new(),
-        })
+        Ok(Self::over(MediaImage::Sidecar { file, path }, image.len()))
     }
 
-    pub(crate) fn mark_dirty(&mut self, off: usize, len: usize) {
-        if len == 0 {
-            return;
+    fn over(image: MediaImage, len: usize) -> Self {
+        MediaTracker {
+            image,
+            len,
+            dirty: BTreeSet::new(),
+            staged: BTreeSet::new(),
         }
-        for line in (off / CACHELINE)..=((off + len - 1) / CACHELINE) {
-            // A new store is not covered by an earlier flush's msync range
-            // having been fenced: back to dirty.
+    }
+
+    /// A store landed on `[off, off+len)`.
+    pub(crate) fn mark_dirty(&mut self, off: usize, len: usize) {
+        for line in lines_of(off, len) {
+            // A line that was staged but is written again becomes dirty
+            // again: the new store is not covered by the earlier flush.
             self.staged.remove(&line);
             self.dirty.insert(line);
         }
     }
 
-    pub(crate) fn on_flush(&mut self, off: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        for line in (off / CACHELINE)..=((off + len - 1) / CACHELINE) {
+    /// `[off, off+len)` was flushed: its dirty lines wait for a fence.
+    pub(crate) fn stage(&mut self, off: usize, len: usize) {
+        for line in lines_of(off, len) {
             if self.dirty.remove(&line) {
                 self.staged.insert(line);
             }
         }
     }
 
-    /// Commits every staged line's working bytes to the sidecar: called
-    /// when a blocking (`MS_SYNC`) fence has completed, i.e. those lines
-    /// are genuinely on media. `copy` reads the working image.
+    /// A fence reached the durability point: every staged line's working
+    /// bytes are on media. `copy` reads the working image.
     pub(crate) fn commit_staged(
         &mut self,
         copy: impl Fn(usize, &mut [u8]),
     ) -> Result<(), NvmIoError> {
-        let staged: Vec<usize> = self.staged.drain().collect();
-        self.write_lines(&staged, copy)
+        let staged = std::mem::take(&mut self.staged);
+        self.commit(staged, copy)
     }
 
-    /// Commits *everything* (dirty and staged): the `sync_to_disk` /
-    /// clean-shutdown path, whose `msync(MS_SYNC)` + `fsync` covers the
-    /// whole mapping.
-    pub(crate) fn commit_all(
+    /// Everything is on media, dirty lines included: a whole-mapping sync.
+    pub(crate) fn commit_all(&mut self, copy: impl Fn(usize, &mut [u8])) -> Result<(), NvmIoError> {
+        let mut all = std::mem::take(&mut self.dirty);
+        all.append(&mut self.staged);
+        self.commit(all, copy)
+    }
+
+    fn commit(
         &mut self,
-        copy: impl Fn(usize, &mut [u8]),
-    ) -> Result<(), NvmIoError> {
-        let all: Vec<usize> = self.dirty.drain().chain(self.staged.drain()).collect();
-        self.write_lines(&all, copy)
-    }
-
-    fn write_lines(
-        &self,
-        lines: &[usize],
+        lines: BTreeSet<usize>,
         copy: impl Fn(usize, &mut [u8]),
     ) -> Result<(), NvmIoError> {
         let mut buf = [0u8; CACHELINE];
-        for &line in lines {
-            let start = line * CACHELINE;
-            let end = (start + CACHELINE).min(self.len);
-            copy(start, &mut buf[..end - start]);
-            write_at(&self.file, start as u64, &buf[..end - start])
-                .map_err(|e| NvmIoError::new("write", &self.path, e))?;
+        for line in lines {
+            let span = line_span(line, self.len);
+            let bytes = &mut buf[..span.len()];
+            copy(span.start, bytes);
+            self.image.write_at(span.start, bytes)?;
         }
         Ok(())
     }
 
-    /// Media decay lands on the persisted image too (mirrors the strict
-    /// heap model's behaviour in [`NvmRegion::corrupt`](crate::NvmRegion)).
-    pub(crate) fn corrupt(&self, off: usize, mask: &[u8]) -> Result<(), NvmIoError> {
+    /// Media decay: XORs `mask` into the persisted image at `off`.
+    pub(crate) fn corrupt(&mut self, off: usize, mask: &[u8]) -> Result<(), NvmIoError> {
         let mut cur = vec![0u8; mask.len()];
-        read_at(&self.file, off as u64, &mut cur)
-            .map_err(|e| NvmIoError::new("read", &self.path, e))?;
+        self.image.read_at(off, &mut cur)?;
         for (b, m) in cur.iter_mut().zip(mask) {
             *b ^= m;
         }
-        write_at(&self.file, off as u64, &cur)
-            .map_err(|e| NvmIoError::new("write", &self.path, e))?;
-        Ok(())
+        self.image.write_at(off, &cur)
     }
 
+    /// Lines a power cut could take: dirty or staged.
     pub(crate) fn at_risk(&self) -> usize {
         self.dirty.len() + self.staged.len()
     }
 
-    // Only called from the debug-assertions ack lint in `region.rs`.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub(crate) fn is_dirty(&self, line: usize) -> bool {
-        self.dirty.contains(&line)
+    /// The first line of `[off, off+len)` media does not hold yet, if any.
+    pub(crate) fn first_unpersisted(&self, off: usize, len: usize) -> Option<(usize, LineState)> {
+        lines_of(off, len)
+            .map(|line| (line, self.line_state(line)))
+            .find(|&(_, state)| state != LineState::Persisted)
     }
 
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub(crate) fn is_staged(&self, line: usize) -> bool {
-        self.staged.contains(&line)
+    pub(crate) fn line_state(&self, line: usize) -> LineState {
+        if self.dirty.contains(&line) {
+            LineState::Dirty
+        } else if self.staged.contains(&line) {
+            LineState::Staged
+        } else {
+            LineState::Persisted
+        }
+    }
+
+    /// Power failure by handle (heap image only — a pool region loses power
+    /// through [`powerloss_crash_file`] once it is closed). `lose` settles
+    /// the fate of the at-risk lines, handed over in ascending order, on
+    /// the media image; tracking is cleared, and the surviving image is
+    /// returned for the caller to reboot its working bytes from.
+    pub(crate) fn power_fail<R>(&mut self, lose: impl FnOnce(&mut [u8], &[usize]) -> R) -> (R, &[u8]) {
+        let MediaImage::Heap(media) = &mut self.image else {
+            panic!("crash by handle requires a heap-backed region; close a pool region and use powerloss_crash_file");
+        };
+        // The sets are disjoint, so their union walks every line once.
+        let at_risk: Vec<usize> = self.dirty.union(&self.staged).copied().collect();
+        let r = lose(media, &at_risk);
+        self.dirty.clear();
+        self.staged.clear();
+        (r, media)
+    }
+
+    /// The whole media image (test assertions).
+    #[cfg(test)]
+    pub(crate) fn media(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.len];
+        self.image.read_at(0, &mut out).unwrap();
+        out
     }
 }
 
@@ -224,8 +386,8 @@ impl ShadowMedia {
 /// test quiesces and drops its table before "pulling the plug"). At-risk
 /// lines — where the working file differs from its sidecar — survive or
 /// die per `mode`; the resulting image overwrites both the region file and
-/// the sidecar, so a subsequent open (with or without shadow tracking)
-/// recovers from exactly what "media" held.
+/// the sidecar, so a subsequent open (tracked or not) recovers from exactly
+/// what "media" held.
 pub fn powerloss_crash_file(
     region: &Path,
     rng: &mut XorShift64Star,
@@ -245,84 +407,21 @@ pub fn powerloss_crash_file(
             ),
         ));
     }
-    let n_lines = working.len().div_ceil(CACHELINE);
-    let at_risk: Vec<usize> = (0..n_lines)
+    let at_risk: Vec<usize> = (0..working.len().div_ceil(CACHELINE))
         .filter(|&l| {
-            let s = l * CACHELINE;
-            let e = (s + CACHELINE).min(working.len());
-            working[s..e] != media[s..e]
+            let span = line_span(l, working.len());
+            working[span.clone()] != media[span]
         })
         .collect();
-    let mut report = PowerlossReport {
-        at_risk_lines: at_risk.len(),
-        lost_lines: 0,
-    };
-    let salvage_line = |media: &mut [u8], line: usize| {
-        let s = line * CACHELINE;
-        let e = (s + CACHELINE).min(working.len());
-        media[s..e].copy_from_slice(&working[s..e]);
-    };
-    match mode {
-        LossMode::DropPages => {
-            let mut pages: Vec<usize> = at_risk.iter().map(|l| l * CACHELINE / PAGE).collect();
-            pages.dedup();
-            let survivors: HashSet<usize> =
-                pages.into_iter().filter(|_| rng.next_u64() & 1 == 0).collect();
-            for &line in &at_risk {
-                if survivors.contains(&(line * CACHELINE / PAGE)) {
-                    salvage_line(&mut media, line);
-                } else {
-                    report.lost_lines += 1;
-                }
-            }
-        }
-        LossMode::TearLines => {
-            for &line in &at_risk {
-                let s = line * CACHELINE;
-                let e = (s + CACHELINE).min(working.len());
-                let mut lost = false;
-                for woff in (s..e).step_by(8) {
-                    let wend = (woff + 8).min(e);
-                    if rng.next_u64() & 1 == 0 {
-                        media[woff..wend].copy_from_slice(&working[woff..wend]);
-                    } else {
-                        lost = true;
-                    }
-                }
-                if lost {
-                    report.lost_lines += 1;
-                }
-            }
-        }
-        LossMode::ReorderPages => {
-            let mut pages: Vec<usize> = at_risk.iter().map(|l| l * CACHELINE / PAGE).collect();
-            pages.dedup();
-            // Fisher-Yates: the device writes pages back in arbitrary order.
-            for i in (1..pages.len()).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                pages.swap(i, j);
-            }
-            // Power fails somewhere in that stream: a prefix made it.
-            let cut = if pages.is_empty() {
-                0
-            } else {
-                (rng.next_u64() % (pages.len() as u64 + 1)) as usize
-            };
-            let survivors: HashSet<usize> = pages[..cut].iter().copied().collect();
-            for &line in &at_risk {
-                if survivors.contains(&(line * CACHELINE / PAGE)) {
-                    salvage_line(&mut media, line);
-                } else {
-                    report.lost_lines += 1;
-                }
-            }
-        }
-    }
+    let loss = apply_loss(&working, &mut media, &at_risk, rng, mode);
     // The surviving image is what the hardware would present at next boot:
     // install it as both the region file and the new shadow baseline.
     write_file(region, &media)?;
     write_file(&side, &media)?;
-    Ok(report)
+    Ok(PowerlossReport {
+        at_risk_lines: at_risk.len(),
+        lost_lines: loss.lines,
+    })
 }
 
 fn write_file(path: &Path, bytes: &[u8]) -> Result<(), NvmIoError> {
@@ -380,7 +479,7 @@ mod tests {
             let working = vec![0xAB; 8192];
             write_file(&region, &working).unwrap();
             // Sidecar == working: nothing at risk.
-            let mut sh = ShadowMedia::create(&region, &working).unwrap();
+            let mut sh = MediaTracker::sidecar(&region, &working).unwrap();
             assert_eq!(sh.at_risk(), 0);
             sh.mark_dirty(0, 0); // no-op
             let mut rng = XorShift64Star::new(9);
@@ -396,7 +495,7 @@ mod tests {
         for mode in LossMode::ALL {
             let region = tmp(&format!("lose_{}", mode.name()));
             write_file(&region, &vec![0u8; 16384]).unwrap();
-            let _sh = ShadowMedia::create(&region, &vec![0u8; 16384]).unwrap();
+            let _sh = MediaTracker::sidecar(&region, &vec![0u8; 16384]).unwrap();
             // Working image moves on without any blocking fence.
             write_file(&region, &vec![0xEE; 16384]).unwrap();
             let mut lost_seen = false;
@@ -421,7 +520,7 @@ mod tests {
     fn tear_mode_tears_at_word_granularity() {
         let region = tmp("tear");
         write_file(&region, &vec![0u8; 4096]).unwrap();
-        let _sh = ShadowMedia::create(&region, &vec![0u8; 4096]).unwrap();
+        let _sh = MediaTracker::sidecar(&region, &vec![0u8; 4096]).unwrap();
         write_file(&region, &vec![0xEE; 4096]).unwrap();
         let mut torn_seen = false;
         for seed in 0..128 {
@@ -456,7 +555,7 @@ mod tests {
         let region = tmp("reorder");
         let len = PAGE * 4;
         write_file(&region, &vec![0u8; len]).unwrap();
-        let _sh = ShadowMedia::create(&region, &vec![0u8; len]).unwrap();
+        let _sh = MediaTracker::sidecar(&region, &vec![0u8; len]).unwrap();
         let mut partial_seen = false;
         for seed in 0..64 {
             write_file(&region, &vec![0xCD; len]).unwrap();
@@ -480,14 +579,18 @@ mod tests {
     }
 
     #[test]
-    fn remove_sidecar_is_best_effort() {
+    fn remove_region_takes_the_sidecar_along() {
         let region = tmp("rm");
         write_file(&region, &[0u8; 64]).unwrap();
-        let _sh = ShadowMedia::create(&region, &[0u8; 64]).unwrap();
+        let _sh = MediaTracker::sidecar(&region, &[0u8; 64]).unwrap();
         assert!(sidecar_path(&region).exists());
-        remove_sidecar(&region);
-        assert!(!sidecar_path(&region).exists());
-        remove_sidecar(&region); // second removal: silent no-op
+        crate::PoolDir::remove_region(&region).unwrap();
+        assert!(!region.exists() && !sidecar_path(&region).exists());
+        // Gone already: the region file's error, nothing else disturbed.
+        assert!(crate::PoolDir::remove_region(&region).is_err());
+        // An untracked region has no sidecar to take.
+        write_file(&region, &[0u8; 64]).unwrap();
+        crate::PoolDir::remove_region(&region).unwrap();
         cleanup(&region);
     }
 }

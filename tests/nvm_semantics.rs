@@ -3,50 +3,84 @@
 //! and crash behaviour observed *through* a table rather than the raw
 //! region API (which `hdnh-nvm`'s unit tests already cover).
 
-use hdnh::{Hdnh, HdnhParams};
+use hdnh::{Hdnh, HdnhParams, PersistentPool};
+use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Value};
-use hdnh_nvm::{BandwidthLimiter, BandwidthModel, LatencyModel, NvmOptions, NvmRegion};
+use hdnh_nvm::{
+    powerloss_crash_file, BandwidthLimiter, BandwidthModel, LatencyModel, LossMode, NvmOptions,
+    NvmRegion, SyncPolicy,
+};
 use std::sync::Arc;
 
 #[test]
 fn every_acknowledged_insert_leaves_no_at_risk_lines() {
     // Invariant: when an operation returns, everything it needed durable
-    // has been flushed AND fenced — nothing is left to luck.
-    let t = Hdnh::new(HdnhParams::builder()
-        .segment_bytes(1024)
-        .initial_bottom_segments(2)
-        .nvm(NvmOptions::strict())
-        .build()
-        .unwrap());
-    for i in 0..500u64 {
-        t.insert(&Key::from_u64(i), &Value::from_u64(i)).unwrap();
-    }
-    for i in 0..200u64 {
-        t.update(&Key::from_u64(i), &Value::from_u64(i + 1)).unwrap();
-    }
-    for i in 400..500u64 {
-        assert!(t.remove(&Key::from_u64(i)).unwrap());
-    }
+    // has been flushed AND fenced — nothing is left to luck. One check on
+    // both media images: the heap, and a pool whose fences block.
+    let strict = |sync_policy| {
+        HdnhParams::builder()
+            .segment_bytes(1024)
+            .initial_bottom_segments(2)
+            .nvm(NvmOptions { sync_policy, ..NvmOptions::strict() })
+            .build()
+            .unwrap()
+    };
+    let acked_ops = |t: &Hdnh| {
+        for i in 0..500u64 {
+            t.insert(&Key::from_u64(i), &Value::from_u64(i)).unwrap();
+        }
+        for i in 0..200u64 {
+            t.update(&Key::from_u64(i), &Value::from_u64(i + 1)).unwrap();
+        }
+        for i in 400..500u64 {
+            assert!(t.remove(&Key::from_u64(i)).unwrap());
+        }
+    };
+    let no_line_at_risk = |pool: &PersistentPool| {
+        for region in [&pool.meta, &pool.top, &pool.bottom] {
+            assert_eq!(region.at_risk_lines(), 0, "{region:?}");
+        }
+    };
+    let all_acked_state_present = |r: &Hdnh| {
+        assert_eq!(r.len(), 400);
+        for i in 0..200u64 {
+            assert_eq!(r.get(&Key::from_u64(i)).unwrap().unwrap().as_u64(), i + 1);
+        }
+    };
+
+    let heap = strict(SyncPolicy::Async);
+    let t = Hdnh::new(heap.clone());
+    acked_ops(&t);
     let pool = t.into_pool();
+    no_line_at_risk(&pool);
     // A crash that loses EVERY unflushed line must still preserve all
     // acknowledged state — verified by the cruellest deterministic crash.
     pool.meta.crash_with(|_| false);
     pool.top.crash_with(|_| false);
     pool.bottom.crash_with(|_| false);
-    let r = Hdnh::recover(
-        HdnhParams::builder()
-                .segment_bytes(1024)
-                .initial_bottom_segments(2)
-                .nvm(NvmOptions::strict())
-                .build()
-                .unwrap(),
-        pool,
-        2,
-    );
-    assert_eq!(r.len(), 400);
-    for i in 0..200u64 {
-        assert_eq!(r.get(&Key::from_u64(i)).unwrap().unwrap().as_u64(), i + 1);
+    all_acked_state_present(&Hdnh::recover(heap, pool, 2));
+
+    let dir = std::env::temp_dir().join(format!("hdnh-nvmsem-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (t, _) = Hdnh::open_pool(strict(SyncPolicy::Sync), &dir, 2).unwrap();
+    acked_ops(&t);
+    let pool = t.into_pool();
+    no_line_at_risk(&pool);
+    drop(pool);
+    // The same cruelty by path: with nothing at risk, no mode has anything
+    // to take.
+    let mut rng = XorShift64Star::new(1);
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        let p = entry.path();
+        if p.extension().and_then(|e| e.to_str()) == Some("dat") {
+            let report = powerloss_crash_file(&p, &mut rng, LossMode::DropPages).unwrap();
+            assert_eq!(report.at_risk_lines, 0, "{}", p.display());
+        }
     }
+    let (r, _) = Hdnh::open_pool(strict(SyncPolicy::Sync), &dir, 2).unwrap();
+    all_acked_state_present(&r);
+    drop(r);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Randomized torn-persistence matrix (the power-loss acceptance test).
 //!
-//! Each schedule drives a file-backed pool under `SyncPolicy::Sync` with
-//! shadow-persistence tracking, injects a crash at a randomly chosen
+//! Each schedule drives a strict file-backed pool under `SyncPolicy::Sync`
+//! (every region tracks what media holds), injects a crash at a randomly chosen
 //! `(site, hit)` **mid-operation** — the only moment a correctly fenced
 //! store has unfenced lines — then "pulls the plug": every region file is
 //! put through [`hdnh_nvm::powerloss_crash_file`], which drops, tears or
@@ -25,7 +25,9 @@ use hdnh::faultexplore::{record_sites_pool, run_single_pool, OpMix};
 use hdnh::Hdnh;
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Value};
-use hdnh_nvm::{powerloss_crash_file, FaultPlan, LossMode, SyncPolicy};
+use hdnh_nvm::{
+    powerloss_crash_file, FaultPlan, LossMode, NvmOptions, NvmRegion, PoolDir, SyncPolicy,
+};
 
 /// The fail-point registry is process-global and the torn matrix arms it;
 /// both tests in this binary take the gate so a plan armed by one cannot
@@ -57,8 +59,8 @@ fn torn_persistence_schedules_lose_no_acked_write() {
     let schedules = schedule_count();
     let mixes = OpMix::builtin();
 
-    // One recording pass per mix: the site population on the pool backend
-    // (msync paths fire, strict-mode paths do not), with total hit counts.
+    // One recording pass per mix: the site population on the pool backend,
+    // with total hit counts.
     let site_tables: Vec<Vec<(&'static str, u64)>> = mixes
         .iter()
         .map(|mix| {
@@ -142,7 +144,7 @@ fn async_policy_demonstrably_loses_acked_writes() {
     let mut demonstrated = false;
     for seed in 0..6u64 {
         let dir = tmp_pool("async", seed as usize);
-        let mut params = hdnh::faultexplore::explore_pool_params();
+        let mut params = hdnh::faultexplore::explore_params();
         params.nvm.sync_policy = SyncPolicy::Async;
 
         let (table, _) = Hdnh::open_pool(params.clone(), &dir, 1).unwrap();
@@ -201,4 +203,32 @@ fn async_policy_demonstrably_loses_acked_writes() {
         "async sync policy survived every power cut — the shadow model is \
          not tracking unfenced msync, or the policy knob is not wired"
     );
+}
+
+/// The same fact one layer down, where it is decided: on a strict pool a
+/// fence is the durability point only when its `msync` blocked. After an
+/// identical write + flush + fence the region reports the line at risk
+/// under `Async` and persisted under `Sync`.
+#[test]
+fn async_fence_leaves_the_acked_line_at_risk() {
+    // Region stores pass the `nvm.*` sites the torn matrix arms.
+    let _gate = FAULT_REGISTRY_GATE.lock().unwrap();
+    for (sync_policy, at_risk) in [(SyncPolicy::Async, 1), (SyncPolicy::Sync, 0)] {
+        let dir = tmp_pool(sync_policy.name(), 0);
+        let pool = std::sync::Arc::new(PoolDir::create(&dir).unwrap());
+        let options = NvmOptions {
+            strict: true,
+            sync_policy,
+            ..NvmOptions::pooled(pool)
+        };
+        let region = NvmRegion::alloc(4096, &options, "seg").unwrap();
+        region.write_bytes(100, &[0xAB; 16]);
+        region.persist(100, 16);
+        assert_eq!(region.at_risk_lines(), at_risk, "{}", sync_policy.name());
+        // The clean-shutdown sync is durable under either policy.
+        region.sync_to_disk().unwrap();
+        assert_eq!(region.at_risk_lines(), 0, "{}", sync_policy.name());
+        drop((region, options));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

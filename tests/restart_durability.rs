@@ -10,7 +10,6 @@ use std::path::PathBuf;
 
 use hdnh::{Hdnh, HdnhError, HdnhParams};
 use hdnh_common::{Key, Value};
-use hdnh_nvm::NvmOptions;
 use proptest::prelude::*;
 
 fn tmp_pool(tag: &str) -> PathBuf {
@@ -275,21 +274,6 @@ fn pools_written_by_the_parent_commit_reopen_scrub_and_verify() {
         table.close_pool().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn strict_mode_cannot_open_a_pool() {
-    let dir = tmp_pool("strict");
-    let p = HdnhParams::builder()
-        .capacity(1_000)
-        .nvm(NvmOptions::strict())
-        .build()
-        .unwrap();
-    match Hdnh::open_pool(p, &dir, 2) {
-        Err(HdnhError::Config(msg)) => assert!(msg.contains("strict"), "{msg}"),
-        other => panic!("strict+pool must be a Config error, got {other:?}"),
-    }
-    assert!(!dir.exists(), "rejected open must not create the pool directory");
 }
 
 /// Shared fixture for the superblock-damage property: the pool directory
