@@ -41,7 +41,9 @@ use crate::error::HdnhError;
 
 pub use gc::CompactReport;
 pub(crate) use segment::AppendTicket;
-pub use segment::{decode_record, encode_record, footprint, VlogSegment, RECORD_OVERHEAD};
+pub use segment::{
+    decode_record, encode_record, encode_record_into, footprint, VlogSegment, RECORD_OVERHEAD,
+};
 
 /// Largest payload the 15-byte slot stores inline: one length byte plus
 /// up to 14 payload bytes.
@@ -281,7 +283,14 @@ impl Vlog {
                 payload.len()
             )));
         }
-        self.append_image(&encode_record(key, payload), payload.len())
+        let fp = footprint(payload.len());
+        if fp <= segment::STACK_IMAGE_MAX {
+            let mut image = [0u8; segment::STACK_IMAGE_MAX];
+            encode_record_into(key, payload, &mut image[..fp]);
+            self.append_image(&image[..fp], payload.len())
+        } else {
+            self.append_image(&encode_record(key, payload), payload.len())
+        }
     }
 
     /// Appends an already encoded (and, for the compactor, already
@@ -330,26 +339,42 @@ impl Vlog {
         Ok(seg)
     }
 
-    /// Materializes the payload behind `ptr`. `Ok(None)` means the
-    /// segment is no longer mapped — the GC retired it after relocating
-    /// its live records, so the caller must re-probe the index for the
-    /// new pointer. A checksum or key mismatch inside a mapped segment is
-    /// real corruption and is surfaced, never forged.
-    pub fn read(&self, ptr: &VlogPtr, key: &Key) -> Result<Option<Vec<u8>>, HdnhError> {
-        let Some(seg) = self.segment(ptr.segment) else {
+    /// The mapped segment `ptr` names. `None` means the GC retired it
+    /// after relocating its live records (counted as a read retry): the
+    /// caller re-probes the index for the new pointer. A reader that holds
+    /// the `Arc` finishes its read on the unlinked mapping.
+    pub(crate) fn segment_of(&self, ptr: &VlogPtr) -> Option<Arc<VlogSegment>> {
+        let seg = self.segment(ptr.segment);
+        if seg.is_none() {
             hdnh_obs::count(hdnh_obs::Counter::VlogReadRetries);
-            return Ok(None);
-        };
-        match seg.read(ptr.offset, ptr.len, key) {
+        }
+        seg
+    }
+
+    /// Accounts one read of the record behind `ptr` in a mapped segment: a
+    /// verified payload is counted as served; a checksum or key mismatch
+    /// is real corruption and is surfaced, never forged.
+    pub(crate) fn served<T>(ptr: &VlogPtr, read: Result<T, ()>) -> Result<T, HdnhError> {
+        match read {
             Ok(payload) => {
                 hdnh_obs::count(hdnh_obs::Counter::VlogReads);
-                Ok(Some(payload))
+                Ok(payload)
             }
             Err(()) => Err(HdnhError::VlogCorruption {
                 segment: ptr.segment,
                 offset: ptr.offset,
             }),
         }
+    }
+
+    /// Materializes the payload behind `ptr` in a `Vec` of its own — for a
+    /// log used on its own; the table reads through
+    /// `Hdnh::get_bytes_with`. `Ok(None)` means the segment is no longer
+    /// mapped ([`segment_of`](Self::segment_of)).
+    pub fn read(&self, ptr: &VlogPtr, key: &Key) -> Result<Option<Vec<u8>>, HdnhError> {
+        self.segment_of(ptr)
+            .map(|seg| Self::served(ptr, seg.read(ptr.offset, ptr.len, key)))
+            .transpose()
     }
 
     /// Verifies the record behind `ptr` without materializing it.

@@ -36,18 +36,32 @@ pub fn footprint(payload_len: usize) -> usize {
     (RECORD_OVERHEAD + payload_len + 7) & !7
 }
 
-/// Encodes one record, zero-padded to its aligned [`footprint`]. Public
-/// so external tooling and property tests can exercise the wire format
-/// without going through a segment.
-pub fn encode_record(key: &Key, payload: &[u8]) -> Vec<u8> {
+/// Record images up to this many bytes are staged on the stack — by an
+/// append that encodes one and by a visitor read that verifies one; a
+/// larger image gets a heap buffer of its own for the one call. 1 KiB
+/// takes a payload of 1 000 bytes.
+pub(crate) const STACK_IMAGE_MAX: usize = 1024;
+
+/// Encodes one record into `image`, whose length is the record's aligned
+/// [`footprint`]; the pad past the checksum is zeroed.
+pub fn encode_record_into(key: &Key, payload: &[u8], image: &mut [u8]) {
     let n = payload.len();
-    let mut buf = vec![0u8; footprint(n)];
-    buf[0..4].copy_from_slice(&(n as u32).to_le_bytes());
-    buf[4..4 + KEY_LEN].copy_from_slice(&key.0);
-    buf[4 + KEY_LEN..4 + KEY_LEN + n].copy_from_slice(payload);
-    let crc = crc32_ieee(&buf[..4 + KEY_LEN + n]);
-    buf[4 + KEY_LEN + n..RECORD_OVERHEAD + n].copy_from_slice(&crc.to_le_bytes());
-    buf
+    assert_eq!(image.len(), footprint(n), "a record image is its footprint long");
+    image[0..4].copy_from_slice(&(n as u32).to_le_bytes());
+    image[4..4 + KEY_LEN].copy_from_slice(&key.0);
+    image[4 + KEY_LEN..4 + KEY_LEN + n].copy_from_slice(payload);
+    let crc = crc32_ieee(&image[..4 + KEY_LEN + n]);
+    image[4 + KEY_LEN + n..RECORD_OVERHEAD + n].copy_from_slice(&crc.to_le_bytes());
+    image[RECORD_OVERHEAD + n..].fill(0);
+}
+
+/// [`encode_record_into`] a fresh buffer. Public so external tooling and
+/// property tests can exercise the wire format without going through a
+/// segment.
+pub fn encode_record(key: &Key, payload: &[u8]) -> Vec<u8> {
+    let mut image = vec![0u8; footprint(payload.len())];
+    encode_record_into(key, payload, &mut image);
+    image
 }
 
 /// Decodes a record from `buf` (which must start at a record boundary and
@@ -202,28 +216,58 @@ impl VlogSegment {
         Some((off as u32, ticket))
     }
 
-    /// Reads the record at `offset` with one media read and verifies it in
-    /// place. `Err(())` means the bytes there do not checksum to a record
-    /// carrying this key and length — corruption (or a dangling pointer),
-    /// never a forged value.
-    fn read_record(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
-        let off = offset as usize;
+    /// Bytes of the record image a pointer to `offset` with a `len`-byte
+    /// payload names (length, key, payload, checksum — no pad), or
+    /// `Err(())` when no such record can lie in this segment. Checked
+    /// before a buffer is sized by a length that came off the media.
+    fn image_len(&self, offset: u32, len: u32) -> Result<usize, ()> {
         let len = len as usize;
-        if len > super::MAX_VALUE_BYTES || off + footprint(len) > self.region.len() {
+        if len > super::MAX_VALUE_BYTES || offset as usize + footprint(len) > self.region.len() {
             return Err(());
         }
-        let mut rec = vec![0u8; RECORD_OVERHEAD + len];
-        self.region.read_into(off, &mut rec);
-        match decode_record(&rec) {
-            Some((k, payload)) if k == *key && payload.len() == len => Ok(rec),
+        Ok(RECORD_OVERHEAD + len)
+    }
+
+    /// The one spilled read: fills `image` — exactly
+    /// [`image_len`](Self::image_len) bytes — with the record at `offset`
+    /// in one media read, verifies it in place and lends its payload.
+    /// `Err(())` means the bytes there do not checksum to a record
+    /// carrying this key and length — corruption (or a dangling pointer),
+    /// never a forged value, and not a byte of it is lent.
+    fn read_record_into<'a>(&self, offset: u32, key: &Key, image: &'a mut [u8]) -> Result<&'a [u8], ()> {
+        let len = image.len() - RECORD_OVERHEAD;
+        self.region.read_into(offset as usize, image);
+        match decode_record(image) {
+            Some((k, payload)) if k == *key && payload.len() == len => Ok(payload),
             _ => Err(()),
+        }
+    }
+
+    /// Lends `f` the verified payload of the record at `offset`: its image
+    /// is staged on the stack, or — above [`STACK_IMAGE_MAX`] — in a heap
+    /// buffer that lives for this call.
+    pub(crate) fn read_with<R>(
+        &self,
+        offset: u32,
+        len: u32,
+        key: &Key,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, ()> {
+        let n = self.image_len(offset, len)?;
+        if n <= STACK_IMAGE_MAX {
+            let mut image = [0u8; STACK_IMAGE_MAX];
+            self.read_record_into(offset, key, &mut image[..n]).map(f)
+        } else {
+            let mut image = vec![0u8; n];
+            self.read_record_into(offset, key, &mut image).map(f)
         }
     }
 
     /// The verified payload of the record at `offset`, returned in the
     /// buffer the media read filled: one allocation, one copy.
     pub(crate) fn read(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
-        let mut rec = self.read_record(offset, len, key)?;
+        let mut rec = vec![0u8; self.image_len(offset, len)?];
+        self.read_record_into(offset, key, &mut rec)?;
         let payload = 4 + KEY_LEN..4 + KEY_LEN + len as usize;
         rec.copy_within(payload, 0);
         rec.truncate(len as usize);
@@ -232,7 +276,7 @@ impl VlogSegment {
 
     /// Whether the record at `offset` verifies for this key and length.
     pub(crate) fn verify(&self, offset: u32, len: u32, key: &Key) -> bool {
-        self.read_record(offset, len, key).is_ok()
+        self.read_with(offset, len, key, |_| ()).is_ok()
     }
 
     /// Walks the dense prefix of decodable records in `[0, end)`, handing
@@ -366,6 +410,29 @@ mod tests {
         }
         assert!(s.read(off + 8, 200, &key).is_err());
         assert!(s.read(1000, 200, &key).is_err());
+    }
+
+    #[test]
+    fn lent_and_owned_reads_agree_on_both_sides_of_the_stack_limit() {
+        let at_limit = STACK_IMAGE_MAX - RECORD_OVERHEAD;
+        let s = seg(64 * 1024);
+        let key = Key::from_u64(5);
+        for n in [1, 15, 200, at_limit - 1, at_limit, at_limit + 1, 8 * 1024] {
+            let payload: Vec<u8> = (0..n).map(|i| (i * 13 % 251) as u8).collect();
+            // A dirty buffer: the encoder owns every byte of the image.
+            let mut image = vec![0xEEu8; footprint(n)];
+            encode_record_into(&key, &payload, &mut image);
+            assert_eq!(image, encode_record(&key, &payload), "{n} bytes");
+            let off = s.try_append(&image).map(|(off, _ticket)| off).expect("fits");
+            let owned = s.read(off, n as u32, &key).unwrap();
+            assert_eq!(owned, payload, "{n} bytes");
+            assert_eq!(s.read_with(off, n as u32, &key, <[u8]>::to_vec).unwrap(), owned);
+            // The visitor is not called on a record that does not verify.
+            s.region().corrupt(off as usize + RECORD_OVERHEAD + n - 1, &[0x80]);
+            let mut called = false;
+            assert!(s.read_with(off, n as u32, &key, |_| called = true).is_err());
+            assert!(!called && s.read(off, n as u32, &key).is_err());
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub mod trace;
 
 mod expo;
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -109,6 +111,12 @@ pub enum Counter {
     NetBytesIn,
     /// Bytes written to client sockets.
     NetBytesOut,
+    /// `read` calls issued on client sockets, whatever they returned (a
+    /// would-block included): with [`Counter::NetWriteCalls`], the
+    /// server's syscalls per request as a number.
+    NetReadCalls,
+    /// `write` calls issued on client sockets.
+    NetWriteCalls,
     /// Connections accepted and served.
     NetConnAccepted,
     /// Connections rejected because the connection budget was exhausted.
@@ -152,7 +160,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in exposition order.
-    pub const ALL: [Counter; 39] = [
+    pub const ALL: [Counter; 41] = [
         Counter::OcfTrueMatch,
         Counter::OcfFalsePositive,
         Counter::OcfNegativeShortCircuit,
@@ -176,6 +184,8 @@ impl Counter {
         Counter::NetProtocolError,
         Counter::NetBytesIn,
         Counter::NetBytesOut,
+        Counter::NetReadCalls,
+        Counter::NetWriteCalls,
         Counter::NetConnAccepted,
         Counter::NetConnRejected,
         Counter::NetUnknownCmd,
@@ -220,6 +230,8 @@ impl Counter {
             Counter::NetProtocolError => "net_protocol_error",
             Counter::NetBytesIn => "net_bytes_in",
             Counter::NetBytesOut => "net_bytes_out",
+            Counter::NetReadCalls => "net_read_calls",
+            Counter::NetWriteCalls => "net_write_calls",
             Counter::NetConnAccepted => "net_conn_accepted",
             Counter::NetConnRejected => "net_conn_rejected",
             Counter::NetUnknownCmd => "net_unknown_cmd",
@@ -542,22 +554,95 @@ fn add_slow(c: Counter, n: u64) {
     trace::emit(kind, 0, n);
 }
 
+thread_local! {
+    /// The open lap chain's latest clock reading on this thread; `None`
+    /// outside a chain.
+    static LAP: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// Clock reads the latency API made on this thread.
+    #[cfg(test)]
+    static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The one place the latency API reads the clock, so a test can count.
+#[inline]
+fn clock() -> Instant {
+    #[cfg(test)]
+    CLOCK_READS.with(|c| c.set(c.get() + 1));
+    Instant::now()
+}
+
+/// A lap chain on the calling thread, open until dropped (see
+/// [`lap_chain`]).
+pub struct LapChain {
+    /// Whether this guard stamped the thread (the registry was enabled
+    /// when it was made). `*const ()` keeps the guard on its thread.
+    open: bool,
+    _this_thread: PhantomData<*const ()>,
+}
+
+/// Opens a lap chain: until the guard drops, latency measurements on this
+/// thread share clock readings. [`op_start`] hands out the chain's latest
+/// reading instead of taking one, and every completed measurement
+/// ([`op_record`], [`net_record`]) leaves its end reading behind as the
+/// next start. Back-to-back measurements therefore cost one clock read
+/// each instead of two, and they tile the chain: each one runs from the
+/// end of the one before it (the first from the guard's creation), so
+/// their sum is the time the chain was open up to the last of them.
+/// Nothing is sampled — every measurement is still recorded.
+///
+/// The guard exists to bound the chain: a reading left behind must never
+/// start a measurement taken later, outside the chain. One chain per
+/// thread; opening a second ends the first. While the registry is
+/// disabled this is the usual single relaxed load.
+#[inline]
+pub fn lap_chain() -> LapChain {
+    let open = enabled();
+    if open {
+        LAP.with(|l| l.set(Some(clock())));
+    }
+    LapChain {
+        open,
+        _this_thread: PhantomData,
+    }
+}
+
+impl Drop for LapChain {
+    fn drop(&mut self) {
+        if self.open {
+            LAP.with(|l| l.set(None));
+        }
+    }
+}
+
 /// Starts an op latency measurement; `None` while disabled, so the
-/// disabled path never reads the clock.
+/// disabled path never reads the clock. Inside a [`lap_chain`] the start
+/// is the chain's latest reading, not a fresh one.
 #[inline]
 pub fn op_start() -> Option<Instant> {
     if enabled() {
-        Some(Instant::now())
+        Some(LAP.with(Cell::get).unwrap_or_else(clock))
     } else {
         None
     }
+}
+
+/// Nanoseconds from `started` to now. Inside a [`lap_chain`], now becomes
+/// the chain's latest reading.
+fn lap_ns(started: Instant) -> u64 {
+    let now = clock();
+    LAP.with(|l| {
+        if l.get().is_some() {
+            l.set(Some(now));
+        }
+    });
+    now.saturating_duration_since(started).as_nanos() as u64
 }
 
 /// Completes an op latency measurement started with [`op_start`].
 #[inline]
 pub fn op_record(op: OpKind, started: Option<Instant>) {
     if let Some(t) = started {
-        op_record_slow(op, t.elapsed().as_nanos() as u64);
+        op_record_slow(op, lap_ns(t));
     }
 }
 
@@ -581,7 +666,7 @@ fn op_record_slow(op: OpKind, ns: u64) {
 #[inline]
 pub fn net_record(cmd: NetCmd, started: Option<Instant>) {
     if let Some(t) = started {
-        net_record_slow(cmd, t.elapsed().as_nanos() as u64);
+        net_record_slow(cmd, lap_ns(t));
     }
 }
 
@@ -603,10 +688,11 @@ fn net_record_slow(cmd: NetCmd, ns: u64) {
     }
 }
 
-/// Starts a phase span; `None` while disabled.
+/// Starts a phase span; `None` while disabled. Always a clock reading of
+/// its own: a phase is rare and long, and is not part of a [`lap_chain`].
 #[inline]
 pub fn phase_start() -> Option<Instant> {
-    op_start()
+    enabled().then(Instant::now)
 }
 
 /// Starts a phase span *and* stamps a [`trace::EventKind::PhaseEnter`]
@@ -1096,6 +1182,73 @@ mod tests {
             assert_eq!(snap.op(op).count(), expected_per_op[i], "op {}", op.name());
             assert_eq!(snap.op(op).sum(), expected_sum[i], "sum {}", op.name());
         }
+        reset();
+    }
+
+    #[test]
+    fn a_lap_chain_shares_clock_readings_and_records_every_measurement() {
+        let _g = exclusive();
+        reset();
+        set_enabled(true);
+        let reads = || CLOCK_READS.with(Cell::get);
+
+        // Outside a chain: a start and an end reading per measurement.
+        let before = reads();
+        let t = op_start();
+        op_record(OpKind::Insert, t);
+        assert_eq!(reads() - before, 2);
+
+        // Inside: a command around a table op, twice over. Each nested pair
+        // costs two reads (the two ends), the guard one.
+        let before = reads();
+        let chain = lap_chain();
+        let opened = LAP.with(Cell::get).expect("an enabled chain is stamped");
+        for _ in 0..2 {
+            let cmd = op_start();
+            let get = op_start();
+            assert_eq!(cmd, get, "both start at the chain's latest reading");
+            op_record(OpKind::Get, get);
+            net_record(NetCmd::Get, cmd);
+        }
+        assert_eq!(reads() - before, 1 + 2 * 2);
+        let last = LAP.with(Cell::get).unwrap();
+        drop(chain);
+        let s = snapshot();
+        // Nothing is sampled, and the commands tile the chain: each starts
+        // where the one before it ended.
+        assert_eq!(s.op(OpKind::Get).count(), 2);
+        assert_eq!(s.net(NetCmd::Get).count(), 2);
+        assert_eq!(s.net(NetCmd::Get).sum(), (last - opened).as_nanos() as u64);
+        assert!(s.op(OpKind::Get).sum() <= s.net(NetCmd::Get).sum());
+
+        // The guard took its reading with it: a measurement after a pause
+        // starts at its own reading, not at the chain's last one.
+        assert!(LAP.with(Cell::get).is_none());
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let t = op_start();
+        op_record(OpKind::Remove, t);
+        set_enabled(false);
+        assert!(
+            snapshot().op(OpKind::Remove).max() < 30_000_000,
+            "a measurement outside a chain included the pause before it"
+        );
+        reset();
+    }
+
+    #[test]
+    fn a_disabled_lap_chain_leaves_no_reading_behind() {
+        let _g = exclusive();
+        set_enabled(false);
+        let chain = lap_chain();
+        assert!(LAP.with(Cell::get).is_none());
+        // Enabled mid-chain: measurements read the clock themselves.
+        set_enabled(true);
+        let before = CLOCK_READS.with(Cell::get);
+        let t = op_start();
+        op_record(OpKind::Get, t);
+        assert_eq!(CLOCK_READS.with(Cell::get) - before, 2);
+        drop(chain);
+        set_enabled(false);
         reset();
     }
 

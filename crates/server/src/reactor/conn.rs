@@ -8,9 +8,12 @@
 //! ([`Conn::on_tick`]) — always passing `now` explicitly — and reads the
 //! connection's wishes back out ([`Conn::wants_read`],
 //! [`Conn::wants_write`], [`Conn::next_deadline`], [`Conn::done`]).
-//! Because nothing here touches a socket or calls `Instant::now`, the
-//! whole protocol lifecycle is unit-testable with in-memory byte slices
-//! and a hand-rolled clock (see `tests/conn_state.rs`).
+//! Because nothing here touches a socket and no protocol decision reads
+//! the real clock, the whole protocol lifecycle is unit-testable with
+//! in-memory byte slices and a hand-rolled clock (see
+//! `tests/conn_state.rs`). The one real reading is the metrics layer's:
+//! a pump opens an `obs::lap_chain` so the commands it executes share
+//! clock readings; it feeds latency histograms, never a deadline.
 //!
 //! **Backpressure.** Replies accumulate in the output buffer; after
 //! `max_inflight` of them pile up without the socket draining, the
@@ -33,7 +36,7 @@ use hdnh_obs as obs;
 
 use super::{Engine, EngineAction};
 use crate::config::ServerConfig;
-use crate::resp::{enc_error, Decoder};
+use crate::resp::{enc_error, release_if_oversized, Decoder, BUF_INITIAL};
 
 /// After a drain begins, how long a connection keeps answering bytes that
 /// were already in flight before it stops reading. Bounds how much a
@@ -89,7 +92,7 @@ impl Conn {
     pub fn new(cfg: &ServerConfig, now: Instant) -> Conn {
         Conn {
             dec: Decoder::new(cfg.max_frame()),
-            out: Vec::with_capacity(4 * 1024),
+            out: Vec::with_capacity(BUF_INITIAL),
             wpos: 0,
             inflight: 0,
             max_inflight: cfg.max_inflight(),
@@ -139,6 +142,7 @@ impl Conn {
         debug_assert!(self.wpos <= self.out.len());
         if self.wpos >= self.out.len() {
             self.out.clear();
+            release_if_oversized(&mut self.out);
             self.wpos = 0;
             self.inflight = 0;
             self.last_write_progress = None;
@@ -255,6 +259,9 @@ impl Conn {
         if self.decoding_stopped || self.dead {
             return;
         }
+        // The commands of one pump run back to back on this thread: their
+        // latency measurements share clock readings until the guard drops.
+        let _laps = obs::lap_chain();
         while !self.stalled {
             match self.dec.next() {
                 Ok(Some(frame)) => {
@@ -299,6 +306,77 @@ impl Conn {
     fn maybe_finish(&mut self) {
         if self.reading_stopped && !self.stalled && (self.decoder_empty || self.decoding_stopped) {
             self.close_when_flushed = true;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resp::{enc_bulk, enc_request, Frame};
+
+    /// Replies to every frame with its last argument as a bulk string.
+    struct Echo;
+
+    impl Engine for Echo {
+        fn execute(&self, dec: &Decoder, frame: &Frame, out: &mut Vec<u8>) -> EngineAction {
+            enc_bulk(out, dec.arg(frame, frame.len() - 1));
+            EngineAction::Continue
+        }
+    }
+
+    fn conn(now: Instant) -> Conn {
+        Conn::new(&ServerConfig::builder().build().unwrap(), now)
+    }
+
+    fn flush(conn: &mut Conn, now: Instant) {
+        let n = conn.output().len();
+        conn.on_write_progress(n, &Echo, now);
+    }
+
+    #[test]
+    fn a_huge_value_does_not_pin_its_size_in_the_connection() {
+        let now = Instant::now();
+        let mut conn = conn(now);
+        let big = vec![b'v'; hdnh::MAX_VALUE_BYTES];
+        let mut wire = Vec::new();
+        enc_request(&mut wire, &[b"ECHO", &big]);
+        // The request arrives as the socket delivers it, 16 KiB at a time.
+        for chunk in wire.chunks(16 * 1024) {
+            conn.on_bytes(chunk, &Echo, now);
+        }
+        assert!(conn.out.capacity() >= big.len(), "the reply is buffered whole");
+        // The decoder emptied when the frame was executed; the reply
+        // buffer empties when the socket has taken it.
+        assert_eq!(conn.dec.buffer().capacity(), BUF_INITIAL);
+        flush(&mut conn, now);
+        assert_eq!(conn.out.capacity(), BUF_INITIAL);
+        // And the connection goes on serving.
+        conn.on_bytes(b"ECHO hello\r\n", &Echo, now);
+        assert_eq!(conn.output(), b"$5\r\nhello\r\n");
+    }
+
+    #[test]
+    fn steady_batches_never_reallocate_either_buffer() {
+        let now = Instant::now();
+        let mut conn = conn(now);
+        // A depth-16 batch of 256-byte values: about 4 KiB in, 4 KiB out.
+        let mut batch = Vec::new();
+        for _ in 0..16 {
+            enc_request(&mut batch, &[b"ECHO", &[b'v'; 256]]);
+        }
+        let buffers = |conn: &Conn| {
+            let (input, out) = (conn.dec.buffer(), &conn.out);
+            [(input.as_ptr(), input.capacity()), (out.as_ptr(), out.capacity())]
+        };
+        conn.on_bytes(&batch, &Echo, now);
+        flush(&mut conn, now);
+        let settled = buffers(&conn);
+        for _ in 0..1_000 {
+            conn.on_bytes(&batch, &Echo, now);
+            assert_eq!(conn.output().len(), 16 * (6 + 256 + 2));
+            flush(&mut conn, now);
+            assert_eq!(buffers(&conn), settled, "a buffer shrank or grew in steady state");
         }
     }
 }

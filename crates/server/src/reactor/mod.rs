@@ -417,10 +417,11 @@ impl EventLoop {
         self.post_io(slot, now);
     }
 
-    /// Moves bytes for one ready connection: greedy reads while the
-    /// connection wants them, then greedy writes of whatever output is
-    /// pending (opportunistic — replies usually leave in the same
-    /// iteration that produced them, no extra EPOLLOUT round-trip).
+    /// Moves bytes for one ready connection: reads while the connection
+    /// wants them and the socket fills the buffer, then greedy writes of
+    /// whatever output is pending (opportunistic — replies usually leave
+    /// in the same iteration that produced them, no extra EPOLLOUT
+    /// round-trip).
     fn handle_conn_io(&mut self, slot: usize, readable: bool, now: Instant, rdbuf: &mut [u8]) {
         let Some(Some(entry)) = self.conns.get_mut(slot) else {
             return; // closed earlier in this batch
@@ -429,6 +430,7 @@ impl EventLoop {
         let mut failed = false;
         if readable {
             while entry.conn.wants_read() {
+                obs::count(obs::Counter::NetReadCalls);
                 match entry.stream.read(rdbuf) {
                     Ok(0) => {
                         entry.conn.on_eof();
@@ -437,6 +439,13 @@ impl EventLoop {
                     Ok(n) => {
                         obs::add(obs::Counter::NetBytesIn, n as u64);
                         entry.conn.on_bytes(&rdbuf[..n], engine, now);
+                        // A short read emptied the socket: asking again
+                        // would only fetch the would-block. The poller is
+                        // level-triggered, so bytes (or an EOF) that land
+                        // after this read wake the loop again.
+                        if n < rdbuf.len() {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -464,6 +473,7 @@ impl EventLoop {
         };
         let engine = &*self.engine;
         while entry.conn.wants_write() {
+            obs::count(obs::Counter::NetWriteCalls);
             match entry.stream.write(entry.conn.output()) {
                 Ok(0) => break,
                 Ok(n) => {

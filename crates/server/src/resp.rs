@@ -88,21 +88,78 @@ impl ProtoError {
     }
 }
 
+/// Arguments a [`Frame`] holds in place. `SET key value` has three; only
+/// a longer command (`MGET`/`MSET`/`DEL` of several keys) spills.
+const INLINE_ARGS: usize = 4;
+
 /// One decoded request: argument byte ranges into the decoder's buffer.
+/// An owned value that borrows nothing; the first [`INLINE_ARGS`] ranges
+/// live in the frame itself, so decoding a short command allocates
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    args: Vec<(usize, usize)>,
+    len: usize,
+    /// Ranges of the first arguments; entries from `len` on stay `(0, 0)`.
+    head: [(usize, usize); INLINE_ARGS],
+    /// Ranges of the arguments past [`INLINE_ARGS`]. Empty (and
+    /// unallocated) for a short command.
+    tail: Vec<(usize, usize)>,
 }
 
 impl Frame {
+    /// An empty frame about to take `n` arguments.
+    fn with_capacity(n: usize) -> Frame {
+        Frame {
+            len: 0,
+            head: [(0, 0); INLINE_ARGS],
+            tail: Vec::with_capacity(n.saturating_sub(INLINE_ARGS)),
+        }
+    }
+
+    fn push(&mut self, range: (usize, usize)) {
+        match self.head.get_mut(self.len) {
+            Some(slot) => *slot = range,
+            None => self.tail.push(range),
+        }
+        self.len += 1;
+    }
+
+    fn range(&self, i: usize) -> (usize, usize) {
+        assert!(i < self.len, "argument {i} of a {}-argument frame", self.len);
+        match self.head.get(i) {
+            Some(range) => *range,
+            None => self.tail[i - INLINE_ARGS],
+        }
+    }
+
     /// Number of arguments (≥ 1).
     pub fn len(&self) -> usize {
-        self.args.len()
+        self.len
     }
 
     /// Always false — zero-argument frames are skipped by the decoder.
     pub fn is_empty(&self) -> bool {
-        self.args.is_empty()
+        self.len == 0
+    }
+}
+
+/// Initial capacity of a connection-lifetime buffer (the decoder's input
+/// buffer, a connection's reply buffer).
+pub(crate) const BUF_INITIAL: usize = 4096;
+
+/// An empty connection-lifetime buffer whose capacity grew past this many
+/// times [`BUF_INITIAL`] (256 KiB) is replaced by a fresh one: one huge
+/// value must not pin its size in the connection for life. Far enough
+/// above the working size of a pipelined batch (a 16 KiB read, its
+/// replies; a 64 KiB value doubles a buffer to 128 KiB) that steady
+/// traffic never shrinks and regrows.
+const BUF_SHRINK_FACTOR: usize = 64;
+
+/// Gives a connection-lifetime buffer its memory back if it is empty and
+/// grew far past its initial size ([`BUF_SHRINK_FACTOR`]).
+pub(crate) fn release_if_oversized(buf: &mut Vec<u8>) {
+    if buf.is_empty() && buf.capacity() > BUF_INITIAL * BUF_SHRINK_FACTOR {
+        *buf = Vec::with_capacity(BUF_INITIAL);
     }
 }
 
@@ -118,7 +175,7 @@ impl Decoder {
     /// A decoder enforcing `max_frame` bytes per request frame.
     pub fn new(max_frame: usize) -> Self {
         Decoder {
-            buf: Vec::with_capacity(4096),
+            buf: Vec::with_capacity(BUF_INITIAL),
             pos: 0,
             max_frame,
         }
@@ -129,6 +186,12 @@ impl Decoder {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The input buffer itself, for tests of its capacity.
+    #[cfg(test)]
+    pub(crate) fn buffer(&self) -> &Vec<u8> {
+        &self.buf
+    }
+
     /// Bytes buffered but not yet consumed by a decoded frame.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.pos
@@ -137,7 +200,7 @@ impl Decoder {
     /// The bytes of one argument of a decoded frame. The ranges stay valid
     /// until [`Decoder::compact`] is called.
     pub fn arg<'a>(&'a self, frame: &Frame, i: usize) -> &'a [u8] {
-        let (s, e) = frame.args[i];
+        let (s, e) = frame.range(i);
         &self.buf[s..e]
     }
 
@@ -150,6 +213,7 @@ impl Decoder {
         }
         self.buf.drain(..self.pos);
         self.pos = 0;
+        release_if_oversized(&mut self.buf);
     }
 
     /// Attempts to decode the next complete frame. `Ok(None)` means the
@@ -192,7 +256,7 @@ impl Decoder {
         if n > MAX_ARGS {
             return Err(ProtoError::TooManyArgs(n));
         }
-        let mut args = Vec::with_capacity(n);
+        let mut frame = Frame::with_capacity(n);
         for _ in 0..n {
             if cur >= self.buf.len() {
                 return Ok(None);
@@ -220,11 +284,11 @@ impl Decoder {
             if &self.buf[cur + len..cur + len + 2] != b"\r\n" {
                 return Err(ProtoError::MissingCrlf);
             }
-            args.push((cur, cur + len));
+            frame.push((cur, cur + len));
             cur += len + 2;
         }
         self.pos = cur;
-        Ok(Some(Frame { args }))
+        Ok(Some(frame))
     }
 
     /// Parses a signed decimal after a one-byte type marker, through CRLF.
@@ -280,7 +344,7 @@ impl Decoder {
         } else {
             nl
         };
-        let mut args = Vec::new();
+        let mut frame = Frame::with_capacity(0);
         let mut i = start;
         while i < line_end {
             if self.buf[i].is_ascii_whitespace() {
@@ -291,13 +355,13 @@ impl Decoder {
             while i < line_end && !self.buf[i].is_ascii_whitespace() {
                 i += 1;
             }
-            args.push((tok_start, i));
-            if args.len() > MAX_ARGS {
-                return Err(ProtoError::TooManyArgs(args.len()));
+            frame.push((tok_start, i));
+            if frame.len() > MAX_ARGS {
+                return Err(ProtoError::TooManyArgs(frame.len()));
             }
         }
         self.pos = nl + 1;
-        Ok(Some(Frame { args }))
+        Ok(Some(frame))
     }
 }
 
@@ -357,17 +421,36 @@ pub fn enc_error(out: &mut Vec<u8>, code: &str, msg: &str) {
     out.extend_from_slice(b"\r\n");
 }
 
+/// Appends `v` in decimal, formatted on the stack.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// `:<v>\r\n` integer.
 pub fn enc_int(out: &mut Vec<u8>, v: i64) {
     out.push(b':');
-    out.extend_from_slice(v.to_string().as_bytes());
+    if v < 0 {
+        out.push(b'-');
+    }
+    push_decimal(out, v.unsigned_abs());
     out.extend_from_slice(b"\r\n");
 }
 
 /// `$<len>\r\n<bytes>\r\n` bulk string.
 pub fn enc_bulk(out: &mut Vec<u8>, b: &[u8]) {
     out.push(b'$');
-    out.extend_from_slice(b.len().to_string().as_bytes());
+    push_decimal(out, b.len() as u64);
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(b);
     out.extend_from_slice(b"\r\n");
@@ -381,7 +464,7 @@ pub fn enc_nil(out: &mut Vec<u8>) {
 /// `*<n>\r\n` array header (elements follow via the other encoders).
 pub fn enc_array_header(out: &mut Vec<u8>, n: usize) {
     out.push(b'*');
-    out.extend_from_slice(n.to_string().as_bytes());
+    push_decimal(out, n as u64);
     out.extend_from_slice(b"\r\n");
 }
 

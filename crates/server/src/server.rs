@@ -270,8 +270,10 @@ fn dispatch(
             if frame.len() != 2 {
                 wrong_args(out, "get");
             } else if let Some(k) = u64_arg(dec, frame, 1, out) {
-                match table.get_bytes(&Key::from_u64(k)) {
-                    Ok(Some(v)) => enc_bulk(out, &v),
+                // Encoded from the table's own bytes straight into the
+                // reply buffer: no owned copy in between.
+                match table.get_bytes_with(&Key::from_u64(k), |v| enc_bulk(out, v)) {
+                    Ok(Some(())) => {}
                     Ok(None) => enc_nil(out),
                     Err(e) => enc_hdnh_error(out, &e),
                 }
@@ -352,26 +354,16 @@ fn dispatch(
             if frame.len() < 2 {
                 wrong_args(out, "mget");
             } else {
-                // Parse every key before emitting the array header so a bad
-                // key yields one error reply, not a torn array.
-                let mut keys = Vec::with_capacity(frame.len() - 1);
-                let mut bad = false;
-                for i in 1..frame.len() {
-                    match parse_u64(dec.arg(frame, i)) {
-                        Some(k) => keys.push(k),
-                        None => {
-                            bad = true;
-                            break;
-                        }
-                    }
-                }
-                if bad {
+                // Every key is checked before the array header goes out, so
+                // a bad key yields one error reply, not a torn array.
+                let keys = || (1..frame.len()).map(|i| parse_u64(dec.arg(frame, i)));
+                if keys().any(|k| k.is_none()) {
                     enc_error(out, "ERR", "value is not an unsigned integer or out of range");
                 } else {
-                    enc_array_header(out, keys.len());
-                    for k in keys {
-                        match table.get_bytes(&Key::from_u64(k)) {
-                            Ok(Some(v)) => enc_bulk(out, &v),
+                    enc_array_header(out, frame.len() - 1);
+                    for k in keys().flatten() {
+                        match table.get_bytes_with(&Key::from_u64(k), |v| enc_bulk(out, v)) {
+                            Ok(Some(())) => {}
                             // Per-element nil for misses *and* per-element
                             // failures: the array shape must match the ask.
                             _ => enc_nil(out),

@@ -7,7 +7,9 @@
 // portable spelling.
 #![allow(clippy::needless_update)]
 
-use hdnh_server::resp::{enc_request, Decoder, DEFAULT_MAX_FRAME};
+use hdnh_server::resp::{
+    enc_array_header, enc_bulk, enc_int, enc_request, Decoder, Frame, DEFAULT_MAX_FRAME, MAX_ARGS,
+};
 use proptest::prelude::*;
 
 /// Arbitrary binary argument, 1..32 bytes (RESP bulk strings carry any
@@ -60,8 +62,106 @@ fn roundtrip(requests: &[Vec<Vec<u8>>], cuts: &[u16]) -> Vec<Vec<Vec<u8>>> {
     decoded
 }
 
+/// The two request grammars, over the same arguments.
+fn both_grammars(args: &[Vec<u8>]) -> [Vec<u8>; 2] {
+    let mut array = Vec::new();
+    enc_request(&mut array, &args.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    let mut inline = args.join(&b' ');
+    inline.extend_from_slice(b"\r\n");
+    [array, inline]
+}
+
+/// Decodes `wire` whole, then once per split point: the prefix alone is a
+/// partial frame, and offering it again with the rest of the bytes yields
+/// the same [`Frame`] — the same ranges, wherever its arguments are kept —
+/// over the same argument bytes.
+fn split_at_every_byte(args: &[Vec<u8>], wire: &[u8]) {
+    let decode = |dec: &mut Decoder| -> Option<Frame> { dec.next().expect("valid wire bytes") };
+    let mut whole = Decoder::new(DEFAULT_MAX_FRAME);
+    whole.feed(wire);
+    let frame = decode(&mut whole).expect("a whole frame decodes");
+    assert_eq!(frame.len(), args.len());
+    for (i, arg) in args.iter().enumerate() {
+        assert_eq!(whole.arg(&frame, i), &arg[..], "argument {i}");
+    }
+    for cut in 1..wire.len() {
+        let mut dec = Decoder::new(DEFAULT_MAX_FRAME);
+        dec.feed(&wire[..cut]);
+        assert_eq!(decode(&mut dec), None, "cut at {cut} of {}", wire.len());
+        dec.feed(&wire[cut..]);
+        let again = decode(&mut dec).expect("the completed frame decodes");
+        assert_eq!(again, frame, "cut at {cut}");
+        let last = args.len() - 1;
+        assert_eq!(dec.arg(&again, last), &args[last][..], "cut at {cut}");
+        assert_eq!(dec.pending(), 0);
+    }
+}
+
+/// An argument both grammars carry: no whitespace, not a leading `*`.
+fn token_strategy() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>().prop_map(|b| b'a' + b % 26), 1..12)
+}
+
+/// `MAX_ARGS` one-byte arguments: the far side of the in-frame limit, at a
+/// wire size that still lets every byte be a split point.
+#[test]
+fn a_frame_of_max_args_decodes_the_same_split_anywhere() {
+    let args: Vec<Vec<u8>> = (0..MAX_ARGS).map(|i| vec![b'a' + (i % 26) as u8]).collect();
+    for wire in both_grammars(&args) {
+        split_at_every_byte(&args, &wire);
+    }
+}
+
+#[test]
+fn integer_encoders_match_to_string_at_the_edges() {
+    for v in [0, 1, -1, 9, 10, -10, i64::MIN, i64::MAX] {
+        let mut out = Vec::new();
+        enc_int(&mut out, v);
+        assert_eq!(out, format!(":{v}\r\n").into_bytes());
+    }
+    for n in [0, 9, 10, 99, 100, MAX_ARGS, usize::MAX] {
+        let mut out = Vec::new();
+        enc_array_header(&mut out, n);
+        assert_eq!(out, format!("*{n}\r\n").into_bytes());
+    }
+    for n in [0, 1, 9, 10, 99, 100, 999, 1000, 65_536] {
+        let body = vec![b'x'; n];
+        let mut out = Vec::new();
+        enc_bulk(&mut out, &body);
+        let mut oracle = format!("${n}\r\n").into_bytes();
+        oracle.extend_from_slice(&body);
+        oracle.extend_from_slice(b"\r\n");
+        assert_eq!(out, oracle);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// One to six arguments straddle the number a frame keeps in place
+    /// (four): neither side of that limit, in neither grammar, may decode
+    /// differently for where the bytes were split.
+    #[test]
+    fn frames_around_the_inline_limit_decode_the_same_split_anywhere(
+        args in proptest::collection::vec(token_strategy(), 1..7),
+    ) {
+        for wire in both_grammars(&args) {
+            split_at_every_byte(&args, &wire);
+        }
+    }
+
+    /// Every digit count and both signs, against `to_string`.
+    #[test]
+    fn integer_encoders_match_to_string(v in any::<i64>(), shift in 0u32..64) {
+        let v = v >> shift;
+        let mut out = Vec::new();
+        enc_int(&mut out, v);
+        prop_assert_eq!(out, format!(":{v}\r\n").into_bytes());
+        let n = v.unsigned_abs() as usize;
+        let mut out = Vec::new();
+        enc_array_header(&mut out, n);
+        prop_assert_eq!(out, format!("*{n}\r\n").into_bytes());
+    }
 
     #[test]
     fn encode_then_split_then_decode_is_identity(

@@ -410,6 +410,71 @@ proptest! {
         }
     }
 
+    /// The visitor read and the owning read are one primitive with two
+    /// callers: for a payload of any size class — empty, inline, the first
+    /// spilled size, both sides of the record image the visitor stages on
+    /// the stack (1 KiB: a 1 000-byte payload), one that needs a heap
+    /// buffer, the largest there is — whichever tier serves it,
+    /// `get_bytes_with(k, to_vec)` is `get_bytes(k)`; and on a word the
+    /// bytes level did not write both give the same answer, the typed
+    /// error included.
+    #[test]
+    fn visitor_read_equals_owning_read(fill in any::<u64>(), raw in any::<[u8; 15]>()) {
+        use hdnh_common::hash::KeyHashes;
+        const SIZES: [usize; 9] =
+            [0, 1, 14, 15, 999, 1000, 1001, 64 * 1024, hdnh::MAX_VALUE_BYTES];
+        for hot_table in [true, false] {
+            let t = Hdnh::new(HdnhParams::builder()
+                .segment_bytes(1024)
+                .initial_bottom_segments(1)
+                .vlog_segment_bytes(128 * 1024)
+                .enable_hot_table(hot_table)
+                .build()
+                .unwrap());
+            let evict = |key: &Key| {
+                if let Some(hot) = t.hot_table() {
+                    let h = KeyHashes::of(key);
+                    hot.delete(key, h.h1, h.h2, h.fp);
+                }
+            };
+            for (i, &n) in SIZES.iter().enumerate() {
+                let key = Key::from_u64(i as u64);
+                let mut x = fill ^ n as u64;
+                let payload: Vec<u8> = (0..n)
+                    .map(|_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        (x >> 56) as u8
+                    })
+                    .collect();
+                t.upsert_bytes(&key, &payload).unwrap();
+                // Served by the copy the write cached, then — that copy
+                // evicted — by NVM, then by the copy the miss promoted.
+                for read in 0..3 {
+                    if read == 1 {
+                        evict(&key);
+                    }
+                    let lent = t.get_bytes_with(&key, <[u8]>::to_vec).unwrap();
+                    prop_assert_eq!(lent.as_deref(), Some(&payload[..]), "{} bytes", n);
+                    prop_assert_eq!(lent, t.get_bytes(&key).unwrap(), "{} bytes", n);
+                }
+            }
+            let mut called = false;
+            prop_assert_eq!(t.get_bytes_with(&Key::from_u64(99), |_| called = true).unwrap(), None);
+            prop_assert!(!called, "the visitor ran for an absent key");
+
+            let raw_key = Key::from_u64(100);
+            t.insert(&raw_key, &Value(raw)).unwrap();
+            for _hot_then_cold in 0..2 {
+                let lent = t.get_bytes_with(&raw_key, <[u8]>::to_vec);
+                let owned = t.get_bytes(&raw_key);
+                prop_assert_eq!(format!("{lent:?}"), format!("{owned:?}"));
+                prop_assert_eq!(owned.is_ok(), raw[0] as usize <= hdnh::INLINE_MAX, "{:?}", owned);
+                evict(&raw_key);
+            }
+            prop_assert!(t.verify_integrity().is_ok());
+        }
+    }
+
     /// Load factor stays within [0, 1] under arbitrary sequences.
     #[test]
     fn load_factor_bounded(ops in proptest::collection::vec(mop_strategy(), 1..200)) {

@@ -73,14 +73,23 @@ fn compaction_under_live_ycsb_a_reclaims_garbage_without_blocking_reads() {
                 let mut rng = XorShift64Star::new(0xACE1 + w);
                 // Distinct version ranges per worker keep payloads unique.
                 let mut ver = 2 + w * 1_000_000;
+                let mut owning = false;
                 while !stop.load(Ordering::Relaxed) {
                     let k = u64::from(rng.next_below(KEYS as u32));
                     if rng.next_u64() & 1 == 0 {
-                        let got = table
-                            .get_bytes(&Key::from_u64(k))
+                        // Alternately the owning read and the visitor: both
+                        // re-probe past a segment retired under them.
+                        let key = Key::from_u64(k);
+                        owning = !owning;
+                        let valid = if owning {
+                            table.get_bytes(&key).map(|got| got.map(|got| validate(k, &got)))
+                        } else {
+                            table.get_bytes_with(&key, |got| validate(k, got))
+                        };
+                        let valid = valid
                             .expect("read must not fail during GC")
                             .expect("key must not vanish during GC");
-                        assert!(validate(k, &got), "torn or forged value for key {k}");
+                        assert!(valid, "torn or forged value for key {k}");
                         reads.fetch_add(1, Ordering::Relaxed);
                     } else {
                         ver += 1;
@@ -434,9 +443,12 @@ fn writers_and_compactor_on_few_keys_never_lose_or_duplicate_a_key() {
                         table
                             .update_bytes(&Key::from_u64(k), &payload(k, ver))
                             .unwrap_or_else(|e| panic!("update of key {k} failed: {e}"));
-                        if i % 4 == 0 {
+                        if i % 8 == 0 {
                             let got = table.get_bytes(&Key::from_u64(k)).unwrap().unwrap();
                             assert!(validate(k, &got), "torn or forged value for key {k}");
+                        } else if i % 8 == 4 {
+                            let valid = table.get_bytes_with(&Key::from_u64(k), |got| validate(k, got));
+                            assert!(valid.unwrap().unwrap(), "torn or forged value for key {k}");
                         }
                     }
                 })
