@@ -65,7 +65,7 @@ pub use hot::HotTable;
 pub use params::{HdnhParams, HdnhParamsBuilder, HotPolicy, SyncMode};
 pub use crc32::crc32_ieee;
 pub use pool::{PoolOpenReport, Superblock, SUPERBLOCK_FILE};
-pub use recovery::{PersistentPool, RecoveryTiming};
+pub use recovery::PersistentPool;
 pub use snapshot::{
     verify_snapshot, ManifestEntry, SnapshotManifest, SnapshotReport, SNAPSHOT_MANIFEST_FILE,
 };

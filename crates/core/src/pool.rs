@@ -19,8 +19,9 @@
 //!    this process dies, the next open knows recovery is required;
 //! 3. classify the `seg-*.dat` files into top/bottom/new-top **by size
 //!    alone** (levels double every resize, so sizes are distinct);
-//! 4. run the ordinary recovery path (resize resume + checksum-verified
-//!    rebuild) — a clean previous shutdown makes this a pure rebuild;
+//! 4. run the ordinary recovery path, [`Hdnh::try_recover`] (resize
+//!    resume, then the one checksum-verified scan) — a clean previous
+//!    shutdown makes this a pure rebuild;
 //! 5. sweep orphan files left by a crash inside a resize window.
 //!
 //! Close protocol ([`Hdnh::close_pool`]): refuse if a flush fault is
@@ -36,7 +37,7 @@ use hdnh_nvm::{Backend, NvmRegion, PoolDir};
 use crate::crc32::crc32_ieee;
 use crate::meta::{self, META_BYTES};
 use crate::params::HdnhParams;
-use crate::recovery::{PersistentPool, RecoveryTiming};
+use crate::recovery::PersistentPool;
 use crate::{Hdnh, HdnhError};
 
 /// Filename of the pool superblock inside a pool directory.
@@ -165,8 +166,6 @@ pub struct PoolOpenReport {
     /// `true` when the previous holder shut down cleanly (recovery was a
     /// pure rebuild). Always `false` for a created pool.
     pub was_clean: bool,
-    /// Timing of the recovery scan (zeroed for a created pool).
-    pub recovery: RecoveryTiming,
     /// Orphan region files removed after recovery (left by a process
     /// killed inside a resize window).
     pub removed_orphans: usize,
@@ -340,7 +339,7 @@ impl Hdnh {
         };
 
         // ---- the ordinary recovery path does the rest ----
-        let (table, timing) = Hdnh::try_recover_timed(params, persistent, threads)?;
+        let table = Hdnh::try_recover(params, persistent, threads)?;
 
         // ---- sweep orphans (files no live region claims) ----
         let live = table.region_file_paths();
@@ -356,7 +355,6 @@ impl Hdnh {
             PoolOpenReport {
                 created: false,
                 was_clean: sb.clean,
-                recovery: timing,
                 removed_orphans: removed,
                 layout_epoch: epoch,
             },
@@ -391,7 +389,6 @@ impl Hdnh {
             PoolOpenReport {
                 created: true,
                 was_clean: false,
-                recovery: RecoveryTiming::default(),
                 removed_orphans: 0,
                 layout_epoch: 1,
             },

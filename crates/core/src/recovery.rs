@@ -5,28 +5,38 @@
 //! structures (OCF and hot table) with one multi-threaded scan. In this
 //! reproduction the "files" are [`NvmRegion`]s: [`Hdnh::into_pool`] plays
 //! the role of unmapping (only the persistent parts survive), the strict
-//! regions' `crash()` plays the power failure, and [`Hdnh::recover`]
+//! regions' `crash()` plays the power failure, and [`Hdnh::try_recover`]
 //! re-opens the pool:
 //!
-//! * **After a normal shutdown / crash in stable state** — rebuild OCF and
-//!   hot table by scanning the levels once, in parallel batches of buckets
-//!   (the paper's multi-threaded recovery).
 //! * **Crash while `level number = 2` (allocating)** — the new level may or
-//!   may not exist; recovery "applies for the new level again" and restarts
-//!   the rehash from bucket 0 (re-migrating is idempotent thanks to the
-//!   duplicate check).
-//! * **Crash while `level number = 3` (rehashing)** — resume migration at
-//!   the persisted bucket cursor with duplicate checking (a crash mid-bucket
-//!   may have moved only part of it), then finalize the level swap.
+//!   may not exist; recovery "applies for the new level again" (wiping the
+//!   headers of a surviving one) and reruns the whole rehash.
+//! * **Crash while `level number = 3` (rehashing)** — rebuild the new
+//!   level's OCF with the scan below (no hot table, no log), resume
+//!   migration at the persisted bucket cursor with duplicate checking (a
+//!   crash mid-bucket may have moved only part of it), then finalize the
+//!   level swap.
+//! * **Then, whatever the state** — reopen the value log and scan both
+//!   levels once, in parallel stripes of buckets (the paper's
+//!   multi-threaded recovery). Every bucket is read once; each live slot
+//!   is checksum-verified, its spilled value's pointer resolved against the
+//!   log, and only then installed in the OCF and cached in the hot table.
+//!   A slot that fails either check is quarantined on the spot.
 //!
-//! The scan also repairs the documented update-fallback window: if a crash
-//! left two valid copies of one key, the first one found wins and the other
-//! bit is cleared.
+//! A serial pass then repairs the documented update-fallback window — if a
+//! crash left two valid copies of one key, the first one scanned wins and
+//! the other's bit is cleared; a copy whose pointer did not resolve is
+//! already gone, so it never wins — and rebuilds the log's live-byte
+//! accounting from the winners.
+//!
+//! Every rehash, live or resumed, moves a bucket through one body,
+//! `Hdnh::migrate_bucket` (`table/resize.rs`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hdnh_common::hash::KeyHashes;
 use hdnh_common::rng::XorShift64Star;
@@ -34,14 +44,14 @@ use hdnh_common::Key;
 use hdnh_nvm::{fault, NvmRegion};
 use hdnh_obs as obs;
 
+use crate::error::HdnhError;
 use crate::hot::HotTable;
 use crate::meta::{Meta, ResizeState};
 use crate::nvtable::{header_slot_spilled, slot_checksum_ok, Level};
 use crate::ocf::Ocf;
-use crate::params::{HdnhParams, SyncMode, BUCKET_BYTES, SLOTS_PER_BUCKET};
-use crate::table::{CANDIDATES_FULL, CANDIDATES_ONE_CHOICE};
-use crate::sync::SyncWriter;
-use crate::table::{Hdnh, Inner};
+use crate::params::{HdnhParams, BUCKET_BYTES, SLOTS_PER_BUCKET};
+use crate::table::{Hdnh, Inner, CANDIDATES_FULL, CANDIDATES_ONE_CHOICE};
+use crate::vlog::{self, Vlog, VlogPtr};
 
 /// The persistent half of an HDNH instance: what survives a power cycle.
 pub struct PersistentPool {
@@ -75,18 +85,6 @@ impl PersistentPool {
     }
 }
 
-/// Wall-clock breakdown of one recovery (table 1's three rows).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoveryTiming {
-    /// Time to rebuild the OCF alone.
-    pub ocf: Duration,
-    /// Time to rebuild the hot table alone.
-    pub hot: Duration,
-    /// Time for the merged single-scan rebuild (what recovery actually
-    /// does); includes resize-resume work if any.
-    pub total: Duration,
-}
-
 impl Hdnh {
     /// Normal shutdown: drops all DRAM state and returns the persistent
     /// pool. (The DRAM structures die with the process either way; this
@@ -106,39 +104,29 @@ impl Hdnh {
     }
 
     /// Re-opens a pool: completes any interrupted resize, then rebuilds the
-    /// OCF and hot table with `threads` parallel scan threads.
+    /// OCF and hot table with `threads` parallel scan threads. Panics on
+    /// backend I/O failure (which heap regions never have) and on a pool
+    /// whose geometry disagrees with `params`; the fallible form is
+    /// [`Hdnh::try_recover`].
     pub fn recover(params: HdnhParams, pool: PersistentPool, threads: usize) -> Hdnh {
-        Self::recover_timed(params, pool, threads).0
+        Self::try_recover(params, pool, threads).unwrap_or_else(|e| panic!("recovery failed: {e}"))
     }
 
-    /// [`Hdnh::recover`] plus the table-1 timing breakdown. Panics on
-    /// backend I/O failure (which heap regions never have); the fallible
-    /// form is [`Hdnh::try_recover_timed`].
-    pub fn recover_timed(
+    /// [`Hdnh::recover`] with pool-file allocation failures and geometry
+    /// mismatches surfaced as typed errors
+    /// ([`HdnhError::Recovery`]) instead of panics, so a pool created with
+    /// different parameters is reported rather than aborting the process.
+    pub fn try_recover(
         params: HdnhParams,
         pool: PersistentPool,
         threads: usize,
-    ) -> (Hdnh, RecoveryTiming) {
-        Self::try_recover_timed(params, pool, threads)
-            .unwrap_or_else(|e| panic!("recovery failed: {e}"))
-    }
-
-    /// [`Hdnh::recover_timed`] with pool-file allocation failures and
-    /// geometry mismatches surfaced as typed errors
-    /// ([`HdnhError::Recovery`](crate::HdnhError::Recovery)) instead of
-    /// panics, so a pool created with different parameters is reported
-    /// rather than aborting the process.
-    pub fn try_recover_timed(
-        params: HdnhParams,
-        pool: PersistentPool,
-        threads: usize,
-    ) -> Result<(Hdnh, RecoveryTiming), crate::HdnhError> {
+    ) -> Result<Hdnh, HdnhError> {
         params.validate();
         obs::trace::milestone(obs::trace::Milestone::RecoveryStart);
         let t0 = Instant::now();
         let meta = Meta::open(pool.meta);
         if meta.segment_bytes() != params.segment_bytes {
-            return Err(crate::HdnhError::Recovery(format!(
+            return Err(HdnhError::Recovery(format!(
                 "params disagree with the persisted pool geometry: \
                  persisted segment_bytes {} vs configured {}",
                 meta.segment_bytes(),
@@ -155,7 +143,7 @@ impl Hdnh {
         if !pool.top.len().is_multiple_of(seg_bytes)
             || !pool.bottom.len().is_multiple_of(seg_bytes)
         {
-            return Err(crate::HdnhError::Recovery(format!(
+            return Err(HdnhError::Recovery(format!(
                 "pool regions are not whole segments: top {} B, bottom {} B, \
                  segment {} B",
                 pool.top.len(),
@@ -178,7 +166,7 @@ impl Hdnh {
                 || bottom_region.len() / seg_bytes != meta.bottom_segments())
         {
             let nt = new_top_region.take().ok_or_else(|| {
-                crate::HdnhError::Recovery(
+                HdnhError::Recovery(
                     "meta geometry disagrees with the pool regions and no in-flight \
                      level survived"
                         .to_string(),
@@ -187,7 +175,7 @@ impl Hdnh {
             if nt.len() / seg_bytes != meta.top_segments()
                 || top_region.len() / seg_bytes != meta.bottom_segments()
             {
-                return Err(crate::HdnhError::Recovery(
+                return Err(HdnhError::Recovery(
                     "no role assignment of the surviving regions matches the \
                      persisted geometry"
                         .to_string(),
@@ -234,9 +222,10 @@ impl Hdnh {
                 meta.set_state(ResizeState::Rehashing);
                 meta.set_rehash_progress(Some(0));
                 fault::point("recover.alloc.restarted");
+                let all = 0..bottom.n_buckets();
                 resumed_moved =
-                    Self::migrate(&bottom, &new_top, &new_ocf, 0, false, &meta, candidates(&params))
-                        .0 as u64;
+                    Self::migrate(&bottom, &new_top, &new_ocf, all, &meta, candidates(&params)).0
+                        as u64;
                 Self::swap_levels_for_recovery(&meta, &mut top, &mut bottom, new_top);
             }
             ResizeState::Rehashing => {
@@ -271,9 +260,12 @@ impl Hdnh {
                     };
                     fault::point("recover.rehash.resumed");
                     // Rebuild the new top's OCF from its persisted headers so
-                    // the duplicate check and further inserts see prior work.
+                    // the duplicate check and further inserts see prior work:
+                    // the one scan, with no hot table and no log. A damaged
+                    // slot is quarantined, so the dup-checked migration
+                    // re-copies the clean source copy instead.
                     let new_ocf = Ocf::new(new_top.n_buckets(), SLOTS_PER_BUCKET);
-                    rebuild_ocf_serial(&new_top, &new_ocf);
+                    scan(&[(&new_top, &new_ocf)], None, None, threads);
                     // The paper's "resizing threads … continue rehashing":
                     // remaining buckets are migrated in parallel stripes. The
                     // dup-checked migration is idempotent, so no finer-grained
@@ -297,74 +289,38 @@ impl Hdnh {
             obs::phase_record(obs::Phase::RecoveryResume, resume_span, resumed_moved);
         }
 
-        // ---- rebuild DRAM structures (merged single scan) ----
+        // ---- rebuild: one scan, one serial pass ----
         let rebuild_span = obs::phase_enter(obs::Phase::RecoveryRebuild);
+        // Per-segment tail scan (stops at the first torn record); the scan
+        // resolves every spilled pointer against the reopened log.
+        let vlog = Vlog::from_recovered(params.nvm.clone(), params.vlog_segment_bytes, pool.vlog);
         let ocf_top = Ocf::new(top.n_buckets(), SLOTS_PER_BUCKET);
         let ocf_bottom = Ocf::new(bottom.n_buckets(), SLOTS_PER_BUCKET);
         let hot = params
             .enable_hot_table
             .then(|| Arc::new(Self::make_hot(&params, top.n_slots() + bottom.n_slots())));
-        let count = rebuild_parallel(
-            &[(&top, &ocf_top), (&bottom, &ocf_bottom)],
-            hot.as_deref(),
-            threads,
-        );
+        let levels = [(&top, &ocf_top), (&bottom, &ocf_bottom)];
+        let found = scan(&levels, hot.as_deref(), Some(&vlog), threads);
+        let count = dedupe(&levels, &found, hot.as_deref(), &vlog);
         obs::phase_record(obs::Phase::RecoveryRebuild, rebuild_span, count as u64);
         fault::point("recover.rebuilt");
-        let total = t0.elapsed();
-        obs::phase_record_ns(obs::Phase::RecoveryTotal, total.as_nanos() as u64, count as u64);
+
+        let inner = Inner {
+            generation: 0,
+            top,
+            bottom,
+            ocf_top: Arc::new(ocf_top),
+            ocf_bottom: Arc::new(ocf_bottom),
+            hot,
+        };
+        let table = Hdnh::assemble(params, meta, inner, vlog, count);
+        obs::phase_record_ns(
+            obs::Phase::RecoveryTotal,
+            t0.elapsed().as_nanos() as u64,
+            count as u64,
+        );
         obs::trace::milestone(obs::trace::Milestone::RecoveryDone);
-
-        // ---- separate timings for table 1 (measurement-only passes) ----
-        let t1 = Instant::now();
-        let scratch_top = Ocf::new(top.n_buckets(), SLOTS_PER_BUCKET);
-        let scratch_bottom = Ocf::new(bottom.n_buckets(), SLOTS_PER_BUCKET);
-        rebuild_parallel(
-            &[(&top, &scratch_top), (&bottom, &scratch_bottom)],
-            None,
-            threads,
-        );
-        let ocf_time = t1.elapsed();
-        let t2 = Instant::now();
-        if let Some(h) = hot.as_deref() {
-            rebuild_hot_only(&[&top, &bottom], h, threads);
-        }
-        let hot_time = t2.elapsed();
-
-        let sync = (params.sync_mode == SyncMode::Background && params.enable_hot_table)
-            .then(|| SyncWriter::new(params.background_writers));
-        // Re-open the value log: per-segment tail scan (stops at the first
-        // torn record), then the index walk below recomputes live bytes
-        // and quarantines pointers whose log record never became durable.
-        let vlog = Arc::new(crate::vlog::Vlog::from_recovered(
-            params.nvm.clone(),
-            params.vlog_segment_bytes,
-            pool.vlog,
-        ));
-        let table = Hdnh::from_parts(
-            params,
-            meta,
-            Inner {
-                generation: 0,
-                top,
-                bottom,
-                ocf_top: Arc::new(ocf_top),
-                ocf_bottom: Arc::new(ocf_bottom),
-                hot,
-            },
-            sync,
-            vlog,
-        );
-        table.set_count(count);
-        table.rebuild_vlog_index();
-        Ok((
-            table,
-            RecoveryTiming {
-                ocf: ocf_time,
-                hot: hot_time,
-                total,
-            },
-        ))
+        Ok(table)
     }
 
     fn swap_levels_for_recovery(meta: &Meta, top: &mut Level, bottom: &mut Level, new_top: Level) {
@@ -395,23 +351,15 @@ impl Hdnh {
         self.meta.set_state(ResizeState::Rehashing);
         self.meta.set_rehash_progress(Some(0));
         let stop = stop_after_buckets.min(inner.bottom.n_buckets());
-        for b in 0..stop {
-            let (header, recs) = inner.bottom.read_bucket(b);
-            for (slot, rec) in recs.iter().enumerate() {
-                if header & (1 << slot) != 0 {
-                    let h = KeyHashes::of(&rec.key);
-                    Self::insert_into_level(
-                        &new_top,
-                        &new_ocf,
-                        rec,
-                        &h,
-                        candidates(self.params()),
-                        header_slot_spilled(header, slot),
-                    );
-                }
-            }
-            self.meta.set_rehash_progress(Some(b + 1));
-        }
+        let cands = candidates(self.params());
+        Self::migrate(
+            &inner.bottom,
+            &new_top,
+            &new_ocf,
+            0..stop,
+            &self.meta,
+            cands,
+        );
         let pool = PersistentPool {
             meta: Arc::clone(self.meta.region()),
             top: Arc::clone(inner.top.region()),
@@ -439,16 +387,6 @@ impl Hdnh {
             vlog: self.vlog.regions(),
         }
     }
-
-    pub(crate) fn from_parts(
-        params: HdnhParams,
-        meta: Meta,
-        inner: Inner,
-        sync: Option<SyncWriter>,
-        vlog: Arc<crate::vlog::Vlog>,
-    ) -> Hdnh {
-        Hdnh::assemble(params, meta, inner, sync, vlog)
-    }
 }
 
 /// Candidate buckets per level for the given configuration.
@@ -458,6 +396,32 @@ fn candidates(params: &HdnhParams) -> usize {
     } else {
         CANDIDATES_ONE_CHOICE
     }
+}
+
+/// Runs `work(t)` for every `t` in `0..threads` on scoped threads and
+/// returns the results in thread order. A worker's panic is re-raised with
+/// its original payload: the fault explorer discriminates injected crashes
+/// by downcasting it, and scope's own "a scoped thread panicked" message
+/// would hide it.
+fn in_parallel<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || work(t))).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
+}
+
+/// Thread `t`'s contiguous share of `range` when `threads` threads split it.
+fn stripe(range: Range<usize>, t: usize, threads: usize) -> Range<usize> {
+    let per = range.len().div_ceil(threads);
+    let lo = (range.start + t * per).min(range.end);
+    lo..(lo + per).min(range.end)
 }
 
 /// Parallel, idempotent continuation of an interrupted rehash: every
@@ -475,199 +439,131 @@ fn migrate_parallel_dupcheck(
     cands: usize,
     threads: usize,
 ) -> usize {
-    let n = from.n_buckets();
-    if start >= n {
-        return 0;
-    }
-    let threads = threads.max(1).min(n - start);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || {
-                    let mut moved = 0usize;
-                    let remaining = n - start;
-                    let per = remaining.div_ceil(threads);
-                    let (lo, hi) = (start + t * per, (start + (t + 1) * per).min(n));
-                    for b in lo..hi {
-                        let (header, recs) = from.read_bucket(b);
-                        for (slot, rec) in recs.iter().enumerate() {
-                            if header & (1 << slot) == 0 {
-                                continue;
-                            }
-                            if !slot_checksum_ok(header, slot, rec) {
-                                // Damaged source record: drop it here (the
-                                // source level dies with the swap).
-                                obs::count(obs::Counter::CorruptionDetected);
-                                obs::count(obs::Counter::CorruptionQuarantined);
-                                continue;
-                            }
-                            let h = KeyHashes::of(&rec.key);
-                            if Hdnh::find_in_level(to, to_ocf, &rec.key, &h, cands).is_none() {
-                                Hdnh::insert_into_level(
-                                    to,
-                                    to_ocf,
-                                    rec,
-                                    &h,
-                                    cands,
-                                    header_slot_spilled(header, slot),
-                                );
-                                moved += 1;
-                            }
-                        }
+    let remaining = start.min(from.n_buckets())..from.n_buckets();
+    let threads = threads.max(1).min(remaining.len());
+    in_parallel(threads, |t| {
+        stripe(remaining.clone(), t, threads)
+            .map(|b| Hdnh::migrate_bucket(from, b, to, to_ocf, true, cands, None).0)
+            .sum::<usize>()
+    })
+    .into_iter()
+    .sum()
+}
+
+/// A live slot the scan kept: where it is, its key, and — for a spilled
+/// value checked against the log — the record its pointer resolved to.
+struct Found {
+    key: Key,
+    level: usize,
+    bucket: usize,
+    slot: usize,
+    spill: Option<VlogPtr>,
+}
+
+/// The recovery scan: every bucket of `levels` is read once, in `threads`
+/// parallel stripes. Each live slot is verified — its checksum, then, given
+/// a `vlog`, a spilled value's pointer against the log — and only then
+/// installed in its level's OCF and cached in `hot`. A slot that fails
+/// either check is quarantined on the spot: damaged bytes, or a pointer
+/// whose log record never became durable (a torn pre-ack write, which
+/// §15's model never acks). Neither reaches the OCF, the hot table or the
+/// count. Returns the kept slots, per thread in scan order.
+fn scan(
+    levels: &[(&Level, &Ocf)],
+    hot: Option<&HotTable>,
+    vlog: Option<&Vlog>,
+    threads: usize,
+) -> Vec<Vec<Found>> {
+    let threads = threads.max(1);
+    in_parallel(threads, |t| {
+        let mut found = Vec::new();
+        let mut rng = XorShift64Star::new(0xEC0_0000 + t as u64);
+        for (li, (level, ocf)) in levels.iter().enumerate() {
+            for b in stripe(0..level.n_buckets(), t, threads) {
+                let (header, recs) = level.read_bucket(b);
+                for (slot, rec) in recs.iter().enumerate() {
+                    if header & (1 << slot) == 0 {
+                        continue;
                     }
-                    moved
-                })
-            })
-            .collect();
-        // Re-raise worker panics with their original payload: the fault
-        // explorer discriminates injected crashes by downcasting it, and
-        // scope's own "a scoped thread panicked" message would hide it.
-        let mut moved = 0usize;
-        for h in handles {
-            match h.join() {
-                Ok(m) => moved += m,
-                Err(payload) => std::panic::resume_unwind(payload),
+                    let spilled = header_slot_spilled(header, slot);
+                    let verified = slot_checksum_ok(header, slot, rec)
+                        .then(|| match vlog {
+                            Some(log) if spilled => log.resolve(rec).map(Some),
+                            _ => Some(None),
+                        })
+                        .flatten();
+                    let Some(spill) = verified else {
+                        obs::count(obs::Counter::CorruptionDetected);
+                        obs::count(obs::Counter::CorruptionQuarantined);
+                        level.commit_slot_invalid(b, slot);
+                        continue;
+                    };
+                    let h = KeyHashes::of(&rec.key);
+                    ocf.install(b, slot, true, h.fp);
+                    if let Some(hot) = hot {
+                        hot.put_at(rec, spilled, hot.buckets(h.h1, h.h2), h.fp, &mut rng);
+                    }
+                    found.push(Found {
+                        key: rec.key,
+                        level: li,
+                        bucket: b,
+                        slot,
+                        spill,
+                    });
+                }
             }
         }
-        moved
+        found
     })
 }
 
-/// Scans one level serially and installs OCF entries (used for the new top
-/// during a rehash resume). Checksum-verifies each record; damaged slots
-/// are quarantined (valid bit cleared, no OCF entry) so the dup-checked
-/// migration re-copies the clean source copy instead.
-fn rebuild_ocf_serial(level: &Level, ocf: &Ocf) {
-    for b in 0..level.n_buckets() {
-        let (header, recs) = level.read_bucket(b);
-        for (slot, rec) in recs.iter().enumerate() {
-            if header & (1 << slot) != 0 {
-                if !slot_checksum_ok(header, slot, rec) {
-                    obs::count(obs::Counter::CorruptionDetected);
-                    obs::count(obs::Counter::CorruptionQuarantined);
-                    level.commit_slot_invalid(b, slot);
-                    continue;
-                }
-                let h = KeyHashes::of(&rec.key);
-                ocf.install(b, slot, true, h.fp);
-            }
-        }
-    }
-}
-
-/// The merged parallel rebuild: one scan fills OCF + hot table, counts live
-/// records, and repairs duplicate keys (update-fallback crash window).
-/// Returns the live count.
-fn rebuild_parallel(
+/// The serial pass after [`scan`]: repairs the update-fallback window —
+/// of two copies of one key the first scanned wins, the other is cleared
+/// in NVM and the OCF, and the hot table drops the key (its cached copy
+/// may be the loser's; the next search re-promotes the winner) — then
+/// hands the value log the footprint and end of every winner's record per
+/// segment, so everything else in the log counts as garbage. Returns the
+/// live count.
+fn dedupe(
     levels: &[(&Level, &Ocf)],
+    found: &[Vec<Found>],
     hot: Option<&HotTable>,
-    threads: usize,
+    vlog: &Vlog,
 ) -> usize {
-    let threads = threads.max(1);
-    // Pass 1 (parallel): per-batch scan installing OCF entries and caching
-    // into the hot table; collect (key, location) lists for dedupe.
-    let per_thread: Vec<Vec<(Key, usize, usize, usize)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || {
-                    let mut seen = Vec::new();
-                    let mut rng = XorShift64Star::new(0xEC0_0000 + t as u64);
-                    for (li, (level, ocf)) in levels.iter().enumerate() {
-                        let n = level.n_buckets();
-                        let per = n.div_ceil(threads);
-                        let (lo, hi) = (t * per, ((t + 1) * per).min(n));
-                        for b in lo..hi {
-                            let (header, recs) = level.read_bucket(b);
-                            for (slot, rec) in recs.iter().enumerate() {
-                                if header & (1 << slot) == 0 {
-                                    continue;
-                                }
-                                if !slot_checksum_ok(header, slot, rec) {
-                                    // Media damage found by the recovery
-                                    // scan: quarantine — the damaged bytes
-                                    // never reach the OCF, the hot table,
-                                    // or the live count.
-                                    obs::count(obs::Counter::CorruptionDetected);
-                                    obs::count(obs::Counter::CorruptionQuarantined);
-                                    level.commit_slot_invalid(b, slot);
-                                    continue;
-                                }
-                                let h = KeyHashes::of(&rec.key);
-                                ocf.install(b, slot, true, h.fp);
-                                if let Some(hot) = hot {
-                                    let spilled = header_slot_spilled(header, slot);
-                                    let at = hot.buckets(h.h1, h.h2);
-                                    hot.put_at(rec, spilled, at, h.fp, &mut rng);
-                                }
-                                seen.push((rec.key, li, b, slot));
-                            }
-                        }
-                    }
-                    seen
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    });
-
-    // Pass 2 (serial): dedupe. First occurrence wins; later duplicates are
-    // invalidated in both NVM and OCF.
-    let mut first: HashMap<Key, ()> = HashMap::new();
-    let mut count = 0usize;
-    for (key, li, b, slot) in per_thread.into_iter().flatten() {
-        if first.insert(key, ()).is_none() {
-            count += 1;
-        } else {
-            let (level, ocf) = levels[li];
-            fault::point("recover.dedup.clearing");
-            level.commit_slot_invalid(b, slot);
-            ocf.install(b, slot, false, 0);
-            if let Some(hot) = hot {
-                let h = KeyHashes::of(&key);
-                // The cached copy may be the loser's value; drop it and let
-                // the next search re-promote the authoritative one.
-                hot.delete(&key, h.h1, h.h2, h.fp);
+    let mut winners = HashSet::new();
+    let mut live: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    // Borrowed, not consumed: moving each `Found` out of the flattened
+    // vectors made this loop twice as slow at 2 M records (`table1`).
+    for f in found.iter().flatten() {
+        if winners.insert(f.key) {
+            if let Some(ptr) = f.spill {
+                let fp = vlog::footprint(ptr.len as usize) as u64;
+                let (bytes, end) = live.entry(ptr.segment).or_default();
+                *bytes += fp;
+                *end = (*end).max(ptr.offset as u64 + fp);
             }
+            continue;
+        }
+        let (level, ocf) = levels[f.level];
+        fault::point("recover.dedup.clearing");
+        level.commit_slot_invalid(f.bucket, f.slot);
+        ocf.install(f.bucket, f.slot, false, 0);
+        if let Some(hot) = hot {
+            let h = KeyHashes::of(&f.key);
+            hot.delete(&f.key, h.h1, h.h2, h.fp);
         }
     }
-    count
-}
-
-/// Hot-table-only rebuild (timing instrumentation for table 1).
-fn rebuild_hot_only(levels: &[&Level], hot: &HotTable, threads: usize) {
-    let threads = threads.max(1);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            s.spawn(move || {
-                let mut rng = XorShift64Star::new(0x407_0000 + t as u64);
-                for level in levels {
-                    let n = level.n_buckets();
-                    let per = n.div_ceil(threads);
-                    let (lo, hi) = (t * per, ((t + 1) * per).min(n));
-                    for b in lo..hi {
-                        let (header, recs) = level.read_bucket(b);
-                        for (slot, rec) in recs.iter().enumerate() {
-                            if header & (1 << slot) != 0 {
-                                let h = KeyHashes::of(&rec.key);
-                                let spilled = header_slot_spilled(header, slot);
-                                hot.put_at(rec, spilled, hot.buckets(h.h1, h.h2), h.fp, &mut rng);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
+    vlog.finish_recovery(&live);
+    winners.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nvtable::slot_meta;
     use crate::params::BUCKET_HEADER;
-    use hdnh_common::Value;
+    use crate::vlog::VlogStats;
+    use hdnh_common::{Record, Value};
     use hdnh_nvm::NvmOptions;
 
     fn strict_params() -> HdnhParams {
@@ -871,16 +767,20 @@ mod tests {
     }
 
     #[test]
-    fn recovery_timing_reports_nonzero() {
+    fn try_recover_reports_wrong_geometry_as_a_typed_error() {
         let t = Hdnh::new(strict_params());
-        for i in 0..500 {
-            t.insert(&k(i), &v(i)).unwrap();
-        }
         let pool = t.into_pool();
-        let (r, timing) = Hdnh::recover_timed(strict_params(), pool, 2);
-        assert_eq!(r.len(), 500);
-        assert!(timing.total >= Duration::ZERO);
-        assert!(timing.ocf <= timing.total + timing.hot + timing.ocf); // sanity
+        let wrong = HdnhParams {
+            segment_bytes: 2048,
+            ..strict_params()
+        };
+        match Hdnh::try_recover(wrong, pool, 1) {
+            Err(HdnhError::Recovery(msg)) => assert!(msg.contains("disagree"), "{msg}"),
+            other => panic!(
+                "expected a recovery error, got {:?}",
+                other.map(|t| t.len())
+            ),
+        }
     }
 
     #[test]
@@ -893,5 +793,99 @@ mod tests {
             ..strict_params()
         };
         let _ = Hdnh::recover(wrong, pool, 1);
+    }
+
+    #[test]
+    fn recovery_reads_each_bucket_once() {
+        // A `Stable` pool with inline and spilled values and log garbage:
+        // spilled values overwritten by smaller spilled ones, and removed.
+        let params = HdnhParams {
+            vlog_segment_bytes: 2048,
+            ..strict_params()
+        };
+        let t = Hdnh::new(params.clone());
+        for i in 0..120u64 {
+            let len = if i % 3 == 0 { 200 } else { 5 };
+            t.insert_bytes(&k(i), &vec![i as u8; len]).unwrap();
+        }
+        for i in (0..120u64).step_by(6) {
+            t.update_bytes(&k(i), &[0xAB; 40]).unwrap();
+        }
+        for i in (3..120u64).step_by(9) {
+            assert!(t.remove(&k(i)).unwrap());
+        }
+        let pool = t.into_pool();
+        let levels = [Arc::clone(&pool.top), Arc::clone(&pool.bottom)];
+        let reads = |r: &NvmRegion| r.stats().snapshot().reads;
+        let before: Vec<u64> = levels.iter().map(|r| reads(r)).collect();
+        let r = Hdnh::recover(params, pool, 2);
+        for (region, before) in levels.iter().zip(before) {
+            // One charged read per bucket: the scan's. The value log is
+            // read through its own regions.
+            assert_eq!(reads(region) - before, (region.len() / BUCKET_BYTES) as u64);
+        }
+        assert_eq!(r.len(), 107);
+        // The same accounting the separate value-log walk rebuilt.
+        assert_eq!(
+            r.vlog_stats(),
+            VlogStats {
+                segments: 6,
+                capacity_bytes: 12_288,
+                used_bytes: 10_240,
+                garbage_bytes: 6_432,
+                live_bytes: 3_808,
+                last_gc: None,
+            }
+        );
+        for i in (1..120u64).filter(|i| i % 3 != 0) {
+            assert_eq!(
+                r.get_bytes(&k(i)).unwrap(),
+                Some(vec![i as u8; 5]),
+                "key {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn dedupe_keeps_the_copy_whose_pointer_resolves() {
+        // An update-fallback window (two committed copies of one key) met a
+        // lost log page: the copy scanned first names a log record in a
+        // segment that does not exist; the second, a durable 200-byte value.
+        let key = k(7);
+        let t = Hdnh::new(strict_params());
+        t.insert_bytes(&key, &[0x5A; 200]).unwrap();
+        let durable = t.spill_pointer(&key).unwrap();
+        let pool = t.into_pool();
+        let bps = strict_params().segment_bytes / BUCKET_BYTES;
+        let level = |r: &Arc<NvmRegion>| {
+            Level::from_region(Arc::clone(r), r.len() / (bps * BUCKET_BYTES), bps)
+        };
+        let (top, bottom) = (level(&pool.top), level(&pool.bottom));
+        for l in [&top, &bottom] {
+            for b in 0..l.n_buckets() {
+                let (header, recs) = l.read_bucket(b);
+                for (slot, rec) in recs.iter().enumerate() {
+                    if header & (1 << slot) != 0 && rec.key == key {
+                        l.commit_slot_invalid(b, slot);
+                    }
+                }
+            }
+        }
+        // Both copies in the key's first top-level candidate bucket, the
+        // dangling one in the slot scanned first.
+        let bucket = top.candidates(&KeyHashes::of(&key))[0];
+        let lost = VlogPtr {
+            segment: 999,
+            ..durable
+        };
+        for (slot, ptr) in [(0, lost), (1, durable)] {
+            let rec = Record::new(key, ptr.to_value());
+            top.write_record(bucket, slot, &rec);
+            top.commit_slot_valid(bucket, slot, slot_meta(&rec, true));
+        }
+        let r = Hdnh::recover(strict_params(), pool, 1);
+        assert_eq!(r.get_bytes(&key).unwrap(), Some(vec![0x5A; 200]));
+        assert_eq!(r.len(), 1);
+        assert!(r.verify_integrity().is_ok());
     }
 }

@@ -167,7 +167,7 @@ impl Hdnh {
                             );
                         }
                         let spilled = header_slot_spilled(header, slot);
-                        if spilled && self.spilled_resolves(&rec).is_none() {
+                        if spilled && self.vlog.resolve(&rec).is_none() {
                             push(
                                 &mut vlogs,
                                 format!(
@@ -281,9 +281,7 @@ impl Hdnh {
                         // The slot's own bytes are clean; a spill-flagged
                         // slot must additionally resolve to a CRC-valid log
                         // record (the damage may live in the value log).
-                        if header_slot_spilled(header, slot)
-                            && self.spilled_resolves(&rec).is_none()
-                        {
+                        if header_slot_spilled(header, slot) && self.vlog.resolve(&rec).is_none() {
                             if let Some(err) =
                                 self.quarantine_dangling_pointer(inner, li, bucket, slot)
                             {
@@ -438,7 +436,7 @@ impl Hdnh {
         let rec = level.read_record(bucket, slot);
         let still_dangling = header_slot_valid(header, slot)
             && header_slot_spilled(header, slot)
-            && self.spilled_resolves(&rec).is_none();
+            && self.vlog.resolve(&rec).is_none();
         if !still_dangling {
             ocf.abort(bucket, slot, pre);
             return None;

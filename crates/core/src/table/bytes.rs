@@ -16,19 +16,15 @@
 //! (`crate::vlog`): staging, decoding, tombstoning, and the integrity
 //! check of a spill-flagged word the audits share.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use hdnh_common::hash::KeyHashes;
-use hdnh_common::{Key, Record, Value};
+use hdnh_common::{Key, Value};
 use hdnh_nvm::fault;
 use hdnh_obs as obs;
 
 use super::write::Decision;
 use super::{Accept, Hdnh};
 use crate::error::HdnhError;
-use crate::nvtable::{header_slot_spilled, header_slot_valid};
-use crate::params::SLOTS_PER_BUCKET;
 use crate::vlog::{self, Vlog, VlogPtr};
 
 /// A bytes-API payload made ready for a slot: the slot's value bytes, and
@@ -77,13 +73,6 @@ impl Hdnh {
         }
     }
 
-    /// The integrity check of a spill-flagged word: `rec`'s value bytes
-    /// decode to a pointer, and the pointer resolves to a CRC-valid log
-    /// record carrying `rec`'s key. Only for a slot whose spill bit is set.
-    pub(super) fn spilled_resolves(&self, rec: &Record) -> Option<VlogPtr> {
-        VlogPtr::from_value(&rec.value).filter(|ptr| self.vlog.verify(ptr, &rec.key))
-    }
-
     /// Makes `payload` ready for a slot. Payloads up to the inline budget
     /// ([`vlog::INLINE_MAX`]) become the slot's 15 value bytes — the
     /// paper-faithful fast path, unchanged in cost; larger ones are
@@ -98,8 +87,8 @@ impl Hdnh {
                 appended: None,
             });
         }
-        obs::count(obs::Counter::VlogSpillWrites);
         let (ptr, ticket) = self.vlog.append_ticketed(key, payload)?;
+        obs::count(obs::Counter::VlogSpillWrites);
         Ok(StagedValue {
             value: ptr.to_value(),
             appended: Some((ptr, ticket)),
@@ -299,55 +288,5 @@ impl Hdnh {
     /// Value-log occupancy and last-GC statistics.
     pub fn vlog_stats(&self) -> vlog::VlogStats {
         self.vlog.stats()
-    }
-
-    /// Recovery pass: walks every live spill-flagged slot, verifies its
-    /// pointer resolves to a CRC-valid log record, quarantines danglers
-    /// (a pointer published without its log record is a torn pre-ack
-    /// write — §15's model never acks it), and installs per-segment
-    /// live-byte accounting into the value log. Runs once, before the
-    /// recovered table serves traffic. Returns the quarantined count.
-    pub(crate) fn rebuild_vlog_index(&self) -> usize {
-        use std::collections::BTreeMap;
-        let _m = self.maintenance_lock();
-        // Safety: the maintenance lock is held — the pointer cannot swap.
-        let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
-        let mut live: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        let mut quarantined = 0usize;
-        for li in 0..2 {
-            let (level, ocf) = inner.level(li);
-            for bucket in 0..level.n_buckets() {
-                let header = level.load_header(bucket);
-                for slot in 0..SLOTS_PER_BUCKET {
-                    if !header_slot_valid(header, slot) || !header_slot_spilled(header, slot) {
-                        continue;
-                    }
-                    let rec = level.read_record(bucket, slot);
-                    match self.spilled_resolves(&rec) {
-                        Some(ptr) => {
-                            let fp = vlog::segment::footprint(ptr.len as usize) as u64;
-                            let end = ptr.offset as u64 + fp;
-                            let e = live.entry(ptr.segment).or_insert((0, 0));
-                            e.0 += fp;
-                            e.1 = e.1.max(end);
-                        }
-                        None => {
-                            obs::count(obs::Counter::CorruptionDetected);
-                            obs::count(obs::Counter::CorruptionQuarantined);
-                            if let Some(hot) = &inner.hot {
-                                let h = KeyHashes::of(&rec.key);
-                                hot.delete(&rec.key, h.h1, h.h2, h.fp);
-                            }
-                            level.commit_slot_invalid(bucket, slot);
-                            ocf.install(bucket, slot, false, 0);
-                            self.count.fetch_sub(1, Ordering::Relaxed);
-                            quarantined += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.vlog.finish_recovery(&live);
-        quarantined
     }
 }

@@ -292,46 +292,42 @@ impl Hdnh {
         let hot = params
             .enable_hot_table
             .then(|| Arc::new(Self::make_hot(&params, top.n_slots() + bottom.n_slots())));
-        let sync = (params.sync_mode == SyncMode::Background && params.enable_hot_table)
-            .then(|| SyncWriter::new(params.background_writers));
-        let vlog = Arc::new(Vlog::new(params.nvm.clone(), params.vlog_segment_bytes));
-        Ok(Self::assemble(
-            params,
-            meta,
-            Inner {
-                generation: 0,
-                top,
-                bottom,
-                ocf_top: Arc::new(ocf_top),
-                ocf_bottom: Arc::new(ocf_bottom),
-                hot,
-            },
-            sync,
-            vlog,
-        ))
+        let vlog = Vlog::new(params.nvm.clone(), params.vlog_segment_bytes);
+        let inner = Inner {
+            generation: 0,
+            top,
+            bottom,
+            ocf_top: Arc::new(ocf_top),
+            ocf_bottom: Arc::new(ocf_bottom),
+            hot,
+        };
+        Ok(Self::assemble(params, meta, inner, vlog, 0))
     }
 
-    /// Assembles a table from recovered parts (see [`crate::recovery`]).
+    /// Assembles a table holding `count` live records from its parts, new
+    /// or recovered (see [`crate::recovery`]).
     pub(crate) fn assemble(
         params: HdnhParams,
         meta: Meta,
         inner: Inner,
-        sync: Option<SyncWriter>,
-        vlog: Arc<Vlog>,
+        vlog: Vlog,
+        count: usize,
     ) -> Self {
         let generation = inner.generation;
+        let sync = (params.sync_mode == SyncMode::Background && params.enable_hot_table)
+            .then(|| SyncWriter::new(params.background_writers));
         Hdnh {
             params,
             meta,
             current: AtomicPtr::new(Box::into_raw(Box::new(inner))),
             maintenance: Mutex::new(()),
             pending_new_top: Mutex::new(None),
-            count: AtomicUsize::new(0),
+            count: AtomicUsize::new(count),
             generation: AtomicU64::new(generation),
             relocations: AtomicU64::new(0),
             resizes: AtomicUsize::new(0),
             sync,
-            vlog,
+            vlog: Arc::new(vlog),
         }
     }
 
@@ -508,10 +504,6 @@ impl Hdnh {
     pub fn load_factor(&self) -> f64 {
         let total = self.pinned().inner.total_slots();
         self.len() as f64 / total as f64
-    }
-
-    pub(crate) fn set_count(&self, n: usize) {
-        self.count.store(n, Ordering::Relaxed);
     }
 }
 

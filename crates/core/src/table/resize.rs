@@ -1,5 +1,6 @@
 //! Resizing (§3.7): the generation flip, the rehash and the swap.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -103,8 +104,7 @@ impl Hdnh {
             &old.bottom,
             &new_top,
             &new_ocf,
-            0,
-            false,
+            0..old.bottom.n_buckets(),
             &self.meta,
             self.n_candidates(),
         );
@@ -121,59 +121,79 @@ impl Hdnh {
         Ok(next)
     }
 
-    /// Moves every valid record in `from` buckets `[start..]` into `to`,
-    /// updating the persisted progress cursor per bucket. With `dup_check`
-    /// (recovery resume), records already present in `to` are skipped.
-    /// Every record is checksum-verified before it moves: damaged slots
-    /// are dropped (the old level is discarded after the swap, so omission
-    /// quarantines them) and counted in the second return value. Returns
-    /// `(moved, dropped)`.
+    /// Moves every valid record of `from`'s `buckets` into `to`, one
+    /// bucket at a time, updating the persisted progress cursor after each
+    /// bucket. Returns `(moved, dropped)`, summed over
+    /// [`migrate_bucket`](Self::migrate_bucket).
     pub(crate) fn migrate(
         from: &Level,
         to: &Level,
         to_ocf: &Ocf,
-        start: usize,
-        dup_check: bool,
+        buckets: Range<usize>,
         meta: &Meta,
         candidates: usize,
     ) -> (usize, usize) {
-        let mut moved = 0usize;
-        let mut dropped = 0usize;
-        for b in start..from.n_buckets() {
-            let (header, recs) = from.read_bucket(b);
-            for (slot, rec) in recs.iter().enumerate() {
-                if header & (1 << slot) == 0 {
-                    continue;
-                }
-                if !slot_checksum_ok(header, slot, rec) {
-                    // Never propagate damaged bytes into the new level.
-                    obs::count(obs::Counter::CorruptionDetected);
-                    obs::count(obs::Counter::CorruptionQuarantined);
-                    dropped += 1;
-                    continue;
-                }
-                let h = KeyHashes::of(&rec.key);
-                if dup_check && Self::find_in_level(to, to_ocf, &rec.key, &h, candidates).is_some() {
-                    continue;
-                }
-                // Carry the source header's spill flag — the value bytes of
-                // a spilled record are a value-log pointer and must stay
-                // flagged as one in the new level.
-                Self::insert_into_level(
-                    to,
-                    to_ocf,
-                    rec,
-                    &h,
-                    candidates,
-                    header_slot_spilled(header, slot),
-                );
-                moved += 1;
-                fault::point("resize.record_migrated");
-            }
+        let (mut moved, mut dropped) = (0, 0);
+        for b in buckets {
+            let (m, d) = Self::migrate_bucket(
+                from,
+                b,
+                to,
+                to_ocf,
+                false,
+                candidates,
+                Some("resize.record_migrated"),
+            );
+            moved += m;
+            dropped += d;
             // Paper: record the migrated bucket index so a crash resumes at
             // the next bucket.
             meta.set_rehash_progress(Some(b + 1));
             fault::point("resize.bucket_migrated");
+        }
+        (moved, dropped)
+    }
+
+    /// The one body that migrates a bucket: every valid record of `from`'s
+    /// bucket `b` is copied into `to` with its spill flag — the value bytes
+    /// of a spilled record are a value-log pointer and must stay flagged
+    /// as one. Every record is checksum-verified first: a damaged one is
+    /// dropped, never propagated (the old level is discarded after the
+    /// swap, so omission quarantines it). With `dup_check` (a resumed
+    /// rehash) a record `to` already holds is skipped. `moved_site`, if
+    /// any, is the crash site hit after each record that moves. Returns
+    /// `(moved, dropped)`.
+    pub(crate) fn migrate_bucket(
+        from: &Level,
+        b: usize,
+        to: &Level,
+        to_ocf: &Ocf,
+        dup_check: bool,
+        candidates: usize,
+        moved_site: Option<&'static str>,
+    ) -> (usize, usize) {
+        let (mut moved, mut dropped) = (0, 0);
+        let (header, recs) = from.read_bucket(b);
+        for (slot, rec) in recs.iter().enumerate() {
+            if header & (1 << slot) == 0 {
+                continue;
+            }
+            if !slot_checksum_ok(header, slot, rec) {
+                obs::count(obs::Counter::CorruptionDetected);
+                obs::count(obs::Counter::CorruptionQuarantined);
+                dropped += 1;
+                continue;
+            }
+            let h = KeyHashes::of(&rec.key);
+            if dup_check && Self::find_in_level(to, to_ocf, &rec.key, &h, candidates).is_some() {
+                continue;
+            }
+            let spilled = header_slot_spilled(header, slot);
+            Self::insert_into_level(to, to_ocf, rec, &h, candidates, spilled);
+            moved += 1;
+            if let Some(site) = moved_site {
+                fault::point(site);
+            }
         }
         (moved, dropped)
     }

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hdnh_common::{Key, Value, VALUE_LEN};
+use hdnh_common::{Key, Record, Value, VALUE_LEN};
 use hdnh_nvm::{NvmOptions, NvmRegion};
 use parking_lot::{Mutex, RwLock};
 
@@ -181,8 +181,8 @@ impl Vlog {
     /// Rebuilds a log from recovered segment regions (reopened
     /// `vlog-<id>.dat` files). Each segment's tail is the scanned dense
     /// prefix and all recovered segments are sealed; garbage accounting
-    /// is provisional until the index walk calls [`finish_recovery`]
-    /// (`Self::finish_recovery`).
+    /// is provisional until the recovery scan has resolved every pointer
+    /// and calls [`finish_recovery`](Self::finish_recovery).
     pub fn from_recovered(
         opts: NvmOptions,
         segment_bytes: usize,
@@ -381,6 +381,14 @@ impl Vlog {
     pub fn verify(&self, ptr: &VlogPtr, key: &Key) -> bool {
         self.segment(ptr.segment)
             .is_some_and(|seg| seg.verify(ptr.offset, ptr.len, key))
+    }
+
+    /// The integrity check of a spill-flagged slot, shared by recovery,
+    /// the audit and the scrubber: `rec`'s value bytes decode to a
+    /// pointer, and the pointer names a CRC-valid record of this log
+    /// carrying `rec`'s key. Only for a slot whose spill bit is set.
+    pub(crate) fn resolve(&self, rec: &Record) -> Option<VlogPtr> {
+        VlogPtr::from_value(&rec.value).filter(|ptr| self.verify(ptr, &rec.key))
     }
 
     /// Tombstones the record behind `ptr` (its bytes stay in place; the

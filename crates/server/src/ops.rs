@@ -137,10 +137,7 @@ impl OpsState {
             self.uptime_secs(),
             reason.is_none(),
             self.is_draining(),
-            match &reason {
-                None => "null".to_string(),
-                Some(r) => format!("\"{}\"", r.replace('"', "'")),
-            },
+            reason.as_deref().map_or_else(|| "null".to_string(), json_string),
         );
         match self.table() {
             None => out.push_str("\"table\":null,"),
@@ -189,6 +186,30 @@ impl OpsState {
         );
         out
     }
+}
+
+/// `s` as a quoted JSON string: `"` and `\` are backslash-escaped and
+/// every control character becomes `\u00XX`, so any text — an OS error
+/// message, a pool path — yields a valid document. Everything else,
+/// non-ASCII included, passes through as UTF-8.
+fn json_string(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Handle to a running ops listener.
@@ -336,4 +357,19 @@ fn respond(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_string;
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_string(""), r#""""#);
+        assert_eq!(json_string(r#"say "hi""#), r#""say \"hi\"""#);
+        assert_eq!(json_string(r"C:\pool\dir"), r#""C:\\pool\\dir""#);
+        assert_eq!(json_string("line\nbreak"), r#""line\u000abreak""#);
+        assert_eq!(json_string("\u{1}\t\u{7f}"), r#""\u0001\u0009\u007f""#);
+        assert_eq!(json_string("pool «ünï» 池"), "\"pool «ünï» 池\"");
+    }
 }

@@ -186,28 +186,6 @@ fn u64_arg(dec: &Decoder, frame: &crate::resp::Frame, i: usize, out: &mut Vec<u8
     }
 }
 
-/// Rejects a value the table cannot represent *before* any table work,
-/// with the typed `-CAPACITY` reply. Values up to the inline budget live
-/// in the slot; longer ones go through the value log, whose per-record
-/// cap is [`hdnh::MAX_VALUE_BYTES`]. The RESP frame budget (1 MiB) is
-/// deliberately a little above the cap, so an over-representable value
-/// draws this typed command error rather than a fatal framing error.
-fn check_value_len(out: &mut Vec<u8>, v: &[u8]) -> bool {
-    if v.len() > hdnh::MAX_VALUE_BYTES {
-        enc_error(
-            out,
-            "CAPACITY",
-            &format!(
-                "value of {} bytes exceeds the {} byte cap",
-                v.len(),
-                hdnh::MAX_VALUE_BYTES
-            ),
-        );
-        return false;
-    }
-    true
-}
-
 /// A sticky backend I/O fault is recorded in the flight recorder exactly
 /// once per process — the fault itself is sticky, so one timeline event
 /// marks the transition without flooding the ring on every denied ack.
@@ -284,12 +262,13 @@ fn dispatch(
             if frame.len() != 3 {
                 wrong_args(out, "set");
             } else if let Some(k) = u64_arg(dec, frame, 1, out) {
-                let v = dec.arg(frame, 2);
-                if check_value_len(out, v) {
-                    match table.upsert_bytes(&Key::from_u64(k), v) {
-                        Ok(()) => ack_ok(table, out),
-                        Err(e) => enc_hdnh_error(out, &e),
-                    }
+                // A value over `hdnh::MAX_VALUE_BYTES` is refused by the
+                // value log before any table work, as `-CAPACITY`; the RESP
+                // frame budget (1 MiB) is a little above that cap, so the
+                // refusal is a command error, not a framing error.
+                match table.upsert_bytes(&Key::from_u64(k), dec.arg(frame, 2)) {
+                    Ok(()) => ack_ok(table, out),
+                    Err(e) => enc_hdnh_error(out, &e),
                 }
             }
             obs::NetCmd::Set
@@ -384,12 +363,7 @@ fn dispatch(
                         finish(started, obs::NetCmd::MSet);
                         return action;
                     };
-                    let v = dec.arg(frame, i + 1);
-                    if !check_value_len(out, v) {
-                        finish(started, obs::NetCmd::MSet);
-                        return action;
-                    }
-                    if let Err(e) = table.upsert_bytes(&Key::from_u64(k), v) {
+                    if let Err(e) = table.upsert_bytes(&Key::from_u64(k), dec.arg(frame, i + 1)) {
                         err = Some(e);
                         break;
                     }

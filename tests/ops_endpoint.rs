@@ -41,6 +41,111 @@ fn http_get(addr: &str, path: &str) -> (u16, String) {
     (status, body)
 }
 
+/// Whether `s` is exactly one well-formed JSON value (RFC 8259; numbers
+/// are checked loosely). Strings must escape `"`, `\` and every control
+/// character, which is what a hand-built document gets wrong.
+fn is_json(s: &str) -> bool {
+    fn ws(b: &[u8], i: &mut usize) {
+        while b.get(*i).is_some_and(|c| b" \t\r\n".contains(c)) {
+            *i += 1;
+        }
+    }
+    fn eat(b: &[u8], i: &mut usize, want: u8) -> bool {
+        ws(b, i);
+        let hit = b.get(*i) == Some(&want);
+        *i += hit as usize;
+        hit
+    }
+    fn string(b: &[u8], i: &mut usize) -> bool {
+        if !eat(b, i, b'"') {
+            return false;
+        }
+        loop {
+            let Some(&c) = b.get(*i) else { return false };
+            *i += 1;
+            match c {
+                b'"' => return true,
+                b'\\' => match b.get(*i) {
+                    Some(b'u')
+                        if b.get(*i + 1..*i + 5)
+                            .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) =>
+                    {
+                        *i += 5
+                    }
+                    Some(e) if b"\"\\/bfnrt".contains(e) => *i += 1,
+                    _ => return false,
+                },
+                c if c < 0x20 => return false,
+                _ => {}
+            }
+        }
+    }
+    // Elements up to `close`, comma-separated; the opener is consumed.
+    fn seq(b: &[u8], i: &mut usize, close: u8, elem: fn(&[u8], &mut usize) -> bool) -> bool {
+        *i += 1;
+        if eat(b, i, close) {
+            return true;
+        }
+        loop {
+            if !elem(b, i) {
+                return false;
+            }
+            if eat(b, i, close) {
+                return true;
+            }
+            if !eat(b, i, b',') {
+                return false;
+            }
+        }
+    }
+    fn member(b: &[u8], i: &mut usize) -> bool {
+        string(b, i) && eat(b, i, b':') && value(b, i)
+    }
+    fn value(b: &[u8], i: &mut usize) -> bool {
+        ws(b, i);
+        let lit = |i: &mut usize, word: &[u8]| {
+            let hit = b[*i..].starts_with(word);
+            *i += if hit { word.len() } else { 0 };
+            hit
+        };
+        match b.get(*i) {
+            Some(b'{') => seq(b, i, b'}', member),
+            Some(b'[') => seq(b, i, b']', value),
+            Some(b'"') => string(b, i),
+            Some(b't') => lit(i, b"true"),
+            Some(b'f') => lit(i, b"false"),
+            Some(b'n') => lit(i, b"null"),
+            Some(c) if *c == b'-' || c.is_ascii_digit() => {
+                while b.get(*i).is_some_and(|c| b"+-.eE0123456789".contains(c)) {
+                    *i += 1;
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+    let (b, mut i) = (s.as_bytes(), 0);
+    let ok = value(b, &mut i);
+    ws(b, &mut i);
+    ok && i == b.len()
+}
+
+#[test]
+fn json_checker_rejects_what_a_careless_emitter_writes() {
+    assert!(is_json(
+        r#"{"a":[1,-2.5e3,true,null],"b":{"c":"x\"\\\u0001"}}"#
+    ));
+    for bad in [
+        "{\"a\":\"x\ny\"}",
+        r#"{"a":"C:\pool"}"#,
+        r#"{"a":1,}"#,
+        r#"{"a" 1}"#,
+        "[1] 2",
+    ] {
+        assert!(!is_json(bad), "{bad}");
+    }
+}
+
 #[test]
 fn ops_routes_answer_and_readyz_tracks_lifecycle() {
     let _g = lock();
@@ -58,6 +163,12 @@ fn ops_routes_answer_and_readyz_tracks_lifecycle() {
     assert_eq!(st, 503, "not ready before the table is open: {body}");
     assert!(body.contains("starting"), "reason names the state: {body}");
     assert_eq!(http_get(&ops_addr, "/healthz").0, 200, "alive while starting");
+    let (_, varz) = http_get(&ops_addr, "/varz");
+    assert!(
+        varz.contains("\"not_ready_reason\":\"starting"),
+        "varz reason: {varz}"
+    );
+    assert!(is_json(&varz), "varz while starting is not JSON: {varz}");
 
     // Table opens, data path comes up, readiness flips true.
     let table = Arc::new(Hdnh::new(HdnhParams::for_capacity(4_000)));
@@ -92,6 +203,7 @@ fn ops_routes_answer_and_readyz_tracks_lifecycle() {
     assert!(varz.contains("\"backend\":\"heap\""), "varz backend: {varz}");
     assert!(varz.contains("\"records\":50"), "varz table stats: {varz}");
     assert!(varz.contains("\"metrics\":{"), "varz embeds the registry");
+    assert!(is_json(&varz), "varz is not JSON: {varz}");
 
     let (st, trace) = http_get(&ops_addr, "/trace");
     assert_eq!(st, 200);
@@ -123,6 +235,8 @@ fn ops_routes_answer_and_readyz_tracks_lifecycle() {
     assert_eq!(st, 503, "draining must fail readiness: {body}");
     assert!(body.contains("draining"), "reason names the drain: {body}");
     assert_eq!(http_get(&ops_addr, "/healthz").0, 200, "alive while draining");
+    let (_, varz) = http_get(&ops_addr, "/varz");
+    assert!(is_json(&varz), "varz while draining is not JSON: {varz}");
     let (_, trace) = http_get(&ops_addr, "/trace");
     assert!(trace.contains("\"kind\":\"drain_begin\""), "drain event: {trace}");
     handle.join();
