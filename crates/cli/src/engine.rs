@@ -186,12 +186,10 @@ impl Engine {
             // The keys both front-ends can name hold bytes: a value token
             // is stored as RESP `SET` stores it and printed as `GET`
             // returns it.
-            Command::Insert(k, v) => Ok(Outcome::Text(
-                match self.table()?.insert_bytes(&Key::from_u64(k), v.as_bytes()) {
-                    Ok(()) => "ok".to_string(),
-                    Err(e) => format!("error: {e}"),
-                },
-            )),
+            Command::Insert(k, v) => {
+                let r = self.table()?.insert_bytes(&Key::from_u64(k), v.as_bytes());
+                self.ack(r.map(|()| "ok"))
+            }
             Command::Get(k) => Ok(Outcome::Text(
                 match self.table()?.get_bytes(&Key::from_u64(k))? {
                     Some(v) => String::from_utf8_lossy(&v).into_owned(),
@@ -222,19 +220,14 @@ impl Engine {
                 }
                 Ok(Outcome::Text(out))
             }
-            Command::Update(k, v) => Ok(Outcome::Text(
-                match self.table()?.update_bytes(&Key::from_u64(k), v.as_bytes()) {
-                    Ok(()) => "ok".to_string(),
-                    Err(e) => format!("error: {e}"),
-                },
-            )),
-            Command::Delete(k) => Ok(Outcome::Text(
-                if self.table()?.remove(&Key::from_u64(k))? {
-                    "ok".to_string()
-                } else {
-                    "(not found)".to_string()
-                },
-            )),
+            Command::Update(k, v) => {
+                let r = self.table()?.update_bytes(&Key::from_u64(k), v.as_bytes());
+                self.ack(r.map(|()| "ok"))
+            }
+            Command::Delete(k) => {
+                let found = self.table()?.remove(&Key::from_u64(k))?;
+                self.ack(Ok(if found { "ok" } else { "(not found)" }))
+            }
             Command::Fill(n) => {
                 let start_id = self.next_fill_id;
                 let t0 = Instant::now();
@@ -505,26 +498,27 @@ impl Engine {
         }
     }
 
+    /// The reply to a keyed write, given only once the pool holds no
+    /// sticky I/O fault: after a failed `msync` the write may not be
+    /// durable, and `ok` promises it is. A rejected write (duplicate key,
+    /// not found) stays plain text.
+    fn ack(&self, reply: Result<&str, HdnhError>) -> Result<Outcome, HdnhError> {
+        if let Some(fault) = self.table()?.io_fault() {
+            return Err(fault);
+        }
+        Ok(Outcome::Text(match reply {
+            Ok(text) => text.to_string(),
+            Err(e) => format!("error: {e}"),
+        }))
+    }
+
     /// Runs the crash-point injection matrix. Independent of the shell's
     /// table — the explorer builds small strict tables of its own. Any
     /// failing case yields [`Outcome::Failure`] (nonzero shell exit).
     fn fault_run(mode: FaultRunMode) -> Outcome {
         match mode {
             FaultRunMode::Sites => {
-                let mut out = String::new();
-                for mix in OpMix::builtin() {
-                    match faultexplore::record_sites(&mix) {
-                        Ok(counts) => {
-                            let _ = writeln!(out, "mix {} ({} ops):", mix.name, mix.ops.len());
-                            for (site, n) in counts {
-                                let _ = writeln!(out, "  {site:<32} {n:>8} hits");
-                            }
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "mix {}: recording failed: {e}", mix.name);
-                        }
-                    }
-                }
+                let mut out = faultexplore::render_sites();
                 out.pop();
                 Outcome::Text(out)
             }
@@ -944,6 +938,36 @@ mod tests {
         assert!(banner.contains("clean shutdown"), "{banner}");
         assert_eq!(run(&mut e, "get 7"), "77");
         assert_eq!(e.execute(Command::Quit), Outcome::Quit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_write_over_a_sticky_io_fault_is_not_acked() {
+        let dir = std::env::temp_dir().join(format!("hdnh-cli-engine-fault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = Engine::try_new(EngineConfig {
+            pool: Some(dir.to_str().unwrap().to_string()),
+            capacity: 1_000,
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(run(&mut e, "insert 2 x"), "ok");
+        let pool = e.table().unwrap().params().nvm.backend.pool().unwrap().clone();
+        pool.record_fault(hdnh_nvm::NvmIoError {
+            op: "msync",
+            path: dir.clone(),
+            msg: "injected write-back failure".into(),
+        });
+        for line in ["insert 1 x", "update 2 y", "delete 2"] {
+            match e.execute(parse(line).unwrap().unwrap()) {
+                Outcome::Failure(t) => {
+                    assert!(t.contains("msync") && t.contains("injected write-back failure"), "{line}: {t}")
+                }
+                other => panic!("{line} was acked over a sticky i/o fault: {other:?}"),
+            }
+        }
+        drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

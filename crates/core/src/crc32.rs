@@ -44,25 +44,52 @@ const fn make_tables() -> [[u32; 256]; 8] {
 /// 0xCBF43926`). Public because the snapshot manifest, the restart tests
 /// and external tooling share the same checksum.
 pub fn crc32_ieee(data: &[u8]) -> u32 {
-    let t = &TABLES;
-    let mut crc = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A running CRC-32/IEEE for input that arrives in pieces (a file read in
+/// chunks): [`new`](Self::new), any number of [`update`](Self::update)s,
+/// then [`finish`](Self::finish). However the input is split, the value
+/// is [`crc32_ieee`] of the whole.
+#[derive(Clone, Copy)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    #[inline]
+    pub(crate) fn new() -> Self {
+        Crc32(!0)
     }
-    for &byte in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+
+    /// Folds `data` into the register.
+    #[inline]
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        let t = &TABLES;
+        let mut crc = self.0;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
-    !crc
+
+    #[inline]
+    pub(crate) fn finish(self) -> u32 {
+        !self.0
+    }
 }
 
 #[cfg(test)]
@@ -146,6 +173,44 @@ mod tests {
             // must not depend on where the slice begins.
             let data = &data[start.min(data.len())..];
             prop_assert_eq!(crc32_ieee(data), crc32_bitwise(data));
+        }
+
+        #[test]
+        fn split_input_matches_the_whole(
+            data in proptest::collection::vec(any::<u8>(), 0..4096 + 8),
+            cut in 0usize..4096 + 8,
+        ) {
+            let (head, tail) = data.split_at(cut.min(data.len()));
+            let mut crc = Crc32::new();
+            crc.update(head);
+            crc.update(tail);
+            prop_assert_eq!(crc.finish(), crc32_ieee(&data));
+        }
+    }
+
+    #[test]
+    fn every_split_point_matches_the_whole() {
+        let data: Vec<u8> = (0..4104u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 4104] {
+            let data = &data[..len];
+            for cut in 0..=len {
+                let mut crc = Crc32::new();
+                crc.update(&data[..cut]);
+                crc.update(&data[cut..]);
+                assert_eq!(crc.finish(), crc32_ieee(data), "len {len}, cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_around_the_copy_buffer_match_the_whole() {
+        const MIB: usize = 1 << 20;
+        let data: Vec<u8> = (0..3 * MIB + 5).map(|i| (i * 31 % 251) as u8).collect();
+        let whole = crc32_ieee(&data);
+        for chunk in [MIB - 1, MIB, MIB + 1, 3 * MIB + 4, 3 * MIB + 5] {
+            let mut crc = Crc32::new();
+            data.chunks(chunk).for_each(|c| crc.update(c));
+            assert_eq!(crc.finish(), whole, "chunk {chunk}");
         }
     }
 }

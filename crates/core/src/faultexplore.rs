@@ -30,13 +30,13 @@
 //! concurrently with another exploration or registry-using test.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Value};
-use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, NvmRegion, SyncPolicy};
+use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, SyncPolicy};
 
 use crate::params::{HdnhParams, SyncMode};
 use crate::recovery::PersistentPool;
@@ -398,38 +398,6 @@ fn check_recovered(table: &Hdnh, ops: &[Op], applied: usize) -> Result<(), Strin
     }
 }
 
-/// Region handles cloned before recovery so a crash *inside* recovery can
-/// be followed by another recovery of the same pool (real NVM survives).
-struct PoolBackup {
-    meta: Arc<NvmRegion>,
-    top: Arc<NvmRegion>,
-    bottom: Arc<NvmRegion>,
-    new_top: Option<Arc<NvmRegion>>,
-    vlog: Vec<(u32, Arc<NvmRegion>)>,
-}
-
-impl PoolBackup {
-    fn of(pool: &PersistentPool) -> Self {
-        PoolBackup {
-            meta: Arc::clone(&pool.meta),
-            top: Arc::clone(&pool.top),
-            bottom: Arc::clone(&pool.bottom),
-            new_top: pool.new_top.as_ref().map(Arc::clone),
-            vlog: pool.vlog.clone(),
-        }
-    }
-
-    fn restore(&self) -> PersistentPool {
-        PersistentPool {
-            meta: Arc::clone(&self.meta),
-            top: Arc::clone(&self.top),
-            bottom: Arc::clone(&self.bottom),
-            new_top: self.new_top.as_ref().map(Arc::clone),
-            vlog: self.vlog.clone(),
-        }
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -536,7 +504,9 @@ pub fn run_single(
         return result;
     }
 
-    let backup = PoolBackup::of(&pool);
+    // The regions survive a crash *inside* recovery too (real NVM does):
+    // a clone shares them, so a second recovery can follow.
+    let backup = pool.clone();
     pool.crash(seed);
 
     // Optionally crash a second time inside recovery. Armed recoveries run
@@ -567,7 +537,7 @@ pub fn run_single(
                     );
                     return result;
                 }
-                pool = backup.restore();
+                pool = backup;
                 pool.crash(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
             }
         }
@@ -704,6 +674,75 @@ pub fn record_sites_pool(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, Str
     counts
 }
 
+/// The crash-site inventory `faultrun sites` prints and
+/// `tests/fixtures/faultrun-sites.txt` holds: every site each built-in mix
+/// hits on the heap, with its hit count.
+pub fn render_sites() -> String {
+    let mut out = String::new();
+    for mix in OpMix::builtin() {
+        match record_sites(&mix) {
+            Ok(counts) => {
+                let _ = writeln!(out, "mix {} ({} ops):", mix.name, mix.ops.len());
+                write_counts(&mut out, &counts);
+            }
+            Err(e) => {
+                let _ = writeln!(out, "mix {}: recording failed: {e}", mix.name);
+            }
+        }
+    }
+    out
+}
+
+/// The recovery-phase inventory `tests/fixtures/recovery-sites.txt` holds:
+/// for each of the five `recovery_bases` on the `fill-resize` mix (seed 1),
+/// every site the recovery that follows the crash hits, with its count.
+pub fn render_recovery_sites() -> String {
+    let _quiet = QuietPanics::install();
+    let mix = OpMix::builtin().remove(2);
+    let mut out = String::new();
+    for base in recovery_bases() {
+        match record_recovery(&mix, &base, 1) {
+            Ok(counts) => {
+                let _ = writeln!(out, "{} crash {}:{} seed 1:", mix.name, base.site, base.hit);
+                write_counts(&mut out, &counts);
+            }
+            Err(e) => {
+                let _ = writeln!(out, "{} crash {}: recording failed: {e}", mix.name, base.site);
+            }
+        }
+    }
+    out
+}
+
+fn write_counts(out: &mut String, counts: &BTreeMap<&'static str, u64>) {
+    for (site, n) in counts {
+        let _ = writeln!(out, "  {site:<32} {n:>8} hits");
+    }
+}
+
+/// Silences the panic hook while it lives: injected crashes unwind by the
+/// thousand, and their messages are captured in the results anyway. The
+/// previous hook comes back on drop, even if the explorer itself panics.
+struct QuietPanics(Option<PanicHook>);
+
+type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+
+impl QuietPanics {
+    fn install() -> Self {
+        let guard = QuietPanics(Some(std::panic::take_hook()));
+        std::panic::set_hook(Box::new(|_| {}));
+        guard
+    }
+}
+
+impl Drop for QuietPanics {
+    fn drop(&mut self) {
+        let prev = self.0.take().unwrap();
+        let _ = std::panic::take_hook();
+        std::panic::set_hook(prev);
+    }
+}
+
 /// Hit samples for a site observed `n` times: first, middle, last.
 pub fn hit_samples(n: u64) -> Vec<u64> {
     let mut v = vec![1, n / 2 + 1, n];
@@ -771,20 +810,7 @@ fn recovery_bases() -> Vec<FaultPlan> {
 /// reporting — pass `|_| ()` when unused).
 pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -> ExploreReport {
     let mut report = ExploreReport::default();
-    // Injected panics are expected by the thousand; silence the default
-    // printing hook for the duration (messages are captured in results).
-    // The guard restores it even if the driver itself panics.
-    type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
-    struct HookGuard(Option<PanicHook>);
-    impl Drop for HookGuard {
-        fn drop(&mut self) {
-            let prev = self.0.take().unwrap();
-            let _ = std::panic::take_hook();
-            std::panic::set_hook(prev);
-        }
-    }
-    let _hook_guard = HookGuard(Some(std::panic::take_hook()));
-    std::panic::set_hook(Box::new(|_| {}));
+    let _quiet = QuietPanics::install();
 
     for mix in &cfg.mixes {
         let counts = match record_sites(mix) {

@@ -10,6 +10,8 @@ use std::sync::Arc;
 
 use hdnh_nvm::{NvmOptions, NvmRegion};
 
+use crate::HdnhError;
+
 /// Magic value identifying an HDNH pool ("HDNH" ASCII, versioned).
 pub const MAGIC: u64 = 0x4844_4E48_0000_0001;
 
@@ -36,11 +38,12 @@ impl ResizeState {
         }
     }
 
-    fn from_u64(v: u64) -> Self {
+    fn from_u64(v: u64) -> Option<Self> {
         match v {
-            2 => ResizeState::Allocating,
-            3 => ResizeState::Rehashing,
-            _ => ResizeState::Stable,
+            1 => Some(ResizeState::Stable),
+            2 => Some(ResizeState::Allocating),
+            3 => Some(ResizeState::Rehashing),
+            _ => None,
         }
     }
 }
@@ -75,13 +78,13 @@ impl Meta {
     }
 
     /// Formats a fresh metadata block, surfacing backend (pool-file)
-    /// failures as [`HdnhError::Io`](crate::HdnhError::Io).
+    /// failures as [`HdnhError::Io`].
     pub fn try_create(
         opts: &NvmOptions,
         top_segments: usize,
         bottom_segments: usize,
         segment_bytes: usize,
-    ) -> Result<Self, crate::HdnhError> {
+    ) -> Result<Self, HdnhError> {
         let region = Arc::new(NvmRegion::alloc(META_BYTES, opts, "meta")?);
         let m = Meta { region };
         m.store(OFF_STATE, ResizeState::Stable.to_u64());
@@ -95,11 +98,33 @@ impl Meta {
         Ok(m)
     }
 
-    /// Adopts an existing metadata region (recovery).
-    pub fn open(region: Arc<NvmRegion>) -> Self {
+    /// Adopts an existing metadata region (recovery): the one reader of
+    /// a persisted meta block. A region of the wrong length, a bad magic,
+    /// a resize state word other than 1, 2 or 3, or a segment size other
+    /// than `segment_bytes` (the caller's params) is a typed
+    /// [`HdnhError::Recovery`] — never a panic, and never a guess.
+    pub fn open(region: Arc<NvmRegion>, segment_bytes: usize) -> Result<Self, HdnhError> {
+        let bad = |msg: String| Err(HdnhError::Recovery(format!("meta block: {msg}")));
+        if region.len() != META_BYTES {
+            return bad(format!("{} bytes, expected {META_BYTES}", region.len()));
+        }
         let m = Meta { region };
-        assert_eq!(m.load(OFF_MAGIC), MAGIC, "not an HDNH pool (bad magic)");
-        m
+        let magic = m.load(OFF_MAGIC);
+        if magic != MAGIC {
+            return bad(format!("not an HDNH pool (bad magic {magic:#018x})"));
+        }
+        let state = m.load(OFF_STATE);
+        if ResizeState::from_u64(state).is_none() {
+            return bad(format!("unknown resize state word {state}"));
+        }
+        if m.segment_bytes() != segment_bytes {
+            return Err(HdnhError::Recovery(format!(
+                "params disagree with the persisted pool geometry: \
+                 persisted segment_bytes {} vs configured {segment_bytes}",
+                m.segment_bytes()
+            )));
+        }
+        Ok(m)
     }
 
     /// The backing region.
@@ -123,6 +148,7 @@ impl Meta {
     /// Current resize state.
     pub fn state(&self) -> ResizeState {
         ResizeState::from_u64(self.load(OFF_STATE))
+            .expect("the state word is checked by `Meta::open` and written only by `set_state`")
     }
 
     /// Persists a state transition.
@@ -178,6 +204,56 @@ impl Meta {
             bucket.map(|b| b as u64).unwrap_or(u64::MAX),
         );
     }
+
+    /// Assigns level roles to `candidates` — `(length in bytes, handle)`,
+    /// most preferred first — by matching lengths against the persisted
+    /// geometry: the first candidate of the top level's size is the top,
+    /// the first remaining one of the bottom's size the bottom, and outside
+    /// `Stable` the first remaining one of the planned new top's size the
+    /// in-flight level. The rest get no role (orphans, stale twins). The
+    /// one place roles are assigned, for pool files and heap regions
+    /// alike, so the recovery branch depends on persisted state only.
+    pub(crate) fn assign_roles<T>(
+        &self,
+        candidates: impl IntoIterator<Item = (u64, T)>,
+    ) -> Result<Roles<T>, HdnhError> {
+        let seg = self.segment_bytes() as u64;
+        let state = self.state();
+        let (top_segments, new_top_segments) = (self.top_segments(), self.new_top_segments());
+        // A crash between `set_geometry`'s two stores leaves the bottom
+        // word one store behind the top; the demoted level is always half
+        // the new top.
+        let bottom_segments = if state == ResizeState::Rehashing && top_segments == new_top_segments
+        {
+            top_segments / 2
+        } else {
+            self.bottom_segments()
+        };
+        let mut rest: Vec<(u64, T)> = candidates.into_iter().collect();
+        let mut take = |role: &str, segments: usize| {
+            let want = segments as u64 * seg;
+            match rest.iter().position(|(len, _)| *len == want) {
+                Some(i) => Ok(rest.remove(i).1),
+                None => Err(HdnhError::Recovery(format!(
+                    "no region of the {role} level's size ({want} bytes) survives"
+                ))),
+            }
+        };
+        let top = take("top", top_segments)?;
+        let bottom = take("bottom", bottom_segments)?;
+        let new_top = (state != ResizeState::Stable && new_top_segments > 0)
+            .then(|| take("new top", new_top_segments).ok())
+            .flatten();
+        Ok(Roles { top, bottom, new_top })
+    }
+}
+
+/// What [`Meta::assign_roles`] found each candidate to be.
+pub(crate) struct Roles<T> {
+    pub(crate) top: T,
+    pub(crate) bottom: T,
+    /// The in-flight level of an interrupted resize, when one survives.
+    pub(crate) new_top: Option<T>,
 }
 
 #[cfg(test)]
@@ -192,15 +268,109 @@ mod tests {
         assert_eq!(m.bottom_segments(), 4);
         assert_eq!(m.segment_bytes(), 16384);
         assert_eq!(m.rehash_progress(), None);
-        let m2 = Meta::open(Arc::clone(m.region()));
+        let m2 = Meta::open(Arc::clone(m.region()), 16384).unwrap();
         assert_eq!(m2.top_segments(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "bad magic")]
-    fn open_unformatted_panics() {
-        let region = Arc::new(NvmRegion::new(META_BYTES, NvmOptions::fast()));
-        Meta::open(region);
+    fn open_rejects_what_it_cannot_trust() {
+        let rejects = |region: &Arc<NvmRegion>, segment_bytes, why: &str| {
+            match Meta::open(Arc::clone(region), segment_bytes) {
+                Err(HdnhError::Recovery(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected a recovery error naming {why:?}, got {other:?}"),
+            }
+        };
+        let fast = NvmOptions::fast;
+        rejects(&Arc::new(NvmRegion::new(META_BYTES, fast())), 16384, "bad magic");
+        rejects(&Arc::new(NvmRegion::new(META_BYTES / 2, fast())), 16384, "128 bytes");
+        let m = Meta::create(&fast(), 8, 4, 16384);
+        for word in [0, 4, 7, u64::MAX] {
+            m.region().atomic_store_u64(OFF_STATE, word, Ordering::Release);
+            rejects(m.region(), 16384, &format!("state word {word}"));
+        }
+        m.set_state(ResizeState::Stable);
+        rejects(m.region(), 8192, "disagree");
+        assert!(Meta::open(Arc::clone(m.region()), 16384).is_ok());
+    }
+
+    /// Every ordering of `items`.
+    fn orders<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+        if items.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for i in 0..items.len() {
+            let mut rest = items.to_vec();
+            let first = rest.remove(i);
+            for mut tail in orders(&rest) {
+                tail.insert(0, first.clone());
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_resize_window_gets_the_same_roles_in_every_order() {
+        use ResizeState::*;
+        // Bottom 2, top 4 and planned new top 8 segments of 1 KiB.
+        let at = |state, top, bottom, progress| {
+            let m = Meta::create(&NvmOptions::fast(), 4, 2, 1024);
+            m.set_new_top_segments(8);
+            m.set_state(state);
+            m.set_geometry(top, bottom);
+            m.set_rehash_progress(progress);
+            m
+        };
+        let (old, all, twin) = (&[4, 2][..], &[4, 2, 8][..], &[4, 4, 2][..]);
+        // (window, meta, region sizes, (top, bottom, new top, no role)),
+        // sizes in segments.
+        let windows = [
+            ("stable", at(Stable, 4, 2, None), old, (4, 2, None, vec![])),
+            ("stable beside a stale in-flight level", at(Stable, 4, 2, None), all, (4, 2, None, vec![8])),
+            ("allocating, nothing allocated yet", at(Allocating, 4, 2, None), old, (4, 2, None, vec![])),
+            ("allocating", at(Allocating, 4, 2, None), all, (4, 2, Some(8), vec![])),
+            ("rehashing mid-migration", at(Rehashing, 4, 2, Some(3)), all, (4, 2, Some(8), vec![])),
+            ("between set_geometry's two stores", at(Rehashing, 8, 2, Some(8)), all, (8, 4, None, vec![2])),
+            ("finalize, after set_geometry", at(Rehashing, 8, 4, Some(8)), all, (8, 4, None, vec![2])),
+            ("finalize, cursor cleared", at(Rehashing, 8, 4, None), all, (8, 4, None, vec![2])),
+            ("stable, before the pointer swap", at(Stable, 8, 4, None), all, (8, 4, None, vec![2])),
+            ("a stale twin of the top", at(Stable, 4, 2, None), twin, (4, 2, None, vec![4])),
+        ];
+        for (window, meta, sizes, want) in &windows {
+            // Handles are indices into `sizes`.
+            let candidates: Vec<(u64, usize)> =
+                sizes.iter().enumerate().map(|(id, s)| (*s as u64 * 1024, id)).collect();
+            for order in orders(&candidates) {
+                let roles = meta.assign_roles(order.clone()).unwrap();
+                let claimed = [Some(roles.top), Some(roles.bottom), roles.new_top];
+                let size = |id: usize| sizes[id];
+                let got = (
+                    size(roles.top),
+                    size(roles.bottom),
+                    roles.new_top.map(size),
+                    order
+                        .iter()
+                        .filter(|(_, id)| !claimed.contains(&Some(*id)))
+                        .map(|(_, id)| size(*id))
+                        .collect::<Vec<_>>(),
+                );
+                assert_eq!(&got, want, "{window}, order {order:?}");
+                // Of two candidates of one size, the first in order wins.
+                let first = order.iter().find(|(len, _)| *len == want.0 as u64 * 1024).unwrap();
+                assert_eq!(roles.top, first.1, "{window}, order {order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_level_is_a_typed_error() {
+        let m = Meta::create(&NvmOptions::fast(), 4, 2, 1024);
+        match m.assign_roles([(4096u64, "top")]) {
+            Err(HdnhError::Recovery(msg)) => assert!(msg.contains("bottom level"), "{msg}"),
+            Err(e) => panic!("expected a recovery error, got {e:?}"),
+            Ok(_) => panic!("a pool without a bottom level got roles"),
+        }
     }
 
     #[test]
@@ -231,7 +401,7 @@ mod tests {
         m.set_state(ResizeState::Rehashing);
         m.set_rehash_progress(Some(5));
         m.region().crash_with(|_| false);
-        let m2 = Meta::open(Arc::clone(m.region()));
+        let m2 = Meta::open(Arc::clone(m.region()), 1024).unwrap();
         assert_eq!(m2.state(), ResizeState::Rehashing);
         assert_eq!(m2.rehash_progress(), Some(5));
     }

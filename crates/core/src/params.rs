@@ -84,9 +84,8 @@ pub struct HdnhParams {
 impl HdnhParams {
     /// Starts a validating builder over the paper's default configuration.
     ///
-    /// Unlike struct-literal construction (which defers every check to the
-    /// panicking [`validate`](Self::validate) inside `Hdnh::new`), the
-    /// builder reports bad configurations as typed
+    /// Unlike struct-literal construction (checked only when a table is
+    /// built from it), the builder reports bad configurations as typed
     /// [`HdnhError::Config`](crate::HdnhError::Config) values at build time.
     pub fn builder() -> HdnhParamsBuilder {
         HdnhParamsBuilder {
@@ -95,23 +94,23 @@ impl HdnhParams {
         }
     }
 
-    /// The paper's configuration at small test scale (capacity ≈ 3 k
-    /// records before the first resize).
-    pub fn small() -> Self {
-        HdnhParams::default()
-    }
-
     /// Sized so that roughly `records` items fit at ≈80 % load without
     /// resizing — what the throughput benchmarks use for search workloads.
     pub fn for_capacity(records: usize) -> Self {
         let mut p = HdnhParams::default();
+        p.size_for(records);
+        p
+    }
+
+    /// Sets `initial_bottom_segments` so `records` items fit at ≈80 % load.
+    fn size_for(&mut self, records: usize) {
         let slots_needed = (records as f64 / 0.8).ceil() as usize;
-        let buckets_per_segment = p.segment_bytes / BUCKET_BYTES;
-        let slots_per_segment = buckets_per_segment * SLOTS_PER_BUCKET;
+        // `max(1)`: a segment too small to hold a bucket is `check`'s to
+        // reject, not a division by zero here.
+        let slots_per_segment = (self.segment_bytes / BUCKET_BYTES * SLOTS_PER_BUCKET).max(1);
         // total slots = (2M + M) × slots_per_segment  ⇒  M.
         let m = slots_needed.div_ceil(3 * slots_per_segment).max(1);
-        p.initial_bottom_segments = m.next_power_of_two();
-        p
+        self.initial_bottom_segments = m.next_power_of_two();
     }
 
     /// Total slot capacity of the initial table (both levels).
@@ -120,30 +119,56 @@ impl HdnhParams {
         3 * self.initial_bottom_segments * buckets_per_segment * SLOTS_PER_BUCKET
     }
 
-    /// Validates invariants; called by `Hdnh::new`.
+    /// Validates invariants, panicking with the first broken rule. The
+    /// fallible constructors (`Hdnh::try_new`, `Hdnh::try_recover`) and
+    /// the builder check the same rules and return
+    /// [`HdnhError::Config`](crate::HdnhError::Config) instead.
     pub fn validate(&self) {
-        assert!(
-            self.segment_bytes >= BUCKET_BYTES && self.segment_bytes.is_multiple_of(BUCKET_BYTES),
-            "segment_bytes must be a multiple of 256"
-        );
-        assert!(
-            (self.segment_bytes / BUCKET_BYTES).is_power_of_two(),
-            "buckets per segment must be a power of two"
-        );
-        assert!(
-            self.initial_bottom_segments.is_power_of_two(),
-            "initial_bottom_segments must be a power of two"
-        );
-        assert!(
-            (1..=SLOTS_PER_BUCKET).contains(&self.hot_slots_per_bucket),
-            "hot_slots_per_bucket must be 1..=8"
-        );
-        assert!(self.hot_capacity_ratio > 0.0);
-        assert!(self.background_writers >= 1);
-        assert!(
-            self.vlog_segment_bytes >= 64 && self.vlog_segment_bytes.is_multiple_of(8),
-            "vlog_segment_bytes must be a multiple of 8, at least 64"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The one rule set every configuration must meet.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.segment_bytes < BUCKET_BYTES || !self.segment_bytes.is_multiple_of(BUCKET_BYTES) {
+            return Err(format!(
+                "segment_bytes must be a multiple of {BUCKET_BYTES}, got {}",
+                self.segment_bytes
+            ));
+        }
+        if !(self.segment_bytes / BUCKET_BYTES).is_power_of_two() {
+            return Err(format!(
+                "segment_bytes must hold a power-of-two number of buckets, got {}",
+                self.segment_bytes
+            ));
+        }
+        if !self.initial_bottom_segments.is_power_of_two() {
+            return Err(format!(
+                "initial_bottom_segments must be a power of two, got {}",
+                self.initial_bottom_segments
+            ));
+        }
+        if !(1..=SLOTS_PER_BUCKET).contains(&self.hot_slots_per_bucket) {
+            return Err(format!(
+                "hot_slots_per_bucket must be 1..={SLOTS_PER_BUCKET}, got {}",
+                self.hot_slots_per_bucket
+            ));
+        }
+        let ratio = self.hot_capacity_ratio;
+        if !ratio.is_finite() || ratio <= 0.0 || ratio > 16.0 {
+            return Err(format!("hot_capacity_ratio must be in (0, 16], got {ratio}"));
+        }
+        if self.background_writers < 1 {
+            return Err("background_writers must be at least 1".to_string());
+        }
+        if self.vlog_segment_bytes < 64 || !self.vlog_segment_bytes.is_multiple_of(8) {
+            return Err(format!(
+                "vlog_segment_bytes must be a multiple of 8, at least 64, got {}",
+                self.vlog_segment_bytes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -246,54 +271,11 @@ impl HdnhParamsBuilder {
 
     /// Validates and produces the final configuration.
     pub fn build(self) -> Result<HdnhParams, crate::HdnhError> {
-        let err = |msg: String| Err(crate::HdnhError::Config(msg));
         let mut p = self.params;
-        if p.segment_bytes < BUCKET_BYTES || !p.segment_bytes.is_multiple_of(BUCKET_BYTES) {
-            return err(format!(
-                "segment_bytes must be a multiple of {BUCKET_BYTES}, got {}",
-                p.segment_bytes
-            ));
-        }
-        if !(p.segment_bytes / BUCKET_BYTES).is_power_of_two() {
-            return err(format!(
-                "segment_bytes must hold a power-of-two number of buckets, got {}",
-                p.segment_bytes
-            ));
-        }
         if let Some(records) = self.capacity {
-            let slots_needed = (records as f64 / 0.8).ceil() as usize;
-            let slots_per_segment = (p.segment_bytes / BUCKET_BYTES) * SLOTS_PER_BUCKET;
-            let m = slots_needed.div_ceil(3 * slots_per_segment).max(1);
-            p.initial_bottom_segments = m.next_power_of_two();
+            p.size_for(records);
         }
-        if !p.initial_bottom_segments.is_power_of_two() {
-            return err(format!(
-                "initial_bottom_segments must be a power of two, got {}",
-                p.initial_bottom_segments
-            ));
-        }
-        if !(1..=SLOTS_PER_BUCKET).contains(&p.hot_slots_per_bucket) {
-            return err(format!(
-                "hot_slots_per_bucket must be 1..={SLOTS_PER_BUCKET}, got {}",
-                p.hot_slots_per_bucket
-            ));
-        }
-        if !p.hot_capacity_ratio.is_finite() || p.hot_capacity_ratio <= 0.0 || p.hot_capacity_ratio > 16.0
-        {
-            return err(format!(
-                "hot_capacity_ratio must be in (0, 16], got {}",
-                p.hot_capacity_ratio
-            ));
-        }
-        if p.background_writers < 1 {
-            return err("background_writers must be at least 1".to_string());
-        }
-        if p.vlog_segment_bytes < 64 || !p.vlog_segment_bytes.is_multiple_of(8) {
-            return err(format!(
-                "vlog_segment_bytes must be a multiple of 8, at least 64, got {}",
-                p.vlog_segment_bytes
-            ));
-        }
+        p.check().map_err(crate::HdnhError::Config)?;
         Ok(p)
     }
 }
@@ -365,6 +347,18 @@ mod tests {
             ..Default::default()
         };
         p.validate();
+    }
+
+    #[test]
+    fn fallible_constructors_report_bad_params_as_config_errors() {
+        use crate::{Hdnh, HdnhError};
+        let bad = HdnhParams {
+            hot_slots_per_bucket: 9,
+            ..Default::default()
+        };
+        assert!(matches!(Hdnh::try_new(bad.clone()), Err(HdnhError::Config(_))));
+        let pool = Hdnh::new(HdnhParams::default()).into_pool();
+        assert!(matches!(Hdnh::try_recover(bad, pool, 1), Err(HdnhError::Config(_))));
     }
 
     #[test]

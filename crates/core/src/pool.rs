@@ -15,14 +15,20 @@
 //!    the first one's table (and any `PersistentPool` taken from it) is
 //!    gone;
 //! 1. validate the superblock (typed errors, never a panic);
-//! 2. mark the pool **dirty** (epoch+1) *before* mapping any region — if
+//! 2. read the meta block through [`Meta::open`], the one reader of its
+//!    words: a wrong length, bad magic, unknown resize state word or
+//!    foreign segment size is a typed error, and so is a clean flag beside
+//!    a resize in flight — all before anything is written;
+//! 3. mark the pool **dirty** (epoch+1) *before* mapping any level — if
 //!    this process dies, the next open knows recovery is required;
-//! 3. classify the `seg-*.dat` files into top/bottom/new-top **by size
-//!    alone** (levels double every resize, so sizes are distinct);
-//! 4. run the ordinary recovery path, [`Hdnh::try_recover`] (resize
+//! 4. give the `seg-*.dat` files their roles by size against the persisted
+//!    geometry (`Meta::assign_roles`, the function recovery runs over the
+//!    regions it is handed), highest file id first on a tie, and map only
+//!    the files that get a role;
+//! 5. run the ordinary recovery path, [`Hdnh::try_recover`] (resize
 //!    resume, then the one checksum-verified scan) — a clean previous
 //!    shutdown makes this a pure rebuild;
-//! 5. sweep orphan files left by a crash inside a resize window.
+//! 6. sweep orphan files left by a crash inside a resize window.
 //!
 //! Close protocol ([`Hdnh::close_pool`]): refuse if a flush fault is
 //! pending, `msync(MS_SYNC)`+`fsync` every region, then — and only then —
@@ -35,7 +41,7 @@ use std::sync::Arc;
 use hdnh_nvm::{Backend, NvmRegion, PoolDir};
 
 use crate::crc32::crc32_ieee;
-use crate::meta::{self, META_BYTES};
+use crate::meta::{Meta, ResizeState};
 use crate::params::HdnhParams;
 use crate::recovery::PersistentPool;
 use crate::{Hdnh, HdnhError};
@@ -217,38 +223,17 @@ impl Hdnh {
         }
         params.nvm.backend = Backend::Pool(Arc::clone(&pool));
 
-        // ---- pre-validate the meta block (typed errors, not asserts) ----
-        let meta_md = fs::metadata(&meta_path)
-            .map_err(|e| HdnhError::Io(format!("stat {}: {e}", meta_path.display())))?;
-        if meta_md.len() != META_BYTES as u64 {
+        // ---- read the meta block through `Meta` before writing anything ----
+        let meta_region = NvmRegion::open_file(&meta_path, &params.nvm)?;
+        let meta = Meta::open(Arc::new(meta_region), params.segment_bytes)?;
+        if sb.clean && meta.state() != ResizeState::Stable {
             return Err(HdnhError::Recovery(format!(
-                "meta block is {} bytes, expected {META_BYTES}",
-                meta_md.len()
-            )));
-        }
-        let mut head = [0u8; 56];
-        {
-            use std::io::Read;
-            let mut f = fs::File::open(&meta_path)
-                .map_err(|e| HdnhError::Io(format!("open {}: {e}", meta_path.display())))?;
-            f.read_exact(&mut head)
-                .map_err(|e| HdnhError::Io(format!("read {}: {e}", meta_path.display())))?;
-        }
-        let magic = u64::from_le_bytes(head[0..8].try_into().unwrap());
-        if magic != meta::MAGIC {
-            return Err(HdnhError::Recovery(format!(
-                "meta block is not an HDNH pool (magic {magic:#018x})"
-            )));
-        }
-        let meta_seg_bytes = u64::from_le_bytes(head[48..56].try_into().unwrap());
-        if meta_seg_bytes != params.segment_bytes as u64 {
-            return Err(HdnhError::Recovery(format!(
-                "meta block says segment_bytes={meta_seg_bytes} but params say {}",
-                params.segment_bytes
+                "superblock says clean shutdown but the resize state machine reads {:?}",
+                meta.state()
             )));
         }
 
-        // ---- mark dirty BEFORE mapping regions ----
+        // ---- mark dirty BEFORE mapping the levels ----
         let epoch = sb.layout_epoch + 1;
         write_superblock(
             dir,
@@ -260,26 +245,7 @@ impl Hdnh {
             },
         )?;
 
-        // ---- map the regions and classify them by size ----
-        let meta_region = Arc::new(
-            NvmRegion::open_file(&meta_path, &params.nvm).map_err(HdnhError::from)?,
-        );
-        // Geometry words straight from the (magic-checked) meta block.
-        let state = u64::from_le_bytes(head[8..16].try_into().unwrap());
-        let top_segments = u64::from_le_bytes(head[16..24].try_into().unwrap()) as usize;
-        let bottom_segments = u64::from_le_bytes(head[24..32].try_into().unwrap()) as usize;
-        let new_top_segments = u64::from_le_bytes(head[40..48].try_into().unwrap()) as usize;
-        let stable = state == 1;
-        if sb.clean && !stable {
-            return Err(HdnhError::Recovery(format!(
-                "superblock says clean shutdown but the resize state machine reads {state}"
-            )));
-        }
-        let seg_bytes = params.segment_bytes as u64;
-        let top_bytes = top_segments as u64 * seg_bytes;
-        let bottom_bytes = bottom_segments as u64 * seg_bytes;
-        let new_top_bytes = new_top_segments as u64 * seg_bytes;
-
+        // ---- give the level files their roles; map only those ----
         let mut files: Vec<(PathBuf, u64)> = Vec::new();
         for p in pool.region_files().map_err(HdnhError::from)? {
             let len = fs::metadata(&p)
@@ -291,29 +257,7 @@ impl Hdnh {
         // allocated file wins when sizes tie (a stale twin is orphaned).
         files.sort();
         files.reverse();
-        let mut take = |want: u64| -> Option<PathBuf> {
-            let i = files.iter().position(|(_, len)| *len == want)?;
-            Some(files.remove(i).0)
-        };
-        let top_path = take(top_bytes).ok_or_else(|| {
-            HdnhError::Recovery(format!(
-                "no region file of the top level's size ({top_bytes} bytes) exists in {}",
-                dir.display()
-            ))
-        })?;
-        let bottom_path = take(bottom_bytes).ok_or_else(|| {
-            HdnhError::Recovery(format!(
-                "no region file of the bottom level's size ({bottom_bytes} bytes) exists in {}",
-                dir.display()
-            ))
-        })?;
-        // An in-flight resize target is only meaningful outside Stable;
-        // in Stable the recorded new-top size is a stale leftover.
-        let new_top_path = if !stable && new_top_segments > 0 {
-            take(new_top_bytes)
-        } else {
-            None
-        };
+        let roles = meta.assign_roles(files.into_iter().map(|(p, len)| (len, p)))?;
 
         let open_region = |p: &Path| -> Result<Arc<NvmRegion>, HdnhError> {
             Ok(Arc::new(NvmRegion::open_file(p, &params.nvm)?))
@@ -331,10 +275,10 @@ impl Hdnh {
             vlog_regions.push((id as u32, open_region(&p)?));
         }
         let persistent = PersistentPool {
-            meta: meta_region,
-            top: open_region(&top_path)?,
-            bottom: open_region(&bottom_path)?,
-            new_top: new_top_path.as_deref().map(open_region).transpose()?,
+            meta: Arc::clone(meta.region()),
+            top: open_region(&roles.top)?,
+            bottom: open_region(&roles.bottom)?,
+            new_top: roles.new_top.as_deref().map(open_region).transpose()?,
             vlog: vlog_regions,
         };
 
@@ -413,13 +357,8 @@ impl Hdnh {
         }
         let dir = pool.path().to_path_buf();
         let sb = read_superblock(&dir)?;
-        let pp = self.into_pool();
-        for region in [&pp.meta, &pp.top, &pp.bottom]
-            .into_iter()
-            .chain(pp.new_top.as_ref())
-            .chain(pp.vlog.iter().map(|(_, r)| r))
-        {
-            region.sync_to_disk().map_err(HdnhError::from)?;
+        for region in self.into_pool().regions() {
+            region.sync_to_disk()?;
         }
         write_superblock(&dir, &Superblock { clean: true, ..sb })?;
         hdnh_obs::trace::milestone(hdnh_obs::trace::Milestone::PoolClosed);

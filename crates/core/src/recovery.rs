@@ -8,6 +8,13 @@
 //! regions' `crash()` plays the power failure, and [`Hdnh::try_recover`]
 //! re-opens the pool:
 //!
+//! * **First, the persisted state decides** — [`Meta::open`] reads the meta
+//!   block (a bad one is a typed error) and `Meta::assign_roles` names the
+//!   top, bottom and in-flight level by matching region sizes against the
+//!   persisted geometry. The labels a heap pool arrives with are only a
+//!   preference order, so a heap pool and a pool directory holding the same
+//!   bytes take the same branch below; `open_pool` runs the same function
+//!   over its files.
 //! * **Crash while `level number = 2` (allocating)** — the new level may or
 //!   may not exist; recovery "applies for the new level again" (wiping the
 //!   headers of a surviving one) and reruns the whole rehash.
@@ -54,6 +61,8 @@ use crate::table::{Hdnh, Inner, CANDIDATES_FULL, CANDIDATES_ONE_CHOICE};
 use crate::vlog::{self, Vlog, VlogPtr};
 
 /// The persistent half of an HDNH instance: what survives a power cycle.
+/// A clone shares the regions, as a second mapping of the same files would.
+#[derive(Clone)]
 pub struct PersistentPool {
     /// Metadata block.
     pub meta: Arc<NvmRegion>,
@@ -68,20 +77,20 @@ pub struct PersistentPool {
 }
 
 impl PersistentPool {
+    /// Every region of the pool: meta, top, bottom, the in-flight level
+    /// when present, then each log segment.
+    pub fn regions(&self) -> impl Iterator<Item = &Arc<NvmRegion>> {
+        [&self.meta, &self.top, &self.bottom]
+            .into_iter()
+            .chain(self.new_top.as_ref())
+            .chain(self.vlog.iter().map(|(_, region)| region))
+    }
+
     /// Simulates a power failure across every region of the pool (strict
     /// regions only). Returns the number of dropped words.
     pub fn crash(&self, seed: u64) -> usize {
         let mut rng = XorShift64Star::new(seed);
-        let mut dropped = self.meta.crash(&mut rng);
-        dropped += self.top.crash(&mut rng);
-        dropped += self.bottom.crash(&mut rng);
-        if let Some(nt) = &self.new_top {
-            dropped += nt.crash(&mut rng);
-        }
-        for (_, region) in &self.vlog {
-            dropped += region.crash(&mut rng);
-        }
-        dropped
+        self.regions().map(|region| region.crash(&mut rng)).sum()
     }
 }
 
@@ -90,104 +99,44 @@ impl Hdnh {
     /// pool. (The DRAM structures die with the process either way; this
     /// models unmapping the pool files.)
     pub fn into_pool(self) -> PersistentPool {
-        // Detach the published snapshot (Drop then sees null and skips it).
-        let inner =
-            unsafe { Box::from_raw(self.current.swap(std::ptr::null_mut(), Ordering::SeqCst)) };
-        let pending = self.pending_new_top.lock().take();
-        PersistentPool {
-            meta: Arc::clone(self.meta.region()),
-            top: Arc::clone(inner.top.region()),
-            bottom: Arc::clone(inner.bottom.region()),
-            new_top: pending.as_ref().map(|(l, _)| Arc::clone(l.region())),
-            vlog: self.vlog.regions(),
-        }
+        self.live_pool()
     }
 
     /// Re-opens a pool: completes any interrupted resize, then rebuilds the
     /// OCF and hot table with `threads` parallel scan threads. Panics on
-    /// backend I/O failure (which heap regions never have) and on a pool
-    /// whose geometry disagrees with `params`; the fallible form is
-    /// [`Hdnh::try_recover`].
+    /// every error [`Hdnh::try_recover`] reports.
     pub fn recover(params: HdnhParams, pool: PersistentPool, threads: usize) -> Hdnh {
         Self::try_recover(params, pool, threads).unwrap_or_else(|e| panic!("recovery failed: {e}"))
     }
 
-    /// [`Hdnh::recover`] with pool-file allocation failures and geometry
-    /// mismatches surfaced as typed errors
-    /// ([`HdnhError::Recovery`]) instead of panics, so a pool created with
-    /// different parameters is reported rather than aborting the process.
+    /// [`Hdnh::recover`] with every failure a typed error instead of a
+    /// panic: bad params are [`HdnhError::Config`]; a meta block
+    /// [`Meta::open`] refuses, a pool created with other parameters, or a
+    /// region set the persisted geometry cannot place is
+    /// [`HdnhError::Recovery`]; a pool-file allocation failure is
+    /// [`HdnhError::Io`].
     pub fn try_recover(
         params: HdnhParams,
         pool: PersistentPool,
         threads: usize,
     ) -> Result<Hdnh, HdnhError> {
-        params.validate();
+        params.check().map_err(HdnhError::Config)?;
         obs::trace::milestone(obs::trace::Milestone::RecoveryStart);
         let t0 = Instant::now();
-        let meta = Meta::open(pool.meta);
-        if meta.segment_bytes() != params.segment_bytes {
-            return Err(HdnhError::Recovery(format!(
-                "params disagree with the persisted pool geometry: \
-                 persisted segment_bytes {} vs configured {}",
-                meta.segment_bytes(),
-                params.segment_bytes
-            )));
-        }
+        let meta = Meta::open(pool.meta, params.segment_bytes)?;
         let bps = params.segment_bytes / BUCKET_BYTES;
-        // Level geometry comes from the *actual region sizes* (a real pool
-        // knows the sizes of its DAX files), not from the metadata block: a
-        // crash inside the level-swap window leaves `meta`'s geometry one
-        // store behind the regions that really survived, and recovery must
-        // adopt what is there.
-        let seg_bytes = bps * BUCKET_BYTES;
-        if !pool.top.len().is_multiple_of(seg_bytes)
-            || !pool.bottom.len().is_multiple_of(seg_bytes)
-        {
-            return Err(HdnhError::Recovery(format!(
-                "pool regions are not whole segments: top {} B, bottom {} B, \
-                 segment {} B",
-                pool.top.len(),
-                pool.bottom.len(),
-                seg_bytes
-            )));
-        }
-        let mut top_region = pool.top;
-        let mut bottom_region = pool.bottom;
-        let mut new_top_region = pool.new_top;
-        // The converse skew is possible too: a crash *after* the swap's
-        // metadata stores but before the next clean shutdown leaves the
-        // pool files still labeled by their pre-swap roles while `meta`
-        // already records the post-swap geometry. Levels double in size at
-        // every resize, so the role of each surviving file is recoverable
-        // from its size alone — promote the migrated level and demote the
-        // old top (the old bottom's records all live in the new level).
-        if meta.state() == ResizeState::Stable
-            && (top_region.len() / seg_bytes != meta.top_segments()
-                || bottom_region.len() / seg_bytes != meta.bottom_segments())
-        {
-            let nt = new_top_region.take().ok_or_else(|| {
-                HdnhError::Recovery(
-                    "meta geometry disagrees with the pool regions and no in-flight \
-                     level survived"
-                        .to_string(),
-                )
-            })?;
-            if nt.len() / seg_bytes != meta.top_segments()
-                || top_region.len() / seg_bytes != meta.bottom_segments()
-            {
-                return Err(HdnhError::Recovery(
-                    "no role assignment of the surviving regions matches the \
-                     persisted geometry"
-                        .to_string(),
-                ));
-            }
-            bottom_region = std::mem::replace(&mut top_region, nt);
-            fault::point("recover.relabeled");
-        }
-        let top_segments = top_region.len() / seg_bytes;
-        let bottom_segments = bottom_region.len() / seg_bytes;
-        let mut top = Level::from_region(top_region, top_segments, bps);
-        let mut bottom = Level::from_region(bottom_region, bottom_segments, bps);
+        // The persisted geometry, not the labels the regions arrive with,
+        // decides which region is which: a heap pool and the same bytes in
+        // pool files take the same branch below.
+        let levels = [Some(pool.top), Some(pool.bottom), pool.new_top];
+        let roles = meta.assign_roles(levels.into_iter().flatten().map(|r| (r.len() as u64, r)))?;
+        let level = |region: Arc<NvmRegion>| {
+            let segments = region.len() / params.segment_bytes;
+            Level::from_region(region, segments, bps)
+        };
+        let mut top = level(roles.top);
+        let mut bottom = level(roles.bottom);
+        let mut new_top_region = roles.new_top;
         fault::point("recover.opened");
 
         // ---- resize state machine ----
@@ -211,12 +160,12 @@ impl Hdnh {
                 // will find, not in one that dies with this process.
                 fault::point("recover.alloc.entered");
                 let new_top = match new_top_region.take() {
-                    Some(region) if region.len() == meta.new_top_segments() * seg_bytes => {
-                        let l = Level::from_region(region, meta.new_top_segments(), bps);
+                    Some(region) => {
+                        let l = level(region);
                         l.wipe_headers();
                         l
                     }
-                    _ => Level::try_new(meta.new_top_segments(), bps, &params.nvm)?,
+                    None => Level::try_new(meta.new_top_segments(), bps, &params.nvm)?,
                 };
                 let new_ocf = Ocf::new(new_top.n_buckets(), SLOTS_PER_BUCKET);
                 meta.set_state(ResizeState::Rehashing);
@@ -252,10 +201,7 @@ impl Hdnh {
                     // bucket 0 into a fresh level (the migration only ever
                     // copies, so every source record is still in `bottom`).
                     let (new_top, start) = match new_top_region.take() {
-                        Some(region) => {
-                            let l = Level::from_region(region, nts, bps);
-                            (l, meta.rehash_progress().unwrap_or(0))
-                        }
+                        Some(region) => (level(region), meta.rehash_progress().unwrap_or(0)),
                         None => (Level::try_new(nts, bps, &params.nvm)?, 0),
                     };
                     fault::point("recover.rehash.resumed");
@@ -360,15 +306,8 @@ impl Hdnh {
             &self.meta,
             cands,
         );
-        let pool = PersistentPool {
-            meta: Arc::clone(self.meta.region()),
-            top: Arc::clone(inner.top.region()),
-            bottom: Arc::clone(inner.bottom.region()),
-            new_top: Some(Arc::clone(new_top.region())),
-            vlog: self.vlog.regions(),
-        };
         *self.pending_new_top.lock() = Some((new_top, new_ocf));
-        pool
+        self.live_pool()
     }
 
     /// Crashes after requesting a new level but before it becomes visible
@@ -379,13 +318,7 @@ impl Hdnh {
         let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
         self.meta.set_new_top_segments(inner.top.n_segments() * 2);
         self.meta.set_state(ResizeState::Allocating);
-        PersistentPool {
-            meta: Arc::clone(self.meta.region()),
-            top: Arc::clone(inner.top.region()),
-            bottom: Arc::clone(inner.bottom.region()),
-            new_top: None,
-            vlog: self.vlog.regions(),
-        }
+        self.live_pool()
     }
 }
 
@@ -793,6 +726,96 @@ mod tests {
             ..strict_params()
         };
         let _ = Hdnh::recover(wrong, pool, 1);
+    }
+
+    #[test]
+    fn a_meta_block_recovery_cannot_trust_is_a_typed_error() {
+        let zeroed = {
+            let pool = Hdnh::new(strict_params()).into_pool();
+            pool.meta.write_bytes(0, &[0; crate::meta::META_BYTES]);
+            pool
+        };
+        let unknown_state = {
+            let pool = Hdnh::new(strict_params()).into_pool();
+            // The resize state word: the meta block's second 8-byte word.
+            pool.meta.atomic_store_u64(8, 7, Ordering::Release);
+            pool
+        };
+        for (pool, why) in [(zeroed, "bad magic"), (unknown_state, "state word 7")] {
+            match Hdnh::try_recover(strict_params(), pool, 1) {
+                Err(HdnhError::Recovery(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected a recovery error naming {why:?}, got {:?}", other.map(|t| t.len())),
+            }
+        }
+    }
+
+    /// A crash between `set_geometry`'s two stores: the top word already
+    /// names the migrated level, the bottom word still the old bottom.
+    #[test]
+    fn recover_from_a_half_published_geometry() {
+        let params = strict_params();
+        let t = Hdnh::new(params.clone());
+        for i in 0..400 {
+            t.insert(&k(i), &v(i + 1)).unwrap();
+        }
+        let (top, bottom) = (t.meta.top_segments(), t.meta.bottom_segments());
+        let pool = t.into_crashed_mid_resize(usize::MAX);
+        Meta::open(Arc::clone(&pool.meta), params.segment_bytes)
+            .unwrap()
+            .set_geometry(top * 2, bottom);
+        let r = Hdnh::recover(params, pool, 2);
+        assert_eq!(r.len(), 400);
+        for i in 0..400 {
+            assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i + 1, "key {i}");
+        }
+        assert_eq!((r.meta.top_segments(), r.meta.bottom_segments()), (top * 2, top));
+        assert!(r.verify_integrity().is_ok());
+    }
+
+    /// The labels a heap pool's level regions arrive with change nothing:
+    /// every way of handing the same regions to recovery gives the same
+    /// table, mid-resize and mid-allocation alike.
+    #[test]
+    fn recovery_ignores_how_the_levels_are_labelled() {
+        let params = strict_params();
+        let crashed = |allocating: bool| {
+            let t = Hdnh::new(params.clone());
+            for i in 0..300 {
+                t.insert(&k(i), &v(i + 1)).unwrap();
+            }
+            if allocating {
+                t.into_crashed_while_allocating()
+            } else {
+                let half = t.meta_bottom_buckets() / 2;
+                t.into_crashed_mid_resize(half)
+            }
+        };
+        for allocating in [false, true] {
+            let n = if allocating { 2 } else { 3 };
+            for labels in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+                if labels[..2].iter().any(|&l| l >= n) {
+                    continue;
+                }
+                let pool = crashed(allocating);
+                let levels: Vec<Arc<NvmRegion>> =
+                    [Some(pool.top.clone()), Some(pool.bottom.clone()), pool.new_top.clone()]
+                        .into_iter()
+                        .flatten()
+                        .collect();
+                let relabelled = PersistentPool {
+                    top: Arc::clone(&levels[labels[0]]),
+                    bottom: Arc::clone(&levels[labels[1]]),
+                    new_top: levels.get(labels[2]).cloned(),
+                    ..pool
+                };
+                let r = Hdnh::recover(params.clone(), relabelled, 2);
+                assert_eq!(r.len(), 300, "allocating {allocating}, labels {labels:?}");
+                for i in 0..300 {
+                    assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i + 1, "key {i}");
+                }
+                assert!(r.verify_integrity().is_ok(), "labels {labels:?}");
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use hdnh_nvm::Backend;
 use hdnh_obs as obs;
 
-use crate::crc32::crc32_ieee;
+use crate::crc32::{crc32_ieee, Crc32};
 use crate::pool::{
     read_superblock, write_superblock, Superblock, SUPERBLOCK_FILE, SUPERBLOCK_VERSION,
 };
@@ -88,36 +88,48 @@ fn io_err(op: &str, p: &Path, e: std::io::Error) -> HdnhError {
     HdnhError::Io(format!("{op} {}: {e}", p.display()))
 }
 
-/// Copies `src` to `dst` in chunks, returning `(len, crc32)`. The
-/// destination is fsynced so a snapshot is durable once its manifest is.
-fn copy_with_crc(src: &Path, dst: &Path) -> Result<(u64, u32), HdnhError> {
-    let mut from = fs::File::open(src).map_err(|e| io_err("open", src, e))?;
-    let mut to = fs::File::create(dst).map_err(|e| io_err("create", dst, e))?;
-    let mut buf = vec![0u8; 1 << 20];
-    let mut len = 0u64;
-    let mut crc = !0u32;
+/// Bytes read per step when a file is checksummed or copied: a region
+/// file of any size costs one buffer of this size, never its length.
+const CHUNK: usize = 1 << 20;
+
+/// Reads `from` (opened from `path`) to its end in [`CHUNK`]s, hands each
+/// chunk to `sink`, and returns `(len, crc32)` of everything read.
+fn stream_crc(
+    mut from: fs::File,
+    path: &Path,
+    mut sink: impl FnMut(&[u8]) -> Result<(), HdnhError>,
+) -> Result<(u64, u32), HdnhError> {
+    let mut buf = vec![0u8; CHUNK];
+    let (mut len, mut crc) = (0u64, Crc32::new());
     loop {
-        let n = from.read(&mut buf).map_err(|e| io_err("read", src, e))?;
-        if n == 0 {
-            break;
-        }
-        // Incremental CRC: fold each chunk into the running register.
-        for &byte in &buf[..n] {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (!(crc & 1)).wrapping_add(1));
-            }
-        }
-        to.write_all(&buf[..n]).map_err(|e| io_err("write", dst, e))?;
+        let n = match from.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(io_err("read", path, e)),
+        };
+        crc.update(&buf[..n]);
+        sink(&buf[..n])?;
         len += n as u64;
     }
+    Ok((len, crc.finish()))
+}
+
+/// Copies `src` to `dst`, returning `(len, crc32)` of the bytes copied.
+/// The destination is fsynced so a snapshot is durable once its manifest is.
+fn copy_with_crc(src: &Path, dst: &Path) -> Result<(u64, u32), HdnhError> {
+    let from = fs::File::open(src).map_err(|e| io_err("open", src, e))?;
+    let mut to = fs::File::create(dst).map_err(|e| io_err("create", dst, e))?;
+    let copied = stream_crc(from, src, |chunk| {
+        to.write_all(chunk).map_err(|e| io_err("write", dst, e))
+    })?;
     to.sync_all().map_err(|e| io_err("fsync", dst, e))?;
-    Ok((len, !crc))
+    Ok(copied)
 }
 
 fn file_crc(path: &Path) -> Result<(u64, u32), HdnhError> {
-    let bytes = fs::read(path).map_err(|e| io_err("read", path, e))?;
-    Ok((bytes.len() as u64, crc32_ieee(&bytes)))
+    let from = fs::File::open(path).map_err(|e| io_err("open", path, e))?;
+    stream_crc(from, path, |_| Ok(()))
 }
 
 impl SnapshotManifest {
@@ -395,6 +407,22 @@ impl Hdnh {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn files_around_the_chunk_size_checksum_and_copy_whole() {
+        let dir = std::env::temp_dir().join(format!("hdnh-snapshot-crc-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+            let (src, dst) = (dir.join("src"), dir.join("dst"));
+            fs::write(&src, &bytes).unwrap();
+            let want = (len as u64, crc32_ieee(&bytes));
+            assert_eq!(file_crc(&src).unwrap(), want, "len {len}");
+            assert_eq!(copy_with_crc(&src, &dst).unwrap(), want, "len {len}");
+            assert!(fs::read(&dst).unwrap() == bytes, "len {len}: copy differs");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn manifest_roundtrip() {

@@ -92,6 +92,7 @@ use crate::meta::Meta;
 use crate::nvtable::Level;
 use crate::ocf::Ocf;
 use crate::params::{HdnhParams, SyncMode, BUCKET_BYTES, SLOTS_PER_BUCKET};
+use crate::recovery::PersistentPool;
 use crate::sync::SyncWriter;
 use crate::vlog::Vlog;
 static RNG_SEED: AtomicU64 = AtomicU64::new(0x5EED);
@@ -276,10 +277,11 @@ impl Hdnh {
         Self::try_new(params).unwrap_or_else(|e| panic!("table allocation failed: {e}"))
     }
 
-    /// Creates an empty table, surfacing backend (pool-file) failures as
-    /// typed errors instead of panicking.
+    /// Creates an empty table, surfacing bad params
+    /// ([`HdnhError::Config`]) and backend (pool-file) failures as typed
+    /// errors instead of panicking.
     pub fn try_new(params: HdnhParams) -> Result<Self, HdnhError> {
-        params.validate();
+        params.check().map_err(HdnhError::Config)?;
         let bps = params.segment_bytes / BUCKET_BYTES;
         let bottom_segments = params.initial_bottom_segments;
         let top_segments = bottom_segments * 2;
@@ -349,18 +351,9 @@ impl Hdnh {
 
     /// Aggregated media counters across the table's NVM regions.
     pub fn nvm_stats(&self) -> StatsSnapshot {
-        let snap = self.pinned();
-        let inner = snap.inner;
         let mut acc = StatsSnapshot::default();
-        let mut snaps = vec![
-            self.meta.region().stats().snapshot(),
-            inner.top.region().stats().snapshot(),
-            inner.bottom.region().stats().snapshot(),
-        ];
-        for (_, region) in self.vlog.regions() {
-            snaps.push(region.stats().snapshot());
-        }
-        for snap in snaps {
+        for region in self.live_pool().regions() {
+            let snap = region.stats().snapshot();
             acc.reads += snap.reads;
             acc.read_bytes += snap.read_bytes;
             acc.read_blocks += snap.read_blocks;
@@ -403,9 +396,9 @@ impl Hdnh {
         }
     }
 
-    /// Paths of every pool file currently reachable from the table
-    /// (meta + live levels + any in-flight resize target). Empty on the
-    /// heap backend. Used by the orphan sweep after recovery.
+    /// Paths of every pool file currently reachable from the table (meta,
+    /// live levels, any in-flight resize target, log segments). Empty on
+    /// the heap backend. Used by the orphan sweep after recovery.
     pub fn region_file_paths(&self) -> Vec<std::path::PathBuf> {
         let _m = self.maintenance_lock();
         self.region_file_paths_locked()
@@ -414,25 +407,10 @@ impl Hdnh {
     /// [`region_file_paths`](Self::region_file_paths) body for callers that
     /// already hold the maintenance lock (the lock is not re-entrant).
     pub(crate) fn region_file_paths_locked(&self) -> Vec<std::path::PathBuf> {
-        let snap = self.pinned();
-        let inner = snap.inner;
-        let mut out = Vec::new();
-        for region in [self.meta.region(), inner.top.region(), inner.bottom.region()] {
-            if let Some(p) = region.file_path() {
-                out.push(p.to_path_buf());
-            }
-        }
-        for (_, region) in self.vlog.regions() {
-            if let Some(p) = region.file_path() {
-                out.push(p.to_path_buf());
-            }
-        }
-        if let Some((level, _)) = self.pending_new_top.lock().as_ref() {
-            if let Some(p) = level.region().file_path() {
-                out.push(p.to_path_buf());
-            }
-        }
-        out
+        self.live_pool()
+            .regions()
+            .filter_map(|region| region.file_path().map(|p| p.to_path_buf()))
+            .collect()
     }
 
     /// `msync(MS_SYNC)`+`fsync` every region reachable from the table
@@ -446,18 +424,25 @@ impl Hdnh {
     /// [`sync_regions_to_disk`](Self::sync_regions_to_disk) body for
     /// callers that already hold the maintenance lock.
     pub(crate) fn sync_regions_to_disk_locked(&self) -> Result<(), HdnhError> {
-        let snap = self.pinned();
-        let inner = snap.inner;
-        for region in [self.meta.region(), inner.top.region(), inner.bottom.region()] {
-            region.sync_to_disk().map_err(HdnhError::from)?;
-        }
-        for (_, region) in self.vlog.regions() {
-            region.sync_to_disk().map_err(HdnhError::from)?;
-        }
-        if let Some((level, _)) = self.pending_new_top.lock().as_ref() {
-            level.region().sync_to_disk().map_err(HdnhError::from)?;
+        for region in self.live_pool().regions() {
+            region.sync_to_disk()?;
         }
         Ok(())
+    }
+
+    /// Every region reachable from the table, as the pool a crash now
+    /// would leave: meta, the live levels, the in-flight level of a resize
+    /// under way, and the log segments. The one list of a table's regions;
+    /// iterate it with [`PersistentPool::regions`].
+    pub(crate) fn live_pool(&self) -> PersistentPool {
+        let snap = self.pinned();
+        PersistentPool {
+            meta: Arc::clone(self.meta.region()),
+            top: Arc::clone(snap.inner.top.region()),
+            bottom: Arc::clone(snap.inner.bottom.region()),
+            new_top: self.pending_new_top.lock().as_ref().map(|(l, _)| Arc::clone(l.region())),
+            vlog: self.vlog.regions(),
+        }
     }
 
     /// Runs `f` with the maintenance lock held and writers excluded: the

@@ -250,10 +250,10 @@ impl Hdnh {
     ///
     /// Persistent commit order after the in-DRAM swap: geometry, then
     /// cursor, then state. Recovery distinguishes every intermediate
-    /// window: a crash with the swap done but `Stable` unwritten is
-    /// detected either by `top_segments == new_top_segments` (geometry
-    /// already published — only this code writes that combination) or by
-    /// the pool's region sizes matching the post-swap arrangement.
+    /// window from the persisted words alone: `Rehashing` with
+    /// `top_segments == new_top_segments` (only this code writes that
+    /// combination) is the swap done but `Stable` unwritten, and
+    /// `Meta::assign_roles` finds each level at its persisted size.
     fn finalize_swap(&self, old: &Inner, new_top: Level, new_ocf: Ocf, generation: u64) -> Inner {
         let old_top_segments = old.top.n_segments();
         let new_top_segments = new_top.n_segments();

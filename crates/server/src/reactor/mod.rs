@@ -439,13 +439,6 @@ impl EventLoop {
                     Ok(n) => {
                         obs::add(obs::Counter::NetBytesIn, n as u64);
                         entry.conn.on_bytes(&rdbuf[..n], engine, now);
-                        // A short read emptied the socket: asking again
-                        // would only fetch the would-block. The poller is
-                        // level-triggered, so bytes (or an EOF) that land
-                        // after this read wake the loop again.
-                        if n < rdbuf.len() {
-                            break;
-                        }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,

@@ -1,10 +1,9 @@
 //! Syscalls per request, as a number: `net_read_calls` and
 //! `net_write_calls` count every `read` and `write` the event loops issue
 //! on client sockets. A pipelined batch that arrives in one piece costs the
-//! server one `read` and one `write` — the loop does not ask the socket a
-//! second time for the would-block it knows is coming — and stopping after
-//! a short read loses nothing: the poller is level-triggered, so a peer's
-//! half-close that lands behind the bytes is seen on the next wake.
+//! server two `read`s — the one that takes the batch and the one that finds
+//! the socket empty — and one `write`; a peer's half-close right behind the
+//! bytes is seen, and every frame before it answered.
 //!
 //! Kept in its own integration-test binary so the process-global obs
 //! registry is not shared with other network tests.
@@ -58,7 +57,8 @@ fn a_batch_costs_one_read_and_one_write_and_a_half_close_is_still_seen() {
     };
 
     // One batch settles the connection (accept, registration); then every
-    // batch is one segment in, one read, one write, one segment out.
+    // batch is one segment in, two reads (the batch, then the would-block),
+    // one write, one segment out.
     let mut stream = connect();
     let mut got = vec![0u8; exp.len()];
     stream.write_all(&req).unwrap();
@@ -72,15 +72,15 @@ fn a_batch_costs_one_read_and_one_write_and_a_half_close_is_still_seen() {
     }
     assert_eq!(
         socket_calls(&before),
-        (BATCHES, BATCHES),
+        (2 * BATCHES, BATCHES),
         "(reads, writes) for {BATCHES} depth-{DEPTH} batches on an otherwise idle connection"
     );
 
-    // A batch with the half-close right behind it: the read that takes the
-    // bytes is short, so the loop does not ask again — and the end of the
-    // stream is still found, on the next wake: every frame answered, then
-    // the server's own close. One read for the bytes, one for the EOF.
-    // (The first connection stays open: its close would be a read too.)
+    // A batch with the half-close right behind it: every frame answered,
+    // then the server's own close. One read for the bytes and one that
+    // finds the EOF — or, when the FIN lands after the second read, a
+    // would-block and the EOF on the next wake. (The first connection stays
+    // open: its close would be a read too.)
     let idle = stream;
     let mut stream = connect();
     let before = obs::snapshot();
@@ -89,7 +89,11 @@ fn a_batch_costs_one_read_and_one_write_and_a_half_close_is_still_seen() {
     let mut got = Vec::new();
     stream.read_to_end(&mut got).expect("the server closes after answering");
     assert_eq!(got, exp, "every received frame is answered before the close");
-    assert_eq!(socket_calls(&before), (2, 1), "(reads, writes) for a batch and its half-close");
+    let (reads, writes) = socket_calls(&before);
+    assert!(
+        (2..=3).contains(&reads) && writes == 1,
+        "(reads, writes) = ({reads}, {writes}) for a batch and its half-close"
+    );
 
     drop(idle);
     handle.shutdown_and_join();

@@ -75,6 +75,38 @@ fn dropped_table_reopens_dirty_and_recovers_every_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A resize state word the format does not define (1 = stable, 2 =
+/// allocating, 3 = rehashing) is a damaged meta block, not a stable pool:
+/// the open fails typed and writes nothing, and the pool opens again once
+/// the word is repaired.
+#[test]
+fn an_unknown_resize_state_word_is_a_typed_error() {
+    let dir = tmp_pool("stateword");
+    let (table, _) = Hdnh::open_pool(params(2_000), &dir, 2).unwrap();
+    fill(&table, 0..100);
+    drop(table);
+    let meta = dir.join(hdnh_nvm::META_FILE);
+    let pristine = std::fs::read(&meta).unwrap();
+    let superblock = std::fs::read(dir.join(hdnh::SUPERBLOCK_FILE)).unwrap();
+    let mut damaged = pristine.clone();
+    // The state word is the meta block's second 8-byte word.
+    damaged[8..16].copy_from_slice(&7u64.to_le_bytes());
+    std::fs::write(&meta, &damaged).unwrap();
+    match Hdnh::open_pool(params(2_000), &dir, 2) {
+        Err(HdnhError::Recovery(msg)) => assert!(msg.contains("state word 7"), "{msg}"),
+        Err(other) => panic!("expected a Recovery error, got {other:?}"),
+        Ok(_) => panic!("a pool with resize state word 7 opened"),
+    }
+    assert_eq!(std::fs::read(dir.join(hdnh::SUPERBLOCK_FILE)).unwrap(), superblock);
+
+    std::fs::write(&meta, &pristine).unwrap();
+    let (table, report) = Hdnh::open_pool(params(2_000), &dir, 2).unwrap();
+    assert!(!report.was_clean);
+    check(&table, 0..100);
+    table.close_pool().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One opener at a time. While a table opened from the pool lives, a second
 /// open — and a restore aimed at the same directory — fails with a typed
 /// error naming the directory, and changes nothing: the layout epoch the
