@@ -15,7 +15,8 @@ use crate::command::{
     Command, FaultRunMode, MetricsFormat, MetricsMode, StatsMode, TraceMode, HELP,
 };
 
-/// Engine configuration (mapped from CLI flags by the binary).
+/// The table the shell and `serve` open (mapped from CLI flags by the
+/// binary; see [`open_table`]).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Strict NVM (enables `crash`); slower writes.
@@ -44,6 +45,64 @@ impl Default for EngineConfig {
             sync_policy: hdnh_nvm::SyncPolicy::Async,
         }
     }
+}
+
+/// Opens the table `config` describes, the one way the shell and `serve`
+/// both do: builds its parameters, then creates a heap table, or opens
+/// (creating it if need be, recovering it if the last run died) the pool
+/// at `config.pool`. Returns the parameters as built (heap-backed), the
+/// table, and for a pool a one-line banner saying how it was opened.
+pub fn open_table(
+    config: &EngineConfig,
+) -> Result<(HdnhParams, Hdnh, Option<String>), HdnhError> {
+    // The library opens a pool strict; the shell does not, because its
+    // `crash` reboots in place through `Hdnh::recover`, and a pool comes
+    // back through `open_pool`.
+    if config.strict && config.pool.is_some() {
+        return Err(HdnhError::Config(
+            "--strict's crash command reboots a heap table in place and cannot be \
+             combined with --pool"
+                .into(),
+        ));
+    }
+    let nvm = if config.strict {
+        NvmOptions::strict()
+    } else if config.latency {
+        NvmOptions::bench()
+    } else {
+        NvmOptions::fast()
+    };
+    let params = HdnhParams::builder()
+        .capacity(config.capacity)
+        .nvm(nvm)
+        .sync_policy(config.sync_policy)
+        .build()
+        .map_err(|e| HdnhError::Config(e.to_string()))?;
+    let Some(dir) = &config.pool else {
+        return Ok((params.clone(), Hdnh::new(params), None));
+    };
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+    let (table, report) = Hdnh::open_pool(params.clone(), std::path::Path::new(dir), threads)?;
+    let banner = if report.created {
+        format!("created pool {dir} (layout epoch {})", report.layout_epoch)
+    } else {
+        format!(
+            "opened pool {dir}: {} records, layout epoch {}, {}{}",
+            table.len(),
+            report.layout_epoch,
+            if report.was_clean {
+                "clean shutdown"
+            } else {
+                "recovered after unclean shutdown"
+            },
+            if report.removed_orphans > 0 {
+                format!(", {} orphan file(s) removed", report.removed_orphans)
+            } else {
+                String::new()
+            },
+        )
+    };
+    Ok((params, table, Some(banner)))
 }
 
 /// A live table plus the state the shell needs.
@@ -88,62 +147,10 @@ impl Engine {
     /// Builds an engine, surfacing configuration and pool-open problems as
     /// typed errors (the binary prints them and exits nonzero).
     pub fn try_new(config: EngineConfig) -> Result<Self, HdnhError> {
-        // The library opens a pool strict; the shell does not, because its
-        // `crash` reboots in place through `Hdnh::recover`, and a pool comes
-        // back through `open_pool`.
-        if config.strict && config.pool.is_some() {
-            return Err(HdnhError::Config(
-                "--strict's crash command reboots a heap table in place and cannot be \
-                 combined with --pool"
-                    .into(),
-            ));
-        }
-        let nvm = if config.strict {
-            NvmOptions::strict()
-        } else if config.latency {
-            NvmOptions::bench()
-        } else {
-            NvmOptions::fast()
-        };
-        let params = HdnhParams::builder()
-            .capacity(config.capacity)
-            .nvm(nvm)
-            .sync_policy(config.sync_policy)
-            .build()
-            .map_err(|e| HdnhError::Config(e.to_string()))?;
         // The shell is an observability surface: the registry is always on
         // here (library users opt in via `hdnh_obs::set_enabled`).
         obs::set_enabled(true);
-        let (table, open_banner) = match &config.pool {
-            None => (Hdnh::new(params.clone()), None),
-            Some(dir) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(2);
-                let (table, report) =
-                    Hdnh::open_pool(params.clone(), std::path::Path::new(dir), threads)?;
-                let banner = if report.created {
-                    format!("created pool {dir} (layout epoch {})", report.layout_epoch)
-                } else {
-                    format!(
-                        "opened pool {dir}: {} records, layout epoch {}, {}{}",
-                        table.len(),
-                        report.layout_epoch,
-                        if report.was_clean {
-                            "clean shutdown"
-                        } else {
-                            "recovered after unclean shutdown"
-                        },
-                        if report.removed_orphans > 0 {
-                            format!(", {} orphan file(s) removed", report.removed_orphans)
-                        } else {
-                            String::new()
-                        },
-                    )
-                };
-                (table, Some(banner))
-            }
-        };
+        let (params, table, open_banner) = open_table(&config)?;
         Ok(Engine {
             table: Some(table),
             params,
@@ -187,8 +194,7 @@ impl Engine {
             // is stored as RESP `SET` stores it and printed as `GET`
             // returns it.
             Command::Insert(k, v) => {
-                let r = self.table()?.insert_bytes(&Key::from_u64(k), v.as_bytes());
-                self.ack(r.map(|()| "ok"))
+                written(self.table()?.insert_bytes(&Key::from_u64(k), v.as_bytes()))
             }
             Command::Get(k) => Ok(Outcome::Text(
                 match self.table()?.get_bytes(&Key::from_u64(k))? {
@@ -221,12 +227,11 @@ impl Engine {
                 Ok(Outcome::Text(out))
             }
             Command::Update(k, v) => {
-                let r = self.table()?.update_bytes(&Key::from_u64(k), v.as_bytes());
-                self.ack(r.map(|()| "ok"))
+                written(self.table()?.update_bytes(&Key::from_u64(k), v.as_bytes()))
             }
             Command::Delete(k) => {
                 let found = self.table()?.remove(&Key::from_u64(k))?;
-                self.ack(Ok(if found { "ok" } else { "(not found)" }))
+                Ok(Outcome::Text(if found { "ok" } else { "(not found)" }.to_string()))
             }
             Command::Fill(n) => {
                 let start_id = self.next_fill_id;
@@ -238,7 +243,7 @@ impl Engine {
                     match table.insert(&self.ks.key(id), &self.ks.value(id, 0)) {
                         Ok(()) => inserted += 1,
                         Err(HdnhError::DuplicateKey) => {}
-                        Err(e) => return Ok(Outcome::Text(format!("error at id {id}: {e}"))),
+                        Err(e) => return Ok(Outcome::Failure(format!("error at id {id}: {e}"))),
                     }
                 }
                 self.next_fill_id = start_id + n;
@@ -498,20 +503,6 @@ impl Engine {
         }
     }
 
-    /// The reply to a keyed write, given only once the pool holds no
-    /// sticky I/O fault: after a failed `msync` the write may not be
-    /// durable, and `ok` promises it is. A rejected write (duplicate key,
-    /// not found) stays plain text.
-    fn ack(&self, reply: Result<&str, HdnhError>) -> Result<Outcome, HdnhError> {
-        if let Some(fault) = self.table()?.io_fault() {
-            return Err(fault);
-        }
-        Ok(Outcome::Text(match reply {
-            Ok(text) => text.to_string(),
-            Err(e) => format!("error: {e}"),
-        }))
-    }
-
     /// Runs the crash-point injection matrix. Independent of the shell's
     /// table — the explorer builds small strict tables of its own. Any
     /// failing case yields [`Outcome::Failure`] (nonzero shell exit).
@@ -672,6 +663,20 @@ impl Engine {
             secs * 1e3,
             n_ops as f64 / secs / 1e6
         )))
+    }
+}
+
+/// The reply to a keyed write: `ok`, or as plain text a refusal the key's
+/// state explains (duplicate key, not found). Any other error — a sticky
+/// I/O fault the table did not acknowledge the write over — fails the
+/// command.
+fn written(out: Result<(), HdnhError>) -> Result<Outcome, HdnhError> {
+    match out {
+        Ok(()) => Ok(Outcome::Text("ok".to_string())),
+        Err(e @ (HdnhError::DuplicateKey | HdnhError::KeyNotFound)) => {
+            Ok(Outcome::Text(format!("error: {e}")))
+        }
+        Err(e) => Err(e),
     }
 }
 

@@ -26,7 +26,7 @@
 
 use std::io::{BufRead, Write};
 
-use hdnh_cli::{parse, Engine, EngineConfig};
+use hdnh_cli::{open_table, parse, Engine, EngineConfig};
 
 fn main() {
     let mut config = EngineConfig::default();
@@ -39,22 +39,7 @@ fn main() {
         match arg.as_str() {
             "--strict" => config.strict = true,
             "--latency" => config.latency = true,
-            "--capacity" => {
-                config.capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--capacity needs an integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--pool" => {
-                config.pool = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--pool needs a directory path");
-                    std::process::exit(2);
-                }));
-            }
-            "--sync-policy" => config.sync_policy = parse_sync_policy(args.next()),
+            flag if table_flag(flag, &mut args, &mut config) => {}
             "--help" | "-h" => {
                 println!("hdnh-cli [--strict] [--latency] [--capacity N] [--pool DIR] [--sync-policy async|sync]");
                 println!("hdnh-cli serve <addr> [--threads N] [--max-conns N] [--capacity N] [--fill N] [--pool DIR] [--sync-policy async|sync] [--ops-addr ADDR] [--slow-us N]");
@@ -122,19 +107,43 @@ fn main() {
     }
 }
 
-/// Parses `--sync-policy async|sync`. `sync` blocks every write ack on
-/// `msync(MS_SYNC)` — the only power-loss-safe setting; `async` (default)
-/// acks after a non-blocking `MS_ASYNC` and can lose acked writes if power
-/// fails before writeback.
-fn parse_sync_policy(val: Option<String>) -> hdnh_nvm::SyncPolicy {
-    match val.as_deref() {
-        Some("async") => hdnh_nvm::SyncPolicy::Async,
-        Some("sync") => hdnh_nvm::SyncPolicy::Sync,
-        _ => {
-            eprintln!("--sync-policy takes 'async' or 'sync'");
-            std::process::exit(2);
+/// Applies one of the table flags the shell and `serve` share to `config`:
+/// `--capacity N`, `--pool DIR`, and `--sync-policy async|sync` (`sync`
+/// blocks every write ack on `msync(MS_SYNC)` — the only power-loss-safe
+/// setting; `async`, the default, acks after a non-blocking `MS_ASYNC` and
+/// can lose acked writes if power fails before writeback). Returns `false`
+/// when `flag` is none of them.
+fn table_flag(
+    flag: &str,
+    args: &mut dyn Iterator<Item = String>,
+    config: &mut EngineConfig,
+) -> bool {
+    match flag {
+        "--capacity" => {
+            config.capacity = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("--capacity needs an integer");
+                std::process::exit(2);
+            })
         }
+        "--pool" => {
+            config.pool = Some(args.next().unwrap_or_else(|| {
+                eprintln!("--pool needs a directory path");
+                std::process::exit(2);
+            }))
+        }
+        "--sync-policy" => {
+            config.sync_policy = match args.next().as_deref() {
+                Some("async") => hdnh_nvm::SyncPolicy::Async,
+                Some("sync") => hdnh_nvm::SyncPolicy::Sync,
+                _ => {
+                    eprintln!("--sync-policy takes 'async' or 'sync'");
+                    std::process::exit(2);
+                }
+            }
+        }
+        _ => return false,
     }
+    true
 }
 
 /// Minimal tty check without a dependency: assume non-interactive when the
@@ -163,12 +172,14 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
         std::process::exit(2);
     };
     let mut server_cfg = hdnh_server::ServerConfig::builder();
-    let mut capacity = 100_000usize;
+    // The shell's configuration with the server's own default capacity.
+    let mut config = EngineConfig {
+        capacity: 100_000,
+        ..EngineConfig::default()
+    };
     let mut fill = 0u64;
-    let mut pool: Option<String> = None;
     let mut ops_addr: Option<String> = None;
     let mut slow_us = 0u64;
-    let mut sync_policy = hdnh_nvm::SyncPolicy::Async;
     while let Some(flag) = args.next() {
         let val = |args: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
             args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -183,14 +194,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
             "--max-conns" => {
                 server_cfg = server_cfg.max_conns(val(&mut args, "--max-conns") as usize);
             }
-            "--capacity" => capacity = val(&mut args, "--capacity").max(1) as usize,
             "--fill" => fill = val(&mut args, "--fill"),
-            "--pool" => {
-                pool = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--pool needs a directory path");
-                    std::process::exit(2);
-                }));
-            }
             "--ops-addr" => {
                 ops_addr = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--ops-addr needs an address (host:port)");
@@ -198,7 +202,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
                 }));
             }
             "--slow-us" => slow_us = val(&mut args, "--slow-us"),
-            "--sync-policy" => sync_policy = parse_sync_policy(args.next()),
+            flag if table_flag(flag, &mut args, &mut config) => {}
             other => {
                 eprintln!("unknown serve flag '{other}'");
                 std::process::exit(2);
@@ -211,15 +215,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
         eprintln!("bad server configuration: {e}");
         std::process::exit(2);
     });
-    let params = hdnh::HdnhParams::builder()
-        .capacity(capacity)
-        .nvm(hdnh_nvm::NvmOptions::fast())
-        .sync_policy(sync_policy)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("bad table configuration: {e}");
-            std::process::exit(2);
-        });
     // HDNH_NO_OBS=1 keeps the whole observability layer off (counters,
     // histograms, flight recorder) so its overhead can be measured.
     let obs_on = std::env::var("HDNH_NO_OBS").is_err();
@@ -242,41 +237,21 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
             std::process::exit(1);
         }
     });
-    let table = match &pool {
-        None => hdnh::Hdnh::new(params),
-        Some(dir) => {
-            let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-            match hdnh::Hdnh::open_pool(params, std::path::Path::new(dir), threads) {
-                Ok((table, report)) => {
-                    if report.created {
-                        println!("created pool {dir}");
-                    } else {
-                        println!(
-                            "opened pool {dir}: {} records, {}",
-                            table.len(),
-                            if report.was_clean {
-                                "clean shutdown"
-                            } else {
-                                "recovered after unclean shutdown"
-                            }
-                        );
-                    }
-                    table
-                }
-                Err(e) => {
-                    eprintln!("cannot open pool {dir}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    };
+    let (_, table, banner) = open_table(&config).unwrap_or_else(|e| {
+        eprintln!("cannot start: {e}");
+        std::process::exit(1);
+    });
+    if let Some(banner) = banner {
+        println!("{banner}");
+    }
     let table = std::sync::Arc::new(table);
+    let pooled = config.pool.is_some();
     for id in 0..fill {
         use hdnh_common::Key;
         match table.insert_bytes(&Key::from_u64(id), id.to_string().as_bytes()) {
             Ok(()) => {}
             // A reopened pool may already hold the prefill range.
-            Err(hdnh::HdnhError::DuplicateKey) if pool.is_some() => {}
+            Err(hdnh::HdnhError::DuplicateKey) if pooled => {}
             Err(e) => {
                 eprintln!("prefill failed at id {id}: {e}");
                 std::process::exit(1);
@@ -303,7 +278,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
                 std::thread::sleep(std::time::Duration::from_millis(750));
                 ops.stop();
             }
-            if pool.is_some() {
+            if pooled {
                 // All workers have joined; ours is the last table handle.
                 // Marking the pool clean lets the next open skip recovery.
                 match std::sync::Arc::try_unwrap(table) {

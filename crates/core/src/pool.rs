@@ -369,6 +369,38 @@ impl Hdnh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdnh_common::{Key, Value};
+
+    #[test]
+    fn a_write_over_a_sticky_io_fault_is_applied_but_not_acknowledged() {
+        let dir = std::env::temp_dir().join(format!("hdnh-pool-io-fault-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let params = HdnhParams::builder().capacity(1_000).build().unwrap();
+        let (t, _) = Hdnh::open_pool(params, &dir, 1).unwrap();
+        let k = Key::from_u64;
+        t.insert_bytes(&k(1), b"one").unwrap();
+        t.params().nvm.backend.pool().unwrap().record_fault(hdnh_nvm::NvmIoError {
+            op: "msync",
+            path: dir.clone(),
+            msg: "injected write-back failure".into(),
+        });
+        let spilled = [7u8; 200];
+        for (key, value) in [(k(2), &b"two"[..]), (k(3), &spilled[..])] {
+            match t.insert_bytes(&key, value) {
+                Err(HdnhError::Io(msg)) => assert!(msg.contains("injected"), "{msg}"),
+                other => panic!("acknowledged over a sticky i/o fault: {other:?}"),
+            }
+            assert_eq!(t.get_bytes(&key).unwrap().as_deref(), Some(value), "applied");
+        }
+        // The refused acknowledgement did not orphan the published record.
+        assert_eq!(t.vlog_stats().garbage_bytes, 0);
+        assert_eq!(t.insert(&k(1), &Value::from_u64(9)), Err(HdnhError::DuplicateKey));
+        assert_eq!(t.update_bytes(&k(4), b"four"), Err(HdnhError::KeyNotFound));
+        assert!(matches!(t.remove(&k(2)), Err(HdnhError::Io(_))));
+        assert_eq!(t.get_bytes(&k(2)).unwrap(), None);
+        drop(t);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn superblock_roundtrip() {

@@ -41,7 +41,6 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -286,27 +285,13 @@ impl Hdnh {
     /// during rehashing would leave it. Crash-consistency tests only.
     #[doc(hidden)]
     pub fn into_crashed_mid_resize(self, stop_after_buckets: usize) -> PersistentPool {
-        let _m = self.maintenance_lock();
-        let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
-        let bps = self.params().segment_bytes / BUCKET_BYTES;
-        let new_top_segments = inner.top.n_segments() * 2;
-        self.meta.set_new_top_segments(new_top_segments);
-        self.meta.set_state(ResizeState::Allocating);
-        let new_top = Level::new(new_top_segments, bps, &self.params().nvm);
-        let new_ocf = Ocf::new(new_top.n_buckets(), SLOTS_PER_BUCKET);
-        self.meta.set_state(ResizeState::Rehashing);
-        self.meta.set_rehash_progress(Some(0));
+        let m = self.maintain();
+        let inner = m.inner();
+        let (new_top, new_ocf) =
+            self.begin_resize(inner).unwrap_or_else(|e| panic!("resize allocation failed: {e}"));
         let stop = stop_after_buckets.min(inner.bottom.n_buckets());
         let cands = candidates(self.params());
-        Self::migrate(
-            &inner.bottom,
-            &new_top,
-            &new_ocf,
-            0..stop,
-            &self.meta,
-            cands,
-        );
-        *self.pending_new_top.lock() = Some((new_top, new_ocf));
+        Self::migrate(&inner.bottom, &new_top, &new_ocf, 0..stop, &self.meta, cands);
         self.live_pool()
     }
 
@@ -314,9 +299,8 @@ impl Hdnh {
     /// (the paper's level-number-2 scenario). Crash-consistency tests only.
     #[doc(hidden)]
     pub fn into_crashed_while_allocating(self) -> PersistentPool {
-        let _m = self.maintenance_lock();
-        let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
-        self.meta.set_new_top_segments(inner.top.n_segments() * 2);
+        let m = self.maintain();
+        self.meta.set_new_top_segments(m.inner().top.n_segments() * 2);
         self.meta.set_state(ResizeState::Allocating);
         self.live_pool()
     }
@@ -498,6 +482,7 @@ mod tests {
     use crate::vlog::VlogStats;
     use hdnh_common::{Record, Value};
     use hdnh_nvm::NvmOptions;
+    use std::sync::atomic::Ordering;
 
     fn strict_params() -> HdnhParams {
         HdnhParams::builder()

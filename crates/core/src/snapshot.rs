@@ -2,10 +2,10 @@
 //!
 //! [`Hdnh::snapshot`] copies every region file of a [`Backend::Pool`]
 //! table into a target directory while the table keeps serving reads.
-//! Consistency comes from the same writer-exclusion device the integrity
-//! scan uses: the maintenance lock is taken and the generation counter is
-//! made odd, so every mutator parks at its next generation check, then the
-//! epoch is drained so no mutator is still mid-store. Readers never touch
+//! Consistency comes from the maintenance guard's writer pause, the one the
+//! integrity scan and resize use: the generation counter is made odd, so
+//! every mutator parks at its next generation check, then the epoch is
+//! drained so no mutator is still mid-store. Readers never touch
 //! the generation and keep running for the whole copy (IcebergHT makes the
 //! same stability argument for its resize-free scans).
 //!
@@ -249,8 +249,8 @@ impl Hdnh {
     /// Takes a crash-consistent snapshot of a file-backed pool into `dir`
     /// (created if absent; must not already hold a snapshot or pool).
     ///
-    /// Writers are excluded for the duration of the copy via the
-    /// maintenance guard + odd generation + epoch drain; readers are never
+    /// Writers are paused by the maintenance guard for the duration of the
+    /// copy (odd generation + epoch drain); readers are never
     /// blocked. Heap-backed tables are rejected with
     /// [`HdnhError::Config`]; a pending pool I/O fault is surfaced instead
     /// of snapshotting possibly-stale pages.
@@ -297,25 +297,24 @@ impl Hdnh {
         let src_sb = read_superblock(pool.path())?;
 
         // ---- consistent copy behind the writer pause ----
-        let copied: Result<Vec<ManifestEntry>, HdnhError> = self.with_writers_paused(|| {
-            // Equalize page cache and media (and the tracked media images)
-            // before reading the files back.
-            self.sync_regions_to_disk_locked()?;
-            let mut entries = Vec::new();
-            for src in self.region_file_paths_locked() {
-                let name = src
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .ok_or_else(|| {
-                        HdnhError::Io(format!("region path {} has no filename", src.display()))
-                    })?
-                    .to_string();
-                let (len, crc32) = copy_with_crc(&src, &dir.join(&name))?;
-                entries.push(ManifestEntry { name, len, crc32 });
-            }
-            Ok(entries)
-        });
-        let mut entries = copied?;
+        let mut m = self.maintain();
+        m.pause_writers();
+        // Equalize page cache and media (and the tracked media images)
+        // before reading the files back.
+        m.sync_regions_to_disk()?;
+        let mut entries = Vec::new();
+        for src in m.region_file_paths() {
+            let name = src
+                .file_name()
+                .and_then(|n| n.to_str())
+                .ok_or_else(|| {
+                    HdnhError::Io(format!("region path {} has no filename", src.display()))
+                })?
+                .to_string();
+            let (len, crc32) = copy_with_crc(&src, &dir.join(&name))?;
+            entries.push(ManifestEntry { name, len, crc32 });
+        }
+        drop(m);
 
         // ---- snapshot superblock: always dirty, restore always recovers ----
         let sb = Superblock {
@@ -407,6 +406,39 @@ impl Hdnh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdnh_common::Key;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    #[test]
+    fn a_snapshot_that_fails_mid_copy_lets_writers_back_in() {
+        let base = std::env::temp_dir().join(format!("hdnh-snapshot-fail-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        let params = crate::HdnhParams::builder().capacity(1_000).build().unwrap();
+        let (t, _) = Hdnh::open_pool(params, &base.join("pool"), 1).unwrap();
+        let t = Arc::new(t);
+        t.insert_bytes(&Key::from_u64(1), b"one").unwrap();
+        // Writers are paused by the time the first region is copied; its
+        // copy cannot be created, because a directory holds the name.
+        let snap = base.join("snap");
+        fs::create_dir_all(snap.join(hdnh_nvm::META_FILE)).unwrap();
+        assert!(matches!(t.snapshot(&snap), Err(HdnhError::Io(_))));
+        let (tx, rx) = mpsc::channel();
+        let writer = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                let _ = tx.send(t.insert_bytes(&Key::from_u64(2), b"two"));
+            })
+        };
+        let wrote = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a write still waits on the pause of a failed snapshot");
+        writer.join().unwrap();
+        wrote.unwrap();
+        assert_eq!(t.get_bytes(&Key::from_u64(2)).unwrap(), Some(b"two".to_vec()));
+        drop(t);
+        let _ = fs::remove_dir_all(&base);
+    }
 
     #[test]
     fn files_around_the_chunk_size_checksum_and_copy_whole() {

@@ -7,8 +7,7 @@ use hdnh_common::hash::KeyHashes;
 use hdnh_common::{Key, Record};
 use hdnh_obs as obs;
 
-use super::{GenRestore, Hdnh, Inner};
-use crate::epoch;
+use super::{Hdnh, Inner};
 use crate::error::{CorruptionOutcome, HdnhError};
 use crate::meta::ResizeState;
 use crate::nvtable::{header_slot_spilled, header_slot_valid, slot_checksum_ok, slot_meta};
@@ -112,21 +111,11 @@ impl Hdnh {
                 v.push(msg);
             }
         }
-        let _m = self.maintenance_lock();
-        // Writer pause: publish an odd generation and drain the epoch so no
-        // writer is mid-operation during the scan. Readers keep running —
-        // the scan is read-only and reader-side corruption repairs defer
-        // themselves while the generation is odd.
-        let gen = self.generation.load(Ordering::SeqCst);
-        self.generation.store(gen + 1, Ordering::SeqCst);
-        let _pause = GenRestore {
-            gen: &self.generation,
-            value: gen,
-            armed: true,
-        };
-        epoch::drain();
-        // Safety: the maintenance lock is held — the pointer cannot swap.
-        let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
+        // Readers keep running: the scan is read-only, and reader-side
+        // corruption repairs defer themselves while writers are paused.
+        let mut m = self.maintain();
+        m.pause_writers();
+        let inner = m.inner();
         let mut locks = Vec::new();
         let mut agree = Vec::new();
         let mut fps = Vec::new();
@@ -263,9 +252,8 @@ impl Hdnh {
     /// with respect to `checksum-match`.
     pub fn scrub(&self) -> ScrubReport {
         let span = obs::phase_enter(obs::Phase::Scrub);
-        let _m = self.maintenance_lock();
-        // Safety: the maintenance lock is held — the pointer cannot swap.
-        let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
+        let m = self.maintain();
+        let inner = m.inner();
         let mut report = ScrubReport::default();
         for li in 0..2 {
             let (level, ocf) = inner.level(li);
@@ -328,9 +316,8 @@ impl Hdnh {
     /// Test/diagnostics support only — not part of the stable API.
     #[doc(hidden)]
     pub fn corrupt_record_for_test(&self, key: &Key, byte: usize, mask: u8) -> Option<bool> {
-        let _m = self.maintenance_lock();
-        // Safety: the maintenance lock is held — the pointer cannot swap.
-        let inner = unsafe { &*self.current.load(Ordering::SeqCst) };
+        let m = self.maintain();
+        let inner = m.inner();
         for li in 0..2 {
             let (level, _) = inner.level(li);
             for bucket in 0..level.n_buckets() {

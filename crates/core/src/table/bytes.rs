@@ -104,11 +104,12 @@ impl Hdnh {
         let staged = self.stage_bytes(key, payload)?;
         let out = self.store(started, key, &staged.value, staged.appended.is_some(), accept);
         // A log record whose publish failed was never referenced: it is
-        // orphaned on the spot.
+        // orphaned on the spot. A published one is live whether or not the
+        // write is acknowledged, so the fault check comes only after this.
         if let (Err(_), Some((ptr, _ticket))) = (&out, &staged.appended) {
             self.vlog.mark_garbage(ptr);
         }
-        out
+        self.acked(out)
     }
 
     /// Stores `payload` under `key` (insert semantics): inline in the slot

@@ -22,6 +22,9 @@
 //! | `remove` | remove | keep |
 //! | GC relocation | put if the pointer still matches (hot copy refreshed, not filled), else keep | keep |
 //!
+//! A public write that has settled returns a sticky pool I/O fault, if
+//! there is one, as `HdnhError::Io`: applied, but not acknowledged.
+//!
 //! The plain operations are the *word level*: a slot's 15 value bytes as
 //! they are. The `_bytes` ones are the one encoding layered on it; which
 //! kind a word is travels with it as the spill bit (`bytes.rs`).
@@ -63,10 +66,10 @@
 //! counter after the probe and retry only across a concurrent resize;
 //! writers additionally validate it *before* operating (an even, matching
 //! generation) so a resize can exclude them by publishing an odd value and
-//! draining the epoch. Only the maintenance paths — resize, scrub,
-//! integrity audits, and the crash-simulation hooks — serialize on a rare
-//! `maintenance` mutex, which the hot paths never touch (enforced by a
-//! debug assertion).
+//! draining the epoch. Only the maintainers — resize, snapshot, scrub,
+//! integrity audits, the crash-simulation hooks and the region listings —
+//! serialize, each through the one guard [`Hdnh::maintain`], which the hot
+//! paths never take (enforced by a debug assertion).
 
 mod audit;
 mod bytes;
@@ -77,7 +80,8 @@ mod write;
 pub use audit::{InvariantReport, ScrubReport};
 pub(crate) use write::Accept;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hdnh_common::rng::XorShift64Star;
@@ -146,13 +150,16 @@ pub struct Hdnh {
     pub(crate) meta: Meta,
     /// The live snapshot, swapped wholesale by a resize. Hot paths pin the
     /// epoch and load this pointer; they never take a lock.
-    pub(crate) current: AtomicPtr<Inner>,
-    /// Serializes the maintainers (resize, scrub, integrity audits, crash
-    /// hooks). Never touched by `get`/`insert`/`update`/`remove`.
+    current: AtomicPtr<Inner>,
+    /// Serializes the maintainers; taken only by [`Hdnh::maintain`]. Never
+    /// touched by `get`/`insert`/`update`/`remove`.
     maintenance: Mutex<()>,
     /// In-flight resize level, surfaced to `into_pool` after a mid-resize
-    /// crash (an unwind out of `perform_resize`).
-    pub(crate) pending_new_top: Mutex<Option<(Level, Ocf)>>,
+    /// crash (an unwind out of `resize`).
+    pending_new_top: Mutex<Option<Level>>,
+    /// Set once the `io_fault` trace event is out: the fault is sticky, and
+    /// one event marks it without flooding the ring on every refused ack.
+    io_fault_traced: AtomicBool,
     count: AtomicUsize,
     /// Even = stable; odd = a maintainer is excluding writers. Advances by
     /// 2 per completed resize and always matches `current`'s snapshot
@@ -191,7 +198,7 @@ struct PinnedInner<'a> {
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Set while `get` runs. [`Hdnh::maintenance_lock`] asserts against it,
+    /// Set while `get` runs. [`Hdnh::maintain`] asserts against it,
     /// proving the read path never serializes on the maintainers' mutex.
     static ON_READ_PATH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -214,20 +221,78 @@ impl Drop for ReadPathGuard {
     }
 }
 
-/// Restores the generation word on unwind. Arms the writer-exclusion phase
-/// of a maintainer: if the maintainer panics (fault-injection crashes), the
-/// even pre-maintenance generation is restored so subsequent operations on
-/// the untouched old snapshot don't spin on a forever-odd value.
-struct GenRestore<'a> {
-    gen: &'a AtomicU64,
-    value: u64,
-    armed: bool,
+/// The one way in for a maintainer ([`Hdnh::maintain`]; DESIGN.md §11
+/// "Maintenance"): holds the maintainers' mutex, is the only reader of the
+/// live snapshot without a pin, pauses writers on request until it drops
+/// (error returns and unwinds included), and publishes a resize's result.
+pub(crate) struct Maintenance<'a> {
+    table: &'a Hdnh,
+    _lock: MutexGuard<'a, ()>,
+    /// The even generation writers were paused at, restored on drop.
+    paused: Option<u64>,
 }
 
-impl Drop for GenRestore<'_> {
+impl Maintenance<'_> {
+    /// The live snapshot.
+    pub(crate) fn inner(&self) -> &Inner {
+        // SAFETY: the pointer is never null while the table lives. Only a
+        // maintainer swaps or frees it, in `publish`, which takes this guard
+        // mutably, so no reference handed out here is alive when it runs;
+        // no other maintainer runs while the mutex is held.
+        unsafe { &*self.table.current.load(Ordering::SeqCst) }
+    }
+
+    /// Excludes writers: an odd generation makes new writers wait in
+    /// `pin_for_write`, and the drain outlasts every writer that validated
+    /// before. Readers never touch the generation and keep running.
+    pub(crate) fn pause_writers(&mut self) {
+        let gen = self.table.generation.load(Ordering::SeqCst);
+        debug_assert!(gen & 1 == 0 && self.paused.is_none());
+        self.table.generation.store(gen + 1, Ordering::SeqCst);
+        self.paused = Some(gen);
+        epoch::drain();
+    }
+
+    /// Ends a resize: `next`, built for the generation after the paused
+    /// one, becomes the live snapshot and writers resume on it. The old
+    /// snapshot is freed once no reader can still be probing it.
+    pub(crate) fn publish(&mut self, next: Inner) {
+        let (t, gen) = (self.table, self.paused.take().expect("publish follows a pause"));
+        debug_assert_eq!(next.generation, gen + 2);
+        let old = t.current.swap(Box::into_raw(Box::new(next)), Ordering::SeqCst);
+        t.generation.store(gen + 2, Ordering::SeqCst);
+        t.resizes.fetch_add(1, Ordering::Relaxed);
+        // The migrated level is now reachable from `current`; stop
+        // surfacing it to `into_pool` separately.
+        *t.pending_new_top.lock() = None;
+        epoch::drain();
+        // SAFETY: the pointer was unpublished above and every pin that
+        // could have loaded it has since been observed quiescent.
+        drop(unsafe { Box::from_raw(old) });
+    }
+
+    /// Paths of every pool file reachable from the table.
+    pub(crate) fn region_file_paths(&self) -> Vec<PathBuf> {
+        self.table
+            .live_pool()
+            .regions()
+            .filter_map(|region| region.file_path().map(|p| p.to_path_buf()))
+            .collect()
+    }
+
+    /// `msync(MS_SYNC)`+`fsync` of every region reachable from the table.
+    pub(crate) fn sync_regions_to_disk(&self) -> Result<(), HdnhError> {
+        for region in self.table.live_pool().regions() {
+            region.sync_to_disk()?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Maintenance<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.gen.store(self.value, Ordering::SeqCst);
+        if let Some(gen) = self.paused {
+            self.table.generation.store(gen, Ordering::SeqCst);
         }
     }
 }
@@ -262,15 +327,20 @@ impl Hdnh {
         }
     }
 
-    /// Takes the maintainers' mutex (resize, scrub, audits, crash hooks).
-    pub(crate) fn maintenance_lock(&self) -> MutexGuard<'_, ()> {
+    /// Enters maintenance: takes the maintainers' mutex ([`Maintenance`]).
+    pub(crate) fn maintain(&self) -> Maintenance<'_> {
         #[cfg(debug_assertions)]
         ON_READ_PATH.with(|f| {
             debug_assert!(!f.get(), "maintenance lock taken on the read path")
         });
         obs::count(obs::Counter::MaintenanceLock);
-        self.maintenance.lock()
+        Maintenance {
+            table: self,
+            _lock: self.maintenance.lock(),
+            paused: None,
+        }
     }
+
     /// Creates an empty table. Panics on backend allocation failure;
     /// fallible construction (pool files) is [`Hdnh::try_new`].
     pub fn new(params: HdnhParams) -> Self {
@@ -324,6 +394,7 @@ impl Hdnh {
             current: AtomicPtr::new(Box::into_raw(Box::new(inner))),
             maintenance: Mutex::new(()),
             pending_new_top: Mutex::new(None),
+            io_fault_traced: AtomicBool::new(false),
             count: AtomicUsize::new(count),
             generation: AtomicU64::new(generation),
             relocations: AtomicU64::new(0),
@@ -373,8 +444,8 @@ impl Hdnh {
 
     /// A sticky flush-path I/O fault, if the file backend has recorded
     /// one (a failed `msync` on the fence path). `None` on the heap
-    /// backend or while the pool is healthy. Callers that acknowledge
-    /// durability (the RESP server) check this before acking.
+    /// backend or while the pool is healthy. While it is set every write
+    /// returns it instead of acknowledging (DESIGN.md §13).
     pub fn io_fault(&self) -> Option<HdnhError> {
         self.params
             .nvm
@@ -399,35 +470,15 @@ impl Hdnh {
     /// Paths of every pool file currently reachable from the table (meta,
     /// live levels, any in-flight resize target, log segments). Empty on
     /// the heap backend. Used by the orphan sweep after recovery.
-    pub fn region_file_paths(&self) -> Vec<std::path::PathBuf> {
-        let _m = self.maintenance_lock();
-        self.region_file_paths_locked()
-    }
-
-    /// [`region_file_paths`](Self::region_file_paths) body for callers that
-    /// already hold the maintenance lock (the lock is not re-entrant).
-    pub(crate) fn region_file_paths_locked(&self) -> Vec<std::path::PathBuf> {
-        self.live_pool()
-            .regions()
-            .filter_map(|region| region.file_path().map(|p| p.to_path_buf()))
-            .collect()
+    pub fn region_file_paths(&self) -> Vec<PathBuf> {
+        self.maintain().region_file_paths()
     }
 
     /// `msync(MS_SYNC)`+`fsync` every region reachable from the table
     /// without consuming it (pool creation, checkpoint-style callers).
     /// No-op on the heap backend.
     pub fn sync_regions_to_disk(&self) -> Result<(), HdnhError> {
-        let _m = self.maintenance_lock();
-        self.sync_regions_to_disk_locked()
-    }
-
-    /// [`sync_regions_to_disk`](Self::sync_regions_to_disk) body for
-    /// callers that already hold the maintenance lock.
-    pub(crate) fn sync_regions_to_disk_locked(&self) -> Result<(), HdnhError> {
-        for region in self.live_pool().regions() {
-            region.sync_to_disk()?;
-        }
-        Ok(())
+        self.maintain().sync_regions_to_disk()
     }
 
     /// Every region reachable from the table, as the pool a crash now
@@ -440,27 +491,9 @@ impl Hdnh {
             meta: Arc::clone(self.meta.region()),
             top: Arc::clone(snap.inner.top.region()),
             bottom: Arc::clone(snap.inner.bottom.region()),
-            new_top: self.pending_new_top.lock().as_ref().map(|(l, _)| Arc::clone(l.region())),
+            new_top: self.pending_new_top.lock().as_ref().map(|l| Arc::clone(l.region())),
             vlog: self.vlog.regions(),
         }
-    }
-
-    /// Runs `f` with the maintenance lock held and writers excluded: the
-    /// generation is made odd and the epoch drained, so no mutator is
-    /// mid-operation while `f` runs. Readers keep running throughout (the
-    /// lock-free read path never touches the generation). The snapshot
-    /// machinery uses this to get a single crash-consistent point in time.
-    pub(crate) fn with_writers_paused<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _m = self.maintenance_lock();
-        let gen = self.generation.load(Ordering::SeqCst);
-        self.generation.store(gen + 1, Ordering::SeqCst);
-        let _pause = GenRestore {
-            gen: &self.generation,
-            value: gen,
-            armed: true,
-        };
-        epoch::drain();
-        f()
     }
 
     /// Number of bottom-level buckets (the rehash cursor range; exposed for
@@ -556,6 +589,35 @@ mod tests {
             assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i);
         }
         assert_eq!(t.get(&k(9999)).unwrap(), None);
+    }
+
+    #[test]
+    fn counters_return_while_a_maintainer_holds_the_guard() {
+        let t = table();
+        for i in 0..100 {
+            t.insert(&k(i), &v(i)).unwrap();
+        }
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut m = t.maintain();
+                m.pause_writers();
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let t = &t;
+            s.spawn(move || {
+                let _ = tx.send((t.nvm_stats().writes, t.len(), t.load_factor()));
+            });
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            release.wait();
+            let (writes, len, load) = got.expect("a counter waited for the maintenance guard");
+            assert!(writes > 0);
+            assert_eq!(len, 100);
+            assert!(load > 0.0);
+        });
     }
 
     #[test]

@@ -9,97 +9,32 @@ use hdnh_common::{Key, Record};
 use hdnh_nvm::{fault, PoolDir};
 use hdnh_obs as obs;
 
-use super::{GenRestore, Hdnh, Inner};
-use crate::epoch;
+use super::{Hdnh, Inner};
 use crate::error::HdnhError;
 use crate::meta::{Meta, ResizeState};
 use crate::nvtable::{header_slot_spilled, slot_checksum_ok, slot_meta, Level};
 use crate::ocf::{self, LockOutcome, Ocf};
 use crate::params::{BUCKET_BYTES, SLOTS_PER_BUCKET};
 impl Hdnh {
+    /// Grows the table with writers paused, unless a resize since
+    /// `observed_gen` already did: phases 1–3, then the successor snapshot
+    /// is published.
     pub(super) fn resize(&self, observed_gen: u64) -> Result<(), HdnhError> {
-        let _m = self.maintenance_lock();
+        let mut m = self.maintain();
         if self.generation.load(Ordering::SeqCst) != observed_gen {
             return Ok(()); // someone else already grew the table
         }
-        // Writer-exclusion phase: publish the odd generation, then drain
-        // the epoch. New writers spin in `pin_for_write`; in-flight pinned
-        // operations finish before `drain` returns, so migration reads a
-        // quiescent pair of levels. (Readers pinned during migration keep
-        // running — the old levels are only ever *copied from*.)
-        self.generation.store(observed_gen + 1, Ordering::SeqCst);
-        let mut unwind = GenRestore {
-            gen: &self.generation,
-            value: observed_gen,
-            armed: true,
-        };
-        epoch::drain();
-        // Safety: the maintenance lock is held — no other thread swaps or
-        // frees the pointer.
-        let old: &Inner = unsafe { &*self.current.load(Ordering::SeqCst) };
+        // Migration reads a quiescent pair of levels. Readers keep running
+        // throughout: the old levels are only ever *copied from*.
+        m.pause_writers();
+        let old = m.inner();
         // The retiring bottom level's pool file becomes garbage once the
         // swap publishes; remember it so it can be unlinked afterwards.
         let retired_file = old.bottom.region().file_path().map(|p| p.to_path_buf());
-        let next = self.perform_resize(old, observed_gen + 2)?;
-        let old_ptr = self
-            .current
-            .swap(Box::into_raw(Box::new(next)), Ordering::SeqCst);
-        unwind.armed = false;
-        self.generation.store(observed_gen + 2, Ordering::SeqCst);
-        self.resizes.fetch_add(1, Ordering::Relaxed);
-        // The migrated level is now reachable from `current`; stop
-        // surfacing it to `into_pool` separately.
-        *self.pending_new_top.lock() = None;
-        // Wait out readers still probing the old snapshot, then free it.
-        epoch::drain();
-        // Safety: the pointer was unpublished above and every pin that
-        // could have loaded it has since been observed quiescent.
-        drop(unsafe { Box::from_raw(old_ptr) });
-        // Safe to unlink only now: the post-swap Stable state is persisted,
-        // so no recovery will look for this region. Best-effort — a leaked
-        // file is caught by the orphan sweep on the next pool open.
-        if let Some(path) = retired_file {
-            let _ = PoolDir::remove_region(&path);
-        }
-        Ok(())
-    }
-
-    /// Full resize under the maintenance lock: builds and returns the
-    /// successor snapshot (the caller publishes it). A pool-file
-    /// allocation failure rolls the persisted state machine back to
-    /// `Stable` (nothing was migrated yet) and surfaces as `Io`.
-    fn perform_resize(&self, old: &Inner, new_generation: u64) -> Result<Inner, HdnhError> {
-        let bps = self.params.segment_bytes / BUCKET_BYTES;
-        let new_top_segments = old.top.n_segments() * 2;
-
-        // Phase 1 — "apply for a new level" (level number 2). The planned
-        // size is persisted first so recovery can always re-allocate.
-        let span = obs::phase_enter(obs::Phase::ResizeAllocate);
-        self.meta.set_new_top_segments(new_top_segments);
-        fault::point("resize.planned");
-        self.meta.set_state(ResizeState::Allocating);
-        fault::point("resize.allocating");
-        let new_top = match Level::try_new(new_top_segments, bps, &self.params.nvm) {
-            Ok(l) => l,
-            Err(e) => {
-                self.meta.set_state(ResizeState::Stable);
-                return Err(e);
-            }
-        };
-        let new_ocf = Ocf::new(new_top.n_buckets(), SLOTS_PER_BUCKET);
-        // Keep the new level reachable from the table while migration runs:
-        // a crash (unwind) anywhere before the pointer swap must surface
-        // its region to `into_pool`, exactly as a real NVM allocation would
-        // survive. `resize` clears this after publishing the snapshot.
-        *self.pending_new_top.lock() = Some((new_top.clone(), Ocf::new(0, SLOTS_PER_BUCKET)));
-        fault::point("resize.allocated");
-        obs::phase_record(obs::Phase::ResizeAllocate, span, new_top.n_slots() as u64);
+        let (new_top, new_ocf) = self.begin_resize(old)?;
 
         // Phase 2 — rehash bottom-level items into the new top (level 3).
         let span = obs::phase_enter(obs::Phase::ResizeRehash);
-        self.meta.set_state(ResizeState::Rehashing);
-        self.meta.set_rehash_progress(Some(0));
-        fault::point("resize.rehashing");
         let (moved, dropped) = Self::migrate(
             &old.bottom,
             &new_top,
@@ -116,9 +51,52 @@ impl Hdnh {
 
         // Phase 3 — swap levels, publish geometry, return to stable.
         let span = obs::phase_enter(obs::Phase::ResizeSwap);
-        let next = self.finalize_swap(old, new_top, new_ocf, new_generation);
+        let next = self.finalize_swap(old, new_top, new_ocf, observed_gen + 2);
         obs::phase_record(obs::Phase::ResizeSwap, span, 0);
-        Ok(next)
+        m.publish(next);
+        // Safe to unlink only now: the post-swap Stable state is persisted,
+        // so no recovery will look for this region. Best-effort — a leaked
+        // file is caught by the orphan sweep on the next pool open.
+        if let Some(path) = retired_file {
+            let _ = PoolDir::remove_region(&path);
+        }
+        Ok(())
+    }
+
+    /// Phase 1 — "apply for a new level" (level number 2), up to entering
+    /// level number 3 with the rehash cursor at bucket 0. The planned size
+    /// is persisted first so recovery can always re-allocate, and the new
+    /// level stays reachable from the table until the swap publishes it. A
+    /// pool-file allocation failure rolls the persisted state machine back
+    /// to `Stable` (nothing was migrated yet) and surfaces as `Io`.
+    /// Returns the empty new level and its OCF.
+    pub(crate) fn begin_resize(&self, old: &Inner) -> Result<(Level, Ocf), HdnhError> {
+        let bps = self.params.segment_bytes / BUCKET_BYTES;
+        let new_top_segments = old.top.n_segments() * 2;
+        let span = obs::phase_enter(obs::Phase::ResizeAllocate);
+        self.meta.set_new_top_segments(new_top_segments);
+        fault::point("resize.planned");
+        self.meta.set_state(ResizeState::Allocating);
+        fault::point("resize.allocating");
+        let new_top = match Level::try_new(new_top_segments, bps, &self.params.nvm) {
+            Ok(l) => l,
+            Err(e) => {
+                self.meta.set_state(ResizeState::Stable);
+                return Err(e);
+            }
+        };
+        let new_ocf = Ocf::new(new_top.n_buckets(), SLOTS_PER_BUCKET);
+        // Keep the new level reachable from the table while migration runs:
+        // a crash (unwind) anywhere before the pointer swap must surface
+        // its region to `into_pool`, exactly as a real NVM allocation would
+        // survive. Publishing the successor snapshot clears this.
+        *self.pending_new_top.lock() = Some(new_top.clone());
+        fault::point("resize.allocated");
+        obs::phase_record(obs::Phase::ResizeAllocate, span, new_top.n_slots() as u64);
+        self.meta.set_state(ResizeState::Rehashing);
+        self.meta.set_rehash_progress(Some(0));
+        fault::point("resize.rehashing");
+        Ok((new_top, new_ocf))
     }
 
     /// Moves every valid record of `from`'s `buckets` into `to`, one

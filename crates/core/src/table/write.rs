@@ -71,16 +71,32 @@ impl Hdnh {
         }
     }
 
+    /// A settled write's answer: its own outcome, or the pool's sticky I/O
+    /// fault ([`Hdnh::io_fault`]) — a write whose flush may have failed is
+    /// never acknowledged as durable.
+    pub(super) fn acked<T>(&self, out: Result<T, HdnhError>) -> Result<T, HdnhError> {
+        let done = out?;
+        match self.io_fault() {
+            None => Ok(done),
+            Some(fault) => {
+                if !self.io_fault_traced.swap(true, Ordering::Relaxed) {
+                    obs::trace::emit(obs::trace::EventKind::IoFault, 0, 0);
+                }
+                Err(fault)
+            }
+        }
+    }
+
     /// Inserts a new record (figure 9). Reports
     /// [`HdnhError::DuplicateKey`] when the key is already present.
     pub fn insert(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
-        self.store(obs::op_start(), key, value, false, Accept::Absent)
+        self.acked(self.store(obs::op_start(), key, value, false, Accept::Absent))
     }
 
     /// Replaces the value of an existing key (figure 10). Reports
     /// [`HdnhError::KeyNotFound`] when the key is absent.
     pub fn update(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
-        self.store(obs::op_start(), key, value, false, Accept::Present)
+        self.acked(self.store(obs::op_start(), key, value, false, Accept::Present))
     }
 
     /// Removes a key. Returns `Ok(true)` if it was present. A spilled
@@ -94,7 +110,7 @@ impl Hdnh {
         obs::op_record(obs::OpKind::Remove, t);
         let old = out?;
         Self::tombstone_old(&self.vlog, old);
-        Ok(old.is_some())
+        self.acked(Ok(old.is_some()))
     }
 
     /// The word-level store behind every insert, update and upsert of
@@ -299,7 +315,8 @@ impl HashIndex for Hdnh {
 
     /// One probe, recorded as the update or the insert it turned out to be.
     fn upsert(&self, key: &Key, value: &Value) -> IndexResult<()> {
-        self.store(obs::op_start(), key, value, false, Accept::Either).map_err(IndexError::from)
+        self.acked(self.store(obs::op_start(), key, value, false, Accept::Either))
+            .map_err(IndexError::from)
     }
 
     fn len(&self) -> usize {

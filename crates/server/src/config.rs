@@ -1,30 +1,23 @@
-//! Validated server configuration.
+//! Validated server configuration: the two settable values, `threads` and
+//! `max_conns`.
 //!
-//! [`ServerConfig`] used to be a bag of public fields; any nonsense
-//! combination (zero event loops, a zero pipelining budget, a read
-//! timeout finer than the reactor's timer granularity) compiled fine and
-//! failed at runtime in whatever way it happened to fail. The redesigned
-//! type can only be obtained two ways, both of which guarantee a sane
-//! configuration:
+//! A [`ServerConfig`] can only be obtained two ways, both of which
+//! guarantee a sane configuration:
 //!
-//! * [`ServerConfig::default`] — today's production values, unchanged
-//!   from the pre-builder era;
+//! * [`ServerConfig::default`] — the production values;
 //! * [`ServerConfig::builder`] — explicit knobs, checked by
 //!   [`ServerConfigBuilder::build`] with a typed [`ConfigError`] naming
 //!   the first offending knob.
 //!
 //! Fields are private on purpose: read them through the accessors, and
-//! construct through the builder so validation cannot be skipped.
+//! construct through the builder so validation cannot be skipped. The
+//! per-connection budgets are constants:
+//! [`READ_TIMEOUT`](crate::reactor::READ_TIMEOUT),
+//! [`WRITE_TIMEOUT`](crate::reactor::WRITE_TIMEOUT),
+//! [`MAX_INFLIGHT`](crate::reactor::MAX_INFLIGHT) and
+//! [`DEFAULT_MAX_FRAME`](crate::resp::DEFAULT_MAX_FRAME).
 
 use std::fmt;
-use std::time::Duration;
-
-use crate::resp::DEFAULT_MAX_FRAME;
-
-/// Finest timeout the reactor honors. Deadlines (idle, drain) are lazily
-/// re-armed timer-heap entries; a read timeout below this granularity
-/// would promise a precision the event loop does not deliver.
-pub const MIN_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// A rejected configuration: the first nonsense knob found by
 /// [`ServerConfigBuilder::build`].
@@ -34,22 +27,6 @@ pub enum ConfigError {
     ZeroThreads,
     /// `max_conns == 0`: a server that admits nothing serves nothing.
     ZeroMaxConns,
-    /// `max_inflight == 0`: the pipelining budget must admit at least one
-    /// reply or every connection stalls before its first answer.
-    ZeroInflight,
-    /// `max_frame == 0`: every request would be oversized.
-    ZeroFrameBudget,
-    /// `read_timeout` below [`MIN_TIMEOUT`], the reactor's timer
-    /// granularity.
-    ReadTimeoutTooShort {
-        /// The rejected value.
-        got: Duration,
-    },
-    /// `write_timeout` below [`MIN_TIMEOUT`].
-    WriteTimeoutTooShort {
-        /// The rejected value.
-        got: Duration,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -57,16 +34,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroThreads => write!(f, "threads must be >= 1"),
             ConfigError::ZeroMaxConns => write!(f, "max_conns must be >= 1"),
-            ConfigError::ZeroInflight => write!(f, "max_inflight must be >= 1"),
-            ConfigError::ZeroFrameBudget => write!(f, "max_frame must be >= 1"),
-            ConfigError::ReadTimeoutTooShort { got } => write!(
-                f,
-                "read_timeout {got:?} is below the {MIN_TIMEOUT:?} timer granularity"
-            ),
-            ConfigError::WriteTimeoutTooShort { got } => write!(
-                f,
-                "write_timeout {got:?} is below the {MIN_TIMEOUT:?} timer granularity"
-            ),
         }
     }
 }
@@ -78,10 +45,6 @@ impl std::error::Error for ConfigError {}
 pub struct ServerConfig {
     threads: usize,
     max_conns: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    max_inflight: usize,
-    max_frame: usize,
 }
 
 impl Default for ServerConfig {
@@ -89,10 +52,6 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: 4,
             max_conns: 64,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
-            max_inflight: 128,
-            max_frame: DEFAULT_MAX_FRAME,
         }
     }
 }
@@ -116,28 +75,6 @@ impl ServerConfig {
     pub fn max_conns(&self) -> usize {
         self.max_conns
     }
-
-    /// Close a connection after this long with no bytes from the peer.
-    pub fn read_timeout(&self) -> Duration {
-        self.read_timeout
-    }
-
-    /// Drop a connection whose peer stops reading replies for this long
-    /// while output is pending.
-    pub fn write_timeout(&self) -> Duration {
-        self.write_timeout
-    }
-
-    /// Pipelining budget: max replies buffered before decoding pauses
-    /// until the output buffer reaches the socket.
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
-    }
-
-    /// Per-frame byte budget (see [`crate::resp::Decoder`]).
-    pub fn max_frame(&self) -> usize {
-        self.max_frame
-    }
 }
 
 /// Builder for [`ServerConfig`]; every setter overrides one default.
@@ -159,30 +96,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the idle read timeout.
-    pub fn read_timeout(mut self, t: Duration) -> Self {
-        self.cfg.read_timeout = t;
-        self
-    }
-
-    /// Sets the pending-output write timeout.
-    pub fn write_timeout(mut self, t: Duration) -> Self {
-        self.cfg.write_timeout = t;
-        self
-    }
-
-    /// Sets the pipelining budget.
-    pub fn max_inflight(mut self, n: usize) -> Self {
-        self.cfg.max_inflight = n;
-        self
-    }
-
-    /// Sets the per-frame byte budget.
-    pub fn max_frame(mut self, n: usize) -> Self {
-        self.cfg.max_frame = n;
-        self
-    }
-
     /// Validates and produces the configuration, or names the first
     /// nonsense knob.
     pub fn build(self) -> Result<ServerConfig, ConfigError> {
@@ -192,18 +105,6 @@ impl ServerConfigBuilder {
         }
         if c.max_conns == 0 {
             return Err(ConfigError::ZeroMaxConns);
-        }
-        if c.max_inflight == 0 {
-            return Err(ConfigError::ZeroInflight);
-        }
-        if c.max_frame == 0 {
-            return Err(ConfigError::ZeroFrameBudget);
-        }
-        if c.read_timeout < MIN_TIMEOUT {
-            return Err(ConfigError::ReadTimeoutTooShort { got: c.read_timeout });
-        }
-        if c.write_timeout < MIN_TIMEOUT {
-            return Err(ConfigError::WriteTimeoutTooShort { got: c.write_timeout });
         }
         Ok(c)
     }
@@ -218,29 +119,13 @@ mod tests {
         let c = ServerConfig::default();
         assert_eq!(c.threads(), 4);
         assert_eq!(c.max_conns(), 64);
-        assert_eq!(c.read_timeout(), Duration::from_secs(30));
-        assert_eq!(c.write_timeout(), Duration::from_secs(10));
-        assert_eq!(c.max_inflight(), 128);
-        assert_eq!(c.max_frame(), DEFAULT_MAX_FRAME);
     }
 
     #[test]
     fn builder_round_trips_every_knob() {
-        let c = ServerConfig::builder()
-            .threads(2)
-            .max_conns(10)
-            .read_timeout(Duration::from_secs(1))
-            .write_timeout(Duration::from_secs(2))
-            .max_inflight(7)
-            .max_frame(4096)
-            .build()
-            .unwrap();
+        let c = ServerConfig::builder().threads(2).max_conns(10).build().unwrap();
         assert_eq!(c.threads(), 2);
         assert_eq!(c.max_conns(), 10);
-        assert_eq!(c.read_timeout(), Duration::from_secs(1));
-        assert_eq!(c.write_timeout(), Duration::from_secs(2));
-        assert_eq!(c.max_inflight(), 7);
-        assert_eq!(c.max_frame(), 4096);
     }
 
     #[test]
@@ -253,30 +138,13 @@ mod tests {
             ServerConfig::builder().max_conns(0).build(),
             Err(ConfigError::ZeroMaxConns)
         );
-        assert_eq!(
-            ServerConfig::builder().max_inflight(0).build(),
-            Err(ConfigError::ZeroInflight)
-        );
-        assert_eq!(
-            ServerConfig::builder().max_frame(0).build(),
-            Err(ConfigError::ZeroFrameBudget)
-        );
-        let short = Duration::from_millis(5);
-        assert_eq!(
-            ServerConfig::builder().read_timeout(short).build(),
-            Err(ConfigError::ReadTimeoutTooShort { got: short })
-        );
-        assert_eq!(
-            ServerConfig::builder().write_timeout(short).build(),
-            Err(ConfigError::WriteTimeoutTooShort { got: short })
-        );
-        // Errors render a human-readable reason naming the bound.
-        let msg = ConfigError::ReadTimeoutTooShort { got: short }.to_string();
-        assert!(msg.contains("read_timeout"), "{msg}");
+        // Errors render a human-readable reason naming the knob.
+        let msg = ConfigError::ZeroMaxConns.to_string();
+        assert!(msg.contains("max_conns"), "{msg}");
     }
 
     #[test]
     fn config_errors_implement_partial_eq_for_matching() {
-        assert_ne!(ConfigError::ZeroThreads, ConfigError::ZeroInflight);
+        assert_ne!(ConfigError::ZeroThreads, ConfigError::ZeroMaxConns);
     }
 }

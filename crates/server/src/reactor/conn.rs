@@ -16,7 +16,7 @@
 //! clock readings; it feeds latency histograms, never a deadline.
 //!
 //! **Backpressure.** Replies accumulate in the output buffer; after
-//! `max_inflight` of them pile up without the socket draining, the
+//! [`MAX_INFLIGHT`] of them pile up without the socket draining, the
 //! connection *stalls*: it stops wanting reads (the loop parks its
 //! EPOLLIN interest) and stops decoding, so a client that streams
 //! requests faster than it reads replies is throttled by TCP flow
@@ -36,7 +36,18 @@ use hdnh_obs as obs;
 
 use super::{Engine, EngineAction};
 use crate::config::ServerConfig;
-use crate::resp::{enc_error, release_if_oversized, Decoder, BUF_INITIAL};
+use crate::resp::{enc_error, release_if_oversized, Decoder, BUF_INITIAL, DEFAULT_MAX_FRAME};
+
+/// A connection closes after this long with no bytes from the peer.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A connection whose peer stops reading replies for this long while
+/// output is pending is dropped.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Pipelining budget: at most this many replies are buffered before
+/// decoding pauses until the output buffer reaches the socket.
+pub const MAX_INFLIGHT: usize = 128;
 
 /// After a drain begins, how long a connection keeps answering bytes that
 /// were already in flight before it stops reading. Bounds how much a
@@ -62,9 +73,6 @@ pub struct Conn {
     wpos: usize,
     /// Replies appended since the output buffer last fully drained.
     inflight: usize,
-    max_inflight: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
     last_activity: Instant,
     /// `Some(t)` while output is pending: the last instant the socket
     /// accepted bytes (or the instant output first became pending).
@@ -87,17 +95,15 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// A fresh connection with `cfg`'s budgets, idle clock starting at
-    /// `now`.
-    pub fn new(cfg: &ServerConfig, now: Instant) -> Conn {
+    /// A fresh connection, idle clock starting at `now`. Its budgets are
+    /// the module's constants; no setting of `cfg` applies to one
+    /// connection.
+    pub fn new(_cfg: &ServerConfig, now: Instant) -> Conn {
         Conn {
-            dec: Decoder::new(cfg.max_frame()),
+            dec: Decoder::new(DEFAULT_MAX_FRAME),
             out: Vec::with_capacity(BUF_INITIAL),
             wpos: 0,
             inflight: 0,
-            max_inflight: cfg.max_inflight(),
-            read_timeout: cfg.read_timeout(),
-            write_timeout: cfg.write_timeout(),
             last_activity: now,
             last_write_progress: None,
             drain: None,
@@ -165,7 +171,7 @@ impl Conn {
         }
         if self.wants_write() {
             if let Some(t) = self.last_write_progress {
-                if now.duration_since(t) >= self.write_timeout {
+                if now.duration_since(t) >= WRITE_TIMEOUT {
                     // The peer stopped reading its replies: hard-drop.
                     self.dead = true;
                     return;
@@ -175,7 +181,7 @@ impl Conn {
         if !self.reading_stopped {
             let expired = match &self.drain {
                 Some(d) => now >= d.silence || now >= d.grace,
-                None => now.duration_since(self.last_activity) >= self.read_timeout,
+                None => now.duration_since(self.last_activity) >= READ_TIMEOUT,
             };
             if expired {
                 self.reading_stopped = true;
@@ -234,13 +240,13 @@ impl Conn {
         };
         if self.wants_write() {
             if let Some(t) = self.last_write_progress {
-                add(t + self.write_timeout);
+                add(t + WRITE_TIMEOUT);
             }
         }
         if !self.reading_stopped {
             match &self.drain {
                 Some(d) => add(d.silence.min(d.grace)),
-                None => add(self.last_activity + self.read_timeout),
+                None => add(self.last_activity + READ_TIMEOUT),
             }
         }
         dl
@@ -271,7 +277,7 @@ impl Conn {
                         EngineAction::Shutdown => self.shutdown_requested = true,
                     }
                     self.inflight += 1;
-                    if self.inflight >= self.max_inflight {
+                    if self.inflight >= MAX_INFLIGHT {
                         self.stalled = true;
                     }
                 }

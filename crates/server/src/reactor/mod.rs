@@ -22,7 +22,7 @@
 //! what each connection wants.
 //!
 //! **Backpressure as interest sets.** A connection that hits its
-//! `max_inflight` reply budget stops wanting reads; the loop parks its
+//! [`MAX_INFLIGHT`] reply budget stops wanting reads; the loop parks its
 //! EPOLLIN interest until the output buffer drains, so TCP flow control
 //! throttles the client with zero server-side buffer growth.
 //!
@@ -36,7 +36,7 @@ mod conn;
 mod poller;
 mod timer;
 
-pub use conn::{Conn, DRAIN_GRACE, DRAIN_SILENCE};
+pub use conn::{Conn, DRAIN_GRACE, DRAIN_SILENCE, MAX_INFLIGHT, READ_TIMEOUT, WRITE_TIMEOUT};
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};

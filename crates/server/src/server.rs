@@ -15,8 +15,9 @@
 //! **Backpressure.** Three independent bounds protect the server:
 //! connection slots (`max_conns`; a connection over budget is answered
 //! `-ERR max connections` and closed), a per-frame byte budget
-//! (`max_frame`; oversized frames are a fatal protocol error), and a
-//! per-connection pipelining budget (`max_inflight`; at most that many
+//! ([`DEFAULT_MAX_FRAME`](crate::resp::DEFAULT_MAX_FRAME); oversized frames
+//! are a fatal protocol error), and a per-connection pipelining budget
+//! ([`MAX_INFLIGHT`](crate::reactor::MAX_INFLIGHT); at most that many
 //! replies accumulate in the output buffer before the connection stops
 //! wanting reads, so a client streaming requests faster than it reads
 //! replies is throttled by TCP flow control instead of growing server
@@ -186,30 +187,6 @@ fn u64_arg(dec: &Decoder, frame: &crate::resp::Frame, i: usize, out: &mut Vec<u8
     }
 }
 
-/// A sticky backend I/O fault is recorded in the flight recorder exactly
-/// once per process — the fault itself is sticky, so one timeline event
-/// marks the transition without flooding the ring on every denied ack.
-static IO_FAULT_TRACED: AtomicBool = AtomicBool::new(false);
-
-fn note_io_fault() {
-    if !IO_FAULT_TRACED.swap(true, Ordering::Relaxed) {
-        obs::trace::emit(obs::trace::EventKind::IoFault, 0, 0);
-    }
-}
-
-/// Emits `+OK` only when the backend carries no sticky i/o fault. A write
-/// whose flush already failed (pool-file `msync` error) must not be
-/// acknowledged as durable; the fault surfaces here as `-IO`.
-fn ack_ok(table: &Hdnh, out: &mut Vec<u8>) {
-    match table.io_fault() {
-        None => enc_simple(out, "OK"),
-        Some(e) => {
-            note_io_fault();
-            enc_hdnh_error(out, &e);
-        }
-    }
-}
-
 /// Executes one decoded frame, appending exactly one reply to `out`.
 /// Returns [`EngineAction::Shutdown`] for the `SHUTDOWN` command so the
 /// runtime can begin the process-wide drain.
@@ -265,9 +242,10 @@ fn dispatch(
                 // A value over `hdnh::MAX_VALUE_BYTES` is refused by the
                 // value log before any table work, as `-CAPACITY`; the RESP
                 // frame budget (1 MiB) is a little above that cap, so the
-                // refusal is a command error, not a framing error.
+                // refusal is a command error, not a framing error. A sticky
+                // pool I/O fault comes back from the table as `-IO`.
                 match table.upsert_bytes(&Key::from_u64(k), dec.arg(frame, 2)) {
-                    Ok(()) => ack_ok(table, out),
+                    Ok(()) => enc_simple(out, "OK"),
                     Err(e) => enc_hdnh_error(out, &e),
                 }
             }
@@ -284,6 +262,8 @@ fn dispatch(
                         failed = Some(());
                         break;
                     };
+                    // The first error, a sticky pool I/O fault included,
+                    // is the reply: the keys after it are left alone.
                     match table.remove(&Key::from_u64(k)) {
                         Ok(true) => removed += 1,
                         Ok(false) => {}
@@ -296,10 +276,6 @@ fn dispatch(
                 }
                 if failed.is_some() {
                     enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-                } else if let Some(e) = table.io_fault() {
-                    // Deletions mutate NVM too: no ack over a failed flush.
-                    note_io_fault();
-                    enc_hdnh_error(out, &e);
                 } else {
                     enc_int(out, removed);
                 }
@@ -369,7 +345,7 @@ fn dispatch(
                     }
                 }
                 match err {
-                    None => ack_ok(table, out),
+                    None => enc_simple(out, "OK"),
                     Some(e) => enc_hdnh_error(out, &e),
                 }
             }

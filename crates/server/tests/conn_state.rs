@@ -8,7 +8,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use hdnh_server::reactor::{Conn, DRAIN_GRACE, DRAIN_SILENCE};
+use hdnh_server::reactor::{
+    Conn, DRAIN_GRACE, DRAIN_SILENCE, MAX_INFLIGHT, READ_TIMEOUT, WRITE_TIMEOUT,
+};
 use hdnh_server::resp::{enc_simple, Decoder, Frame};
 use hdnh_server::{Engine, EngineAction, ServerConfig};
 
@@ -43,8 +45,18 @@ impl Engine for TestEngine {
     }
 }
 
-fn cfg(max_inflight: usize) -> ServerConfig {
-    ServerConfig::builder().max_inflight(max_inflight).build().unwrap()
+fn cfg() -> ServerConfig {
+    ServerConfig::default()
+}
+
+/// `n` pipelined inline `PING`s.
+fn pings(n: usize) -> Vec<u8> {
+    b"PING\r\n".repeat(n)
+}
+
+/// `n` `+OK` replies.
+fn oks(n: usize) -> Vec<u8> {
+    b"+OK\r\n".repeat(n)
 }
 
 /// Simulates the socket accepting all currently pending output.
@@ -58,7 +70,7 @@ fn drain_output(conn: &mut Conn, engine: &TestEngine, now: Instant) -> usize {
 fn partial_reads_assemble_one_frame() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     // An inline command delivered one byte at a time: nothing executes
     // until the terminating newline arrives.
@@ -79,7 +91,7 @@ fn partial_reads_assemble_one_frame() {
 fn frames_split_across_arbitrary_boundaries() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     // Two pipelined RESP arrays, fed in chunks that split mid-header and
     // mid-bulk-payload.
@@ -95,33 +107,33 @@ fn frames_split_across_arbitrary_boundaries() {
 fn inflight_budget_stalls_decoding_until_output_drains() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(2), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
-    // Five pipelined commands against a budget of 2: only two execute,
-    // then the connection stops wanting reads (backpressure surfaces as
-    // an interest-set change, not a blocking flush).
-    conn.on_bytes(b"PING\r\nPING\r\nPING\r\nPING\r\nPING\r\n", &engine, t0);
-    assert_eq!(engine.count(), 2);
-    assert_eq!(conn.output(), b"+OK\r\n+OK\r\n");
+    // Two budgets and one more command pipelined: only one budget's worth
+    // executes, then the connection stops wanting reads (backpressure
+    // surfaces as an interest-set change, not a blocking flush).
+    conn.on_bytes(&pings(2 * MAX_INFLIGHT + 1), &engine, t0);
+    assert_eq!(engine.count(), MAX_INFLIGHT);
+    assert_eq!(conn.output(), oks(MAX_INFLIGHT));
     assert!(!conn.wants_read(), "stalled connection must not want reads");
     assert!(conn.wants_write());
 
     // Partial write progress is not enough: the budget clears only when
     // the buffer fully reaches the socket.
     conn.on_write_progress(3, &engine, t0);
-    assert_eq!(engine.count(), 2);
+    assert_eq!(engine.count(), MAX_INFLIGHT);
     assert!(!conn.wants_read());
 
-    // Full drain resumes the pump: two more execute, stall again.
+    // Full drain resumes the pump: a budget more executes, stall again.
     let rest = conn.output().len();
     conn.on_write_progress(rest, &engine, t0);
-    assert_eq!(engine.count(), 4);
-    assert_eq!(conn.output(), b"+OK\r\n+OK\r\n");
+    assert_eq!(engine.count(), 2 * MAX_INFLIGHT);
+    assert_eq!(conn.output(), oks(MAX_INFLIGHT));
     assert!(!conn.wants_read());
 
     // Final drain executes the last one; the connection is readable again.
     drain_output(&mut conn, &engine, t0);
-    assert_eq!(engine.count(), 5);
+    assert_eq!(engine.count(), 2 * MAX_INFLIGHT + 1);
     drain_output(&mut conn, &engine, t0);
     assert!(conn.wants_read());
     assert!(!conn.done());
@@ -131,13 +143,13 @@ fn inflight_budget_stalls_decoding_until_output_drains() {
 fn drain_answers_pending_replies_before_closing() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(1), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
-    // Three commands against a budget of 1, then the process starts
-    // draining while two frames are still undecoded and one reply is
+    // Three budgets' worth of commands, then the process starts draining
+    // while two budgets are still undecoded and one budget of replies is
     // still unflushed.
-    conn.on_bytes(b"PING\r\nPING\r\nPING\r\n", &engine, t0);
-    assert_eq!(engine.count(), 1);
+    conn.on_bytes(&pings(3 * MAX_INFLIGHT), &engine, t0);
+    assert_eq!(engine.count(), MAX_INFLIGHT);
     conn.begin_drain(t0);
 
     // The silence deadline passes — but replies are still owed, so the
@@ -146,11 +158,12 @@ fn drain_answers_pending_replies_before_closing() {
     conn.on_tick(after_silence);
     assert!(!conn.done(), "drain must not drop unanswered frames");
 
-    // As the socket drains, the remaining frames execute one by one.
+    // As the socket drains, the remaining frames execute a budget at a
+    // time.
     drain_output(&mut conn, &engine, after_silence);
-    assert_eq!(engine.count(), 2);
+    assert_eq!(engine.count(), 2 * MAX_INFLIGHT);
     drain_output(&mut conn, &engine, after_silence);
-    assert_eq!(engine.count(), 3);
+    assert_eq!(engine.count(), 3 * MAX_INFLIGHT);
     assert!(!conn.done(), "last reply still unflushed");
 
     // Only after the last reply reaches the socket does the connection
@@ -162,7 +175,7 @@ fn drain_answers_pending_replies_before_closing() {
 #[test]
 fn drain_closes_idle_connection_at_first_silence() {
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     conn.begin_drain(t0);
     assert!(!conn.done());
@@ -177,7 +190,7 @@ fn drain_closes_idle_connection_at_first_silence() {
 fn drain_grace_bounds_a_firehosing_client() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
     conn.begin_drain(t0);
 
     // A client that keeps sending extends the silence window — but only
@@ -206,26 +219,22 @@ fn drain_grace_bounds_a_firehosing_client() {
 fn idle_timeout_closes_a_silent_connection() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let cfg = ServerConfig::builder()
-        .read_timeout(Duration::from_secs(30))
-        .build()
-        .unwrap();
-    let mut conn = Conn::new(&cfg, t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     // The idle clock is the only scheduled deadline for a quiet
-    // connection — exactly one wakeup in 30 s, not ten per second.
-    assert_eq!(conn.next_deadline(), Some(t0 + Duration::from_secs(30)));
+    // connection — exactly one wakeup per READ_TIMEOUT, not ten per second.
+    assert_eq!(conn.next_deadline(), Some(t0 + READ_TIMEOUT));
 
-    conn.on_tick(t0 + Duration::from_secs(29));
+    let t1 = t0 + READ_TIMEOUT - Duration::from_secs(1);
+    conn.on_tick(t1);
     assert!(!conn.done());
 
     // Activity re-arms the clock.
-    let t1 = t0 + Duration::from_secs(29);
     conn.on_bytes(b"PING\r\n", &engine, t1);
     drain_output(&mut conn, &engine, t1);
-    assert_eq!(conn.next_deadline(), Some(t1 + Duration::from_secs(30)));
+    assert_eq!(conn.next_deadline(), Some(t1 + READ_TIMEOUT));
 
-    conn.on_tick(t1 + Duration::from_secs(30));
+    conn.on_tick(t1 + READ_TIMEOUT);
     assert!(conn.done(), "idle timeout must close the connection");
 }
 
@@ -233,7 +242,7 @@ fn idle_timeout_closes_a_silent_connection() {
 fn eof_answers_received_frames_then_closes() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     conn.on_bytes(b"PING\r\nPING\r\n", &engine, t0);
     conn.on_eof();
@@ -248,17 +257,18 @@ fn eof_answers_received_frames_then_closes() {
 fn eof_resumes_a_stalled_decode_before_closing() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(1), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
-    // Stall with one executed, two buffered — then EOF. The buffered
-    // frames must still be answered before the connection finishes.
-    conn.on_bytes(b"PING\r\nPING\r\nPING\r\n", &engine, t0);
-    assert_eq!(engine.count(), 1);
+    // Stall with one budget executed, two buffered — then EOF. The
+    // buffered frames must still be answered before the connection
+    // finishes.
+    conn.on_bytes(&pings(3 * MAX_INFLIGHT), &engine, t0);
+    assert_eq!(engine.count(), MAX_INFLIGHT);
     conn.on_eof();
     assert!(!conn.done());
     drain_output(&mut conn, &engine, t0);
     drain_output(&mut conn, &engine, t0);
-    assert_eq!(engine.count(), 3, "EOF must not drop buffered frames");
+    assert_eq!(engine.count(), 3 * MAX_INFLIGHT, "EOF must not drop buffered frames");
     drain_output(&mut conn, &engine, t0);
     assert!(conn.done());
 }
@@ -267,7 +277,7 @@ fn eof_resumes_a_stalled_decode_before_closing() {
 fn fatal_protocol_error_replies_then_closes() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     // An array element that is not a bulk string is a fatal framing
     // error: one error reply, no further decoding, close after flush.
@@ -285,18 +295,14 @@ fn fatal_protocol_error_replies_then_closes() {
 fn write_stall_timeout_hard_drops_the_connection() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let cfg = ServerConfig::builder()
-        .write_timeout(Duration::from_secs(10))
-        .build()
-        .unwrap();
-    let mut conn = Conn::new(&cfg, t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     conn.on_bytes(b"PING\r\n", &engine, t0);
     assert!(conn.wants_write());
 
-    // The peer never reads: after `write_timeout` with zero progress the
+    // The peer never reads: after `WRITE_TIMEOUT` with zero progress the
     // connection is dropped even though output is pending.
-    conn.on_tick(t0 + Duration::from_secs(10));
+    conn.on_tick(t0 + WRITE_TIMEOUT);
     assert!(conn.done(), "peer ignoring replies must be dropped");
     assert!(!conn.wants_write());
 }
@@ -305,7 +311,7 @@ fn write_stall_timeout_hard_drops_the_connection() {
 fn shutdown_request_is_surfaced_once() {
     let engine = TestEngine::new();
     let t0 = Instant::now();
-    let mut conn = Conn::new(&cfg(128), t0);
+    let mut conn = Conn::new(&cfg(), t0);
 
     conn.on_bytes(b"SHUTDOWN\r\n", &engine, t0);
     assert_eq!(conn.output(), b"+OK\r\n", "SHUTDOWN is acked before the drain");

@@ -103,15 +103,12 @@ fn command_errors_keep_the_connection_usable() {
 
 #[test]
 fn pipelined_batch_replies_in_order() {
-    let (handle, addr) = spawn_server(
-        ServerConfig::builder()
-            .max_inflight(32) // force several backpressure stalls within the batch
-            .build()
-            .unwrap(),
-    );
+    let (handle, addr) = spawn_server(ServerConfig::default());
     let mut c = client(&addr);
 
-    let n = 200u64;
+    // Several times the pipelining budget in one batch: the server stalls
+    // on backpressure more than once within it.
+    let n = 2 * hdnh_server::reactor::MAX_INFLIGHT as u64;
     for i in 0..n {
         c.cmd(&[b"SET", i.to_string().as_bytes(), (i * 3).to_string().as_bytes()]);
     }
@@ -255,6 +252,44 @@ fn value_size_boundaries_over_the_wire() {
     assert!(c.ping().unwrap(), "connection must survive -CAPACITY");
 
     handle.shutdown_and_join();
+}
+
+/// Over a sticky pool I/O fault (a failed write-back) no write is
+/// acknowledged: `SET`, `MSET` and `DEL` answer `-IO`, and reads go on.
+#[test]
+fn writes_over_a_sticky_io_fault_answer_io_and_reads_still_serve() {
+    let dir = std::env::temp_dir().join(format!("hdnh-net-io-fault-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let params = HdnhParams::builder().capacity(10_000).build().unwrap();
+    let (table, _) = Hdnh::open_pool(params, &dir, 1).expect("open pool");
+    let table = Arc::new(table);
+    let handle = start(Arc::clone(&table), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut c = client(&handle.local_addr().to_string());
+    assert_eq!(c.set(1, 10).unwrap(), Ok(()));
+
+    table.params().nvm.backend.pool().unwrap().record_fault(hdnh_nvm::NvmIoError {
+        op: "msync",
+        path: dir.clone(),
+        msg: "injected write-back failure".into(),
+    });
+    for req in [
+        &[b"SET".as_slice(), b"2", b"20"] as &[&[u8]],
+        &[b"MSET", b"3", b"30", b"4", b"40"],
+        &[b"DEL", b"1"],
+    ] {
+        match c.call(req).unwrap() {
+            Reply::Error(e) => assert!(e.starts_with("IO") && e.contains("injected"), "{e}"),
+            other => panic!("{req:?} was acknowledged over a sticky i/o fault: {other:?}"),
+        }
+    }
+    // Applied, not acknowledged: the writes are visible to readers.
+    assert_eq!(c.get(2).unwrap(), Some(20));
+    assert_eq!(c.get(1).unwrap(), None);
+    assert_eq!(c.mget(&[3, 4]).unwrap(), vec![Some(30), None], "MSET stops at the first key");
+
+    handle.shutdown_and_join();
+    drop(table);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
