@@ -48,11 +48,6 @@ pub enum Command {
     /// `restore <snapshot-dir> <dest-dir>` — verify a snapshot's CRC
     /// manifest, copy it into a fresh pool directory, and open it.
     Restore(String, String),
-    /// `record <file> <a|b|c|f> <ops>` — generate a YCSB stream and save it
-    /// as a binary trace.
-    Record(String, char, usize),
-    /// `replay <file>` — replay a saved trace against the table.
-    Replay(String),
     /// `help`.
     Help,
     /// `quit` / `exit`.
@@ -284,19 +279,6 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
                 .ok_or_else(|| ParseError("missing destination directory".into()))?
                 .to_string(),
         ),
-        "record" => {
-            let file = toks
-                .next()
-                .ok_or_else(|| ParseError("missing trace file path".into()))?
-                .to_string();
-            let mix = mix_letter(toks.next())?;
-            Command::Record(file, mix, int(toks.next(), "op count")? as usize)
-        }
-        "replay" => Command::Replay(
-            toks.next()
-                .ok_or_else(|| ParseError("missing trace file path".into()))?
-                .to_string(),
-        ),
         "help" | "?" => Command::Help,
         "quit" | "exit" | "q" => Command::Quit,
         other => return Err(ParseError(format!("unknown command '{other}' (try 'help')"))),
@@ -318,8 +300,8 @@ commands:
   update <key> <value>    replace an existing record's value
   delete <key>            remove a record
   fill <n>                bulk-insert generator ids 0..n (the YCSB generator's
-                          own 16-byte keys and 15-byte values; fill, workload,
-                          record and replay never touch a key get can name)
+                          own 16-byte keys and 15-byte values; fill and
+                          workload never touch a key get can name)
   workload <a|b|c|f> <n>  run n ops of a YCSB mix over the filled ids
   stats [delta|reset]     NVM media counters (absolute, since-reset, or
                           move the baseline)
@@ -342,8 +324,6 @@ commands:
   backup <dir>            crash-consistent snapshot (pool-backed tables only)
   restore <snap> <dest>   verify a snapshot's manifest, copy it into a fresh
                           pool directory and open it there
-  record <file> <mix> <n> save a YCSB op stream as a binary trace
-  replay <file>           replay a saved trace against the table
   help                    this text
   quit                    exit";
 
@@ -511,21 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_trace_commands() {
-        assert_eq!(
-            parse("record /tmp/t.trace a 500").unwrap(),
-            Some(Command::Record("/tmp/t.trace".into(), 'a', 500))
-        );
-        assert_eq!(
-            parse("replay /tmp/t.trace").unwrap(),
-            Some(Command::Replay("/tmp/t.trace".into()))
-        );
-        assert!(parse("record /tmp/t.trace z 5").is_err());
-        assert!(parse("record /tmp/t.trace a").is_err());
-        assert!(parse("replay").is_err());
-    }
-
-    #[test]
     fn rejects_garbage() {
         assert!(parse("frobnicate").is_err());
         assert!(parse("insert").is_err());
@@ -533,5 +498,9 @@ mod tests {
         assert!(parse("insert x y").is_err());
         assert!(parse("get 1 2").is_err());
         assert!(parse("workload z 10").is_err());
+        assert_eq!(
+            parse("record x a 5"),
+            Err(ParseError("unknown command 'record' (try 'help')".into()))
+        );
     }
 }

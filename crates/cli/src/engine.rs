@@ -8,7 +8,6 @@ use hdnh::{Hdnh, HdnhError, HdnhParams};
 use hdnh_common::{HashIndex, Key};
 use hdnh_nvm::{FaultPlan, NvmOptions, StatsSnapshot};
 use hdnh_obs as obs;
-use hdnh_ycsb::trace::{load_trace, save_trace};
 use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
 
 use crate::command::{
@@ -466,28 +465,6 @@ impl Engine {
                     report.layout_epoch
                 )))
             }
-            Command::Record(file, mix, ops) => {
-                let spec = Self::spec_for(mix);
-                let preloaded = self.next_fill_id.max(1);
-                let stream = generate_ops(&spec, preloaded, self.next_fill_id, ops, 0x7EC0);
-                save_trace(std::path::Path::new(&file), &stream)
-                    .map_err(|e| HdnhError::Io(e.to_string()))?;
-                Ok(Outcome::Text(format!("recorded {ops} ops to {file}")))
-            }
-            Command::Replay(file) => {
-                let stream = load_trace(std::path::Path::new(&file))
-                    .map_err(|e| HdnhError::Io(e.to_string()))?;
-                let table = self.table()?;
-                let t0 = Instant::now();
-                self.apply_stream(table, &stream);
-                let secs = t0.elapsed().as_secs_f64();
-                Ok(Outcome::Text(format!(
-                    "replayed {} ops in {:.1} ms ({:.3} Mops/s)",
-                    stream.len(),
-                    secs * 1e3,
-                    stream.len() as f64 / secs / 1e6
-                )))
-            }
             Command::Help => Ok(Outcome::Text(HELP.to_string())),
             Command::Quit => {
                 if self.pool_backed {
@@ -843,39 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn record_and_replay_roundtrip() {
-        let mut e = Engine::new(EngineConfig::default());
-        run(&mut e, "fill 1000");
-        let path = std::env::temp_dir().join("hdnh_cli_test.trace");
-        let path_s = path.to_str().unwrap().to_string();
-        let out = run(&mut e, &format!("record {path_s} c 2000"));
-        assert!(out.starts_with("recorded 2000 ops"), "{out}");
-        let out = run(&mut e, &format!("replay {path_s}"));
-        assert!(out.starts_with("replayed 2000 ops"), "{out}");
-        let out = run(&mut e, "verify");
-        assert!(out.starts_with("integrity ok"), "{out}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn replay_missing_file_is_a_failure_outcome() {
-        let mut e = Engine::new(EngineConfig::default());
-        let out = e.execute(parse("replay /nonexistent/path.trace").unwrap().unwrap());
-        match out {
-            Outcome::Failure(t) => assert!(t.starts_with("error: i/o error:"), "{t}"),
-            other => panic!("expected Failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn record_to_unwritable_path_is_a_failure_outcome() {
-        let mut e = Engine::new(EngineConfig::default());
-        run(&mut e, "fill 10");
-        let out = e.execute(parse("record /nonexistent/dir/t.trace c 10").unwrap().unwrap());
-        assert!(matches!(out, Outcome::Failure(_)), "{out:?}");
-    }
-
-    #[test]
     fn scrub_on_clean_table_reports_clean_json() {
         let mut e = Engine::new(EngineConfig::default());
         run(&mut e, "fill 300");
@@ -922,7 +866,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn pool_backed_engine_persists_across_quit() {
         let dir = std::env::temp_dir().join(format!("hdnh-cli-engine-pool-{}", std::process::id()));
@@ -946,7 +889,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(unix)]
     #[test]
     fn a_write_over_a_sticky_io_fault_is_not_acked() {
         let dir = std::env::temp_dir().join(format!("hdnh-cli-engine-fault-{}", std::process::id()));

@@ -7,8 +7,6 @@
 //! it, and serves it in-process (or the reverse), for values on both sides
 //! of the 14-byte inline budget.
 
-#![cfg(unix)]
-
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

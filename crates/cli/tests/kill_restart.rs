@@ -12,8 +12,6 @@
 //! process cannot un-write (the kernel owns the dirty pages). Writes sent
 //! but not yet acknowledged may or may not have landed — both are legal.
 
-#![cfg(unix)]
-
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};

@@ -143,25 +143,31 @@ pub(crate) fn read_superblock(dir: &Path) -> Result<Superblock, HdnhError> {
     Superblock::decode(&bytes)
 }
 
-/// Crash-safe superblock replacement: write a temp file, fsync it,
-/// rename over the live name, fsync the directory. A kill at any point
-/// leaves either the old or the new (complete, CRC-valid) block.
 pub(crate) fn write_superblock(dir: &Path, sb: &Superblock) -> Result<(), HdnhError> {
-    let tmp = dir.join("superblock.tmp");
-    let live = dir.join(SUPERBLOCK_FILE);
-    let io = |op: &str, p: &Path, e: std::io::Error| {
-        HdnhError::Io(format!("{op} {}: {e}", p.display()))
-    };
-    fs::write(&tmp, sb.encode()).map_err(|e| io("write", &tmp, e))?;
-    let f = fs::File::open(&tmp).map_err(|e| io("open", &tmp, e))?;
-    f.sync_all().map_err(|e| io("fsync", &tmp, e))?;
-    fs::rename(&tmp, &live).map_err(|e| io("rename", &tmp, e))?;
-    #[cfg(unix)]
-    {
-        let d = fs::File::open(dir).map_err(|e| io("open", dir, e))?;
-        d.sync_all().map_err(|e| io("fsync", dir, e))?;
-    }
-    Ok(())
+    replace_file(dir, SUPERBLOCK_FILE, &sb.encode())
+}
+
+pub(crate) fn io_err(op: &str, p: &Path, e: std::io::Error) -> HdnhError {
+    HdnhError::Io(format!("{op} {}: {e}", p.display()))
+}
+
+/// Crash-safe file replacement: write `<name>.tmp`, fsync it, rename it
+/// over `name`, fsync the directory. A kill at any point leaves either
+/// the old or the new (complete) file.
+pub(crate) fn replace_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), HdnhError> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    fs::write(&tmp, bytes).map_err(|e| io_err("write", &tmp, e))?;
+    let f = fs::File::open(&tmp).map_err(|e| io_err("open", &tmp, e))?;
+    f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
+    fs::rename(&tmp, dir.join(name)).map_err(|e| io_err("rename", &tmp, e))?;
+    sync_dir(dir)
+}
+
+/// Makes the directory's entries — a rename, newly created files —
+/// durable.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), HdnhError> {
+    let d = fs::File::open(dir).map_err(|e| io_err("open", dir, e))?;
+    d.sync_all().map_err(|e| io_err("fsync", dir, e))
 }
 
 /// What [`Hdnh::open_pool`] did.

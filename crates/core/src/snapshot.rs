@@ -40,7 +40,8 @@ use hdnh_obs as obs;
 
 use crate::crc32::{crc32_ieee, Crc32};
 use crate::pool::{
-    read_superblock, write_superblock, Superblock, SUPERBLOCK_FILE, SUPERBLOCK_VERSION,
+    io_err, read_superblock, replace_file, sync_dir, write_superblock, Superblock,
+    SUPERBLOCK_FILE, SUPERBLOCK_VERSION,
 };
 use crate::{Hdnh, HdnhError};
 
@@ -82,10 +83,6 @@ pub struct SnapshotReport {
     pub files: usize,
     /// Region + superblock bytes copied (manifest excluded).
     pub bytes: u64,
-}
-
-fn io_err(op: &str, p: &Path, e: std::io::Error) -> HdnhError {
-    HdnhError::Io(format!("{op} {}: {e}", p.display()))
 }
 
 /// Bytes read per step when a file is checksummed or copied: a region
@@ -338,17 +335,7 @@ impl Hdnh {
             layout_epoch: src_sb.layout_epoch,
             entries,
         };
-        let tmp = dir.join("snapshot.manifest.tmp");
-        let live = dir.join(SNAPSHOT_MANIFEST_FILE);
-        fs::write(&tmp, manifest.encode()).map_err(|e| io_err("write", &tmp, e))?;
-        let f = fs::File::open(&tmp).map_err(|e| io_err("open", &tmp, e))?;
-        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
-        fs::rename(&tmp, &live).map_err(|e| io_err("rename", &tmp, e))?;
-        #[cfg(unix)]
-        {
-            let d = fs::File::open(dir).map_err(|e| io_err("open", dir, e))?;
-            d.sync_all().map_err(|e| io_err("fsync", dir, e))?;
-        }
+        replace_file(dir, SNAPSHOT_MANIFEST_FILE, manifest.encode().as_bytes())?;
         Ok(SnapshotReport {
             files: manifest.entries.len() + 1,
             bytes,
@@ -393,11 +380,7 @@ impl Hdnh {
             let src: PathBuf = snap_dir.join(&e.name);
             let (_, _) = copy_with_crc(&src, &dest_dir.join(&e.name))?;
         }
-        #[cfg(unix)]
-        {
-            let d = fs::File::open(dest_dir).map_err(|e| io_err("open", dest_dir, e))?;
-            d.sync_all().map_err(|e| io_err("fsync", dest_dir, e))?;
-        }
+        sync_dir(dest_dir)?;
         drop(dest_lock);
         Hdnh::open_pool(params, dest_dir, threads)
     }

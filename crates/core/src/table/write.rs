@@ -522,31 +522,29 @@ mod tests {
     #[test]
     fn contended_writers_count_backoff_rounds() {
         obs::set_enabled(true);
-        let before = obs::snapshot().counter(obs::Counter::OpmapBackoffRound);
-        let t = Arc::new(Hdnh::new(HdnhParams::builder()
-        .segment_bytes(1024)
-        .initial_bottom_segments(2)
-        .build()
-        .unwrap()));
+        let rounds = || obs::snapshot().counter(obs::Counter::OpmapBackoffRound);
+        let t = Arc::new(table());
         t.insert(&k(1), &v(0)).unwrap();
-        let mut handles = Vec::new();
-        for tid in 0..8u64 {
+        // Hold the key's slot lock, so the writer below must wait for it.
+        let snap = t.pinned();
+        let probe = snap.inner.probe(&KeyHashes::of(&k(1)), t.n_candidates());
+        let held = t.find_and_lock(&k(1), &probe, &mut Witness::default()).unwrap();
+        // The counter is process-global: other tests can only raise it, so
+        // none of them can make this wait fail.
+        let before = rounds();
+        let writer = {
             let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..3_000u64 {
-                    t.update(&k(1), &v(tid * 100_000 + i)).unwrap();
-                }
-            }));
+            std::thread::spawn(move || t.update(&k(1), &v(7)).unwrap())
+        };
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while rounds() == before {
+            assert!(Instant::now() < deadline, "a writer on a held slot took no backoff round");
+            std::thread::yield_now();
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let rounds = obs::snapshot().counter(obs::Counter::OpmapBackoffRound) - before;
-        assert!(
-            rounds > 0,
-            "8 writers hammering one key never took a backoff round"
-        );
-        assert_eq!(t.len(), 1);
+        probe.unlock(&held);
+        drop(snap);
+        writer.join().unwrap();
+        assert_eq!(t.get(&k(1)).unwrap(), Some(v(7)));
         assert!(t.verify_integrity().is_ok());
     }
 }

@@ -51,6 +51,12 @@
 
 
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "hdnh-nvm supports Linux only: pool durability is built on `mmap`, `msync` and `flock`"
+);
+
 pub mod bandwidth;
 pub mod fault;
 pub mod latency;

@@ -9,14 +9,15 @@
 //! power-loss durability (as opposed to process-death durability) is only
 //! as strong as the last sync.
 //!
-//! No external crates: `mmap`/`munmap`/`msync` are declared directly
-//! against libc (std already links it on every supported Unix), and file
-//! sizing goes through [`std::fs::File::set_len`] (`ftruncate`).
+//! No external crates: `mmap`/`munmap`/`msync`/`sysconf` are declared
+//! directly against libc (std already links it), and file sizing goes
+//! through [`std::fs::File::set_len`] (`ftruncate`).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
+use std::sync::OnceLock;
 
 /// A failed file/mapping operation with enough context to act on: which
 /// syscall, which file, what the OS said. Converted to `HdnhError::Io`
@@ -57,15 +58,15 @@ impl fmt::Display for NvmIoError {
 
 impl std::error::Error for NvmIoError {}
 
-#[cfg(unix)]
 mod sys {
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::{c_int, c_long, c_void};
 
     pub const PROT_READ: c_int = 1;
     pub const PROT_WRITE: c_int = 2;
     pub const MAP_SHARED: c_int = 1;
     pub const MS_ASYNC: c_int = 1;
     pub const MS_SYNC: c_int = 4;
+    pub const SC_PAGESIZE: c_int = 30;
 
     extern "C" {
         pub fn mmap(
@@ -78,13 +79,25 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
+        pub fn sysconf(name: c_int) -> c_long;
     }
 }
 
-/// Page size used to align `msync` ranges. 4 KiB is correct for every
-/// platform this runs on; a larger true page size only makes the aligned
-/// range cover more than needed, which is harmless.
-const PAGE: usize = 4096;
+/// The kernel's page size, read once. `msync` fails with `EINVAL` for an
+/// address that is not a multiple of it, and it is not always 4 KiB:
+/// aarch64 kernels run with 16 or 64 KiB pages.
+fn page_size() -> usize {
+    static PAGE: OnceLock<usize> = OnceLock::new();
+    *PAGE.get_or_init(|| {
+        // SAFETY: `sysconf` reads a configuration value; it has no
+        // preconditions and touches no memory of ours.
+        let page = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
+        usize::try_from(page)
+            .ok()
+            .filter(|p| p.is_power_of_two())
+            .expect("sysconf(_SC_PAGESIZE) names the kernel's page size")
+    })
+}
 
 /// A shared, writable memory map over one pool file, exposed as a slice
 /// of `AtomicU64` words (the same representation the heap backend uses,
@@ -104,7 +117,6 @@ unsafe impl Sync for FileMap {}
 
 impl FileMap {
     /// Creates (or truncates) `path` at `len` bytes and maps it shared.
-    #[cfg(unix)]
     pub fn create(path: &Path, len: usize) -> Result<FileMap, NvmIoError> {
         let file = OpenOptions::new()
             .read(true)
@@ -121,7 +133,6 @@ impl FileMap {
     }
 
     /// Maps an existing file shared; the region length is the file length.
-    #[cfg(unix)]
     pub fn open(path: &Path) -> Result<(FileMap, usize), NvmIoError> {
         let file = OpenOptions::new()
             .read(true)
@@ -136,7 +147,6 @@ impl FileMap {
         Ok((map, len))
     }
 
-    #[cfg(unix)]
     fn map(file: File, path: &Path, len: usize) -> Result<FileMap, NvmIoError> {
         use std::os::fd::AsRawFd;
         let map_len = (Self::file_len(len) as usize).max(8);
@@ -160,16 +170,6 @@ impl FileMap {
             file,
             path: path.to_path_buf(),
         })
-    }
-
-    #[cfg(not(unix))]
-    pub fn create(path: &Path, _len: usize) -> Result<FileMap, NvmIoError> {
-        Err(NvmIoError::msg("mmap", path, "file-backed regions require a Unix platform"))
-    }
-
-    #[cfg(not(unix))]
-    pub fn open(path: &Path) -> Result<(FileMap, usize), NvmIoError> {
-        Err(NvmIoError::msg("mmap", path, "file-backed regions require a Unix platform"))
     }
 
     /// Region bytes rounded up to whole words (the mapped file is always
@@ -199,12 +199,11 @@ impl FileMap {
     /// `MS_SYNC` (wait for the write-back) vs `MS_ASYNC` (schedule it) —
     /// the async form is the per-fence fast path, the sync form the
     /// clean-shutdown path.
-    #[cfg(unix)]
     pub fn sync_range(&self, off: usize, len: usize, blocking: bool) -> Result<(), NvmIoError> {
         if len == 0 {
             return Ok(());
         }
-        let lo = (off / PAGE) * PAGE;
+        let lo = off - off % page_size();
         let hi = (off + len).min(self.map_len);
         let flags = if blocking { sys::MS_SYNC } else { sys::MS_ASYNC };
         // SAFETY: `lo..hi` lies inside the live mapping and lo is
@@ -213,11 +212,6 @@ impl FileMap {
         if rc != 0 {
             return Err(NvmIoError::new("msync", &self.path, std::io::Error::last_os_error()));
         }
-        Ok(())
-    }
-
-    #[cfg(not(unix))]
-    pub fn sync_range(&self, _off: usize, _len: usize, _blocking: bool) -> Result<(), NvmIoError> {
         Ok(())
     }
 
@@ -233,7 +227,6 @@ impl FileMap {
 
 impl Drop for FileMap {
     fn drop(&mut self) {
-        #[cfg(unix)]
         // SAFETY: the pointer came from a successful mmap of map_len bytes
         // and nothing dereferences it after drop.
         unsafe {
@@ -251,7 +244,7 @@ impl fmt::Debug for FileMap {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
@@ -299,11 +292,22 @@ mod tests {
 
     #[test]
     fn sync_range_aligns_to_pages() {
+        let page = page_size();
         let p = tmp("range");
-        let m = FileMap::create(&p, 16384).unwrap();
-        m.words(2048)[600].store(1, Ordering::Relaxed);
-        m.sync_range(4800, 64, false).unwrap();
-        m.sync_range(0, 16384, true).unwrap();
+        let m = FileMap::create(&p, 4 * page).unwrap();
+        // `msync` takes an address that is a multiple of the kernel's page
+        // and refuses one that is not: `page` is such a multiple and half
+        // of it is not, so `page` is the kernel's page size.
+        // SAFETY: both ranges lie inside the live mapping.
+        let msync_at =
+            |off: usize| unsafe { sys::msync(m.ptr.add(off).cast(), 64, sys::MS_ASYNC) };
+        assert_eq!(msync_at(page), 0);
+        assert_ne!(msync_at(page / 2), 0);
+        for off in (0..4 * page).step_by(512) {
+            m.words(4 * page / 8)[off / 8].store(off as u64, Ordering::Relaxed);
+            m.sync_range(off, 64, false).unwrap();
+            m.sync_range(off, 64, true).unwrap();
+        }
         drop(m);
         std::fs::remove_file(&p).unwrap();
     }

@@ -1382,17 +1382,14 @@ mod tests {
         #[test]
         fn strict_region_matches_byte_model_and_line_sets(ops in model_ops()) {
             check_against_byte_model(&strict_region(301), &ops);
-            #[cfg(unix)]
-            {
-                let (d, mut opts) = file_backend::pool_dir("strictmodel");
-                opts.strict = true;
-                opts.sync_policy = SyncPolicy::Sync;
-                let r = NvmRegion::alloc(301, &opts, "seg").unwrap();
-                check_against_byte_model(&r, &ops);
-                assert!(!opts.backend.pool().unwrap().has_fault());
-                drop(r);
-                std::fs::remove_dir_all(&d).unwrap();
-            }
+            let (d, mut opts) = file_backend::pool_dir("strictmodel");
+            opts.strict = true;
+            opts.sync_policy = SyncPolicy::Sync;
+            let r = NvmRegion::alloc(301, &opts, "seg").unwrap();
+            check_against_byte_model(&r, &ops);
+            assert!(!opts.backend.pool().unwrap().has_fault());
+            drop(r);
+            std::fs::remove_dir_all(&d).unwrap();
         }
     }
 
@@ -1438,7 +1435,6 @@ mod tests {
 
     // ---------------- file backend ----------------
 
-    #[cfg(unix)]
     mod file_backend {
         use super::*;
         use std::path::PathBuf;

@@ -28,8 +28,8 @@
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use hdnh_common::rng::XorShift64Star;
@@ -200,7 +200,7 @@ impl MediaImage {
         match self {
             MediaImage::Heap(media) => out.copy_from_slice(&media[off..off + out.len()]),
             MediaImage::Sidecar { file, path } => {
-                read_at(file, off as u64, out).map_err(|e| NvmIoError::new("read", path, e))?
+                file.read_exact_at(out, off as u64).map_err(|e| NvmIoError::new("read", path, e))?
             }
         }
         Ok(())
@@ -210,7 +210,7 @@ impl MediaImage {
         match self {
             MediaImage::Heap(media) => media[off..off + bytes.len()].copy_from_slice(bytes),
             MediaImage::Sidecar { file, path } => {
-                write_at(file, off as u64, bytes).map_err(|e| NvmIoError::new("write", path, e))?
+                file.write_all_at(bytes, off as u64).map_err(|e| NvmIoError::new("write", path, e))?
             }
         }
         Ok(())
@@ -257,7 +257,7 @@ impl MediaTracker {
             .truncate(true)
             .open(&path)
             .map_err(|e| NvmIoError::new("open", &path, e))?;
-        write_at(&file, 0, image).map_err(|e| NvmIoError::new("write", &path, e))?;
+        file.write_all_at(image, 0).map_err(|e| NvmIoError::new("write", &path, e))?;
         file.sync_all().map_err(|e| NvmIoError::new("fsync", &path, e))?;
         Ok(Self::over(MediaImage::Sidecar { file, path }, image.len()))
     }
@@ -431,22 +431,9 @@ fn write_file(path: &Path, bytes: &[u8]) -> Result<(), NvmIoError> {
         .create(true)
         .open(path)
         .map_err(|e| NvmIoError::new("open", path, e))?;
-    write_at(&f, 0, bytes).map_err(|e| NvmIoError::new("write", path, e))?;
+    f.write_all_at(bytes, 0).map_err(|e| NvmIoError::new("write", path, e))?;
     f.sync_all().map_err(|e| NvmIoError::new("fsync", path, e))?;
     Ok(())
-}
-
-/// Positional write via seek on a shared handle (`&File` implements
-/// `Write`/`Seek`), keeping the module portable off unix.
-fn write_at(mut f: &File, off: u64, bytes: &[u8]) -> std::io::Result<()> {
-    f.seek(SeekFrom::Start(off))?;
-    f.write_all(bytes)
-}
-
-/// Positional read counterpart of [`write_at`].
-fn read_at(mut f: &File, off: u64, out: &mut [u8]) -> std::io::Result<()> {
-    f.seek(SeekFrom::Start(off))?;
-    f.read_exact(out)
 }
 
 #[cfg(test)]

@@ -36,6 +36,9 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("hdnh-server supports Linux only: its reactor is built on `epoll` and `eventfd`");
+
 pub mod client;
 pub mod config;
 pub mod ops;

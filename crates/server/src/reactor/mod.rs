@@ -4,7 +4,7 @@
 //! This replaces the thread-per-connection serve loop. Connection count
 //! is no longer bounded by threads: each of `cfg.threads()` event loops
 //! multiplexes thousands of sockets through one `epoll` instance
-//! ([`poller`]; `poll(2)` fallback off Linux), and an idle connection
+//! ([`poller`]), and an idle connection
 //! costs one registered fd and a small heap entry — no thread, no stack,
 //! and *no scheduled wakeups* (the old loop woke every connection 10×/s
 //! to re-check timeouts; the reactor sleeps until a socket is ready or

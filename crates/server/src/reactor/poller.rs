@@ -1,5 +1,5 @@
-//! Readiness polling behind one small interface: `epoll(7)` on Linux, a
-//! `poll(2)` rebuild-the-set fallback on other Unixes.
+//! Readiness polling behind one small interface: `epoll(7)`, with an
+//! `eventfd` waker.
 //!
 //! The crate has no FFI dependency, so the syscalls are declared by hand
 //! (same precedent as the `mmap` bindings in `hdnh-nvm` and the `signal`
@@ -11,6 +11,7 @@
 
 use std::io;
 use std::os::fd::RawFd;
+use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
 
 /// Interest bit: wake when the fd is readable (or the peer hung up).
@@ -45,333 +46,181 @@ fn timeout_ms(t: Option<Duration>) -> i32 {
     }
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::*;
-    use std::os::raw::{c_int, c_uint, c_void};
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EFD_CLOEXEC: c_int = 0o2000000;
+const EFD_NONBLOCK: c_int = 0o4000;
 
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EFD_CLOEXEC: c_int = 0o2000000;
-    const EFD_NONBLOCK: c_int = 0o4000;
+// The kernel ABI packs the struct on x86_64 only.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, packed)]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    // The kernel ABI packs the struct on x86_64 only.
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+#[cfg(not(target_arch = "x86_64"))]
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
+
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+    fn close(fd: c_int) -> c_int;
+}
+
+/// epoll-backed readiness poller (one instance per event loop).
+pub struct Poller {
+    epfd: RawFd,
+    buf: Vec<EpollEvent>,
+}
+
+// The poller is constructed on the spawning thread and moved into its
+// event-loop thread; it is never shared.
+unsafe impl Send for Poller {}
+
+impl Poller {
+    /// Creates the epoll instance.
+    pub fn new() -> io::Result<Poller> {
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(last_os_error());
+        }
+        Ok(Poller {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+    fn interest_bits(interest: u32) -> u32 {
+        let mut ev = EPOLLRDHUP; // always learn about peer half-close
+        if interest & READABLE != 0 {
+            ev |= EPOLLIN;
+        }
+        if interest & WRITABLE != 0 {
+            ev |= EPOLLOUT;
+        }
+        ev
     }
 
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: Self::interest_bits(interest),
+            data: token,
+        };
+        let arg = if op == EPOLL_CTL_DEL { std::ptr::null_mut() } else { &mut ev };
+        if unsafe { epoll_ctl(self.epfd, op, fd, arg) } < 0 {
+            return Err(last_os_error());
+        }
+        Ok(())
     }
 
-    /// epoll-backed readiness poller (one instance per event loop).
-    pub struct Poller {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
+    /// Adds `fd` under `token` with the given interest set.
+    pub fn register(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    // The poller is constructed on the spawning thread and moved into its
-    // event-loop thread; it is never shared.
-    unsafe impl Send for Poller {}
+    /// Changes the interest set of an already-registered fd.
+    pub fn reregister(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
 
-    impl Poller {
-        /// Creates the epoll instance.
-        pub fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(last_os_error());
+    /// Removes `fd` from the set (`close` alone would not while a
+    /// duplicate of the descriptor is still open).
+    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// Blocks until readiness, the timeout, or a wake; appends the
+    /// ready events to `events`.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                self.buf.as_mut_ptr(),
+                self.buf.len() as c_int,
+                timeout_ms(timeout),
+            )
+        };
+        if n < 0 {
+            let e = last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(()); // signal: surface an empty batch
             }
-            Ok(Poller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
+            return Err(e);
         }
-
-        fn interest_bits(interest: u32) -> u32 {
-            let mut ev = EPOLLRDHUP; // always learn about peer half-close
-            if interest & READABLE != 0 {
-                ev |= EPOLLIN;
-            }
-            if interest & WRITABLE != 0 {
-                ev |= EPOLLOUT;
-            }
-            ev
+        for i in 0..n as usize {
+            // Copy out of the (possibly packed) ABI struct by value.
+            let raw = self.buf[i];
+            let bits = { raw.events };
+            let token = { raw.data };
+            events.push(Event {
+                token,
+                readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                error: bits & (EPOLLERR | EPOLLHUP) != 0,
+            });
         }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: Self::interest_bits(interest),
-                data: token,
-            };
-            let arg = if op == EPOLL_CTL_DEL { std::ptr::null_mut() } else { &mut ev };
-            if unsafe { epoll_ctl(self.epfd, op, fd, arg) } < 0 {
-                return Err(last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Adds `fd` under `token` with the given interest set.
-        pub fn register(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Changes the interest set of an already-registered fd.
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        /// Removes `fd` from the set (also implicit on `close`, but kept
-        /// explicit so the fallback poller stays in sync).
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        /// Blocks until readiness, the timeout, or a wake; appends the
-        /// ready events to `events`.
-        pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as c_int,
-                    timeout_ms(timeout),
-                )
-            };
-            if n < 0 {
-                let e = last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(()); // signal: surface an empty batch
-                }
-                return Err(e);
-            }
-            for i in 0..n as usize {
-                // Copy out of the (possibly packed) ABI struct by value.
-                let raw = self.buf[i];
-                let bits = { raw.events };
-                let token = { raw.data };
-                events.push(Event {
-                    token,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    error: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe { close(self.epfd) };
-        }
-    }
-
-    /// Cross-thread wake handle: an `eventfd` registered in the poller.
-    pub struct Waker {
-        efd: RawFd,
-    }
-
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
-
-    impl Waker {
-        /// Creates the eventfd and registers it under `token`.
-        pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
-            let efd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-            if efd < 0 {
-                return Err(last_os_error());
-            }
-            let w = Waker { efd };
-            poller.register(w.efd, token, READABLE)?;
-            Ok(w)
-        }
-
-        /// Interrupts the owning loop's `wait` (idempotent, never blocks).
-        pub fn wake(&self) {
-            let one: u64 = 1;
-            unsafe { write(self.efd, (&one as *const u64).cast(), 8) };
-        }
-
-        /// Clears the pending wake count (called by the owning loop).
-        pub fn drain(&self) {
-            let mut buf = 0u64;
-            unsafe { read(self.efd, (&mut buf as *mut u64).cast(), 8) };
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe { close(self.efd) };
-        }
+        Ok(())
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::*;
-    use std::collections::HashMap;
-    use std::os::raw::{c_int, c_short, c_void};
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: usize, timeout: c_int) -> c_int;
-        fn pipe(fds: *mut c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    /// `poll(2)` fallback: the fd set is rebuilt on every wait. O(n) per
-    /// wakeup, which is fine for the non-Linux dev targets this serves.
-    /// Registration mutates through a `RefCell` so the signatures match
-    /// the epoll poller's `&self`; the set is only touched from the
-    /// owning loop thread (plus `Waker::new` before the loop starts).
-    pub struct Poller {
-        registered: std::cell::RefCell<HashMap<RawFd, (u64, u32)>>,
-    }
-
-    impl Poller {
-        /// Creates an empty registration set.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registered: std::cell::RefCell::new(HashMap::new()),
-            })
-        }
-
-        /// Adds `fd` under `token` with the given interest set.
-        pub fn register(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.registered.borrow_mut().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        /// Changes the interest set of an already-registered fd.
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.register(fd, token, interest)
-        }
-
-        /// Removes `fd` from the set.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.borrow_mut().remove(&fd);
-            Ok(())
-        }
-
-        /// Blocks until readiness, the timeout, or a wake.
-        pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let registered = self.registered.borrow();
-            let mut fds: Vec<PollFd> = Vec::with_capacity(registered.len());
-            let mut tokens: Vec<u64> = Vec::with_capacity(registered.len());
-            for (&fd, &(token, interest)) in registered.iter() {
-                let mut ev = 0;
-                if interest & READABLE != 0 {
-                    ev |= POLLIN;
-                }
-                if interest & WRITABLE != 0 {
-                    ev |= POLLOUT;
-                }
-                fds.push(PollFd { fd, events: ev, revents: 0 });
-                tokens.push(token);
-            }
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms(timeout)) };
-            if n < 0 {
-                let e = last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (pfd, &token) in fds.iter().zip(&tokens) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    error: pfd.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// Cross-thread wake handle: a self-pipe registered in the poller.
-    pub struct Waker {
-        rd: RawFd,
-        wr: RawFd,
-    }
-
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
-
-    impl Waker {
-        /// Creates the pipe and registers its read end under `token`.
-        pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
-            let mut fds = [0 as c_int; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-                return Err(last_os_error());
-            }
-            let w = Waker { rd: fds[0], wr: fds[1] };
-            poller.register(w.rd, token, READABLE)?;
-            Ok(w)
-        }
-
-        /// Interrupts the owning loop's `wait`.
-        pub fn wake(&self) {
-            let b = [1u8];
-            unsafe { write(self.wr, b.as_ptr().cast(), 1) };
-        }
-
-        /// Clears pending wake bytes (called by the owning loop, only
-        /// after `wait` reported the pipe readable — never blocks).
-        pub fn drain(&self) {
-            let mut buf = [0u8; 64];
-            unsafe { read(self.rd, buf.as_mut_ptr().cast(), buf.len()) };
-        }
-    }
-
-    impl Drop for Waker {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.rd);
-                close(self.wr);
-            }
-        }
+impl Drop for Poller {
+    fn drop(&mut self) {
+        unsafe { close(self.epfd) };
     }
 }
 
-pub use sys::{Poller, Waker};
+/// Cross-thread wake handle: an `eventfd` registered in the poller.
+pub struct Waker {
+    efd: RawFd,
+}
+
+unsafe impl Send for Waker {}
+unsafe impl Sync for Waker {}
+
+impl Waker {
+    /// Creates the eventfd and registers it under `token`.
+    pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
+        let efd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+        if efd < 0 {
+            return Err(last_os_error());
+        }
+        let w = Waker { efd };
+        poller.register(w.efd, token, READABLE)?;
+        Ok(w)
+    }
+
+    /// Interrupts the owning loop's `wait` (idempotent, never blocks).
+    pub fn wake(&self) {
+        let one: u64 = 1;
+        unsafe { write(self.efd, (&one as *const u64).cast(), 8) };
+    }
+
+    /// Clears the pending wake count (called by the owning loop).
+    pub fn drain(&self) {
+        let mut buf = 0u64;
+        unsafe { read(self.efd, (&mut buf as *mut u64).cast(), 8) };
+    }
+}
+
+impl Drop for Waker {
+    fn drop(&mut self) {
+        unsafe { close(self.efd) };
+    }
+}

@@ -498,29 +498,25 @@ fn finish(started: Option<Instant>, cmd: obs::NetCmd) {
 
 static SIGNALED: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 extern "C" fn on_signal(_sig: std::os::raw::c_int) {
     // Only an atomic store: async-signal-safe by construction.
     SIGNALED.store(true, Ordering::SeqCst);
 }
 
 /// Installs SIGTERM/SIGINT handlers that set a process-wide drain flag
-/// (poll it with [`signaled`]). No-op off Unix.
+/// (poll it with [`signaled`]).
 pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn signal(
-                signum: std::os::raw::c_int,
-                handler: extern "C" fn(std::os::raw::c_int),
-            ) -> usize;
-        }
-        const SIGINT: std::os::raw::c_int = 2;
-        const SIGTERM: std::os::raw::c_int = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
+    extern "C" {
+        fn signal(
+            signum: std::os::raw::c_int,
+            handler: extern "C" fn(std::os::raw::c_int),
+        ) -> usize;
+    }
+    const SIGINT: std::os::raw::c_int = 2;
+    const SIGTERM: std::os::raw::c_int = 15;
+    unsafe {
+        signal(SIGINT, on_signal);
+        signal(SIGTERM, on_signal);
     }
 }
 

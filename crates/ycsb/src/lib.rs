@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 pub mod dist;
 pub mod keys;
-pub mod trace;
 pub mod workload;
 
 pub use dist::{KeyDist, Latest, ScrambledZipfian, Uniform, Zipfian};

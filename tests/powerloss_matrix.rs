@@ -15,8 +15,6 @@
 //! - `HDNH_POWERLOSS_REPORT=path` writes a JSON summary of the matrix,
 //!   uploaded as a CI artifact by the `powerloss-smoke` job.
 
-#![cfg(unix)]
-
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;

@@ -3,7 +3,6 @@
 //! and after a clean close (clean reopen → no recovery), including across
 //! resizes, and a damaged superblock must never open clean.
 
-#![cfg(unix)]
 #![allow(clippy::needless_update)]
 
 use std::path::PathBuf;

@@ -6,8 +6,6 @@
 //! fresh directory, and the restored table must contain **every write that
 //! was acknowledged before the snapshot began** — with a clean scrub.
 
-#![cfg(unix)]
-
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
