@@ -847,7 +847,7 @@ mod tests {
         let pool = t.into_pool();
         let mut rng = hdnh_common::rng::XorShift64Star::new(3);
         for region in &pool.segments {
-            region.crash(&mut rng);
+            region.crash(&mut rng, hdnh_nvm::LossMode::TearLines);
         }
         let r = Cceh::recover(params, pool);
         assert_eq!(r.len(), 500);

@@ -114,7 +114,8 @@ pub enum FaultRunMode {
     /// Recording only: list every crash site with its hit counts per mix.
     Sites,
     /// Replay one case from its reproduction tuple
-    /// `mix:site:hit:seed[:recovery_site:recovery_hit]`.
+    /// `[pool:]mix:site:hit:seed[:recovery_site:recovery_hit]` (`pool:`: on
+    /// a pool directory).
     Repro(String),
 }
 
@@ -253,7 +254,7 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
                     toks.next()
                         .ok_or_else(|| {
                             ParseError(
-                                "missing reproduction tuple mix:site:hit:seed[:rsite:rhit]".into(),
+                                "missing reproduction tuple [pool:]mix:site:hit:seed[:rsite:rhit]".into(),
                             )
                         })?
                         .to_string(),
@@ -320,7 +321,7 @@ commands:
                           segments (readers never block)
   crash <seed>            simulate power failure + recovery (strict mode)
   faultrun [mode]         crash-point injection matrix; modes: full (default),
-                          quick, sites, repro <mix:site:hit:seed[:rsite:rhit]>
+                          quick, sites, repro <[pool:]mix:site:hit:seed[:rsite:rhit]>
   backup <dir>            crash-consistent snapshot (pool-backed tables only)
   restore <snap> <dest>   verify a snapshot's manifest, copy it into a fresh
                           pool directory and open it there

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use hdnh::faultexplore::{self, ExploreConfig, OpMix};
+use hdnh::faultexplore::{self, CaseBackend, ExploreConfig, OpMix};
 use hdnh::{Hdnh, HdnhError, HdnhParams};
 use hdnh_common::{HashIndex, Key};
 use hdnh_nvm::{FaultPlan, NvmOptions, StatsSnapshot};
@@ -54,16 +54,6 @@ impl Default for EngineConfig {
 pub fn open_table(
     config: &EngineConfig,
 ) -> Result<(HdnhParams, Hdnh, Option<String>), HdnhError> {
-    // The library opens a pool strict; the shell does not, because its
-    // `crash` reboots in place through `Hdnh::recover`, and a pool comes
-    // back through `open_pool`.
-    if config.strict && config.pool.is_some() {
-        return Err(HdnhError::Config(
-            "--strict's crash command reboots a heap table in place and cannot be \
-             combined with --pool"
-                .into(),
-        ));
-    }
     let nvm = if config.strict {
         NvmOptions::strict()
     } else if config.latency {
@@ -115,9 +105,9 @@ pub struct Engine {
     stats_base: StatsSnapshot,
     /// Baseline for `metrics delta` (moved by `metrics reset`).
     metrics_base: obs::MetricsSnapshot,
-    /// Whether the table is backed by a pool directory (`quit` must then
-    /// close the pool to mark it clean).
-    pool_backed: bool,
+    /// What the table was opened from: with a pool directory, `quit` must
+    /// close the pool to mark it clean, and `crash` reopens it.
+    config: EngineConfig,
     /// One-line description of how the pool was opened, for the shell to
     /// print at startup.
     open_banner: Option<String>,
@@ -157,7 +147,7 @@ impl Engine {
             next_fill_id: 0,
             stats_base: StatsSnapshot::default(),
             metrics_base: obs::MetricsSnapshot::empty(),
-            pool_backed: config.pool.is_some(),
+            config,
             open_banner,
         })
     }
@@ -423,8 +413,19 @@ impl Engine {
                 })?;
                 let pool = table.into_pool();
                 let dropped = pool.crash(seed);
-                let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-                let recovered = Hdnh::recover(self.params.clone(), pool, threads);
+                // A heap table reboots in place; a pool's regions are
+                // unmapped and the directory reopened, as after a real cut.
+                let recovered = match &self.config.pool {
+                    None => {
+                        let threads =
+                            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
+                        Hdnh::recover(self.params.clone(), pool, threads)
+                    }
+                    Some(_) => {
+                        drop(pool);
+                        open_table(&self.config)?.1
+                    }
+                };
                 let len = recovered.len();
                 self.table = Some(recovered);
                 // Recovery time comes from the registry's recovery_total
@@ -467,7 +468,7 @@ impl Engine {
             }
             Command::Help => Ok(Outcome::Text(HELP.to_string())),
             Command::Quit => {
-                if self.pool_backed {
+                if self.config.pool.is_some() {
                     // A clean quit must mark the pool clean-shutdown; a
                     // failed close leaves it dirty (next open recovers) and
                     // the shell exits nonzero.
@@ -492,8 +493,9 @@ impl Engine {
             }
             FaultRunMode::Repro(tuple) => match Self::parse_repro(&tuple) {
                 Err(e) => Outcome::Failure(format!("error: {e}")),
-                Ok((mix, plan, seed, rplan)) => {
-                    let r = faultexplore::run_single(&mix, &plan, seed, rplan.as_ref(), 2);
+                Ok((backend, mix, plan, seed, rplan)) => {
+                    let r =
+                        faultexplore::run_single(&mix, &plan, seed, rplan.as_ref(), 2, backend);
                     match (r.pass, r.detail.is_empty()) {
                         (true, true) => Outcome::Text(format!("PASS {}", r.repro())),
                         (true, false) => {
@@ -557,14 +559,19 @@ impl Engine {
         }
     }
 
-    /// Parses `mix:site:hit:seed[:recovery_site:recovery_hit]`.
+    /// Parses `[pool:]mix:site:hit:seed[:recovery_site:recovery_hit]`; the
+    /// `pool:` prefix replays the case on a pool directory.
     #[allow(clippy::type_complexity)]
     fn parse_repro(
         tuple: &str,
-    ) -> Result<(OpMix, FaultPlan, u64, Option<FaultPlan>), String> {
-        let parts: Vec<&str> = tuple.split(':').collect();
+    ) -> Result<(CaseBackend, OpMix, FaultPlan, u64, Option<FaultPlan>), String> {
+        let (backend, case) = match tuple.strip_prefix("pool:") {
+            Some(case) => (CaseBackend::Pool, case),
+            None => (CaseBackend::Heap, tuple),
+        };
+        let parts: Vec<&str> = case.split(':').collect();
         if parts.len() != 4 && parts.len() != 6 {
-            return Err("tuple must be mix:site:hit:seed[:rsite:rhit]".into());
+            return Err("tuple must be [pool:]mix:site:hit:seed[:rsite:rhit]".into());
         }
         let mix = OpMix::builtin()
             .into_iter()
@@ -586,7 +593,7 @@ impl Engine {
         } else {
             None
         };
-        Ok((mix, plan, seed, rplan))
+        Ok((backend, mix, plan, seed, rplan))
     }
 
     fn spec_for(mix: char) -> WorkloadSpec {
@@ -853,17 +860,26 @@ mod tests {
     }
 
     #[test]
-    fn strict_plus_pool_is_rejected() {
-        let cfg = EngineConfig {
+    fn crash_cuts_a_strict_pool_and_reopens_it() {
+        let dir = std::env::temp_dir().join(format!("hdnh-cli-engine-strict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // `sync` acks are the power-loss-safe ones: every one comes back.
+        let mut e = Engine::try_new(EngineConfig {
             strict: true,
-            pool: Some("/tmp/never-created".into()),
+            pool: Some(dir.to_str().unwrap().to_string()),
+            sync_policy: hdnh_nvm::SyncPolicy::Sync,
             ..Default::default()
-        };
-        let err = Engine::try_new(cfg).err().expect("strict+pool must be rejected");
-        match err {
-            HdnhError::Config(msg) => assert!(msg.contains("--pool"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
-        }
+        })
+        .unwrap();
+        run(&mut e, "fill 500");
+        let out = run(&mut e, "crash 7");
+        assert!(out.contains("recovered 500 records"), "{out}");
+        let out = run(&mut e, "verify");
+        assert!(out.starts_with("integrity ok: 500"), "{out}");
+        let got = e.table().unwrap().get(&e.ks.key(3)).unwrap();
+        assert_eq!(got, Some(e.ks.value(3, 0)), "a filled id reads back its value");
+        assert_eq!(e.execute(Command::Quit), Outcome::Quit);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!    registry in recording mode, learning how often each site fires.
 //! 2. **Explore** — for every `(site, hit)` sample and every crash seed,
 //!    re-run the same mix with the registry armed. The k-th hit of the site
-//!    panics with an [`InjectedCrash`]; the driver catches the unwind,
-//!    simulates the power failure ([`PersistentPool::crash`] tears unflushed
-//!    cachelines at 8-byte granularity), and runs [`Hdnh::recover`].
+//!    panics with an [`InjectedCrash`]; the driver catches the unwind, cuts
+//!    power by handle ([`PersistentPool::crash`]: the seed picks the loss
+//!    mode and which unfenced lines survive) and reboots — through
+//!    [`Hdnh::try_recover`] on the heap, through [`Hdnh::open_pool`] on a
+//!    pool directory ([`CaseBackend`]).
 //! 3. **Check** — the recovered table must match the *acknowledged-state
 //!    oracle* (every op completed before the crash is visible; the one op
 //!    in flight may be fully applied or fully absent, never half) and every
@@ -21,8 +23,8 @@
 //! registry *during* recovery, crashes a second time, and verifies that the
 //! follow-up recovery still converges.
 //!
-//! Every failure is reported as a `(mix, site, hit, seed)` tuple from which
-//! [`run_single`] reproduces the exact scenario. Armed runs are
+//! Every failure is reported as a `[pool:]mix:site:hit:seed` tuple from
+//! which [`run_single`] reproduces the exact scenario. Armed runs are
 //! single-threaded (one foreground mutator, recovery with one worker) so
 //! the k-th hit of a site is always the same machine state.
 //!
@@ -32,9 +34,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Value};
 use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, SyncPolicy};
 
@@ -175,8 +177,8 @@ impl OpMix {
 pub struct ExploreConfig {
     /// Op mixes to drive ([`OpMix::builtin`] by default).
     pub mixes: Vec<OpMix>,
-    /// Crash seeds tried per `(site, hit)` — each seed tears a different
-    /// random subset of the unflushed cachelines.
+    /// Crash seeds tried per `(site, hit)` — each seed picks a loss mode
+    /// and a different random subset of the unflushed lines to keep.
     pub crash_seeds: Vec<u64>,
     /// Worker threads for the final (unarmed) recovery of each case.
     pub threads: usize,
@@ -206,16 +208,29 @@ impl ExploreConfig {
     }
 }
 
+/// Where a case's table lives, and so how it reboots after the power cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaseBackend {
+    /// The heap simulator: the cut pool is handed to [`Hdnh::try_recover`].
+    Heap,
+    /// A pool directory: the cut pool is unmapped and the directory
+    /// reopened through [`Hdnh::open_pool`] (superblock, size
+    /// classification, orphan sweep).
+    Pool,
+}
+
 /// Outcome of one injected-crash case.
 #[derive(Debug, Clone)]
 pub struct FaultCaseResult {
+    /// Where the table lived.
+    pub backend: CaseBackend,
     /// Mix that drove the table.
     pub mix: String,
     /// Crash site that fired.
     pub site: String,
     /// 1-based hit of the site at which the crash fired.
     pub hit: u64,
-    /// Crash seed (selects which unflushed lines tear).
+    /// Crash seed (selects the loss mode and which unflushed lines survive).
     pub seed: u64,
     /// For two-phase cases: the `(site, hit)` injected into recovery.
     pub recovery_site: Option<(String, u64)>,
@@ -226,14 +241,17 @@ pub struct FaultCaseResult {
 }
 
 impl FaultCaseResult {
-    /// The reproduction tuple, e.g. for `hdnh faultrun --repro`.
+    /// The reproduction tuple `faultrun repro` replays:
+    /// `mix:site:hit:seed[:rsite:rhit]`, prefixed `pool:` for a pool case.
     pub fn repro(&self) -> String {
+        let backend = match self.backend {
+            CaseBackend::Heap => "",
+            CaseBackend::Pool => "pool:",
+        };
+        let case = format!("{backend}{}:{}:{}:{}", self.mix, self.site, self.hit, self.seed);
         match &self.recovery_site {
-            None => format!("{}:{}:{}:{}", self.mix, self.site, self.hit, self.seed),
-            Some((rs, rh)) => format!(
-                "{}:{}:{}:{}:{}:{}",
-                self.mix, self.site, self.hit, self.seed, rs, rh
-            ),
+            None => case,
+            Some((rs, rh)) => format!("{case}:{rs}:{rh}"),
         }
     }
 }
@@ -408,21 +426,51 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builds a table with `build` and runs the mix, catching an injected crash
-/// anywhere in between. Returns the table plus how many ops completed — or
-/// `Ok(None)` when the crash hit table *construction*: the meta block's
-/// magic word (and a pool's superblock) is written last, so a half-formatted
-/// store is never adopted and nothing was ever acknowledged.
-fn run_phase_one(
-    mix: &OpMix,
-    build: impl FnOnce() -> Result<Hdnh, String>,
-) -> Result<Option<(Hdnh, usize)>, String> {
+/// The scratch directory a pool case lives in (none for a heap case),
+/// removed when the case ends.
+struct CaseDir(Option<PathBuf>);
+
+impl CaseDir {
+    fn new(backend: CaseBackend) -> Self {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        CaseDir((backend == CaseBackend::Pool).then(|| {
+            let n = N.fetch_add(1, Ordering::Relaxed);
+            std::env::temp_dir().join(format!("hdnh-faultpool-{}-{n}", std::process::id()))
+        }))
+    }
+
+    fn path(&self) -> Option<&Path> {
+        self.0.as_deref()
+    }
+}
+
+impl Drop for CaseDir {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// Builds the case's table — on the heap, or as a fresh pool in `dir` —
+/// and runs the mix, catching an injected crash anywhere in between.
+/// Returns the table plus how many ops completed, or `Ok(None)` when the
+/// crash hit table *construction*: the meta block's magic word (and a
+/// pool's superblock) is written last, so a half-formatted store is never
+/// adopted and nothing was ever acknowledged.
+fn run_phase_one(mix: &OpMix, dir: Option<&Path>) -> Result<Option<(Hdnh, usize)>, String> {
     let applied = AtomicUsize::new(0);
     let mut table: Option<Hdnh> = None;
     let mut build_err: Option<String> = None;
-    let outcome = catch_unwind(AssertUnwindSafe(|| match build() {
-        Ok(t) => run_mix(table.insert(t), &mix.ops, &applied),
-        Err(e) => build_err = Some(e),
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let built = match dir {
+            None => Ok(Hdnh::new(explore_params())),
+            Some(dir) => Hdnh::open_pool(explore_params(), dir, 1).map(|(t, _)| t),
+        };
+        match built {
+            Ok(t) => run_mix(table.insert(t), &mix.ops, &applied),
+            Err(e) => build_err = Some(format!("pool creation failed: {e}")),
+        }
     }));
     if let Err(payload) = outcome {
         if fault::injected(&*payload).is_none() {
@@ -438,35 +486,34 @@ fn run_phase_one(
     Ok(table.map(|t| (t, applied.load(Ordering::Relaxed))))
 }
 
-/// Phase one on the heap: the table is torn down to its persistent pool.
-fn run_phase_one_heap(mix: &OpMix) -> Result<Option<(PersistentPool, usize)>, String> {
-    let built = run_phase_one(mix, || Ok(Hdnh::new(explore_params())))?;
-    Ok(built.map(|(table, applied)| (table.into_pool(), applied)))
-}
-
-/// Phase one on a *file-backed* table in `dir`. The table is dropped
-/// *without* `close_pool` — the mapping disappears dirty, exactly like a
-/// power cut.
-fn run_phase_one_pool(mix: &OpMix, dir: &std::path::Path) -> Result<Option<usize>, String> {
-    let built = run_phase_one(mix, || match Hdnh::open_pool(explore_params(), dir, 1) {
-        Ok((table, _)) => Ok(table),
-        Err(e) => Err(format!("pool creation failed: {e}")),
-    })?;
-    Ok(built.map(|(_table, applied)| applied))
+/// The reboot after a power cut: a heap pool goes to recovery as it is; a
+/// pool directory's regions are unmapped and the directory reopened, as a
+/// fresh boot finds it.
+fn reboot(pool: PersistentPool, dir: Option<&Path>, threads: usize) -> Result<Hdnh, String> {
+    let reopened = match dir {
+        None => Hdnh::try_recover(explore_params(), pool, threads),
+        Some(dir) => {
+            drop(pool);
+            Hdnh::open_pool(explore_params(), dir, threads).map(|(t, _)| t)
+        }
+    };
+    reopened.map_err(|e| format!("recovery failed: {e}"))
 }
 
 /// Executes one fully-specified case. `plan` arms the mix phase;
-/// `recovery_plan` (optional) re-arms during recovery for a second crash.
-/// This is the reproduction entry point: the same arguments always replay
-/// the same machine states.
+/// `recovery_plan` (optional, heap only) re-arms during recovery for a
+/// second crash. This is the reproduction entry point: the same arguments
+/// always replay the same machine states.
 pub fn run_single(
     mix: &OpMix,
     plan: &FaultPlan,
     seed: u64,
     recovery_plan: Option<&FaultPlan>,
     threads: usize,
+    backend: CaseBackend,
 ) -> FaultCaseResult {
     let mut result = FaultCaseResult {
+        backend,
         mix: mix.name.to_string(),
         site: plan.site.clone(),
         hit: plan.hit,
@@ -475,12 +522,19 @@ pub fn run_single(
         pass: false,
         detail: String::new(),
     };
+    if backend == CaseBackend::Pool && recovery_plan.is_some() {
+        result.detail = "a recovery plan runs on the heap only: a pool reboots through \
+                         open_pool, which the plan does not arm"
+            .into();
+        return result;
+    }
+    let dir = CaseDir::new(backend);
 
     fault::arm(plan.clone());
     let lint_was = fault::set_lint_persists(true);
-    let phase_one = run_phase_one_heap(mix);
+    let phase_one = run_phase_one(mix, dir.path());
     fault::set_lint_persists(lint_was);
-    let (pool, applied) = match phase_one {
+    let (table, applied) = match phase_one {
         Ok(Some(v)) => v,
         Ok(None) => {
             // Crash during pool formatting: the magic word is written last,
@@ -504,15 +558,16 @@ pub fn run_single(
         return result;
     }
 
-    // The regions survive a crash *inside* recovery too (real NVM does):
-    // a clone shares them, so a second recovery can follow.
-    let backup = pool.clone();
+    // Power fails under every region the table reaches. The regions
+    // survive a crash *inside* recovery too (real NVM does): a clone
+    // shares them, so a second recovery can follow.
+    let mut pool = table.into_pool();
+    let backup = recovery_plan.map(|_| pool.clone());
     pool.crash(seed);
 
     // Optionally crash a second time inside recovery. Armed recoveries run
     // single-threaded so the k-th hit is deterministic.
-    let mut pool = pool;
-    if let Some(rp) = recovery_plan {
+    if let (Some(rp), Some(backup)) = (recovery_plan, backup) {
         fault::rearm(rp.clone());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             Hdnh::recover(explore_params(), pool, 1)
@@ -544,143 +599,41 @@ pub fn run_single(
     }
 
     fault::disarm();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        Hdnh::recover(explore_params(), pool, threads.max(1))
-    }));
-    match outcome {
-        Ok(table) => match check_recovered(&table, &mix.ops, applied) {
+    let mode = LossMode::from_seed(seed).name();
+    match catch_unwind(AssertUnwindSafe(|| reboot(pool, dir.path(), threads.max(1)))) {
+        Ok(Ok(table)) => match check_recovered(&table, &mix.ops, applied) {
             Ok(()) => result.pass = true,
-            Err(e) => result.detail = e,
+            Err(e) => result.detail = format!("[{mode}] {e}"),
         },
+        Ok(Err(e)) => result.detail = format!("[{mode}] {e}"),
         Err(payload) => {
-            result.detail = format!("recovery panicked: {}", panic_message(&*payload));
+            result.detail = format!("[{mode}] recovery panicked: {}", panic_message(&*payload));
         }
     }
     result
 }
 
-/// A fresh scratch pool directory under the system temp dir, unique per
-/// process and per call.
-fn scratch_pool_dir(tag: &str) -> std::path::PathBuf {
-    static N: AtomicUsize = AtomicUsize::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "hdnh-faultpool-{}-{tag}-{n}",
-        std::process::id()
-    ))
-}
-
-/// [`run_single`] under `Backend::Pool`: the injected crash is followed by
-/// a *power loss* — every region file is reduced to what its tracked media
-/// image guarantees plus a seed-chosen fraction of the at-risk (unfenced)
-/// lines, torn, dropped or reordered per [`LossMode::from_seed`]. Recovery
-/// then runs through the full `open_pool` path (superblock validation, size
-/// classification, orphan sweep) and must satisfy the same acked-state
-/// oracle as the heap matrix.
-pub fn run_single_pool(mix: &OpMix, plan: &FaultPlan, seed: u64, threads: usize) -> FaultCaseResult {
-    let mode = LossMode::from_seed(seed);
-    let mut result = FaultCaseResult {
-        mix: mix.name.to_string(),
-        site: plan.site.clone(),
-        hit: plan.hit,
-        seed,
-        recovery_site: None,
-        pass: false,
-        detail: String::new(),
-    };
-    let dir = scratch_pool_dir("case");
-
-    fault::arm(plan.clone());
-    let phase_one = run_phase_one_pool(mix, &dir);
-    let fired = fault::fired();
-    fault::disarm();
-
-    'case: {
-        let applied = match phase_one {
-            Ok(Some(applied)) => applied,
-            Ok(None) => {
-                result.pass = true;
-                result.detail = "injected crash during pool creation (no pool formatted)".into();
-                break 'case;
-            }
-            Err(detail) => {
-                result.detail = detail;
-                break 'case;
-            }
-        };
-        if fired.is_none() {
-            result.pass = true;
-            result.detail = "site/hit not reached by mix".into();
-            break 'case;
-        }
-
-        // Power loss: cut every region file back to fenced content plus
-        // random survivors of the at-risk lines.
-        let mut rng = XorShift64Star::new(seed ^ 0xD6E8_FEB8_6659_FD93);
-        let files = match std::fs::read_dir(&dir) {
-            Ok(rd) => rd,
-            Err(e) => {
-                result.detail = format!("read_dir {}: {e}", dir.display());
-                break 'case;
-            }
-        };
-        for entry in files.flatten() {
-            let p = entry.path();
-            if p.extension().and_then(|e| e.to_str()) != Some("dat") {
-                continue;
-            }
-            if let Err(e) = hdnh_nvm::powerloss_crash_file(&p, &mut rng, mode) {
-                result.detail = format!("powerloss on {}: {e}", p.display());
-                break 'case;
-            }
-        }
-
-        match Hdnh::open_pool(explore_params(), &dir, threads.max(1)) {
-            Ok((table, _)) => match check_recovered(&table, &mix.ops, applied) {
-                Ok(()) => result.pass = true,
-                Err(e) => result.detail = format!("[{}] {e}", mode.name()),
-            },
-            Err(e) => {
-                result.detail = format!("[{}] pool reopen failed: {e}", mode.name());
-            }
-        }
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Per-site hit counts of one recording (no crashing) pass of `phase_one`.
-fn record<T>(
-    phase_one: impl FnOnce() -> Result<T, String>,
+/// Records per-site hit counts of one unarmed pass of `mix` on `backend`
+/// (the matrix test and `faultrun sites`).
+pub fn record_sites(
+    mix: &OpMix,
+    backend: CaseBackend,
 ) -> Result<BTreeMap<&'static str, u64>, String> {
+    let dir = CaseDir::new(backend);
     fault::start_recording();
-    let phase = phase_one();
+    let phase = run_phase_one(mix, dir.path());
     let counts = fault::disarm();
     phase.map(|_| counts)
 }
 
-/// Records per-site hit counts for one mix on the heap (exposed for the
-/// matrix test and `faultrun sites`).
-pub fn record_sites(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, String> {
-    record(|| run_phase_one_heap(mix))
-}
-
-/// Records per-site hit counts for one mix on the pool backend.
-pub fn record_sites_pool(mix: &OpMix) -> Result<BTreeMap<&'static str, u64>, String> {
-    let dir = scratch_pool_dir("record");
-    let counts = record(|| run_phase_one_pool(mix, &dir));
-    let _ = std::fs::remove_dir_all(&dir);
-    counts
-}
-
 /// The crash-site inventory `faultrun sites` prints and
 /// `tests/fixtures/faultrun-sites.txt` holds: every site each built-in mix
-/// hits on the heap, with its hit count.
+/// hits, with its hit count — recorded on the heap, and the same on a pool
+/// (`tests/fault_matrix.rs` holds the two equal).
 pub fn render_sites() -> String {
     let mut out = String::new();
     for mix in OpMix::builtin() {
-        match record_sites(&mix) {
+        match record_sites(&mix, CaseBackend::Heap) {
             Ok(counts) => {
                 let _ = writeln!(out, "mix {} ({} ops):", mix.name, mix.ops.len());
                 write_counts(&mut out, &counts);
@@ -755,17 +708,18 @@ pub fn hit_samples(n: u64) -> Vec<u64> {
 /// `base` during the mix.
 fn record_recovery(mix: &OpMix, base: &FaultPlan, seed: u64) -> Result<BTreeMap<&'static str, u64>, String> {
     fault::arm(base.clone());
-    let phase = run_phase_one_heap(mix);
+    let phase = run_phase_one(mix, None);
     match phase {
         Ok(None) => {
             fault::disarm();
             Ok(BTreeMap::new())
         }
-        Ok(Some((pool, _))) => {
+        Ok(Some((table, _))) => {
             if fault::fired().is_none() {
                 fault::disarm();
                 return Ok(BTreeMap::new());
             }
+            let pool = table.into_pool();
             pool.crash(seed);
             fault::start_recording();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -813,10 +767,11 @@ pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -
     let _quiet = QuietPanics::install();
 
     for mix in &cfg.mixes {
-        let counts = match record_sites(mix) {
+        let counts = match record_sites(mix, CaseBackend::Heap) {
             Ok(c) => c,
             Err(e) => {
                 let r = FaultCaseResult {
+                    backend: CaseBackend::Heap,
                     mix: mix.name.to_string(),
                     site: "<recording>".into(),
                     hit: 0,
@@ -840,7 +795,7 @@ pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -
                         site: site.to_string(),
                         hit,
                     };
-                    let r = run_single(mix, &plan, seed, None, cfg.threads);
+                    let r = run_single(mix, &plan, seed, None, cfg.threads, CaseBackend::Heap);
                     on_case(&r);
                     report.cases.push(r);
                 }
@@ -863,6 +818,7 @@ pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -
                 Ok(c) => c,
                 Err(e) => {
                     let r = FaultCaseResult {
+                        backend: CaseBackend::Heap,
                         mix: mix.name.to_string(),
                         site: base.site.clone(),
                         hit: base.hit,
@@ -889,7 +845,7 @@ pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -
                         site: site.to_string(),
                         hit,
                     };
-                    let r = run_single(&mix, &base, seed, Some(&rp), cfg.threads);
+                    let r = run_single(&mix, &base, seed, Some(&rp), cfg.threads, CaseBackend::Heap);
                     on_case(&r);
                     report.cases.push(r);
                 }

@@ -769,13 +769,13 @@ mod tests {
         // Crash before commit: record bytes may be anything, but the valid
         // bit is 0.
         let mut rng = hdnh_common::rng::XorShift64Star::new(3);
-        l.region().crash(&mut rng);
+        l.region().crash(&mut rng, hdnh_nvm::LossMode::TearLines);
         assert_eq!(l.load_header(0) & 1, 0);
 
         let rec2 = Record::new(Key::from_u64(9), Value::from_u64(10));
         l.write_record(0, 1, &rec2);
         l.commit_slot_valid(0, 1, checksum6(&rec2.to_bytes()));
-        l.region().crash(&mut rng);
+        l.region().crash(&mut rng, hdnh_nvm::LossMode::TearLines);
         assert_eq!(l.load_header(0) & 0b10, 0b10);
         assert_eq!(l.read_record(0, 1), rec2);
     }

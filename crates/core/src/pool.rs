@@ -191,8 +191,8 @@ impl Hdnh {
     ///
     /// `params.nvm` must be heap-backed on entry (the pool backend is
     /// injected here). With `params.nvm.strict` every region also tracks
-    /// what media holds, so the closed pool can be put through
-    /// [`hdnh_nvm::powerloss_crash_file`]; only
+    /// what media holds, so the table can lose power by handle
+    /// ([`Hdnh::into_pool`], [`PersistentPool::crash`], drop, reopen); only
     /// [`SyncPolicy::Sync`](hdnh_nvm::SyncPolicy) acks survive that. A
     /// corrupt or truncated superblock, geometry mismatch, or
     /// unclassifiable region file set fails with a typed error — never a

@@ -47,7 +47,7 @@ use std::time::Instant;
 use hdnh_common::hash::KeyHashes;
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::Key;
-use hdnh_nvm::{fault, NvmRegion};
+use hdnh_nvm::{fault, LossMode, NvmRegion};
 use hdnh_obs as obs;
 
 use crate::error::HdnhError;
@@ -86,10 +86,14 @@ impl PersistentPool {
     }
 
     /// Simulates a power failure across every region of the pool (strict
-    /// regions only). Returns the number of dropped words.
+    /// regions, either backend): the seed picks the loss mode
+    /// ([`LossMode::from_seed`]) and one RNG walks the regions in their
+    /// fixed order, so one seed is one crash. Returns the number of
+    /// dropped words.
     pub fn crash(&self, seed: u64) -> usize {
+        let mode = LossMode::from_seed(seed);
         let mut rng = XorShift64Star::new(seed);
-        self.regions().map(|region| region.crash(&mut rng)).sum()
+        self.regions().map(|region| region.crash(&mut rng, mode)).sum()
     }
 }
 

@@ -7,7 +7,7 @@
 //! by a workload, or is *armed* with a [`FaultPlan`]: at the k-th hit of
 //! the planned site the calling thread unwinds with an [`InjectedCrash`]
 //! panic payload, simulating the CPU dying at exactly that instruction.
-//! The harness catches the unwind, tears unflushed cachelines with
+//! The harness catches the unwind, cuts power with
 //! [`NvmRegion::crash`](crate::NvmRegion::crash), and runs recovery.
 //!
 //! The registry is process-global (crash sites are free functions deep in

@@ -19,7 +19,8 @@
 //! * strict mode ([`NvmOptions::strict`]) — a shadow "media" image with
 //!   dirty/staged cacheline tracking, on either backend, and seeded
 //!   power-loss simulation (unfenced lines survive or vanish at random,
-//!   torn at 8-byte granularity), used by the crash-consistency tests.
+//!   torn at 8-byte granularity or a page at a time), used by the
+//!   crash-consistency tests.
 //! * file backend ([`Backend::Pool`]) — regions mapped `MAP_SHARED` over
 //!   files in a [`PoolDir`], flushed with `msync`. The store survives real
 //!   `kill -9`, so the recovery protocol can be exercised against actual
@@ -40,11 +41,11 @@
 //!
 //! Unfenced lines may still reach media — cache eviction, page writeback —
 //! so at a simulated power cut one loss engine decides, from a seed, which
-//! of them survive. [`NvmRegion::crash`] applies it to a live heap region
-//! (lines torn per 8-byte word); [`powerloss_crash_file`] applies it to a
-//! closed pool file under any [`LossMode`] (pages dropped or reordered as
-//! well, which is what a page cache can do to a file). At-risk lines are
-//! visited in address order, so a seed always replays the same outcome.
+//! of them survive. [`NvmRegion::crash`] applies it to a live region by
+//! handle on either backend, under any [`LossMode`]: lines torn per 8-byte
+//! word, or pages dropped or reordered, which is what a page cache can do
+//! to a file. At-risk lines are the tracker's own, visited in address
+//! order, so a seed always replays the same outcome.
 //! Code that forgets a flush does not fail deterministically on real
 //! hardware and does not fail for every seed here either; the randomized
 //! crash tests run many seeds to expose such bugs.
@@ -74,5 +75,5 @@ pub use mapfile::{FileMap, NvmIoError};
 pub use pod::Pod;
 pub use pool::{PoolDir, META_FILE};
 pub use region::{Backend, NvmOptions, NvmRegion, SyncPolicy, CACHELINE, NVM_BLOCK};
-pub use shadow::{powerloss_crash_file, LossMode, PowerlossReport};
+pub use shadow::LossMode;
 pub use stats::{NvmStats, PerOpStats, StatsSnapshot};

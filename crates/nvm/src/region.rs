@@ -94,12 +94,10 @@ pub struct NvmOptions {
     pub bandwidth: Option<Arc<BandwidthLimiter>>,
     /// Track what media holds: a shadow media image plus dirty/staged
     /// cacheline sets, on whichever backend the options name — the image
-    /// is a heap buffer under [`Backend::Heap`] (lose power with
-    /// [`NvmRegion::crash`]) and a `.shadow` file beside each region file
-    /// under [`Backend::Pool`] (lose power with
-    /// [`powerloss_crash_file`](crate::powerloss_crash_file)). Costs a
-    /// mutex per write, so it is meant for (mostly single-threaded)
-    /// consistency tests, not benchmarks.
+    /// is a heap buffer under [`Backend::Heap`] and a `.shadow` file beside
+    /// each region file under [`Backend::Pool`]; either loses power with
+    /// [`NvmRegion::crash`]. Costs a mutex per write, so it is meant for
+    /// (mostly single-threaded) consistency tests, not benchmarks.
     pub strict: bool,
     /// Storage backend: heap simulator (default) or file-backed pool.
     pub backend: Backend,
@@ -772,27 +770,27 @@ impl NvmRegion {
         }
     }
 
-    /// Simulates a power failure and reboot of a heap-backed region.
+    /// Simulates a power failure and reboot of the region, on either
+    /// backend.
     ///
     /// Every line that was **staged** (flushed, fence pending) or **dirty**
-    /// (never flushed) independently either reaches media or is lost,
-    /// decided by `rng` — modelling in-flight stores and arbitrary cache
-    /// eviction. The decision is made per 8-byte word inside each such
-    /// line (AEP's failure-atomicity unit, [`LossMode::TearLines`]), so
-    /// partially-persisted lines are observable. Lines are visited in
-    /// ascending order: one seed replays one outcome.
+    /// (never flushed) is at risk; `mode` says how the at-risk lines are
+    /// damaged — torn per 8-byte word ([`LossMode::TearLines`], AEP's
+    /// failure-atomicity unit, so partially-persisted lines are
+    /// observable), or dropped or reordered a page at a time, as a page
+    /// cache writes a file back. Every decision is drawn from `rng`, with
+    /// the lines visited in ascending order: one seed replays one outcome.
     ///
-    /// Afterwards the working image equals the media image and all tracking
-    /// is cleared, exactly like a fresh boot mapping the same pool. Returns
-    /// the number of words dropped.
+    /// Afterwards the working image equals the media image — on a pool, the
+    /// region file and its `.shadow` too — and all tracking is cleared,
+    /// exactly like a fresh boot mapping the same pool. Returns the number
+    /// of words dropped.
     ///
     /// Must not race with other accessors (callers quiesce their threads
-    /// first, as a real crash test harness would). A pool region loses
-    /// power through [`powerloss_crash_file`](crate::powerloss_crash_file)
-    /// after it is closed.
-    pub fn crash(&self, rng: &mut XorShift64Star) -> usize {
+    /// first, as a real crash test harness would).
+    pub fn crash(&self, rng: &mut XorShift64Star, mode: LossMode) -> usize {
         self.power_fail("crash", |working, media, at_risk| {
-            shadow::apply_loss(working, media, at_risk, rng, LossMode::TearLines).words
+            shadow::apply_loss(working, media, at_risk, rng, mode)
         })
     }
 
@@ -810,7 +808,7 @@ impl NvmRegion {
     }
 
     /// `lose(working, media, at_risk)` settles what media keeps; then the
-    /// reboot: working image = media image.
+    /// reboot: working image = media image, nothing in flight.
     fn power_fail<R>(
         &self,
         caller: &str,
@@ -819,9 +817,16 @@ impl NvmRegion {
         let mut tracker = self.tracker(caller);
         let mut working = vec![0u8; self.len];
         self.copy_out(0, &mut working);
-        let (r, media) = tracker.power_fail(|media, at_risk| lose(&working, media, at_risk));
-        self.copy_in(0, media);
-        r
+        if let Backing::File { pending, .. } = &self.backing {
+            *pending.lock() = None;
+        }
+        tracker
+            .power_fail(|media, at_risk| {
+                let r = lose(&working, media, at_risk);
+                self.copy_in(0, media);
+                r
+            })
+            .unwrap_or_else(|e| panic!("{caller}: the media image did not survive the cut: {e}"))
     }
 }
 
@@ -1031,7 +1036,7 @@ mod tests {
     fn crash_on_pristine_region_keeps_zeroes() {
         let r = strict_region(256);
         let mut rng = XorShift64Star::new(5);
-        assert_eq!(r.crash(&mut rng), 0);
+        assert_eq!(r.crash(&mut rng, LossMode::TearLines), 0);
         let mut buf = [1u8; 256];
         r.peek(0, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
@@ -1110,7 +1115,7 @@ mod tests {
         // Persist the first 32 lines only.
         r.persist(0, 32 * 64);
         let mut rng = XorShift64Star::new(42);
-        r.crash(&mut rng);
+        r.crash(&mut rng, LossMode::TearLines);
         let mut buf = [0u8; 64];
         for line in 0..32 {
             r.peek(line * 64, &mut buf);
@@ -1146,7 +1151,7 @@ mod tests {
             let r = strict_region(256);
             r.write_bytes(0, &[0xEE; 64]);
             let mut rng = XorShift64Star::new(seed);
-            r.crash(&mut rng);
+            r.crash(&mut rng, LossMode::TearLines);
             let mut buf = [0u8; 64];
             r.peek(0, &mut buf);
             let words: Vec<bool> = buf.chunks(8).map(|w| w.iter().all(|&b| b == 0xEE)).collect();
@@ -1164,7 +1169,7 @@ mod tests {
         let r = strict_region(256);
         r.write_bytes(0, &[1; 64]);
         let mut rng = XorShift64Star::new(7);
-        r.crash(&mut rng);
+        r.crash(&mut rng, LossMode::TearLines);
         assert_eq!(r.at_risk_lines(), 0);
     }
 
@@ -1417,20 +1422,22 @@ mod tests {
 
     #[test]
     fn seeded_crash_replays_the_same_image() {
-        let image_after = |seed: u64| {
-            let r = scripted_strict_region();
-            assert!(r.at_risk_lines() >= 256, "{} at risk", r.at_risk_lines());
-            let dropped = r.crash(&mut XorShift64Star::new(seed));
-            let mut image = vec![0u8; r.len()];
-            r.peek(0, &mut image);
-            (dropped, image)
-        };
-        let first = image_after(7);
-        assert!(first.0 > 0, "nothing dropped: the script left nothing at risk");
-        for _ in 0..3 {
-            assert!(image_after(7) == first, "same script, same seed, different crash");
+        for mode in LossMode::ALL {
+            let image_after = |seed: u64| {
+                let r = scripted_strict_region();
+                assert!(r.at_risk_lines() >= 256, "{} at risk", r.at_risk_lines());
+                let dropped = r.crash(&mut XorShift64Star::new(seed), mode);
+                let mut image = vec![0u8; r.len()];
+                r.peek(0, &mut image);
+                (dropped, image)
+            };
+            let first = image_after(7);
+            assert!(first.0 > 0, "{}: nothing dropped", mode.name());
+            for _ in 0..3 {
+                assert!(image_after(7) == first, "{}: same seed, different crash", mode.name());
+            }
+            assert!(image_after(8) != first, "{}: the seed does not reach the loss engine", mode.name());
         }
-        assert!(image_after(8) != first, "the seed does not reach the loss engine");
     }
 
     // ---------------- file backend ----------------

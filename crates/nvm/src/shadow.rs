@@ -8,7 +8,7 @@
 //! puts it: a heap `Vec<u8>` for [`Backend::Heap`](crate::Backend), a
 //! `seg-N.dat.shadow` file beside `seg-N.dat` for
 //! [`Backend::Pool`](crate::Backend). Everything else — marking, staging,
-//! committing, decay, the ack lint — is the same code on both.
+//! committing, decay, the ack lint, the power cut — is the same code on both.
 //!
 //! The one backend-specific fact is *when a fence is durable*, and the
 //! region decides it: every fence on the heap (ADR: `clwb` + `sfence`), only
@@ -17,14 +17,13 @@
 //! risk: `MS_ASYNC` only schedules writeback, which is exactly why that
 //! policy is documented as not power-loss safe.
 //!
-//! One loss engine, [`apply_loss`], settles the fate of the at-risk lines.
-//! It has two callers: [`NvmRegion::crash`](crate::NvmRegion::crash)
-//! addresses a live heap region by handle and always tears lines (the ADR
-//! failure unit is the 8-byte word); [`powerloss_crash_file`] addresses a
-//! closed pool file by path and takes any [`LossMode`], because what a
-//! page cache loses is pages — dropped, or written back out of order — as
-//! well as torn lines. At-risk lines are always walked in ascending order,
-//! so one seed replays one outcome.
+//! One loss engine, [`apply_loss`], settles the fate of the at-risk lines,
+//! and it has one caller: [`NvmRegion::crash`](crate::NvmRegion::crash),
+//! which cuts a live region by handle on either backend, in any
+//! [`LossMode`] — torn lines (the ADR failure unit is the 8-byte word), or
+//! the dropped and reordered pages a page cache can leave behind. The
+//! at-risk lines are the tracker's own (dirty ∪ staged), walked in
+//! ascending order, so one seed replays one outcome.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs::{File, OpenOptions};
@@ -73,16 +72,6 @@ impl LossMode {
     }
 }
 
-/// What one simulated power loss did to a region file.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerlossReport {
-    /// Cachelines whose working content was not covered by a completed
-    /// blocking sync (candidates for loss).
-    pub at_risk_lines: usize,
-    /// Cachelines that did not survive (fully or partially lost).
-    pub lost_lines: usize,
-}
-
 /// The cachelines covering `[off, off+len)`.
 fn lines_of(off: usize, len: usize) -> Range<usize> {
     if len == 0 {
@@ -104,25 +93,17 @@ pub(crate) fn salvage_line(working: &[u8], media: &mut [u8], line: usize) {
     media[span.clone()].copy_from_slice(&working[span]);
 }
 
-/// What the loss engine took.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Loss {
-    /// At-risk lines that did not survive whole.
-    pub lines: usize,
-    /// 8-byte words dropped inside them.
-    pub words: usize,
-}
-
 /// The loss engine: decides which of the `at_risk` lines (ascending) make it
 /// from `working` to `media`, per `mode`, drawing every decision from `rng`.
+/// Returns the number of 8-byte words dropped.
 pub(crate) fn apply_loss(
     working: &[u8],
     media: &mut [u8],
     at_risk: &[usize],
     rng: &mut XorShift64Star,
     mode: LossMode,
-) -> Loss {
-    let mut loss = Loss::default();
+) -> usize {
+    let mut dropped = 0;
     let page_of = |line: usize| line * CACHELINE / PAGE;
     let at_risk_pages = || {
         let mut pages: Vec<usize> = at_risk.iter().map(|&l| page_of(l)).collect();
@@ -133,18 +114,16 @@ pub(crate) fn apply_loss(
         LossMode::TearLines => {
             for &line in at_risk {
                 let span = line_span(line, working.len());
-                let before = loss.words;
                 for woff in span.clone().step_by(8) {
                     let wend = (woff + 8).min(span.end);
                     if rng.next_u64() & 1 == 0 {
                         media[woff..wend].copy_from_slice(&working[woff..wend]);
                     } else {
-                        loss.words += 1;
+                        dropped += 1;
                     }
                 }
-                loss.lines += usize::from(loss.words > before);
             }
-            return loss;
+            return dropped;
         }
         LossMode::DropPages => at_risk_pages()
             .into_iter()
@@ -170,11 +149,10 @@ pub(crate) fn apply_loss(
         if surviving_pages.contains(&page_of(line)) {
             salvage_line(working, media, line);
         } else {
-            loss.lines += 1;
-            loss.words += line_span(line, working.len()).len().div_ceil(8);
+            dropped += line_span(line, working.len()).len().div_ceil(8);
         }
     }
-    loss
+    dropped
 }
 
 /// The sidecar path holding a region file's guaranteed-persisted image.
@@ -354,21 +332,29 @@ impl MediaTracker {
         }
     }
 
-    /// Power failure by handle (heap image only — a pool region loses power
-    /// through [`powerloss_crash_file`] once it is closed). `lose` settles
-    /// the fate of the at-risk lines, handed over in ascending order, on
-    /// the media image; tracking is cleared, and the surviving image is
-    /// returned for the caller to reboot its working bytes from.
-    pub(crate) fn power_fail<R>(&mut self, lose: impl FnOnce(&mut [u8], &[usize]) -> R) -> (R, &[u8]) {
-        let MediaImage::Heap(media) = &mut self.image else {
-            panic!("crash by handle requires a heap-backed region; close a pool region and use powerloss_crash_file");
-        };
+    /// Power failure by handle. `reboot` settles the fate of the at-risk
+    /// lines, handed over in ascending order, on the whole media image and
+    /// boots the working bytes from it; a sidecar image is read first and
+    /// written back after. Tracking is cleared: a fresh boot has nothing
+    /// in flight.
+    pub(crate) fn power_fail<R>(
+        &mut self,
+        reboot: impl FnOnce(&mut [u8], &[usize]) -> R,
+    ) -> Result<R, NvmIoError> {
         // The sets are disjoint, so their union walks every line once.
         let at_risk: Vec<usize> = self.dirty.union(&self.staged).copied().collect();
-        let r = lose(media, &at_risk);
         self.dirty.clear();
         self.staged.clear();
-        (r, media)
+        match &mut self.image {
+            MediaImage::Heap(media) => Ok(reboot(media, &at_risk)),
+            MediaImage::Sidecar { .. } => {
+                let mut media = vec![0u8; self.len];
+                self.image.read_at(0, &mut media)?;
+                let r = reboot(&mut media, &at_risk);
+                self.image.write_at(0, &media)?;
+                Ok(r)
+            }
+        }
     }
 
     /// The whole media image (test assertions).
@@ -380,75 +366,54 @@ impl MediaTracker {
     }
 }
 
-/// Simulates power loss on a closed region file.
-///
-/// The caller must have dropped every mapping of the file first (a crash
-/// test quiesces and drops its table before "pulling the plug"). At-risk
-/// lines — where the working file differs from its sidecar — survive or
-/// die per `mode`; the resulting image overwrites both the region file and
-/// the sidecar, so a subsequent open (tracked or not) recovers from exactly
-/// what "media" held.
-pub fn powerloss_crash_file(
-    region: &Path,
-    rng: &mut XorShift64Star,
-    mode: LossMode,
-) -> Result<PowerlossReport, NvmIoError> {
-    let working = std::fs::read(region).map_err(|e| NvmIoError::new("read", region, e))?;
-    let side = sidecar_path(region);
-    let mut media = std::fs::read(&side).map_err(|e| NvmIoError::new("read", &side, e))?;
-    if media.len() != working.len() {
-        return Err(NvmIoError::msg(
-            "crash",
-            region,
-            format!(
-                "shadow sidecar is {} bytes but the region is {}",
-                media.len(),
-                working.len()
-            ),
-        ));
-    }
-    let at_risk: Vec<usize> = (0..working.len().div_ceil(CACHELINE))
-        .filter(|&l| {
-            let span = line_span(l, working.len());
-            working[span.clone()] != media[span]
-        })
-        .collect();
-    let loss = apply_loss(&working, &mut media, &at_risk, rng, mode);
-    // The surviving image is what the hardware would present at next boot:
-    // install it as both the region file and the new shadow baseline.
-    write_file(region, &media)?;
-    write_file(&side, &media)?;
-    Ok(PowerlossReport {
-        at_risk_lines: at_risk.len(),
-        lost_lines: loss.lines,
-    })
-}
-
-fn write_file(path: &Path, bytes: &[u8]) -> Result<(), NvmIoError> {
-    let f = OpenOptions::new()
-        .write(true)
-        .truncate(true)
-        .create(true)
-        .open(path)
-        .map_err(|e| NvmIoError::new("open", path, e))?;
-    f.write_all_at(bytes, 0).map_err(|e| NvmIoError::new("write", path, e))?;
-    f.sync_all().map_err(|e| NvmIoError::new("fsync", path, e))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NvmOptions, NvmRegion, PoolDir, SyncPolicy};
+    use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("hdnh_shadow_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d.join("seg-0.dat")
+        d
     }
 
-    fn cleanup(region: &Path) {
-        let _ = std::fs::remove_dir_all(region.parent().unwrap());
+    /// A fresh strict pool region under the blocking sync policy, alone in
+    /// its directory: fenced lines are on media, everything else at risk.
+    fn pool_region(name: &str, len: usize) -> (PathBuf, NvmRegion) {
+        let d = tmp(name);
+        let options = NvmOptions {
+            strict: true,
+            sync_policy: SyncPolicy::Sync,
+            ..NvmOptions::pooled(Arc::new(PoolDir::create(&d).unwrap()))
+        };
+        let r = NvmRegion::alloc(len, &options, "seg").unwrap();
+        (d, r)
+    }
+
+    /// [`pool_region`] with every byte written `fill` and nothing fenced.
+    fn unfenced_region(name: &str, len: usize, fill: u8) -> (PathBuf, NvmRegion) {
+        let (d, r) = pool_region(name, len);
+        r.write_bytes(0, &vec![fill; len]);
+        assert_eq!(r.at_risk_lines(), len / CACHELINE);
+        (d, r)
+    }
+
+    /// What a cut region booted into. The mapping, the region file and its
+    /// `.shadow` must hold the same bytes: the next open finds on media
+    /// exactly what the live region was rebooted to.
+    fn rebooted_image(r: &NvmRegion) -> Vec<u8> {
+        let path = r.file_path().unwrap();
+        let mut mapping = vec![0u8; r.len()];
+        r.peek(0, &mut mapping);
+        assert!(std::fs::read(path).unwrap() == mapping, "region file != mapping");
+        assert!(std::fs::read(sidecar_path(path)).unwrap() == mapping, "shadow != mapping");
+        mapping
+    }
+
+    fn cleanup(d: &Path, r: NvmRegion) {
+        drop(r);
+        let _ = std::fs::remove_dir_all(d);
     }
 
     #[test]
@@ -462,61 +427,44 @@ mod tests {
     #[test]
     fn committed_lines_survive_any_mode() {
         for mode in LossMode::ALL {
-            let region = tmp(&format!("commit_{}", mode.name()));
+            let (d, r) = pool_region(&format!("commit_{}", mode.name()), 8192);
             let working = vec![0xAB; 8192];
-            write_file(&region, &working).unwrap();
-            // Sidecar == working: nothing at risk.
-            let mut sh = MediaTracker::sidecar(&region, &working).unwrap();
-            assert_eq!(sh.at_risk(), 0);
-            sh.mark_dirty(0, 0); // no-op
-            let mut rng = XorShift64Star::new(9);
-            let rep = powerloss_crash_file(&region, &mut rng, mode).unwrap();
-            assert_eq!(rep.at_risk_lines, 0);
-            assert_eq!(std::fs::read(&region).unwrap(), working);
-            cleanup(&region);
+            r.write_bytes(0, &working);
+            r.persist(0, working.len());
+            assert_eq!(r.at_risk_lines(), 0);
+            assert_eq!(r.crash(&mut XorShift64Star::new(9), mode), 0);
+            assert!(rebooted_image(&r) == working);
+            cleanup(&d, r);
         }
     }
 
     #[test]
     fn unfenced_lines_can_be_lost_in_every_mode() {
         for mode in LossMode::ALL {
-            let region = tmp(&format!("lose_{}", mode.name()));
-            write_file(&region, &vec![0u8; 16384]).unwrap();
-            let _sh = MediaTracker::sidecar(&region, &vec![0u8; 16384]).unwrap();
-            // Working image moves on without any blocking fence.
-            write_file(&region, &vec![0xEE; 16384]).unwrap();
             let mut lost_seen = false;
             for seed in 0..64 {
-                // Reset both images for a fresh trial.
-                write_file(&region, &vec![0xEE; 16384]).unwrap();
-                write_file(&sidecar_path(&region), &vec![0u8; 16384]).unwrap();
-                let mut rng = XorShift64Star::new(seed);
-                let rep = powerloss_crash_file(&region, &mut rng, mode).unwrap();
-                assert_eq!(rep.at_risk_lines, 16384 / CACHELINE);
-                if rep.lost_lines > 0 {
+                let (d, r) = unfenced_region(&format!("lose_{}", mode.name()), 16384, 0xEE);
+                let dropped = r.crash(&mut XorShift64Star::new(seed), mode);
+                assert_eq!(r.at_risk_lines(), 0, "a reboot has nothing in flight");
+                let lost = rebooted_image(&r).chunks(8).filter(|w| *w != [0xEE; 8]).count();
+                assert_eq!(dropped, lost, "dropped words are the words media lacks");
+                cleanup(&d, r);
+                if dropped > 0 {
                     lost_seen = true;
                     break;
                 }
             }
             assert!(lost_seen, "mode {} never lost anything", mode.name());
-            cleanup(&region);
         }
     }
 
     #[test]
     fn tear_mode_tears_at_word_granularity() {
-        let region = tmp("tear");
-        write_file(&region, &vec![0u8; 4096]).unwrap();
-        let _sh = MediaTracker::sidecar(&region, &vec![0u8; 4096]).unwrap();
-        write_file(&region, &vec![0xEE; 4096]).unwrap();
         let mut torn_seen = false;
         for seed in 0..128 {
-            write_file(&region, &vec![0xEE; 4096]).unwrap();
-            write_file(&sidecar_path(&region), &vec![0u8; 4096]).unwrap();
-            let mut rng = XorShift64Star::new(seed);
-            powerloss_crash_file(&region, &mut rng, LossMode::TearLines).unwrap();
-            let img = std::fs::read(&region).unwrap();
-            for line in img.chunks(CACHELINE) {
+            let (d, r) = unfenced_region("tear", 4096, 0xEE);
+            r.crash(&mut XorShift64Star::new(seed), LossMode::TearLines);
+            for line in rebooted_image(&r).chunks(CACHELINE) {
                 let words: Vec<bool> =
                     line.chunks(8).map(|w| w.iter().all(|&b| b == 0xEE)).collect();
                 for w in line.chunks(8) {
@@ -529,27 +477,23 @@ mod tests {
                     torn_seen = true;
                 }
             }
+            cleanup(&d, r);
             if torn_seen {
                 break;
             }
         }
         assert!(torn_seen, "expected at least one torn line");
-        cleanup(&region);
     }
 
     #[test]
     fn reorder_mode_drops_whole_page_suffix_sometimes() {
-        let region = tmp("reorder");
         let len = PAGE * 4;
-        write_file(&region, &vec![0u8; len]).unwrap();
-        let _sh = MediaTracker::sidecar(&region, &vec![0u8; len]).unwrap();
         let mut partial_seen = false;
         for seed in 0..64 {
-            write_file(&region, &vec![0xCD; len]).unwrap();
-            write_file(&sidecar_path(&region), &vec![0u8; len]).unwrap();
-            let mut rng = XorShift64Star::new(seed);
-            powerloss_crash_file(&region, &mut rng, LossMode::ReorderPages).unwrap();
-            let img = std::fs::read(&region).unwrap();
+            let (d, r) = unfenced_region("reorder", len, 0xCD);
+            r.crash(&mut XorShift64Star::new(seed), LossMode::ReorderPages);
+            let img = rebooted_image(&r);
+            cleanup(&d, r);
             let live_pages = img
                 .chunks(PAGE)
                 .filter(|p| p.iter().all(|&b| b == 0xCD))
@@ -562,13 +506,30 @@ mod tests {
             }
         }
         assert!(partial_seen, "expected a partial page stream at least once");
-        cleanup(&region);
+    }
+
+    #[test]
+    fn crash_with_reboots_mapping_file_and_shadow_alike() {
+        let (d, r) = unfenced_region("crash_with", 4096, 0x5A);
+        r.persist(0, 64);
+        r.flush(64, 64);
+        // Line 0 is fenced; of the at-risk lines (line 1 staged, the rest
+        // dirty) the odd ones survive.
+        r.crash_with(|line| line % 2 == 1);
+        let img = rebooted_image(&r);
+        for (line, bytes) in img.chunks(CACHELINE).enumerate() {
+            let want = if line == 0 || line % 2 == 1 { 0x5A } else { 0 };
+            assert!(bytes.iter().all(|&b| b == want), "line {line}");
+        }
+        cleanup(&d, r);
     }
 
     #[test]
     fn remove_region_takes_the_sidecar_along() {
-        let region = tmp("rm");
-        write_file(&region, &[0u8; 64]).unwrap();
+        let d = tmp("rm");
+        std::fs::create_dir_all(&d).unwrap();
+        let region = d.join("seg-0.dat");
+        std::fs::write(&region, [0u8; 64]).unwrap();
         let _sh = MediaTracker::sidecar(&region, &[0u8; 64]).unwrap();
         assert!(sidecar_path(&region).exists());
         crate::PoolDir::remove_region(&region).unwrap();
@@ -576,8 +537,8 @@ mod tests {
         // Gone already: the region file's error, nothing else disturbed.
         assert!(crate::PoolDir::remove_region(&region).is_err());
         // An untracked region has no sidecar to take.
-        write_file(&region, &[0u8; 64]).unwrap();
+        std::fs::write(&region, [0u8; 64]).unwrap();
         crate::PoolDir::remove_region(&region).unwrap();
-        cleanup(&region);
+        let _ = std::fs::remove_dir_all(&d);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Strict-mode NVM regions track which cachelines were persisted; a
 //! simulated crash keeps a random subset of the unflushed ones (torn at
-//! 8-byte granularity). These tests crash at many random points and after
+//! 8-byte granularity, or a page at a time: the crash seed picks the loss
+//! mode). These tests crash at many random points and after
 //! every resize phase, then verify that recovery reconstructs exactly the
 //! acknowledged state.
 //!

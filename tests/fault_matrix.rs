@@ -8,7 +8,7 @@
 //! concurrently.
 
 use hdnh::faultexplore::{
-    explore, hit_samples, record_sites_pool, run_single_pool, ExploreConfig, OpMix,
+    explore, hit_samples, record_sites, run_single, CaseBackend, ExploreConfig, OpMix,
 };
 use hdnh_nvm::FaultPlan;
 
@@ -74,10 +74,10 @@ fn crash_point_matrix() {
 
     // ---- pool-backend rows: same sites, mmap flush path, power loss ----
     //
-    // Re-run the matrix under `Backend::Pool` with shadow persistence and
+    // The same runner on `CaseBackend::Pool`, with shadow persistence and
     // the blocking sync policy: the injected crash is followed by a torn/
-    // dropped/reordered power loss of every un-fenced line, and recovery
-    // goes through the full `open_pool` path (superblock, size
+    // dropped/reordered power cut of every region the table reaches, and
+    // recovery goes through the full `open_pool` path (superblock, size
     // classification, orphan sweep). Runs in the same #[test] because the
     // fault registry is process-global.
     //
@@ -89,8 +89,13 @@ fn crash_point_matrix() {
     let mut pool_failures: Vec<String> = Vec::new();
     let mut pool_sites = 0usize;
     for mix in OpMix::builtin() {
-        let counts = record_sites_pool(&mix)
+        let counts = record_sites(&mix, CaseBackend::Pool)
             .unwrap_or_else(|e| panic!("pool site recording failed for {}: {e}", mix.name));
+        // One inventory for both backends: `faultrun-sites.txt`, recorded on
+        // the heap, describes the pool too.
+        let heap = record_sites(&mix, CaseBackend::Heap)
+            .unwrap_or_else(|e| panic!("heap site recording failed for {}: {e}", mix.name));
+        assert_eq!(counts, heap, "mix {}: pool and heap site inventories differ", mix.name);
         assert!(
             !counts.is_empty(),
             "pool recording discovered no crash sites for mix {}",
@@ -110,7 +115,7 @@ fn crash_point_matrix() {
                     site: site.to_string(),
                     hit,
                 };
-                let r = run_single_pool(&mix, &plan, seed, 2);
+                let r = run_single(&mix, &plan, seed, None, 2, CaseBackend::Pool);
                 pool_cases += 1;
                 if !r.pass {
                     eprintln!("POOL FAIL {} :: {}", r.repro(), r.detail);
@@ -121,6 +126,7 @@ fn crash_point_matrix() {
             }
         }
     }
+    eprintln!("crash-point matrix: {} heap cases, {pool_cases} pool cases", report.cases.len());
     assert!(
         pool_failures.is_empty(),
         "{} of {} pool-backend cases failed:\n{}",

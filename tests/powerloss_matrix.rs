@@ -3,34 +3,34 @@
 //! Each schedule drives a strict file-backed pool under `SyncPolicy::Sync`
 //! (every region tracks what media holds), injects a crash at a randomly chosen
 //! `(site, hit)` **mid-operation** — the only moment a correctly fenced
-//! store has unfenced lines — then "pulls the plug": every region file is
-//! put through [`hdnh_nvm::powerloss_crash_file`], which drops, tears or
-//! reorders every cacheline not covered by a completed blocking msync.
-//! The pool must reopen through the full `open_pool` recovery path with
-//! **zero acked write loss** and no integrity violations.
-//!
-//! Knobs (for CI and local tuning):
-//! - `HDNH_POWERLOSS_SCHEDULES=N` overrides the schedule count
-//!   (default 200 in release builds, 48 in debug builds).
-//! - `HDNH_POWERLOSS_REPORT=path` writes a JSON summary of the matrix,
-//!   uploaded as a CI artifact by the `powerloss-smoke` job.
+//! store has unfenced lines — and cuts power through the one case runner,
+//! `faultexplore::run_single` on `CaseBackend::Pool`: every region the table
+//! reaches loses, by handle, what no completed blocking msync covered —
+//! lines torn, pages dropped or reordered, as the seed's loss mode says. The
+//! pool must reopen through the full `open_pool` recovery path with **zero
+//! acked write loss** and no integrity violations.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use hdnh::faultexplore::{record_sites_pool, run_single_pool, OpMix};
+use hdnh::faultexplore::{
+    big_payload, explore_params, record_sites, run_single, CaseBackend, Op, OpMix,
+};
 use hdnh::Hdnh;
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Value};
-use hdnh_nvm::{
-    powerloss_crash_file, FaultPlan, LossMode, NvmOptions, NvmRegion, PoolDir, SyncPolicy,
-};
+use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, NvmRegion, PoolDir, SyncPolicy};
 
 /// The fail-point registry is process-global and the torn matrix arms it;
-/// both tests in this binary take the gate so a plan armed by one cannot
-/// fire inside the other's table operations.
+/// every test in this binary takes the gate so a plan armed by one cannot
+/// fire inside another's table operations.
 static FAULT_REGISTRY_GATE: Mutex<()> = Mutex::new(());
+
+/// Schedules per sweep: what CI's `powerloss-smoke` runs in release, and a
+/// debug-build sweep short enough for the default `cargo test`.
+const SCHEDULES: usize = if cfg!(debug_assertions) { 48 } else { 220 };
 
 fn tmp_pool(tag: &str, n: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hdnh-powerloss-{tag}-{}-{n}", std::process::id()));
@@ -38,23 +38,9 @@ fn tmp_pool(tag: &str, n: usize) -> PathBuf {
     dir
 }
 
-fn schedule_count() -> usize {
-    if let Ok(v) = std::env::var("HDNH_POWERLOSS_SCHEDULES") {
-        return v
-            .parse()
-            .unwrap_or_else(|_| panic!("HDNH_POWERLOSS_SCHEDULES must be a number, got {v:?}"));
-    }
-    if cfg!(debug_assertions) {
-        48
-    } else {
-        200
-    }
-}
-
 #[test]
 fn torn_persistence_schedules_lose_no_acked_write() {
     let _gate = FAULT_REGISTRY_GATE.lock().unwrap();
-    let schedules = schedule_count();
     let mixes = OpMix::builtin();
 
     // One recording pass per mix: the site population on the pool backend,
@@ -62,7 +48,7 @@ fn torn_persistence_schedules_lose_no_acked_write() {
     let site_tables: Vec<Vec<(&'static str, u64)>> = mixes
         .iter()
         .map(|mix| {
-            let counts = record_sites_pool(mix)
+            let counts = record_sites(mix, CaseBackend::Pool)
                 .unwrap_or_else(|e| panic!("pool site recording failed for {}: {e}", mix.name));
             assert!(!counts.is_empty(), "no sites recorded for mix {}", mix.name);
             counts.into_iter().collect()
@@ -74,7 +60,7 @@ fn torn_persistence_schedules_lose_no_acked_write() {
     let mut effective = 0usize;
     let mut vacuous = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for s in 0..schedules {
+    for s in 0..SCHEDULES {
         let mi = s % mixes.len();
         let sites = &site_tables[mi];
         let (site, hits) = sites[rng.next_below(sites.len() as u32) as usize];
@@ -83,7 +69,7 @@ fn torn_persistence_schedules_lose_no_acked_write() {
             hit: 1 + rng.next_u64() % hits,
         };
         let seed = s as u64;
-        let r = run_single_pool(&mixes[mi], &plan, seed, 2);
+        let r = run_single(&mixes[mi], &plan, seed, None, 2, CaseBackend::Pool);
         *per_mode.entry(LossMode::from_seed(seed).name()).or_default() += 1;
         if !r.pass {
             failures.push(format!("  {} :: {}", r.repro(), r.detail));
@@ -91,43 +77,118 @@ fn torn_persistence_schedules_lose_no_acked_write() {
             // Crash fired mid-op and recovery satisfied the oracle.
             effective += 1;
         } else {
-            // "site/hit not reached" or "crash during pool creation".
+            // "site/hit not reached" or "crash during table construction".
             vacuous += 1;
         }
         if (s + 1).is_multiple_of(50) {
-            eprintln!("... {}/{schedules} schedules, {effective} effective", s + 1);
+            eprintln!("... {}/{SCHEDULES} schedules, {effective} effective", s + 1);
         }
     }
+    // The sweep's one line in the CI log.
+    eprintln!(
+        "powerloss matrix: {SCHEDULES} schedules, {effective} effective, {vacuous} vacuous, \
+         {} failed; per loss mode {per_mode:?}",
+        failures.len()
+    );
 
     assert!(
         failures.is_empty(),
-        "{} of {schedules} schedules lost acked writes or broke invariants:\n{}",
+        "{} of {SCHEDULES} schedules lost acked writes or broke invariants:\n{}",
         failures.len(),
         failures.join("\n")
     );
-    // The sweep must actually exercise the failure model: all three loss
-    // modes ran, and most schedules genuinely crashed mid-op (a vacuous
+    // The sweep must actually exercise the failure model: exactly the three
+    // loss modes ran, and most schedules genuinely crashed mid-op (a vacuous
     // pass means the sampled hit was never reached).
-    assert_eq!(per_mode.len(), 3, "loss modes covered: {per_mode:?}");
-    assert!(
-        effective * 2 >= schedules,
-        "only {effective}/{schedules} schedules crashed mid-op ({vacuous} vacuous)"
+    assert_eq!(
+        per_mode.keys().copied().collect::<BTreeSet<_>>(),
+        BTreeSet::from(["drop_pages", "reorder_pages", "tear_lines"]),
+        "loss modes covered: {per_mode:?}"
     );
+    assert!(
+        effective * 2 >= SCHEDULES,
+        "only {effective}/{SCHEDULES} schedules crashed mid-op ({vacuous} vacuous)"
+    );
+}
 
-    if let Ok(path) = std::env::var("HDNH_POWERLOSS_REPORT") {
-        let modes = per_mode
-            .iter()
-            .map(|(m, n)| format!("\"{m}\":{n}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let json = format!(
-            "{{\"schedules\":{schedules},\"modes\":{{{modes}}},\
-             \"effective\":{effective},\"vacuous\":{vacuous},\
-             \"acked_writes_lost\":0,\"failures\":0}}\n"
-        );
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("powerloss report written to {path}");
-    }
+/// What recovery left under each key of a mix: its word, and its bytes
+/// where it reads as bytes.
+type Recovered = Vec<(u64, Option<Value>, Option<Vec<u8>>)>;
+
+/// One pool case, run by hand so what it did can be compared: a fresh pool
+/// in `dir` runs `mix` with `plan` armed, power fails under every region
+/// with `seed` once the plan fires, and the pool reopens. Returns the ops
+/// completed before the crash, the words the cut dropped, and what came
+/// back.
+fn pool_case(mix: &OpMix, plan: &FaultPlan, seed: u64, dir: &Path) -> (usize, usize, Recovered) {
+    let _ = std::fs::remove_dir_all(dir);
+    let (table, _) = Hdnh::open_pool(explore_params(), dir, 1).unwrap();
+    let mut applied = 0usize;
+    fault::arm(plan.clone());
+    let crashed = catch_unwind(AssertUnwindSafe(|| {
+        for op in &mix.ops {
+            let key = |k: u64| Key::from_u64(k);
+            match *op {
+                Op::Insert(k, v) => table.insert(&key(k), &Value::from_u64(v)).unwrap(),
+                Op::Update(k, v) => table.update(&key(k), &Value::from_u64(v)).unwrap(),
+                Op::Remove(k) => assert!(table.remove(&key(k)).unwrap()),
+                Op::InsertBig(k, v) => table.insert_bytes(&key(k), &big_payload(v)).unwrap(),
+                Op::UpdateBig(k, v) => table.update_bytes(&key(k), &big_payload(v)).unwrap(),
+            }
+            applied += 1;
+        }
+    }));
+    fault::disarm();
+    let payload = crashed.expect_err("the plan fires inside the mix");
+    assert!(fault::injected(&*payload).is_some(), "a genuine panic, not the injected crash");
+    let pool = table.into_pool();
+    assert!(pool.vlog.len() >= 2, "the log spans {} segment(s)", pool.vlog.len());
+    let dropped = pool.crash(seed);
+    drop(pool);
+    let (table, _) = Hdnh::open_pool(explore_params(), dir, 1).unwrap();
+    let keys: BTreeSet<u64> = mix
+        .ops
+        .iter()
+        .map(|op| match *op {
+            Op::Insert(k, _)
+            | Op::Update(k, _)
+            | Op::Remove(k)
+            | Op::InsertBig(k, _)
+            | Op::UpdateBig(k, _) => k,
+        })
+        .collect();
+    let recovered = keys
+        .into_iter()
+        .map(|k| {
+            let key = Key::from_u64(k);
+            (k, table.get(&key).unwrap(), table.get_bytes(&key).ok().flatten())
+        })
+        .collect();
+    drop(table);
+    let _ = std::fs::remove_dir_all(dir);
+    (applied, dropped, recovered)
+}
+
+/// One seed is one pool crash. The same case run twice — crashing mid-op,
+/// with the value log spread over several segment files — completes the
+/// same ops, drops the same words and recovers the same contents; another
+/// seed recovers different ones.
+#[test]
+fn one_seed_replays_one_pool_crash() {
+    let _gate = FAULT_REGISTRY_GATE.lock().unwrap();
+    let mix = OpMix::builtin().into_iter().find(|m| m.name == "vlog-spill").unwrap();
+    // The commit fence of the 14th re-spilling update: its header word is
+    // flushed, not fenced, so the cut decides between the old value and
+    // the new (seed 1 drops the word, seed 4 keeps it).
+    let plan = FaultPlan {
+        site: "nvm.fence".into(),
+        hit: 146,
+    };
+    let dir = tmp_pool("replay", 0);
+    let first = pool_case(&mix, &plan, 1, &dir);
+    assert!(first.1 > 0, "the cut dropped nothing");
+    assert_eq!(pool_case(&mix, &plan, 1, &dir), first, "same case, same seed, different crash");
+    assert_ne!(pool_case(&mix, &plan, 4, &dir).2, first.2, "the seed does not reach the cut");
 }
 
 /// The flip side, documenting *why* `--sync-policy sync` exists: under the
@@ -162,16 +223,10 @@ fn async_policy_demonstrably_loses_acked_writes() {
             }
             model.insert(k, v);
         }
-        drop(table);
-
-        let mode = LossMode::from_seed(seed);
-        let mut crash_rng = XorShift64Star::new(seed ^ 0x2545_F491_4F6C_DD1D);
-        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
-            let p = entry.path();
-            if p.extension().and_then(|e| e.to_str()) == Some("dat") {
-                powerloss_crash_file(&p, &mut crash_rng, mode).unwrap();
-            }
-        }
+        // Power fails by handle under every region, in the seed's loss mode.
+        let pool = table.into_pool();
+        pool.crash(seed);
+        drop(pool);
 
         // Under Async the pool violates the ADR contract, so recovery may
         // legitimately fail, panic, or come back with holes. Any of those
