@@ -445,11 +445,6 @@ impl Engine {
                 )))
             }
             Command::Restore(snap, dest) => {
-                if self.params.nvm.strict {
-                    return Err(HdnhError::Config(
-                        "restore opens a file-backed pool and cannot run under --strict".into(),
-                    ));
-                }
                 let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
                 let (table, report) = Hdnh::restore_snapshot(
                     self.params.clone(),
@@ -879,7 +874,58 @@ mod tests {
         let got = e.table().unwrap().get(&e.ks.key(3)).unwrap();
         assert_eq!(got, Some(e.ks.value(3, 0)), "a filled id reads back its value");
         assert_eq!(e.execute(Command::Quit), Outcome::Quit);
+        // The media image lives in memory: the directory holds only the pool.
+        for name in file_names(&dir) {
+            let pool_file = name == "superblock"
+                || name == "meta.dat"
+                || ["seg-", "vlog-"].iter().any(|p| name.starts_with(p) && name.ends_with(".dat"));
+            assert!(pool_file, "{name} is not a pool file");
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The names of the files in `dir`, sorted.
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn restore_rebuilds_a_pool_that_opens_and_scrubs_clean() {
+        for strict in [false, true] {
+            let work = std::env::temp_dir()
+                .join(format!("hdnh-cli-engine-restore-{}-{strict}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&work);
+            let (pool, snap, dest) = (work.join("pool"), work.join("snap"), work.join("dest"));
+            let config = |dir: &std::path::Path| EngineConfig {
+                strict,
+                capacity: 100_000,
+                pool: Some(dir.to_str().unwrap().to_string()),
+                ..Default::default()
+            };
+            let mut e = Engine::try_new(config(&pool)).unwrap();
+            run(&mut e, "fill 20000");
+            let out = run(&mut e, &format!("backup {}", snap.display()));
+            assert!(out.contains("snapshot written"), "{out}");
+            let out = run(&mut e, &format!("restore {} {}", snap.display(), dest.display()));
+            assert!(out.contains("20000 records"), "strict={strict}: {out}");
+            assert_eq!(e.execute(Command::Quit), Outcome::Quit);
+            let mut want = file_names(&snap);
+            want.retain(|name| name != hdnh::SNAPSHOT_MANIFEST_FILE);
+            assert_eq!(file_names(&dest), want, "strict={strict}");
+
+            let mut e = Engine::try_new(config(&dest)).unwrap();
+            let banner = e.open_banner().unwrap().to_string();
+            assert!(banner.contains("clean shutdown"), "strict={strict}: {banner}");
+            let out = run(&mut e, "scrub");
+            assert!(out.contains("\"detected\":0"), "strict={strict}: {out}");
+            assert_eq!(e.execute(Command::Quit), Outcome::Quit);
+            let _ = std::fs::remove_dir_all(&work);
+        }
     }
 
     #[test]

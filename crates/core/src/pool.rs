@@ -295,7 +295,7 @@ impl Hdnh {
         let live = table.region_file_paths();
         let mut removed = 0usize;
         for p in pool.region_files().map_err(HdnhError::from)? {
-            if !live.contains(&p) && PoolDir::remove_region(&p).is_ok() {
+            if !live.contains(&p) && fs::remove_file(&p).is_ok() {
                 removed += 1;
             }
         }

@@ -26,10 +26,6 @@
 //!   and CRC-32, itself CRC-terminated, written last via temp-file +
 //!   rename. A directory without a valid manifest is not a snapshot;
 //!   restore refuses it.
-//!
-//! A strict pool's `.shadow` media images are deliberately *not* copied:
-//! a snapshot models media contents, and the restore side re-derives its
-//! media baseline from the region files on open.
 
 use std::fs;
 use std::io::{Read, Write};

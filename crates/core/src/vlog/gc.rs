@@ -38,7 +38,6 @@
 use crate::epoch;
 use crate::error::HdnhError;
 use crate::table::Hdnh;
-use hdnh_nvm::PoolDir;
 use hdnh_obs as obs;
 
 use super::{segment, VlogPtr};
@@ -159,7 +158,7 @@ impl Hdnh {
         if !retired_paths.is_empty() {
             epoch::drain();
             for p in retired_paths {
-                let _ = PoolDir::remove_region(&p);
+                let _ = std::fs::remove_file(&p);
             }
         }
         Ok(())

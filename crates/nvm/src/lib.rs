@@ -33,11 +33,11 @@
 //! executed. There is one implementation of it. A strict region tracks, per
 //! cacheline, whether the line is *dirty* (written, not flushed) or *staged*
 //! (flushed, fence pending), and keeps the image media is guaranteed to
-//! hold — in a heap buffer under [`Backend::Heap`], in a `.shadow` file
-//! beside each region file under [`Backend::Pool`]. The backends differ
-//! only in when a fence counts as durable: always on the heap; on a pool,
-//! when its `msync` was blocking ([`SyncPolicy::Sync`]) and succeeded, or on
-//! a full [`sync_to_disk`](NvmRegion::sync_to_disk).
+//! hold in a heap buffer, under [`Backend::Heap`] and [`Backend::Pool`]
+//! alike. The backends differ only in when a fence counts as durable:
+//! always on the heap; on a pool, when its `msync` was blocking
+//! ([`SyncPolicy::Sync`]) and succeeded, or on a full
+//! [`sync_to_disk`](NvmRegion::sync_to_disk).
 //!
 //! Unfenced lines may still reach media — cache eviction, page writeback —
 //! so at a simulated power cut one loss engine decides, from a seed, which

@@ -161,15 +161,6 @@ impl PoolDir {
         Ok(self.dir.join(format!("seg-{id}.dat")))
     }
 
-    /// Unlinks a region file of a pool together with whatever the pool
-    /// keeps beside it (a strict region's media image). The error is the
-    /// region file's; its companions go best-effort.
-    pub fn remove_region(path: &Path) -> std::io::Result<()> {
-        fs::remove_file(path)?;
-        crate::shadow::remove_sidecar(path);
-        Ok(())
-    }
-
     /// Records a flush-path fault. First error wins; later ones are
     /// dropped (they are almost always the same failing device).
     pub fn record_fault(&self, err: NvmIoError) {

@@ -10,8 +10,8 @@
 //! ordering, while keeping the simulator free of UB.
 //!
 //! In **strict mode** the region additionally keeps a shadow *media* image
-//! and per-cacheline dirty/staged tracking implementing the ADR persistence
-//! model, on either backend; see [`NvmOptions::strict`] and
+//! in memory and per-cacheline dirty/staged tracking implementing the ADR
+//! persistence model, on either backend; see [`NvmOptions::strict`] and
 //! [`NvmRegion::crash`].
 
 use std::mem::{size_of, MaybeUninit};
@@ -41,12 +41,11 @@ pub const NVM_BLOCK: usize = 256;
 #[derive(Clone, Debug, Default)]
 pub enum Backend {
     /// Heap-allocated simulator (the default): fast, dies with the
-    /// process. A strict region keeps its media image on the heap too.
+    /// process.
     #[default]
     Heap,
     /// `MAP_SHARED` files inside a pool directory: survives real process
-    /// death, flushes via `msync`. A strict region keeps its media image in
-    /// a `.shadow` file beside the region file.
+    /// death, flushes via `msync`.
     Pool(Arc<PoolDir>),
 }
 
@@ -94,10 +93,10 @@ pub struct NvmOptions {
     pub bandwidth: Option<Arc<BandwidthLimiter>>,
     /// Track what media holds: a shadow media image plus dirty/staged
     /// cacheline sets, on whichever backend the options name — the image
-    /// is a heap buffer under [`Backend::Heap`] and a `.shadow` file beside
-    /// each region file under [`Backend::Pool`]; either loses power with
-    /// [`NvmRegion::crash`]. Costs a mutex per write, so it is meant for
-    /// (mostly single-threaded) consistency tests, not benchmarks.
+    /// is a heap buffer on both, and either loses power with
+    /// [`NvmRegion::crash`]. Costs a mutex per write and a heap copy of
+    /// every region, so it is meant for (mostly single-threaded)
+    /// consistency tests, not benchmarks.
     pub strict: bool,
     /// Storage backend: heap simulator (default) or file-backed pool.
     pub backend: Backend,
@@ -230,25 +229,20 @@ impl NvmRegion {
         options: &NvmOptions,
         name_hint: &str,
     ) -> Result<Self, NvmIoError> {
-        // A fresh region's durable image is all zeroes on either backend.
-        let (backing, tracker) = match &options.backend {
+        let backing = match &options.backend {
             Backend::Heap => {
                 let n_words = len.div_ceil(8);
                 let mut words = Vec::with_capacity(n_words);
                 words.resize_with(n_words, || AtomicU64::new(0));
-                let tracker = options.strict.then(|| MediaTracker::heap(len));
-                (Backing::Heap(words.into_boxed_slice()), tracker)
+                Backing::Heap(words.into_boxed_slice())
             }
             Backend::Pool(pool) => {
                 let path = pool.new_region_path(name_hint)?;
-                let map = FileMap::create(&path, len)?;
-                let tracker = options
-                    .strict
-                    .then(|| MediaTracker::sidecar(&path, &vec![0u8; len]))
-                    .transpose()?;
-                (Backing::file(map, pool), tracker)
+                Backing::file(FileMap::create(&path, len)?, pool)
             }
         };
+        // A fresh region's durable image is all zeroes on either backend.
+        let tracker = options.strict.then(|| MediaTracker::new(vec![0u8; len]));
         Ok(Self::over(backing, len, tracker, options))
     }
 
@@ -284,15 +278,15 @@ impl NvmRegion {
             }
         };
         let (map, len) = FileMap::open(path)?;
-        let tracker = if options.strict {
+        let mut region = Self::over(Backing::file(map, &pool), len, None, options);
+        if options.strict {
             // A reopen is a fresh boot: whatever the file holds *is* what
-            // media presented, so the media image is reset to it.
-            let image = std::fs::read(path).map_err(|e| NvmIoError::new("read", path, e))?;
-            Some(MediaTracker::sidecar(path, &image)?)
-        } else {
-            None
-        };
-        Ok(Self::over(Backing::file(map, &pool), len, tracker, options))
+            // media presented, so the media image starts as the mapping.
+            let mut media = vec![0u8; len];
+            region.copy_out(0, &mut media);
+            region.tracker = Some(Mutex::new(MediaTracker::new(media)));
+        }
+        Ok(region)
     }
 
     /// The word array behind the region, whichever backend owns it.
@@ -323,7 +317,7 @@ impl NvmRegion {
                 if let Some(tracker) = &self.tracker {
                     // MS_SYNC + fsync covered the whole mapping: everything
                     // is on media now.
-                    tracker.lock().commit_all(|off, buf| self.copy_out(off, buf))?;
+                    tracker.lock().commit_all(|off, buf| self.copy_out(off, buf));
                 }
                 Ok(())
             }
@@ -517,17 +511,6 @@ impl NvmRegion {
         }
     }
 
-    /// A failed media-image update on a pool region is a sticky pool fault
-    /// like a failed `msync`; the heap image cannot fail.
-    fn note_media_result(&self, r: Result<(), NvmIoError>) {
-        if let Err(e) = r {
-            match &self.backing {
-                Backing::File { pool, .. } => pool.record_fault(e),
-                Backing::Heap(_) => unreachable!("heap media image is infallible: {e}"),
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // 8-byte atomics (the failure-atomicity unit of persistent memory)
     // ------------------------------------------------------------------
@@ -683,8 +666,7 @@ impl NvmRegion {
             }
         };
         if let (true, Some(tracker)) = (durable, &self.tracker) {
-            let r = tracker.lock().commit_staged(|off, buf| self.copy_out(off, buf));
-            self.note_media_result(r);
+            tracker.lock().commit_staged(|off, buf| self.copy_out(off, buf));
         }
     }
 
@@ -714,8 +696,7 @@ impl NvmRegion {
         }
         self.copy_in(off, &cur);
         if let Some(tracker) = &self.tracker {
-            let r = tracker.lock().corrupt(off, mask);
-            self.note_media_result(r);
+            tracker.lock().corrupt(off, mask);
         }
     }
 
@@ -781,10 +762,10 @@ impl NvmRegion {
     /// cache writes a file back. Every decision is drawn from `rng`, with
     /// the lines visited in ascending order: one seed replays one outcome.
     ///
-    /// Afterwards the working image equals the media image — on a pool, the
-    /// region file and its `.shadow` too — and all tracking is cleared,
-    /// exactly like a fresh boot mapping the same pool. Returns the number
-    /// of words dropped.
+    /// Afterwards the working image equals the media image — on a pool, so
+    /// does the region file — and all tracking is cleared, exactly like a
+    /// fresh boot mapping the same pool. Returns the number of words
+    /// dropped.
     ///
     /// Must not race with other accessors (callers quiesce their threads
     /// first, as a real crash test harness would).
@@ -820,13 +801,11 @@ impl NvmRegion {
         if let Backing::File { pending, .. } = &self.backing {
             *pending.lock() = None;
         }
-        tracker
-            .power_fail(|media, at_risk| {
-                let r = lose(&working, media, at_risk);
-                self.copy_in(0, media);
-                r
-            })
-            .unwrap_or_else(|e| panic!("{caller}: the media image did not survive the cut: {e}"))
+        tracker.power_fail(|media, at_risk| {
+            let r = lose(&working, media, at_risk);
+            self.copy_in(0, media);
+            r
+        })
     }
 }
 
@@ -1382,8 +1361,8 @@ mod tests {
             check_against_byte_model(&region(301), &ops);
         }
 
-        /// The persistence model over both media images: a heap buffer, and
-        /// a `.shadow` file under the sync policy whose fences are durable.
+        /// The persistence model on both backends: the heap, and a pool
+        /// under the sync policy whose fences are durable.
         #[test]
         fn strict_region_matches_byte_model_and_line_sets(ops in model_ops()) {
             check_against_byte_model(&strict_region(301), &ops);
@@ -1454,25 +1433,51 @@ mod tests {
             (d, NvmOptions::pooled(pool))
         }
 
+        /// Plain, then strict under the blocking sync policy: there the
+        /// reopen is a fresh boot whose media image is the file.
         #[test]
         fn pooled_region_roundtrips_and_reopens() {
-            let (d, opts) = pool_dir("roundtrip");
-            let r = NvmRegion::alloc(512, &opts, "seg").unwrap();
-            let path = r.file_path().unwrap().to_path_buf();
-            r.write_bytes(13, &[0xAB; 31]);
-            r.persist(13, 31);
-            r.atomic_store_u64(64, 0x1234, Ordering::Release);
-            r.sync_to_disk().unwrap();
-            drop(r);
+            for strict in [false, true] {
+                let (d, mut opts) = pool_dir(&format!("roundtrip_{strict}"));
+                if strict {
+                    opts.strict = true;
+                    opts.sync_policy = SyncPolicy::Sync;
+                }
+                let r = NvmRegion::alloc(512, &opts, "seg").unwrap();
+                let path = r.file_path().unwrap().to_path_buf();
+                r.write_bytes(13, &[0xAB; 31]);
+                r.persist(13, 31);
+                r.atomic_store_u64(64, 0x1234, Ordering::Release);
+                r.sync_to_disk().unwrap();
+                drop(r);
 
-            let r2 = NvmRegion::open_file(&path, &opts).unwrap();
-            assert_eq!(r2.len(), 512);
-            let mut buf = [0u8; 31];
-            r2.read_into(13, &mut buf);
-            assert_eq!(buf, [0xAB; 31]);
-            assert_eq!(r2.atomic_load_u64(64, Ordering::Acquire), 0x1234);
-            drop(r2);
-            std::fs::remove_dir_all(&d).unwrap();
+                let r2 = NvmRegion::open_file(&path, &opts).unwrap();
+                assert_eq!(r2.len(), 512);
+                let mut buf = [0u8; 31];
+                r2.read_into(13, &mut buf);
+                assert_eq!(buf, [0xAB; 31]);
+                assert_eq!(r2.atomic_load_u64(64, Ordering::Acquire), 0x1234);
+                if strict {
+                    let image = |r: &NvmRegion| {
+                        let mut bytes = vec![0u8; r.len()];
+                        r.peek(0, &mut bytes);
+                        bytes
+                    };
+                    let booted = image(&r2);
+                    assert_eq!(r2.at_risk_lines(), 0, "a reopen has nothing in flight");
+                    for mode in LossMode::ALL {
+                        assert_eq!(r2.crash(&mut XorShift64Star::new(1), mode), 0, "{}", mode.name());
+                        assert!(image(&r2) == booted, "{}: a cut changed the bytes", mode.name());
+                    }
+                    // From here an unfenced write is all a cut can take.
+                    r2.write_bytes(256, &[0xCD; 64]);
+                    assert_eq!(r2.at_risk_lines(), 1);
+                    r2.crash_with(|_| false);
+                    assert!(image(&r2) == booted, "the cut took more than the unfenced write");
+                }
+                drop(r2);
+                std::fs::remove_dir_all(&d).unwrap();
+            }
         }
 
         #[test]

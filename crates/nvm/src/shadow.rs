@@ -4,11 +4,10 @@
 //! to its working bytes, one [`MediaTracker`]: a *media image* (the bytes a
 //! power cut is guaranteed to leave behind) and two cacheline sets — `dirty`
 //! (written, not flushed) and `staged` (flushed, not yet covered by a fence
-//! that reached the durability point). The image lives where the backend
-//! puts it: a heap `Vec<u8>` for [`Backend::Heap`](crate::Backend), a
-//! `seg-N.dat.shadow` file beside `seg-N.dat` for
-//! [`Backend::Pool`](crate::Backend). Everything else — marking, staging,
-//! committing, decay, the ack lint, the power cut — is the same code on both.
+//! that reached the durability point). The image is one heap `Vec<u8>` on
+//! either backend, so marking, staging, committing, decay, the ack lint and
+//! the power cut are the same code on both, and a pool directory holds only
+//! the pool's own files.
 //!
 //! The one backend-specific fact is *when a fence is durable*, and the
 //! region decides it: every fence on the heap (ADR: `clwb` + `sfence`), only
@@ -26,14 +25,10 @@
 //! ascending order, so one seed replays one outcome.
 
 use std::collections::{BTreeSet, HashSet};
-use std::fs::{File, OpenOptions};
 use std::ops::Range;
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
 
 use hdnh_common::rng::XorShift64Star;
 
-use crate::mapfile::NvmIoError;
 use crate::region::CACHELINE;
 
 /// OS page size: the granularity at which writeback drops/reorders.
@@ -155,46 +150,6 @@ pub(crate) fn apply_loss(
     dropped
 }
 
-/// The sidecar path holding a region file's guaranteed-persisted image.
-fn sidecar_path(region: &Path) -> PathBuf {
-    let mut os = region.as_os_str().to_os_string();
-    os.push(".shadow");
-    PathBuf::from(os)
-}
-
-/// Best-effort removal of a region file's sidecar.
-pub(crate) fn remove_sidecar(region: &Path) {
-    let _ = std::fs::remove_file(sidecar_path(region));
-}
-
-/// Where the media image lives; the backend picks.
-enum MediaImage {
-    Heap(Vec<u8>),
-    Sidecar { file: File, path: PathBuf },
-}
-
-impl MediaImage {
-    fn read_at(&self, off: usize, out: &mut [u8]) -> Result<(), NvmIoError> {
-        match self {
-            MediaImage::Heap(media) => out.copy_from_slice(&media[off..off + out.len()]),
-            MediaImage::Sidecar { file, path } => {
-                file.read_exact_at(out, off as u64).map_err(|e| NvmIoError::new("read", path, e))?
-            }
-        }
-        Ok(())
-    }
-
-    fn write_at(&mut self, off: usize, bytes: &[u8]) -> Result<(), NvmIoError> {
-        match self {
-            MediaImage::Heap(media) => media[off..off + bytes.len()].copy_from_slice(bytes),
-            MediaImage::Sidecar { file, path } => {
-                file.write_all_at(bytes, off as u64).map_err(|e| NvmIoError::new("write", path, e))?
-            }
-        }
-        Ok(())
-    }
-}
-
 /// How far one cacheline has got towards media.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LineState {
@@ -209,41 +164,18 @@ pub(crate) enum LineState {
 /// The media image of one live region plus which cachelines of the working
 /// image it does not yet cover. A line is in at most one of the two sets.
 pub(crate) struct MediaTracker {
-    image: MediaImage,
-    len: usize,
+    media: Vec<u8>,
     dirty: BTreeSet<usize>,
     staged: BTreeSet<usize>,
 }
 
 impl MediaTracker {
-    /// Tracking for a fresh heap region: media holds zeroes.
-    pub(crate) fn heap(len: usize) -> Self {
-        Self::over(MediaImage::Heap(vec![0u8; len]), len)
-    }
-
-    /// Tracking for a pool region: creates (or resets) the sidecar so it
-    /// holds exactly `image` — the content that is already durable when the
-    /// region comes up: all zeroes for a fresh allocation, the current file
-    /// bytes for a reopen (a fresh boot finds on media whatever the file
-    /// holds).
-    pub(crate) fn sidecar(region_path: &Path, image: &[u8]) -> Result<Self, NvmIoError> {
-        let path = sidecar_path(region_path);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| NvmIoError::new("open", &path, e))?;
-        file.write_all_at(image, 0).map_err(|e| NvmIoError::new("write", &path, e))?;
-        file.sync_all().map_err(|e| NvmIoError::new("fsync", &path, e))?;
-        Ok(Self::over(MediaImage::Sidecar { file, path }, image.len()))
-    }
-
-    fn over(image: MediaImage, len: usize) -> Self {
+    /// Tracking over `media`, the content already durable when the region
+    /// comes up: all zeroes for a fresh allocation, the file bytes for a
+    /// reopen (a fresh boot finds on media whatever the file holds).
+    pub(crate) fn new(media: Vec<u8>) -> Self {
         MediaTracker {
-            image,
-            len,
+            media,
             dirty: BTreeSet::new(),
             staged: BTreeSet::new(),
         }
@@ -270,44 +202,30 @@ impl MediaTracker {
 
     /// A fence reached the durability point: every staged line's working
     /// bytes are on media. `copy` reads the working image.
-    pub(crate) fn commit_staged(
-        &mut self,
-        copy: impl Fn(usize, &mut [u8]),
-    ) -> Result<(), NvmIoError> {
+    pub(crate) fn commit_staged(&mut self, copy: impl Fn(usize, &mut [u8])) {
         let staged = std::mem::take(&mut self.staged);
-        self.commit(staged, copy)
+        self.commit(staged, copy);
     }
 
     /// Everything is on media, dirty lines included: a whole-mapping sync.
-    pub(crate) fn commit_all(&mut self, copy: impl Fn(usize, &mut [u8])) -> Result<(), NvmIoError> {
+    pub(crate) fn commit_all(&mut self, copy: impl Fn(usize, &mut [u8])) {
         let mut all = std::mem::take(&mut self.dirty);
         all.append(&mut self.staged);
-        self.commit(all, copy)
+        self.commit(all, copy);
     }
 
-    fn commit(
-        &mut self,
-        lines: BTreeSet<usize>,
-        copy: impl Fn(usize, &mut [u8]),
-    ) -> Result<(), NvmIoError> {
-        let mut buf = [0u8; CACHELINE];
+    fn commit(&mut self, lines: BTreeSet<usize>, copy: impl Fn(usize, &mut [u8])) {
         for line in lines {
-            let span = line_span(line, self.len);
-            let bytes = &mut buf[..span.len()];
-            copy(span.start, bytes);
-            self.image.write_at(span.start, bytes)?;
+            let span = line_span(line, self.media.len());
+            copy(span.start, &mut self.media[span]);
         }
-        Ok(())
     }
 
     /// Media decay: XORs `mask` into the persisted image at `off`.
-    pub(crate) fn corrupt(&mut self, off: usize, mask: &[u8]) -> Result<(), NvmIoError> {
-        let mut cur = vec![0u8; mask.len()];
-        self.image.read_at(off, &mut cur)?;
-        for (b, m) in cur.iter_mut().zip(mask) {
+    pub(crate) fn corrupt(&mut self, off: usize, mask: &[u8]) {
+        for (b, m) in self.media[off..off + mask.len()].iter_mut().zip(mask) {
             *b ^= m;
         }
-        self.image.write_at(off, &cur)
     }
 
     /// Lines a power cut could take: dirty or staged.
@@ -334,35 +252,20 @@ impl MediaTracker {
 
     /// Power failure by handle. `reboot` settles the fate of the at-risk
     /// lines, handed over in ascending order, on the whole media image and
-    /// boots the working bytes from it; a sidecar image is read first and
-    /// written back after. Tracking is cleared: a fresh boot has nothing
-    /// in flight.
-    pub(crate) fn power_fail<R>(
-        &mut self,
-        reboot: impl FnOnce(&mut [u8], &[usize]) -> R,
-    ) -> Result<R, NvmIoError> {
+    /// boots the working bytes from it. Tracking is cleared: a fresh boot
+    /// has nothing in flight.
+    pub(crate) fn power_fail<R>(&mut self, reboot: impl FnOnce(&mut [u8], &[usize]) -> R) -> R {
         // The sets are disjoint, so their union walks every line once.
         let at_risk: Vec<usize> = self.dirty.union(&self.staged).copied().collect();
         self.dirty.clear();
         self.staged.clear();
-        match &mut self.image {
-            MediaImage::Heap(media) => Ok(reboot(media, &at_risk)),
-            MediaImage::Sidecar { .. } => {
-                let mut media = vec![0u8; self.len];
-                self.image.read_at(0, &mut media)?;
-                let r = reboot(&mut media, &at_risk);
-                self.image.write_at(0, &media)?;
-                Ok(r)
-            }
-        }
+        reboot(&mut self.media, &at_risk)
     }
 
     /// The whole media image (test assertions).
     #[cfg(test)]
-    pub(crate) fn media(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        self.image.read_at(0, &mut out).unwrap();
-        out
+    pub(crate) fn media(&self) -> &[u8] {
+        &self.media
     }
 }
 
@@ -370,6 +273,7 @@ impl MediaTracker {
 mod tests {
     use super::*;
     use crate::{NvmOptions, NvmRegion, PoolDir, SyncPolicy};
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
@@ -399,29 +303,19 @@ mod tests {
         (d, r)
     }
 
-    /// What a cut region booted into. The mapping, the region file and its
-    /// `.shadow` must hold the same bytes: the next open finds on media
-    /// exactly what the live region was rebooted to.
+    /// What a cut region booted into. The mapping and the region file must
+    /// hold the same bytes: the next open finds on media exactly what the
+    /// live region was rebooted to.
     fn rebooted_image(r: &NvmRegion) -> Vec<u8> {
-        let path = r.file_path().unwrap();
         let mut mapping = vec![0u8; r.len()];
         r.peek(0, &mut mapping);
-        assert!(std::fs::read(path).unwrap() == mapping, "region file != mapping");
-        assert!(std::fs::read(sidecar_path(path)).unwrap() == mapping, "shadow != mapping");
+        assert!(std::fs::read(r.file_path().unwrap()).unwrap() == mapping, "region file != mapping");
         mapping
     }
 
     fn cleanup(d: &Path, r: NvmRegion) {
         drop(r);
         let _ = std::fs::remove_dir_all(d);
-    }
-
-    #[test]
-    fn sidecar_path_appends_extension() {
-        assert_eq!(
-            sidecar_path(Path::new("/p/seg-1.dat")),
-            Path::new("/p/seg-1.dat.shadow")
-        );
     }
 
     #[test]
@@ -509,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_with_reboots_mapping_file_and_shadow_alike() {
+    fn crash_with_reboots_mapping_and_file_alike() {
         let (d, r) = unfenced_region("crash_with", 4096, 0x5A);
         r.persist(0, 64);
         r.flush(64, 64);
@@ -522,23 +416,5 @@ mod tests {
             assert!(bytes.iter().all(|&b| b == want), "line {line}");
         }
         cleanup(&d, r);
-    }
-
-    #[test]
-    fn remove_region_takes_the_sidecar_along() {
-        let d = tmp("rm");
-        std::fs::create_dir_all(&d).unwrap();
-        let region = d.join("seg-0.dat");
-        std::fs::write(&region, [0u8; 64]).unwrap();
-        let _sh = MediaTracker::sidecar(&region, &[0u8; 64]).unwrap();
-        assert!(sidecar_path(&region).exists());
-        crate::PoolDir::remove_region(&region).unwrap();
-        assert!(!region.exists() && !sidecar_path(&region).exists());
-        // Gone already: the region file's error, nothing else disturbed.
-        assert!(crate::PoolDir::remove_region(&region).is_err());
-        // An untracked region has no sidecar to take.
-        std::fs::write(&region, [0u8; 64]).unwrap();
-        crate::PoolDir::remove_region(&region).unwrap();
-        let _ = std::fs::remove_dir_all(&d);
     }
 }

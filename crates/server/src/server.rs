@@ -255,29 +255,21 @@ fn dispatch(
             if frame.len() < 2 {
                 wrong_args(out, "del");
             } else {
-                let mut removed = 0i64;
-                let mut failed = None;
-                for i in 1..frame.len() {
-                    let Some(k) = parse_u64(dec.arg(frame, i)) else {
-                        failed = Some(());
-                        break;
-                    };
-                    // The first error, a sticky pool I/O fault included,
-                    // is the reply: the keys after it are left alone.
-                    match table.remove(&Key::from_u64(k)) {
-                        Ok(true) => removed += 1,
-                        Ok(false) => {}
-                        Err(e) => {
-                            enc_hdnh_error(out, &e);
-                            finish(started, obs::NetCmd::Del);
-                            return action;
-                        }
-                    }
-                }
-                if failed.is_some() {
+                // Every key is parsed before the first removal, so a bad
+                // key changes nothing.
+                let keys = || (1..frame.len()).map(|i| parse_u64(dec.arg(frame, i)));
+                if keys().any(|k| k.is_none()) {
                     enc_error(out, "ERR", "value is not an unsigned integer or out of range");
                 } else {
-                    enc_int(out, removed);
+                    // The first error, a sticky pool I/O fault included,
+                    // is the reply: the keys after it are left alone.
+                    let removed = keys().flatten().try_fold(0i64, |n, k| {
+                        table.remove(&Key::from_u64(k)).map(|gone| n + i64::from(gone))
+                    });
+                    match removed {
+                        Ok(n) => enc_int(out, n),
+                        Err(e) => enc_hdnh_error(out, &e),
+                    }
                 }
             }
             obs::NetCmd::Del
@@ -332,21 +324,21 @@ fn dispatch(
             if frame.len() < 3 || frame.len().is_multiple_of(2) {
                 wrong_args(out, "mset");
             } else {
-                let mut err = None;
-                for i in (1..frame.len()).step_by(2) {
-                    let Some(k) = parse_u64(dec.arg(frame, i)) else {
-                        enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-                        finish(started, obs::NetCmd::MSet);
-                        return action;
-                    };
-                    if let Err(e) = table.upsert_bytes(&Key::from_u64(k), dec.arg(frame, i + 1)) {
-                        err = Some(e);
-                        break;
+                // As `DEL`: every key is parsed before the first store, and
+                // the first table error is the reply.
+                let keys = || (1..frame.len()).step_by(2).map(|i| parse_u64(dec.arg(frame, i)));
+                if keys().any(|k| k.is_none()) {
+                    enc_error(out, "ERR", "value is not an unsigned integer or out of range");
+                } else {
+                    let values = (2..frame.len()).step_by(2).map(|i| dec.arg(frame, i));
+                    let stored = keys()
+                        .flatten()
+                        .zip(values)
+                        .try_for_each(|(k, v)| table.upsert_bytes(&Key::from_u64(k), v));
+                    match stored {
+                        Ok(()) => enc_simple(out, "OK"),
+                        Err(e) => enc_hdnh_error(out, &e),
                     }
-                }
-                match err {
-                    None => enc_simple(out, "OK"),
-                    Some(e) => enc_hdnh_error(out, &e),
                 }
             }
             obs::NetCmd::MSet

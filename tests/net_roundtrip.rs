@@ -102,6 +102,25 @@ fn command_errors_keep_the_connection_usable() {
 }
 
 #[test]
+fn a_bad_key_in_del_or_mset_changes_nothing() {
+    let (handle, addr) = spawn_server(ServerConfig::default());
+    let mut c = client(&addr);
+
+    assert_eq!(c.set(1, 10).unwrap(), Ok(()));
+    // The bad key comes after a good one: no key is touched before every
+    // key has parsed.
+    for req in [&[b"DEL".as_slice(), b"1", b"x"] as &[&[u8]], &[b"MSET", b"1", b"11", b"x", b"12"]] {
+        match c.call(req).unwrap() {
+            Reply::Error(e) => assert!(e.starts_with("ERR"), "{e}"),
+            other => panic!("expected error for {req:?}, got {other:?}"),
+        }
+        assert_eq!(c.get(1).unwrap(), Some(10), "{req:?} changed key 1");
+    }
+
+    handle.shutdown_and_join();
+}
+
+#[test]
 fn pipelined_batch_replies_in_order() {
     let (handle, addr) = spawn_server(ServerConfig::default());
     let mut c = client(&addr);
