@@ -5,19 +5,10 @@ use std::fmt;
 /// One shell command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `insert <key> <value>` — insert a new record; the value token's
-    /// bytes are the value, as with RESP `SET`.
-    Insert(u64, String),
-    /// `get <key>` — point lookup.
-    Get(u64),
-    /// `exists <key>` — membership probe (no value printed).
-    Exists(u64),
-    /// `mget <key> <key> ...` — batched point lookups in argument order.
-    MGet(Vec<u64>),
-    /// `update <key> <value>` — replace an existing record's value.
-    Update(u64, String),
-    /// `delete <key>` — remove a record.
-    Delete(u64),
+    /// Any line whose first word is none of the shell's own commands: its
+    /// words are a RESP request (`GET 1`, `SET 1 x`, `MSET 1 a 2 b`, ...)
+    /// run by the server's executor, `hdnh_server::execute`.
+    Resp(Vec<String>),
     /// `fill <n>` — bulk-insert ids `0..n` from the key space.
     Fill(u64),
     /// `workload <a|b|c|f> <ops>` — run a YCSB mix against the table.
@@ -37,14 +28,10 @@ pub enum Command {
     Scrub,
     /// `vlog` — value-log occupancy: segments, used/garbage/live bytes.
     Vlog,
-    /// `compact` — evacuate and retire garbage-carrying value-log segments.
-    Compact,
     /// `crash <seed>` — simulate power failure + recovery (strict mode).
     Crash(u64),
     /// `faultrun [...]` — crash-point injection matrix (see [`FaultRunMode`]).
     FaultRun(FaultRunMode),
-    /// `backup <dir>` — crash-consistent snapshot of a pool-backed table.
-    Backup(String),
     /// `restore <snapshot-dir> <dest-dir>` — verify a snapshot's CRC
     /// manifest, copy it into a fresh pool directory, and open it.
     Restore(String, String),
@@ -131,10 +118,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn value(tok: Option<&str>) -> Result<String, ParseError> {
-    tok.map(str::to_string).ok_or_else(|| ParseError("missing value".into()))
-}
-
 fn int(tok: Option<&str>, what: &str) -> Result<u64, ParseError> {
     tok.ok_or_else(|| ParseError(format!("missing {what}")))?
         .parse()
@@ -167,21 +150,6 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
         .ok_or_else(|| ParseError("empty command".into()))?
         .to_ascii_lowercase();
     let parsed = match cmd.as_str() {
-        "insert" | "put" => Command::Insert(int(toks.next(), "key")?, value(toks.next())?),
-        "get" | "read" => Command::Get(int(toks.next(), "key")?),
-        "exists" => Command::Exists(int(toks.next(), "key")?),
-        "mget" => {
-            let mut keys = Vec::new();
-            for tok in toks.by_ref() {
-                keys.push(int(Some(tok), "key")?);
-            }
-            if keys.is_empty() {
-                return Err(ParseError("mget needs at least one key".into()));
-            }
-            Command::MGet(keys)
-        }
-        "update" | "set" => Command::Update(int(toks.next(), "key")?, value(toks.next())?),
-        "delete" | "del" | "remove" => Command::Delete(int(toks.next(), "key")?),
         "fill" | "load" => Command::Fill(int(toks.next(), "count")?),
         "workload" | "ycsb" => {
             let mix = mix_letter(toks.next())?;
@@ -243,7 +211,6 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
         "verify" | "check" => Command::Verify,
         "scrub" => Command::Scrub,
         "vlog" => Command::Vlog,
-        "compact" | "gc" => Command::Compact,
         "crash" => Command::Crash(int(toks.next(), "seed")?),
         "faultrun" => {
             let mode = match toks.next() {
@@ -267,11 +234,6 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
             };
             Command::FaultRun(mode)
         }
-        "backup" => Command::Backup(
-            toks.next()
-                .ok_or_else(|| ParseError("missing snapshot directory".into()))?
-                .to_string(),
-        ),
         "restore" => Command::Restore(
             toks.next()
                 .ok_or_else(|| ParseError("missing snapshot directory".into()))?
@@ -282,7 +244,7 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
         ),
         "help" | "?" => Command::Help,
         "quit" | "exit" | "q" => Command::Quit,
-        other => return Err(ParseError(format!("unknown command '{other}' (try 'help')"))),
+        _ => return Ok(Some(Command::Resp(line.split_whitespace().map(str::to_string).collect()))),
     };
     if let Some(extra) = toks.next() {
         return Err(ParseError(format!("unexpected trailing argument '{extra}'")));
@@ -293,13 +255,11 @@ pub fn parse(line: &str) -> Result<Option<Command>, ParseError> {
 /// The help text shown by `help`.
 pub const HELP: &str = "\
 commands:
-  insert <key> <value>    insert a new record: a u64 key, and a value token
-                          stored as its bytes, exactly as RESP SET would
-  get <key>               point lookup; prints what RESP GET would return
-  exists <key>            membership probe (prints 1 or 0)
-  mget <key> <key> ...    batched point lookups in argument order
-  update <key> <value>    replace an existing record's value
-  delete <key>            remove a record
+  PING GET SET DEL EXISTS MGET MSET BACKUP COMPACT
+                          RESP commands, any case, run by the server's own
+                          executor (DESIGN.md §12): u64 keys, a value token
+                          stored as its bytes; nil prints (not found), an
+                          error reply error: CODE msg
   fill <n>                bulk-insert generator ids 0..n (the YCSB generator's
                           own 16-byte keys and 15-byte values; fill and
                           workload never touch a key get can name)
@@ -317,12 +277,9 @@ commands:
   scrub                   checksum-verify all live records; repair or
                           quarantine damaged slots
   vlog                    value-log occupancy (segments, used/garbage bytes)
-  compact                 evacuate and retire garbage-carrying value-log
-                          segments (readers never block)
   crash <seed>            simulate power failure + recovery (strict mode)
   faultrun [mode]         crash-point injection matrix; modes: full (default),
                           quick, sites, repro <[pool:]mix:site:hit:seed[:rsite:rhit]>
-  backup <dir>            crash-consistent snapshot (pool-backed tables only)
   restore <snap> <dest>   verify a snapshot's manifest, copy it into a fresh
                           pool directory and open it there
   help                    this text
@@ -333,28 +290,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_crud() {
-        assert_eq!(parse("insert 1 2").unwrap(), Some(Command::Insert(1, "2".into())));
-        assert_eq!(parse("put 1 hello").unwrap(), Some(Command::Insert(1, "hello".into())));
-        assert_eq!(parse("get 7").unwrap(), Some(Command::Get(7)));
-        assert_eq!(parse("UPDATE 3 4").unwrap(), Some(Command::Update(3, "4".into())));
-        assert_eq!(parse("del 9").unwrap(), Some(Command::Delete(9)));
-    }
-
-    #[test]
-    fn parses_exists_and_mget() {
-        assert_eq!(parse("exists 5").unwrap(), Some(Command::Exists(5)));
-        assert_eq!(parse("EXISTS 0").unwrap(), Some(Command::Exists(0)));
-        assert!(parse("exists").is_err());
-        assert!(parse("exists 1 2").is_err());
-        assert!(parse("exists x").is_err());
-        assert_eq!(parse("mget 1").unwrap(), Some(Command::MGet(vec![1])));
+    fn a_table_command_parses_to_a_resp_request() {
         assert_eq!(
-            parse("mget 3 1 4 1 5").unwrap(),
-            Some(Command::MGet(vec![3, 1, 4, 1, 5]))
+            parse("GET 7").unwrap(),
+            Some(Command::Resp(vec!["GET".into(), "7".into()]))
         );
-        assert!(parse("mget").is_err());
-        assert!(parse("mget 1 two 3").is_err());
     }
 
     #[test]
@@ -379,9 +319,6 @@ mod tests {
         assert_eq!(parse("scrub").unwrap(), Some(Command::Scrub));
         assert!(parse("scrub extra").is_err());
         assert_eq!(parse("vlog").unwrap(), Some(Command::Vlog));
-        assert_eq!(parse("compact").unwrap(), Some(Command::Compact));
-        assert_eq!(parse("GC").unwrap(), Some(Command::Compact));
-        assert!(parse("compact now").is_err());
         assert_eq!(parse("crash 42").unwrap(), Some(Command::Crash(42)));
         assert_eq!(parse("quit").unwrap(), Some(Command::Quit));
         assert_eq!(parse("?").unwrap(), Some(Command::Help));
@@ -493,15 +430,9 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse("frobnicate").is_err());
-        assert!(parse("insert").is_err());
-        assert!(parse("insert 1").is_err());
-        assert!(parse("insert x y").is_err());
-        assert!(parse("get 1 2").is_err());
+        assert!(parse("fill").is_err());
+        assert!(parse("fill x").is_err());
+        assert!(parse("crash 1 2").is_err());
         assert!(parse("workload z 10").is_err());
-        assert_eq!(
-            parse("record x a 5"),
-            Err(ParseError("unknown command 'record' (try 'help')".into()))
-        );
     }
 }

@@ -5,9 +5,12 @@ use std::time::Instant;
 
 use hdnh::faultexplore::{self, CaseBackend, ExploreConfig, OpMix};
 use hdnh::{Hdnh, HdnhError, HdnhParams};
-use hdnh_common::{HashIndex, Key};
+use hdnh_common::HashIndex;
 use hdnh_nvm::{FaultPlan, NvmOptions, StatsSnapshot};
 use hdnh_obs as obs;
+use hdnh_server::client::ReplyDecoder;
+use hdnh_server::resp::{enc_request, DEFAULT_MAX_FRAME};
+use hdnh_server::{Decoder, Reply};
 use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
 
 use crate::command::{
@@ -167,9 +170,9 @@ impl Engine {
     }
 
     /// Executes one command, returning the response text. Engine-level
-    /// errors ([`HdnhError`]) become [`Outcome::Failure`] so the shell can
-    /// exit nonzero; per-operation conditions (duplicate key, not found)
-    /// stay plain text.
+    /// errors ([`HdnhError`]) and RESP error replies become
+    /// [`Outcome::Failure`] so the shell can exit nonzero; a miss stays
+    /// plain text (`(not found)`).
     pub fn execute(&mut self, cmd: Command) -> Outcome {
         match self.execute_inner(cmd) {
             Ok(outcome) => outcome,
@@ -179,49 +182,7 @@ impl Engine {
 
     fn execute_inner(&mut self, cmd: Command) -> Result<Outcome, HdnhError> {
         match cmd {
-            // The keys both front-ends can name hold bytes: a value token
-            // is stored as RESP `SET` stores it and printed as `GET`
-            // returns it.
-            Command::Insert(k, v) => {
-                written(self.table()?.insert_bytes(&Key::from_u64(k), v.as_bytes()))
-            }
-            Command::Get(k) => Ok(Outcome::Text(
-                match self.table()?.get_bytes(&Key::from_u64(k))? {
-                    Some(v) => String::from_utf8_lossy(&v).into_owned(),
-                    None => "(not found)".to_string(),
-                },
-            )),
-            Command::Exists(k) => Ok(Outcome::Text(
-                match self.table()?.get(&Key::from_u64(k))? {
-                    Some(_) => "1".to_string(),
-                    None => "0".to_string(),
-                },
-            )),
-            Command::MGet(keys) => {
-                let table = self.table()?;
-                let mut out = String::new();
-                for (i, k) in keys.iter().enumerate() {
-                    if i > 0 {
-                        out.push('\n');
-                    }
-                    match table.get_bytes(&Key::from_u64(*k))? {
-                        Some(v) => {
-                            let _ = write!(out, "{k} {}", String::from_utf8_lossy(&v));
-                        }
-                        None => {
-                            let _ = write!(out, "{k} (not found)");
-                        }
-                    }
-                }
-                Ok(Outcome::Text(out))
-            }
-            Command::Update(k, v) => {
-                written(self.table()?.update_bytes(&Key::from_u64(k), v.as_bytes()))
-            }
-            Command::Delete(k) => {
-                let found = self.table()?.remove(&Key::from_u64(k))?;
-                Ok(Outcome::Text(if found { "ok" } else { "(not found)" }.to_string()))
-            }
+            Command::Resp(words) => self.resp(&words),
             Command::Fill(n) => {
                 let start_id = self.next_fill_id;
                 let t0 = Instant::now();
@@ -393,13 +354,6 @@ impl Engine {
                 }
                 Ok(Outcome::Text(out))
             }
-            Command::Compact => {
-                let r = self.table()?.compact()?;
-                Ok(Outcome::Text(format!(
-                    "compacted: {} victim(s), {} segment(s) retired, {} record(s) relocated, {} bytes reclaimed",
-                    r.victims, r.segments_retired, r.records_relocated, r.bytes_reclaimed
-                )))
-            }
             Command::Crash(seed) => {
                 if !self.params.nvm.strict {
                     return Ok(Outcome::Text(
@@ -437,13 +391,6 @@ impl Engine {
                 )))
             }
             Command::FaultRun(mode) => Ok(Self::fault_run(mode)),
-            Command::Backup(dir) => {
-                let report = self.table()?.snapshot(std::path::Path::new(&dir))?;
-                Ok(Outcome::Text(format!(
-                    "snapshot written to {dir}: {} files, {} bytes",
-                    report.files, report.bytes
-                )))
-            }
             Command::Restore(snap, dest) => {
                 let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
                 let (table, report) = Hdnh::restore_snapshot(
@@ -474,6 +421,33 @@ impl Engine {
                 Ok(Outcome::Quit)
             }
         }
+    }
+
+    /// Runs one line as a RESP request through the server's executor, the
+    /// code a RESP client's request runs, and renders the reply: the shell
+    /// is a RESP front end, as `redis-cli` is. An error reply fails the
+    /// line, as `error: CODE msg`.
+    fn resp(&self, words: &[String]) -> Result<Outcome, HdnhError> {
+        let table = self.table()?;
+        let mut buf = Vec::new();
+        enc_request(&mut buf, &words.iter().map(|w| w.as_bytes()).collect::<Vec<_>>());
+        let mut dec = Decoder::new(DEFAULT_MAX_FRAME);
+        dec.feed(&buf);
+        let frame = match dec.next() {
+            Ok(frame) => frame.expect("an encoded request is one whole frame"),
+            Err(e) => return Ok(Outcome::Failure(format!("error: {e}"))),
+        };
+        buf.clear();
+        if hdnh_server::execute(table, &dec, &frame, &mut buf).is_none() {
+            return Ok(Outcome::Failure(format!("unknown command '{}' (try 'help')", words[0])));
+        }
+        let mut replies = ReplyDecoder::new();
+        replies.feed(&buf);
+        Ok(match replies.next() {
+            Ok(Some(Reply::Error(e))) => Outcome::Failure(format!("error: {e}")),
+            Ok(Some(reply)) => Outcome::Text(render(&reply)),
+            other => unreachable!("the executor appends one whole reply: {other:?}"),
+        })
     }
 
     /// Runs the crash-point injection matrix. Independent of the shell's
@@ -645,17 +619,16 @@ impl Engine {
     }
 }
 
-/// The reply to a keyed write: `ok`, or as plain text a refusal the key's
-/// state explains (duplicate key, not found). Any other error — a sticky
-/// I/O fault the table did not acknowledge the write over — fails the
-/// command.
-fn written(out: Result<(), HdnhError>) -> Result<Outcome, HdnhError> {
-    match out {
-        Ok(()) => Ok(Outcome::Text("ok".to_string())),
-        Err(e @ (HdnhError::DuplicateKey | HdnhError::KeyNotFound)) => {
-            Ok(Outcome::Text(format!("error: {e}")))
-        }
-        Err(e) => Err(e),
+/// A reply as the shell prints it: a bulk as its bytes, an integer as its
+/// digits, a simple string as it is, nil as `(not found)`, and an array
+/// one element a line.
+fn render(reply: &Reply) -> String {
+    match reply {
+        Reply::Bulk(b) => String::from_utf8_lossy(b).into_owned(),
+        Reply::Int(n) => n.to_string(),
+        Reply::Simple(s) | Reply::Error(s) => s.clone(),
+        Reply::Nil => "(not found)".to_string(),
+        Reply::Array(items) => items.iter().map(render).collect::<Vec<_>>().join("\n"),
     }
 }
 
@@ -674,26 +647,46 @@ mod tests {
     #[test]
     fn crud_session() {
         let mut e = Engine::new(EngineConfig::default());
-        assert_eq!(run(&mut e, "insert 1 42"), "ok");
+        assert_eq!(run(&mut e, "set 1 42"), "OK");
         assert_eq!(run(&mut e, "get 1"), "42");
-        assert_eq!(run(&mut e, "insert 1 43"), "error: key already present");
-        assert_eq!(run(&mut e, "update 1 43"), "ok");
+        assert_eq!(run(&mut e, "SET 1 43"), "OK");
         assert_eq!(run(&mut e, "get 1"), "43");
-        assert_eq!(run(&mut e, "delete 1"), "ok");
+        assert_eq!(run(&mut e, "del 1"), "1");
         assert_eq!(run(&mut e, "get 1"), "(not found)");
-        assert_eq!(run(&mut e, "delete 1"), "(not found)");
-        assert_eq!(run(&mut e, "update 1 9"), "error: key not found");
+        assert_eq!(run(&mut e, "del 1"), "0");
+        // `set` stores an absent key, as RESP `SET` does.
+        assert_eq!(run(&mut e, "set 5 x"), "OK");
+        assert_eq!(run(&mut e, "get 5"), "x");
+        assert_eq!(run(&mut e, "mset 1 a 2 b"), "OK");
+        assert_eq!(run(&mut e, "del 1 2"), "2");
+        assert_eq!(run(&mut e, "ping"), "PONG");
     }
 
     #[test]
     fn exists_and_mget() {
         let mut e = Engine::new(EngineConfig::default());
-        run(&mut e, "insert 10 100");
-        run(&mut e, "insert 20 200");
+        run(&mut e, "set 10 100");
+        run(&mut e, "set 20 200");
         assert_eq!(run(&mut e, "exists 10"), "1");
         assert_eq!(run(&mut e, "exists 11"), "0");
-        assert_eq!(run(&mut e, "mget 10 11 20"), "10 100\n11 (not found)\n20 200");
-        assert_eq!(run(&mut e, "mget 20"), "20 200");
+        assert_eq!(run(&mut e, "exists 10 11 20"), "2");
+        assert_eq!(run(&mut e, "mget 10 11 20"), "100\n(not found)\n200");
+        assert_eq!(run(&mut e, "mget 20"), "200");
+    }
+
+    #[test]
+    fn error_replies_and_unknown_words_fail_the_line() {
+        let mut e = Engine::new(EngineConfig::default());
+        for (line, want) in [
+            ("get x", "error: ERR value is not an unsigned integer or out of range"),
+            ("get 1 2", "error: ERR wrong number of arguments for 'get'"),
+            ("frobnicate 1", "unknown command 'frobnicate' (try 'help')"),
+            // The server's own commands are not the shell's.
+            ("SHUTDOWN", "unknown command 'SHUTDOWN' (try 'help')"),
+        ] {
+            let out = e.execute(parse(line).unwrap().unwrap());
+            assert_eq!(out, Outcome::Failure(want.to_string()), "{line}");
+        }
     }
 
     #[test]
@@ -816,7 +809,7 @@ mod tests {
         let out = run(&mut e, "crash 7");
         assert!(out.contains("recovered 500 records"), "{out}");
         // Table is usable after recovery.
-        assert_eq!(run(&mut e, "insert 999999 1"), "ok");
+        assert_eq!(run(&mut e, "set 999999 1"), "OK");
         let out = run(&mut e, "verify");
         assert!(out.starts_with("integrity ok: 501"), "{out}");
     }
@@ -845,7 +838,7 @@ mod tests {
         assert!(out.starts_with("segments"), "{out}");
         assert!(out.contains("garbage"), "{out}");
         let out = run(&mut e, "compact");
-        assert!(out.starts_with("compacted: 0 victim(s)"), "{out}");
+        assert!(out.starts_with("victims:0 "), "{out}");
     }
 
     #[test]
@@ -910,7 +903,7 @@ mod tests {
             let mut e = Engine::try_new(config(&pool)).unwrap();
             run(&mut e, "fill 20000");
             let out = run(&mut e, &format!("backup {}", snap.display()));
-            assert!(out.contains("snapshot written"), "{out}");
+            assert!(out.starts_with("files:"), "{out}");
             let out = run(&mut e, &format!("restore {} {}", snap.display(), dest.display()));
             assert!(out.contains("20000 records"), "strict={strict}: {out}");
             assert_eq!(e.execute(Command::Quit), Outcome::Quit);
@@ -940,7 +933,7 @@ mod tests {
         let mut e = Engine::try_new(cfg.clone()).unwrap();
         let banner = e.open_banner().unwrap().to_string();
         assert!(banner.starts_with("created pool"), "{banner}");
-        assert_eq!(run(&mut e, "insert 7 77"), "ok");
+        assert_eq!(run(&mut e, "set 7 77"), "OK");
         assert_eq!(e.execute(Command::Quit), Outcome::Quit);
 
         let mut e = Engine::try_new(cfg).unwrap();
@@ -961,14 +954,14 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        assert_eq!(run(&mut e, "insert 2 x"), "ok");
+        assert_eq!(run(&mut e, "set 2 x"), "OK");
         let pool = e.table().unwrap().params().nvm.backend.pool().unwrap().clone();
         pool.record_fault(hdnh_nvm::NvmIoError {
             op: "msync",
             path: dir.clone(),
             msg: "injected write-back failure".into(),
         });
-        for line in ["insert 1 x", "update 2 y", "delete 2"] {
+        for line in ["set 1 x", "set 2 y", "mset 3 z", "del 2"] {
             match e.execute(parse(line).unwrap().unwrap()) {
                 Outcome::Failure(t) => {
                     assert!(t.contains("msync") && t.contains("injected write-back failure"), "{line}: {t}")

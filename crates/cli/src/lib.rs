@@ -4,13 +4,17 @@
 //! testable; the `hdnh-cli` binary is a thin stdin loop. Intended uses:
 //! poking at the data structure interactively, scripting smoke tests
 //! (`echo "fill 1000\ninfo" | hdnh-cli`), and demonstrating the
-//! crash/recover lifecycle without writing Rust.
+//! crash/recover lifecycle without writing Rust. A line that is not one
+//! of the shell's own commands is a RESP request, run by the server's
+//! executor (`hdnh_server::execute`), as `redis-cli` sends it to a server.
 //!
 //! ```text
-//! > insert 1 42
-//! ok
+//! > set 1 42
+//! OK
 //! > get 1
 //! 42
+//! > del 1 2
+//! 1
 //! > fill 10000
 //! inserted 10000 records (ids 0..10000)
 //! > workload a 50000

@@ -21,8 +21,8 @@
 //!
 //! Exit status: 0 when every command succeeded; 1 when any command reported
 //! a failure (`verify` violation, `scrub` detection, failing `faultrun`
-//! case, i/o error) or — with `HDNH_CLI_BATCH` set — any line failed to
-//! parse; 2 for bad flags.
+//! case, i/o error, a RESP error reply, an unknown command) or — with
+//! `HDNH_CLI_BATCH` set — any line failed to parse; 2 for bad flags.
 
 use std::io::{BufRead, Write};
 

@@ -13,10 +13,12 @@
 //!   the [`reactor::Engine`] trait that separates command execution and
 //!   admission policy from byte shoveling. Tens of thousands of mostly
 //!   idle connections cost zero threads and zero scheduled wakeups.
-//! - [`server`] — the RESP policy: an `Engine` implementation
-//!   [`dispatch`](server)ing commands against one shared [`hdnh::Hdnh`]
-//!   through its lock-free read path, plus the public
-//!   [`start`]/[`ServerHandle`] surface and signal-driven drain.
+//! - [`server`] — the RESP policy: [`execute`], the one executor of the
+//!   table's commands (the server's engine and `hdnh-cli`'s shell both run
+//!   them through it, against one [`hdnh::Hdnh`] through its lock-free
+//!   read path), an `Engine` implementation that adds the commands needing
+//!   the server, plus the public [`start`]/[`ServerHandle`] surface and
+//!   signal-driven drain.
 //! - [`config`] — [`ServerConfig`], obtainable only through `Default` or
 //!   the validated [`ServerConfig::builder`] (typed [`ConfigError`]s for
 //!   nonsense knobs).
@@ -27,8 +29,9 @@
 //!   sharing readiness/drain state with the RESP server through
 //!   [`ops::OpsState`].
 //!
-//! The command vocabulary (`PING GET SET DEL EXISTS MGET MSET INFO SCRUB
-//! METRICS SHUTDOWN`) maps 1:1 onto the table's typed API; table errors
+//! The command vocabulary (`PING GET SET DEL EXISTS MGET MSET BACKUP
+//! COMPACT`, run by [`execute`], plus the server's own `INFO SCRUB METRICS
+//! SHUTDOWN`) maps 1:1 onto the table's typed API; table errors
 //! come back as RESP errors with a machine-readable code prefix
 //! (`-CORRUPTION`, `-IO`, `-CAPACITY`, `-RECOVERY`, `-INTEGRITY`,
 //! `-ERR`). See DESIGN.md §12 for the full protocol contract and §16 for
@@ -52,5 +55,6 @@ pub use ops::{start_ops, OpsHandle, OpsState, GIT_HASH, VERSION};
 pub use reactor::{Conn, Engine, EngineAction};
 pub use resp::{Decoder, Frame, ProtoError};
 pub use server::{
-    install_signal_handlers, serve_until_signal, signaled, start, start_with_state, ServerHandle,
+    execute, install_signal_handlers, serve_until_signal, signaled, start, start_with_state,
+    ServerHandle,
 };

@@ -3,8 +3,10 @@
 //! **Architecture.** The runtime concerns (sockets, readiness, deadlines,
 //! backpressure, drain mechanics) live in [`crate::reactor`]; this module
 //! supplies the *policy* as a [`reactor::Engine`] implementation:
-//! [`dispatch`]ing decoded RESP frames against one shared [`Hdnh`] table,
-//! admission control against the `max_conns` budget, and the ops-plane
+//! decoded RESP frames run against one shared [`Hdnh`] table through
+//! [`execute`] (the executor the shell shares) or, for the commands that
+//! need the server, its own dispatch; admission control against the
+//! `max_conns` budget; and the ops-plane
 //! hooks (readiness flips, connection accounting). `cfg.threads()` event
 //! loops each multiplex thousands of non-blocking sockets, so connection
 //! count is bounded by the `max_conns` budget and fd limits — not by
@@ -42,7 +44,7 @@ use crate::config::ServerConfig;
 use crate::ops::OpsState;
 use crate::reactor::{self, EngineAction};
 use crate::resp::{
-    enc_array_header, enc_bulk, enc_error, enc_int, enc_nil, enc_simple, parse_u64, Decoder,
+    enc_array_header, enc_bulk, enc_error, enc_int, enc_nil, enc_simple, parse_u64, Decoder, Frame,
 };
 
 /// Handle to a running server: address, shutdown trigger, join.
@@ -131,7 +133,7 @@ struct RespEngine {
 }
 
 impl reactor::Engine for RespEngine {
-    fn execute(&self, dec: &Decoder, frame: &crate::resp::Frame, out: &mut Vec<u8>) -> EngineAction {
+    fn execute(&self, dec: &Decoder, frame: &Frame, out: &mut Vec<u8>) -> EngineAction {
         dispatch(self, dec, frame, out)
     }
 
@@ -176,41 +178,55 @@ fn wrong_args(out: &mut Vec<u8>, cmd: &str) {
     enc_error(out, "ERR", &format!("wrong number of arguments for '{cmd}'"));
 }
 
+const NOT_U64: &str = "value is not an unsigned integer or out of range";
+
 /// Parses one u64 argument or encodes the canonical error.
-fn u64_arg(dec: &Decoder, frame: &crate::resp::Frame, i: usize, out: &mut Vec<u8>) -> Option<u64> {
-    match parse_u64(dec.arg(frame, i)) {
-        Some(v) => Some(v),
-        None => {
-            enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-            None
-        }
+fn u64_arg(dec: &Decoder, frame: &Frame, i: usize, out: &mut Vec<u8>) -> Option<u64> {
+    let v = parse_u64(dec.arg(frame, i));
+    if v.is_none() {
+        enc_error(out, "ERR", NOT_U64);
     }
+    v
 }
 
-/// Executes one decoded frame, appending exactly one reply to `out`.
-/// Returns [`EngineAction::Shutdown`] for the `SHUTDOWN` command so the
-/// runtime can begin the process-wide drain.
-fn dispatch(
-    engine: &RespEngine,
-    dec: &Decoder,
-    frame: &crate::resp::Frame,
+/// Parses the u64 keys at argument positions `at`, or encodes the
+/// canonical error and returns `None` when any one fails: every key is
+/// parsed before the first table operation, so a bad key changes nothing.
+fn u64_args<'a>(
+    dec: &'a Decoder,
+    frame: &'a Frame,
+    at: impl Iterator<Item = usize> + Clone + 'a,
     out: &mut Vec<u8>,
-) -> EngineAction {
-    let started = obs::op_start();
-    let name = dec.arg(frame, 0);
-    let mut upper = [0u8; 16];
-    if name.is_empty() || name.len() > upper.len() {
-        obs::count(obs::Counter::NetUnknownCmd);
-        enc_error(out, "ERR", "unknown command");
-        return EngineAction::Continue;
+) -> Option<impl Iterator<Item = u64> + 'a> {
+    let key = |i| parse_u64(dec.arg(frame, i));
+    if at.clone().any(|i| key(i).is_none()) {
+        enc_error(out, "ERR", NOT_U64);
+        return None;
     }
-    for (d, s) in upper.iter_mut().zip(name) {
+    Some(at.filter_map(key))
+}
+
+/// The command name upper-cased into `buf`, or `None` when it is empty or
+/// longer than any command.
+fn upper_name<'a>(name: &[u8], buf: &'a mut [u8; 16]) -> Option<&'a [u8]> {
+    if name.is_empty() || name.len() > buf.len() {
+        return None;
+    }
+    for (d, s) in buf.iter_mut().zip(name) {
         *d = s.to_ascii_uppercase();
     }
-    let cmd = &upper[..name.len()];
-    let table = &engine.table;
-    let mut action = EngineAction::Continue;
-    let netcmd = match cmd {
+    Some(&buf[..name.len()])
+}
+
+/// Executes one decoded frame of the table's command vocabulary
+/// (`PING GET SET DEL EXISTS MGET MSET BACKUP COMPACT`) against `table`,
+/// appending exactly one reply to `out`. Any other command appends
+/// nothing and returns `None`. The one executor of keyed commands: the
+/// server's engine and the shell both run them through here.
+pub fn execute(table: &Hdnh, dec: &Decoder, frame: &Frame, out: &mut Vec<u8>) -> Option<obs::NetCmd> {
+    let mut upper = [0u8; 16];
+    let cmd = upper_name(dec.arg(frame, 0), &mut upper)?;
+    Some(match cmd {
         b"PING" => {
             if frame.len() > 2 {
                 wrong_args(out, "ping");
@@ -254,22 +270,15 @@ fn dispatch(
         b"DEL" => {
             if frame.len() < 2 {
                 wrong_args(out, "del");
-            } else {
-                // Every key is parsed before the first removal, so a bad
-                // key changes nothing.
-                let keys = || (1..frame.len()).map(|i| parse_u64(dec.arg(frame, i)));
-                if keys().any(|k| k.is_none()) {
-                    enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-                } else {
-                    // The first error, a sticky pool I/O fault included,
-                    // is the reply: the keys after it are left alone.
-                    let removed = keys().flatten().try_fold(0i64, |n, k| {
-                        table.remove(&Key::from_u64(k)).map(|gone| n + i64::from(gone))
-                    });
-                    match removed {
-                        Ok(n) => enc_int(out, n),
-                        Err(e) => enc_hdnh_error(out, &e),
-                    }
+            } else if let Some(mut keys) = u64_args(dec, frame, 1..frame.len(), out) {
+                // The first error, a sticky pool I/O fault included, is the
+                // reply: the keys after it are left alone.
+                let removed = keys.try_fold(0i64, |n, k| {
+                    table.remove(&Key::from_u64(k)).map(|gone| n + i64::from(gone))
+                });
+                match removed {
+                    Ok(n) => enc_int(out, n),
+                    Err(e) => enc_hdnh_error(out, &e),
                 }
             }
             obs::NetCmd::Del
@@ -277,44 +286,25 @@ fn dispatch(
         b"EXISTS" => {
             if frame.len() < 2 {
                 wrong_args(out, "exists");
-            } else {
-                let mut found = 0i64;
-                let mut bad = false;
-                for i in 1..frame.len() {
-                    let Some(k) = parse_u64(dec.arg(frame, i)) else {
-                        bad = true;
-                        break;
-                    };
-                    if matches!(table.get(&Key::from_u64(k)), Ok(Some(_))) {
-                        found += 1;
-                    }
-                }
-                if bad {
-                    enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-                } else {
-                    enc_int(out, found);
-                }
+            } else if let Some(keys) = u64_args(dec, frame, 1..frame.len(), out) {
+                let found = keys.filter(|&k| matches!(table.get(&Key::from_u64(k)), Ok(Some(_))));
+                enc_int(out, found.count() as i64);
             }
             obs::NetCmd::Exists
         }
         b"MGET" => {
             if frame.len() < 2 {
                 wrong_args(out, "mget");
-            } else {
+            } else if let Some(keys) = u64_args(dec, frame, 1..frame.len(), out) {
                 // Every key is checked before the array header goes out, so
                 // a bad key yields one error reply, not a torn array.
-                let keys = || (1..frame.len()).map(|i| parse_u64(dec.arg(frame, i)));
-                if keys().any(|k| k.is_none()) {
-                    enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-                } else {
-                    enc_array_header(out, frame.len() - 1);
-                    for k in keys().flatten() {
-                        match table.get_bytes_with(&Key::from_u64(k), |v| enc_bulk(out, v)) {
-                            Ok(Some(())) => {}
-                            // Per-element nil for misses *and* per-element
-                            // failures: the array shape must match the ask.
-                            _ => enc_nil(out),
-                        }
+                enc_array_header(out, frame.len() - 1);
+                for k in keys {
+                    match table.get_bytes_with(&Key::from_u64(k), |v| enc_bulk(out, v)) {
+                        Ok(Some(())) => {}
+                        // Per-element nil for misses *and* per-element
+                        // failures: the array shape must match the ask.
+                        _ => enc_nil(out),
                     }
                 }
             }
@@ -323,26 +313,86 @@ fn dispatch(
         b"MSET" => {
             if frame.len() < 3 || frame.len().is_multiple_of(2) {
                 wrong_args(out, "mset");
-            } else {
-                // As `DEL`: every key is parsed before the first store, and
-                // the first table error is the reply.
-                let keys = || (1..frame.len()).step_by(2).map(|i| parse_u64(dec.arg(frame, i)));
-                if keys().any(|k| k.is_none()) {
-                    enc_error(out, "ERR", "value is not an unsigned integer or out of range");
-                } else {
-                    let values = (2..frame.len()).step_by(2).map(|i| dec.arg(frame, i));
-                    let stored = keys()
-                        .flatten()
-                        .zip(values)
-                        .try_for_each(|(k, v)| table.upsert_bytes(&Key::from_u64(k), v));
-                    match stored {
-                        Ok(()) => enc_simple(out, "OK"),
-                        Err(e) => enc_hdnh_error(out, &e),
-                    }
+            } else if let Some(keys) = u64_args(dec, frame, (1..frame.len()).step_by(2), out) {
+                // As `DEL`: the first table error is the reply.
+                let values = (2..frame.len()).step_by(2).map(|i| dec.arg(frame, i));
+                let stored = keys
+                    .zip(values)
+                    .try_for_each(|(k, v)| table.upsert_bytes(&Key::from_u64(k), v));
+                match stored {
+                    Ok(()) => enc_simple(out, "OK"),
+                    Err(e) => enc_hdnh_error(out, &e),
                 }
             }
             obs::NetCmd::MSet
         }
+        b"BACKUP" => {
+            if frame.len() != 2 {
+                wrong_args(out, "backup");
+            } else {
+                // The path is server-side: the snapshot lands on the
+                // server's filesystem, like Redis's BGSAVE target.
+                match std::str::from_utf8(dec.arg(frame, 1)) {
+                    Ok(dir) if !dir.is_empty() => {
+                        match table.snapshot(std::path::Path::new(dir)) {
+                            Ok(report) => enc_bulk(
+                                out,
+                                format!("files:{} bytes:{}", report.files, report.bytes)
+                                    .as_bytes(),
+                            ),
+                            Err(e) => enc_hdnh_error(out, &e),
+                        }
+                    }
+                    _ => enc_error(out, "ERR", "BACKUP takes a directory path"),
+                }
+            }
+            obs::NetCmd::Backup
+        }
+        b"COMPACT" => {
+            if frame.len() != 1 {
+                wrong_args(out, "compact");
+            } else {
+                // Synchronous on purpose: the caller learns exactly what
+                // one pass reclaimed. Readers and writers are never
+                // blocked by compaction, only concurrent COMPACTs queue.
+                match table.compact() {
+                    Ok(r) => enc_bulk(
+                        out,
+                        format!(
+                            "victims:{} segments_retired:{} records_relocated:{} bytes_reclaimed:{}",
+                            r.victims, r.segments_retired, r.records_relocated, r.bytes_reclaimed
+                        )
+                        .as_bytes(),
+                    ),
+                    Err(e) => enc_hdnh_error(out, &e),
+                }
+            }
+            obs::NetCmd::Compact
+        }
+        _ => return None,
+    })
+}
+
+/// Executes one decoded frame, appending exactly one reply to `out`: the
+/// table's commands through [`execute`], then the ones that need the
+/// server. Returns [`EngineAction::Shutdown`] for the `SHUTDOWN` command so
+/// the runtime can begin the process-wide drain.
+fn dispatch(engine: &RespEngine, dec: &Decoder, frame: &Frame, out: &mut Vec<u8>) -> EngineAction {
+    let started = obs::op_start();
+    let table = &engine.table;
+    if let Some(netcmd) = execute(table, dec, frame, out) {
+        finish(started, netcmd);
+        return EngineAction::Continue;
+    }
+    let name = dec.arg(frame, 0);
+    let mut upper = [0u8; 16];
+    let Some(cmd) = upper_name(name, &mut upper) else {
+        obs::count(obs::Counter::NetUnknownCmd);
+        enc_error(out, "ERR", "unknown command");
+        return EngineAction::Continue;
+    };
+    let mut action = EngineAction::Continue;
+    let netcmd = match cmd {
         b"INFO" => {
             if frame.len() != 1 {
                 wrong_args(out, "info");
@@ -389,76 +439,17 @@ fn dispatch(
             obs::NetCmd::Scrub
         }
         b"METRICS" => {
-            let mode = if frame.len() >= 2 {
-                let mut m = [0u8; 8];
-                let a = dec.arg(frame, 1);
-                if a.len() > m.len() {
-                    enc_error(out, "ERR", "METRICS takes JSON or PROM");
-                    finish(started, obs::NetCmd::Metrics);
-                    return action;
-                }
-                for (d, s) in m.iter_mut().zip(a) {
-                    *d = s.to_ascii_uppercase();
-                }
-                match &m[..a.len()] {
-                    b"JSON" => 0u8,
-                    b"PROM" => 1,
-                    _ => {
-                        enc_error(out, "ERR", "METRICS takes JSON or PROM");
-                        finish(started, obs::NetCmd::Metrics);
-                        return action;
-                    }
-                }
-            } else {
-                0
-            };
-            let snap = obs::snapshot();
-            let body = if mode == 0 { snap.to_json() } else { snap.to_prometheus() };
-            enc_bulk(out, body.as_bytes());
+            let mut format = [0u8; 16];
+            match frame.len() {
+                1 => enc_bulk(out, obs::snapshot().to_json().as_bytes()),
+                2 => match upper_name(dec.arg(frame, 1), &mut format) {
+                    Some(b"JSON") => enc_bulk(out, obs::snapshot().to_json().as_bytes()),
+                    Some(b"PROM") => enc_bulk(out, obs::snapshot().to_prometheus().as_bytes()),
+                    _ => enc_error(out, "ERR", "METRICS takes JSON or PROM"),
+                },
+                _ => wrong_args(out, "metrics"),
+            }
             obs::NetCmd::Metrics
-        }
-        b"BACKUP" => {
-            if frame.len() != 2 {
-                wrong_args(out, "backup");
-            } else {
-                // The path is server-side: the snapshot lands on the
-                // server's filesystem, like Redis's BGSAVE target.
-                match std::str::from_utf8(dec.arg(frame, 1)) {
-                    Ok(dir) if !dir.is_empty() => {
-                        match table.snapshot(std::path::Path::new(dir)) {
-                            Ok(report) => enc_bulk(
-                                out,
-                                format!("files:{} bytes:{}", report.files, report.bytes)
-                                    .as_bytes(),
-                            ),
-                            Err(e) => enc_hdnh_error(out, &e),
-                        }
-                    }
-                    _ => enc_error(out, "ERR", "BACKUP takes a directory path"),
-                }
-            }
-            obs::NetCmd::Backup
-        }
-        b"COMPACT" => {
-            if frame.len() != 1 {
-                wrong_args(out, "compact");
-            } else {
-                // Synchronous on purpose: the caller learns exactly what
-                // one pass reclaimed. Readers and writers are never
-                // blocked by compaction, only concurrent COMPACTs queue.
-                match table.compact() {
-                    Ok(r) => enc_bulk(
-                        out,
-                        format!(
-                            "victims:{} segments_retired:{} records_relocated:{} bytes_reclaimed:{}",
-                            r.victims, r.segments_retired, r.records_relocated, r.bytes_reclaimed
-                        )
-                        .as_bytes(),
-                    ),
-                    Err(e) => enc_hdnh_error(out, &e),
-                }
-            }
-            obs::NetCmd::Compact
         }
         b"SHUTDOWN" => {
             enc_simple(out, "OK");

@@ -90,6 +90,10 @@ fn command_errors_keep_the_connection_usable() {
         &[b"SET", b"1"],
         &[b"MSET", b"1", b"2", b"3"],
         &[b"METRICS", b"xml"],
+        &[b"METRICS", b"json", b"extra"],
+        &[b"SCRUB", b"x"],
+        &[b"COMPACT", b"x"],
+        &[b"BACKUP"],
     ] {
         match c.call(req).unwrap() {
             Reply::Error(e) => assert!(e.starts_with("ERR"), "{e}"),
