@@ -150,7 +150,7 @@ mod tests {
     fn golden_log_record_still_decodes() {
         let rec = unhex(GOLDEN_LOG_RECORD);
         assert_eq!(rec.len(), crate::vlog::footprint(200));
-        let (key, payload) = crate::vlog::decode_record(&rec).expect("parent's record verifies");
+        let (key, payload) = crate::vlog::segment::decode_record(&rec).expect("parent's record verifies");
         assert_eq!(key, hdnh_common::Key::from_u64(0xC0FFEE));
         let want: Vec<u8> = (0..200u32).map(|i| (i * 31 % 251) as u8).collect();
         assert_eq!(payload, &want[..]);

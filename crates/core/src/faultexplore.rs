@@ -11,7 +11,7 @@
 //!    panics with an [`InjectedCrash`]; the driver catches the unwind, cuts
 //!    power by handle ([`PersistentPool::crash`]: the seed picks the loss
 //!    mode and which unfenced lines survive) and reboots — through
-//!    [`Hdnh::try_recover`] on the heap, through [`Hdnh::open_pool`] on a
+//!    `Hdnh::try_recover` on the heap, through [`Hdnh::open_pool`] on a
 //!    pool directory ([`CaseBackend`]).
 //! 3. **Check** — the recovered table must match the *acknowledged-state
 //!    oracle* (every op completed before the crash is visible; the one op
@@ -211,7 +211,7 @@ impl ExploreConfig {
 /// Where a case's table lives, and so how it reboots after the power cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaseBackend {
-    /// The heap simulator: the cut pool is handed to [`Hdnh::try_recover`].
+    /// The heap simulator: the cut pool is handed to `Hdnh::try_recover`.
     Heap,
     /// A pool directory: the cut pool is unmapped and the directory
     /// reopened through [`Hdnh::open_pool`] (superblock, size
@@ -270,11 +270,6 @@ impl ExploreReport {
     /// The failing cases.
     pub fn failures(&self) -> Vec<&FaultCaseResult> {
         self.cases.iter().filter(|c| !c.pass).collect()
-    }
-
-    /// `true` when every case passed.
-    pub fn passed(&self) -> bool {
-        self.cases.iter().all(|c| c.pass)
     }
 }
 

@@ -219,7 +219,7 @@ impl HotLevel {
 /// ([`HotTable::buckets`]) and hands it to the prefetch, the search and
 /// every phase of a put, instead of reducing the hashes again at each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HotBuckets([usize; 2]);
+pub(crate) struct HotBuckets([usize; 2]);
 
 /// The hot table: two levels, single candidate bucket per level.
 ///
@@ -348,14 +348,14 @@ impl HotTable {
 
     /// The key's candidate bucket in each level.
     #[inline]
-    pub fn buckets(&self, h1: u64, h2: u64) -> HotBuckets {
+    pub(crate) fn buckets(&self, h1: u64, h2: u64) -> HotBuckets {
         HotBuckets([self.bucket_of(0, h1, h2), self.bucket_of(1, h1, h2)])
     }
 
     /// Hints that both candidate buckets are about to be walked: asks for
     /// their metadata words and record payloads. Changes nothing.
     #[inline]
-    pub fn prefetch(&self, at: HotBuckets) {
+    pub(crate) fn prefetch(&self, at: HotBuckets) {
         for (lv, &bucket) in self.levels.iter().zip(&at.0) {
             let first = lv.slot_idx(bucket, 0);
             prefetch_read(&lv.meta, first..first + lv.slots);
@@ -384,7 +384,7 @@ impl HotTable {
 
     /// [`search`](Self::search) at precomputed buckets, returning the word
     /// as it was cached: the value bytes and their spill bit.
-    pub fn search_at(&self, key: &Key, at: HotBuckets, fp: u8) -> Option<(Value, bool)> {
+    pub(crate) fn search_at(&self, key: &Key, at: HotBuckets, fp: u8) -> Option<(Value, bool)> {
         for level in 0..2 {
             let lv = &self.levels[level];
             let bucket = at.0[level];
@@ -419,14 +419,14 @@ impl HotTable {
     /// candidate bucket is full.
     ///
     /// Caches `rec` as an inline word. A table caching one of its slots
-    /// passes the slot's spill bit along: [`put_at`](Self::put_at).
+    /// passes the slot's spill bit along: `put_at`.
     pub fn put(&self, rec: &Record, h1: u64, h2: u64, fp: u8, rng: &mut XorShift64Star) {
         self.put_at(rec, false, self.buckets(h1, h2), fp, rng)
     }
 
     /// [`put`](Self::put) at precomputed buckets. `spilled`: the value
     /// bytes are a packed value-log pointer (the NVM header's spill bit).
-    pub fn put_at(
+    pub(crate) fn put_at(
         &self,
         rec: &Record,
         spilled: bool,
@@ -473,7 +473,7 @@ impl HotTable {
     /// broke our CAS, or an eviction holds the slot) would let a put
     /// insert a second copy below and leave a stale duplicate that search
     /// could serve forever.
-    pub fn refresh_at(&self, rec: &Record, spilled: bool, at: HotBuckets, fp: u8) -> bool {
+    pub(crate) fn refresh_at(&self, rec: &Record, spilled: bool, at: HotBuckets, fp: u8) -> bool {
         for level in 0..2 {
             let lv = &self.levels[level];
             let bucket = at.0[level];
@@ -591,7 +591,7 @@ impl HotTable {
     }
 
     /// [`delete`](Self::delete) at precomputed buckets.
-    pub fn delete_at(&self, key: &Key, at: HotBuckets, fp: u8) {
+    pub(crate) fn delete_at(&self, key: &Key, at: HotBuckets, fp: u8) {
         for level in 0..2 {
             let lv = &self.levels[level];
             let bucket = at.0[level];

@@ -10,9 +10,9 @@
 //! * the **Optimistic Compression Filter** ([`ocf`]) — 2 bytes per slot
 //!   (valid bit, lock bit, 6-bit version, 1-byte fingerprint) — answers
 //!   most key-match questions without touching NVM;
-//! * the **hot table** ([`hot`]) caches frequently-read records in DRAM with
-//!   the lightweight **RAFL** replacement policy;
-//! * the **synchronous write mechanism** ([`sync`]) hides the hot-table
+//! * the **hot table** ([`HotTable`]) caches frequently-read records in
+//!   DRAM with the lightweight **RAFL** replacement policy;
+//! * the **synchronous write mechanism** ([`SyncMode`]) hides the hot-table
 //!   update under the NVM write;
 //! * **fine-grained optimistic concurrency** gives lock-free reads and
 //!   per-slot writer locks — no NVM traffic for read locks.
@@ -45,18 +45,18 @@
 mod crc32;
 mod epoch;
 
-pub mod error;
+mod error;
 pub mod faultexplore;
-pub mod hot;
-pub mod meta;
+mod hot;
+mod meta;
 pub mod nvtable;
 pub mod ocf;
 pub mod params;
-pub mod pool;
-pub mod recovery;
-pub mod snapshot;
-pub mod sync;
-pub mod table;
+mod pool;
+mod recovery;
+mod snapshot;
+mod sync;
+mod table;
 pub mod vlog;
 
 pub use error::{CorruptionOutcome, HdnhError};
@@ -64,7 +64,7 @@ pub use faultexplore::{ExploreConfig, ExploreReport, FaultCaseResult, OpMix};
 pub use hot::HotTable;
 pub use params::{HdnhParams, HdnhParamsBuilder, HotPolicy, SyncMode};
 pub use crc32::crc32_ieee;
-pub use pool::{PoolOpenReport, Superblock, SUPERBLOCK_FILE};
+pub use pool::{PoolOpenReport, SUPERBLOCK_FILE};
 pub use recovery::PersistentPool;
 pub use snapshot::{
     verify_snapshot, ManifestEntry, SnapshotManifest, SnapshotReport, SNAPSHOT_MANIFEST_FILE,

@@ -13,12 +13,12 @@ use hdnh_nvm::{NvmOptions, NvmRegion};
 use crate::HdnhError;
 
 /// Magic value identifying an HDNH pool ("HDNH" ASCII, versioned).
-pub const MAGIC: u64 = 0x4844_4E48_0000_0001;
+pub(crate) const MAGIC: u64 = 0x4844_4E48_0000_0001;
 
 /// Resize state machine. The values mirror the paper's "level number":
 /// 2 = a new level is being allocated, 3 = rehashing is in progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResizeState {
+pub(crate) enum ResizeState {
     /// Normal two-level operation.
     Stable,
     /// New top level requested but the level pointer is not yet published
@@ -56,30 +56,18 @@ const OFF_REHASH_PROGRESS: usize = 32;
 const OFF_NEW_TOP_SEGMENTS: usize = 40;
 const OFF_SEGMENT_BYTES: usize = 48;
 /// Region size (one cacheline is enough; round to a block).
-pub const META_BYTES: usize = 256;
+pub(crate) const META_BYTES: usize = 256;
 
 /// Typed accessor over the metadata region.
 #[derive(Clone, Debug)]
-pub struct Meta {
+pub(crate) struct Meta {
     region: Arc<NvmRegion>,
 }
 
 impl Meta {
-    /// Formats a fresh metadata block. Panics on backend allocation
-    /// failure; fallible construction is [`Meta::try_create`].
-    pub fn create(
-        opts: &NvmOptions,
-        top_segments: usize,
-        bottom_segments: usize,
-        segment_bytes: usize,
-    ) -> Self {
-        Self::try_create(opts, top_segments, bottom_segments, segment_bytes)
-            .unwrap_or_else(|e| panic!("meta allocation failed: {e}"))
-    }
-
     /// Formats a fresh metadata block, surfacing backend (pool-file)
     /// failures as [`HdnhError::Io`].
-    pub fn try_create(
+    pub(crate) fn try_create(
         opts: &NvmOptions,
         top_segments: usize,
         bottom_segments: usize,
@@ -103,7 +91,7 @@ impl Meta {
     /// a resize state word other than 1, 2 or 3, or a segment size other
     /// than `segment_bytes` (the caller's params) is a typed
     /// [`HdnhError::Recovery`] — never a panic, and never a guess.
-    pub fn open(region: Arc<NvmRegion>, segment_bytes: usize) -> Result<Self, HdnhError> {
+    pub(crate) fn open(region: Arc<NvmRegion>, segment_bytes: usize) -> Result<Self, HdnhError> {
         let bad = |msg: String| Err(HdnhError::Recovery(format!("meta block: {msg}")));
         if region.len() != META_BYTES {
             return bad(format!("{} bytes, expected {META_BYTES}", region.len()));
@@ -128,7 +116,7 @@ impl Meta {
     }
 
     /// The backing region.
-    pub fn region(&self) -> &Arc<NvmRegion> {
+    pub(crate) fn region(&self) -> &Arc<NvmRegion> {
         &self.region
     }
 
@@ -146,50 +134,50 @@ impl Meta {
     }
 
     /// Current resize state.
-    pub fn state(&self) -> ResizeState {
+    pub(crate) fn state(&self) -> ResizeState {
         ResizeState::from_u64(self.load(OFF_STATE))
             .expect("the state word is checked by `Meta::open` and written only by `set_state`")
     }
 
     /// Persists a state transition.
-    pub fn set_state(&self, s: ResizeState) {
+    pub(crate) fn set_state(&self, s: ResizeState) {
         self.store(OFF_STATE, s.to_u64());
     }
 
     /// Top-level segment count.
-    pub fn top_segments(&self) -> usize {
+    pub(crate) fn top_segments(&self) -> usize {
         self.load(OFF_TOP_SEGMENTS) as usize
     }
 
     /// Bottom-level segment count.
-    pub fn bottom_segments(&self) -> usize {
+    pub(crate) fn bottom_segments(&self) -> usize {
         self.load(OFF_BOTTOM_SEGMENTS) as usize
     }
 
     /// Segment size in bytes.
-    pub fn segment_bytes(&self) -> usize {
+    pub(crate) fn segment_bytes(&self) -> usize {
         self.load(OFF_SEGMENT_BYTES) as usize
     }
 
     /// Publishes the post-resize geometry (called at resize finalization).
-    pub fn set_geometry(&self, top_segments: usize, bottom_segments: usize) {
+    pub(crate) fn set_geometry(&self, top_segments: usize, bottom_segments: usize) {
         self.store(OFF_TOP_SEGMENTS, top_segments as u64);
         self.store(OFF_BOTTOM_SEGMENTS, bottom_segments as u64);
     }
 
     /// Planned size of the in-flight new top level.
-    pub fn new_top_segments(&self) -> usize {
+    pub(crate) fn new_top_segments(&self) -> usize {
         self.load(OFF_NEW_TOP_SEGMENTS) as usize
     }
 
     /// Records the planned new-top size (persisted *before* entering
     /// [`ResizeState::Allocating`], so recovery always knows the size).
-    pub fn set_new_top_segments(&self, n: usize) {
+    pub(crate) fn set_new_top_segments(&self, n: usize) {
         self.store(OFF_NEW_TOP_SEGMENTS, n as u64);
     }
 
     /// Next bottom-level bucket to migrate (`u64::MAX` = no rehash active).
-    pub fn rehash_progress(&self) -> Option<usize> {
+    pub(crate) fn rehash_progress(&self) -> Option<usize> {
         match self.load(OFF_REHASH_PROGRESS) {
             u64::MAX => None,
             v => Some(v as usize),
@@ -198,7 +186,7 @@ impl Meta {
 
     /// Persists the migration cursor (paper: "records the indexes of
     /// segment and bucket … when successfully rehashing items in a bucket").
-    pub fn set_rehash_progress(&self, bucket: Option<usize>) {
+    pub(crate) fn set_rehash_progress(&self, bucket: Option<usize>) {
         self.store(
             OFF_REHASH_PROGRESS,
             bucket.map(|b| b as u64).unwrap_or(u64::MAX),
@@ -262,7 +250,7 @@ mod tests {
 
     #[test]
     fn create_then_open_roundtrip() {
-        let m = Meta::create(&NvmOptions::fast(), 8, 4, 16384);
+        let m = Meta::try_create(&NvmOptions::fast(), 8, 4, 16384).unwrap();
         assert_eq!(m.state(), ResizeState::Stable);
         assert_eq!(m.top_segments(), 8);
         assert_eq!(m.bottom_segments(), 4);
@@ -283,7 +271,7 @@ mod tests {
         let fast = NvmOptions::fast;
         rejects(&Arc::new(NvmRegion::new(META_BYTES, fast())), 16384, "bad magic");
         rejects(&Arc::new(NvmRegion::new(META_BYTES / 2, fast())), 16384, "128 bytes");
-        let m = Meta::create(&fast(), 8, 4, 16384);
+        let m = Meta::try_create(&fast(), 8, 4, 16384).unwrap();
         for word in [0, 4, 7, u64::MAX] {
             m.region().atomic_store_u64(OFF_STATE, word, Ordering::Release);
             rejects(m.region(), 16384, &format!("state word {word}"));
@@ -315,7 +303,7 @@ mod tests {
         use ResizeState::*;
         // Bottom 2, top 4 and planned new top 8 segments of 1 KiB.
         let at = |state, top, bottom, progress| {
-            let m = Meta::create(&NvmOptions::fast(), 4, 2, 1024);
+            let m = Meta::try_create(&NvmOptions::fast(), 4, 2, 1024).unwrap();
             m.set_new_top_segments(8);
             m.set_state(state);
             m.set_geometry(top, bottom);
@@ -365,7 +353,7 @@ mod tests {
 
     #[test]
     fn a_missing_level_is_a_typed_error() {
-        let m = Meta::create(&NvmOptions::fast(), 4, 2, 1024);
+        let m = Meta::try_create(&NvmOptions::fast(), 4, 2, 1024).unwrap();
         match m.assign_roles([(4096u64, "top")]) {
             Err(HdnhError::Recovery(msg)) => assert!(msg.contains("bottom level"), "{msg}"),
             Err(e) => panic!("expected a recovery error, got {e:?}"),
@@ -375,7 +363,7 @@ mod tests {
 
     #[test]
     fn state_machine_roundtrip() {
-        let m = Meta::create(&NvmOptions::fast(), 2, 1, 1024);
+        let m = Meta::try_create(&NvmOptions::fast(), 2, 1, 1024).unwrap();
         for s in [
             ResizeState::Allocating,
             ResizeState::Rehashing,
@@ -388,7 +376,7 @@ mod tests {
 
     #[test]
     fn progress_cursor_roundtrip() {
-        let m = Meta::create(&NvmOptions::fast(), 2, 1, 1024);
+        let m = Meta::try_create(&NvmOptions::fast(), 2, 1, 1024).unwrap();
         m.set_rehash_progress(Some(17));
         assert_eq!(m.rehash_progress(), Some(17));
         m.set_rehash_progress(None);
@@ -397,7 +385,7 @@ mod tests {
 
     #[test]
     fn metadata_survives_crash_because_every_store_persists() {
-        let m = Meta::create(&NvmOptions::strict(), 2, 1, 1024);
+        let m = Meta::try_create(&NvmOptions::strict(), 2, 1, 1024).unwrap();
         m.set_state(ResizeState::Rehashing);
         m.set_rehash_progress(Some(5));
         m.region().crash_with(|_| false);

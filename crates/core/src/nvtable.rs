@@ -53,23 +53,21 @@ use hdnh_nvm::{NvmOptions, NvmRegion};
 
 use crate::params::{BUCKET_BYTES, BUCKET_HEADER, SLOTS_PER_BUCKET};
 
-/// Mask selecting the validity bitmap in a bucket header.
-pub const HEADER_VALID_MASK: u64 = 0xFF;
 /// Width in bits of one per-slot metadata field (spill flag + checksum).
-pub const SLOT_META_BITS: u32 = 7;
+pub(crate) const SLOT_META_BITS: u32 = 7;
 /// Mask of one metadata field (before shifting).
-pub const SLOT_META_MASK: u64 = (1 << SLOT_META_BITS) - 1;
+pub(crate) const SLOT_META_MASK: u64 = (1 << SLOT_META_BITS) - 1;
 /// Width in bits of the checksum inside a metadata field.
-pub const CHECKSUM_BITS: u32 = 6;
+pub(crate) const CHECKSUM_BITS: u32 = 6;
 /// Mask of the checksum inside a metadata field.
-pub const CHECKSUM_MASK: u64 = (1 << CHECKSUM_BITS) - 1;
+pub(crate) const CHECKSUM_MASK: u64 = (1 << CHECKSUM_BITS) - 1;
 /// Spill flag inside a metadata field: the slot's value is a packed
 /// value-log pointer, not an inline payload.
-pub const SPILL_FLAG: u8 = 1 << CHECKSUM_BITS;
+pub(crate) const SPILL_FLAG: u8 = 1 << CHECKSUM_BITS;
 
 /// Bit position of slot `slot`'s metadata field inside the header word.
 #[inline]
-pub const fn meta_shift(slot: usize) -> u32 {
+pub(crate) const fn meta_shift(slot: usize) -> u32 {
     8 + SLOT_META_BITS * slot as u32
 }
 
@@ -182,71 +180,43 @@ pub fn slot_meta(rec: &Record, spilled: bool) -> u8 {
     checksum6(&rec.to_bytes()) | if spilled { SPILL_FLAG } else { 0 }
 }
 
-/// Validity bitmap of a header word.
-#[inline]
-pub const fn header_valid_bits(header: u64) -> u64 {
-    header & HEADER_VALID_MASK
-}
-
 /// Whether slot `slot`'s valid bit is set in `header`.
 #[inline]
-pub const fn header_slot_valid(header: u64, slot: usize) -> bool {
+pub(crate) const fn header_slot_valid(header: u64, slot: usize) -> bool {
     header & (1 << slot) != 0
 }
 
 /// Extracts slot `slot`'s full 7-bit metadata field from a header word.
 #[inline]
-pub const fn header_slot_meta(header: u64, slot: usize) -> u8 {
+pub(crate) const fn header_slot_meta(header: u64, slot: usize) -> u8 {
     ((header >> meta_shift(slot)) & SLOT_META_MASK) as u8
 }
 
 /// Extracts slot `slot`'s stored CRC-6 checksum from a header word.
 #[inline]
-pub const fn header_checksum(header: u64, slot: usize) -> u8 {
+pub(crate) const fn header_checksum(header: u64, slot: usize) -> u8 {
     header_slot_meta(header, slot) & CHECKSUM_MASK as u8
 }
 
 /// Whether slot `slot`'s spill flag is set: its value bytes are a packed
 /// value-log pointer, not an inline payload.
 #[inline]
-pub const fn header_slot_spilled(header: u64, slot: usize) -> bool {
+pub(crate) const fn header_slot_spilled(header: u64, slot: usize) -> bool {
     header_slot_meta(header, slot) & SPILL_FLAG != 0
 }
 
 /// Returns `header` with slot `slot`'s metadata field replaced by `meta`.
 #[inline]
-pub const fn header_with_meta(header: u64, slot: usize, meta: u8) -> u64 {
+pub(crate) const fn header_with_meta(header: u64, slot: usize, meta: u8) -> u64 {
     let shift = meta_shift(slot);
     (header & !(SLOT_META_MASK << shift)) | (((meta as u64) & SLOT_META_MASK) << shift)
-}
-
-/// Packs a validity bitmap and eight 7-bit metadata fields into a header
-/// word.
-pub fn header_pack(valid: u8, metas: [u8; SLOTS_PER_BUCKET]) -> u64 {
-    let mut h = valid as u64;
-    let mut s = 0;
-    while s < SLOTS_PER_BUCKET {
-        h = header_with_meta(h, s, metas[s]);
-        s += 1;
-    }
-    h
-}
-
-/// Unpacks a header word into its validity bitmap and eight metadata
-/// fields.
-pub fn header_unpack(header: u64) -> (u8, [u8; SLOTS_PER_BUCKET]) {
-    let mut metas = [0u8; SLOTS_PER_BUCKET];
-    for (s, meta) in metas.iter_mut().enumerate() {
-        *meta = header_slot_meta(header, s);
-    }
-    (header_valid_bits(header) as u8, metas)
 }
 
 /// Whether a record's bytes match the checksum the header stores for its
 /// slot (the spill flag is excluded — it is protocol state, not payload).
 /// Only meaningful when the slot's valid bit is set.
 #[inline]
-pub fn slot_checksum_ok(header: u64, slot: usize, rec: &Record) -> bool {
+pub(crate) fn slot_checksum_ok(header: u64, slot: usize, rec: &Record) -> bool {
     header_checksum(header, slot) == checksum6(&rec.to_bytes())
 }
 
@@ -261,7 +231,7 @@ pub struct Level {
 impl Level {
     /// Allocates a zeroed level of `n_segments × buckets_per_segment`
     /// buckets. Panics on backend allocation failure; fallible
-    /// construction is [`Level::try_new`].
+    /// construction is `Level::try_new`.
     pub fn new(n_segments: usize, buckets_per_segment: usize, opts: &NvmOptions) -> Self {
         Self::try_new(n_segments, buckets_per_segment, opts)
             .unwrap_or_else(|e| panic!("level allocation failed: {e}"))
@@ -269,7 +239,7 @@ impl Level {
 
     /// Allocates a zeroed level, surfacing backend (pool-file) failures as
     /// [`HdnhError::Io`](crate::HdnhError::Io) instead of panicking.
-    pub fn try_new(
+    pub(crate) fn try_new(
         n_segments: usize,
         buckets_per_segment: usize,
         opts: &NvmOptions,
@@ -285,7 +255,7 @@ impl Level {
     }
 
     /// Re-adopts an existing region (recovery).
-    pub fn from_region(
+    pub(crate) fn from_region(
         region: Arc<NvmRegion>,
         n_segments: usize,
         buckets_per_segment: usize,
@@ -300,20 +270,14 @@ impl Level {
 
     /// The backing region.
     #[inline]
-    pub fn region(&self) -> &Arc<NvmRegion> {
+    pub(crate) fn region(&self) -> &Arc<NvmRegion> {
         &self.region
     }
 
     /// Segments in this level.
     #[inline]
-    pub fn n_segments(&self) -> usize {
+    pub(crate) fn n_segments(&self) -> usize {
         self.n_segments
-    }
-
-    /// Buckets per segment.
-    #[inline]
-    pub fn buckets_per_segment(&self) -> usize {
-        self.buckets_per_segment
     }
 
     /// Total buckets.
@@ -324,7 +288,7 @@ impl Level {
 
     /// Total slots.
     #[inline]
-    pub fn n_slots(&self) -> usize {
+    pub(crate) fn n_slots(&self) -> usize {
         self.n_buckets() * SLOTS_PER_BUCKET
     }
 
@@ -357,13 +321,13 @@ impl Level {
 
     /// Byte offset of a bucket's persisted header word.
     #[inline]
-    pub fn header_off(&self, bucket: usize) -> usize {
+    pub(crate) fn header_off(&self, bucket: usize) -> usize {
         bucket * BUCKET_BYTES
     }
 
     /// Byte offset of a record slot.
     #[inline]
-    pub fn slot_off(&self, bucket: usize, slot: usize) -> usize {
+    pub(crate) fn slot_off(&self, bucket: usize, slot: usize) -> usize {
         debug_assert!(slot < SLOTS_PER_BUCKET);
         bucket * BUCKET_BYTES + BUCKET_HEADER + slot * RECORD_LEN
     }
@@ -372,14 +336,14 @@ impl Level {
 
     /// Loads the persisted bitmap word (charged as one NVM block read).
     #[inline]
-    pub fn load_header(&self, bucket: usize) -> u64 {
+    pub(crate) fn load_header(&self, bucket: usize) -> u64 {
         self.region.atomic_load_u64(self.header_off(bucket), Ordering::Acquire)
     }
 
     /// Header load *without* a media charge — used right after the same
     /// thread wrote the bucket (line still in cache).
     #[inline]
-    pub fn load_header_cached(&self, bucket: usize) -> u64 {
+    pub(crate) fn load_header_cached(&self, bucket: usize) -> u64 {
         self.region
             .atomic_load_u64_cached(self.header_off(bucket), Ordering::Acquire)
     }
@@ -398,7 +362,7 @@ impl Level {
     /// Atomically clears slot `slot`'s valid bit and zeroes its metadata
     /// field, then persists — the commit point of a delete (and of a
     /// corruption quarantine).
-    pub fn commit_slot_invalid(&self, bucket: usize, slot: usize) {
+    pub(crate) fn commit_slot_invalid(&self, bucket: usize, slot: usize) {
         self.commit_header(bucket, |h| {
             header_with_meta(h & !(1 << slot), slot, 0)
         });
@@ -409,7 +373,7 @@ impl Level {
     /// 8-byte store** and persists — the paper's figure-10(c) update
     /// commit, which is why the out-of-place slot must live in the same
     /// bucket.
-    pub fn commit_slot_swap(&self, bucket: usize, old_slot: usize, new_slot: usize, meta: u8) {
+    pub(crate) fn commit_slot_swap(&self, bucket: usize, old_slot: usize, new_slot: usize, meta: u8) {
         self.commit_header(bucket, |h| {
             let flipped = h ^ ((1 << old_slot) | (1 << new_slot));
             header_with_meta(header_with_meta(flipped, old_slot, 0), new_slot, meta)
@@ -459,7 +423,7 @@ impl Level {
 
     /// Reads an entire bucket (header + slots) in one charged access —
     /// what a recovery scan or a filter-less probe does: one media block.
-    pub fn read_bucket(&self, bucket: usize) -> (u64, [Record; SLOTS_PER_BUCKET]) {
+    pub(crate) fn read_bucket(&self, bucket: usize) -> (u64, [Record; SLOTS_PER_BUCKET]) {
         let mut raw = [0u8; BUCKET_BYTES];
         self.region.read_into(self.header_off(bucket), &mut raw);
         let header = u64::from_le_bytes(raw[..8].try_into().unwrap());
@@ -478,21 +442,12 @@ impl Level {
     /// the new level again": a region that was mid-allocation at the crash
     /// may hold torn header words, and clearing the valid bits is enough
     /// to make every stale slot invisible again.
-    pub fn wipe_headers(&self) {
+    pub(crate) fn wipe_headers(&self) {
         for b in 0..self.n_buckets() {
             let off = self.header_off(b);
             self.region.atomic_store_u64(off, 0, Ordering::Release);
             self.region.persist(off, 8);
         }
-    }
-
-    /// Number of valid slots according to the persisted headers (recovery /
-    /// diagnostics; charged reads). Masks off the checksum bits — only the
-    /// low byte is the validity bitmap.
-    pub fn count_valid(&self) -> usize {
-        (0..self.n_buckets())
-            .map(|b| header_valid_bits(self.load_header(b)).count_ones() as usize)
-            .sum()
     }
 }
 
@@ -501,6 +456,18 @@ mod tests {
     use super::*;
     use hdnh_common::{Key, Value};
     use proptest::prelude::*;
+
+    /// Packs a validity bitmap and eight 7-bit metadata fields into a
+    /// header word.
+    fn header_pack(valid: u8, metas: [u8; SLOTS_PER_BUCKET]) -> u64 {
+        (0..SLOTS_PER_BUCKET).fold(valid as u64, |h, s| header_with_meta(h, s, metas[s]))
+    }
+
+    /// Unpacks a header word into its validity bitmap and eight metadata
+    /// fields.
+    fn header_unpack(header: u64) -> (u8, [u8; SLOTS_PER_BUCKET]) {
+        (header as u8, std::array::from_fn(|s| header_slot_meta(header, s)))
+    }
 
     /// The bit-at-a-time form the table kernel replaced, kept as the
     /// oracle.
@@ -588,6 +555,51 @@ mod tests {
             prop_assert_eq!(checksum6(&bytes), checksum6_bitwise(&bytes));
             prop_assert!(checksum6(&bytes) <= CHECKSUM_MASK as u8);
         }
+
+        /// The 8-byte bucket header round-trips (validity bitmap, 8×7-bit
+        /// slot metadata fields) exactly — no bit of the CRC-6 digest or the
+        /// spill flag is lost to packing.
+        #[test]
+        fn header_roundtrips_validity_and_checksums(valid in any::<u8>(), raw in any::<u64>()) {
+            let mut metas = [0u8; SLOTS_PER_BUCKET];
+            for (s, meta) in metas.iter_mut().enumerate() {
+                *meta = ((raw >> (7 * s)) & 0x7F) as u8;
+            }
+            let h = header_pack(valid, metas);
+            let (v2, metas2) = header_unpack(h);
+            prop_assert_eq!(v2, valid);
+            prop_assert_eq!(metas2, metas);
+            for (s, &meta) in metas.iter().enumerate() {
+                prop_assert_eq!(header_slot_valid(h, s), valid & (1 << s) != 0);
+                prop_assert_eq!(header_checksum(h, s), meta & CHECKSUM_MASK as u8);
+                prop_assert_eq!(header_slot_spilled(h, s), meta & SPILL_FLAG != 0);
+            }
+        }
+
+        /// A torn record write — leading bytes from the new version, the tail
+        /// still holding the old — is accepted by the committed checksum only
+        /// on a 7-bit digest collision (the documented 1/128 false-accept);
+        /// the fully-written record always verifies.
+        #[test]
+        fn torn_record_write_is_detected_modulo_digest_collision(
+            new_bytes in any::<[u8; RECORD_LEN]>(),
+            old_bytes in any::<[u8; RECORD_LEN]>(),
+            cut in 1usize..RECORD_LEN,
+            slot in 0usize..SLOTS_PER_BUCKET,
+        ) {
+            let ck = checksum6(&new_bytes);
+            let mut cks = [0u8; SLOTS_PER_BUCKET];
+            cks[slot] = ck;
+            let header = header_pack(0xFF, cks);
+            let mut torn = new_bytes;
+            torn[cut..].copy_from_slice(&old_bytes[cut..]);
+            prop_assert!(slot_checksum_ok(header, slot, &Record::from_bytes(&new_bytes)));
+            let collide = checksum6(&torn) == ck;
+            prop_assert_eq!(
+                slot_checksum_ok(header, slot, &Record::from_bytes(&torn)),
+                collide
+            );
+        }
     }
 
     fn level() -> Level {
@@ -636,8 +648,8 @@ mod tests {
         let h = KeyHashes::of(&Key::from_u64(99));
         let c = l.candidates(&h);
         // c[0],c[1] in one segment; c[2],c[3] in another (possibly equal).
-        assert_eq!(c[0] / l.buckets_per_segment(), c[1] / l.buckets_per_segment());
-        assert_eq!(c[2] / l.buckets_per_segment(), c[3] / l.buckets_per_segment());
+        assert_eq!(c[0] / l.buckets_per_segment, c[1] / l.buckets_per_segment);
+        assert_eq!(c[2] / l.buckets_per_segment, c[3] / l.buckets_per_segment);
     }
 
     #[test]
@@ -648,7 +660,7 @@ mod tests {
         l.write_record(2, 3, &rec);
         assert_eq!(l.load_header(2), 0, "valid bit not yet set");
         l.commit_slot_valid(2, 3, ck);
-        assert_eq!(header_valid_bits(l.load_header(2)), 1 << 3);
+        assert_eq!(header_unpack(l.load_header(2)).0, 1 << 3);
         assert_eq!(header_checksum(l.load_header(2), 3), ck);
         assert!(slot_checksum_ok(l.load_header(2), 3, &rec));
         assert_eq!(l.read_record(2, 3), rec);
@@ -667,7 +679,7 @@ mod tests {
         let before = l.stats_writes();
         l.commit_slot_swap(0, 1, 4, checksum6(&new.to_bytes()));
         let h = l.load_header(0);
-        assert_eq!(header_valid_bits(h), 1 << 4);
+        assert_eq!(header_unpack(h).0, 1 << 4);
         assert_eq!(header_checksum(h, 1), 0, "old slot's checksum cleared");
         assert!(slot_checksum_ok(h, 4, &new));
         // Exactly one data store (plus persist) for the double flip.
@@ -689,7 +701,7 @@ mod tests {
             l.commit_slot_valid(1, s, checksum6(&rec.to_bytes()));
         }
         let (header, recs) = l.read_bucket(1);
-        assert_eq!(header_valid_bits(header), 0b1000_1001);
+        assert_eq!(header_unpack(header).0, 0b1000_1001);
         for s in [0usize, 3, 7] {
             assert_eq!(recs[s], l.read_record(1, s));
             assert_eq!(recs[s].key.as_u64(), s as u64);
@@ -707,16 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn count_valid_sums_headers() {
-        let l = level();
-        // Non-zero checksums must not inflate the count.
-        l.commit_slot_valid(0, 0, 0x7F);
-        l.commit_slot_valid(0, 1, 0x55);
-        l.commit_slot_valid(31, 7, 0x7F);
-        assert_eq!(l.count_valid(), 3);
-    }
-
-    #[test]
     fn header_pack_unpack_roundtrip() {
         let cks = [0u8, 1, 0x7F, 0x2A, 0x55, 0x13, 0x40, 0x6E];
         let h = header_pack(0b1010_0110, cks);
@@ -730,7 +732,7 @@ mod tests {
         for s in [0usize, 1, 3, 4, 5, 6, 7] {
             assert_eq!(got2[s], cks[s], "slot {s} disturbed");
         }
-        assert_eq!(header_valid_bits(h2), 0b1010_0110);
+        assert_eq!(header_unpack(h2).0, 0b1010_0110);
     }
 
     #[test]

@@ -32,16 +32,16 @@ use hdnh_common::prefetch::prefetch_read;
 use hdnh_obs as obs;
 
 /// VALID bit: slot holds a live record.
-pub const E_VALID: u16 = 1;
+pub(crate) const E_VALID: u16 = 1;
 /// BUSY bit: slot is locked by a writer (the paper's opmap).
-pub const E_BUSY: u16 = 1 << 1;
+pub(crate) const E_BUSY: u16 = 1 << 1;
 const VERSION_SHIFT: u16 = 2;
 const VERSION_MASK: u16 = 0x3F << VERSION_SHIFT;
 const FP_SHIFT: u16 = 8;
 
 /// Packs an entry from its fields.
 #[inline]
-pub fn pack(valid: bool, busy: bool, version: u16, fp: u8) -> u16 {
+pub(crate) fn pack(valid: bool, busy: bool, version: u16, fp: u8) -> u16 {
     (valid as u16)
         | ((busy as u16) << 1)
         | ((version & 0x3F) << VERSION_SHIFT)
@@ -55,12 +55,12 @@ pub fn is_valid(e: u16) -> bool {
 }
 /// True if a writer holds the slot.
 #[inline]
-pub fn is_busy(e: u16) -> bool {
+pub(crate) fn is_busy(e: u16) -> bool {
     e & E_BUSY != 0
 }
 /// 6-bit version counter.
 #[inline]
-pub fn version(e: u16) -> u16 {
+pub(crate) fn version(e: u16) -> u16 {
     (e & VERSION_MASK) >> VERSION_SHIFT
 }
 /// Stored fingerprint byte.
@@ -70,18 +70,6 @@ pub fn fp(e: u16) -> u8 {
 }
 
 /// The filter for one level: a flat array of entries, one per NVM slot.
-///
-/// ```
-/// use hdnh::ocf::{self, LockOutcome, Ocf};
-///
-/// let filter = Ocf::new(16, 8); // 16 buckets x 8 slots
-/// // Writer: lock an empty slot, publish fingerprint 0x42.
-/// let LockOutcome::Locked(pre) = filter.try_lock_empty(3, 0) else { panic!() };
-/// filter.commit(3, 0, pre, true, 0x42);
-/// // Reader: one load answers "could slot (3,0) hold a key with fp 0x42?"
-/// let e = filter.load(3, 0);
-/// assert!(ocf::is_valid(e) && ocf::fp(e) == 0x42);
-/// ```
 #[derive(Debug)]
 pub struct Ocf {
     entries: Box<[AtomicU16]>,
@@ -90,7 +78,7 @@ pub struct Ocf {
 
 /// Outcome of a lock attempt on one slot.
 #[derive(Debug, PartialEq, Eq)]
-pub enum LockOutcome {
+pub(crate) enum LockOutcome {
     /// Lock acquired; contains the pre-lock entry value.
     Locked(u16),
     /// Entry changed under us (busy or mutated); caller rescans.
@@ -111,18 +99,6 @@ impl Ocf {
         }
     }
 
-    /// Number of buckets covered.
-    #[inline]
-    pub fn n_buckets(&self) -> usize {
-        self.entries.len() / self.slots_per_bucket
-    }
-
-    /// Slots per bucket.
-    #[inline]
-    pub fn slots_per_bucket(&self) -> usize {
-        self.slots_per_bucket
-    }
-
     #[inline]
     fn idx(&self, bucket: usize, slot: usize) -> usize {
         debug_assert!(slot < self.slots_per_bucket);
@@ -132,7 +108,7 @@ impl Ocf {
     /// Hints that `bucket`'s entry group is about to be walked. Changes
     /// nothing; a bucket past the end is ignored.
     #[inline]
-    pub fn prefetch_bucket(&self, bucket: usize) {
+    pub(crate) fn prefetch_bucket(&self, bucket: usize) {
         let first = bucket * self.slots_per_bucket;
         prefetch_read(&self.entries, first..first + self.slots_per_bucket);
     }
@@ -160,7 +136,7 @@ impl Ocf {
     /// `true` iff the entry still equals `expected` (and is therefore not
     /// busy, assuming `expected` was not busy).
     #[inline]
-    pub fn revalidate(&self, bucket: usize, slot: usize, expected: u16) -> bool {
+    pub(crate) fn revalidate(&self, bucket: usize, slot: usize, expected: u16) -> bool {
         fence(Ordering::Acquire);
         self.entries[self.idx(bucket, slot)].load(Ordering::Relaxed) == expected
     }
@@ -169,7 +145,7 @@ impl Ocf {
     /// `(valid=0, busy=0)` to busy. On success, issues the writer-side
     /// release fence; the caller may then write the NVM slot. The CAS is
     /// sequentially consistent for `load_after_claim`.
-    pub fn try_lock_empty(&self, bucket: usize, slot: usize) -> LockOutcome {
+    pub(crate) fn try_lock_empty(&self, bucket: usize, slot: usize) -> LockOutcome {
         let cell = &self.entries[self.idx(bucket, slot)];
         let cur = cell.load(Ordering::Relaxed);
         if is_valid(cur) || is_busy(cur) {
@@ -197,7 +173,7 @@ impl Ocf {
     /// Tries to lock a **valid** slot whose entry currently equals
     /// `expected` (as previously loaded by the caller during its probe).
     /// Guarantees the slot content cannot have changed since that load.
-    pub fn try_lock_at(&self, bucket: usize, slot: usize, expected: u16) -> LockOutcome {
+    pub(crate) fn try_lock_at(&self, bucket: usize, slot: usize, expected: u16) -> LockOutcome {
         if is_busy(expected) {
             obs::count(obs::Counter::OpmapCasFail);
             return LockOutcome::Contended;
@@ -226,7 +202,7 @@ impl Ocf {
 
     /// Commit: unlock, bump version, publish `valid`/`fp`. One release
     /// store (the paper's "atomic write … incrementing the version").
-    pub fn commit(&self, bucket: usize, slot: usize, pre_lock: u16, valid: bool, fp: u8) {
+    pub(crate) fn commit(&self, bucket: usize, slot: usize, pre_lock: u16, valid: bool, fp: u8) {
         debug_assert!(
             is_busy(self.entries[self.idx(bucket, slot)].load(Ordering::Relaxed)),
             "commit without lock"
@@ -238,7 +214,7 @@ impl Ocf {
     /// Abort: unlock without changing valid/fp. Bumps the version anyway —
     /// cheap, and conservatively invalidates any reader that overlapped the
     /// lock window.
-    pub fn abort(&self, bucket: usize, slot: usize, pre_lock: u16) {
+    pub(crate) fn abort(&self, bucket: usize, slot: usize, pre_lock: u16) {
         let next = pack(
             is_valid(pre_lock),
             false,
@@ -253,17 +229,9 @@ impl Ocf {
         self.entries[self.idx(bucket, slot)].store(pack(valid, false, 0, fp), Ordering::Relaxed);
     }
 
-    /// Count of valid entries (diagnostics, recovery verification).
-    pub fn count_valid(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| is_valid(e.load(Ordering::Relaxed)))
-            .count()
-    }
-
     /// Approximate memory footprint in bytes (for the paper's "an OCF entry
     /// only occupies 2 bytes" accounting).
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<AtomicU16>()
     }
 }
@@ -275,28 +243,23 @@ impl Ocf {
 /// descheduled lock holder cannot starve its contenders. Every round is
 /// counted under [`obs::Counter::OpmapBackoffRound`].
 #[derive(Debug, Default)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     round: u32,
 }
 
 impl Backoff {
     /// Spin budget cap: at most `2^MAX_EXP` hints per round.
-    pub const MAX_EXP: u32 = 6;
+    pub(crate) const MAX_EXP: u32 = 6;
     /// Rounds after which the waiter yields instead of spinning.
-    pub const YIELD_AFTER: u32 = 10;
+    pub(crate) const YIELD_AFTER: u32 = 10;
 
     /// Fresh backoff state (round 0).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Backoff { round: 0 }
     }
 
-    /// Rounds waited so far.
-    pub fn rounds(&self) -> u32 {
-        self.round
-    }
-
     /// Wait one round: exponential spinning up to the cap, then yields.
-    pub fn wait(&mut self) {
+    pub(crate) fn wait(&mut self) {
         obs::count(obs::Counter::OpmapBackoffRound);
         if self.round < Self::YIELD_AFTER {
             for _ in 0..(1u32 << self.round.min(Self::MAX_EXP)) {
@@ -312,6 +275,22 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Valid entries in the filter.
+    fn count_valid(ocf: &Ocf) -> usize {
+        ocf.entries.iter().filter(|e| is_valid(e.load(Ordering::Relaxed))).count()
+    }
+
+    #[test]
+    fn a_committed_fingerprint_answers_one_load() {
+        let filter = Ocf::new(16, 8); // 16 buckets x 8 slots
+        // Writer: lock an empty slot, publish fingerprint 0x42.
+        let LockOutcome::Locked(pre) = filter.try_lock_empty(3, 0) else { panic!() };
+        filter.commit(3, 0, pre, true, 0x42);
+        // Reader: one load answers "could slot (3,0) hold a key with fp 0x42?"
+        let e = filter.load(3, 0);
+        assert!(is_valid(e) && fp(e) == 0x42);
+    }
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -438,7 +417,7 @@ mod tests {
             for bucket in [0, buckets - 1, buckets] {
                 ocf.prefetch_bucket(bucket);
             }
-            assert_eq!(ocf.count_valid(), 1);
+            assert_eq!(count_valid(&ocf), 1);
             assert_eq!(fp(ocf.load(buckets - 1, slots - 1)), 0x5A);
         }
     }
@@ -446,11 +425,11 @@ mod tests {
     #[test]
     fn count_valid_counts() {
         let ocf = Ocf::new(4, 8);
-        assert_eq!(ocf.count_valid(), 0);
+        assert_eq!(count_valid(&ocf), 0);
         ocf.install(0, 0, true, 1);
         ocf.install(3, 7, true, 2);
         ocf.install(2, 2, false, 3);
-        assert_eq!(ocf.count_valid(), 2);
+        assert_eq!(count_valid(&ocf), 2);
     }
 
     #[test]
@@ -531,13 +510,13 @@ mod tests {
     #[test]
     fn backoff_rounds_accumulate_and_saturate() {
         let mut b = Backoff::new();
-        assert_eq!(b.rounds(), 0);
+        assert_eq!(b.round, 0);
         // Drive it well past the yield threshold; must neither panic nor
         // overflow the shift (the exponent is capped at MAX_EXP).
         for _ in 0..(Backoff::YIELD_AFTER + 20) {
             b.wait();
         }
-        assert_eq!(b.rounds(), Backoff::YIELD_AFTER + 20);
+        assert_eq!(b.round, Backoff::YIELD_AFTER + 20);
     }
 
     #[test]

@@ -10,11 +10,11 @@ use hdnh_nvm::NvmOptions;
 /// Bytes per non-volatile bucket — fixed at AEP's 256-byte block granularity.
 pub const BUCKET_BYTES: usize = 256;
 /// Persisted header bytes per bucket (bitmap word).
-pub const BUCKET_HEADER: usize = 8;
+pub(crate) const BUCKET_HEADER: usize = 8;
 /// Slots per non-volatile bucket.
 pub const SLOTS_PER_BUCKET: usize = 8;
 /// Bytes per slot (one 31-byte record).
-pub const SLOT_BYTES: usize = hdnh_common::RECORD_LEN;
+pub(crate) const SLOT_BYTES: usize = hdnh_common::RECORD_LEN;
 
 // 8 + 8×31 = 256: the record geometry exactly fills a bucket.
 const _: () = assert!(BUCKET_HEADER + SLOTS_PER_BUCKET * SLOT_BYTES == BUCKET_BYTES);
@@ -113,22 +113,6 @@ impl HdnhParams {
         self.initial_bottom_segments = m.next_power_of_two();
     }
 
-    /// Total slot capacity of the initial table (both levels).
-    pub fn initial_slots(&self) -> usize {
-        let buckets_per_segment = self.segment_bytes / BUCKET_BYTES;
-        3 * self.initial_bottom_segments * buckets_per_segment * SLOTS_PER_BUCKET
-    }
-
-    /// Validates invariants, panicking with the first broken rule. The
-    /// fallible constructors (`Hdnh::try_new`, `Hdnh::try_recover`) and
-    /// the builder check the same rules and return
-    /// [`HdnhError::Config`](crate::HdnhError::Config) instead.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
-
     /// The one rule set every configuration must meet.
     pub(crate) fn check(&self) -> Result<(), String> {
         if self.segment_bytes < BUCKET_BYTES || !self.segment_bytes.is_multiple_of(BUCKET_BYTES) {
@@ -200,27 +184,9 @@ impl HdnhParamsBuilder {
         self
     }
 
-    /// Slots per hot-table bucket (1..=8).
-    pub fn hot_slots_per_bucket(mut self, slots: usize) -> Self {
-        self.params.hot_slots_per_bucket = slots;
-        self
-    }
-
     /// Hot-table capacity as a fraction of non-volatile slots.
     pub fn hot_capacity_ratio(mut self, ratio: f64) -> Self {
         self.params.hot_capacity_ratio = ratio;
-        self
-    }
-
-    /// Enables or disables the Optimistic Compression Filter.
-    pub fn enable_ocf(mut self, on: bool) -> Self {
-        self.params.enable_ocf = on;
-        self
-    }
-
-    /// Enables or disables the two-segment-choice probe strategy.
-    pub fn two_choice_segments(mut self, on: bool) -> Self {
-        self.params.two_choice_segments = on;
         self
     }
 
@@ -239,12 +205,6 @@ impl HdnhParamsBuilder {
     /// Synchronous-write mechanism mode.
     pub fn sync_mode(mut self, mode: SyncMode) -> Self {
         self.params.sync_mode = mode;
-        self
-    }
-
-    /// Background writer threads for [`SyncMode::Background`].
-    pub fn background_writers(mut self, n: usize) -> Self {
-        self.params.background_writers = n;
         self
     }
 
@@ -303,9 +263,20 @@ impl Default for HdnhParams {
 mod tests {
     use super::*;
 
+    /// Total slot capacity of the initial table (both levels): the top
+    /// level has twice the bottom's segments.
+    fn initial_slots(p: &HdnhParams) -> usize {
+        3 * p.initial_bottom_segments * (p.segment_bytes / BUCKET_BYTES) * SLOTS_PER_BUCKET
+    }
+
+    /// What the builder returns for `params`.
+    fn built(params: HdnhParams) -> Result<HdnhParams, crate::HdnhError> {
+        HdnhParamsBuilder { params, capacity: None }.build()
+    }
+
     #[test]
     fn default_is_valid() {
-        HdnhParams::default().validate();
+        assert_eq!(HdnhParams::default().check(), Ok(()));
     }
 
     #[test]
@@ -320,33 +291,31 @@ mod tests {
     fn for_capacity_is_large_enough() {
         for records in [100, 10_000, 1_000_000] {
             let p = HdnhParams::for_capacity(records);
-            p.validate();
+            assert_eq!(p.check(), Ok(()));
             assert!(
-                p.initial_slots() as f64 * 0.8 >= records as f64,
+                initial_slots(&p) as f64 * 0.8 >= records as f64,
                 "records={records} slots={}",
-                p.initial_slots()
+                initial_slots(&p)
             );
         }
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
     fn non_pow2_segments_rejected() {
         let p = HdnhParams {
             initial_bottom_segments: 3,
             ..Default::default()
         };
-        p.validate();
+        assert!(p.check().unwrap_err().contains("power of two"));
     }
 
     #[test]
-    #[should_panic(expected = "1..=8")]
     fn bad_hot_slots_rejected() {
         let p = HdnhParams {
             hot_slots_per_bucket: 9,
             ..Default::default()
         };
-        p.validate();
+        assert!(p.check().unwrap_err().contains("1..=8"));
     }
 
     #[test]
@@ -383,7 +352,7 @@ mod tests {
         assert!(!p.enable_hot_table);
         assert_eq!(p.sync_mode, SyncMode::Background);
         assert!(p.initial_bottom_segments.is_power_of_two());
-        assert!(p.initial_slots() as f64 * 0.8 >= 10_000.0);
+        assert!(initial_slots(&p) as f64 * 0.8 >= 10_000.0);
     }
 
     #[test]
@@ -393,28 +362,17 @@ mod tests {
             HdnhParams::builder().segment_bytes(100).build(),
             HdnhParams::builder().segment_bytes(3 * 256).build(),
             HdnhParams::builder().initial_bottom_segments(3).build(),
-            HdnhParams::builder().hot_slots_per_bucket(0).build(),
-            HdnhParams::builder().hot_slots_per_bucket(9).build(),
+            built(HdnhParams { hot_slots_per_bucket: 0, ..Default::default() }),
+            built(HdnhParams { hot_slots_per_bucket: 9, ..Default::default() }),
             HdnhParams::builder().hot_capacity_ratio(0.0).build(),
             HdnhParams::builder().hot_capacity_ratio(f64::NAN).build(),
             HdnhParams::builder().hot_capacity_ratio(100.0).build(),
-            HdnhParams::builder().background_writers(0).build(),
+            built(HdnhParams { background_writers: 0, ..Default::default() }),
             HdnhParams::builder().vlog_segment_bytes(60).build(),
             HdnhParams::builder().vlog_segment_bytes(100).build(),
         ];
         for (i, r) in bad.into_iter().enumerate() {
             assert!(matches!(r, Err(HdnhError::Config(_))), "case {i} accepted");
         }
-    }
-
-    #[test]
-    fn initial_slots_counts_both_levels() {
-        let p = HdnhParams {
-            segment_bytes: 1024, // 4 buckets/segment
-            initial_bottom_segments: 2,
-            ..Default::default()
-        };
-        // top 4 segs + bottom 2 segs = 6 segs × 4 buckets × 8 slots.
-        assert_eq!(p.initial_slots(), 6 * 4 * 8);
     }
 }

@@ -50,23 +50,23 @@ use crate::{Hdnh, HdnhError};
 pub const SUPERBLOCK_FILE: &str = "superblock";
 
 /// Superblock magic: "HDNHPOOL" as ASCII bytes, read as little-endian.
-pub const SUPERBLOCK_MAGIC: u64 = u64::from_le_bytes(*b"HDNHPOOL");
+pub(crate) const SUPERBLOCK_MAGIC: u64 = u64::from_le_bytes(*b"HDNHPOOL");
 
 /// Superblock format version this build reads and writes. Version 2
 /// added value-log segment files (`vlog-*.dat`) to the pool layout;
 /// older builds would misclassify them as level regions, so v1 pools
 /// are refused rather than silently reinterpreted.
-pub const SUPERBLOCK_VERSION: u32 = 2;
+pub(crate) const SUPERBLOCK_VERSION: u32 = 2;
 
 /// Encoded superblock size on disk.
-pub const SUPERBLOCK_BYTES: usize = 64;
+pub(crate) const SUPERBLOCK_BYTES: usize = 64;
 
 const FLAG_CLEAN: u32 = 1;
 
 /// Decoded pool superblock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Superblock {
-    /// Format version (currently always [`SUPERBLOCK_VERSION`]).
+pub(crate) struct Superblock {
+    /// Format version (currently always `SUPERBLOCK_VERSION`).
     pub version: u32,
     /// Whether the previous holder detached through the clean-shutdown
     /// path (all regions synced, nothing in flight).
@@ -84,7 +84,7 @@ impl Superblock {
     /// layout_epoch u64 | reserved [u8; 28] | crc32 u32`, all
     /// little-endian, CRC computed over the whole block with the CRC
     /// field zeroed.
-    pub fn encode(&self) -> [u8; SUPERBLOCK_BYTES] {
+    pub(crate) fn encode(&self) -> [u8; SUPERBLOCK_BYTES] {
         let mut b = [0u8; SUPERBLOCK_BYTES];
         b[0..8].copy_from_slice(&SUPERBLOCK_MAGIC.to_le_bytes());
         b[8..12].copy_from_slice(&self.version.to_le_bytes());
@@ -100,7 +100,7 @@ impl Superblock {
     /// Parses and validates an on-disk superblock. Every failure mode is
     /// a typed [`HdnhError::Recovery`] — truncation, wrong magic, any
     /// bit flip (caught by the CRC), unsupported version.
-    pub fn decode(bytes: &[u8]) -> Result<Superblock, HdnhError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Superblock, HdnhError> {
         if bytes.len() != SUPERBLOCK_BYTES {
             return Err(HdnhError::Recovery(format!(
                 "superblock is {} bytes, expected {SUPERBLOCK_BYTES} (truncated?)",

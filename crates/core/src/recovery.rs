@@ -107,7 +107,7 @@ impl Hdnh {
 
     /// Re-opens a pool: completes any interrupted resize, then rebuilds the
     /// OCF and hot table with `threads` parallel scan threads. Panics on
-    /// every error [`Hdnh::try_recover`] reports.
+    /// every error `Hdnh::try_recover` reports.
     pub fn recover(params: HdnhParams, pool: PersistentPool, threads: usize) -> Hdnh {
         Self::try_recover(params, pool, threads).unwrap_or_else(|e| panic!("recovery failed: {e}"))
     }
@@ -118,7 +118,7 @@ impl Hdnh {
     /// region set the persisted geometry cannot place is
     /// [`HdnhError::Recovery`]; a pool-file allocation failure is
     /// [`HdnhError::Io`].
-    pub fn try_recover(
+    pub(crate) fn try_recover(
         params: HdnhParams,
         pool: PersistentPool,
         threads: usize,
@@ -296,16 +296,6 @@ impl Hdnh {
         let stop = stop_after_buckets.min(inner.bottom.n_buckets());
         let cands = candidates(self.params());
         Self::migrate(&inner.bottom, &new_top, &new_ocf, 0..stop, &self.meta, cands);
-        self.live_pool()
-    }
-
-    /// Crashes after requesting a new level but before it becomes visible
-    /// (the paper's level-number-2 scenario). Crash-consistency tests only.
-    #[doc(hidden)]
-    pub fn into_crashed_while_allocating(self) -> PersistentPool {
-        let m = self.maintain();
-        self.meta.set_new_top_segments(m.inner().top.n_segments() * 2);
-        self.meta.set_state(ResizeState::Allocating);
         self.live_pool()
     }
 }
@@ -488,6 +478,15 @@ mod tests {
     use hdnh_nvm::NvmOptions;
     use std::sync::atomic::Ordering;
 
+    /// Crashes `t` after requesting a new level but before it becomes
+    /// visible (the paper's level-number-2 scenario).
+    fn crashed_while_allocating(t: Hdnh) -> PersistentPool {
+        let m = t.maintain();
+        t.meta.set_new_top_segments(m.inner().top.n_segments() * 2);
+        t.meta.set_state(ResizeState::Allocating);
+        t.live_pool()
+    }
+
     fn strict_params() -> HdnhParams {
         HdnhParams::builder()
             .segment_bytes(1024)
@@ -658,7 +657,7 @@ mod tests {
         for i in 0..300 {
             t.insert(&k(i), &v(i)).unwrap();
         }
-        let pool = t.into_crashed_while_allocating();
+        let pool = crashed_while_allocating(t);
         pool.crash(7);
         let r = Hdnh::recover(params.clone(), pool, 2);
         assert_eq!(r.len(), 300);
@@ -773,7 +772,7 @@ mod tests {
                 t.insert(&k(i), &v(i + 1)).unwrap();
             }
             if allocating {
-                t.into_crashed_while_allocating()
+                crashed_while_allocating(t)
             } else {
                 let half = t.meta_bottom_buckets() / 2;
                 t.into_crashed_mid_resize(half)

@@ -140,7 +140,7 @@ impl SnapshotManifest {
 
     /// Parses and validates manifest text; every failure is a typed
     /// [`HdnhError::Recovery`].
-    pub fn decode(text: &str) -> Result<SnapshotManifest, HdnhError> {
+    pub(crate) fn decode(text: &str) -> Result<SnapshotManifest, HdnhError> {
         let bad = |msg: String| Err(HdnhError::Recovery(format!("snapshot manifest: {msg}")));
         // The trailer covers every byte before its own line.
         let Some(end_at) = text.rfind("end ") else {

@@ -27,7 +27,7 @@ use crate::hot::{HotBuckets, HotTable};
 
 /// The hot-table side of one write operation. Carries the key's hot
 /// buckets, which the foreground thread already computed for its prefetch.
-pub enum HotOp {
+pub(crate) enum HotOp {
     /// Insert or in-place update of a record.
     Put {
         /// The record to cache.
@@ -75,7 +75,7 @@ impl HotOp {
 }
 
 /// The `sync_write_signal`: 0 = incomplete, 1 = completion.
-pub struct SyncSignal(AtomicU32);
+pub(crate) struct SyncSignal(AtomicU32);
 
 impl SyncSignal {
     fn new() -> Arc<Self> {
@@ -124,7 +124,7 @@ struct Job {
 }
 
 /// The background writer pool.
-pub struct SyncWriter {
+pub(crate) struct SyncWriter {
     tx: Sender<Job>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -137,7 +137,7 @@ thread_local! {
 
 impl SyncWriter {
     /// Spawns `n_workers` background threads.
-    pub fn new(n_workers: usize) -> Self {
+    pub(crate) fn new(n_workers: usize) -> Self {
         assert!(n_workers >= 1);
         let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
         let workers = (0..n_workers)
@@ -184,7 +184,7 @@ impl SyncWriter {
     /// Dispatches the hot-table half of a write and returns a completion
     /// handle the foreground thread must [`wait`](SyncHandle::wait) on
     /// before acknowledging the operation.
-    pub fn dispatch(&self, hot: &Arc<HotTable>, op: HotOp) -> SyncHandle {
+    pub(crate) fn dispatch(&self, hot: &Arc<HotTable>, op: HotOp) -> SyncHandle {
         let signal = SIGNAL.with(|s| {
             s.borrow_mut()
                 .get_or_insert_with(SyncSignal::new)
@@ -214,14 +214,14 @@ impl Drop for SyncWriter {
 }
 
 /// Foreground handle for one in-flight synchronous write.
-pub struct SyncHandle {
+pub(crate) struct SyncHandle {
     signal: Arc<SyncSignal>,
 }
 
 impl SyncHandle {
     /// Blocks (spins) until the background half completed.
     #[inline]
-    pub fn wait(self) {
+    pub(crate) fn wait(self) {
         self.signal.wait();
     }
 }

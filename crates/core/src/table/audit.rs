@@ -37,14 +37,14 @@ pub struct ScrubReport {
     pub repaired: usize,
     /// Detected slots with no clean copy: valid bit cleared, record lost.
     pub quarantined: usize,
-    /// Per-slot detail for each detection (capped at [`ScrubReport::ERRORS_CAP`]).
+    /// Per-slot detail for each detection (capped at `ScrubReport::ERRORS_CAP`).
     pub errors: Vec<HdnhError>,
 }
 
 impl ScrubReport {
     /// Cap on retained per-slot errors so a badly damaged pool stays
     /// reportable.
-    pub const ERRORS_CAP: usize = 64;
+    pub(crate) const ERRORS_CAP: usize = 64;
 
     /// `true` when the pass found no corruption.
     pub fn clean(&self) -> bool {
@@ -247,7 +247,7 @@ impl Hdnh {
     /// vouches for the damaged record's key bytes), quarantined otherwise.
     /// Holds only the maintenance mutex: readers *and writers* keep running,
     /// because every repair goes through the per-slot lock protocol
-    /// ([`handle_corruption`](Self::handle_corruption)). After it returns,
+    /// (`handle_corruption`). After it returns,
     /// [`verify_integrity_report`](Hdnh::verify_integrity_report) is clean
     /// with respect to `checksum-match`.
     pub fn scrub(&self) -> ScrubReport {

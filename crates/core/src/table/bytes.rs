@@ -281,11 +281,6 @@ impl Hdnh {
         }
     }
 
-    /// Handle to the value log (spilled-value storage).
-    pub fn vlog(&self) -> &Arc<Vlog> {
-        &self.vlog
-    }
-
     /// Value-log occupancy and last-GC statistics.
     pub fn vlog_stats(&self) -> vlog::VlogStats {
         self.vlog.stats()

@@ -342,7 +342,7 @@ impl Hdnh {
     }
 
     /// Creates an empty table. Panics on backend allocation failure;
-    /// fallible construction (pool files) is [`Hdnh::try_new`].
+    /// fallible construction (pool files) is `Hdnh::try_new`.
     pub fn new(params: HdnhParams) -> Self {
         Self::try_new(params).unwrap_or_else(|e| panic!("table allocation failed: {e}"))
     }
@@ -350,7 +350,7 @@ impl Hdnh {
     /// Creates an empty table, surfacing bad params
     /// ([`HdnhError::Config`]) and backend (pool-file) failures as typed
     /// errors instead of panicking.
-    pub fn try_new(params: HdnhParams) -> Result<Self, HdnhError> {
+    pub(crate) fn try_new(params: HdnhParams) -> Result<Self, HdnhError> {
         params.check().map_err(HdnhError::Config)?;
         let bps = params.segment_bytes / BUCKET_BYTES;
         let bottom_segments = params.initial_bottom_segments;
@@ -470,14 +470,14 @@ impl Hdnh {
     /// Paths of every pool file currently reachable from the table (meta,
     /// live levels, any in-flight resize target, log segments). Empty on
     /// the heap backend. Used by the orphan sweep after recovery.
-    pub fn region_file_paths(&self) -> Vec<PathBuf> {
+    pub(crate) fn region_file_paths(&self) -> Vec<PathBuf> {
         self.maintain().region_file_paths()
     }
 
     /// `msync(MS_SYNC)`+`fsync` every region reachable from the table
     /// without consuming it (pool creation, checkpoint-style callers).
     /// No-op on the heap backend.
-    pub fn sync_regions_to_disk(&self) -> Result<(), HdnhError> {
+    pub(crate) fn sync_regions_to_disk(&self) -> Result<(), HdnhError> {
         self.maintain().sync_regions_to_disk()
     }
 
@@ -576,12 +576,12 @@ mod tests {
 
     #[test]
     fn works_without_ocf_filtering() {
-        let t = Hdnh::new(HdnhParams::builder()
-        .segment_bytes(1024)
-        .initial_bottom_segments(2)
-        .enable_ocf(false)
-        .build()
-        .unwrap());
+        let t = Hdnh::new(HdnhParams {
+            segment_bytes: 1024,
+            initial_bottom_segments: 2,
+            enable_ocf: false,
+            ..Default::default()
+        });
         for i in 0..500 {
             t.insert(&k(i), &v(i)).unwrap();
         }

@@ -439,18 +439,13 @@ mod tests {
 
     #[test]
     fn one_choice_ablation_works_and_resizes_earlier() {
-        let two = Hdnh::new(HdnhParams::builder()
-        .segment_bytes(1024)
-        .initial_bottom_segments(2)
-        .two_choice_segments(true)
-        .build()
-        .unwrap());
-        let one = Hdnh::new(HdnhParams::builder()
-        .segment_bytes(1024)
-        .initial_bottom_segments(2)
-        .two_choice_segments(false)
-        .build()
-        .unwrap());
+        let base = HdnhParams {
+            segment_bytes: 1024,
+            initial_bottom_segments: 2,
+            ..Default::default()
+        };
+        let two = Hdnh::new(HdnhParams { two_choice_segments: true, ..base.clone() });
+        let one = Hdnh::new(HdnhParams { two_choice_segments: false, ..base });
         for i in 0..3_000u64 {
             two.insert(&k(i), &v(i)).unwrap();
             one.insert(&k(i), &v(i)).unwrap();
@@ -475,25 +470,25 @@ mod tests {
     /// the last bucket of every array, and change no answer.
     #[test]
     fn address_first_probe_under_every_ablation() {
-        let base = || {
-            HdnhParams::builder()
-                .segment_bytes(512) // two buckets per segment
-                .initial_bottom_segments(1)
-                .vlog_segment_bytes(1024)
+        let base = || HdnhParams {
+            segment_bytes: 512, // two buckets per segment
+            initial_bottom_segments: 1,
+            vlog_segment_bytes: 1024,
+            ..Default::default()
         };
         let configs = [
             ("defaults", base()),
-            ("no hot table", base().enable_hot_table(false)),
-            ("no filter", base().enable_ocf(false)),
-            ("one-choice segments", base().two_choice_segments(false)),
-            ("one bucket per segment", base().segment_bytes(256)),
-            ("two-bucket hot table", base().hot_capacity_ratio(1e-6)),
-            ("background hot writes", base().sync_mode(SyncMode::Background)),
+            ("no hot table", HdnhParams { enable_hot_table: false, ..base() }),
+            ("no filter", HdnhParams { enable_ocf: false, ..base() }),
+            ("one-choice segments", HdnhParams { two_choice_segments: false, ..base() }),
+            ("one bucket per segment", HdnhParams { segment_bytes: 256, ..base() }),
+            ("two-bucket hot table", HdnhParams { hot_capacity_ratio: 1e-6, ..base() }),
+            ("background hot writes", HdnhParams { sync_mode: SyncMode::Background, ..base() }),
         ];
         let payload =
             |i: u64, ver: u8| vec![ver ^ i as u8; if i.is_multiple_of(2) { 9 } else { 100 }];
-        for (name, builder) in configs {
-            let t = Hdnh::new(builder.build().unwrap());
+        for (name, params) in configs {
+            let t = Hdnh::new(params);
             for i in 0..600 {
                 t.insert_bytes(&k(i), &payload(i, 0)).unwrap();
             }

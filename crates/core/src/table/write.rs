@@ -382,7 +382,10 @@ mod tests {
         // Only one valid NVM slot for the key.
         let snap = t.pinned();
         let inner = snap.inner;
-        let total_valid: usize = inner.top.count_valid() + inner.bottom.count_valid();
+        let total_valid: u32 = [&inner.top, &inner.bottom]
+            .iter()
+            .flat_map(|l| (0..l.n_buckets()).map(|b| (l.load_header(b) as u8).count_ones()))
+            .sum();
         assert_eq!(total_valid, 1);
     }
 

@@ -5,13 +5,13 @@
 //! values that do not fit. Values up to the inline budget
 //! ([`INLINE_MAX`]) are stored directly in the slot — the paper's fast
 //! path, unchanged. Longer values are appended to a segmented,
-//! CRC32-checksummed log ([`segment::VlogSegment`]) and the slot stores a
+//! CRC32-checksummed log (`segment::VlogSegment`) and the slot stores a
 //! packed `(segment, offset, length)` pointer ([`VlogPtr`]). Which of the
 //! two a slot word is says the spare per-slot header bit (`nvtable`'s
 //! spill flag), which travels with the word; nothing classifies a word by
-//! its bytes. The [`SPILL_SENTINEL`] first byte, the non-zero length and
+//! its bytes. The `SPILL_SENTINEL` first byte, the non-zero length and
 //! the zero pad of a pointer are redundancy: under a set spill flag,
-//! [`VlogPtr::from_value`] checks them as part of the word's integrity.
+//! `VlogPtr::from_value` checks them as part of the word's integrity.
 //!
 //! Durability ordering: a record is flushed and fenced *before* its
 //! pointer is published to the index, so under `--sync-policy sync` a
@@ -19,15 +19,15 @@
 //! crash between append and publish leaves an orphaned record that the
 //! recovery scan treats as garbage.
 //!
-//! Garbage collection ([`gc`], `Hdnh::compact`) relocates live records
+//! Garbage collection (`gc`, `Hdnh::compact`) relocates live records
 //! out of the most-garbage segments and retires the emptied segments
 //! without ever blocking readers: readers hold an `Arc` to the segment
 //! they are reading, and a reader that loses the race (its segment left
 //! the map) simply re-probes the index, which by then names the
 //! relocated copy.
 
-pub mod gc;
-pub mod segment;
+mod gc;
+pub(crate) mod segment;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,9 +41,8 @@ use crate::error::HdnhError;
 
 pub use gc::CompactReport;
 pub(crate) use segment::AppendTicket;
-pub use segment::{
-    decode_record, encode_record, encode_record_into, footprint, VlogSegment, RECORD_OVERHEAD,
-};
+pub use segment::footprint;
+pub(crate) use segment::{encode_record, encode_record_into, VlogSegment};
 
 /// Largest payload the 15-byte slot stores inline: one length byte plus
 /// up to 14 payload bytes.
@@ -51,7 +50,7 @@ pub const INLINE_MAX: usize = VALUE_LEN - 1;
 
 /// First value byte of a spill pointer: a check byte under a set spill
 /// flag (an inline encoding's first byte is its length, 0..=14).
-pub const SPILL_SENTINEL: u8 = 0xFF;
+pub(crate) const SPILL_SENTINEL: u8 = 0xFF;
 
 /// Largest accepted value. The RESP frame budget is 1 MiB; the headroom
 /// keeps a maximal `SET key value` request (command, key, framing)
@@ -59,7 +58,7 @@ pub const SPILL_SENTINEL: u8 = 0xFF;
 pub const MAX_VALUE_BYTES: usize = (1 << 20) - 4096;
 
 /// Encodes a payload of at most [`INLINE_MAX`] bytes into a slot value.
-pub fn encode_inline(payload: &[u8]) -> Value {
+pub(crate) fn encode_inline(payload: &[u8]) -> Value {
     debug_assert!(payload.len() <= INLINE_MAX);
     let mut buf = [0u8; VALUE_LEN];
     buf[0] = payload.len() as u8;
@@ -70,7 +69,7 @@ pub fn encode_inline(payload: &[u8]) -> Value {
 /// Decodes an inline slot value back into its payload; `None` when the
 /// first byte is not a valid inline length ([`encode_inline`] did not
 /// write this word).
-pub fn decode_inline(v: &Value) -> Option<&[u8]> {
+pub(crate) fn decode_inline(v: &Value) -> Option<&[u8]> {
     let len = v.0[0] as usize;
     if len > INLINE_MAX {
         return None;
@@ -93,7 +92,7 @@ pub struct VlogPtr {
 
 impl VlogPtr {
     /// Packs the pointer into a slot value.
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         let mut buf = [0u8; VALUE_LEN];
         buf[0] = SPILL_SENTINEL;
         buf[1..5].copy_from_slice(&self.segment.to_le_bytes());
@@ -105,7 +104,7 @@ impl VlogPtr {
     /// Unpacks the value bytes of a spill-flagged slot; `None` when they
     /// are not what [`to_value`](Self::to_value) packs — the word is
     /// damaged. Not a classifier: an unflagged word is never passed here.
-    pub fn from_value(v: &Value) -> Option<VlogPtr> {
+    pub(crate) fn from_value(v: &Value) -> Option<VlogPtr> {
         if v.0[0] != SPILL_SENTINEL {
             return None;
         }
@@ -183,7 +182,7 @@ impl Vlog {
     /// prefix and all recovered segments are sealed; garbage accounting
     /// is provisional until the recovery scan has resolved every pointer
     /// and calls [`finish_recovery`](Self::finish_recovery).
-    pub fn from_recovered(
+    pub(crate) fn from_recovered(
         opts: NvmOptions,
         segment_bytes: usize,
         regions: Vec<(u32, Arc<NvmRegion>)>,
@@ -209,7 +208,7 @@ impl Vlog {
     /// any such record. The tail is raised to cover live records past the
     /// scanned dense prefix (a torn *earlier* record must not hide later
     /// live ones) and everything not live becomes garbage.
-    pub fn finish_recovery(&self, live: &BTreeMap<u32, (u64, u64)>) {
+    pub(crate) fn finish_recovery(&self, live: &BTreeMap<u32, (u64, u64)>) {
         let map = self.segments.read();
         for (id, seg) in map.iter() {
             let (live_bytes, max_end) = live.get(id).copied().unwrap_or((0, 0));
@@ -220,7 +219,7 @@ impl Vlog {
 
     /// Every mapped segment region with its id (for pool close/crash
     /// plumbing and snapshots).
-    pub fn regions(&self) -> Vec<(u32, Arc<NvmRegion>)> {
+    pub(crate) fn regions(&self) -> Vec<(u32, Arc<NvmRegion>)> {
         self.segments
             .read()
             .iter()
@@ -265,7 +264,7 @@ impl Vlog {
     ///
     /// For a log used on its own. A caller that publishes the pointer into
     /// an index a compactor consults must hold the append's ticket across
-    /// that publish — [`append_ticketed`](Self::append_ticketed).
+    /// that publish — `append_ticketed`.
     pub fn append(&self, key: &Key, payload: &[u8]) -> Result<VlogPtr, HdnhError> {
         self.append_ticketed(key, payload).map(|(ptr, _ticket)| ptr)
     }
@@ -370,7 +369,7 @@ impl Vlog {
     /// Materializes the payload behind `ptr` in a `Vec` of its own — for a
     /// log used on its own; the table reads through
     /// `Hdnh::get_bytes_with`. `Ok(None)` means the segment is no longer
-    /// mapped ([`segment_of`](Self::segment_of)).
+    /// mapped (`segment_of`).
     pub fn read(&self, ptr: &VlogPtr, key: &Key) -> Result<Option<Vec<u8>>, HdnhError> {
         self.segment_of(ptr)
             .map(|seg| Self::served(ptr, seg.read(ptr.offset, ptr.len, key)))
@@ -378,7 +377,7 @@ impl Vlog {
     }
 
     /// Verifies the record behind `ptr` without materializing it.
-    pub fn verify(&self, ptr: &VlogPtr, key: &Key) -> bool {
+    pub(crate) fn verify(&self, ptr: &VlogPtr, key: &Key) -> bool {
         self.segment(ptr.segment)
             .is_some_and(|seg| seg.verify(ptr.offset, ptr.len, key))
     }
@@ -393,7 +392,7 @@ impl Vlog {
 
     /// Tombstones the record behind `ptr` (its bytes stay in place; the
     /// segment's garbage counter makes it a compaction victim).
-    pub fn mark_garbage(&self, ptr: &VlogPtr) {
+    pub(crate) fn mark_garbage(&self, ptr: &VlogPtr) {
         if let Some(seg) = self.segment(ptr.segment) {
             seg.mark_garbage(segment::footprint(ptr.len as usize) as u64);
         }
@@ -404,7 +403,7 @@ impl Vlog {
     }
 
     /// Aggregated statistics across all mapped segments.
-    pub fn stats(&self) -> VlogStats {
+    pub(crate) fn stats(&self) -> VlogStats {
         let map = self.segments.read();
         let mut s = VlogStats {
             segments: map.len(),
@@ -418,14 +417,6 @@ impl Vlog {
         s.live_bytes = s.used_bytes.saturating_sub(s.garbage_bytes);
         s.last_gc = *self.last_gc.lock();
         s
-    }
-
-    /// Flushes every segment's backing file to disk (pool backend).
-    pub fn sync_to_disk(&self) -> Result<(), HdnhError> {
-        for seg in self.segments_snapshot() {
-            seg.region().sync_to_disk()?;
-        }
-        Ok(())
     }
 }
 

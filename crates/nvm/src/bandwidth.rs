@@ -30,7 +30,7 @@ pub struct BandwidthModel {
 impl BandwidthModel {
     /// AEP-like defaults (per-socket figures from the Optane measurement
     /// literature, scaled to a single simulated device).
-    pub const fn aep() -> Self {
+    pub(crate) const fn aep() -> Self {
         BandwidthModel {
             read_bytes_per_us: 6000,
             write_bytes_per_us: 2000,
@@ -57,11 +57,6 @@ impl BandwidthLimiter {
             read_consumed: AtomicU64::new(0),
             write_consumed: AtomicU64::new(0),
         }
-    }
-
-    /// The model in force.
-    pub fn model(&self) -> BandwidthModel {
-        self.model
     }
 
     /// Total read bytes charged so far (observability/tests).
@@ -92,13 +87,13 @@ impl BandwidthLimiter {
 
     /// Charges a read of `bytes` against the read ceiling.
     #[inline]
-    pub fn charge_read(&self, bytes: usize) {
+    pub(crate) fn charge_read(&self, bytes: usize) {
         self.throttle(&self.read_consumed, bytes as u64, self.model.read_bytes_per_us);
     }
 
     /// Charges a write of `bytes` against the write ceiling.
     #[inline]
-    pub fn charge_write(&self, bytes: usize) {
+    pub(crate) fn charge_write(&self, bytes: usize) {
         self.throttle(&self.write_consumed, bytes as u64, self.model.write_bytes_per_us);
     }
 }

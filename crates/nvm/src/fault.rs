@@ -161,15 +161,6 @@ pub fn fired() -> Option<InjectedCrash> {
     STATE.lock().as_ref().and_then(|st| st.fired.clone())
 }
 
-/// Snapshot of the current phase's per-site hit counts.
-pub fn counts() -> BTreeMap<&'static str, u64> {
-    STATE
-        .lock()
-        .as_ref()
-        .map(|st| st.counts.clone())
-        .unwrap_or_default()
-}
-
 /// Interprets a `catch_unwind` payload: `Some` if the panic was an
 /// injected crash, `None` for a genuine failure that must propagate.
 pub fn injected(payload: &(dyn std::any::Any + Send)) -> Option<&InjectedCrash> {
@@ -250,7 +241,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// matches (site, hit), `buf` is mutated in place per the plan's
 /// [`CorruptionKind`] before the caller ever sees it.
 #[inline]
-pub fn corrupt_point(site: &'static str, buf: &mut [u8]) {
+pub(crate) fn corrupt_point(site: &'static str, buf: &mut [u8]) {
     if !CORRUPT_ACTIVE.load(Ordering::Relaxed) {
         return;
     }
@@ -259,7 +250,7 @@ pub fn corrupt_point(site: &'static str, buf: &mut [u8]) {
 
 /// Word-sized variant of [`corrupt_point`] for atomic u64 loads.
 #[inline]
-pub fn corrupt_word(site: &'static str, v: u64) -> u64 {
+pub(crate) fn corrupt_word(site: &'static str, v: u64) -> u64 {
     if !CORRUPT_ACTIVE.load(Ordering::Relaxed) {
         return v;
     }
@@ -347,7 +338,7 @@ pub fn set_lint_persists(on: bool) -> bool {
 
 /// Whether the ack-without-persist lint is currently enabled.
 #[inline]
-pub fn lint_persists() -> bool {
+pub(crate) fn lint_persists() -> bool {
     LINT_PERSISTS.load(Ordering::Relaxed)
 }
 
@@ -364,7 +355,7 @@ mod tests {
         let _g = TEST_LOCK.lock();
         let _ = disarm();
         point("test.site");
-        assert!(counts().is_empty());
+        assert!(disarm().is_empty());
     }
 
     #[test]

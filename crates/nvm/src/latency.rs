@@ -49,7 +49,7 @@ impl LatencyModel {
     }
 
     /// Default AEP-like profile used by all benchmarks.
-    pub const fn aep() -> Self {
+    pub(crate) const fn aep() -> Self {
         LatencyModel {
             enabled: true,
             read_block_ns: 200,
@@ -74,7 +74,7 @@ impl LatencyModel {
 
     /// Spin for the read surcharge of `blocks` media blocks.
     #[inline]
-    pub fn charge_read(&self, blocks: usize) {
+    pub(crate) fn charge_read(&self, blocks: usize) {
         if self.enabled && self.read_block_ns > 0 {
             busy_wait_ns(self.read_block_ns as u64 * blocks as u64);
         }
@@ -82,7 +82,7 @@ impl LatencyModel {
 
     /// Spin for the write surcharge of `lines` cachelines.
     #[inline]
-    pub fn charge_write(&self, lines: usize) {
+    pub(crate) fn charge_write(&self, lines: usize) {
         if self.enabled && self.write_line_ns > 0 {
             busy_wait_ns(self.write_line_ns as u64 * lines as u64);
         }
@@ -90,7 +90,7 @@ impl LatencyModel {
 
     /// Spin for the flush cost of `lines` cachelines.
     #[inline]
-    pub fn charge_flush(&self, lines: usize) {
+    pub(crate) fn charge_flush(&self, lines: usize) {
         if self.enabled && self.flush_ns > 0 {
             busy_wait_ns(self.flush_ns as u64 * lines as u64);
         }
@@ -98,7 +98,7 @@ impl LatencyModel {
 
     /// Spin for one fence.
     #[inline]
-    pub fn charge_fence(&self) {
+    pub(crate) fn charge_fence(&self) {
         if self.enabled && self.fence_ns > 0 {
             busy_wait_ns(self.fence_ns as u64);
         }
@@ -138,7 +138,7 @@ fn spins_per_ns() -> f64 {
 /// spin count rather than querying the clock, because `Instant::now` itself
 /// costs ~20-40 ns and would distort small delays.
 #[inline]
-pub fn busy_wait_ns(ns: u64) {
+pub(crate) fn busy_wait_ns(ns: u64) {
     if ns == 0 {
         return;
     }

@@ -6,9 +6,9 @@
 //!
 //! * [`NvmRegion`] — an offset-addressed, heap-backed memory region with the
 //!   access API real persistent-memory code uses: raw byte/typed reads and
-//!   writes, 8-byte atomic operations, per-cacheline `clwb`-style
-//!   [`flush`](NvmRegion::flush) and `sfence`-style
-//!   [`fence`](NvmRegion::fence).
+//!   writes, 8-byte atomic operations, per-cacheline `clwb`-style `flush`
+//!   and `sfence`-style `fence`, and [`persist`](NvmRegion::persist) for
+//!   both.
 //! * [`LatencyModel`] — injects AEP's measured latency profile (≈3× DRAM
 //!   read latency, ≈DRAM write latency, 256-byte media access granularity,
 //!   per-line flush cost) with a calibrated busy-wait, so benchmark *shapes*
@@ -58,22 +58,22 @@ compile_error!(
     "hdnh-nvm supports Linux only: pool durability is built on `mmap`, `msync` and `flock`"
 );
 
-pub mod bandwidth;
+mod bandwidth;
 pub mod fault;
-pub mod latency;
-pub mod mapfile;
-pub mod pod;
+mod latency;
+mod mapfile;
+mod pod;
 pub mod pool;
-pub mod region;
+mod region;
 mod shadow;
-pub mod stats;
+mod stats;
 
 pub use bandwidth::{BandwidthLimiter, BandwidthModel};
 pub use fault::{CorruptionEvent, CorruptionKind, CorruptionPlan, FaultPlan, InjectedCrash};
 pub use latency::LatencyModel;
-pub use mapfile::{FileMap, NvmIoError};
+pub use mapfile::NvmIoError;
 pub use pod::Pod;
 pub use pool::{PoolDir, META_FILE};
-pub use region::{Backend, NvmOptions, NvmRegion, SyncPolicy, CACHELINE, NVM_BLOCK};
+pub use region::{Backend, NvmOptions, NvmRegion, SyncPolicy};
 pub use shadow::LossMode;
 pub use stats::{NvmStats, PerOpStats, StatsSnapshot};

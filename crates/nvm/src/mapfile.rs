@@ -61,15 +61,15 @@ impl std::error::Error for NvmIoError {}
 mod sys {
     use std::os::raw::{c_int, c_long, c_void};
 
-    pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
-    pub const MAP_SHARED: c_int = 1;
-    pub const MS_ASYNC: c_int = 1;
-    pub const MS_SYNC: c_int = 4;
-    pub const SC_PAGESIZE: c_int = 30;
+    pub(crate) const PROT_READ: c_int = 1;
+    pub(crate) const PROT_WRITE: c_int = 2;
+    pub(crate) const MAP_SHARED: c_int = 1;
+    pub(crate) const MS_ASYNC: c_int = 1;
+    pub(crate) const MS_SYNC: c_int = 4;
+    pub(crate) const SC_PAGESIZE: c_int = 30;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -77,9 +77,9 @@ mod sys {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
-        pub fn sysconf(name: c_int) -> c_long;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(crate) fn msync(addr: *mut c_void, len: usize, flags: c_int) -> c_int;
+        pub(crate) fn sysconf(name: c_int) -> c_long;
     }
 }
 
@@ -102,7 +102,7 @@ fn page_size() -> usize {
 /// A shared, writable memory map over one pool file, exposed as a slice
 /// of `AtomicU64` words (the same representation the heap backend uses,
 /// so every region access stays defined behaviour under concurrency).
-pub struct FileMap {
+pub(crate) struct FileMap {
     ptr: *mut u8,
     map_len: usize,
     file: File,
@@ -117,7 +117,7 @@ unsafe impl Sync for FileMap {}
 
 impl FileMap {
     /// Creates (or truncates) `path` at `len` bytes and maps it shared.
-    pub fn create(path: &Path, len: usize) -> Result<FileMap, NvmIoError> {
+    pub(crate) fn create(path: &Path, len: usize) -> Result<FileMap, NvmIoError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -133,7 +133,7 @@ impl FileMap {
     }
 
     /// Maps an existing file shared; the region length is the file length.
-    pub fn open(path: &Path) -> Result<(FileMap, usize), NvmIoError> {
+    pub(crate) fn open(path: &Path) -> Result<(FileMap, usize), NvmIoError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -181,7 +181,7 @@ impl FileMap {
     /// The mapping as atomic words. An mmap is page-aligned, so the
     /// 8-byte alignment `AtomicU64` needs always holds.
     #[inline]
-    pub fn words(&self, n_words: usize) -> &[AtomicU64] {
+    pub(crate) fn words(&self, n_words: usize) -> &[AtomicU64] {
         debug_assert!(n_words * 8 <= self.map_len);
         // SAFETY: the mapping is live for `self`'s lifetime, page-aligned,
         // at least `n_words * 8` bytes, and AtomicU64 accepts any bit
@@ -191,7 +191,7 @@ impl FileMap {
 
     /// The backing file's path.
     #[inline]
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
@@ -199,7 +199,7 @@ impl FileMap {
     /// `MS_SYNC` (wait for the write-back) vs `MS_ASYNC` (schedule it) —
     /// the async form is the per-fence fast path, the sync form the
     /// clean-shutdown path.
-    pub fn sync_range(&self, off: usize, len: usize, blocking: bool) -> Result<(), NvmIoError> {
+    pub(crate) fn sync_range(&self, off: usize, len: usize, blocking: bool) -> Result<(), NvmIoError> {
         if len == 0 {
             return Ok(());
         }
@@ -217,7 +217,7 @@ impl FileMap {
 
     /// Full-strength durability point: `MS_SYNC` over the whole mapping
     /// plus `fsync` of the file (covers metadata too).
-    pub fn sync_all(&self) -> Result<(), NvmIoError> {
+    pub(crate) fn sync_all(&self) -> Result<(), NvmIoError> {
         self.sync_range(0, self.map_len, true)?;
         self.file
             .sync_all()

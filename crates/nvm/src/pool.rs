@@ -44,11 +44,9 @@ pub struct PoolDir {
 }
 
 impl PoolDir {
-    /// Creates the directory (and parents) if needed and [`open`]s it.
+    /// Creates the directory (and parents) if needed and opens it.
     /// Pre-existing region files are *not* removed; callers that want a
     /// truly fresh pool check for them under the returned handle's lock.
-    ///
-    /// [`open`]: Self::open
     pub fn create(dir: &Path) -> Result<PoolDir, NvmIoError> {
         fs::create_dir_all(dir).map_err(|e| NvmIoError::new("mkdir", dir, e))?;
         Self::open(dir)
@@ -59,7 +57,7 @@ impl PoolDir {
     /// holds it — and seeds the region-id counter past every
     /// `seg-<id>.dat` and `vlog-<id>.dat` already present so new
     /// allocations never collide with survivors.
-    pub fn open(dir: &Path) -> Result<PoolDir, NvmIoError> {
+    pub(crate) fn open(dir: &Path) -> Result<PoolDir, NvmIoError> {
         let lock = fs::File::open(dir).map_err(|e| NvmIoError::new("open", dir, e))?;
         match lock.try_lock() {
             Ok(()) => {}
@@ -69,14 +67,9 @@ impl PoolDir {
             Err(fs::TryLockError::Error(e)) => return Err(NvmIoError::new("lock", dir, e)),
         }
         let mut max_id = 0u64;
-        for f in Self::scan_region_files(dir)? {
-            if let Some(id) = seg_id(&f) {
-                max_id = max_id.max(id + 1);
-            }
-        }
-        for f in Self::scan_vlog_files(dir)? {
-            if let Some(id) = vlog_id(&f) {
-                max_id = max_id.max(id + 1);
+        for id_of in [seg_id, vlog_id] {
+            for f in scan(dir, id_of)? {
+                max_id = max_id.max(id_of(&f).map_or(0, |id| id + 1));
             }
         }
         Ok(PoolDir {
@@ -94,7 +87,7 @@ impl PoolDir {
     }
 
     /// Path of the persisted meta block file.
-    pub fn meta_path(&self) -> PathBuf {
+    pub(crate) fn meta_path(&self) -> PathBuf {
         self.dir.join(META_FILE)
     }
 
@@ -103,46 +96,20 @@ impl PoolDir {
     /// regions are classified by size on reopen and the log files must
     /// never enter that classification.
     pub fn region_files(&self) -> Result<Vec<PathBuf>, NvmIoError> {
-        Self::scan_region_files(&self.dir)
+        scan(&self.dir, seg_id)
     }
 
     /// All `vlog-*.dat` (value-log segment) files currently in the
     /// directory (unordered).
     pub fn vlog_files(&self) -> Result<Vec<PathBuf>, NvmIoError> {
-        Self::scan_vlog_files(&self.dir)
-    }
-
-    fn scan_region_files(dir: &Path) -> Result<Vec<PathBuf>, NvmIoError> {
-        let rd = fs::read_dir(dir).map_err(|e| NvmIoError::new("readdir", dir, e))?;
-        let mut out = Vec::new();
-        for entry in rd {
-            let entry = entry.map_err(|e| NvmIoError::new("readdir", dir, e))?;
-            let p = entry.path();
-            if seg_id(&p).is_some() {
-                out.push(p);
-            }
-        }
-        Ok(out)
-    }
-
-    fn scan_vlog_files(dir: &Path) -> Result<Vec<PathBuf>, NvmIoError> {
-        let rd = fs::read_dir(dir).map_err(|e| NvmIoError::new("readdir", dir, e))?;
-        let mut out = Vec::new();
-        for entry in rd {
-            let entry = entry.map_err(|e| NvmIoError::new("readdir", dir, e))?;
-            let p = entry.path();
-            if vlog_id(&p).is_some() {
-                out.push(p);
-            }
-        }
-        Ok(out)
+        scan(&self.dir, vlog_id)
     }
 
     /// Picks the file path for a new region. `"meta"` maps to the fixed
     /// meta filename (at most one per pool); `"vlog"` gets a fresh
     /// `vlog-<id>.dat` (a value-log segment, outside the size-classified
     /// level files); anything else gets a fresh `seg-<id>.dat`.
-    pub fn new_region_path(&self, hint: &str) -> Result<PathBuf, NvmIoError> {
+    pub(crate) fn new_region_path(&self, hint: &str) -> Result<PathBuf, NvmIoError> {
         if hint == "meta" {
             let p = self.meta_path();
             if p.exists() {
@@ -173,7 +140,7 @@ impl PoolDir {
 
     /// Cheap check: has any flush failed since the pool opened?
     #[inline]
-    pub fn has_fault(&self) -> bool {
+    pub(crate) fn has_fault(&self) -> bool {
         self.fault_flag.load(Ordering::Acquire)
     }
 
@@ -185,6 +152,19 @@ impl PoolDir {
         }
         self.fault.lock().clone()
     }
+}
+
+/// Every file in `dir` whose name `id_of` parses (unordered).
+fn scan(dir: &Path, id_of: fn(&Path) -> Option<u64>) -> Result<Vec<PathBuf>, NvmIoError> {
+    let rd = fs::read_dir(dir).map_err(|e| NvmIoError::new("readdir", dir, e))?;
+    let mut out = Vec::new();
+    for entry in rd {
+        let p = entry.map_err(|e| NvmIoError::new("readdir", dir, e))?.path();
+        if id_of(&p).is_some() {
+            out.push(p);
+        }
+    }
+    Ok(out)
 }
 
 /// Parses `seg-<id>.dat` → `id`.

@@ -33,9 +33,9 @@ use crate::shadow::{self, LineState, LossMode, MediaTracker};
 use crate::stats::NvmStats;
 
 /// CPU cacheline size: flush granularity.
-pub const CACHELINE: usize = 64;
+pub(crate) const CACHELINE: usize = 64;
 /// Optane AEP internal access granularity (XPLine): read-latency granularity.
-pub const NVM_BLOCK: usize = 256;
+pub(crate) const NVM_BLOCK: usize = 256;
 
 /// Where region bytes live.
 #[derive(Clone, Debug, Default)]
@@ -342,12 +342,6 @@ impl NvmRegion {
         &self.stats
     }
 
-    /// The latency model in force.
-    #[inline]
-    pub fn latency(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     #[inline]
     fn check(&self, off: usize, len: usize) {
         assert!(
@@ -611,7 +605,7 @@ impl NvmRegion {
     /// *staged*: they reach media at the next [`fence`](Self::fence).
     /// On a file-backed region the line range is accumulated instead,
     /// and the fence `msync`s it.
-    pub fn flush(&self, off: usize, len: usize) {
+    pub(crate) fn flush(&self, off: usize, len: usize) {
         fault::point("nvm.flush");
         self.check(off, len);
         let lines = Self::lines_spanned(off, len);
@@ -645,7 +639,7 @@ impl NvmRegion {
     /// only then do the staged lines count as on media. A failure is
     /// recorded as a sticky pool fault (surfaced before the next ack)
     /// rather than panicking mid-write.
-    pub fn fence(&self) {
+    pub(crate) fn fence(&self) {
         fault::point("nvm.fence");
         self.stats.on_fence();
         self.latency.charge_fence();
@@ -684,7 +678,7 @@ impl NvmRegion {
     /// in-place media decay (a stuck cell, radiation upset, firmware bug).
     /// The damage lands on the *persisted* image too in strict mode, so it
     /// survives crashes and is visible to recovery scans — unlike
-    /// [`fault::corrupt_point`] plans, which falsify a single read in
+    /// `fault::corrupt_point` plans, which falsify a single read in
     /// flight. Bytes whose mask is zero are untouched. Uncharged (the
     /// decay is not an access). Test/diagnostic API.
     pub fn corrupt(&self, off: usize, mask: &[u8]) {

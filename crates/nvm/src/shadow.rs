@@ -50,7 +50,7 @@ pub enum LossMode {
 
 impl LossMode {
     /// All modes, for matrix sweeps.
-    pub const ALL: [LossMode; 3] = [LossMode::DropPages, LossMode::TearLines, LossMode::ReorderPages];
+    pub(crate) const ALL: [LossMode; 3] = [LossMode::DropPages, LossMode::TearLines, LossMode::ReorderPages];
 
     /// Deterministic mode choice for seeded schedules.
     pub fn from_seed(seed: u64) -> LossMode {

@@ -91,7 +91,7 @@ pub struct PerOpStats {
 
 impl NvmStats {
     /// Fresh zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -132,18 +132,6 @@ impl NvmStats {
             fences: self.fences.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.read_bytes.store(0, Ordering::Relaxed);
-        self.read_blocks.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.write_bytes.store(0, Ordering::Relaxed);
-        self.write_lines.store(0, Ordering::Relaxed);
-        self.flushes.store(0, Ordering::Relaxed);
-        self.fences.store(0, Ordering::Relaxed);
-    }
 }
 
 impl StatsSnapshot {
@@ -159,21 +147,6 @@ impl StatsSnapshot {
             flushes: self.flushes.saturating_sub(earlier.flushes),
             fences: self.fences.saturating_sub(earlier.fences),
         }
-    }
-
-    /// Sum of all media-facing events — a crude "NVM pressure" scalar used
-    /// in ablation summaries.
-    ///
-    /// Deliberately sums **media units plus fences**, not API events: it
-    /// uses `read_blocks` (256-byte blocks actually pulled from media)
-    /// rather than `reads` (API calls, which may each touch several
-    /// blocks), and `write_lines`/`flushes` rather than `writes`. Fences
-    /// are API events but each one stalls the write pipeline, so they
-    /// count as pressure too. `reads`/`writes`/byte totals are excluded —
-    /// adding call counts to block counts would double-count every access
-    /// in mismatched units.
-    pub fn total_events(&self) -> u64 {
-        self.read_blocks + self.write_lines + self.flushes + self.fences
     }
 
     /// Normalizes every field by `ops` operations. Returns all zeros when
@@ -230,30 +203,6 @@ mod tests {
         assert_eq!(delta.read_bytes, 20);
         assert_eq!(delta.read_blocks, 2);
         assert_eq!(delta.fences, 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let s = NvmStats::new();
-        s.on_write(100, 2);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn total_events_sums_media_facing_counters() {
-        let snap = StatsSnapshot {
-            read_blocks: 3,
-            write_lines: 2,
-            flushes: 4,
-            fences: 1,
-            // API-event counters must NOT contribute.
-            reads: 100,
-            writes: 100,
-            read_bytes: 1_000,
-            write_bytes: 1_000,
-        };
-        assert_eq!(snap.total_events(), 10);
     }
 
     #[test]

@@ -43,9 +43,10 @@ fn main() {
     println!("pipelined 1000 SETs in one burst");
     println!("MGET 1 2 3 -> {:?}", c.mget(&[1, 2, 3]).expect("io"));
 
-    // The server and the in-process caller see the same table.
+    // The server and the in-process caller see the same table. RESP `SET`
+    // stores bytes, so the in-process read is the bytes-level one too.
     use hdnh_common::Key;
-    assert_eq!(table.get(&Key::from_u64(3)).unwrap().unwrap().as_u64(), 30);
+    assert_eq!(table.get_bytes(&Key::from_u64(3)).unwrap().as_deref(), Some(&b"30"[..]));
     println!("in-process view agrees: key 3 -> 30");
 
     // INFO is served from the same state the CLI's `info` shows.

@@ -264,105 +264,6 @@ proptest! {
         prop_assert_eq!(ks.validate(id, &corrupted), None);
     }
 
-    /// The 8-byte bucket header round-trips (validity bitmap, 8×7-bit
-    /// slot metadata fields) exactly — no bit of the CRC-6 digest or the
-    /// spill flag is lost to packing.
-    #[test]
-    fn header_roundtrips_validity_and_checksums(valid in any::<u8>(), raw in any::<u64>()) {
-        use hdnh::nvtable::{
-            header_checksum, header_pack, header_slot_spilled, header_slot_valid,
-            header_unpack, CHECKSUM_MASK, SPILL_FLAG,
-        };
-        use hdnh::params::SLOTS_PER_BUCKET;
-        let mut metas = [0u8; SLOTS_PER_BUCKET];
-        for (s, meta) in metas.iter_mut().enumerate() {
-            *meta = ((raw >> (7 * s)) & 0x7F) as u8;
-        }
-        let h = header_pack(valid, metas);
-        let (v2, metas2) = header_unpack(h);
-        prop_assert_eq!(v2, valid);
-        prop_assert_eq!(metas2, metas);
-        for (s, &meta) in metas.iter().enumerate() {
-            prop_assert_eq!(header_slot_valid(h, s), valid & (1 << s) != 0);
-            prop_assert_eq!(header_checksum(h, s), meta & CHECKSUM_MASK as u8);
-            prop_assert_eq!(header_slot_spilled(h, s), meta & SPILL_FLAG != 0);
-        }
-    }
-
-    /// A torn record write — leading bytes from the new version, the tail
-    /// still holding the old — is accepted by the committed checksum only
-    /// on a 7-bit digest collision (the documented 1/128 false-accept);
-    /// the fully-written record always verifies.
-    #[test]
-    fn torn_record_write_is_detected_modulo_digest_collision(
-        new_bytes in any::<[u8; 31]>(),
-        old_bytes in any::<[u8; 31]>(),
-        cut in 1usize..31,
-        slot in 0usize..8,
-    ) {
-        use hdnh::nvtable::{checksum6, header_pack, slot_checksum_ok};
-        use hdnh::params::SLOTS_PER_BUCKET;
-        let ck = checksum6(&new_bytes);
-        let mut cks = [0u8; SLOTS_PER_BUCKET];
-        cks[slot] = ck;
-        let header = header_pack(0xFF, cks);
-        let mut torn = new_bytes;
-        torn[cut..].copy_from_slice(&old_bytes[cut..]);
-        prop_assert!(slot_checksum_ok(header, slot, &Record::from_bytes(&new_bytes)));
-        let collide = checksum6(&torn) == ck;
-        prop_assert_eq!(
-            slot_checksum_ok(header, slot, &Record::from_bytes(&torn)),
-            collide
-        );
-    }
-
-    /// Value-log records round-trip for arbitrary keys and payloads.
-    #[test]
-    fn vlog_record_roundtrip(
-        key in any::<[u8; 16]>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..2048),
-    ) {
-        use hdnh::vlog::{decode_record, encode_record, footprint};
-        let rec = encode_record(&Key(key), &payload);
-        prop_assert_eq!(rec.len(), footprint(payload.len()));
-        prop_assert_eq!(rec.len() % 8, 0);
-        let (k, p) = decode_record(&rec).expect("fully written record decodes");
-        prop_assert_eq!(k, Key(key));
-        prop_assert_eq!(p, &payload[..]);
-    }
-
-    /// A torn append — the record's tail cachelines still holding stale
-    /// log bytes — is detected by the CRC, and detection never turns into
-    /// forgery: any decode that succeeds yields exactly the original.
-    #[test]
-    fn vlog_torn_cacheline_is_detected_never_forged(
-        key in any::<[u8; 16]>(),
-        payload in proptest::collection::vec(any::<u8>(), 1..1024),
-        stale_seed in any::<u64>(),
-        cut_line in 0usize..32,
-    ) {
-        use hdnh::vlog::{decode_record, encode_record};
-        let rec = encode_record(&Key(key), &payload);
-        // Tear at a 64-byte cacheline boundary: lines before `cut` carry
-        // the new write, lines after still hold stale bytes (an LCG fill
-        // standing in for whatever the log held before).
-        let cut = (cut_line * 64) % rec.len();
-        let mut torn = rec.clone();
-        let mut x = stale_seed;
-        for b in &mut torn[cut..] {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *b = (x >> 56) as u8;
-        }
-        if torn != rec {
-            if let Some((k, p)) = decode_record(&torn) {
-                // A decode may still succeed when the tear only touched
-                // the zero padding past the CRC; it must then describe
-                // the original record, never a forged (key, payload).
-                prop_assert!(k == Key(key) && p == &payload[..], "forged record");
-            }
-        }
-    }
-
     /// The bytes API returns what it stored, for any payload on either side
     /// of the inline budget, whether the hot table or NVM serves the read:
     /// the word's kind travels with it. And a word written at the word
