@@ -272,8 +272,7 @@ impl Engine {
                 }
                 TraceMode::Slow(us) => {
                     let ns = us.saturating_mul(1_000);
-                    obs::trace::set_slow_op_threshold_ns(ns);
-                    obs::trace::set_slow_cmd_threshold_ns(ns);
+                    obs::trace::set_slow_threshold_ns(ns);
                     Outcome::Text(if ns == 0 {
                         "slow-op recording disabled".to_string()
                     } else {
@@ -296,7 +295,7 @@ impl Engine {
                 )))
             }
             Command::Verify => {
-                let span = obs::phase_start();
+                let span = obs::phase_enter(obs::Phase::Verify);
                 let (reports, live) = self.table()?.verify_integrity_report();
                 obs::phase_record(obs::Phase::Verify, span, live as u64);
                 let ms = obs::snapshot().phase(obs::Phase::Verify).last_ns as f64 / 1e6;
@@ -482,7 +481,7 @@ impl Engine {
                 } else {
                     ExploreConfig::full()
                 };
-                let span = obs::phase_start();
+                let span = obs::phase_enter(obs::Phase::FaultExplore);
                 let report = faultexplore::explore(&cfg, |_| ());
                 obs::phase_record(obs::Phase::FaultExplore, span, report.cases.len() as u64);
                 let secs =
@@ -644,6 +643,13 @@ mod tests {
         }
     }
 
+    /// The flight recorder is process-global: a test that reads it back
+    /// holds this lock, so no other test resets it in between.
+    fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn crud_session() {
         let mut e = Engine::new(EngineConfig::default());
@@ -777,6 +783,7 @@ mod tests {
 
     #[test]
     fn trace_commands_drive_the_flight_recorder() {
+        let _g = trace_lock();
         let mut e = Engine::new(EngineConfig::default());
         obs::trace::reset();
         assert_eq!(
@@ -788,8 +795,19 @@ mod tests {
         assert_eq!(run(&mut e, "trace reset"), "trace rings cleared");
         let out = run(&mut e, "trace");
         assert!(out.starts_with("{\"anchor_unix_ns\":"), "{out}");
-        assert!(out.contains("\"slow_op_threshold_ns\":1000000"), "{out}");
+        assert!(out.contains("\"slow_threshold_ns\":1000000"), "{out}");
         run(&mut e, "trace slow 0");
+    }
+
+    #[test]
+    fn verify_enters_its_phase_in_the_trace() {
+        let _g = trace_lock();
+        let mut e = Engine::new(EngineConfig::default());
+        run(&mut e, "fill 100");
+        assert!(run(&mut e, "verify").starts_with("integrity ok"));
+        let out = run(&mut e, "trace");
+        assert!(out.contains("\"kind\":\"phase_enter\",\"what\":\"verify\""), "{out}");
+        assert!(out.contains("\"kind\":\"phase_exit\",\"what\":\"verify\""), "{out}");
     }
 
     #[test]

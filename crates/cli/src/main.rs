@@ -21,10 +21,10 @@
 //!
 //! Exit status: 0 when every command succeeded; 1 when any command reported
 //! a failure (`verify` violation, `scrub` detection, failing `faultrun`
-//! case, i/o error, a RESP error reply, an unknown command) or — with
-//! `HDNH_CLI_BATCH` set — any line failed to parse; 2 for bad flags.
+//! case, i/o error, a RESP error reply, an unknown command) or — when
+//! stdin is not a terminal — any line failed to parse; 2 for bad flags.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 
 use hdnh_cli::{open_table, parse, Engine, EngineConfig};
 
@@ -146,12 +146,10 @@ fn table_flag(
     true
 }
 
-/// Minimal tty check without a dependency: assume non-interactive when the
-/// `HDNH_CLI_BATCH` env var is set, interactive otherwise. (Good enough for
-/// a demo shell; piped runs just see a few extra prompts on stdout if the
-/// variable is unset.)
+/// Whether stdin is a terminal: prompts and forgiven parse errors are for
+/// a person typing; a piped script is batch mode.
 fn atty_stdin() -> bool {
-    std::env::var("HDNH_CLI_BATCH").is_err()
+    std::io::stdin().is_terminal()
 }
 
 /// `serve <addr> [--threads N] [--max-conns N] [--capacity N] [--fill N]
@@ -220,8 +218,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
     let obs_on = std::env::var("HDNH_NO_OBS").is_err();
     hdnh_obs::set_enabled(obs_on);
     if obs_on && slow_us > 0 {
-        hdnh_obs::trace::set_slow_op_threshold_ns(slow_us.saturating_mul(1_000));
-        hdnh_obs::trace::set_slow_cmd_threshold_ns(slow_us.saturating_mul(1_000));
+        hdnh_obs::trace::set_slow_threshold_ns(slow_us.saturating_mul(1_000));
     }
     // Ops plane first: during a long pool recovery, probes already get
     // `/healthz` 200 and `/readyz` 503 ("starting") instead of a refused

@@ -53,10 +53,11 @@ impl ScrubReport {
 
     /// One-line JSON summary for tooling and CI artifacts.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"scanned\":{},\"detected\":{},\"repaired\":{},\"quarantined\":{}}}",
-            self.scanned, self.detected, self.repaired, self.quarantined
-        )
+        obs::json::object(|w| {
+            w.key("scanned").u64(self.scanned as u64).key("detected").u64(self.detected as u64);
+            w.key("repaired").u64(self.repaired as u64);
+            w.key("quarantined").u64(self.quarantined as u64);
+        })
     }
 }
 

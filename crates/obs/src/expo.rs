@@ -1,9 +1,9 @@
-//! Exposition: Prometheus text format and hand-rolled JSON.
+//! Exposition: Prometheus text format and JSON.
 //!
 //! Both renderers work from a [`MetricsSnapshot`], so absolute and delta
-//! views use the same code path. JSON is emitted as a single line so CLI
-//! consumers (and the CI smoke test) can grab it with a one-line match and
-//! feed it straight to a JSON parser.
+//! views use the same code path. JSON goes through [`crate::json`] and is
+//! one line, so CLI consumers can grab it with a one-line match and feed
+//! it straight to a JSON parser.
 //!
 //! The Prometheus output is lint-clean by contract (enforced by
 //! `crates/obs/tests/prom_lint.rs`): every family carries a `# HELP` and
@@ -14,6 +14,7 @@
 use std::fmt::Write;
 
 use crate::hist::HistSnapshot;
+use crate::json::Writer;
 use crate::{Counter, MetricsSnapshot, NetCmd, OpKind, Phase};
 
 const QUANTILES: [(f64, &str); 4] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
@@ -289,88 +290,49 @@ pub(crate) fn prometheus(s: &MetricsSnapshot) -> String {
     out
 }
 
-/// One line of JSON covering ops, events, derived rates and phases.
-pub(crate) fn json(s: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\"ops\":{");
-    for (i, &op) in OpKind::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The snapshot's JSON members: ops, net commands, slowlog, events,
+/// derived rates and phases.
+pub(crate) fn json(s: &MetricsSnapshot, w: &mut Writer) {
+    w.key("ops").object(|w| {
+        for &op in &OpKind::ALL {
+            let h = s.op(op);
+            w.key(op.name()).object(|w| {
+                h.write_summary(w);
+                w.key("min_ns").u64(h.min());
+            });
         }
-        let h = s.op(op);
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{},\"min_ns\":{}}}",
-            op.name(),
-            h.count(),
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.quantile(0.999),
-            h.max(),
-            h.min(),
-        );
-    }
-    out.push_str("},\"net\":{");
-    for (i, &cmd) in NetCmd::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    });
+    w.key("net").object(|w| {
+        for &cmd in &NetCmd::ALL {
+            w.key(cmd.name()).object(|w| s.net(cmd).write_summary(w));
         }
-        let h = s.net(cmd);
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
-            cmd.name(),
-            h.count(),
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.quantile(0.999),
-            h.max(),
-        );
-    }
-    out.push_str("},\"slowlog\":{");
-    for (i, &cmd) in NetCmd::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    });
+    w.key("slowlog").object(|w| {
+        for &cmd in &NetCmd::ALL {
+            w.key(cmd.name()).u64(s.slowlog(cmd));
         }
-        let _ = write!(out, "\"{}\":{}", cmd.name(), s.slowlog(cmd));
-    }
-    out.push_str("},\"events\":{");
-    for (i, &c) in Counter::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    });
+    w.key("events").object(|w| {
+        for &c in &Counter::ALL {
+            w.key(c.name()).u64(s.counter(c));
         }
-        let _ = write!(out, "\"{}\":{}", c.name(), s.counter(c));
-    }
-    let _ = write!(
-        out,
-        "}},\"derived\":{{\"total_ops\":{},\"total_slowlog\":{},\"ocf_false_positive_rate\":{:.6},\"hot_hit_rate\":{:.6},\"sync_overlap_win_rate\":{:.6}}},\"phases\":{{",
-        s.total_ops(),
-        s.total_slowlog(),
-        s.ocf_false_positive_rate(),
-        s.hot_hit_rate(),
-        s.sync_overlap_win_rate(),
-    );
-    for (i, &p) in Phase::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    });
+    w.key("derived").object(|w| {
+        w.key("total_ops").u64(s.total_ops()).key("total_slowlog").u64(s.total_slowlog());
+        w.key("ocf_false_positive_rate").f64(s.ocf_false_positive_rate(), 6);
+        w.key("hot_hit_rate").f64(s.hot_hit_rate(), 6);
+        w.key("sync_overlap_win_rate").f64(s.sync_overlap_win_rate(), 6);
+    });
+    w.key("phases").object(|w| {
+        for &p in &Phase::ALL {
+            let ph = s.phase(p);
+            w.key(p.name()).object(|w| {
+                w.key("runs").u64(ph.runs).key("total_ns").u64(ph.total_ns);
+                w.key("last_ns").u64(ph.last_ns).key("max_ns").u64(ph.max_ns);
+                w.key("items").u64(ph.items);
+            });
         }
-        let ph = s.phase(p);
-        let _ = write!(
-            out,
-            "\"{}\":{{\"runs\":{},\"total_ns\":{},\"last_ns\":{},\"max_ns\":{},\"items\":{}}}",
-            p.name(),
-            ph.runs,
-            ph.total_ns,
-            ph.last_ns,
-            ph.max_ns,
-            ph.items,
-        );
-    }
-    out.push_str("}}");
-    out
+    });
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Writer;
+
 /// Sub-buckets per power of two.
 pub const SUBS: usize = 16;
 /// Magnitudes covered (2^0 .. 2^47 ns ≈ 1.6 days).
@@ -176,6 +178,16 @@ impl HistSnapshot {
         } else {
             self.min
         }
+    }
+
+    /// Writes the JSON summary fields (`count`, `mean_ns`, `p50_ns`,
+    /// `p90_ns`, `p99_ns`, `p999_ns`, `max_ns`) into the object `w` has open.
+    pub fn write_summary(&self, w: &mut Writer) {
+        w.key("count").u64(self.count()).key("mean_ns").f64(self.mean(), 1);
+        for (key, q) in [("p50_ns", 0.5), ("p90_ns", 0.9), ("p99_ns", 0.99), ("p999_ns", 0.999)] {
+            w.key(key).u64(self.quantile(q));
+        }
+        w.key("max_ns").u64(self.max());
     }
 
     /// Value at quantile `q` (0.0 ..= 1.0), approximated by bucket edge.

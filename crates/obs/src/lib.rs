@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod trace;
 
 mod expo;
@@ -688,17 +689,11 @@ fn net_record_slow(cmd: NetCmd, ns: u64) {
     }
 }
 
-/// Starts a phase span; `None` while disabled. Always a clock reading of
-/// its own: a phase is rare and long, and is not part of a [`lap_chain`].
-#[inline]
-pub fn phase_start() -> Option<Instant> {
-    enabled().then(Instant::now)
-}
-
-/// Starts a phase span *and* stamps a [`trace::EventKind::PhaseEnter`]
+/// Starts a phase span and stamps a [`trace::EventKind::PhaseEnter`]
 /// event into the flight recorder, so the phase's position in the
-/// timeline (not just its duration) is reconstructible. Prefer this over
-/// [`phase_start`] at sites that know their phase up front.
+/// timeline (not just its duration) is reconstructible; `None` while
+/// disabled. Always a clock reading of its own: a phase is rare and long,
+/// and is not part of a [`lap_chain`].
 #[inline]
 pub fn phase_enter(p: Phase) -> Option<Instant> {
     if !enabled() {
@@ -708,7 +703,7 @@ pub fn phase_enter(p: Phase) -> Option<Instant> {
     Some(Instant::now())
 }
 
-/// Completes a phase span started with [`phase_start`]. `items` is the
+/// Completes a phase span started with [`phase_enter`]. `items` is the
 /// phase's work unit (records moved, cases run, …); pass 0 when
 /// meaningless.
 #[inline]
@@ -846,7 +841,7 @@ impl MetricsSnapshot {
     }
 
     /// Slow-command log count of one wire command (commands that crossed
-    /// the [`trace::set_slow_cmd_threshold_ns`] threshold).
+    /// the [`trace::set_slow_threshold_ns`] threshold).
     pub fn slowlog(&self, cmd: NetCmd) -> u64 {
         self.slowlog[cmd as usize]
     }
@@ -971,7 +966,13 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot as one line of JSON.
     pub fn to_json(&self) -> String {
-        expo::json(self)
+        json::object(|w| expo::json(self, w))
+    }
+
+    /// Writes the [`to_json`](Self::to_json) object as the next value of
+    /// `w`, so a larger document can embed it.
+    pub fn write_json(&self, w: &mut json::Writer) {
+        w.object(|w| expo::json(self, w));
     }
 }
 

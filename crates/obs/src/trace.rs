@@ -272,37 +272,26 @@ pub fn milestone(m: Milestone) {
 }
 
 // ---------------------------------------------------------------------------
-// Slow-op thresholds
+// Slow-op threshold
 // ---------------------------------------------------------------------------
 
-static SLOW_OP_NS: AtomicU64 = AtomicU64::new(0);
-static SLOW_CMD_NS: AtomicU64 = AtomicU64::new(0);
+static SLOW_NS: AtomicU64 = AtomicU64::new(0);
 
-/// Table operations slower than `ns` are recorded as [`EventKind::SlowOp`]
-/// events; 0 disables (the default).
-pub fn set_slow_op_threshold_ns(ns: u64) {
-    SLOW_OP_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Wire commands slower than `ns` are recorded as [`EventKind::SlowCmd`]
-/// events and counted in the slowlog family; 0 disables (the default).
-pub fn set_slow_cmd_threshold_ns(ns: u64) {
-    SLOW_CMD_NS.store(ns, Ordering::Relaxed);
+/// Table operations and wire commands slower than `ns` are recorded as
+/// [`EventKind::SlowOp`] / [`EventKind::SlowCmd`] events, and slow
+/// commands are counted in the slowlog family; 0 disables (the default).
+pub fn set_slow_threshold_ns(ns: u64) {
+    SLOW_NS.store(ns, Ordering::Relaxed);
 }
 
 /// Current slow-op threshold (0 = disabled).
-pub fn slow_op_threshold_ns() -> u64 {
-    SLOW_OP_NS.load(Ordering::Relaxed)
-}
-
-/// Current slow-command threshold (0 = disabled).
-pub fn slow_cmd_threshold_ns() -> u64 {
-    SLOW_CMD_NS.load(Ordering::Relaxed)
+pub fn slow_threshold_ns() -> u64 {
+    SLOW_NS.load(Ordering::Relaxed)
 }
 
 #[inline]
 pub(crate) fn note_op_latency(op: OpKind, ns: u64) {
-    let thr = SLOW_OP_NS.load(Ordering::Relaxed);
+    let thr = slow_threshold_ns();
     if thr != 0 && ns >= thr {
         emit(EventKind::SlowOp, op as u32, ns);
     }
@@ -310,7 +299,7 @@ pub(crate) fn note_op_latency(op: OpKind, ns: u64) {
 
 #[inline]
 pub(crate) fn note_cmd_latency(cmd: NetCmd, ns: u64) -> bool {
-    let thr = SLOW_CMD_NS.load(Ordering::Relaxed);
+    let thr = slow_threshold_ns();
     if thr != 0 && ns >= thr {
         emit(EventKind::SlowCmd, cmd as u32, ns);
         return true;
@@ -411,35 +400,23 @@ pub fn reset() {
 }
 
 /// Renders the merged timeline as one JSON document:
-/// `{"anchor_unix_ns":…, "slow_op_threshold_ns":…, "events":[…]}` with
+/// `{"anchor_unix_ns":…, "slow_threshold_ns":…, "events":[…]}` with
 /// events carrying monotonic (`t_us`) and wall (`wall_ms`) timestamps.
 pub fn dump_json() -> String {
-    use std::fmt::Write;
-    let events = drain();
     let anchor = anchor_unix_ns();
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    let _ = write!(
-        out,
-        "{{\"anchor_unix_ns\":{anchor},\"slow_op_threshold_ns\":{},\"slow_cmd_threshold_ns\":{},\"events\":[",
-        slow_op_threshold_ns(),
-        slow_cmd_threshold_ns(),
-    );
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let wall_ms = (anchor + e.t_ns) / 1_000_000;
-        let _ = write!(
-            out,
-            "{{\"t_us\":{},\"wall_ms\":{wall_ms},\"kind\":\"{}\",\"what\":\"{}\",\"data\":{}}}",
-            e.t_ns / 1_000,
-            e.kind.name(),
-            e.subject_name(),
-            e.data,
-        );
-    }
-    out.push_str("]}");
-    out
+    crate::json::object(|w| {
+        w.key("anchor_unix_ns").u64(anchor).key("slow_threshold_ns").u64(slow_threshold_ns());
+        w.key("events").array(|w| {
+            for e in drain() {
+                w.object(|w| {
+                    w.key("t_us").u64(e.t_ns / 1_000);
+                    w.key("wall_ms").u64((anchor + e.t_ns) / 1_000_000);
+                    w.key("kind").str(e.kind.name()).key("what").str(e.subject_name());
+                    w.key("data").u64(e.data);
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]
@@ -500,14 +477,12 @@ mod tests {
         let _g = exclusive();
         reset();
         crate::set_enabled(true);
-        set_slow_op_threshold_ns(1_000);
-        set_slow_cmd_threshold_ns(1_000);
+        set_slow_threshold_ns(1_000);
         note_op_latency(OpKind::Get, 999);
         note_op_latency(OpKind::Get, 1_000);
         assert!(!note_cmd_latency(NetCmd::Set, 10));
         assert!(note_cmd_latency(NetCmd::Set, 5_000));
-        set_slow_op_threshold_ns(0);
-        set_slow_cmd_threshold_ns(0);
+        set_slow_threshold_ns(0);
         note_op_latency(OpKind::Get, u64::MAX); // disabled: no event
         let events = drain();
         crate::set_enabled(false);

@@ -96,7 +96,7 @@ fn exposition_is_lint_clean() {
     obs::reset();
     obs::trace::reset();
     obs::set_enabled(true);
-    obs::trace::set_slow_cmd_threshold_ns(1_000);
+    obs::trace::set_slow_threshold_ns(1_000);
     for i in 0..2_000u64 {
         let ns = 1 + (i * 2654435761) % 80_000_000; // 1 ns .. 80 ms
         obs::op_record_ns(obs::OpKind::ALL[(i % 4) as usize], ns);
@@ -106,7 +106,7 @@ fn exposition_is_lint_clean() {
     obs::add(obs::Counter::NetBytesIn, 12345);
     obs::phase_record_ns(obs::Phase::ResizeRehash, 5_000_000, 42);
     let text = obs::snapshot().to_prometheus();
-    obs::trace::set_slow_cmd_threshold_ns(0);
+    obs::trace::set_slow_threshold_ns(0);
     obs::set_enabled(false);
 
     let mut declared: Vec<(String, String)> = Vec::new(); // (family, type)

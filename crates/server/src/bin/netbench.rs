@@ -506,18 +506,6 @@ fn run_open_loop(cfg: &Config) -> OpenLoopReport {
     report
 }
 
-fn json_hist(out: &mut String, name: &str, h: &HistSnapshot) {
-    out.push_str(&format!(
-        "\"{name}\":{{\"count\":{},\"mean_ns\":{:.0},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
-        h.count(),
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-        h.quantile(0.999),
-        h.max(),
-    ));
-}
-
 fn main() {
     let cfg = parse_args();
     // Resolve early so a bad address fails fast with a clear message.
@@ -574,57 +562,50 @@ fn main() {
             elapsed.as_secs_f64()
         );
 
-        let mut body = String::new();
-        body.push_str(&format!(
-            "{{\"mix\":\"{mix}\",\"ops\":{total_ops},\"elapsed_s\":{:.4},\"throughput_ops_s\":{thr:.1},\"errors\":{errors},\"reconnects\":{reconnects},\"latency\":{{",
-            elapsed.as_secs_f64()
-        ));
-        let mut first = true;
-        for (ki, kind) in OP_KINDS.iter().enumerate() {
-            let h = stats.hists[ki].snapshot();
-            if h.count() == 0 {
-                continue;
-            }
-            if !first {
-                body.push(',');
-            }
-            first = false;
-            json_hist(&mut body, kind, &h);
-        }
-        body.push_str("}}");
-        mix_reports.push(body);
+        mix_reports.push((mix, total_ops, elapsed.as_secs_f64(), stats));
     }
 
     // The overload phase runs after the closed-loop mixes so its parked
     // fleet does not compete with them for connection slots.
     let open_loop = (cfg.open_loop_rate > 0.0).then(|| run_open_loop(&cfg));
 
-    let mut json = String::new();
-    json.push_str("{\"bench\":\"net\",");
-    json.push_str(&format!(
-        "\"config\":{{\"addr\":\"{}\",\"conns\":{},\"pipeline\":{},\"ops_per_mix\":{},\"preload\":{},\"value_size\":\"{}\"}},",
-        cfg.addr, cfg.conns, cfg.pipeline, cfg.ops, cfg.preload, cfg.value_size_label
-    ));
-    json.push_str("\"mixes\":[");
-    json.push_str(&mix_reports.join(","));
-    json.push(']');
-    if let Some(ol) = &open_loop {
-        json.push_str(&format!(
-            ",\"open_loop\":{{\"idle_conns\":{},\"hot_conns\":{},\"target_rate_ops_s\":{:.1},\
-             \"achieved_rate_ops_s\":{:.1},\"duration_s\":{:.4},\"sent\":{},\"replies\":{},\"errors\":{},",
-            ol.idle_conns,
-            ol.hot_conns,
-            ol.target_rate,
-            ol.achieved_rate,
-            ol.duration_s,
-            ol.sent,
-            ol.replies,
-            ol.errors,
-        ));
-        json_hist(&mut json, "latency", &ol.latency);
-        json.push('}');
-    }
-    json.push('}');
+    let json = hdnh_obs::json::object(|w| {
+        w.key("bench").str("net").key("config").object(|w| {
+            w.key("addr").str(&cfg.addr).key("conns").u64(cfg.conns as u64);
+            w.key("pipeline").u64(cfg.pipeline as u64).key("ops_per_mix").u64(cfg.ops as u64);
+            w.key("preload").u64(cfg.preload).key("value_size").str(&cfg.value_size_label);
+        });
+        w.key("mixes").array(|w| {
+            for (mix, ops, elapsed_s, stats) in &mix_reports {
+                w.object(|w| {
+                    w.key("mix").str(mix).key("ops").u64(*ops as u64);
+                    w.key("elapsed_s").f64(*elapsed_s, 4);
+                    w.key("throughput_ops_s").f64(*ops as f64 / elapsed_s, 1);
+                    w.key("errors").u64(stats.errors.load(Ordering::Relaxed));
+                    w.key("reconnects").u64(stats.reconnects.load(Ordering::Relaxed));
+                    w.key("latency").object(|w| {
+                        for (kind, h) in OP_KINDS.iter().zip(&stats.hists) {
+                            let h = h.snapshot();
+                            if h.count() > 0 {
+                                w.key(kind).object(|w| h.write_summary(w));
+                            }
+                        }
+                    });
+                });
+            }
+        });
+        if let Some(ol) = &open_loop {
+            w.key("open_loop").object(|w| {
+                w.key("idle_conns").u64(ol.idle_conns as u64);
+                w.key("hot_conns").u64(ol.hot_conns as u64);
+                w.key("target_rate_ops_s").f64(ol.target_rate, 1);
+                w.key("achieved_rate_ops_s").f64(ol.achieved_rate, 1);
+                w.key("duration_s").f64(ol.duration_s, 4).key("sent").u64(ol.sent);
+                w.key("replies").u64(ol.replies).key("errors").u64(ol.errors);
+                w.key("latency").object(|w| ol.latency.write_summary(w));
+            });
+        }
+    });
     let mut f = std::fs::File::create(&cfg.out).expect("create output file");
     f.write_all(json.as_bytes()).expect("write output");
     f.write_all(b"\n").expect("write output");

@@ -128,88 +128,54 @@ impl OpsState {
     /// JSON snapshot for `/varz`: build identity, uptime, readiness and
     /// table geometry, plus the full metrics registry under `"metrics"`.
     pub fn varz_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
         let reason = self.not_ready_reason();
-        let _ = write!(
-            out,
-            "{{\"version\":\"{VERSION}\",\"git\":\"{GIT_HASH}\",\"uptime_secs\":{},\"ready\":{},\"draining\":{},\"not_ready_reason\":{},",
-            self.uptime_secs(),
-            reason.is_none(),
-            self.is_draining(),
-            reason.as_deref().map_or_else(|| "null".to_string(), json_string),
-        );
-        match self.table() {
-            None => out.push_str("\"table\":null,"),
-            Some(t) => {
-                let _ = write!(
-                    out,
-                    "\"table\":{{\"backend\":\"{}\",\"records\":{},\"load_factor\":{:.3},\"resizes\":{},\"ocf_bytes\":{}}},",
-                    t.backend_kind(),
-                    t.len(),
-                    t.load_factor(),
-                    t.resize_count(),
-                    t.ocf_footprint_bytes(),
-                );
-                let vs = t.vlog_stats();
-                let _ = write!(
-                    out,
-                    "\"valuelog\":{{\"segments\":{},\"capacity_bytes\":{},\"used_bytes\":{},\"garbage_bytes\":{},\"live_bytes\":{},\"last_gc\":{}}},",
-                    vs.segments,
-                    vs.capacity_bytes,
-                    vs.used_bytes,
-                    vs.garbage_bytes,
-                    vs.live_bytes,
-                    match vs.last_gc {
-                        None => "null".to_string(),
-                        Some(gc) => format!(
-                            "{{\"victims\":{},\"segments_retired\":{},\"records_relocated\":{},\"bytes_reclaimed\":{}}}",
-                            gc.victims, gc.segments_retired, gc.records_relocated, gc.bytes_reclaimed
-                        ),
-                    },
-                );
-            }
-        }
         let snap = obs::snapshot();
-        let _ = write!(
-            out,
-            "\"snapshot\":{{\"taken\":{},\"failed\":{},\"bytes\":{}}},",
-            snap.counter(obs::Counter::SnapshotTaken),
-            snap.counter(obs::Counter::SnapshotFailed),
-            snap.counter(obs::Counter::SnapshotBytes),
-        );
-        let _ = write!(
-            out,
-            "\"connections\":{},\"metrics\":{}}}",
-            self.active_conns.load(Ordering::SeqCst),
-            snap.to_json(),
-        );
-        out
+        obs::json::object(|w| {
+            w.key("version").str(VERSION).key("git").str(GIT_HASH);
+            w.key("uptime_secs").u64(self.uptime_secs());
+            w.key("ready").bool(reason.is_none()).key("draining").bool(self.is_draining());
+            match &reason {
+                Some(r) => w.key("not_ready_reason").str(r),
+                None => w.key("not_ready_reason").null(),
+            };
+            match self.table() {
+                None => w.key("table").null(),
+                Some(t) => {
+                    w.key("table").object(|w| {
+                        w.key("backend").str(t.backend_kind()).key("records").u64(t.len() as u64);
+                        w.key("load_factor").f64(t.load_factor(), 3);
+                        w.key("resizes").u64(t.resize_count() as u64);
+                        w.key("ocf_bytes").u64(t.ocf_footprint_bytes() as u64);
+                    });
+                    let vs = t.vlog_stats();
+                    w.key("valuelog").object(|w| {
+                        w.key("segments").u64(vs.segments as u64);
+                        w.key("capacity_bytes").u64(vs.capacity_bytes);
+                        w.key("used_bytes").u64(vs.used_bytes);
+                        w.key("garbage_bytes").u64(vs.garbage_bytes);
+                        w.key("live_bytes").u64(vs.live_bytes);
+                        match vs.last_gc {
+                            None => w.key("last_gc").null(),
+                            Some(gc) => w.key("last_gc").object(|w| {
+                                w.key("victims").u64(gc.victims as u64);
+                                w.key("segments_retired").u64(gc.segments_retired as u64);
+                                w.key("records_relocated").u64(gc.records_relocated as u64);
+                                w.key("bytes_reclaimed").u64(gc.bytes_reclaimed);
+                            }),
+                        };
+                    })
+                }
+            };
+            w.key("snapshot").object(|w| {
+                w.key("taken").u64(snap.counter(obs::Counter::SnapshotTaken));
+                w.key("failed").u64(snap.counter(obs::Counter::SnapshotFailed));
+                w.key("bytes").u64(snap.counter(obs::Counter::SnapshotBytes));
+            });
+            w.key("connections").u64(self.active_conns.load(Ordering::SeqCst) as u64);
+            w.key("metrics");
+            snap.write_json(w);
+        })
     }
-}
-
-/// `s` as a quoted JSON string: `"` and `\` are backslash-escaped and
-/// every control character becomes `\u00XX`, so any text — an OS error
-/// message, a pool path — yields a valid document. Everything else,
-/// non-ASCII included, passes through as UTF-8.
-fn json_string(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if c.is_control() => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Handle to a running ops listener.
@@ -357,19 +323,4 @@ fn respond(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_string;
-
-    #[test]
-    fn json_string_escapes_quotes_backslashes_and_control_characters() {
-        assert_eq!(json_string(""), r#""""#);
-        assert_eq!(json_string(r#"say "hi""#), r#""say \"hi\"""#);
-        assert_eq!(json_string(r"C:\pool\dir"), r#""C:\\pool\\dir""#);
-        assert_eq!(json_string("line\nbreak"), r#""line\u000abreak""#);
-        assert_eq!(json_string("\u{1}\t\u{7f}"), r#""\u0001\u0009\u007f""#);
-        assert_eq!(json_string("pool «ünï» 池"), "\"pool «ünï» 池\"");
-    }
 }

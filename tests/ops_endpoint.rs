@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use hdnh::{Hdnh, HdnhParams};
 use hdnh_obs as obs;
+use proptest::prelude::*;
 use hdnh_server::{start_ops, start_with_state, OpsState, RespClient, ServerConfig};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -45,89 +46,210 @@ fn http_get(addr: &str, path: &str) -> (u16, String) {
 /// are checked loosely). Strings must escape `"`, `\` and every control
 /// character, which is what a hand-built document gets wrong.
 fn is_json(s: &str) -> bool {
-    fn ws(b: &[u8], i: &mut usize) {
-        while b.get(*i).is_some_and(|c| b" \t\r\n".contains(c)) {
-            *i += 1;
+    decoded_strings(s).is_some()
+}
+
+/// Every string in `s` (member names and values, in document order),
+/// decoded; `None` unless [`is_json`] holds. A surrogate escape decodes
+/// as U+FFFD: the writer never emits one.
+fn decoded_strings(s: &str) -> Option<Vec<String>> {
+    let mut p = Parser { b: s.as_bytes(), i: 0, strings: Vec::new() };
+    p.value()?;
+    p.ws();
+    (p.i == p.b.len()).then_some(p.strings)
+}
+
+struct Parser<'a> {
+    b: &'a [u8],
+    i: usize,
+    strings: Vec<String>,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.b.get(self.i).is_some_and(|c| b" \t\r\n".contains(c)) {
+            self.i += 1;
         }
     }
-    fn eat(b: &[u8], i: &mut usize, want: u8) -> bool {
-        ws(b, i);
-        let hit = b.get(*i) == Some(&want);
-        *i += hit as usize;
-        hit
+
+    fn eat(&mut self, want: u8) -> Option<()> {
+        self.ws();
+        (self.b.get(self.i) == Some(&want)).then(|| self.i += 1)
     }
-    fn string(b: &[u8], i: &mut usize) -> bool {
-        if !eat(b, i, b'"') {
-            return false;
-        }
+
+    fn string(&mut self) -> Option<()> {
+        self.eat(b'"')?;
+        // Bytes, not chars: escapes are ASCII, so every multi-byte UTF-8
+        // sequence of the input is copied whole.
+        let mut out = Vec::new();
         loop {
-            let Some(&c) = b.get(*i) else { return false };
-            *i += 1;
+            let c = *self.b.get(self.i)?;
+            self.i += 1;
             match c {
-                b'"' => return true,
-                b'\\' => match b.get(*i) {
-                    Some(b'u')
-                        if b.get(*i + 1..*i + 5)
-                            .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) =>
-                    {
-                        *i += 5
-                    }
-                    Some(e) if b"\"\\/bfnrt".contains(e) => *i += 1,
-                    _ => return false,
-                },
-                c if c < 0x20 => return false,
-                _ => {}
+                b'"' => break,
+                b'\\' => {
+                    let e = *self.b.get(self.i)?;
+                    self.i += 1;
+                    let decoded = match e {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => {
+                            let h = self.b.get(self.i..self.i + 4)?;
+                            if !h.iter().all(u8::is_ascii_hexdigit) {
+                                return None;
+                            }
+                            self.i += 4;
+                            let code = u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()?;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        _ => return None,
+                    };
+                    out.extend_from_slice(decoded.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                c if c < 0x20 => return None,
+                c => out.push(c),
             }
         }
+        self.strings.push(String::from_utf8(out).ok()?);
+        Some(())
     }
+
     // Elements up to `close`, comma-separated; the opener is consumed.
-    fn seq(b: &[u8], i: &mut usize, close: u8, elem: fn(&[u8], &mut usize) -> bool) -> bool {
-        *i += 1;
-        if eat(b, i, close) {
-            return true;
+    fn seq(&mut self, close: u8, elem: fn(&mut Self) -> Option<()>) -> Option<()> {
+        self.i += 1;
+        if self.eat(close).is_some() {
+            return Some(());
         }
         loop {
-            if !elem(b, i) {
-                return false;
+            elem(self)?;
+            if self.eat(close).is_some() {
+                return Some(());
             }
-            if eat(b, i, close) {
-                return true;
-            }
-            if !eat(b, i, b',') {
-                return false;
-            }
+            self.eat(b',')?;
         }
     }
-    fn member(b: &[u8], i: &mut usize) -> bool {
-        string(b, i) && eat(b, i, b':') && value(b, i)
+
+    fn member(&mut self) -> Option<()> {
+        self.string()?;
+        self.eat(b':')?;
+        self.value()
     }
-    fn value(b: &[u8], i: &mut usize) -> bool {
-        ws(b, i);
-        let lit = |i: &mut usize, word: &[u8]| {
-            let hit = b[*i..].starts_with(word);
-            *i += if hit { word.len() } else { 0 };
-            hit
+
+    fn value(&mut self) -> Option<()> {
+        self.ws();
+        let lit = |p: &mut Self, word: &[u8]| {
+            p.b[p.i..].starts_with(word).then(|| p.i += word.len())
         };
-        match b.get(*i) {
-            Some(b'{') => seq(b, i, b'}', member),
-            Some(b'[') => seq(b, i, b']', value),
-            Some(b'"') => string(b, i),
-            Some(b't') => lit(i, b"true"),
-            Some(b'f') => lit(i, b"false"),
-            Some(b'n') => lit(i, b"null"),
-            Some(c) if *c == b'-' || c.is_ascii_digit() => {
-                while b.get(*i).is_some_and(|c| b"+-.eE0123456789".contains(c)) {
-                    *i += 1;
+        match *self.b.get(self.i)? {
+            b'{' => self.seq(b'}', Self::member),
+            b'[' => self.seq(b']', Self::value),
+            b'"' => self.string(),
+            b't' => lit(self, b"true"),
+            b'f' => lit(self, b"false"),
+            b'n' => lit(self, b"null"),
+            c if c == b'-' || c.is_ascii_digit() => {
+                while self.b.get(self.i).is_some_and(|c| b"+-.eE0123456789".contains(c)) {
+                    self.i += 1;
                 }
-                true
+                Some(())
             }
-            _ => false,
+            _ => None,
         }
     }
-    let (b, mut i) = (s.as_bytes(), 0);
-    let ok = value(b, &mut i);
-    ws(b, &mut i);
-    ok && i == b.len()
+}
+
+/// One step of a random document: open an object or array, close the
+/// innermost one, or write a scalar. Inside an object the step's key
+/// names the member.
+#[derive(Debug, Clone)]
+enum Step {
+    Object,
+    Array,
+    Close,
+    Str(String),
+    U64(u64),
+    F64(f64, usize),
+    Bool(bool),
+    Null,
+}
+
+/// Writes `steps` as the members (`in_object`) or elements of the open
+/// container until a `Close` or the end, pushing every string it writes
+/// onto `strings` in document order.
+fn emit(
+    w: &mut obs::json::Writer,
+    steps: &mut std::slice::Iter<(String, Step)>,
+    in_object: bool,
+    strings: &mut Vec<String>,
+) {
+    while let Some((key, step)) = steps.next() {
+        if matches!(step, Step::Close) {
+            return;
+        }
+        if in_object {
+            strings.push(key.clone());
+            w.key(key);
+        }
+        match step {
+            Step::Object => w.object(|w| emit(w, steps, true, strings)),
+            Step::Array => w.array(|w| emit(w, steps, false, strings)),
+            Step::Str(s) => {
+                strings.push(s.clone());
+                w.str(s)
+            }
+            Step::U64(v) => w.u64(*v),
+            Step::F64(v, decimals) => w.f64(*v, *decimals),
+            Step::Bool(v) => w.bool(*v),
+            Step::Null => w.null(),
+            Step::Close => unreachable!("a close returns above"),
+        };
+    }
+}
+
+/// Strings over all of `char`, half of whose characters come from the
+/// first 256 code points, where the quote, the backslash and every
+/// control character live.
+fn text() -> impl Strategy<Value = String> {
+    let c = prop_oneof![
+        (0u32..0x100).prop_map(|c| char::from_u32(c).unwrap()),
+        (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{d7ff}')),
+    ];
+    proptest::collection::vec(c, 0..12).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..4).prop_map(|i| [Step::Object, Step::Array, Step::Close, Step::Null][i].clone()),
+        text().prop_map(Step::Str),
+        any::<u64>().prop_map(Step::U64),
+        (any::<u64>(), 0usize..8).prop_map(|(bits, d)| Step::F64(f64::from_bits(bits), d)),
+        (0usize..4, 0usize..8).prop_map(|(i, d)| {
+            Step::F64([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][i], d)
+        }),
+        any::<bool>().prop_map(Step::Bool),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512 })]
+
+    /// The JSON writer's round trip, with `is_json` as the oracle: every
+    /// document it writes parses, and every string decodes to its input.
+    #[test]
+    fn every_written_document_parses_and_its_strings_round_trip(
+        steps in proptest::collection::vec((text(), step()), 0..48),
+    ) {
+        let mut want = Vec::new();
+        let doc = obs::json::object(|w| emit(w, &mut steps.iter(), true, &mut want));
+        prop_assert!(is_json(&doc), "{doc}");
+        prop_assert_eq!(decoded_strings(&doc), Some(want), "{}", doc);
+    }
 }
 
 #[test]
@@ -251,10 +373,9 @@ fn forced_resize_under_live_traffic_lands_in_the_timeline() {
     obs::reset();
     obs::trace::reset();
     obs::set_enabled(true);
-    // 1 ns thresholds: every op/command is a slow exemplar, guaranteeing
+    // A 1 ns threshold: every op/command is a slow exemplar, guaranteeing
     // the timeline interleaves slow-op events with the resize phases.
-    obs::trace::set_slow_op_threshold_ns(1);
-    obs::trace::set_slow_cmd_threshold_ns(1);
+    obs::trace::set_slow_threshold_ns(1);
 
     let state = OpsState::new();
     let ops = start_ops("127.0.0.1:0", Arc::clone(&state)).expect("bind ops");
@@ -306,8 +427,7 @@ fn forced_resize_under_live_traffic_lands_in_the_timeline() {
     // Slowlog counters moved with the exemplars.
     assert!(obs::snapshot().total_slowlog() >= 1);
 
-    obs::trace::set_slow_op_threshold_ns(0);
-    obs::trace::set_slow_cmd_threshold_ns(0);
+    obs::trace::set_slow_threshold_ns(0);
     handle.shutdown_and_join();
     ops.stop();
     obs::set_enabled(false);
