@@ -40,6 +40,7 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use hdnh_common::prefetch::prefetch_read;
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Record, Value};
+use hdnh_nvm::zeroed_atomics;
 use hdnh_obs as obs;
 use parking_lot::Mutex;
 
@@ -173,15 +174,11 @@ struct HotLevel {
 impl HotLevel {
     fn new(n_buckets: usize, slots: usize) -> Self {
         let n = n_buckets * slots;
-        let mut meta = Vec::with_capacity(n);
-        meta.resize_with(n, || AtomicU32::new(0));
-        let mut data = Vec::with_capacity(n * WORDS_PER_SLOT);
-        data.resize_with(n * WORDS_PER_SLOT, || AtomicU64::new(0));
         HotLevel {
             n_buckets,
             slots,
-            meta: meta.into_boxed_slice(),
-            data: data.into_boxed_slice(),
+            meta: zeroed_atomics(n),
+            data: zeroed_atomics(n * WORDS_PER_SLOT),
         }
     }
 
@@ -257,10 +254,6 @@ impl HotTable {
         let bottom = (total_buckets - top).max(1);
         let n_slots = (top + bottom) * slots_per_bucket;
         let lru = policy == HotPolicy::Lru;
-        let mut stamps = Vec::new();
-        if lru {
-            stamps.resize_with(n_slots, || AtomicU64::new(0));
-        }
         HotTable {
             levels: [
                 HotLevel::new(top, slots_per_bucket),
@@ -268,7 +261,7 @@ impl HotTable {
             ],
             policy,
             lru: lru.then(|| Mutex::new(LruList::new(n_slots))),
-            stamps: stamps.into_boxed_slice(),
+            stamps: zeroed_atomics(if lru { n_slots } else { 0 }),
         }
     }
 

@@ -29,6 +29,7 @@
 use std::sync::atomic::{fence, AtomicU16, Ordering};
 
 use hdnh_common::prefetch::prefetch_read;
+use hdnh_nvm::zeroed_atomics;
 use hdnh_obs as obs;
 
 /// VALID bit: slot holds a live record.
@@ -91,10 +92,8 @@ impl Ocf {
     /// Zeroed filter for `n_buckets × slots_per_bucket` slots (all invalid,
     /// unlocked, version 0).
     pub fn new(n_buckets: usize, slots_per_bucket: usize) -> Self {
-        let mut v = Vec::with_capacity(n_buckets * slots_per_bucket);
-        v.resize_with(n_buckets * slots_per_bucket, || AtomicU16::new(0));
         Ocf {
-            entries: v.into_boxed_slice(),
+            entries: zeroed_atomics(n_buckets * slots_per_bucket),
             slots_per_bucket,
         }
     }

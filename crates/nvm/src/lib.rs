@@ -67,6 +67,7 @@ pub mod pool;
 mod region;
 mod shadow;
 mod stats;
+mod zeroed;
 
 pub use bandwidth::{BandwidthLimiter, BandwidthModel};
 pub use fault::{CorruptionEvent, CorruptionKind, CorruptionPlan, FaultPlan, InjectedCrash};
@@ -77,3 +78,4 @@ pub use pool::{PoolDir, META_FILE};
 pub use region::{Backend, NvmOptions, NvmRegion, SyncPolicy};
 pub use shadow::LossMode;
 pub use stats::{NvmStats, PerOpStats, StatsSnapshot};
+pub use zeroed::zeroed_atomics;

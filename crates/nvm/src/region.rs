@@ -31,6 +31,7 @@ use crate::pod::Pod;
 use crate::pool::PoolDir;
 use crate::shadow::{self, LineState, LossMode, MediaTracker};
 use crate::stats::NvmStats;
+use crate::zeroed::zeroed_atomics;
 
 /// CPU cacheline size: flush granularity.
 pub(crate) const CACHELINE: usize = 64;
@@ -230,12 +231,7 @@ impl NvmRegion {
         name_hint: &str,
     ) -> Result<Self, NvmIoError> {
         let backing = match &options.backend {
-            Backend::Heap => {
-                let n_words = len.div_ceil(8);
-                let mut words = Vec::with_capacity(n_words);
-                words.resize_with(n_words, || AtomicU64::new(0));
-                Backing::Heap(words.into_boxed_slice())
-            }
+            Backend::Heap => Backing::Heap(zeroed_atomics(len.div_ceil(8))),
             Backend::Pool(pool) => {
                 let path = pool.new_region_path(name_hint)?;
                 Backing::file(FileMap::create(&path, len)?, pool)
