@@ -37,11 +37,10 @@ const SLOTS_PER_BUCKET: usize = 2;
 const BUCKET_BYTES: usize = 64;
 /// Linear probing distance in buckets (the paper sets 4).
 pub const PROBE_BUCKETS: usize = 4;
-/// Segment header: lock word, local-depth word and prefix word (the
-/// segment's directory prefix, persisted so the directory is rebuildable —
-/// CCEH's recovery story), padded to one bucket.
+/// Segment header: lock word (offset 0), local-depth word and prefix word
+/// (the segment's directory prefix, which CCEH persists so that recovery
+/// can rebuild the directory), padded to one bucket.
 const SEG_HEADER: usize = 64;
-const HDR_LOCK: usize = 0;
 const HDR_LOCAL_DEPTH: usize = 8;
 const HDR_PREFIX: usize = 16;
 
@@ -103,25 +102,6 @@ impl Segment {
             n_buckets,
             local_depth: std::sync::atomic::AtomicU32::new(local_depth),
         })
-    }
-
-    /// Re-adopts a persisted segment region (recovery). Reads the depth and
-    /// prefix from the header; the lock word is reset (locks are volatile).
-    fn from_region(region: Arc<NvmRegion>, segment_bytes: usize) -> (Arc<Self>, u32, u64) {
-        assert_eq!(region.len(), SEG_HEADER + segment_bytes, "segment size mismatch");
-        region.atomic_store_u64(HDR_LOCK, 0, Ordering::Release);
-        let depth = region.atomic_load_u64_cached(HDR_LOCAL_DEPTH, Ordering::Acquire) as u32;
-        let prefix = region.atomic_load_u64_cached(HDR_PREFIX, Ordering::Acquire);
-        let n_buckets = segment_bytes / BUCKET_BYTES;
-        (
-            Arc::new(Segment {
-                region,
-                n_buckets,
-                local_depth: std::sync::atomic::AtomicU32::new(depth),
-            }),
-            depth,
-            prefix,
-        )
     }
 
     // ---- the in-NVM reader-writer lock ----
@@ -459,75 +439,6 @@ impl Cceh {
     }
 }
 
-/// The persistent half of a CCEH instance: its segment regions, in any
-/// order (each header carries the local depth and directory prefix needed
-/// to rebuild the directory — CCEH's recovery design).
-pub struct CcehPool {
-    /// Segment regions (deduplicated).
-    pub segments: Vec<Arc<NvmRegion>>,
-    /// Segment payload size the pool was built with.
-    pub segment_bytes: usize,
-}
-
-impl Cceh {
-    /// Shutdown: drop the volatile directory, keep the segment regions.
-    pub fn into_pool(self) -> CcehPool {
-        let dir = self.dir.into_inner();
-        let mut seen = std::collections::HashSet::new();
-        let mut segments = Vec::new();
-        for seg in &dir.entries {
-            if seen.insert(Arc::as_ptr(seg) as usize) {
-                segments.push(Arc::clone(&seg.region));
-            }
-        }
-        CcehPool {
-            segments,
-            segment_bytes: self.params.segment_bytes,
-        }
-    }
-
-    /// Rebuilds the directory from persisted segment headers and recounts
-    /// live records — extendible hashing's recovery path.
-    ///
-    /// Panics if the segments do not tile the directory exactly (corrupt or
-    /// incomplete pool).
-    pub fn recover(params: CcehParams, pool: CcehPool) -> Cceh {
-        assert_eq!(params.segment_bytes, pool.segment_bytes, "segment size mismatch");
-        let mut parsed = Vec::with_capacity(pool.segments.len());
-        let mut global_depth = 1u32;
-        for region in pool.segments {
-            let (seg, depth, prefix) = Segment::from_region(region, params.segment_bytes);
-            global_depth = global_depth.max(depth);
-            parsed.push((seg, depth, prefix));
-        }
-        let size = 1usize << global_depth;
-        let mut entries: Vec<Option<Arc<Segment>>> = vec![None; size];
-        let mut count = 0usize;
-        for (seg, depth, prefix) in parsed {
-            let span = 1usize << (global_depth - depth);
-            let base = (prefix as usize) << (global_depth - depth);
-            for slot in entries[base..base + span].iter_mut() {
-                assert!(slot.is_none(), "segments overlap in the directory");
-                *slot = Some(Arc::clone(&seg));
-            }
-            count += seg.count_valid();
-        }
-        let entries: Vec<Arc<Segment>> = entries
-            .into_iter()
-            .map(|s| s.expect("directory hole: missing segment"))
-            .collect();
-        Cceh {
-            dir: RwLock::new(Directory {
-                global_depth,
-                entries,
-            }),
-            params,
-            count: AtomicUsize::new(count),
-            splits: AtomicUsize::new(0),
-        }
-    }
-}
-
 impl HashIndex for Cceh {
     fn insert(&self, key: &Key, value: &Value) -> IndexResult<()> {
         let h = key_hash(key);
@@ -801,72 +712,6 @@ mod tests {
                 assert_eq!(t.get(&k(id)).unwrap().as_u64(), id);
             }
         }
-    }
-
-    #[test]
-    fn recover_rebuilds_directory_after_shutdown() {
-        let t = small();
-        for i in 0..3_000u64 {
-            t.insert(&k(i), &v(i * 2)).unwrap();
-        }
-        assert!(t.split_count() > 0, "want splits before recovery");
-        let params = CcehParams {
-            segment_bytes: 1024,
-            initial_depth: 1,
-            nvm: NvmOptions::fast(),
-        };
-        let pool = t.into_pool();
-        let r = Cceh::recover(params, pool);
-        assert_eq!(r.len(), 3_000);
-        for i in 0..3_000u64 {
-            assert_eq!(r.get(&k(i)).unwrap().as_u64(), i * 2, "key {i}");
-        }
-        // Recovered table keeps working (inserts, further splits).
-        for i in 3_000..6_000u64 {
-            r.insert(&k(i), &v(i)).unwrap();
-        }
-        assert_eq!(r.len(), 6_000);
-    }
-
-    #[test]
-    fn recover_after_crash_preserves_acknowledged_inserts() {
-        // Inserts are failure-atomic (record persisted, then the 1-byte
-        // valid tag); recovery after a crash must see every acknowledged
-        // insert. (In-place updates are NOT failure-atomic in CCEH — the
-        // original defers that to lazy recovery — so only inserts are
-        // asserted here.)
-        let params = CcehParams {
-            segment_bytes: 1024,
-            initial_depth: 1,
-            nvm: NvmOptions::strict(),
-        };
-        let t = Cceh::new(params.clone());
-        for i in 0..500u64 {
-            t.insert(&k(i), &v(i)).unwrap();
-        }
-        let pool = t.into_pool();
-        let mut rng = hdnh_common::rng::XorShift64Star::new(3);
-        for region in &pool.segments {
-            region.crash(&mut rng, hdnh_nvm::LossMode::TearLines);
-        }
-        let r = Cceh::recover(params, pool);
-        assert_eq!(r.len(), 500);
-        for i in 0..500u64 {
-            assert_eq!(r.get(&k(i)).unwrap().as_u64(), i, "key {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "segment size mismatch")]
-    fn recover_with_wrong_geometry_panics() {
-        let t = small();
-        let pool = t.into_pool();
-        let wrong = CcehParams {
-            segment_bytes: 2048,
-            initial_depth: 1,
-            nvm: NvmOptions::fast(),
-        };
-        let _ = Cceh::recover(wrong, pool);
     }
 
     #[test]

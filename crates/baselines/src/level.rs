@@ -29,8 +29,7 @@ use parking_lot::{RwLock, RwLockWriteGuard};
 
 /// Slots per bucket (the Level hashing paper's choice).
 pub const SLOTS: usize = 4;
-/// Bucket stride: 8-byte header + 4 records, kept 8-byte aligned.
-pub const BUCKET_STRIDE: usize = 8 + SLOTS * RECORD_LEN + 1; // 133 -> pad
+/// Bucket stride: 8-byte header + 4 records, padded to 8-byte alignment.
 const BUCKET_BYTES: usize = 136;
 const _: () = assert!(BUCKET_BYTES >= 8 + SLOTS * RECORD_LEN && BUCKET_BYTES.is_multiple_of(8));
 

@@ -12,16 +12,20 @@
 //! process cannot un-write (the kernel owns the dirty pages). Writes sent
 //! but not yet acknowledged may or may not have landed — both are legal.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
 use std::time::Duration;
 
+use common::{connect, spawn_serve, tmp_pool};
 use hdnh_server::{Reply, RespClient};
 
 const CYCLES: u32 = 20;
 const CAPACITY: &str = "50000";
 const PIPELINE: usize = 32;
+
+fn pool_args(pool: &std::path::Path) -> [&str; 4] {
+    ["--capacity", CAPACITY, "--pool", pool.to_str().unwrap()]
+}
 
 fn value_for(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1)
@@ -33,51 +37,6 @@ fn kill_delay_ms(cycle: u32) -> u64 {
     let mut x = 0x5DEE_CE66u64 ^ u64::from(cycle).wrapping_mul(0x9E37_79B9);
     x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     2 + (x >> 33) % 50
-}
-
-struct Server {
-    child: Child,
-    addr: String,
-    stdout: BufReader<std::process::ChildStdout>,
-}
-
-/// Spawns `hdnh-cli serve 127.0.0.1:0 --pool <dir>` and waits for the
-/// listening banner to learn the bound port.
-fn spawn_serve(pool: &Path) -> Server {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_hdnh-cli"))
-        .args([
-            "serve",
-            "127.0.0.1:0",
-            "--capacity",
-            CAPACITY,
-            "--pool",
-            pool.to_str().unwrap(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn hdnh-cli serve");
-    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut addr = None;
-    let mut line = String::new();
-    while stdout.read_line(&mut line).expect("read server stdout") > 0 {
-        if let Some(rest) = line.trim().strip_prefix("hdnh-server listening on ") {
-            addr = Some(rest.to_string());
-            break;
-        }
-        line.clear();
-    }
-    let addr = addr.unwrap_or_else(|| {
-        let _ = child.kill();
-        panic!("server exited without printing the listening banner");
-    });
-    Server { child, addr, stdout }
-}
-
-fn connect(addr: &str) -> RespClient {
-    let c = RespClient::connect_retry(addr, Duration::from_secs(10)).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-    c
 }
 
 /// Checks every previously acknowledged key and a clean scrub.
@@ -158,21 +117,17 @@ fn storm_until_killed(c: &mut RespClient, first_key: u64, pid: u32, delay: Durat
 /// scrubs clean afterwards.
 #[test]
 fn large_value_survives_sigkill() {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    let pool = tmp_pool("large");
+    let pool = tmp_pool("kill-restart-large");
     let value: Vec<u8> = (0..64 * 1024).map(|i| (i * 13 % 251) as u8).collect();
 
-    let mut server = spawn_serve(&pool);
+    let server = spawn_serve(&pool_args(&pool));
     let mut c = connect(&server.addr);
     assert!(
         matches!(c.call(&[b"SET", b"7", &value]).expect("set"), Reply::Simple(ref s) if s == "OK")
     );
-    unsafe { kill(server.child.id() as i32, 9) };
-    server.child.wait().expect("reap killed server");
+    server.kill9();
 
-    let mut server = spawn_serve(&pool);
+    let server = spawn_serve(&pool_args(&pool));
     let mut c = connect(&server.addr);
     match c.call(&[b"GET", b"7"]).expect("get") {
         Reply::Bulk(b) => assert_eq!(b, value, "64 KiB value not byte-identical after kill -9"),
@@ -189,24 +144,18 @@ fn large_value_survives_sigkill() {
         matches!(c.call(&[b"SHUTDOWN"]).expect("shutdown"), Reply::Simple(ref s) if s == "OK")
     );
     drop(c);
-    server.child.wait().expect("graceful exit");
+    server.wait_exit();
     let _ = std::fs::remove_dir_all(&pool);
-}
-
-fn tmp_pool(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hdnh-kill-restart-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
 fn acked_writes_survive_twenty_sigkills() {
-    let pool = tmp_pool("storm");
+    let pool = tmp_pool("kill-restart-storm");
     let mut acked: Vec<u64> = Vec::new();
     let mut next_key = 0u64;
 
     for cycle in 0..CYCLES {
-        let mut server = spawn_serve(&pool);
+        let mut server = spawn_serve(&pool_args(&pool));
         let mut c = connect(&server.addr);
 
         // Everything acknowledged before any earlier kill must still be
@@ -225,15 +174,13 @@ fn acked_writes_survive_twenty_sigkills() {
 
     // Final restart: verify, then shut down gracefully and confirm the
     // pool is marked clean.
-    let mut server = spawn_serve(&pool);
+    let server = spawn_serve(&pool_args(&pool));
     let mut c = connect(&server.addr);
     verify_acked(&mut c, &acked, CYCLES);
     assert!(matches!(c.call(&[b"SHUTDOWN"]).expect("shutdown"), Reply::Simple(s) if s == "OK"));
     drop(c);
-    let status = server.child.wait().expect("wait for graceful exit");
-    assert!(status.success(), "graceful serve exit failed: {status:?}");
-    let mut rest = String::new();
-    std::io::Read::read_to_string(&mut server.stdout, &mut rest).expect("drain stdout");
+    let (exited_zero, rest) = server.wait_exit();
+    assert!(exited_zero, "graceful serve exit failed: {rest}");
     assert!(rest.contains("pool marked clean"), "missing clean-close line: {rest}");
 
     // Library-level reopen must see the clean flag and every record.

@@ -2,37 +2,12 @@
 //!
 //! Two generators cover every random choice in the reproduction:
 //!
-//! * [`SplitMix64`] — seeding and one-shot scrambling (also used by the YCSB
-//!   generator to scramble zipfian ranks).
+//! * [`mix64`] — a one-shot SplitMix64 (Steele, Lea, Flood 2014) scramble
+//!   for seeding and for the YCSB generator's scrambled zipfian ranks.
 //! * [`XorShift64Star`] — the per-thread generator behind RAFL's random
 //!   eviction (paper §3.3) and the randomized crash simulator. A three-shift
 //!   xorshift with a multiply finisher: one word of state, a few cycles per
 //!   draw, never in the measured NVM path long enough to matter.
-
-/// SplitMix64 (Steele, Lea, Flood 2014). Good seed-stretcher: consecutive
-/// integers map to well-distributed outputs.
-#[derive(Clone, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator from an arbitrary seed.
-    #[inline]
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64-bit output.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// One-shot SplitMix64 scramble of a single word. Used where a stateless
 /// permutation-ish mixing of an integer is needed (scrambled zipfian).
@@ -97,18 +72,18 @@ mod tests {
 
     #[test]
     fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
+        // SplitMix64's reference first outputs for states 0 and 1234567.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(1_234_567), 6_457_827_717_110_365_317);
     }
 
     #[test]
     fn splitmix_differs_across_seeds() {
-        let mut a = SplitMix64::new(1);
-        let mut b = SplitMix64::new(2);
-        assert_ne!(a.next_u64(), b.next_u64());
+        // Consecutive seeds land far apart: about half the bits differ.
+        for seed in 0..64u64 {
+            let flipped = (mix64(seed) ^ mix64(seed + 1)).count_ones();
+            assert!((16..=48).contains(&flipped), "seed {seed}: {flipped} bits");
+        }
     }
 
     #[test]

@@ -197,7 +197,8 @@ impl ExploreConfig {
         }
     }
 
-    /// Bounded smoke configuration (CI): one seed, no recovery phase two.
+    /// Bounded smoke configuration (`faultrun quick`): one seed, no
+    /// recovery phase two.
     pub fn quick() -> Self {
         ExploreConfig {
             mixes: OpMix::builtin(),

@@ -9,16 +9,16 @@
 //! returning. Because the NVM write (flushes, fences, media latency)
 //! dominates, the DRAM hot-table write is fully hidden behind it.
 //!
-//! The pool owns `n` long-lived workers fed by a crossbeam MPMC channel —
-//! the paper's "the two threads will be returned to the thread pool".
+//! The pool owns `n` long-lived workers that share one channel's receiving
+//! end — the paper's "the two threads will be returned to the thread pool".
 //! Each foreground thread reuses one signal allocation across operations
 //! (it can only have one write in flight).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Record};
 use hdnh_obs as obs;
@@ -123,6 +123,9 @@ struct Job {
     signal: Arc<SyncSignal>,
 }
 
+/// A worker holds the receiver's lock only to take a job, never to run one.
+const RX_LOCK: &str = "no worker panics while it holds the receiver";
+
 /// The background writer pool.
 pub(crate) struct SyncWriter {
     tx: Sender<Job>,
@@ -139,10 +142,11 @@ impl SyncWriter {
     /// Spawns `n_workers` background threads.
     pub(crate) fn new(n_workers: usize) -> Self {
         assert!(n_workers >= 1);
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        let (tx, rx) = channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..n_workers)
             .map(|i| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("hdnh-bg-{i}"))
                     .spawn(move || {
@@ -156,20 +160,18 @@ impl SyncWriter {
                         // critical path); park only after going idle.
                         'outer: loop {
                             for _ in 0..4096 {
-                                match rx.try_recv() {
+                                let next = rx.lock().expect(RX_LOCK).try_recv();
+                                match next {
                                     Ok(job) => {
                                         run(job);
                                         continue 'outer;
                                     }
-                                    Err(crossbeam::channel::TryRecvError::Empty) => {
-                                        std::hint::spin_loop()
-                                    }
-                                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                                        break 'outer
-                                    }
+                                    Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                                    Err(TryRecvError::Disconnected) => break 'outer,
                                 }
                             }
-                            match rx.recv() {
+                            let next = rx.lock().expect(RX_LOCK).recv();
+                            match next {
                                 Ok(job) => run(job),
                                 Err(_) => break,
                             }
@@ -205,7 +207,7 @@ impl SyncWriter {
 impl Drop for SyncWriter {
     fn drop(&mut self) {
         // Disconnect the channel; workers drain and exit.
-        let (tx, _) = unbounded();
+        let (tx, _) = channel();
         drop(std::mem::replace(&mut self.tx, tx));
         for w in self.workers.drain(..) {
             let _ = w.join();

@@ -647,15 +647,6 @@ pub fn op_record(op: OpKind, started: Option<Instant>) {
     }
 }
 
-/// Records a pre-measured op latency in nanoseconds (no-op while disabled).
-#[inline]
-pub fn op_record_ns(op: OpKind, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    op_record_slow(op, ns);
-}
-
 #[cold]
 fn op_record_slow(op: OpKind, ns: u64) {
     OP_HISTS[shard()][op as usize].record(ns);
@@ -669,16 +660,6 @@ pub fn net_record(cmd: NetCmd, started: Option<Instant>) {
     if let Some(t) = started {
         net_record_slow(cmd, lap_ns(t));
     }
-}
-
-/// Records a pre-measured wire-command service latency in nanoseconds
-/// (no-op while disabled).
-#[inline]
-pub fn net_record_ns(cmd: NetCmd, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    net_record_slow(cmd, ns);
 }
 
 #[cold]
@@ -790,15 +771,6 @@ impl PhaseSnapshot {
             last_ns: self.last_ns,
             max_ns: self.max_ns,
             items: self.items.saturating_sub(earlier.items),
-        }
-    }
-
-    /// Mean run duration in nanoseconds, 0.0 when no runs completed.
-    pub fn mean_ns(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.runs as f64
         }
     }
 }
@@ -1035,6 +1007,20 @@ pub(crate) fn exclusive() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
 
+    /// Records a pre-measured op latency (no-op while disabled).
+    fn op_record_ns(op: OpKind, ns: u64) {
+        if enabled() {
+            op_record_slow(op, ns);
+        }
+    }
+
+    /// Records a pre-measured wire-command latency (no-op while disabled).
+    fn net_record_ns(cmd: NetCmd, ns: u64) {
+        if enabled() {
+            net_record_slow(cmd, ns);
+        }
+    }
+
     #[test]
     fn disabled_registry_records_nothing() {
         let _g = exclusive();
@@ -1075,7 +1061,6 @@ mod tests {
         assert_eq!(ph.last_ns, 20_000);
         assert_eq!(ph.max_ns, 20_000);
         assert_eq!(ph.items, 50);
-        assert_eq!(ph.mean_ns(), 15_000.0);
         reset();
         assert_eq!(snapshot().total_ops(), 0);
     }

@@ -8,6 +8,8 @@
 //! every series). A scraper that accepts this output will accept any
 //! output this crate can produce.
 
+use std::time::{Duration, Instant};
+
 use hdnh_obs as obs;
 
 fn metric_name_ok(name: &str) -> bool {
@@ -98,9 +100,11 @@ fn exposition_is_lint_clean() {
     obs::set_enabled(true);
     obs::trace::set_slow_threshold_ns(1_000);
     for i in 0..2_000u64 {
-        let ns = 1 + (i * 2654435761) % 80_000_000; // 1 ns .. 80 ms
-        obs::op_record_ns(obs::OpKind::ALL[(i % 4) as usize], ns);
-        obs::net_record_ns(obs::NetCmd::ALL[(i % 11) as usize], ns);
+        // A measurement that started `ns` ago, 1 ns .. 80 ms.
+        let ns = 1 + (i * 2654435761) % 80_000_000;
+        let started = Instant::now().checked_sub(Duration::from_nanos(ns));
+        obs::op_record(obs::OpKind::ALL[(i % 4) as usize], started);
+        obs::net_record(obs::NetCmd::ALL[(i % 11) as usize], started);
     }
     obs::count(obs::Counter::HotHit);
     obs::add(obs::Counter::NetBytesIn, 12345);

@@ -96,11 +96,6 @@ impl Zipfian {
         sum
     }
 
-    /// The exponent in force.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws a *rank*: 0 is the hottest item.
     #[inline]
     pub fn next_rank(&self, rng: &mut XorShift64Star) -> u64 {
@@ -175,15 +170,6 @@ impl Latest {
     pub fn new(n: u64, theta: f64) -> Self {
         Latest {
             inner: Zipfian::new(n, theta),
-        }
-    }
-
-    /// Grows the id space after an insert. YCSB recomputes zeta
-    /// incrementally; our op streams are pre-generated against the final
-    /// size, so a full rebuild on demand is sufficient and exact.
-    pub fn grow_to(&mut self, n: u64) {
-        if n > self.inner.n {
-            self.inner = Zipfian::new(n, self.inner.theta);
         }
     }
 }
@@ -334,16 +320,6 @@ mod tests {
             }
         }
         assert!(newest > 3_000, "newest-10 share {newest}/10000");
-    }
-
-    #[test]
-    fn latest_grow_extends_range() {
-        let mut d = Latest::new(100, 0.99);
-        d.grow_to(200);
-        assert_eq!(d.n(), 200);
-        let mut r = rng();
-        let saw_new = (0..10_000).any(|_| d.next_id(&mut r) >= 100);
-        assert!(saw_new);
     }
 
     #[test]

@@ -7,39 +7,21 @@
 //! The obs registry and flight recorder are process-global, so the tests
 //! serialize on one mutex (same discipline as `metrics_accounting.rs`).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use hdnh::{Hdnh, HdnhParams};
 use hdnh_obs as obs;
 use proptest::prelude::*;
 use hdnh_server::{start_ops, start_with_state, OpsState, RespClient, ServerConfig};
 
+#[path = "../crates/cli/tests/common/http.rs"]
+mod http;
+use http::http_get;
+
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Minimal HTTP/1.0 GET: returns (status code, body).
-fn http_get(addr: &str, path: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect ops port");
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(s, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line in {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
 }
 
 /// Whether `s` is exactly one well-formed JSON value (RFC 8259; numbers

@@ -28,7 +28,7 @@ use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, NvmRegion, PoolDir, SyncP
 /// fire inside another's table operations.
 static FAULT_REGISTRY_GATE: Mutex<()> = Mutex::new(());
 
-/// Schedules per sweep: what CI's `powerloss-smoke` runs in release, and a
+/// Schedules per sweep: what CI's `release` job runs, and a
 /// debug-build sweep short enough for the default `cargo test`.
 const SCHEDULES: usize = if cfg!(debug_assertions) { 48 } else { 220 };
 
