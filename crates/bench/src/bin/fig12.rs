@@ -8,7 +8,7 @@
 
 use hdnh_bench::report::{banner, expectation, mops, Table};
 use hdnh_bench::runner::{preload, run_workload};
-use hdnh_bench::schemes::{build, Scheme};
+use hdnh_bench::schemes::{bench_nvm, build, Scheme};
 use hdnh_bench::scaled;
 use hdnh_ycsb::{KeySpace, Mix, WorkloadSpec};
 
@@ -27,7 +27,7 @@ fn main() {
     for s in [0.5, 0.7, 0.9, 0.99, 1.1, 1.22] {
         let mut row = vec![format!("{s:.2}")];
         for scheme in schemes {
-            let idx = build(scheme, preloaded as usize);
+            let idx = build(scheme, preloaded as usize, bench_nvm());
             preload(idx.as_ref(), &ks, preloaded, 2);
             let r = run_workload(
                 idx.as_ref(),

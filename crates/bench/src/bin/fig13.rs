@@ -7,7 +7,7 @@
 
 use hdnh_bench::report::{banner, expectation, mops, Table};
 use hdnh_bench::runner::{preload, run_workload};
-use hdnh_bench::schemes::{build, Scheme};
+use hdnh_bench::schemes::{bench_nvm, build, Scheme};
 use hdnh_bench::scaled;
 use hdnh_ycsb::{KeySpace, Mix, WorkloadSpec};
 
@@ -24,7 +24,7 @@ fn main() {
     let mut table = Table::new(&["scheme", "insert", "pos search", "neg search", "delete"]);
     for scheme in Scheme::paper_set() {
         // Insert: preload then insert `ops` new records.
-        let idx = build(scheme, (preloaded as usize) + ops);
+        let idx = build(scheme, (preloaded as usize) + ops, bench_nvm());
         preload(idx.as_ref(), &ks, preloaded, 2);
         let r_ins = run_workload(
             idx.as_ref(),
@@ -39,7 +39,7 @@ fn main() {
 
         // Search/delete: preload the full dataset, then run each op kind.
         let full = preloaded + ops as u64;
-        let idx = build(scheme, full as usize);
+        let idx = build(scheme, full as usize, bench_nvm());
         preload(idx.as_ref(), &ks, full, 2);
         let r_pos = run_workload(
             idx.as_ref(),

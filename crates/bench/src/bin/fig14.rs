@@ -9,7 +9,7 @@
 
 use hdnh_bench::report::{banner, expectation, mops, Table};
 use hdnh_bench::runner::{preload, run_workload};
-use hdnh_bench::schemes::{build, Scheme};
+use hdnh_bench::schemes::{bench_nvm, build, Scheme};
 use hdnh_bench::{max_threads, scaled};
 use hdnh_ycsb::{KeySpace, Mix, WorkloadSpec};
 
@@ -47,7 +47,7 @@ fn main() {
             let mut row = vec![threads.to_string()];
             for scheme in Scheme::paper_set() {
                 let capacity = preloaded as usize + total_ops;
-                let idx = build(scheme, capacity);
+                let idx = build(scheme, capacity, bench_nvm());
                 preload(idx.as_ref(), &ks, preloaded, 2);
                 let r = run_workload(
                     idx.as_ref(),

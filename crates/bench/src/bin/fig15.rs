@@ -7,7 +7,7 @@
 
 use hdnh_bench::report::{banner, csv, expectation, Table};
 use hdnh_bench::runner::{preload, run_workload};
-use hdnh_bench::schemes::{build, Scheme};
+use hdnh_bench::schemes::{bench_nvm, build, Scheme};
 use hdnh_bench::{max_threads, scaled};
 use hdnh_ycsb::{KeySpace, WorkloadSpec};
 
@@ -26,7 +26,7 @@ fn main() {
     let mut quants = Table::new(&["scheme", "p50 us", "p90 us", "p99 us", "p99.9 us", "max us"]);
     let mut cdfs = Vec::new();
     for scheme in schemes {
-        let idx = build(scheme, preloaded as usize);
+        let idx = build(scheme, preloaded as usize, bench_nvm());
         preload(idx.as_ref(), &ks, preloaded, 2);
         let r = run_workload(
             idx.as_ref(),

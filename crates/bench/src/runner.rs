@@ -8,7 +8,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use hdnh_common::HashIndex;
-use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
+use hdnh_ycsb::{execute, generate_ops, KeySpace, Op, WorkloadSpec};
 
 use hdnh_obs::hist::HistSnapshot;
 
@@ -45,23 +45,6 @@ pub fn preload(index: &dyn HashIndex, ks: &KeySpace, n: u64, threads: usize) {
             });
         }
     });
-}
-
-/// Executes one op against the index. Returns `true` if the outcome was
-/// plausible (used by correctness-mode runs; benchmarks ignore it).
-#[inline]
-pub fn execute(index: &dyn HashIndex, ks: &KeySpace, op: &Op) -> bool {
-    match op {
-        Op::Read(id) => index.get(&ks.key(*id)).is_some(),
-        Op::ReadAbsent(id) => index.get(&ks.negative_key(*id)).is_none(),
-        Op::Insert(id) => index.insert(&ks.key(*id), &ks.value(*id, 0)).is_ok(),
-        Op::Update(id, seq) => index.upsert(&ks.key(*id), &ks.value(*id, *seq)).is_ok(),
-        Op::ReadModifyWrite(id, seq) => {
-            let _ = index.get(&ks.key(*id));
-            index.upsert(&ks.key(*id), &ks.value(*id, *seq)).is_ok()
-        }
-        Op::Delete(id) => index.remove(&ks.key(*id)),
-    }
 }
 
 /// Replays per-thread op streams under timing.
@@ -222,12 +205,15 @@ mod tests {
     fn execute_validates_op_outcomes() {
         let t = Hdnh::new(HdnhParams::default());
         let ks = KeySpace::default();
-        assert!(execute(&t, &ks, &Op::Insert(1)));
-        assert!(execute(&t, &ks, &Op::Read(1)));
-        assert!(execute(&t, &ks, &Op::ReadAbsent(1)));
-        assert!(execute(&t, &ks, &Op::Update(1, 1)));
-        assert!(execute(&t, &ks, &Op::ReadModifyWrite(1, 2)));
-        assert!(execute(&t, &ks, &Op::Delete(1)));
-        assert!(!execute(&t, &ks, &Op::Read(1)), "deleted key still readable");
+        assert_eq!(execute(&t, &ks, &Op::Insert(7)), None);
+        assert_eq!(execute(&t, &ks, &Op::Read(7)), Some(ks.value(7, 0)));
+        assert_eq!(execute(&t, &ks, &Op::ReadAbsent(7)), None);
+        // A read-modify-write returns what it read before writing.
+        assert_eq!(execute(&t, &ks, &Op::ReadModifyWrite(7, 2)), Some(ks.value(7, 0)));
+        assert_eq!(execute(&t, &ks, &Op::Read(7)), Some(ks.value(7, 2)));
+        execute(&t, &ks, &Op::Update(7, 3));
+        assert_eq!(execute(&t, &ks, &Op::Read(7)), Some(ks.value(7, 3)));
+        execute(&t, &ks, &Op::Delete(7));
+        assert_eq!(execute(&t, &ks, &Op::Read(7)), None, "deleted key still readable");
     }
 }

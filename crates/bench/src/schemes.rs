@@ -84,56 +84,57 @@ pub fn hdnh_params(capacity: usize) -> HdnhParams {
     HdnhParams {
         nvm: bench_nvm(),
         sync_mode: if cores >= 4 { SyncMode::Background } else { SyncMode::Inline },
-        background_writers: 2,
         ..HdnhParams::for_capacity(capacity)
     }
 }
 
 /// Builds a scheme sized for `capacity` records (plus headroom for
-/// insert-heavy runs, which grow dynamic schemes anyway).
-pub fn build(scheme: Scheme, capacity: usize) -> Box<dyn HashIndex> {
+/// insert-heavy runs, which grow dynamic schemes anyway) on `nvm`: the
+/// figure binaries pass [`bench_nvm`], tests [`NvmOptions::fast`].
+pub fn build(scheme: Scheme, capacity: usize, nvm: NvmOptions) -> Box<dyn HashIndex> {
+    let hdnh = HdnhParams {
+        nvm: nvm.clone(),
+        ..hdnh_params(capacity)
+    };
     match scheme {
-        Scheme::Path => {
-            // Static: sized to the workload (modest headroom), like the
-            // paper's setup — PATH runs at a realistic load factor.
-            let mut p = PathParams::for_capacity(capacity + capacity / 10);
-            p.nvm = bench_nvm();
-            Box::new(PathHash::new(p))
-        }
-        Scheme::Level => {
-            let mut p = LevelParams::for_capacity(capacity);
-            p.nvm = bench_nvm();
-            Box::new(LevelHash::new(p))
-        }
-        Scheme::Cceh => {
-            let mut p = CcehParams::for_capacity(capacity);
-            p.nvm = bench_nvm();
-            Box::new(Cceh::new(p))
-        }
-        Scheme::Hdnh => Box::new(Hdnh::new(hdnh_params(capacity))),
+        // Static: sized to the workload (modest headroom), like the
+        // paper's setup — PATH runs at a realistic load factor.
+        Scheme::Path => Box::new(PathHash::new(PathParams {
+            nvm,
+            ..PathParams::for_capacity(capacity + capacity / 10)
+        })),
+        Scheme::Level => Box::new(LevelHash::new(LevelParams {
+            nvm,
+            ..LevelParams::for_capacity(capacity)
+        })),
+        Scheme::Cceh => Box::new(Cceh::new(CcehParams {
+            nvm,
+            ..CcehParams::for_capacity(capacity)
+        })),
+        Scheme::Hdnh => Box::new(Hdnh::new(hdnh)),
         Scheme::HdnhLru => Box::new(Hdnh::new(HdnhParams {
             hot_policy: HotPolicy::Lru,
-            ..hdnh_params(capacity)
+            ..hdnh
         })),
         Scheme::HdnhNoHot => Box::new(Hdnh::new(HdnhParams {
             enable_hot_table: false,
-            ..hdnh_params(capacity)
+            ..hdnh
         })),
         Scheme::HdnhNoOcf => Box::new(Hdnh::new(HdnhParams {
             enable_ocf: false,
-            ..hdnh_params(capacity)
+            ..hdnh
         })),
         Scheme::HdnhInline => Box::new(Hdnh::new(HdnhParams {
             sync_mode: SyncMode::Inline,
-            ..hdnh_params(capacity)
+            ..hdnh
         })),
         Scheme::HdnhBackground => Box::new(Hdnh::new(HdnhParams {
             sync_mode: SyncMode::Background,
-            ..hdnh_params(capacity)
+            ..hdnh
         })),
         Scheme::HdnhOneChoice => Box::new(Hdnh::new(HdnhParams {
             two_choice_segments: false,
-            ..hdnh_params(capacity)
+            ..hdnh
         })),
     }
 }
@@ -157,7 +158,7 @@ mod tests {
             Scheme::HdnhBackground,
             Scheme::HdnhOneChoice,
         ] {
-            let idx = build(scheme, 10_000);
+            let idx = build(scheme, 10_000, NvmOptions::fast());
             for i in 0..100u64 {
                 idx.insert(&Key::from_u64(i), &Value::from_u64(i)).unwrap();
             }

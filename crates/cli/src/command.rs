@@ -9,7 +9,7 @@ pub enum Command {
     /// words are a RESP request (`GET 1`, `SET 1 x`, `MSET 1 a 2 b`, ...)
     /// run by the server's executor, `hdnh_server::execute`.
     Resp(Vec<String>),
-    /// `fill <n>` — bulk-insert ids `0..n` from the key space.
+    /// `fill <n>` — insert keys `0..n`, each valued by its own digits.
     Fill(u64),
     /// `workload <a|b|c|f> <ops>` — run a YCSB mix against the table.
     Workload(char, usize),
@@ -260,10 +260,11 @@ commands:
                           executor (DESIGN.md §12): u64 keys, a value token
                           stored as its bytes; nil prints (not found), an
                           error reply error: CODE msg
-  fill <n>                bulk-insert generator ids 0..n (the YCSB generator's
-                          own 16-byte keys and 15-byte values; fill and
-                          workload never touch a key get can name)
-  workload <a|b|c|f> <n>  run n ops of a YCSB mix over the filled ids
+  fill <n>                insert keys 0..n, each with its own digits as the
+                          value (serve --fill's prefill): get 42 prints 42
+  workload <a|b|c|f> <n>  run n ops of a YCSB mix over the filled ids as
+                          RESP commands; Mops/s includes encoding and
+                          decoding them in process
   stats [delta|reset]     NVM media counters (absolute, since-reset, or
                           move the baseline)
   metrics [json|prom] [delta]  hdnh-obs registry: per-op latency histograms,

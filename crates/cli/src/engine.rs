@@ -5,13 +5,13 @@ use std::time::Instant;
 
 use hdnh::faultexplore::{self, CaseBackend, ExploreConfig, OpMix};
 use hdnh::{Hdnh, HdnhError, HdnhParams};
-use hdnh_common::HashIndex;
+use hdnh_common::Key;
 use hdnh_nvm::{FaultPlan, NvmOptions, StatsSnapshot};
 use hdnh_obs as obs;
-use hdnh_server::client::ReplyDecoder;
+use hdnh_server::client::{op_requests, ReplyDecoder};
 use hdnh_server::resp::{enc_request, DEFAULT_MAX_FRAME};
 use hdnh_server::{Decoder, Reply};
-use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
+use hdnh_ycsb::{generate_ops, WorkloadSpec};
 
 use crate::command::{
     Command, FaultRunMode, MetricsFormat, MetricsMode, StatsMode, TraceMode, HELP,
@@ -97,11 +97,27 @@ pub fn open_table(
     Ok((params, table, Some(banner)))
 }
 
+/// Inserts `ids` as records RESP can name: key `id`, value its decimal
+/// digits — the prefill of the shell's `fill` and of `serve --fill`. A
+/// key already present counts as present (a reopened pool may hold the
+/// range). Returns how many were new, or the first failing id and its
+/// error.
+pub fn fill(table: &Hdnh, ids: std::ops::Range<u64>) -> Result<u64, (u64, HdnhError)> {
+    let mut inserted = 0;
+    for id in ids {
+        match table.insert_bytes(&Key::from_u64(id), id.to_string().as_bytes()) {
+            Ok(()) => inserted += 1,
+            Err(HdnhError::DuplicateKey) => {}
+            Err(e) => return Err((id, e)),
+        }
+    }
+    Ok(inserted)
+}
+
 /// A live table plus the state the shell needs.
 pub struct Engine {
     table: Option<Hdnh>,
     params: HdnhParams,
-    ks: KeySpace,
     /// Next id for `fill` continuation and workload inserts.
     next_fill_id: u64,
     /// Baseline for `stats delta` (moved by `stats reset`).
@@ -146,7 +162,6 @@ impl Engine {
         Ok(Engine {
             table: Some(table),
             params,
-            ks: KeySpace::default(),
             next_fill_id: 0,
             stats_base: StatsSnapshot::default(),
             metrics_base: obs::MetricsSnapshot::empty(),
@@ -186,16 +201,10 @@ impl Engine {
             Command::Fill(n) => {
                 let start_id = self.next_fill_id;
                 let t0 = Instant::now();
-                let mut inserted = 0u64;
-                let table = self.table()?;
-                for i in 0..n {
-                    let id = start_id + i;
-                    match table.insert(&self.ks.key(id), &self.ks.value(id, 0)) {
-                        Ok(()) => inserted += 1,
-                        Err(HdnhError::DuplicateKey) => {}
-                        Err(e) => return Ok(Outcome::Failure(format!("error at id {id}: {e}"))),
-                    }
-                }
+                let inserted = match fill(self.table()?, start_id..start_id + n) {
+                    Ok(inserted) => inserted,
+                    Err((id, e)) => return Ok(Outcome::Failure(format!("error at id {id}: {e}"))),
+                };
                 self.next_fill_id = start_id + n;
                 Ok(Outcome::Text(format!(
                     "inserted {inserted} records (ids {start_id}..{}) in {:.1} ms",
@@ -422,30 +431,15 @@ impl Engine {
         }
     }
 
-    /// Runs one line as a RESP request through the server's executor, the
-    /// code a RESP client's request runs, and renders the reply: the shell
-    /// is a RESP front end, as `redis-cli` is. An error reply fails the
-    /// line, as `error: CODE msg`.
+    /// Runs one line as a RESP request through the server's executor and
+    /// renders the reply: the shell is a RESP front end, as `redis-cli`
+    /// is. An error reply fails the line, as `error: CODE msg`.
     fn resp(&self, words: &[String]) -> Result<Outcome, HdnhError> {
-        let table = self.table()?;
-        let mut buf = Vec::new();
-        enc_request(&mut buf, &words.iter().map(|w| w.as_bytes()).collect::<Vec<_>>());
-        let mut dec = Decoder::new(DEFAULT_MAX_FRAME);
-        dec.feed(&buf);
-        let frame = match dec.next() {
-            Ok(frame) => frame.expect("an encoded request is one whole frame"),
-            Err(e) => return Ok(Outcome::Failure(format!("error: {e}"))),
-        };
-        buf.clear();
-        if hdnh_server::execute(table, &dec, &frame, &mut buf).is_none() {
-            return Ok(Outcome::Failure(format!("unknown command '{}' (try 'help')", words[0])));
-        }
-        let mut replies = ReplyDecoder::new();
-        replies.feed(&buf);
-        Ok(match replies.next() {
-            Ok(Some(Reply::Error(e))) => Outcome::Failure(format!("error: {e}")),
+        let args: Vec<&[u8]> = words.iter().map(|w| w.as_bytes()).collect();
+        Ok(match call(self.table()?, &args) {
+            Ok(None) => Outcome::Failure(format!("unknown command '{}' (try 'help')", words[0])),
+            Ok(Some(Reply::Error(e))) | Err(e) => Outcome::Failure(format!("error: {e}")),
             Ok(Some(reply)) => Outcome::Text(render(&reply)),
-            other => unreachable!("the executor appends one whole reply: {other:?}"),
         })
     }
 
@@ -574,29 +568,10 @@ impl Engine {
         }
     }
 
-    /// Applies a pre-generated stream to the table.
-    fn apply_stream(&self, table: &Hdnh, ops: &[Op]) {
-        for op in ops {
-            match op {
-                Op::Read(id) => {
-                    let _ = table.get(&self.ks.key(*id));
-                }
-                Op::ReadAbsent(id) => {
-                    let _ = table.get(&self.ks.negative_key(*id));
-                }
-                Op::Insert(id) => {
-                    let _ = table.insert(&self.ks.key(*id), &self.ks.value(*id, 0));
-                }
-                Op::Update(id, seq) | Op::ReadModifyWrite(id, seq) => {
-                    let _ = table.upsert(&self.ks.key(*id), &self.ks.value(*id, *seq));
-                }
-                Op::Delete(id) => {
-                    let _ = table.remove(&self.ks.key(*id));
-                }
-            }
-        }
-    }
-
+    /// Runs `n_ops` ops of a YCSB mix over the filled ids, each as the
+    /// RESP requests netbench sends for it ([`op_requests`]), through
+    /// [`call`]: the time includes encoding and decoding them in process.
+    /// The first error reply fails the command.
     fn run_workload(&mut self, mix: char, n_ops: usize) -> Result<Outcome, HdnhError> {
         let spec = Self::spec_for(mix);
         let preloaded = self.next_fill_id.max(1);
@@ -605,9 +580,22 @@ impl Engine {
             return Ok(Outcome::Text("table is empty — run 'fill <n>' first".to_string()));
         }
         let ops = generate_ops(&spec, preloaded, self.next_fill_id, n_ops, 0xC11);
+        // `fill`'s values for version 0, the version's digits after it.
+        let value = |id: u64, seq: u64| if seq == 0 { id } else { seq }.to_string().into_bytes();
+        let mut failed = None;
         let t0 = Instant::now();
-        self.apply_stream(table, &ops);
+        for op in &ops {
+            op_requests(op, value, |args| match call(table, args) {
+                Ok(Some(Reply::Error(e))) | Err(e) => {
+                    failed.get_or_insert(e);
+                }
+                _ => {}
+            });
+        }
         let secs = t0.elapsed().as_secs_f64();
+        if let Some(e) = failed {
+            return Ok(Outcome::Failure(format!("error: {e}")));
+        }
         Ok(Outcome::Text(format!(
             "YCSB-{}: {} ops in {:.1} ms ({:.3} Mops/s)",
             mix.to_ascii_uppercase(),
@@ -615,6 +603,30 @@ impl Engine {
             secs * 1e3,
             n_ops as f64 / secs / 1e6
         )))
+    }
+}
+
+/// Runs one RESP request through the server's executor, the code a RESP
+/// client's request runs, and decodes its reply: `Ok(None)` for a command
+/// the executor does not know, `Err` for a request the decoder refuses.
+fn call(table: &Hdnh, args: &[&[u8]]) -> Result<Option<Reply>, String> {
+    let mut buf = Vec::new();
+    enc_request(&mut buf, args);
+    let mut dec = Decoder::new(DEFAULT_MAX_FRAME);
+    dec.feed(&buf);
+    let frame = dec
+        .next()
+        .map_err(|e| e.to_string())?
+        .expect("an encoded request is one whole frame");
+    buf.clear();
+    if hdnh_server::execute(table, &dec, &frame, &mut buf).is_none() {
+        return Ok(None);
+    }
+    let mut replies = ReplyDecoder::new();
+    replies.feed(&buf);
+    match replies.next() {
+        Ok(Some(reply)) => Ok(Some(reply)),
+        other => unreachable!("the executor appends one whole reply: {other:?}"),
     }
 }
 
@@ -850,8 +862,9 @@ mod tests {
     fn vlog_and_compact_commands_run() {
         let mut e = Engine::new(EngineConfig::default());
         run(&mut e, "fill 50");
-        // `fill` writes the generator's 15-byte words, so the log is empty
-        // and compaction is a clean no-op — the commands still round-trip.
+        // `fill` writes short decimal values, all inline, so the log is
+        // empty and compaction is a clean no-op — the commands still
+        // round-trip.
         let out = run(&mut e, "vlog");
         assert!(out.starts_with("segments"), "{out}");
         assert!(out.contains("garbage"), "{out}");
@@ -882,8 +895,7 @@ mod tests {
         assert!(out.contains("recovered 500 records"), "{out}");
         let out = run(&mut e, "verify");
         assert!(out.starts_with("integrity ok: 500"), "{out}");
-        let got = e.table().unwrap().get(&e.ks.key(3)).unwrap();
-        assert_eq!(got, Some(e.ks.value(3, 0)), "a filled id reads back its value");
+        assert_eq!(run(&mut e, "get 3"), "3", "a filled id reads back its value");
         assert_eq!(e.execute(Command::Quit), Outcome::Quit);
         // The media image lives in memory: the directory holds only the pool.
         for name in file_names(&dir) {

@@ -243,17 +243,9 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
     }
     let table = std::sync::Arc::new(table);
     let pooled = config.pool.is_some();
-    for id in 0..fill {
-        use hdnh_common::Key;
-        match table.insert_bytes(&Key::from_u64(id), id.to_string().as_bytes()) {
-            Ok(()) => {}
-            // A reopened pool may already hold the prefill range.
-            Err(hdnh::HdnhError::DuplicateKey) if pooled => {}
-            Err(e) => {
-                eprintln!("prefill failed at id {id}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Err((id, e)) = hdnh_cli::fill(&table, 0..fill) {
+        eprintln!("prefill failed at id {id}: {e}");
+        std::process::exit(1);
     }
     state.set_table(&table);
     match hdnh_server::start_with_state(

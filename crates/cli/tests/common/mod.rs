@@ -9,12 +9,13 @@
 pub mod http;
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::time::Duration;
 
 use hdnh_common::rng::mix64;
+use hdnh_server::client::op_requests;
 use hdnh_server::{Reply, RespClient};
-use hdnh_ycsb::{generate_ops, Op, WorkloadSpec};
+use hdnh_ycsb::{generate_ops, WorkloadSpec};
 
 /// A running `hdnh-cli serve` and what its banners said.
 pub struct Server {
@@ -107,10 +108,20 @@ pub fn tmp_pool(tag: &str) -> std::path::PathBuf {
 /// Pipes `script` into `hdnh-cli <args>`, which makes it a batch run;
 /// returns the exit code and stdout.
 pub fn batch(args: &[&str], script: &str) -> (Option<i32>, String) {
+    let out = batch_output(args, script, Stdio::inherit());
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+/// [`batch`]'s run, with the binary's stderr going to `stderr`.
+pub fn batch_output(args: &[&str], script: &str, stderr: Stdio) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hdnh-cli"))
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
+        .stderr(stderr)
         .spawn()
         .expect("spawn hdnh-cli");
     child
@@ -119,11 +130,7 @@ pub fn batch(args: &[&str], script: &str) -> (Option<i32>, String) {
         .unwrap()
         .write_all(script.as_bytes())
         .unwrap();
-    let out = child.wait_with_output().expect("hdnh-cli runs to the end");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-    )
+    child.wait_with_output().expect("hdnh-cli runs to the end")
 }
 
 /// The number after the first `"key":` in `json`.
@@ -213,29 +220,14 @@ pub fn run_ycsb(
                 // Disjoint insert ranges per connection, past the preload.
                 let base = preloaded + (ci * per_conn) as u64;
                 let seed = 0x9E37_79B9_7F4A_7C15 ^ ci as u64;
-                let cmds: Vec<_> = generate_ops(spec, preloaded, base, per_conn, seed)
-                    .iter()
-                    .flat_map(|op| request(op, value))
-                    .collect();
+                let mut cmds = Vec::new();
+                for op in generate_ops(spec, preloaded, base, per_conn, seed) {
+                    op_requests(&op, value, |args| {
+                        cmds.push(args.iter().map(|a| a.to_vec()).collect());
+                    });
+                }
                 pipelined(&mut connect(addr), &cmds, pipeline);
             });
         }
     });
-}
-
-/// The RESP requests one YCSB op becomes (a read-modify-write is a GET
-/// pipelined ahead of its SET).
-fn request(op: &Op, value: ValueFn) -> Vec<Vec<Vec<u8>>> {
-    let key = |id: u64| id.to_string().into_bytes();
-    let get = |id: u64| vec![b"GET".to_vec(), key(id)];
-    let set = |id: u64, seq: u64| vec![b"SET".to_vec(), key(id), value(id, seq)];
-    match *op {
-        Op::Read(id) => vec![get(id)],
-        // Negative reads probe far beyond any inserted id.
-        Op::ReadAbsent(id) => vec![get(u64::MAX / 2 + id)],
-        Op::Insert(id) => vec![set(id, 0)],
-        Op::Update(id, seq) => vec![set(id, u64::from(seq) + 1)],
-        Op::ReadModifyWrite(id, seq) => vec![get(id), set(id, u64::from(seq) + 1)],
-        Op::Delete(id) => vec![vec![b"DEL".to_vec(), key(id)]],
-    }
 }

@@ -113,6 +113,20 @@ fn what_set_stores_is_what_the_shell_prints() {
     let _ = std::fs::remove_dir_all(&pool);
 }
 
+/// One fill, both doors: the shell's `fill` writes keys RESP can name, and
+/// the pool it filled, served, answers for them over a socket.
+#[test]
+fn what_the_shell_fills_get_reads_through_both_doors() {
+    let pool = fresh_pool("fill");
+    let printed = shell(&pool, &["fill 100".into(), "GET 42".into()]);
+    assert!(printed[0].starts_with("inserted 100 records"), "{}", printed[0]);
+    assert_eq!(printed[1], "42");
+    served(&pool, |c| {
+        assert_eq!(c.call(&[b"GET", b"42"]).unwrap(), Reply::Bulk(b"42".to_vec()));
+    });
+    let _ = std::fs::remove_dir_all(&pool);
+}
+
 /// A RESP reply as the shell prints it: an error as a failed line,
 /// `error: CODE msg`, and any other reply as [`text`] renders it.
 fn rendered(reply: &Reply) -> Outcome {

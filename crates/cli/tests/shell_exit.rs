@@ -3,7 +3,9 @@
 
 mod common;
 
-use common::{batch, number};
+use std::process::Stdio;
+
+use common::{batch, batch_output, number};
 
 #[test]
 fn a_clean_scrub_and_audit_exit_zero() {
@@ -51,11 +53,14 @@ fn metrics_account_for_every_workload_op() {
 }
 
 /// A crash case replayed through the binary: a crash mid-migration of a
-/// live resize, replayed on a pool directory, passes and says so.
+/// live resize, replayed on a pool directory, passes and says so, and
+/// the injected crash prints no panic message.
 #[test]
 fn a_pool_crash_case_replays_through_the_shell() {
     let tuple = "pool:fill-resize:resize.bucket_migrated:24:1";
-    let (code, out) = batch(&[], &format!("faultrun repro {tuple}\nquit\n"));
-    assert_eq!(code, Some(0), "{out}");
+    let run = batch_output(&[], &format!("faultrun repro {tuple}\nquit\n"), Stdio::piped());
+    let (out, err) = (String::from_utf8_lossy(&run.stdout), String::from_utf8_lossy(&run.stderr));
+    assert_eq!(run.status.code(), Some(0), "{out}");
     assert!(out.lines().any(|l| l == format!("PASS {tuple}")), "{out}");
+    assert!(!err.contains("panicked at"), "{err}");
 }

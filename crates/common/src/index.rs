@@ -19,9 +19,10 @@ pub enum IndexError {
     /// The table is full and the scheme cannot grow (static schemes such as
     /// Path hashing, or a resize limit was hit).
     TableFull,
-    /// The operation raced with a resize and should be retried by the
-    /// caller. Public APIs retry internally; this only escapes from
-    /// low-level entry points used in tests.
+    /// The system, not the request, failed the operation. HDNH's
+    /// `HashIndex` impl reports an I/O, corruption, recovery or integrity
+    /// error this way, having no narrower variant for it; resizes are
+    /// retried internally and never surface.
     RetryResize,
 }
 

@@ -34,11 +34,12 @@ impl fmt::Display for CorruptionOutcome {
 
 /// System-level errors surfaced by the HDNH stack.
 ///
-/// Since the API unification this is the error type of every public table
-/// operation: `insert` reports [`HdnhError::DuplicateKey`], `update`
-/// reports [`HdnhError::KeyNotFound`], `verify_integrity` reports
+/// The error type of every inherent table operation: `insert_bytes`
+/// reports [`HdnhError::DuplicateKey`], `update_bytes` reports
+/// [`HdnhError::KeyNotFound`], `verify_integrity` reports
 /// [`HdnhError::Integrity`], and configuration problems surface as
-/// [`HdnhError::Config`] from the params builder.
+/// [`HdnhError::Config`] from the params builder. The word level
+/// (`HashIndex`) narrows it to [`IndexError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HdnhError {
     /// A record's bytes failed their header checksum. Carries the slot's
@@ -136,18 +137,6 @@ impl From<hdnh_nvm::NvmIoError> for HdnhError {
     }
 }
 
-impl From<IndexError> for HdnhError {
-    /// Maps the per-operation vocabulary onto the system taxonomy.
-    fn from(e: IndexError) -> Self {
-        match e {
-            IndexError::DuplicateKey => HdnhError::DuplicateKey,
-            IndexError::KeyNotFound => HdnhError::KeyNotFound,
-            IndexError::TableFull => HdnhError::Capacity(e.to_string()),
-            IndexError::RetryResize => HdnhError::Io(e.to_string()),
-        }
-    }
-}
-
 impl From<HdnhError> for IndexError {
     /// Narrows the system taxonomy back to the trait vocabulary, for the
     /// [`HashIndex`](hdnh_common::HashIndex) adapter: the per-operation
@@ -183,22 +172,6 @@ mod tests {
         assert!(HdnhError::Recovery("bad magic".into())
             .to_string()
             .contains("bad magic"));
-    }
-
-    #[test]
-    fn index_error_mapping() {
-        assert!(matches!(
-            HdnhError::from(IndexError::TableFull),
-            HdnhError::Capacity(_)
-        ));
-        assert_eq!(
-            HdnhError::from(IndexError::KeyNotFound),
-            HdnhError::KeyNotFound
-        );
-        assert_eq!(
-            HdnhError::from(IndexError::DuplicateKey),
-            HdnhError::DuplicateKey
-        );
     }
 
     #[test]

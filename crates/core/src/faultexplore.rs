@@ -8,11 +8,12 @@
 //!    registry in recording mode, learning how often each site fires.
 //! 2. **Explore** — for every `(site, hit)` sample and every crash seed,
 //!    re-run the same mix with the registry armed. The k-th hit of the site
-//!    panics with an [`InjectedCrash`]; the driver catches the unwind, cuts
-//!    power by handle ([`PersistentPool::crash`]: the seed picks the loss
-//!    mode and which unfenced lines survive) and reboots — through
-//!    `Hdnh::try_recover` on the heap, through [`Hdnh::open_pool`] on a
-//!    pool directory ([`CaseBackend`]).
+//!    panics with an [`InjectedCrash`](hdnh_nvm::InjectedCrash); the
+//!    explorer catches the unwind, cuts power by handle
+//!    ([`PersistentPool::crash`]: the seed picks the loss mode and which
+//!    unfenced lines survive) and reboots — through `Hdnh::try_recover` on
+//!    the heap, through [`Hdnh::open_pool`] on a pool directory
+//!    ([`CaseBackend`]).
 //! 3. **Check** — the recovered table must match the *acknowledged-state
 //!    oracle* (every op completed before the crash is visible; the one op
 //!    in flight may be fully applied or fully absent, never half) and every
@@ -37,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, SyncPolicy};
 
 use crate::params::{HdnhParams, SyncMode};
@@ -292,7 +293,6 @@ pub fn explore_params() -> HdnhParams {
             ..NvmOptions::strict()
         },
         sync_mode: SyncMode::Background,
-        background_writers: 1,
         ..Default::default()
     }
 }
@@ -365,12 +365,9 @@ fn table_matches(table: &Hdnh, model: &BTreeMap<u64, (u64, bool)>) -> Result<(),
             continue;
         }
         match table.get(&Key::from_u64(*k)) {
-            Ok(Some(got)) if got.as_u64() == *v => {}
-            Ok(Some(got)) => {
-                return Err(format!("key {k}: value {} != expected {v}", got.as_u64()))
-            }
-            Ok(None) => return Err(format!("key {k} lost (expected {v})")),
-            Err(e) => return Err(format!("key {k}: read error {e}")),
+            Some(got) if got.as_u64() == *v => {}
+            Some(got) => return Err(format!("key {k}: value {} != expected {v}", got.as_u64())),
+            None => return Err(format!("key {k} lost (expected {v})")),
         }
     }
     Ok(())
@@ -646,7 +643,6 @@ pub fn render_sites() -> String {
 /// for each of the five `recovery_bases` on the `fill-resize` mix (seed 1),
 /// every site the recovery that follows the crash hits, with its count.
 pub fn render_recovery_sites() -> String {
-    let _quiet = QuietPanics::install();
     let mix = OpMix::builtin().remove(2);
     let mut out = String::new();
     for base in recovery_bases() {
@@ -666,29 +662,6 @@ pub fn render_recovery_sites() -> String {
 fn write_counts(out: &mut String, counts: &BTreeMap<&'static str, u64>) {
     for (site, n) in counts {
         let _ = writeln!(out, "  {site:<32} {n:>8} hits");
-    }
-}
-
-/// Silences the panic hook while it lives: injected crashes unwind by the
-/// thousand, and their messages are captured in the results anyway. The
-/// previous hook comes back on drop, even if the explorer itself panics.
-struct QuietPanics(Option<PanicHook>);
-
-type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
-
-impl QuietPanics {
-    fn install() -> Self {
-        let guard = QuietPanics(Some(std::panic::take_hook()));
-        std::panic::set_hook(Box::new(|_| {}));
-        guard
-    }
-}
-
-impl Drop for QuietPanics {
-    fn drop(&mut self) {
-        let prev = self.0.take().unwrap();
-        let _ = std::panic::take_hook();
-        std::panic::set_hook(prev);
     }
 }
 
@@ -760,7 +733,6 @@ fn recovery_bases() -> Vec<FaultPlan> {
 /// reporting — pass `|_| ()` when unused).
 pub fn explore(cfg: &ExploreConfig, mut on_case: impl FnMut(&FaultCaseResult)) -> ExploreReport {
     let mut report = ExploreReport::default();
-    let _quiet = QuietPanics::install();
 
     for mix in &cfg.mixes {
         let counts = match record_sites(mix, CaseBackend::Heap) {

@@ -21,15 +21,21 @@
 //!
 //! ```
 //! use hdnh::{Hdnh, HdnhParams};
-//! use hdnh_common::{Key, Value};
+//! use hdnh_common::Key;
 //!
-//! let params = HdnhParams::builder().capacity(10_000).build().unwrap();
-//! let table = Hdnh::new(params);
-//! let (k, v) = (Key::from_u64(1), Value::from_u64(42));
-//! table.insert(&k, &v).unwrap();
-//! assert_eq!(table.get(&k).unwrap().unwrap().as_u64(), 42);
-//! table.update(&k, &Value::from_u64(43)).unwrap();
-//! assert!(table.remove(&k).unwrap());
+//! let table = Hdnh::new(HdnhParams::default());
+//! let (short, long) = (Key::from_u64(1), Key::from_u64(2));
+//! table.insert_bytes(&short, b"42")?; // up to 14 bytes: inline in the slot
+//! table.upsert_bytes(&long, &[7; 100])?; // longer: in the value log
+//! assert_eq!(table.get_bytes(&short)?.as_deref(), Some(&b"42"[..]));
+//! assert!(table.remove(&long)?);
+//!
+//! // Persistence round-trip:
+//! let params = table.params().clone();
+//! let pool = table.into_pool(); // process exit: only NVM survives
+//! let table = Hdnh::recover(params, pool, 4);
+//! assert_eq!(table.get_bytes(&short)?.as_deref(), Some(&b"42"[..]));
+//! # Ok::<(), hdnh::HdnhError>(())
 //! ```
 //!
 //! # Persistence

@@ -71,9 +71,6 @@ pub struct HdnhParams {
     pub hot_policy: HotPolicy,
     /// Synchronous-write mechanism mode.
     pub sync_mode: SyncMode,
-    /// Background writer threads serving hot-table writes in
-    /// [`SyncMode::Background`].
-    pub background_writers: usize,
     /// NVM simulation options for the table's regions.
     pub nvm: NvmOptions,
     /// Value-log segment size in bytes (multiple of 8; default 4 MiB). An
@@ -142,9 +139,6 @@ impl HdnhParams {
         let ratio = self.hot_capacity_ratio;
         if !ratio.is_finite() || ratio <= 0.0 || ratio > 16.0 {
             return Err(format!("hot_capacity_ratio must be in (0, 16], got {ratio}"));
-        }
-        if self.background_writers < 1 {
-            return Err("background_writers must be at least 1".to_string());
         }
         if self.vlog_segment_bytes < 64 || !self.vlog_segment_bytes.is_multiple_of(8) {
             return Err(format!(
@@ -220,10 +214,11 @@ impl HdnhParamsBuilder {
         self
     }
 
-    /// Pool-backend fence policy: [`SyncPolicy::Sync`] blocks write acks on
-    /// `msync(MS_SYNC)` and is the only power-loss-safe setting;
-    /// [`SyncPolicy::Async`] (default) acks after `MS_ASYNC` and can lose
-    /// acked writes on power failure.
+    /// Pool-backend fence policy:
+    /// [`SyncPolicy::Sync`](hdnh_nvm::SyncPolicy::Sync) blocks write acks
+    /// on `msync(MS_SYNC)` and is the only power-loss-safe setting;
+    /// [`SyncPolicy::Async`](hdnh_nvm::SyncPolicy::Async) (default) acks
+    /// after `MS_ASYNC` and can lose acked writes on power failure.
     pub fn sync_policy(mut self, policy: hdnh_nvm::SyncPolicy) -> Self {
         self.params.nvm.sync_policy = policy;
         self
@@ -252,7 +247,6 @@ impl Default for HdnhParams {
             enable_hot_table: true,
             hot_policy: HotPolicy::Rafl,
             sync_mode: SyncMode::Inline,
-            background_writers: 2,
             nvm: NvmOptions::fast(),
             vlog_segment_bytes: 4 * 1024 * 1024,
         }
@@ -367,7 +361,6 @@ mod tests {
             HdnhParams::builder().hot_capacity_ratio(0.0).build(),
             HdnhParams::builder().hot_capacity_ratio(f64::NAN).build(),
             HdnhParams::builder().hot_capacity_ratio(100.0).build(),
-            built(HdnhParams { background_writers: 0, ..Default::default() }),
             HdnhParams::builder().vlog_segment_bytes(60).build(),
             HdnhParams::builder().vlog_segment_bytes(100).build(),
         ];

@@ -375,7 +375,7 @@ impl Hdnh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdnh_common::{Key, Value};
+    use hdnh_common::Key;
 
     #[test]
     fn a_write_over_a_sticky_io_fault_is_applied_but_not_acknowledged() {
@@ -400,7 +400,7 @@ mod tests {
         }
         // The refused acknowledgement did not orphan the published record.
         assert_eq!(t.vlog_stats().garbage_bytes, 0);
-        assert_eq!(t.insert(&k(1), &Value::from_u64(9)), Err(HdnhError::DuplicateKey));
+        assert_eq!(t.insert_bytes(&k(1), b"nine"), Err(HdnhError::DuplicateKey));
         assert_eq!(t.update_bytes(&k(4), b"four"), Err(HdnhError::KeyNotFound));
         assert!(matches!(t.remove(&k(2)), Err(HdnhError::Io(_))));
         assert_eq!(t.get_bytes(&k(2)).unwrap(), None);

@@ -474,7 +474,7 @@ mod tests {
     use crate::nvtable::slot_meta;
     use crate::params::BUCKET_HEADER;
     use crate::vlog::VlogStats;
-    use hdnh_common::{Record, Value};
+    use hdnh_common::{HashIndex, Record, Value};
     use hdnh_nvm::NvmOptions;
     use std::sync::atomic::Ordering;
 
@@ -513,7 +513,7 @@ mod tests {
         let r = Hdnh::recover(strict_params(), pool, 4);
         assert_eq!(r.len(), 300);
         for i in 0..300 {
-            assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i * 7, "key {i}");
+            assert_eq!(r.get(&k(i)).unwrap().as_u64(), i * 7, "key {i}");
         }
         // Hot table was warmed during recovery.
         assert!(!r.hot_table().unwrap().is_empty());
@@ -531,7 +531,7 @@ mod tests {
             let r = Hdnh::recover(strict_params(), pool, 2);
             assert_eq!(r.len(), 200, "seed {seed}");
             for i in 0..200 {
-                assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i, "seed {seed} key {i}");
+                assert_eq!(r.get(&k(i)).unwrap().as_u64(), i, "seed {seed} key {i}");
             }
         }
     }
@@ -554,13 +554,13 @@ mod tests {
             let r = Hdnh::recover(strict_params(), pool, 2);
             assert_eq!(r.len(), 150, "seed {seed}");
             for i in 0..100 {
-                assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i + 10_000, "seed {seed} key {i}");
+                assert_eq!(r.get(&k(i)).unwrap().as_u64(), i + 10_000, "seed {seed} key {i}");
             }
             for i in 100..150 {
-                assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i);
+                assert_eq!(r.get(&k(i)).unwrap().as_u64(), i);
             }
             for i in 150..200 {
-                assert_eq!(r.get(&k(i)).unwrap(), None, "deleted key {i} resurrected");
+                assert_eq!(r.get(&k(i)), None, "deleted key {i} resurrected");
             }
         }
     }
@@ -588,7 +588,7 @@ mod tests {
             let dropped = pool.crash(seed);
             let r = Hdnh::recover(strict_params(), pool, 1);
             let map: Vec<(u64, u64)> = (0..300)
-                .filter_map(|i| r.get(&k(i)).unwrap().map(|got| (i, got.as_u64())))
+                .filter_map(|i| r.get(&k(i)).map(|got| (i, got.as_u64())))
                 .collect();
             (dropped, map)
         };
@@ -619,7 +619,7 @@ mod tests {
             // Exactly the 50 acknowledged records, none torn.
             assert_eq!(r.len(), 50);
             for i in 0..50 {
-                assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i);
+                assert_eq!(r.get(&k(i)).unwrap().as_u64(), i);
             }
         }
     }
@@ -643,7 +643,7 @@ mod tests {
             let r = Hdnh::recover(params.clone(), pool, 2);
             assert_eq!(r.len(), before_len, "stop={stop}");
             for i in 0..400 {
-                assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i + 1, "stop={stop} key={i}");
+                assert_eq!(r.get(&k(i)).unwrap().as_u64(), i + 1, "stop={stop} key={i}");
             }
             // Table is back in stable state with consistent geometry.
             assert_eq!(r.meta.state(), ResizeState::Stable);
@@ -662,7 +662,7 @@ mod tests {
         let r = Hdnh::recover(params.clone(), pool, 2);
         assert_eq!(r.len(), 300);
         for i in 0..300 {
-            assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i);
+            assert_eq!(r.get(&k(i)).unwrap().as_u64(), i);
         }
         // The interrupted resize completed during recovery: geometry grew.
         assert_eq!(r.meta.state(), ResizeState::Stable);
@@ -683,7 +683,7 @@ mod tests {
         }
         assert!(r.resize_count() > 0 || r.len() == 1500);
         for i in 0..1500 {
-            assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i);
+            assert_eq!(r.get(&k(i)).unwrap().as_u64(), i);
         }
     }
 
@@ -754,7 +754,7 @@ mod tests {
         let r = Hdnh::recover(params, pool, 2);
         assert_eq!(r.len(), 400);
         for i in 0..400 {
-            assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i + 1, "key {i}");
+            assert_eq!(r.get(&k(i)).unwrap().as_u64(), i + 1, "key {i}");
         }
         assert_eq!((r.meta.top_segments(), r.meta.bottom_segments()), (top * 2, top));
         assert!(r.verify_integrity().is_ok());
@@ -799,7 +799,7 @@ mod tests {
                 let r = Hdnh::recover(params.clone(), relabelled, 2);
                 assert_eq!(r.len(), 300, "allocating {allocating}, labels {labels:?}");
                 for i in 0..300 {
-                    assert_eq!(r.get(&k(i)).unwrap().unwrap().as_u64(), i + 1, "key {i}");
+                    assert_eq!(r.get(&k(i)).unwrap().as_u64(), i + 1, "key {i}");
                 }
                 assert!(r.verify_integrity().is_ok(), "labels {labels:?}");
             }

@@ -126,6 +126,10 @@ struct Job {
 /// A worker holds the receiver's lock only to take a job, never to run one.
 const RX_LOCK: &str = "no worker panics while it holds the receiver";
 
+/// Background writer threads per pool. They touch the DRAM hot table
+/// only, so their number moves no NVM count and no crash site.
+const WORKERS: usize = 2;
+
 /// The background writer pool.
 pub(crate) struct SyncWriter {
     tx: Sender<Job>,
@@ -139,12 +143,11 @@ thread_local! {
 }
 
 impl SyncWriter {
-    /// Spawns `n_workers` background threads.
-    pub(crate) fn new(n_workers: usize) -> Self {
-        assert!(n_workers >= 1);
+    /// Spawns the [`WORKERS`] background threads.
+    pub(crate) fn new() -> Self {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..n_workers)
+        let workers = (0..WORKERS)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
@@ -237,7 +240,7 @@ mod tests {
 
     #[test]
     fn dispatch_applies_put() {
-        let pool = SyncWriter::new(2);
+        let pool = SyncWriter::new();
         let hot = Arc::new(HotTable::new(64, 4, HotPolicy::Rafl));
         let key = Key::from_u64(1);
         let h = KeyHashes::of(&key);
@@ -256,7 +259,7 @@ mod tests {
 
     #[test]
     fn dispatch_applies_delete() {
-        let pool = SyncWriter::new(1);
+        let pool = SyncWriter::new();
         let hot = Arc::new(HotTable::new(64, 4, HotPolicy::Rafl));
         let key = Key::from_u64(2);
         let h = KeyHashes::of(&key);
@@ -294,7 +297,7 @@ mod tests {
 
     #[test]
     fn many_threads_many_ops() {
-        let pool = Arc::new(SyncWriter::new(4));
+        let pool = Arc::new(SyncWriter::new());
         let hot = Arc::new(HotTable::new(4096, 4, HotPolicy::Rafl));
         let mut handles = Vec::new();
         for tid in 0..4u64 {
@@ -325,7 +328,7 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
-        let pool = SyncWriter::new(3);
+        let pool = SyncWriter::new();
         drop(pool); // must not hang
     }
 }

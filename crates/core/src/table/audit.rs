@@ -81,7 +81,7 @@ impl Hdnh {
         }
     }
 
-    /// Per-invariant variant of [`verify_integrity`]: audits every named
+    /// Per-invariant variant of [`verify_integrity`](Self::verify_integrity): audits every named
     /// invariant independently (one failing check does not hide the others)
     /// and returns the reports plus the scanned live-record count.
     ///
@@ -452,6 +452,7 @@ mod tests {
     use super::super::tests::{k, table, v};
     use super::*;
     use crate::params::HdnhParams;
+    use hdnh_common::{HashIndex, IndexError};
 
     #[test]
     fn verify_integrity_passes_after_heavy_churn() {
@@ -529,13 +530,13 @@ mod tests {
         corrupt_record_byte(&t, &k(7), hdnh_common::KEY_LEN + 3, 0x10);
         // The damaged bytes must never reach the caller: with no clean
         // copy the slot is quarantined and the lookup misses.
-        assert_eq!(t.get(&k(7)).unwrap(), None);
+        assert_eq!(t.get(&k(7)), None);
         assert_eq!(t.len(), 49);
         // The table stays fully consistent and the other keys are intact.
         assert!(t.verify_integrity().is_ok());
         for i in 0..50 {
             if i != 7 {
-                assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i + 100);
+                assert_eq!(t.get(&k(i)).unwrap().as_u64(), i + 100);
             }
         }
     }
@@ -556,7 +557,7 @@ mod tests {
         corrupt_record_byte(&t, &k(9), hdnh_common::KEY_LEN + 1, 0x80);
         // A write-path probe reads the NVM record even when the key is hot:
         // the duplicate check detects the damage and repairs it in place.
-        assert_eq!(t.insert(&k(9), &v(1)), Err(HdnhError::DuplicateKey));
+        assert_eq!(t.insert(&k(9), &v(1)), Err(IndexError::DuplicateKey));
         let (li, b, s) = locate(&t, &k(9));
         let snap = t.pinned();
         let inner = snap.inner;
@@ -597,7 +598,7 @@ mod tests {
                 "chosen corruption collides in the 7-bit checksum; pick another mask"
             );
         }
-        assert_eq!(t.get(&k(3)).unwrap(), None);
+        assert_eq!(t.get(&k(3)), None);
         assert_eq!(t.len(), 49);
         assert!(t.verify_integrity().is_ok());
     }
@@ -635,7 +636,7 @@ mod tests {
         assert!(t.verify_integrity().is_ok());
         assert_eq!(t.len(), 78);
         for key in [11u64, 22, 33] {
-            assert_eq!(t.get(&k(key)).unwrap().unwrap().as_u64(), key + 500);
+            assert_eq!(t.get(&k(key)).unwrap().as_u64(), key + 500);
         }
         // A second pass finds nothing left to do.
         assert!(t.scrub().clean());

@@ -387,7 +387,7 @@ impl Hdnh {
     ) -> Self {
         let generation = inner.generation;
         let sync = (params.sync_mode == SyncMode::Background && params.enable_hot_table)
-            .then(|| SyncWriter::new(params.background_writers));
+            .then(SyncWriter::new);
         Hdnh {
             params,
             meta,
@@ -538,7 +538,7 @@ impl std::fmt::Debug for Hdnh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdnh_common::{Key, Value};
+    use hdnh_common::{HashIndex, Key, Value};
 
     pub(super) fn table() -> Hdnh {
         // Small: 1024-byte segments (4 buckets), bottom 2 segs → 24 buckets
@@ -569,7 +569,7 @@ mod tests {
             t.insert(&k(i), &v(i)).unwrap();
         }
         for i in 0..500 {
-            assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i);
+            assert_eq!(t.get(&k(i)).unwrap().as_u64(), i);
         }
         assert!(t.hot_table().is_none());
     }
@@ -586,9 +586,9 @@ mod tests {
             t.insert(&k(i), &v(i)).unwrap();
         }
         for i in 0..500 {
-            assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i);
+            assert_eq!(t.get(&k(i)).unwrap().as_u64(), i);
         }
-        assert_eq!(t.get(&k(9999)).unwrap(), None);
+        assert_eq!(t.get(&k(9999)), None);
     }
 
     #[test]

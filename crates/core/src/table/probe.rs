@@ -11,7 +11,6 @@ use hdnh_obs as obs;
 use super::{Hdnh, Inner, CANDIDATES_FULL, CANDIDATES_ONE_CHOICE, RAFL_RNG};
 #[cfg(debug_assertions)]
 use super::ReadPathGuard;
-use crate::error::HdnhError;
 use crate::hot::{HotBuckets, HotTable};
 use crate::nvtable::{header_slot_spilled, header_slot_valid, slot_checksum_ok};
 use crate::ocf::{self, Backoff, LockOutcome};
@@ -288,22 +287,18 @@ impl Hdnh {
         }
     }
 
-    /// Point lookup (§3.5, figure 8): hot table → OCF fingerprints → NVM.
-    /// Lock-free: one epoch pin and a generation validation; retries only
-    /// across a concurrent resize. The error channel is reserved for future
-    /// system-level failures — today's miss is `Ok(None)`.
-    ///
-    /// The word level (DESIGN.md §17): returns the slot's 15 value bytes as
-    /// stored. A value written through the bytes API is read back through
-    /// [`get_bytes`](Self::get_bytes).
-    pub fn get(&self, key: &Key) -> Result<Option<Value>, HdnhError> {
-        Ok(self.get_word(key).map(|(value, _)| value))
+    /// Whether `key` is present, whichever level wrote it: one lookup
+    /// (§3.5, figure 8), with no value-log read.
+    pub fn contains(&self, key: &Key) -> bool {
+        self.get_word(key).is_some()
     }
 
-    /// [`get`](Self::get) with the word's kind: the value bytes and the
-    /// spill bit they were committed under, from the NVM header or from
-    /// the hot entry that carries it along. What they are is never read
-    /// off the bytes.
+    /// Point lookup (§3.5, figure 8): hot table → OCF fingerprints → NVM.
+    /// Lock-free: one epoch pin and a generation validation; retries only
+    /// across a concurrent resize. Returns the value bytes and the spill
+    /// bit they were committed under, from the NVM header or from the hot
+    /// entry that carries it along. What they are is never read off the
+    /// bytes.
     pub(super) fn get_word(&self, key: &Key) -> Option<(Value, bool)> {
         let t = obs::op_start();
         #[cfg(debug_assertions)]
@@ -396,7 +391,7 @@ mod tests {
         }
         let before = t.nvm_stats();
         for i in 0..200 {
-            assert!(t.get(&k(1_000_000 + i)).unwrap().is_none());
+            assert!(t.get(&k(1_000_000 + i)).is_none());
         }
         let delta = t.nvm_stats().since(&before);
         // Each negative search scans ≤64 OCF entries; at a 1/256 per-entry
@@ -430,7 +425,7 @@ mod tests {
         let before = t.nvm_stats();
         for _ in 0..10 {
             for i in 0..30 {
-                assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i);
+                assert_eq!(t.get(&k(i)).unwrap().as_u64(), i);
             }
         }
         let delta = t.nvm_stats().since(&before);
@@ -451,8 +446,8 @@ mod tests {
             one.insert(&k(i), &v(i)).unwrap();
         }
         for i in (0..3_000u64).step_by(11) {
-            assert_eq!(one.get(&k(i)).unwrap().unwrap().as_u64(), i);
-            assert_eq!(two.get(&k(i)).unwrap().unwrap().as_u64(), i);
+            assert_eq!(one.get(&k(i)).unwrap().as_u64(), i);
+            assert_eq!(two.get(&k(i)).unwrap().as_u64(), i);
         }
         // Fewer candidates -> earlier overflow -> at least as many resizes.
         assert!(
@@ -503,14 +498,14 @@ mod tests {
             // miss reads (with no filter, every valid candidate slot).
             for i in 700..720 {
                 let (before, resizes) = (t.nvm_stats(), t.resize_count());
-                assert_eq!(t.get(&k(i)).unwrap(), None);
+                assert_eq!(t.get(&k(i)), None);
                 let miss = t.nvm_stats().since(&before).reads;
                 HashIndex::upsert(&t, &k(i), &v(i)).unwrap();
                 if t.resize_count() == resizes {
                     assert_eq!(t.nvm_stats().since(&before).reads, 2 * miss, "{name}: key {i}");
                 }
                 HashIndex::upsert(&t, &k(i), &v(i + 1)).unwrap();
-                assert_eq!(t.get(&k(i)).unwrap(), Some(v(i + 1)), "{name}: key {i}");
+                assert_eq!(t.get(&k(i)), Some(v(i + 1)), "{name}: key {i}");
             }
             let expected = |i: u64| match i {
                 _ if i < 600 && i.is_multiple_of(3) => None,
@@ -568,7 +563,7 @@ mod tests {
         let before = t.nvm_stats();
         let probes = 20_000u64;
         for i in 0..probes {
-            assert!(t.get(&k(10_000_000 + i)).unwrap().is_none());
+            assert!(t.get(&k(10_000_000 + i)).is_none());
         }
         let d = t.nvm_stats().since(&before);
         let per_op = d.read_blocks as f64 / probes as f64;

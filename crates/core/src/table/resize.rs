@@ -267,6 +267,7 @@ mod tests {
     use super::super::tests::{k, table, v};
     use super::*;
     use crate::params::HdnhParams;
+    use hdnh_common::HashIndex;
 
     #[test]
     fn resize_triggered_and_data_survives() {
@@ -277,7 +278,7 @@ mod tests {
         }
         assert!(t.resize_count() > 0, "expected at least one resize");
         for i in 0..n {
-            assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i + 1, "key {i} after resize");
+            assert_eq!(t.get(&k(i)).unwrap().as_u64(), i + 1, "key {i} after resize");
         }
         assert_eq!(t.len(), n as usize);
         assert!(t.load_factor() <= 1.0);
@@ -320,7 +321,7 @@ mod tests {
         assert!(t.resize_count() >= 1);
         for tid in 0..4u64 {
             for i in (0..3_000u64).step_by(131) {
-                assert_eq!(t.get(&k(tid * 1_000_000 + i)).unwrap().unwrap().as_u64(), i);
+                assert_eq!(t.get(&k(tid * 1_000_000 + i)).unwrap().as_u64(), i);
             }
         }
     }
@@ -354,7 +355,7 @@ mod tests {
                 while !stop.load(Ordering::Relaxed) {
                     let id = n % STABLE;
                     assert_eq!(
-                        t.get(&k(id)).unwrap().expect("stable key vanished").as_u64(),
+                        t.get(&k(id)).expect("stable key vanished").as_u64(),
                         id + 7
                     );
                     n += 1;

@@ -6,7 +6,7 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use hdnh_common::hash::KeyHashes;
-use hdnh_common::{HashIndex, IndexError, IndexResult, Key, Record, Value};
+use hdnh_common::{HashIndex, IndexResult, Key, Record, Value};
 use hdnh_nvm::fault;
 use hdnh_obs as obs;
 
@@ -87,16 +87,10 @@ impl Hdnh {
         }
     }
 
-    /// Inserts a new record (figure 9). Reports
-    /// [`HdnhError::DuplicateKey`] when the key is already present.
-    pub fn insert(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
-        self.acked(self.store(obs::op_start(), key, value, false, Accept::Absent))
-    }
-
-    /// Replaces the value of an existing key (figure 10). Reports
-    /// [`HdnhError::KeyNotFound`] when the key is absent.
-    pub fn update(&self, key: &Key, value: &Value) -> Result<(), HdnhError> {
-        self.acked(self.store(obs::op_start(), key, value, false, Accept::Present))
+    /// A word-level write through [`HashIndex`]: `store` of an unspilled
+    /// word, acknowledged like every other write.
+    fn word_write(&self, key: &Key, value: &Value, accept: Accept) -> IndexResult<()> {
+        Ok(self.acked(self.store(obs::op_start(), key, value, false, accept))?)
     }
 
     /// Removes a key. Returns `Ok(true)` if it was present. A spilled
@@ -292,21 +286,23 @@ enum HotWrite<'a> {
     None,
 }
 
-// Thin adapter from the unified `Result<_, HdnhError>` surface back to the
-// narrow trait vocabulary the baselines and bench harness compile against.
+/// The word level (DESIGN.md §17): the paper's fixed 15-byte values, the
+/// vocabulary the baselines and the bench harness share. Errors narrow to
+/// [`IndexError`](hdnh_common::IndexError) through `From<HdnhError>`.
 impl HashIndex for Hdnh {
+    /// Inserts a new record (figure 9).
     fn insert(&self, key: &Key, value: &Value) -> IndexResult<()> {
-        Hdnh::insert(self, key, value).map_err(IndexError::from)
+        self.word_write(key, value, Accept::Absent)
     }
 
+    /// Point lookup (§3.5, figure 8): the slot's 15 value bytes as stored.
     fn get(&self, key: &Key) -> Option<Value> {
-        // `get` only errors on unreadable media; the trait has no channel
-        // for that, so it degrades to "absent" exactly as quarantine does.
-        Hdnh::get(self, key).unwrap_or(None)
+        self.get_word(key).map(|(value, _)| value)
     }
 
+    /// Replaces the value of an existing key (figure 10).
     fn update(&self, key: &Key, value: &Value) -> IndexResult<()> {
-        Hdnh::update(self, key, value).map_err(IndexError::from)
+        self.word_write(key, value, Accept::Present)
     }
 
     fn remove(&self, key: &Key) -> bool {
@@ -315,8 +311,7 @@ impl HashIndex for Hdnh {
 
     /// One probe, recorded as the update or the insert it turned out to be.
     fn upsert(&self, key: &Key, value: &Value) -> IndexResult<()> {
-        self.acked(self.store(obs::op_start(), key, value, false, Accept::Either))
-            .map_err(IndexError::from)
+        self.word_write(key, value, Accept::Either)
     }
 
     fn len(&self) -> usize {
@@ -337,6 +332,7 @@ mod tests {
     use super::super::tests::{k, table, v};
     use super::*;
     use crate::params::{HdnhParams, SyncMode};
+    use hdnh_common::IndexError;
     use std::sync::Arc;
 
     #[test]
@@ -346,9 +342,9 @@ mod tests {
             t.insert(&k(i), &v(i * 2)).unwrap();
         }
         for i in 0..100 {
-            assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i * 2, "key {i}");
+            assert_eq!(t.get(&k(i)).unwrap().as_u64(), i * 2, "key {i}");
         }
-        assert_eq!(t.get(&k(1000)).unwrap(), None);
+        assert_eq!(t.get(&k(1000)), None);
         assert_eq!(t.len(), 100);
     }
 
@@ -356,8 +352,8 @@ mod tests {
     fn duplicate_insert_rejected() {
         let t = table();
         t.insert(&k(1), &v(1)).unwrap();
-        assert_eq!(t.insert(&k(1), &v(2)), Err(HdnhError::DuplicateKey));
-        assert_eq!(t.get(&k(1)).unwrap().unwrap().as_u64(), 1);
+        assert_eq!(t.insert(&k(1), &v(2)), Err(IndexError::DuplicateKey));
+        assert_eq!(t.get(&k(1)).unwrap().as_u64(), 1);
     }
 
     #[test]
@@ -365,9 +361,9 @@ mod tests {
         let t = table();
         t.insert(&k(7), &v(70)).unwrap();
         t.update(&k(7), &v(71)).unwrap();
-        assert_eq!(t.get(&k(7)).unwrap().unwrap().as_u64(), 71);
+        assert_eq!(t.get(&k(7)).unwrap().as_u64(), 71);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.update(&k(8), &v(1)), Err(HdnhError::KeyNotFound));
+        assert_eq!(t.update(&k(8), &v(1)), Err(IndexError::KeyNotFound));
     }
 
     #[test]
@@ -376,7 +372,7 @@ mod tests {
         t.insert(&k(3), &v(0)).unwrap();
         for i in 1..200 {
             t.update(&k(3), &v(i)).unwrap();
-            assert_eq!(t.get(&k(3)).unwrap().unwrap().as_u64(), i);
+            assert_eq!(t.get(&k(3)).unwrap().as_u64(), i);
         }
         assert_eq!(t.len(), 1);
         // Only one valid NVM slot for the key.
@@ -397,7 +393,7 @@ mod tests {
         }
         for i in 0..50 {
             assert!(t.remove(&k(i)).unwrap(), "remove {i}");
-            assert_eq!(t.get(&k(i)).unwrap(), None);
+            assert_eq!(t.get(&k(i)), None);
             assert!(!t.remove(&k(i)).unwrap());
         }
         assert_eq!(t.len(), 0);
@@ -415,15 +411,15 @@ mod tests {
             t.insert(&k(i), &v(i * 3)).unwrap();
         }
         for i in 0..1000 {
-            assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i * 3);
+            assert_eq!(t.get(&k(i)).unwrap().as_u64(), i * 3);
         }
         for i in 0..1000 {
             t.update(&k(i), &v(i * 5)).unwrap();
-            assert_eq!(t.get(&k(i)).unwrap().unwrap().as_u64(), i * 5, "hot table stale after update");
+            assert_eq!(t.get(&k(i)).unwrap().as_u64(), i * 5, "hot table stale after update");
         }
         for i in (0..1000).step_by(2) {
             assert!(t.remove(&k(i)).unwrap());
-            assert_eq!(t.get(&k(i)).unwrap(), None, "hot table resurrects deleted key");
+            assert_eq!(t.get(&k(i)), None, "hot table resurrects deleted key");
         }
     }
 
@@ -462,7 +458,7 @@ mod tests {
         for tid in 0..8u64 {
             for i in (0..2_000u64).step_by(97) {
                 let id = tid * 1_000_000 + i;
-                assert_eq!(t.get(&k(id)).unwrap().unwrap().as_u64(), id ^ 0xABCD);
+                assert_eq!(t.get(&k(id)).unwrap().as_u64(), id ^ 0xABCD);
             }
         }
     }
@@ -503,7 +499,7 @@ mod tests {
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let id = n % KEYS;
-                    if let Some(val) = t.get(&k(id)).unwrap() {
+                    if let Some(val) = t.get(&k(id)) {
                         assert_eq!(
                             val.as_u64() >> 32,
                             id,
@@ -547,7 +543,7 @@ mod tests {
         probe.unlock(&held);
         drop(snap);
         writer.join().unwrap();
-        assert_eq!(t.get(&k(1)).unwrap(), Some(v(7)));
+        assert_eq!(t.get(&k(1)), Some(v(7)));
         assert!(t.verify_integrity().is_ok());
     }
 }

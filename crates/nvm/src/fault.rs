@@ -15,7 +15,7 @@
 //! concurrently with each other; each driver serializes its own runs.
 //!
 //! The same module hosts the strict-mode *ack-without-persist lint* gate:
-//! when [`set_lint_persists`] is on, [`NvmRegion::assert_persisted`]
+//! when [`set_lint_persists`] is on, [`NvmRegion::assert_persisted`](crate::NvmRegion::assert_persisted)
 //! (called where an operation acknowledges durability) fails fast if any
 //! acknowledged byte still sits on a dirty or merely-staged cacheline.
 //! The lint assumes a single mutating thread (concurrent writers sharing
@@ -97,8 +97,25 @@ fn point_slow(site: &'static str) {
         }
     };
     if let Some(info) = crash {
+        quiet_injected_crashes();
         std::panic::panic_any(info);
     }
+}
+
+/// Puts a panic hook in front of the one in place, once per process, that
+/// drops [`InjectedCrash`] payloads: explorers unwind through them by the
+/// thousand and record each one anyway. Every other panic still reaches
+/// the previous hook.
+fn quiet_injected_crashes() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if injected(info.payload()).is_none() {
+                prev(info);
+            }
+        }));
+    });
 }
 
 /// Starts counting hits per site (no crashing). Clears previous counts.

@@ -2,7 +2,7 @@
 //! regions, and collects sticky I/O faults from the flush path.
 //!
 //! A pool is one directory holding `meta.dat` (the 256-byte persisted
-//! [`Meta`] block), `seg-<id>.dat` files (one per level region), and a
+//! `Meta` block), `seg-<id>.dat` files (one per level region), and a
 //! `superblock` written by the core crate. Region files are classified on
 //! reopen by *size alone* — level sizes are always distinct (each resize
 //! doubles), so the geometry in `meta.dat` maps every surviving file to

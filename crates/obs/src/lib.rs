@@ -11,7 +11,7 @@
 //!   indexed by a per-thread id so concurrent increments do not contend on
 //!   one cacheline.
 //! * **Per-op latency histograms** — one sharded
-//!   [`AtomicHistogram`](hist::AtomicHistogram) per [`OpKind`], log-linear
+//!   [`AtomicHistogram`] per [`OpKind`], log-linear
 //!   (HdrHistogram-style) with p50/p90/p99/p999 + exact max.
 //! * **[`Phase`] spans** — duration + item counts for rare long-running
 //!   phases (the three resize phases, recovery, verification).

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hdnh_obs::hist::{AtomicHistogram, HistSnapshot};
-use hdnh_server::client::{Reply, RespClient};
+use hdnh_server::client::{op_requests, Reply, RespClient};
 use hdnh_ycsb::{generate_ops, Op, WorkloadSpec};
 
 const OP_KINDS: [&str; 6] = ["read", "read_absent", "insert", "update", "rmw", "delete"];
@@ -233,38 +233,16 @@ fn preload(addr: &str, n: u64, pipeline: usize, vs: ValueSize) {
     }
 }
 
-/// Turns one YCSB op into a queued RESP request, returning its kind index.
-fn enqueue(c: &mut RespClient, op: &Op, vs: ValueSize) -> usize {
-    match *op {
-        Op::Read(id) => c.cmd(&[b"GET", id.to_string().as_bytes()]),
-        // Negative reads probe far beyond any inserted id.
-        Op::ReadAbsent(id) => c.cmd(&[b"GET", (u64::MAX / 2 + id).to_string().as_bytes()]),
-        Op::Insert(id) => {
-            let v = set_value(vs, id, 0);
-            c.cmd(&[b"SET", id.to_string().as_bytes(), &v]);
-        }
-        Op::Update(id, seq) => {
-            let v = set_value(vs, id, u64::from(seq) + 1);
-            c.cmd(&[b"SET", id.to_string().as_bytes(), &v]);
-        }
-        Op::ReadModifyWrite(id, seq) => {
-            // The read half happens server-side via GET pipelined just ahead.
-            c.cmd(&[b"GET", id.to_string().as_bytes()]);
-            let v = set_value(vs, id, u64::from(seq) + 1);
-            c.cmd(&[b"SET", id.to_string().as_bytes(), &v]);
-            return kind_idx("rmw");
-        }
-        Op::Delete(id) => c.cmd(&[b"DEL", id.to_string().as_bytes()]),
-    }
-    kind_idx(op.kind())
-}
-
-/// How many replies one op produces (RMW pipelines GET+SET).
-fn replies_for(op: &Op) -> usize {
-    match op {
-        Op::ReadModifyWrite(..) => 2,
-        _ => 1,
-    }
+/// Queues the RESP requests one YCSB op becomes, returning its kind index
+/// and how many replies it will get (a read-modify-write pipelines a GET
+/// ahead of its SET).
+fn enqueue(c: &mut RespClient, op: &Op, vs: ValueSize) -> (usize, usize) {
+    let mut requests = 0;
+    op_requests(op, |id, seq| set_value(vs, id, seq), |args| {
+        c.cmd(args);
+        requests += 1;
+    });
+    (kind_idx(op.kind()), requests)
 }
 
 struct MixStats {
@@ -281,7 +259,7 @@ fn run_conn(addr: &str, ops: &[Op], pipeline: usize, vs: ValueSize, stats: &MixS
         let burst = &ops[i..(i + pipeline).min(ops.len())];
         let mut kinds = Vec::with_capacity(burst.len());
         for op in burst {
-            kinds.push((enqueue(&mut c, op, vs), replies_for(op)));
+            kinds.push(enqueue(&mut c, op, vs));
         }
         if let Err(e) = c.flush() {
             eprintln!("netbench: flush failed ({e}); reconnecting");

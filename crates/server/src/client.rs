@@ -12,6 +12,8 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use hdnh_ycsb::Op;
+
 use crate::resp::{enc_request, parse_i64};
 
 /// One decoded server reply.
@@ -165,6 +167,28 @@ impl ReplyDecoder {
             }
             other => Err(format!("unexpected reply type byte 0x{other:02x}")),
         }
+    }
+}
+
+/// The RESP requests one YCSB op becomes, each handed to `send` as its
+/// argument list: a key is its id's decimal digits; a negative read asks
+/// for `u64::MAX / 2 + id`, far past any inserted id; a `SET` carries
+/// `value(id, 0)` for an insert and `value(id, seq + 1)` for an update;
+/// a read-modify-write is a `GET` pipelined ahead of its `SET`.
+pub fn op_requests(op: &Op, value: impl Fn(u64, u64) -> Vec<u8>, mut send: impl FnMut(&[&[u8]])) {
+    let (read, write) = match *op {
+        Op::Read(id) => (Some(id), None),
+        Op::ReadAbsent(id) => (Some(u64::MAX / 2 + id), None),
+        Op::Insert(id) => (None, Some((id, 0))),
+        Op::Update(id, seq) => (None, Some((id, u64::from(seq) + 1))),
+        Op::ReadModifyWrite(id, seq) => (Some(id), Some((id, u64::from(seq) + 1))),
+        Op::Delete(id) => return send(&[b"DEL", id.to_string().as_bytes()]),
+    };
+    if let Some(id) = read {
+        send(&[b"GET", id.to_string().as_bytes()]);
+    }
+    if let Some((id, seq)) = write {
+        send(&[b"SET", id.to_string().as_bytes(), &value(id, seq)]);
     }
 }
 

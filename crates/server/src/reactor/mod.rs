@@ -4,11 +4,11 @@
 //! This replaces the thread-per-connection serve loop. Connection count
 //! is no longer bounded by threads: each of `cfg.threads()` event loops
 //! multiplexes thousands of sockets through one `epoll` instance
-//! ([`poller`]), and an idle connection
+//! (`poller`), and an idle connection
 //! costs one registered fd and a small heap entry — no thread, no stack,
 //! and *no scheduled wakeups* (the old loop woke every connection 10×/s
 //! to re-check timeouts; the reactor sleeps until a socket is ready or
-//! the earliest deadline in a [`timer::TimerHeap`] is due, and
+//! the earliest deadline in a `timer::TimerHeap` is due, and
 //! `hdnh_net_spurious_wakeups_total` proves it).
 //!
 //! **Division of labor.** Loop 0 owns the listener: one sharded acceptor

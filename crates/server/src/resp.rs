@@ -93,7 +93,7 @@ impl ProtoError {
 const INLINE_ARGS: usize = 4;
 
 /// One decoded request: argument byte ranges into the decoder's buffer.
-/// An owned value that borrows nothing; the first [`INLINE_ARGS`] ranges
+/// An owned value that borrows nothing; the first `INLINE_ARGS` ranges
 /// live in the frame itself, so decoding a short command allocates
 /// nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]

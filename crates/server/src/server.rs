@@ -287,7 +287,7 @@ pub fn execute(table: &Hdnh, dec: &Decoder, frame: &Frame, out: &mut Vec<u8>) ->
             if frame.len() < 2 {
                 wrong_args(out, "exists");
             } else if let Some(keys) = u64_args(dec, frame, 1..frame.len(), out) {
-                let found = keys.filter(|&k| matches!(table.get(&Key::from_u64(k)), Ok(Some(_))));
+                let found = keys.filter(|&k| table.contains(&Key::from_u64(k)));
                 enc_int(out, found.count() as i64);
             }
             obs::NetCmd::Exists

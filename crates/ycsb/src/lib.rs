@@ -16,9 +16,10 @@
 //!   deterministic value derivation so correctness checks can validate any
 //!   returned value.
 //! * [`workload`] — operation-mix specs, the standard YCSB-A/B/C presets and
-//!   the paper's custom mixes, and deterministic per-thread operation
-//!   streams (the paper pre-generates all operations before timing; so do
-//!   we).
+//!   the paper's custom mixes, deterministic per-thread operation streams
+//!   (the paper pre-generates all operations before timing; so do we),
+//!   and [`execute`], which applies one op to any
+//!   [`HashIndex`](hdnh_common::HashIndex).
 
 
 #![warn(missing_docs)]
@@ -28,4 +29,4 @@ pub mod workload;
 
 pub use dist::{KeyDist, Latest, ScrambledZipfian, Uniform, Zipfian};
 pub use keys::KeySpace;
-pub use workload::{generate_ops, Mix, Op, WorkloadSpec};
+pub use workload::{execute, generate_ops, Mix, Op, WorkloadSpec};

@@ -7,8 +7,10 @@
 //! the harness replays under timing.
 
 use hdnh_common::rng::XorShift64Star;
+use hdnh_common::{HashIndex, Value};
 
 use crate::dist::{KeyDist, Latest, ScrambledZipfian, Uniform, Zipfian};
+use crate::keys::KeySpace;
 
 /// One benchmark operation over abstract record ids.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,6 +42,36 @@ impl Op {
             Op::Update(..) => "update",
             Op::ReadModifyWrite(..) => "rmw",
             Op::Delete(_) => "delete",
+        }
+    }
+}
+
+/// Applies one op to `index`, the one way every scheme runs a stream:
+/// version 0 for an insert, the op's version for an update, and a
+/// read-modify-write reads, then upserts. Returns what a read saw (a
+/// read-modify-write's read included), so a validating caller checks the
+/// result and a timed caller ignores it; write outcomes are not reported.
+#[inline]
+pub fn execute(index: &dyn HashIndex, ks: &KeySpace, op: &Op) -> Option<Value> {
+    match *op {
+        Op::Read(id) => index.get(&ks.key(id)),
+        Op::ReadAbsent(id) => index.get(&ks.negative_key(id)),
+        Op::Insert(id) => {
+            let _ = index.insert(&ks.key(id), &ks.value(id, 0));
+            None
+        }
+        Op::Update(id, seq) => {
+            let _ = index.upsert(&ks.key(id), &ks.value(id, seq));
+            None
+        }
+        Op::ReadModifyWrite(id, seq) => {
+            let read = index.get(&ks.key(id));
+            let _ = index.upsert(&ks.key(id), &ks.value(id, seq));
+            read
+        }
+        Op::Delete(id) => {
+            index.remove(&ks.key(id));
+            None
         }
     }
 }

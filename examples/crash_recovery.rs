@@ -7,7 +7,7 @@
 //! ```
 
 use hdnh::{Hdnh, HdnhParams};
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use hdnh_nvm::NvmOptions;
 
 fn params() -> HdnhParams {
@@ -37,13 +37,13 @@ fn main() {
     let r = Hdnh::recover(params(), pool, 2);
     assert_eq!(r.len(), 400);
     for i in 0..250u64 {
-        assert_eq!(r.get(&Key::from_u64(i)).unwrap().unwrap().as_u64(), i + 10_000);
+        assert_eq!(r.get(&Key::from_u64(i)).unwrap().as_u64(), i + 10_000);
     }
     for i in 250..400u64 {
-        assert_eq!(r.get(&Key::from_u64(i)).unwrap().unwrap().as_u64(), i);
+        assert_eq!(r.get(&Key::from_u64(i)).unwrap().as_u64(), i);
     }
     for i in 400..500u64 {
-        assert!(r.get(&Key::from_u64(i)).unwrap().is_none());
+        assert!(r.get(&Key::from_u64(i)).is_none());
     }
     println!("scenario 1: all 400 acknowledged records recovered, deletes stayed deleted\n");
 
@@ -58,7 +58,7 @@ fn main() {
     let r = Hdnh::recover(params(), pool, 2);
     assert_eq!(r.len(), 800);
     for i in 0..800u64 {
-        assert_eq!(r.get(&Key::from_u64(i)).unwrap().unwrap().as_u64(), i * 3);
+        assert_eq!(r.get(&Key::from_u64(i)).unwrap().as_u64(), i * 3);
     }
     println!("scenario 2: recovery resumed the rehash; all 800 records intact\n");
 

@@ -8,7 +8,7 @@
 
 use hdnh::{Hdnh, HdnhParams, HotPolicy};
 use hdnh_common::hash::KeyHashes;
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use hdnh_nvm::NvmOptions;
 use hdnh_ycsb::{KeyDist, KeySpace, Zipfian};
 

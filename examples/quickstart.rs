@@ -6,7 +6,7 @@
 //! ```
 
 use hdnh::{Hdnh, HdnhParams};
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 
 fn main() {
     // Default parameters = the paper's configuration: 16 KB segments,
@@ -24,10 +24,10 @@ fn main() {
     // Point lookups: first read may touch NVM, repeats hit the DRAM hot
     // table.
     let k = Key::from_u64(42);
-    assert_eq!(table.get(&k).unwrap().unwrap().as_u64(), 420);
+    assert_eq!(table.get(&k).unwrap().as_u64(), 420);
     let before = table.nvm_stats();
     for _ in 0..1000 {
-        assert_eq!(table.get(&k).unwrap().unwrap().as_u64(), 420);
+        assert_eq!(table.get(&k).unwrap().as_u64(), 420);
     }
     let delta = table.nvm_stats().since(&before);
     println!(
@@ -37,11 +37,11 @@ fn main() {
 
     // Update is out-of-place in NVM with a single atomic bitmap commit.
     table.update(&k, &Value::from_u64(421)).expect("update");
-    assert_eq!(table.get(&k).unwrap().unwrap().as_u64(), 421);
+    assert_eq!(table.get(&k).unwrap().as_u64(), 421);
 
     // Delete.
     assert!(table.remove(&k).unwrap());
-    assert!(table.get(&k).unwrap().is_none());
+    assert!(table.get(&k).is_none());
 
     // Where does the memory live? Metadata in DRAM, records in NVM.
     println!(
@@ -55,6 +55,6 @@ fn main() {
     let pool = table.into_pool();
     let recovered = Hdnh::recover(params, pool, 2);
     assert_eq!(recovered.len(), 999);
-    assert_eq!(recovered.get(&Key::from_u64(7)).unwrap().unwrap().as_u64(), 70);
+    assert_eq!(recovered.get(&Key::from_u64(7)).unwrap().as_u64(), 70);
     println!("recovered table has {} records — quickstart OK", recovered.len());
 }

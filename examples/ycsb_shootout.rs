@@ -6,69 +6,9 @@
 //! cargo run --release --example ycsb_shootout [records] [ops] [threads]
 //! ```
 
-use hdnh::{Hdnh, HdnhParams, SyncMode};
-use hdnh_baselines::{Cceh, CcehParams, LevelHash, LevelParams, PathHash, PathParams};
-use hdnh_common::HashIndex;
-use hdnh_nvm::NvmOptions;
-use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
-
-fn build_all(records: usize) -> Vec<Box<dyn HashIndex>> {
-    let nvm = NvmOptions::bench();
-    vec![
-        Box::new(PathHash::new(PathParams {
-            nvm: nvm.clone(),
-            ..PathParams::for_capacity(records + records / 10)
-        })),
-        Box::new(LevelHash::new(LevelParams {
-            nvm: nvm.clone(),
-            ..LevelParams::for_capacity(records)
-        })),
-        Box::new(Cceh::new(CcehParams {
-            nvm: nvm.clone(),
-            ..CcehParams::for_capacity(records)
-        })),
-        Box::new(Hdnh::new(HdnhParams {
-            nvm,
-            sync_mode: SyncMode::Background,
-            ..HdnhParams::for_capacity(records)
-        })),
-    ]
-}
-
-fn run(index: &dyn HashIndex, ks: &KeySpace, ops: &[Vec<Op>]) -> f64 {
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for stream in ops {
-            s.spawn(move || {
-                for op in stream {
-                    match op {
-                        Op::Read(id) => {
-                            index.get(&ks.key(*id));
-                        }
-                        Op::ReadAbsent(id) => {
-                            index.get(&ks.negative_key(*id));
-                        }
-                        Op::Insert(id) => {
-                            let _ = index.insert(&ks.key(*id), &ks.value(*id, 0));
-                        }
-                        Op::Update(id, seq) => {
-                            let _ = index.upsert(&ks.key(*id), &ks.value(*id, *seq));
-                        }
-                        Op::ReadModifyWrite(id, seq) => {
-                            index.get(&ks.key(*id));
-                            let _ = index.upsert(&ks.key(*id), &ks.value(*id, *seq));
-                        }
-                        Op::Delete(id) => {
-                            index.remove(&ks.key(*id));
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let total: usize = ops.iter().map(Vec::len).sum();
-    total as f64 / start.elapsed().as_secs_f64() / 1e6
-}
+use hdnh_bench::runner::{preload, run_workload};
+use hdnh_bench::schemes::{bench_nvm, build, Scheme};
+use hdnh_ycsb::{KeySpace, WorkloadSpec};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -85,28 +25,29 @@ fn main() {
     ];
 
     println!("YCSB shootout: {records} records, {total_ops} ops, {threads} threads (Mops/s)");
-    println!("{:<20} {:>8} {:>8} {:>8} {:>8}", "workload", "PATH", "LEVEL", "CCEH", "HDNH");
+    let mut header = format!("{:<20}", "workload");
+    for scheme in Scheme::paper_set() {
+        header.push_str(&format!(" {:>8}", scheme.name()));
+    }
+    println!("{header}");
     for (name, spec) in &mixes {
         let mut row = format!("{name:<20}");
-        for index in build_all(records) {
+        for scheme in Scheme::paper_set() {
             // Fresh table + preload per cell so mixes don't contaminate
             // each other.
-            for id in 0..records as u64 {
-                index.insert(&ks.key(id), &ks.value(id, 0)).expect("preload");
-            }
-            let streams: Vec<Vec<Op>> = (0..threads as u64)
-                .map(|t| {
-                    generate_ops(
-                        spec,
-                        records as u64,
-                        records as u64 + t * (total_ops / threads) as u64,
-                        total_ops / threads,
-                        0xABC ^ t,
-                    )
-                })
-                .collect();
-            let mops = run(index.as_ref(), &ks, &streams);
-            row.push_str(&format!(" {mops:>8.3}"));
+            let index = build(scheme, records, bench_nvm());
+            preload(index.as_ref(), &ks, records as u64, threads);
+            let r = run_workload(
+                index.as_ref(),
+                &ks,
+                spec,
+                records as u64,
+                total_ops / threads,
+                threads,
+                0xABC,
+                false,
+            );
+            row.push_str(&format!(" {:>8.3}", r.mops()));
         }
         println!("{row}");
     }

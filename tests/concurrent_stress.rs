@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hdnh::{Hdnh, HdnhParams};
+use hdnh_common::{HashIndex, IndexError};
 use hdnh_common::rng::XorShift64Star;
 use hdnh_ycsb::KeySpace;
 
@@ -42,14 +43,15 @@ fn small_table() -> Hdnh {
     )
 }
 
-/// Insert-or-update without the `HashIndex` trait: exercises the typed API.
+/// Insert-or-update as update, insert, update: exercises the races between
+/// the two that `HashIndex::upsert`'s single probe never meets.
 fn upsert(t: &Hdnh, ks: &KeySpace, id: u64, version: u32) {
     let key = ks.key(id);
     let val = ks.value(id, version);
     match t.update(&key, &val) {
         Ok(()) => {}
-        Err(hdnh::HdnhError::KeyNotFound) => match t.insert(&key, &val) {
-            Ok(()) | Err(hdnh::HdnhError::DuplicateKey) => {
+        Err(IndexError::KeyNotFound) => match t.insert(&key, &val) {
+            Ok(()) | Err(IndexError::DuplicateKey) => {
                 // Lost the insert race: someone else created the key; the
                 // retry loop below will land the update.
                 if t.update(&key, &val).is_err() {
@@ -114,7 +116,7 @@ fn storm_disjoint_ranges_no_lost_updates() {
                     // Sample the floor BEFORE the read: the read must
                     // return at least this version (monotone visibility).
                     let floor = floors[w][i as usize].load(Ordering::Acquire);
-                    match t.get(&ks.key(id)).expect("reader hit a typed error") {
+                    match t.get(&ks.key(id)) {
                         None => assert_eq!(
                             floor, 0,
                             "key {id}: acked at version {floor} but read as absent"
@@ -140,7 +142,6 @@ fn storm_disjoint_ranges_no_lost_updates() {
             let id = w as u64 * STRIDE + i;
             let v = t
                 .get(&ks.key(id))
-                .unwrap()
                 .unwrap_or_else(|| panic!("key {id} vanished"));
             assert_eq!(ks.validate(id, &v), Some(40), "key {id} final version");
         }
@@ -194,7 +195,7 @@ fn storm_colliding_range_values_stay_coherent() {
                 let mut rng = XorShift64Star::new(0xFEED ^ r as u64);
                 while !stop.load(Ordering::Acquire) {
                     let id = rng.next_u64() % SHARED;
-                    if let Some(v) = t.get(&ks.key(id)).expect("reader hit a typed error") {
+                    if let Some(v) = t.get(&ks.key(id)) {
                         assert!(
                             ks.validate(id, &v).is_some(),
                             "key {id}: value bytes do not belong to this key"
@@ -216,7 +217,7 @@ fn storm_colliding_range_values_stay_coherent() {
     // The table is still fully usable after the storm.
     let probe = 99 * STRIDE;
     t.insert(&ks.key(probe), &ks.value(probe, 7)).unwrap();
-    assert_eq!(ks.validate(probe, &t.get(&ks.key(probe)).unwrap().unwrap()), Some(7));
+    assert_eq!(ks.validate(probe, &t.get(&ks.key(probe)).unwrap()), Some(7));
     assert!(t.remove(&ks.key(probe)).unwrap());
 }
 
@@ -272,7 +273,7 @@ fn same_fresh_keys(
     // A second copy would outlive the remove of the first.
     for id in 0..KEYS {
         assert!(t.remove(&ks.key(id)).unwrap(), "key {id} missing");
-        assert_eq!(t.get(&ks.key(id)).unwrap(), None, "key {id} readable after its remove");
+        assert_eq!(t.get(&ks.key(id)), None, "key {id} readable after its remove");
     }
     assert_eq!(t.len(), 0);
 }
@@ -289,6 +290,6 @@ fn same_fresh_keys_upserted_by_two_and_by_four_writers_are_placed_once() {
 fn same_fresh_keys_inserted_by_two_and_by_four_writers_are_placed_once() {
     let ks = KeySpace::default();
     for threads in [2, 4] {
-        same_fresh_keys(threads, 1, |t, id| t.insert(&ks.key(id), &ks.value(id, 1)));
+        same_fresh_keys(threads, 1, |t, id| t.insert_bytes(&ks.key(id), &id.to_le_bytes()));
     }
 }

@@ -15,7 +15,7 @@
 
 use hdnh::{Hdnh, HdnhParams};
 use hdnh_common::rng::XorShift64Star;
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use hdnh_nvm::NvmOptions;
 
 fn params() -> HdnhParams {
@@ -63,7 +63,7 @@ fn random_crash_points_preserve_acknowledged_state() {
                 }
                 _ => {
                     assert_eq!(
-                        t.get(&k(id)).unwrap().map(|x| x.as_u64()),
+                        t.get(&k(id)).map(|x| x.as_u64()),
                         oracle.get(&id).copied(),
                         "pre-crash divergence at op {step}/{n_ops} id {id} (rng_seed={seed})"
                     );
@@ -85,7 +85,7 @@ fn random_crash_points_preserve_acknowledged_state() {
         );
         for (&id, &val) in &oracle {
             assert_eq!(
-                r.get(&k(id)).unwrap().map(|x| x.as_u64()),
+                r.get(&k(id)).map(|x| x.as_u64()),
                 Some(val),
                 "id {id} (rng_seed={seed} n_ops={n_ops} crash_seed={crash_seed})"
             );
@@ -123,7 +123,7 @@ fn crash_at_every_rehash_cursor() {
         assert_eq!(r.len(), 300, "live count (rehash cursor {stop}, crash_seed={stop})");
         for i in 0..300u64 {
             assert_eq!(
-                r.get(&k(i)).unwrap().unwrap().as_u64(),
+                r.get(&k(i)).unwrap().as_u64(),
                 i * 2 + 1,
                 "key {i} (rehash cursor {stop}, crash_seed={stop})"
             );
@@ -151,7 +151,7 @@ fn crash_then_crash_again_during_recovered_state() {
     let r2 = Hdnh::recover(params(), pool, 2);
     assert_eq!(r2.len(), 400, "after second recovery");
     for i in 0..400u64 {
-        assert_eq!(r2.get(&k(i)).unwrap().unwrap().as_u64(), i, "key {i} after second recovery");
+        assert_eq!(r2.get(&k(i)).unwrap().as_u64(), i, "key {i} after second recovery");
     }
 }
 
@@ -187,7 +187,7 @@ fn survives_many_crash_cycles() {
         );
         for (&id, &val) in &expected {
             assert_eq!(
-                t.get(&k(id)).unwrap().map(|x| x.as_u64()),
+                t.get(&k(id)).map(|x| x.as_u64()),
                 Some(val),
                 "id {id} (cycle {cycle}, crash_seed={crash_seed:#x})"
             );
@@ -215,7 +215,7 @@ fn update_crash_window_deduplicates() {
         let r = Hdnh::recover(params(), pool, 2);
         assert_eq!(r.len(), 200, "live count (crash_seed={crash_seed})");
         for i in 0..200u64 {
-            let got = r.get(&k(i)).unwrap().unwrap().as_u64();
+            let got = r.get(&k(i)).unwrap().as_u64();
             assert_eq!(
                 got,
                 i + 500,

@@ -10,6 +10,9 @@ use hdnh_baselines::{Cceh, CcehParams, LevelHash, LevelParams, PathHash, PathPar
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{HashIndex, IndexError, Key, Value};
 
+// Its own list, not `hdnh_bench::schemes::build`: these tiny geometries
+// (1 KiB segments, 16-bucket levels) force resizes mid-sequence, which
+// `build`'s sizing for the whole record count would not.
 fn schemes() -> Vec<(&'static str, Box<dyn HashIndex>)> {
     vec![
         (

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use hdnh::{Hdnh, HdnhParams, HotPolicy, SyncMode};
+use hdnh_common::HashIndex;
 use hdnh_nvm::NvmOptions;
 use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
 
@@ -28,15 +29,15 @@ fn replay_validated(t: &Hdnh, ks: &KeySpace, preload: u64, ops: &[Op]) {
         match op {
             Op::Read(id) => {
                 if deleted.contains(id) {
-                    assert!(t.get(&ks.key(*id)).unwrap().is_none(), "deleted id {id} readable");
+                    assert!(t.get(&ks.key(*id)).is_none(), "deleted id {id} readable");
                 } else {
-                    let v = t.get(&ks.key(*id)).unwrap().unwrap_or_else(|| panic!("missing id {id}"));
+                    let v = t.get(&ks.key(*id)).unwrap_or_else(|| panic!("missing id {id}"));
                     let expected = versions.get(id).copied().unwrap_or(0);
                     assert_eq!(ks.validate(*id, &v), Some(expected), "stale/torn id {id}");
                 }
             }
             Op::ReadAbsent(id) => {
-                assert!(t.get(&ks.negative_key(*id)).unwrap().is_none());
+                assert!(t.get(&ks.negative_key(*id)).is_none());
             }
             Op::Insert(id) => {
                 t.insert(&ks.key(*id), &ks.value(*id, 0)).unwrap();
@@ -84,7 +85,6 @@ fn mixed_workload_with_deletes_and_negatives() {
 fn background_mode_ycsb_under_threads() {
     let t = Arc::new(Hdnh::new(HdnhParams {
         sync_mode: SyncMode::Background,
-        background_writers: 2,
         ..small_params()
     }));
     let ks = KeySpace::default();
@@ -108,7 +108,7 @@ fn background_mode_ycsb_under_threads() {
             s.spawn(move || {
                 for round in 0..10_000u64 {
                     let id = round % 4_000;
-                    if let Some(v) = t.get(&ks.key(id)).unwrap() {
+                    if let Some(v) = t.get(&ks.key(id)) {
                         assert!(
                             ks.validate(id, &v).is_some(),
                             "torn value for id {id}: {v:?}"
@@ -136,7 +136,7 @@ fn several_resizes_under_concurrent_inserts_with_validation() {
                     let id = tid * 1_000_000 + i;
                     t.insert(&ks.key(id), &ks.value(id, 0)).unwrap();
                     if i % 97 == 0 {
-                        let v = t.get(&ks.key(id)).unwrap().expect("own insert visible");
+                        let v = t.get(&ks.key(id)).expect("own insert visible");
                         assert_eq!(ks.validate(id, &v), Some(0));
                     }
                 }
@@ -148,7 +148,7 @@ fn several_resizes_under_concurrent_inserts_with_validation() {
     for tid in 0..4u64 {
         for i in 0..4_000u64 {
             let id = tid * 1_000_000 + i;
-            let v = t.get(&ks.key(id)).unwrap().unwrap_or_else(|| panic!("lost id {id}"));
+            let v = t.get(&ks.key(id)).unwrap_or_else(|| panic!("lost id {id}"));
             assert_eq!(ks.validate(id, &v), Some(0), "id {id}");
         }
     }
@@ -201,7 +201,7 @@ fn shutdown_recover_roundtrip_preserves_workload_state() {
     }
     assert_eq!(r.len(), live.len());
     for &id in &live {
-        let v = r.get(&ks.key(id)).unwrap().unwrap_or_else(|| panic!("lost id {id}"));
+        let v = r.get(&ks.key(id)).unwrap_or_else(|| panic!("lost id {id}"));
         let expected = versions.get(&id).copied().unwrap_or(0);
         assert_eq!(ks.validate(id, &v), Some(expected), "id {id}");
     }
@@ -226,7 +226,7 @@ fn search_path_never_writes_nvm_even_under_skew() {
     let before = t.nvm_stats();
     for op in &ops {
         if let Op::Read(id) = op {
-            t.get(&ks.key(*id)).unwrap().unwrap();
+            t.get(&ks.key(*id)).unwrap();
         }
     }
     let delta = t.nvm_stats().since(&before);
@@ -259,7 +259,7 @@ fn tiny_hot_table_still_correct() {
         t.insert(&ks.key(id), &ks.value(id, 0)).unwrap();
     }
     for id in 0..2_000u64 {
-        let v = t.get(&ks.key(id)).unwrap().unwrap();
+        let v = t.get(&ks.key(id)).unwrap();
         assert_eq!(ks.validate(id, &v), Some(0));
     }
 }

@@ -46,7 +46,7 @@ fn ocf_outcomes_match_nvm_read_ground_truth() {
     let m0 = obs::snapshot();
     let s0 = t.nvm_stats();
     for i in 0..n {
-        assert!(t.get(&ks.negative_key(i)).unwrap().is_none());
+        assert!(t.get(&ks.negative_key(i)).is_none());
     }
     let dm = obs::snapshot().since(&m0);
     let ds = t.nvm_stats().since(&s0);
@@ -63,7 +63,7 @@ fn ocf_outcomes_match_nvm_read_ground_truth() {
     let m0 = obs::snapshot();
     let s0 = t.nvm_stats();
     for id in 0..n {
-        assert!(t.get(&ks.key(id)).unwrap().is_some());
+        assert!(t.get(&ks.key(id)).is_some());
     }
     let dm = obs::snapshot().since(&m0);
     let ds = t.nvm_stats().since(&s0);
@@ -103,7 +103,7 @@ fn hot_hit_counters_match_is_hot_predictions() {
             } else {
                 misses += 1;
             }
-            assert!(t.get(&key).unwrap().is_some());
+            assert!(t.get(&key).is_some());
             gets += 1;
         }
     }
@@ -134,7 +134,7 @@ fn ycsb_a_histogram_population_equals_op_count() {
     for op in &ops {
         match op {
             Op::Read(id) => {
-                assert!(t.get(&ks.key(*id)).unwrap().is_some());
+                assert!(t.get(&ks.key(*id)).is_some());
             }
             // All keys are preloaded, so the upsert resolves as exactly one
             // update — never a fallback insert.

@@ -4,7 +4,7 @@
 //! region API (which `hdnh-nvm`'s unit tests already cover).
 
 use hdnh::{Hdnh, HdnhParams, PersistentPool};
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use hdnh_nvm::{BandwidthLimiter, BandwidthModel, LatencyModel, NvmOptions, NvmRegion, SyncPolicy};
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ fn every_acknowledged_insert_leaves_no_at_risk_lines() {
     let all_acked_state_present = |r: &Hdnh| {
         assert_eq!(r.len(), 420);
         for i in 0..200u64 {
-            assert_eq!(r.get(&Key::from_u64(i)).unwrap().unwrap().as_u64(), i + 1);
+            assert_eq!(r.get(&Key::from_u64(i)).unwrap().as_u64(), i + 1);
         }
         for i in 500..520u64 {
             assert_eq!(r.get_bytes(&Key::from_u64(i)).unwrap(), Some(vec![i as u8; 100]));
@@ -117,7 +117,7 @@ fn latency_model_slows_throughput_measurably() {
         }
         let start = std::time::Instant::now();
         for i in 0..20_000u64 {
-            assert!(t.get(&Key::from_u64(i)).unwrap().is_some());
+            assert!(t.get(&Key::from_u64(i)).is_some());
         }
         start.elapsed()
     };

@@ -20,7 +20,7 @@ use hdnh::faultexplore::{
 };
 use hdnh::Hdnh;
 use hdnh_common::rng::XorShift64Star;
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use hdnh_nvm::{fault, FaultPlan, LossMode, NvmOptions, NvmRegion, PoolDir, SyncPolicy};
 
 /// The fail-point registry is process-global and the torn matrix arms it;
@@ -161,7 +161,7 @@ fn pool_case(mix: &OpMix, plan: &FaultPlan, seed: u64, dir: &Path) -> (usize, us
         .into_iter()
         .map(|k| {
             let key = Key::from_u64(k);
-            (k, table.get(&key).unwrap(), table.get_bytes(&key).ok().flatten())
+            (k, table.get(&key), table.get_bytes(&key).ok().flatten())
         })
         .collect();
     drop(table);
@@ -236,7 +236,7 @@ fn async_policy_demonstrably_loses_acked_writes() {
             let mut missing = 0usize;
             for (k, v) in &model {
                 match table.get(&Key::from_u64(*k)) {
-                    Ok(Some(got)) if got.as_u64() == *v => {}
+                    Some(got) if got.as_u64() == *v => {}
                     _ => missing += 1,
                 }
             }

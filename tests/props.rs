@@ -210,7 +210,7 @@ proptest! {
         prop_assert_eq!(r.len(), oracle.len());
         for (&id, &val) in &oracle {
             prop_assert_eq!(
-                r.get(&Key::from_u64(id as u64)).unwrap().map(|v| v.as_u64()),
+                r.get(&Key::from_u64(id as u64)).map(|v| v.as_u64()),
                 Some(val as u64)
             );
         }

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use hdnh::{Hdnh, HdnhError, HdnhParams};
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 use proptest::prelude::*;
 
 fn tmp_pool(tag: &str) -> PathBuf {
@@ -31,7 +31,7 @@ fn fill(table: &Hdnh, range: std::ops::Range<u64>) {
 
 fn check(table: &Hdnh, range: std::ops::Range<u64>) {
     for id in range {
-        let got = table.get(&Key::from_u64(id)).unwrap().map(|v| v.as_u64());
+        let got = table.get(&Key::from_u64(id)).map(|v| v.as_u64());
         assert_eq!(got, Some(id * 3 + 1), "key {id} wrong after reopen");
     }
 }

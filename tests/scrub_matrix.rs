@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use hdnh::nvtable::checksum6;
 use hdnh::{Hdnh, HdnhParams};
-use hdnh_common::{Key, Value, KEY_LEN};
+use hdnh_common::{HashIndex, KEY_LEN, Key, Value};
 use hdnh_nvm::fault;
 use hdnh_nvm::{CorruptionKind, CorruptionPlan};
 use hdnh_obs as obs;
@@ -97,7 +97,7 @@ fn scrub_reports_exactly_n_detections_and_quarantines_without_hot() {
     // Quarantined slots are gone; the rest are intact.
     assert_eq!(t.len(), 120 - damaged.len());
     for i in 0..120 {
-        let got = t.get(&k(i)).unwrap().map(|val| val.as_u64());
+        let got = t.get(&k(i)).map(|val| val.as_u64());
         if damaged.contains(&i) {
             assert_eq!(got, None, "key {i} must not be served after quarantine");
         } else {
@@ -130,7 +130,7 @@ fn scrub_repairs_every_hot_backed_slot() {
     assert_eq!(report.quarantined, 0, "{report:?}");
     assert_eq!(t.len(), 100);
     for i in 0..100 {
-        assert_eq!(t.get(&k(i)).unwrap().map(|val| val.as_u64()), Some(i + 7000), "key {i}");
+        assert_eq!(t.get(&k(i)).map(|val| val.as_u64()), Some(i + 7000), "key {i}");
     }
     verify_clean(&t);
     assert!(t.scrub().clean());
@@ -146,7 +146,7 @@ fn read_path_never_serves_damaged_bytes() {
     inject(&t, &k(30), KEY_LEN + 4, 0x08);
     // The damaged value must never reach a caller: the read detects the
     // mismatch, finds no hot copy, quarantines, and reports a miss.
-    assert_eq!(t.get(&k(30)).unwrap(), None);
+    assert_eq!(t.get(&k(30)), None);
     assert_eq!(t.len(), 59);
     verify_clean(&t);
     assert!(t.scrub().clean(), "read path already quarantined the slot");
@@ -167,9 +167,9 @@ fn recovery_scan_drops_damaged_records() {
     // The rebuild scan quarantines both damaged slots: they are absent
     // from the recovered count, the OCF, and the hot structures.
     assert_eq!(r.len(), 78);
-    assert_eq!(r.get(&k(10)).unwrap(), None);
-    assert_eq!(r.get(&k(60)).unwrap(), None);
-    assert_eq!(r.get(&k(11)).unwrap().map(|val| val.as_u64()), Some(311));
+    assert_eq!(r.get(&k(10)), None);
+    assert_eq!(r.get(&k(60)), None);
+    assert_eq!(r.get(&k(11)).map(|val| val.as_u64()), Some(311));
     verify_clean(&r);
     assert!(r.scrub().clean());
 }
@@ -196,7 +196,7 @@ fn transient_read_corruption_heals_without_losing_the_record() {
             mask: 0x40,
             seed,
         });
-        let got = t.get(&k(20)).unwrap().map(|val| val.as_u64());
+        let got = t.get(&k(20)).map(|val| val.as_u64());
         let fired = fault::corruption_fired().is_some();
         fault::disarm_corruption();
         assert!(fired, "plan must fire on the record read (seed {seed})");
@@ -241,7 +241,7 @@ fn torn_line_and_poison_reads_are_detected_or_missed_never_forged() {
             mask: 0,
             seed,
         });
-        let got = t.get(&k(7)).unwrap().map(|val| val.as_u64());
+        let got = t.get(&k(7)).map(|val| val.as_u64());
         let fired = fault::corruption_fired().is_some();
         fault::disarm_corruption();
         assert!(fired, "{kind:?} plan must fire");

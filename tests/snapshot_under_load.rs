@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use hdnh::{verify_snapshot, Hdnh, HdnhParams};
-use hdnh_common::{Key, Value};
+use hdnh_common::{HashIndex, Key, Value};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hdnh-snapload-{tag}-{}", std::process::id()));
@@ -116,7 +116,7 @@ fn snapshot_mid_load_restores_every_acked_write() {
     for (w, &hi) in watermarks.iter().enumerate() {
         for i in 0..hi {
             let k = key_of(w, i);
-            let got = restored.get(&Key::from_u64(k)).unwrap().map(|v| v.as_u64());
+            let got = restored.get(&Key::from_u64(k)).map(|v| v.as_u64());
             assert_eq!(
                 got,
                 Some(value_of(k)),

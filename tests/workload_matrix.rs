@@ -6,22 +6,19 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hdnh::{Hdnh, HdnhParams};
-use hdnh_baselines::{Cceh, CcehParams, LevelHash, LevelParams, PathHash, PathParams};
+use hdnh_bench::schemes::{build, Scheme};
 use hdnh_common::HashIndex;
-use hdnh_ycsb::{generate_ops, KeySpace, Mix, Op, WorkloadSpec};
+use hdnh_nvm::NvmOptions;
+use hdnh_ycsb::{execute, generate_ops, KeySpace, Mix, Op, WorkloadSpec};
 
 const PRELOAD: u64 = 2_000;
 const OPS_PER_THREAD: usize = 2_500;
 
 fn schemes() -> Vec<Box<dyn HashIndex>> {
     let capacity = PRELOAD as usize + 4 * OPS_PER_THREAD;
-    vec![
-        Box::new(Hdnh::new(HdnhParams::for_capacity(capacity))) as Box<dyn HashIndex>,
-        Box::new(LevelHash::new(LevelParams::for_capacity(capacity))),
-        Box::new(Cceh::new(CcehParams::for_capacity(capacity))),
-        Box::new(PathHash::new(PathParams::for_capacity(capacity))),
-    ]
+    Scheme::paper_set()
+        .map(|s| build(s, capacity, NvmOptions::fast()))
+        .into()
 }
 
 fn mixes() -> Vec<(&'static str, WorkloadSpec)> {
@@ -38,31 +35,17 @@ fn mixes() -> Vec<(&'static str, WorkloadSpec)> {
 }
 
 /// Executes a stream, validating what can be validated without per-key
-/// version tracking (reads must return canonical values for their id).
+/// version tracking: a negative read finds nothing, and every other read
+/// returns a canonical value for its id.
 fn run_stream(idx: &dyn HashIndex, ks: &KeySpace, ops: &[Op], violations: &AtomicUsize) {
     for op in ops {
-        match op {
-            Op::Read(id) => {
-                if let Some(v) = idx.get(&ks.key(*id)) {
-                    if ks.validate(*id, &v).is_none() {
-                        violations.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Op::ReadAbsent(id) => {
-                if idx.get(&ks.negative_key(*id)).is_some() {
-                    violations.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Op::Insert(id) => {
-                let _ = idx.insert(&ks.key(*id), &ks.value(*id, 0));
-            }
-            Op::Update(id, seq) | Op::ReadModifyWrite(id, seq) => {
-                let _ = idx.upsert(&ks.key(*id), &ks.value(*id, *seq));
-            }
-            Op::Delete(id) => {
-                idx.remove(&ks.key(*id));
-            }
+        let valid = match (op, execute(idx, ks, op)) {
+            (Op::ReadAbsent(_), read) => read.is_none(),
+            (Op::Read(id) | Op::ReadModifyWrite(id, _), Some(v)) => ks.validate(*id, &v).is_some(),
+            _ => true,
+        };
+        if !valid {
+            violations.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
