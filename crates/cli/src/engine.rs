@@ -436,7 +436,7 @@ impl Engine {
     /// is. An error reply fails the line, as `error: CODE msg`.
     fn resp(&self, words: &[String]) -> Result<Outcome, HdnhError> {
         let args: Vec<&[u8]> = words.iter().map(|w| w.as_bytes()).collect();
-        Ok(match call(self.table()?, &args) {
+        Ok(match Caller::new().call(self.table()?, &args) {
             Ok(None) => Outcome::Failure(format!("unknown command '{}' (try 'help')", words[0])),
             Ok(Some(Reply::Error(e))) | Err(e) => Outcome::Failure(format!("error: {e}")),
             Ok(Some(reply)) => Outcome::Text(render(&reply)),
@@ -569,9 +569,10 @@ impl Engine {
     }
 
     /// Runs `n_ops` ops of a YCSB mix over the filled ids, each as the
-    /// RESP requests netbench sends for it ([`op_requests`]), through
-    /// [`call`]: the time includes encoding and decoding them in process.
-    /// The first error reply fails the command.
+    /// RESP requests netbench sends for it ([`op_requests`]), through one
+    /// [`Caller`]: the time includes encoding and decoding them in
+    /// process, not allocating their buffers. The first error reply fails
+    /// the command.
     fn run_workload(&mut self, mix: char, n_ops: usize) -> Result<Outcome, HdnhError> {
         let spec = Self::spec_for(mix);
         let preloaded = self.next_fill_id.max(1);
@@ -583,9 +584,10 @@ impl Engine {
         // `fill`'s values for version 0, the version's digits after it.
         let value = |id: u64, seq: u64| if seq == 0 { id } else { seq }.to_string().into_bytes();
         let mut failed = None;
+        let mut caller = Caller::new();
         let t0 = Instant::now();
         for op in &ops {
-            op_requests(op, value, |args| match call(table, args) {
+            op_requests(op, value, |args| match caller.call(table, args) {
                 Ok(Some(Reply::Error(e))) | Err(e) => {
                     failed.get_or_insert(e);
                 }
@@ -606,27 +608,50 @@ impl Engine {
     }
 }
 
-/// Runs one RESP request through the server's executor, the code a RESP
-/// client's request runs, and decodes its reply: `Ok(None)` for a command
-/// the executor does not know, `Err` for a request the decoder refuses.
-fn call(table: &Hdnh, args: &[&[u8]]) -> Result<Option<Reply>, String> {
-    let mut buf = Vec::new();
-    enc_request(&mut buf, args);
-    let mut dec = Decoder::new(DEFAULT_MAX_FRAME);
-    dec.feed(&buf);
-    let frame = dec
-        .next()
-        .map_err(|e| e.to_string())?
-        .expect("an encoded request is one whole frame");
-    buf.clear();
-    if hdnh_server::execute(table, &dec, &frame, &mut buf).is_none() {
-        return Ok(None);
+/// Runs RESP requests through the server's executor, the code a RESP
+/// client's request runs, and decodes their replies, with one set of
+/// buffers for all of them: the request's and the reply's bytes and the
+/// decoder of each.
+struct Caller {
+    bytes: Vec<u8>,
+    requests: Decoder,
+    replies: ReplyDecoder,
+}
+
+impl Caller {
+    fn new() -> Self {
+        Caller {
+            bytes: Vec::new(),
+            requests: Decoder::new(DEFAULT_MAX_FRAME),
+            replies: ReplyDecoder::new(),
+        }
     }
-    let mut replies = ReplyDecoder::new();
-    replies.feed(&buf);
-    match replies.next() {
-        Ok(Some(reply)) => Ok(Some(reply)),
-        other => unreachable!("the executor appends one whole reply: {other:?}"),
+
+    /// One request: `Ok(None)` for a command the executor does not know,
+    /// `Err` for a request the decoder refuses.
+    fn call(&mut self, table: &Hdnh, args: &[&[u8]]) -> Result<Option<Reply>, String> {
+        self.bytes.clear();
+        enc_request(&mut self.bytes, args);
+        // The previous request was decoded whole: drop it.
+        self.requests.compact();
+        self.requests.feed(&self.bytes);
+        let frame = match self.requests.next() {
+            Ok(frame) => frame.expect("an encoded request is one whole frame"),
+            Err(e) => {
+                // A refused request stays in the buffer: start afresh.
+                self.requests = Decoder::new(DEFAULT_MAX_FRAME);
+                return Err(e.to_string());
+            }
+        };
+        self.bytes.clear();
+        if hdnh_server::execute(table, &self.requests, &frame, &mut self.bytes).is_none() {
+            return Ok(None);
+        }
+        self.replies.feed(&self.bytes);
+        match self.replies.next() {
+            Ok(Some(reply)) => Ok(Some(reply)),
+            other => unreachable!("the executor appends one whole reply: {other:?}"),
+        }
     }
 }
 

@@ -1,12 +1,24 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the one
 //! checksum behind superblocks, snapshot manifests and value-log records.
 //!
-//! Every spilled read, append, verify and GC step checksums a whole
-//! record, so the kernel is slicing-by-8: eight `const`-generated tables
-//! fold one 64-bit little-endian word per step instead of running eight
-//! dependent shift/xor rounds per byte. The polynomial, reflection and
-//! final inversion are unchanged, so checksums written by earlier builds
-//! verify as they are.
+//! Every spilled read, append, verify, relocation, recovery scan and
+//! snapshot checksums whole records or files, so the checksum has two
+//! kernels behind one [`Crc32::update`]:
+//!
+//! * **carry-less multiply** (x86-64 with `PCLMULQDQ` and SSE4.1, detected
+//!   at run time): four 128-bit lanes fold 64 bytes per step, one lane
+//!   folds what is left 16 bytes at a time, and a Barrett reduction for
+//!   the reflected polynomial brings the 128-bit remainder down to the
+//!   32-bit register. Inputs under 16 bytes, and the last under-16-byte
+//!   piece of a longer one, go to the table kernel;
+//! * **slicing-by-8 tables**: eight `const`-generated tables fold one
+//!   64-bit little-endian word per step instead of running eight
+//!   dependent shift/xor rounds per byte. It is the kernel on every other
+//!   host, the tail of the first, and the tests' oracle for it.
+//!
+//! Both compute the same function: the polynomial, reflection and final
+//! inversion are unchanged, so checksums written by earlier builds verify
+//! as they are.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -65,30 +77,131 @@ impl Crc32 {
     /// Folds `data` into the register.
     #[inline]
     pub(crate) fn update(&mut self, data: &[u8]) {
-        let t = &TABLES;
-        let mut crc = self.0;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= 16 && clmul::available() {
+            // SAFETY: the CPU has the features the kernel is compiled for.
+            self.0 = unsafe { clmul::update(self.0, data) };
+            return;
         }
-        for &byte in words.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
-        }
-        self.0 = crc;
+        self.0 = update_table(self.0, data);
     }
 
     #[inline]
     pub(crate) fn finish(self) -> u32 {
         !self.0
+    }
+}
+
+/// The slicing-by-8 kernel: folds `data` into the register `crc`.
+fn update_table(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// The carry-less-multiply kernel (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009), in its
+/// bit-reflected form. Each constant is `x^k mod P(x)`, reflected, for the
+/// fold distance `k` it serves; `P_X` is the polynomial with its x^32 term
+/// and `MU` is `⌊x^64 / P(x)⌋`, both reflected, for the Barrett step.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// x^(4·128+32) and x^(4·128−32): fold a lane across 64 bytes.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128+32) and x^(128−32): fold across 16 bytes.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64: fold the last 96 bits to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    const P_X: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Whether this CPU runs [`update`]. The detection is cached by `std`:
+    /// after the first call this is two loads of one static.
+    #[inline]
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// `a`'s two 64-bit halves multiplied across the fold distance in
+    /// `k`, added into `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// The next 16 bytes of `data`, which has at least that many.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn next(data: &mut &[u8]) -> __m128i {
+        let (head, rest) = data.split_at(16);
+        *data = rest;
+        // SAFETY: `head` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(head.as_ptr().cast()) }
+    }
+
+    /// Folds `data` (at least 16 bytes) into the register `crc`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `sse4.1` ([`available`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn update(crc: u32, mut data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= 16);
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = _mm_xor_si128(next(&mut data), _mm_cvtsi32_si128(crc as i32));
+        if data.len() >= 48 {
+            let k1k2 = _mm_set_epi64x(K2, K1);
+            let (mut x1, mut x2, mut x3) = (next(&mut data), next(&mut data), next(&mut data));
+            while data.len() >= 64 {
+                x = fold(x, next(&mut data), k1k2);
+                x1 = fold(x1, next(&mut data), k1k2);
+                x2 = fold(x2, next(&mut data), k1k2);
+                x3 = fold(x3, next(&mut data), k1k2);
+            }
+            x = fold(x, x1, k3k4);
+            x = fold(x, x2, k3k4);
+            x = fold(x, x3, k3k4);
+        }
+        while data.len() >= 16 {
+            x = fold(x, next(&mut data), k3k4);
+        }
+        // 128 bits to 64: the low 64 bits fold over the rest (K4), then the
+        // low 32 of what remains (K5), as in the Linux and zlib kernels.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32)·µ, T2 = (T1 mod x^32)·P, and the
+        // remainder is the upper half of R + T2 (reflected).
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::update_table(crc, data)
     }
 }
 
@@ -176,6 +289,17 @@ mod tests {
         }
 
         #[test]
+        fn table_kernel_alone_matches_bitwise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..4096 + 8),
+            start in 0usize..8,
+        ) {
+            // The fallback of every non-x86 host, called directly so an
+            // x86 host checks it too.
+            let data = &data[start.min(data.len())..];
+            prop_assert_eq!(!update_table(!0, data), crc32_bitwise(data));
+        }
+
+        #[test]
         fn split_input_matches_the_whole(
             data in proptest::collection::vec(any::<u8>(), 0..4096 + 8),
             cut in 0usize..4096 + 8,
@@ -185,6 +309,33 @@ mod tests {
             crc.update(head);
             crc.update(tail);
             prop_assert_eq!(crc.finish(), crc32_ieee(&data));
+        }
+    }
+
+    /// The dispatching kernel (carry-less multiply where the CPU has it)
+    /// against the table kernel on every length from 0 to 4 KiB + 15 — each
+    /// lane count and every tail length — at every start offset mod 16,
+    /// fed whole and in two pieces split at a point that moves with the
+    /// length and offset.
+    #[test]
+    fn kernels_agree_on_every_length_offset_and_split() {
+        const MAX: usize = 4096 + 15;
+        let buf: Vec<u8> = (0..MAX + 16)
+            .map(|i| (i as u32).wrapping_mul(2_654_435_761).rotate_left(7) as u8)
+            .collect();
+        for len in 0..=MAX {
+            for off in 0..16 {
+                let data = &buf[off..off + len];
+                let want = !update_table(!0, data);
+                let mut whole = Crc32::new();
+                whole.update(data);
+                assert_eq!(whole.finish(), want, "len {len}, offset {off}");
+                let cut = (len * 7 + off * 13) % (len + 1);
+                let mut split = Crc32::new();
+                split.update(&data[..cut]);
+                split.update(&data[cut..]);
+                assert_eq!(split.finish(), want, "len {len}, offset {off}, cut {cut}");
+            }
         }
     }
 

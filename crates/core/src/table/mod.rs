@@ -11,7 +11,7 @@
 //! Every write is one call of `write_with(key, decide)`: pin, hash, request
 //! the probe's lines, search — locking the key's slot if it is there — and
 //! ask `decide` about the old `(value, spilled)` pair, stable under that
-//! lock, or about its absence. *Keep* releases the lock; a *put* with no
+//! lock, or about its absence. An error releases the lock; a *put* with no
 //! empty slot to go to releases it, drops the pin, resizes and asks again.
 //!
 //! | public operation | key present | key absent |
@@ -19,8 +19,11 @@
 //! | `insert`, `insert_bytes` | `DuplicateKey` | put |
 //! | `update`, `update_bytes` | put | `KeyNotFound` |
 //! | `upsert_bytes`, `HashIndex::upsert` | put | put |
-//! | `remove` | remove | keep |
-//! | GC relocation | put if the pointer still matches (hot copy refreshed, not filled), else keep | keep |
+//! | `remove` | remove | nothing |
+//!
+//! The compactor's relocation is not a `write_with`: its sweep (`bytes.rs`)
+//! locks a slot it found naming a victim segment and places the moved
+//! record from there, refreshing a cached hot copy but never filling one.
 //!
 //! A public write that has settled returns a sticky pool I/O fault, if
 //! there is one, as `HdnhError::Io`: applied, but not acknowledged.

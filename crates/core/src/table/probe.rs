@@ -25,18 +25,28 @@ impl Inner {
     /// is touched, and nothing the walk decides depends on a hint.
     #[inline]
     pub(super) fn probe(&self, h: &KeyHashes, n: usize) -> Probe<'_> {
+        let probe = self.probe_hot(h, n);
+        for (li, buckets) in probe.candidates.iter().enumerate() {
+            let (_, ocf) = self.level(li);
+            for &bucket in &buckets[..n] {
+                ocf.prefetch_bucket(bucket);
+            }
+        }
+        probe
+    }
+
+    /// [`probe`](Self::probe) asking for the hot buckets only: the probe of
+    /// a relocation, whose key's slot the compactor's sweep has just
+    /// locked. `claim_empty` looks in that slot's bucket first, and the
+    /// sweep has its filter entries in cache already.
+    #[inline]
+    pub(super) fn probe_hot(&self, h: &KeyHashes, n: usize) -> Probe<'_> {
         let hot = self.hot.as_ref().map(|hot| {
             let at = hot.buckets(h.h1, h.h2);
             hot.prefetch(at);
             (hot, at)
         });
         let candidates = [self.top.candidates(h), self.bottom.candidates(h)];
-        for (li, buckets) in candidates.iter().enumerate() {
-            let (_, ocf) = self.level(li);
-            for &bucket in &buckets[..n] {
-                ocf.prefetch_bucket(bucket);
-            }
-        }
         Probe { inner: self, h: *h, hot, candidates, n }
     }
 }

@@ -1,6 +1,6 @@
 //! The write protocol: one `write_with` behind every insert, update,
-//! upsert, remove and (from `bytes.rs`) GC relocation, and the hot-table
-//! half of each.
+//! upsert and remove, the `place` a GC relocation (`bytes.rs`) shares with
+//! them, and the hot-table half of each.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -21,8 +21,6 @@ use crate::sync::HotOp;
 /// What a write does about a key, answered under the key's slot lock — or,
 /// for an absent key, after a validated miss.
 pub(super) enum Decision {
-    /// Leave the table as it is.
-    Keep,
     /// Store `value`. `spilled`: the 15 bytes are a packed value-log
     /// pointer (committed into the header's spill flag). `refresh_only`
     /// limits the hot-table half to rewriting a copy already cached.
@@ -211,7 +209,7 @@ impl Hdnh {
     /// the new slot is visible another writer can claim the key and write
     /// its own hot copy, which a hot write finishing later would overwrite
     /// with this, by then stale, one.
-    fn place(
+    pub(super) fn place(
         &self,
         probe: &Probe,
         key: &Key,

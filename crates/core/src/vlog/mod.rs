@@ -19,12 +19,12 @@
 //! crash between append and publish leaves an orphaned record that the
 //! recovery scan treats as garbage.
 //!
-//! Garbage collection (`gc`, `Hdnh::compact`) relocates live records
-//! out of the most-garbage segments and retires the emptied segments
-//! without ever blocking readers: readers hold an `Arc` to the segment
-//! they are reading, and a reader that loses the race (its segment left
-//! the map) simply re-probes the index, which by then names the
-//! relocated copy.
+//! Garbage collection (`gc`, `Hdnh::compact`) sweeps the index for the
+//! records still referenced in every segment carrying garbage, relocates
+//! them, and retires the emptied segments without ever blocking readers:
+//! readers hold an `Arc` to the segment they are reading, and a reader
+//! that loses the race (its segment left the map) simply re-probes the
+//! index, which by then names the relocated copy.
 
 mod gc;
 pub(crate) mod segment;
@@ -40,9 +40,10 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::HdnhError;
 
 pub use gc::CompactReport;
+pub(crate) use gc::Victims;
 pub(crate) use segment::AppendTicket;
 pub use segment::footprint;
-pub(crate) use segment::{encode_record, encode_record_into, VlogSegment};
+pub(crate) use segment::{encode_record_into, VlogSegment};
 
 /// Largest payload the 15-byte slot stores inline: one length byte plus
 /// up to 14 payload bytes.
@@ -270,7 +271,8 @@ impl Vlog {
     }
 
     /// [`append`](Self::append), plus the ticket that keeps the compactor
-    /// from scanning the record's segment until it is dropped.
+    /// from sweeping for pointers into the record's segment until it is
+    /// dropped.
     pub(crate) fn append_ticketed(
         &self,
         key: &Key,
@@ -282,14 +284,10 @@ impl Vlog {
                 payload.len()
             )));
         }
-        let fp = footprint(payload.len());
-        if fp <= segment::STACK_IMAGE_MAX {
-            let mut image = [0u8; segment::STACK_IMAGE_MAX];
-            encode_record_into(key, payload, &mut image[..fp]);
-            self.append_image(&image[..fp], payload.len())
-        } else {
-            self.append_image(&encode_record(key, payload), payload.len())
-        }
+        segment::with_buffer(footprint(payload.len()), |image| {
+            encode_record_into(key, payload, image);
+            self.append_image(image, payload.len())
+        })
     }
 
     /// Appends an already encoded (and, for the compactor, already

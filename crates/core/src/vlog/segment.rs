@@ -42,6 +42,16 @@ pub fn footprint(payload_len: usize) -> usize {
 /// takes a payload of 1 000 bytes.
 pub(crate) const STACK_IMAGE_MAX: usize = 1024;
 
+/// Runs `f` on a zeroed buffer of `n` bytes: on the stack up to
+/// [`STACK_IMAGE_MAX`], otherwise on the heap for this one call.
+pub(crate) fn with_buffer<R>(n: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    if n <= STACK_IMAGE_MAX {
+        f(&mut [0u8; STACK_IMAGE_MAX][..n])
+    } else {
+        f(&mut vec![0u8; n])
+    }
+}
+
 /// Encodes one record into `image`, whose length is the record's aligned
 /// [`footprint`]; the pad past the checksum is zeroed.
 pub(crate) fn encode_record_into(key: &Key, payload: &[u8], image: &mut [u8]) {
@@ -56,6 +66,7 @@ pub(crate) fn encode_record_into(key: &Key, payload: &[u8], image: &mut [u8]) {
 }
 
 /// [`encode_record_into`] a fresh buffer.
+#[cfg(test)]
 pub(crate) fn encode_record(key: &Key, payload: &[u8]) -> Vec<u8> {
     let mut image = vec![0u8; footprint(payload.len())];
     encode_record_into(key, payload, &mut image);
@@ -103,8 +114,9 @@ pub(crate) struct VlogSegment {
 /// Held from an append's announcement until the index publish of its
 /// pointer (or its abandonment) has returned. The compactor seals a
 /// victim and then waits for its tickets to drain
-/// ([`VlogSegment::quiesce`]), so it never scans past a reserved but
-/// unwritten record, nor judges a written but unpublished one dead.
+/// ([`VlogSegment::quiesce`]), so its sweep of the index never runs
+/// before a pointer into the victim is published, and a victim never
+/// retires under one.
 /// Dropping the ticket (also on unwind) releases it.
 #[derive(Debug)]
 pub(crate) struct AppendTicket(Arc<VlogSegment>);
@@ -237,8 +249,7 @@ impl VlogSegment {
     }
 
     /// Lends `f` the verified payload of the record at `offset`: its image
-    /// is staged on the stack, or — above [`STACK_IMAGE_MAX`] — in a heap
-    /// buffer that lives for this call.
+    /// is staged by [`with_buffer`].
     pub(crate) fn read_with<R>(
         &self,
         offset: u32,
@@ -247,13 +258,24 @@ impl VlogSegment {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, ()> {
         let n = self.image_len(offset, len)?;
-        if n <= STACK_IMAGE_MAX {
-            let mut image = [0u8; STACK_IMAGE_MAX];
-            self.read_record_into(offset, key, &mut image[..n]).map(f)
-        } else {
-            let mut image = vec![0u8; n];
-            self.read_record_into(offset, key, &mut image).map(f)
-        }
+        with_buffer(n, |image| self.read_record_into(offset, key, image).map(f))
+    }
+
+    /// Lends `f` the whole image of the record at `offset` — its
+    /// [`footprint`], pad zeroed — once it verified for this key and
+    /// length: what the compactor appends, as it is, to move the record.
+    pub(crate) fn with_image<R>(
+        &self,
+        offset: u32,
+        len: u32,
+        key: &Key,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, ()> {
+        let n = self.image_len(offset, len)?;
+        with_buffer(footprint(len as usize), |image| {
+            self.read_record_into(offset, key, &mut image[..n])?;
+            Ok(f(image))
+        })
     }
 
     /// The verified payload of the record at `offset`, returned in the
@@ -306,8 +328,9 @@ impl VlogSegment {
     }
 
     /// Iterates decodable records (offset, key, payload length, record
-    /// image) from offset 0 up to the current tail, skipping nothing: a
-    /// quiesced log is dense until its tail by construction.
+    /// image) from offset 0 up to the current tail or the first record
+    /// that does not verify.
+    #[cfg(test)]
     pub(crate) fn for_each_record(&self, f: impl FnMut(u32, &Key, usize, &[u8])) {
         self.walk(self.used() as usize, f);
     }
